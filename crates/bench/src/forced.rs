@@ -28,10 +28,10 @@ use netsim::{Host, NetCtx, TransformKind};
 /// it believed in these endpoints all along).
 pub fn readdress(pkt: &Ipv4Packet, new_src: Ipv4Addr, new_dst: Ipv4Addr) -> Ipv4Packet {
     let payload = match pkt.protocol {
-        IpProtocol::Tcp => TcpSegment::parse(&pkt.payload, pkt.src, pkt.dst)
+        IpProtocol::Tcp => TcpSegment::parse_bytes(&pkt.payload, pkt.src, pkt.dst)
             .map(|seg| Bytes::from(seg.emit(new_src, new_dst)))
             .unwrap_or_else(|_| pkt.payload.clone()),
-        IpProtocol::Udp => UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst)
+        IpProtocol::Udp => UdpDatagram::parse_bytes(&pkt.payload, pkt.src, pkt.dst)
             .map(|d| Bytes::from(d.emit(new_src, new_dst)))
             .unwrap_or_else(|_| pkt.payload.clone()),
         _ => pkt.payload.clone(),

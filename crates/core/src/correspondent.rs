@@ -217,7 +217,7 @@ impl MobilityHook for MobileAwareCh {
                 home,
                 care_of,
                 lifetime_secs,
-            }) = IcmpMessage::parse(&pkt.payload)
+            }) = IcmpMessage::parse_bytes(&pkt.payload)
             {
                 self.set_binding(
                     home,

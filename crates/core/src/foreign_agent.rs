@@ -147,7 +147,7 @@ impl ForeignAgent {
         host: &mut Host,
         ctx: &mut NetCtx,
     ) -> bool {
-        let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(dgram) = UdpDatagram::parse_bytes(&pkt.payload, pkt.src, pkt.dst) else {
             return false;
         };
         if dgram.dst_port != REGISTRATION_PORT {

@@ -230,7 +230,7 @@ impl HomeAgent {
     }
 
     fn handle_registration(&mut self, pkt: &Ipv4Packet, host: &mut Host, ctx: &mut NetCtx) -> bool {
-        let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(dgram) = UdpDatagram::parse_bytes(&pkt.payload, pkt.src, pkt.dst) else {
             return false;
         };
         if dgram.dst_port != REGISTRATION_PORT {

@@ -434,7 +434,7 @@ impl MobileHost {
         if pkt.protocol != IpProtocol::Udp || !from_agent {
             return false;
         }
-        let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(dgram) = UdpDatagram::parse_bytes(&pkt.payload, pkt.src, pkt.dst) else {
             return false;
         };
         if dgram.src_port != REGISTRATION_PORT || dgram.dst_port != REGISTRATION_PORT {

@@ -327,12 +327,12 @@ impl Host {
 
     /// All locally-configured unicast addresses.
     pub fn addrs(&self) -> Vec<Ipv4Addr> {
-        self.nic.addrs()
+        self.nic.addrs().collect()
     }
 
     /// Does any interface (physical or virtual) own this address?
     pub fn is_local_addr(&self, a: Ipv4Addr) -> bool {
-        self.nic.addrs().contains(&a)
+        self.nic.owns_addr(a)
     }
 
     // ---- routing ------------------------------------------------------
@@ -680,14 +680,12 @@ impl Host {
 
     pub(crate) fn on_frame(&mut self, ctx: &mut NetCtx, iface: IfaceNo, frame: &Bytes) {
         let _prof = crate::profile::scope("host/rx");
-        let mut own = self.nic.addrs();
-        // Also answer ARP for intercepted addresses via the proxy list.
-        own.extend(self.intercept.iter().copied());
+        // Also answer ARP for intercepted and proxied addresses.
         let identity = ArpIdentity {
-            own: &own,
+            intercept: Some(&self.intercept),
             proxy: &self.proxy_arp,
         };
-        match self.nic.on_frame(ctx, iface, frame, &identity) {
+        match self.nic.on_frame(ctx, iface, frame, identity) {
             NicRx::Ip(pkt) => self.receive_ip(ctx, iface, pkt),
             NicRx::Malformed => { /* corrupted frames vanish, as on real wires */ }
             NicRx::Consumed => {}
@@ -841,6 +839,9 @@ impl Host {
     }
 
     fn handle_icmp(&mut self, ctx: &mut NetCtx, pkt: Ipv4Packet) {
+        // Every message ends up in `icmp_log`, which outlives the frame by
+        // the whole run: parse from a copy of the ICMP bytes so a log entry
+        // holds its own few bytes instead of pinning the inbound buffer.
         let Ok(msg) = IcmpMessage::parse(&pkt.payload) else {
             ctx.trace_packet(TraceEventKind::Dropped(DropReason::Malformed), &pkt);
             return;
@@ -919,5 +920,62 @@ impl std::fmt::Debug for Host {
             .field("id", &self.id)
             .field("addrs", &self.addrs())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::LinkConfig;
+    use crate::profile::thread_allocations;
+    use crate::wire::arp::ArpPacket;
+    use crate::wire::ethernet::{EtherType, EthernetFrame};
+    use crate::world::World;
+
+    /// What most of a 196-host stub sees during a handoff storm — a
+    /// broadcast ARP request about a third party, a unicast frame for some
+    /// other MAC — must cost a bystander no allocation at all.
+    #[test]
+    fn frames_for_someone_else_allocate_nothing() {
+        let mut w = World::new(1);
+        let lan = w.add_segment(LinkConfig::lan());
+        let [asker, bystander, target] =
+            ["asker", "bystander", "target"].map(|n| w.add_host(HostConfig::conventional(n)));
+        w.attach(asker, lan, Some("10.0.0.1/24"));
+        w.attach(bystander, lan, Some("10.0.0.2/24"));
+        w.attach(target, lan, Some("10.0.0.3/24"));
+        let (asker_mac, target_mac) = (w.host(asker).nic.mac(0), w.host(target).nic.mac(0));
+        let (asker_ip, target_ip) = ("10.0.0.1".parse().unwrap(), "10.0.0.3".parse().unwrap());
+
+        let arp = ArpPacket::request(asker_mac, asker_ip, target_ip);
+        let who_has = EthernetFrame::new(
+            MacAddr::BROADCAST,
+            asker_mac,
+            EtherType::Arp,
+            Bytes::from(arp.emit()),
+        )
+        .emit();
+        let ping = Ipv4Packet::new(
+            asker_ip,
+            target_ip,
+            IpProtocol::Udp,
+            Bytes::from(vec![7; 1400]),
+        );
+        let not_mine =
+            EthernetFrame::new(target_mac, asker_mac, EtherType::Ipv4, ping.emit()).emit();
+
+        for frame in [who_has, not_mine] {
+            let allocs = w.host_do(bystander, |h, ctx| {
+                let (before, _) = thread_allocations();
+                h.on_frame(ctx, 0, &frame);
+                thread_allocations().0 - before
+            });
+            assert_eq!(allocs, 0, "a frame for someone else must be free");
+        }
+        assert!(w
+            .host(bystander)
+            .nic
+            .arp_lookup(0, asker_ip, w.now())
+            .is_none());
     }
 }

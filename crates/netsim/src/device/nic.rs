@@ -2,6 +2,8 @@
 //! (RFC 826) with proxy-ARP support (RFC 1027), fragmentation to the link
 //! MTU, and frame transmission.
 
+use std::collections::HashSet;
+
 use bytes::Bytes;
 
 use crate::event::IfaceNo;
@@ -48,18 +50,20 @@ impl IfaceAddr {
     }
 }
 
-/// Who a NIC should answer ARP requests for: its own addresses plus any
-/// proxied ones (the home agent answers for absent mobile hosts).
+/// Addresses a NIC answers ARP requests for beyond its own interface
+/// addresses (which it checks itself): intercepted ones (the home agent's
+/// capture list) and proxied ones (RFC 1027, for absent mobile hosts).
+#[derive(Clone, Copy, Default)]
 pub struct ArpIdentity<'a> {
-    /// Addresses this node owns.
-    pub own: &'a [Ipv4Addr],
-    /// Addresses answered on behalf of others (proxy ARP).
+    /// Addresses accepted as local on behalf of registered mobile hosts.
+    pub intercept: Option<&'a HashSet<Ipv4Addr>>,
+    /// Addresses answered on behalf of others (proxy ARP), sorted.
     pub proxy: &'a [Ipv4Addr],
 }
 
 impl ArpIdentity<'_> {
     fn covers(&self, a: Ipv4Addr) -> bool {
-        self.own.contains(&a) || self.proxy.contains(&a)
+        self.intercept.is_some_and(|set| set.contains(&a)) || self.proxy.binary_search(&a).is_ok()
     }
 }
 
@@ -198,12 +202,14 @@ impl Nic {
         self.ifaces[iface].mtu
     }
 
-    /// All configured interface addresses.
-    pub fn addrs(&self) -> Vec<Ipv4Addr> {
-        self.ifaces
-            .iter()
-            .filter_map(|i| i.addr.map(|a| a.addr))
-            .collect()
+    /// All configured interface addresses, in interface order.
+    pub fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.ifaces.iter().filter_map(|i| i.addr.map(|a| a.addr))
+    }
+
+    /// Is `a` the configured address of one of this NIC's interfaces?
+    pub fn owns_addr(&self, a: Ipv4Addr) -> bool {
+        self.addrs().any(|own| own == a)
     }
 
     /// The interface whose on-link prefix contains `dst`, if any.
@@ -398,32 +404,35 @@ impl Nic {
         ctx.transmit(seg, iface, &frame);
     }
 
-    /// Process a received frame. ARP is consumed internally (answering for
-    /// every address in `identity`); IPv4 frames addressed to this NIC (or
-    /// broadcast/multicast) come back as [`NicRx::Ip`].
+    /// Process a received frame: filter on the destination MAC in the
+    /// 14-byte header, then hand back views of the inbound buffer — no
+    /// byte of a frame for someone else is read past that header, and no
+    /// payload is copied. ARP is consumed internally (answering for the
+    /// NIC's own addresses and everything in `identity`); IPv4 frames
+    /// addressed to this NIC (or broadcast/multicast) come back as
+    /// [`NicRx::Ip`].
     pub fn on_frame(
         &mut self,
         ctx: &mut NetCtx,
         iface: IfaceNo,
-        frame: &[u8],
-        identity: &ArpIdentity<'_>,
+        frame: &Bytes,
+        identity: ArpIdentity<'_>,
     ) -> NicRx {
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok((dst, _, ethertype)) = EthernetFrame::parse_header(frame) else {
             return NicRx::Malformed;
         };
-        let my_mac = self.ifaces[iface].mac;
-        if eth.dst != my_mac && !eth.dst.is_broadcast() && !eth.dst.is_multicast() {
+        if dst != self.ifaces[iface].mac && !dst.is_broadcast() && !dst.is_multicast() {
             return NicRx::Consumed; // not for us; NICs are not promiscuous
         }
-        match eth.ethertype {
+        match ethertype {
             EtherType::Arp => {
-                match ArpPacket::parse(&eth.payload) {
+                match ArpPacket::parse(&frame[ETHERNET_HEADER_LEN..]) {
                     Ok(arp) => self.on_arp(ctx, iface, arp, identity),
                     Err(_) => return NicRx::Malformed,
                 }
                 NicRx::Consumed
             }
-            EtherType::Ipv4 => match Ipv4Packet::parse(&eth.payload) {
+            EtherType::Ipv4 => match Ipv4Packet::parse_bytes(&frame.slice(ETHERNET_HEADER_LEN..)) {
                 Ok(p) => NicRx::Ip(p),
                 Err(_) => NicRx::Malformed,
             },
@@ -436,8 +445,9 @@ impl Nic {
         ctx: &mut NetCtx,
         iface: IfaceNo,
         arp: ArpPacket,
-        identity: &ArpIdentity<'_>,
+        identity: ArpIdentity<'_>,
     ) {
+        let for_us = self.owns_addr(arp.tpa) || identity.covers(arp.tpa);
         // Learn / refresh the sender's binding. Gratuitous replies overwrite
         // stale entries, which is exactly how proxy-ARP capture usurps the
         // mobile host's address on the home segment. A fresh entry is
@@ -449,7 +459,6 @@ impl Nic {
         // gratuitous announce costs an ARP allocation on every resident of
         // the segment.
         if !arp.spa.is_unspecified() {
-            let for_us = identity.covers(arp.tpa);
             let awaited = self
                 .pending
                 .iter()
@@ -461,7 +470,7 @@ impl Nic {
             }
             self.flush_pending(ctx, iface, arp.spa, arp.sha);
         }
-        if arp.op == ArpOp::Request && identity.covers(arp.tpa) {
+        if arp.op == ArpOp::Request && for_us {
             let st = &self.ifaces[iface];
             let Some(seg) = st.segment else { return };
             let reply = ArpPacket::reply(st.mac, arp.tpa, arp.sha, arp.spa);

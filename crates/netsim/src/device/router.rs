@@ -22,10 +22,9 @@ use crate::link::FaultOutcome;
 use crate::route::RouteTable;
 use crate::time::SimDuration;
 use crate::trace::{DropReason, TraceEventKind};
-use crate::wire::checksum_valid;
 use crate::wire::ethernet::{EtherType, MacAddr, ETHERNET_HEADER_LEN};
 use crate::wire::icmp::{IcmpMessage, UnreachableCode};
-use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Cidr, Ipv4Packet, IPV4_HEADER_LEN};
+use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Cidr, Ipv4Packet};
 use crate::wire::srcroute;
 use crate::world::NetCtx;
 
@@ -370,12 +369,7 @@ impl Router {
         if self.try_fast_forward(ctx, iface, frame) {
             return;
         }
-        let own = self.nic.addrs();
-        let identity = ArpIdentity {
-            own: &own,
-            proxy: &[],
-        };
-        let pkt = match self.nic.on_frame(ctx, iface, frame, &identity) {
+        let pkt = match self.nic.on_frame(ctx, iface, frame, ArpIdentity::default()) {
             NicRx::Ip(p) => p,
             NicRx::Malformed | NicRx::Consumed => return,
         };
@@ -419,8 +413,7 @@ impl Router {
     /// tests assert both paths yield byte-identical wire frames and
     /// identical traces.
     fn try_fast_forward(&mut self, ctx: &mut NetCtx, iface: IfaceNo, frame: &Bytes) -> bool {
-        const MIN_FRAME: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
-        if !self.fast_forward || !self.filters.is_empty() || frame.len() < MIN_FRAME {
+        if !self.fast_forward || !self.filters.is_empty() || frame.len() < ETHERNET_HEADER_LEN {
             return false;
         }
         let b = frame.as_slice();
@@ -430,26 +423,19 @@ impl Router {
         {
             return false;
         }
-        let ip = &b[ETHERNET_HEADER_LEN..];
-        // Plain IPv4, 20-byte header: packets with options take the §4
-        // options slow path (and may carry source routes).
-        if ip[0] != 0x45 || !checksum_valid(&ip[..IPV4_HEADER_LEN], 0) {
+        // The one IPv4 validation body, as views of the frame. Packets with
+        // options take the §4 options slow path (and may carry source
+        // routes); TTL expiry reporting lives on the slow path too.
+        let Ok(mut pkt) = Ipv4Packet::parse_bytes(&frame.slice(ETHERNET_HEADER_LEN..)) else {
+            return false;
+        };
+        if !pkt.options.is_empty() || pkt.ttl <= 1 {
             return false;
         }
-        let total_len = usize::from(u16::from_be_bytes([ip[2], ip[3]]));
-        if total_len < IPV4_HEADER_LEN || ip.len() < total_len {
-            return false;
-        }
-        let ttl = ip[8];
-        if ttl <= 1 {
-            return false; // TTL expiry reporting lives on the slow path
-        }
-        let dst = Ipv4Addr::from_octets([ip[16], ip[17], ip[18], ip[19]]);
+        let (dst, total_len) = (pkt.dst, pkt.wire_len());
         // Addressed to the router itself → local delivery, slow path.
-        for i in 0..self.nic.iface_count() {
-            if self.nic.addr(i).is_some_and(|a| a.addr == dst) {
-                return false;
-            }
+        if self.nic.owns_addr(dst) {
+            return false;
         }
         let Some(route) = self.routes.lookup(dst) else {
             return false; // no-route ICMP is slow-path work
@@ -474,21 +460,8 @@ impl Router {
         self.fast_path_forwards += 1;
 
         // Trace exactly what the slow path would have: the forwarded packet
-        // with decremented TTL, payload sliced zero-copy from the frame.
-        let flags_frag = u16::from_be_bytes([ip[6], ip[7]]);
-        let pkt = Ipv4Packet {
-            tos: ip[1],
-            ident: u16::from_be_bytes([ip[4], ip[5]]),
-            dont_fragment: flags_frag & 0x4000 != 0,
-            more_fragments: flags_frag & 0x2000 != 0,
-            frag_offset: flags_frag & 0x1fff,
-            ttl: ttl - 1,
-            protocol: IpProtocol::from_number(ip[9]),
-            src: Ipv4Addr::from_octets([ip[12], ip[13], ip[14], ip[15]]),
-            dst,
-            options: Bytes::new(),
-            payload: frame.slice(MIN_FRAME..ETHERNET_HEADER_LEN + total_len),
-        };
+        // with decremented TTL.
+        pkt.ttl -= 1;
         match outcome {
             FaultOutcome::Drop => {
                 ctx.trace_packet(TraceEventKind::Dropped(DropReason::LinkFault), &pkt);
@@ -504,9 +477,8 @@ impl Router {
     }
 
     fn continue_after_ingress(&mut self, ctx: &mut NetCtx, iface: IfaceNo, mut pkt: Ipv4Packet) {
-        let own = self.nic.addrs();
         // Addressed to the router itself?
-        if own.contains(&pkt.dst) {
+        if self.nic.owns_addr(pkt.dst) {
             // A loose source route with remaining hops means we are a
             // waypoint, not the destination: rewrite and keep forwarding.
             let here = pkt.dst;
@@ -528,7 +500,7 @@ impl Router {
                 ident,
                 seq,
                 payload,
-            }) = IcmpMessage::parse(&pkt.payload)
+            }) = IcmpMessage::parse_bytes(&pkt.payload)
             {
                 ctx.trace_packet(TraceEventKind::DeliveredLocal, &pkt);
                 let reply = IcmpMessage::EchoReply {
@@ -610,7 +582,7 @@ impl Router {
         if offending.protocol == IpProtocol::Icmp {
             return;
         }
-        let Some(src) = self.nic.addrs().first().copied() else {
+        let Some(src) = self.nic.addrs().next() else {
             return;
         };
         let wire = offending.emit();

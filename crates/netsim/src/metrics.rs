@@ -96,26 +96,46 @@ const HDR_OCTAVES: usize = 64 - HDR_SUB_BITS as usize;
 /// Total bucket count (976).
 const HDR_BUCKETS: usize = HDR_SUBS + HDR_OCTAVES * HDR_SUBS;
 
-/// A fixed-size HDR-style histogram of `u64` samples (microseconds, in
-/// every current use). Values below 16 get exact buckets; above that,
-/// each power-of-two range splits into 16 linear sub-buckets keyed by the
-/// value's top 4 bits below its msb, so quantiles carry at most 6.25%
-/// relative error across the full `u64` range. Storage is one inline
-/// array — **constant memory regardless of sample count** — and `record`
-/// is O(1) with no allocation (a regression test records 10⁶ samples and
-/// asserts zero allocator traffic).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An HDR-style histogram of `u64` samples (microseconds, in every current
+/// use). Values below 16 get exact buckets; above that, each power-of-two
+/// range splits into 16 linear sub-buckets keyed by the value's top 4 bits
+/// below its msb, so quantiles carry at most 6.25% relative error across
+/// the full `u64` range. The 976 buckets are one boxed array allocated by
+/// the first `record` (or by merging in a non-empty histogram): a
+/// histogram nobody records into is 40 bytes, and one that has recorded is
+/// **constant memory regardless of sample count** — `record` is O(1) and,
+/// after that first allocation, allocation-free (a regression test records
+/// 10⁶ samples and counts exactly one).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
-    counts: [u64; HDR_BUCKETS],
+    /// `None` until the first sample; never `Some` of all zeros.
+    counts: Option<Box<[u64; HDR_BUCKETS]>>,
     sum: u64,
     n: u64,
     min: u64,
     max: u64,
 }
 
+/// What an unallocated histogram's buckets read as.
+static ZERO_BUCKETS: [u64; HDR_BUCKETS] = [0; HDR_BUCKETS];
+
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::EMPTY
+    }
+}
+
+/// Field-for-field what `#[derive(Debug)]` printed when the buckets were an
+/// inline array, so digests over `{:?}` output do not move.
+impl std::fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Histogram")
+            .field("counts", self.buckets())
+            .field("sum", &self.sum)
+            .field("n", &self.n)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .finish()
     }
 }
 
@@ -145,16 +165,25 @@ fn hdr_bucket_hi(ix: usize) -> u64 {
 impl Histogram {
     /// A histogram with no samples.
     pub const EMPTY: Histogram = Histogram {
-        counts: [0; HDR_BUCKETS],
+        counts: None,
         sum: 0,
         n: 0,
         min: u64::MAX,
         max: 0,
     };
 
+    fn buckets(&self) -> &[u64; HDR_BUCKETS] {
+        self.counts.as_deref().unwrap_or(&ZERO_BUCKETS)
+    }
+
+    fn buckets_mut(&mut self) -> &mut [u64; HDR_BUCKETS] {
+        self.counts
+            .get_or_insert_with(|| Box::new([0; HDR_BUCKETS]))
+    }
+
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.counts[hdr_bucket(v)] += 1;
+        self.buckets_mut()[hdr_bucket(v)] += 1;
         self.sum = self.sum.saturating_add(v);
         self.n += 1;
         self.min = self.min.min(v);
@@ -196,8 +225,10 @@ impl Histogram {
     /// sample streams — sharded/parallel worlds combine telemetry
     /// without re-recording.
     pub fn merge(&mut self, other: &Histogram) {
-        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
+        if let Some(theirs) = other.counts.as_deref() {
+            for (c, o) in self.buckets_mut().iter_mut().zip(theirs.iter()) {
+                *c += o;
+            }
         }
         self.sum = self.sum.saturating_add(other.sum);
         self.n += other.n;
@@ -214,7 +245,7 @@ impl Histogram {
         }
         let rank = (self.n - 1) * u64::from(p.min(100)) / 100;
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.buckets().iter().enumerate() {
             seen += c;
             if c > 0 && seen > rank {
                 // Upper bound of bucket i, clamped to the observed range.
@@ -544,10 +575,45 @@ impl SketchedMetrics {
             rtt_exemplars: crate::telemetry::Reservoir::new(cfg.reservoir, cfg.seed),
         }
     }
+
+    /// Fold dense per-id records in: totals add exactly, and every node
+    /// that recorded anything is offered to the heavy-hitter sketch.
+    fn absorb_dense(&mut self, nodes: &[NodeMetrics], segments: &[SegmentMetrics]) {
+        for (i, n) in nodes.iter().enumerate() {
+            self.totals.merge(n);
+            let events = n.packets_sent
+                + n.packets_forwarded
+                + n.packets_delivered
+                + n.total_drops()
+                + n.transforms;
+            if events > 0 {
+                self.node_hitters.offer(NodeId(i), events);
+            }
+        }
+        for s in segments {
+            self.seg_totals.merge(s);
+        }
+    }
+}
+
+/// Extend a dense per-id vector to at least `len` zeroed records. Capacity
+/// goes to the next power of two, so it depends only on the highest id ever
+/// touched — not on which id came first, as amortised doubling from an
+/// arbitrary starting point would — while growth stays O(1) amortised.
+fn grow_dense<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.reserve_exact(len.next_power_of_two() - v.len());
+        v.resize(len, T::default());
+    }
 }
 
 /// The registry: one [`NodeMetrics`] per node and one [`SegmentMetrics`]
-/// per segment, lazily grown as ids are first seen.
+/// per segment, in dense vectors indexed by id and lazily grown as ids are
+/// first seen: touching id `n` creates zeroed records for every id up to
+/// `n`, and capacity is the next power of two above the highest id touched
+/// — a function of which ids recorded, never of the order they did. A
+/// record holds only counters inline (a [`NodeMetrics`] is ~260 bytes); its
+/// histogram's buckets exist only once something was recorded into it.
 ///
 /// **Sketched mode.** Dense per-node/per-segment vectors are exact but
 /// O(nodes) — unaffordable at the 10⁵⁺-node scale on the ROADMAP. When a
@@ -633,20 +699,7 @@ impl MetricsRegistry {
         }
         let cfg = self.sketch.unwrap_or_default();
         let mut sk = Box::new(SketchedMetrics::new(cfg));
-        for (i, n) in self.nodes.iter().enumerate() {
-            sk.totals.merge(n);
-            let events = n.packets_sent
-                + n.packets_forwarded
-                + n.packets_delivered
-                + n.total_drops()
-                + n.transforms;
-            if events > 0 {
-                sk.node_hitters.offer(NodeId(i), events);
-            }
-        }
-        for s in &self.segments {
-            sk.seg_totals.merge(s);
-        }
+        sk.absorb_dense(&self.nodes, &self.segments);
         // Per-flow history and raw RTT exemplars cannot be reconstructed
         // from dense counters; their sketches fill from here on.
         self.nodes = Vec::new();
@@ -655,16 +708,12 @@ impl MetricsRegistry {
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut NodeMetrics {
-        if self.nodes.len() <= id.0 {
-            self.nodes.resize(id.0 + 1, NodeMetrics::default());
-        }
+        grow_dense(&mut self.nodes, id.0 + 1);
         &mut self.nodes[id.0]
     }
 
     fn segment_mut(&mut self, id: SegmentId) -> &mut SegmentMetrics {
-        if self.segments.len() <= id.0 {
-            self.segments.resize(id.0 + 1, SegmentMetrics::default());
-        }
+        grow_dense(&mut self.segments, id.0 + 1);
         &mut self.segments[id.0]
     }
 
@@ -686,12 +735,16 @@ impl MetricsRegistry {
         self.segments.get(id.0).unwrap_or(&EMPTY_SEGMENT)
     }
 
-    /// Node ids that have recorded at least one event, in id order.
+    /// Every node id up to the highest one that has recorded an event, in
+    /// id order — ids below it that never recorded are included and read
+    /// as zeros (reports iterate this and rely on it). Empty once sketched.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId)
     }
 
-    /// Segment ids that have recorded at least one event, in id order.
+    /// Every segment id up to the highest one that has recorded an event,
+    /// in id order; untouched ids below it read as zeros. Empty once
+    /// sketched.
     pub fn segment_ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
         (0..self.segments.len()).map(SegmentId)
     }
@@ -747,16 +800,11 @@ impl MetricsRegistry {
     /// union-merge with error bounds intact).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         if self.sketched.is_none() && other.sketched.is_none() {
-            if self.nodes.len() < other.nodes.len() {
-                self.nodes.resize(other.nodes.len(), NodeMetrics::default());
-            }
+            grow_dense(&mut self.nodes, other.nodes.len());
             for (m, o) in self.nodes.iter_mut().zip(other.nodes.iter()) {
                 m.merge(o);
             }
-            if self.segments.len() < other.segments.len() {
-                self.segments
-                    .resize(other.segments.len(), SegmentMetrics::default());
-            }
+            grow_dense(&mut self.segments, other.segments.len());
             for (m, o) in self.segments.iter_mut().zip(other.segments.iter()) {
                 m.merge(o);
             }
@@ -782,20 +830,7 @@ impl MetricsRegistry {
             sk.flow_hitters.merge(&o.flow_hitters);
             sk.rtt_exemplars.merge(&o.rtt_exemplars);
         } else {
-            for (i, n) in other.nodes.iter().enumerate() {
-                sk.totals.merge(n);
-                let events = n.packets_sent
-                    + n.packets_forwarded
-                    + n.packets_delivered
-                    + n.total_drops()
-                    + n.transforms;
-                if events > 0 {
-                    sk.node_hitters.offer(NodeId(i), events);
-                }
-            }
-            for s in &other.segments {
-                sk.seg_totals.merge(s);
-            }
+            sk.absorb_dense(&other.nodes, &other.segments);
         }
     }
 
@@ -1251,6 +1286,55 @@ mod tests {
         let before = a.clone();
         a.merge(&Histogram::default());
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn empty_histograms_stay_unallocated_and_equal() {
+        let mut h = Histogram::default();
+        h.merge(&Histogram::EMPTY);
+        assert_eq!(h, Histogram::EMPTY);
+        assert!(h.counts.is_none(), "merging nothing allocates nothing");
+        assert_eq!(h.percentile(99), None);
+        // Merging into an empty one adopts the samples exactly.
+        let mut one = Histogram::default();
+        one.record(42);
+        h.merge(&one);
+        assert_eq!(h, one);
+        // What an untouched-by-TCP node costs the dense registry.
+        assert!(std::mem::size_of::<NodeMetrics>() <= 320);
+    }
+
+    #[test]
+    fn histogram_debug_matches_the_inline_array_derive() {
+        // Run digests hash `format!("{totals:?}")`: the lazily allocated
+        // buckets must print exactly as the derived impl printed the
+        // inline array they replaced.
+        mod inline {
+            #[derive(Debug)]
+            #[allow(dead_code)]
+            pub struct Histogram {
+                pub counts: [u64; super::HDR_BUCKETS],
+                pub sum: u64,
+                pub n: u64,
+                pub min: u64,
+                pub max: u64,
+            }
+        }
+        let mut recorded = Histogram::default();
+        for v in [0u64, 3, 17, 90_000, u64::MAX] {
+            recorded.record(v);
+        }
+        for h in [Histogram::EMPTY, recorded] {
+            let reference = inline::Histogram {
+                counts: *h.buckets(),
+                sum: h.sum,
+                n: h.n,
+                min: h.min,
+                max: h.max,
+            };
+            assert_eq!(format!("{h:?}"), format!("{reference:?}"));
+            assert_eq!(format!("{h:#?}"), format!("{reference:#?}"));
+        }
     }
 
     #[test]

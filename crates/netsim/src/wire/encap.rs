@@ -158,10 +158,11 @@ pub fn encapsulate(
 }
 
 /// Unwrap a tunnel packet, recovering the inner IP packet. Dispatches on the
-/// outer protocol field; fails on non-tunnel packets.
+/// outer protocol field; fails on non-tunnel packets. The inner packet's
+/// options and payload are views of the outer payload in all three formats.
 pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
     match outer.protocol {
-        IpProtocol::IpInIp => Ipv4Packet::parse(&outer.payload),
+        IpProtocol::IpInIp => Ipv4Packet::parse_bytes(&outer.payload),
         IpProtocol::MinimalEncap => {
             let p = &outer.payload;
             if p.len() < 4 {
@@ -199,7 +200,7 @@ pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
                 protocol: IpProtocol::from_number(p[0]),
                 src,
                 dst,
-                options: bytes::Bytes::new(),
+                options: Bytes::new(),
                 payload: outer.payload.slice(hdr_len..),
             })
         }
@@ -230,7 +231,7 @@ pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
             if has_cksum && !checksum_valid(p, 0) {
                 return Err(ParseError::BadChecksum { what: "gre" });
             }
-            Ipv4Packet::parse(&p[hdr_len..])
+            Ipv4Packet::parse_bytes(&p.slice(hdr_len..))
         }
         other => Err(ParseError::BadField {
             what: "tunnel protocol",

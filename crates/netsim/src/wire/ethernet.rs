@@ -149,24 +149,37 @@ impl EthernetFrame {
         buf.extend_from_slice(&ethertype.number().to_be_bytes());
     }
 
-    /// Parse from wire bytes.
-    pub fn parse(data: &[u8]) -> Result<EthernetFrame, ParseError> {
-        if data.len() < ETHERNET_HEADER_LEN {
+    /// Parse the 14-byte header alone — destination, source, EtherType —
+    /// which is all a NIC needs to decide a frame is not for it.
+    pub fn parse_header(frame: &[u8]) -> Result<(MacAddr, MacAddr, EtherType), ParseError> {
+        let Some(h) = frame.first_chunk::<ETHERNET_HEADER_LEN>() else {
             return Err(ParseError::Truncated {
                 needed: ETHERNET_HEADER_LEN,
-                got: data.len(),
+                got: frame.len(),
             });
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&data[0..6]);
-        src.copy_from_slice(&data[6..12]);
+        };
+        Ok((
+            MacAddr([h[0], h[1], h[2], h[3], h[4], h[5]]),
+            MacAddr([h[6], h[7], h[8], h[9], h[10], h[11]]),
+            EtherType::from_number(u16::from_be_bytes([h[12], h[13]])),
+        ))
+    }
+
+    /// Parse a wire frame; the payload is a view of `frame`, not a copy.
+    pub fn parse_bytes(frame: &Bytes) -> Result<EthernetFrame, ParseError> {
+        let (dst, src, ethertype) = Self::parse_header(frame)?;
         Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype: EtherType::from_number(u16::from_be_bytes([data[12], data[13]])),
-            payload: Bytes::copy_from_slice(&data[ETHERNET_HEADER_LEN..]),
+            dst,
+            src,
+            ethertype,
+            payload: frame.slice(ETHERNET_HEADER_LEN..),
         })
+    }
+
+    /// Parse from borrowed wire bytes: [`EthernetFrame::parse_bytes`] over
+    /// one copy of `data`.
+    pub fn parse(data: &[u8]) -> Result<EthernetFrame, ParseError> {
+        Self::parse_bytes(&Bytes::copy_from_slice(data))
     }
 }
 

@@ -164,8 +164,15 @@ impl IcmpMessage {
         buf
     }
 
-    /// Parse and verify the ICMP checksum.
+    /// Parse borrowed bytes: [`IcmpMessage::parse_bytes`] over one copy of
+    /// `data`.
     pub fn parse(data: &[u8]) -> Result<IcmpMessage, ParseError> {
+        Self::parse_bytes(&Bytes::copy_from_slice(data))
+    }
+
+    /// Parse and verify the ICMP checksum. Echo payloads and quoted
+    /// datagrams are views of `data`, not copies.
+    pub fn parse_bytes(data: &Bytes) -> Result<IcmpMessage, ParseError> {
         if data.len() < 8 {
             return Err(ParseError::Truncated {
                 needed: 8,
@@ -181,7 +188,7 @@ impl IcmpMessage {
             0 | 8 => {
                 let ident = u16::from_be_bytes([data[4], data[5]]);
                 let seq = u16::from_be_bytes([data[6], data[7]]);
-                let payload = Bytes::copy_from_slice(&data[8..]);
+                let payload = data.slice(8..);
                 Ok(if ty == 8 {
                     IcmpMessage::EchoRequest {
                         ident,
@@ -215,11 +222,11 @@ impl IcmpMessage {
                 };
                 Ok(IcmpMessage::DestUnreachable {
                     code,
-                    original: Bytes::copy_from_slice(&data[8..]),
+                    original: data.slice(8..),
                 })
             }
             11 => Ok(IcmpMessage::TimeExceeded {
-                original: Bytes::copy_from_slice(&data[8..]),
+                original: data.slice(8..),
             }),
             32 => {
                 if data.len() < 16 {

@@ -378,8 +378,16 @@ impl Ipv4Packet {
         buf.extend_from_slice(&self.payload);
     }
 
-    /// Parse wire bytes, verifying version, length and header checksum.
+    /// Parse borrowed wire bytes: [`Ipv4Packet::parse_bytes`] over one copy
+    /// of `data`.
     pub fn parse(data: &[u8]) -> Result<Ipv4Packet, ParseError> {
+        Self::parse_bytes(&Bytes::copy_from_slice(data))
+    }
+
+    /// Parse wire bytes, verifying version, length and header checksum.
+    /// Options and payload are views of `data`, not copies; bytes past the
+    /// header's total length (link padding) are left out of the view.
+    pub fn parse_bytes(data: &Bytes) -> Result<Ipv4Packet, ParseError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: IPV4_HEADER_LEN,
@@ -423,8 +431,8 @@ impl Ipv4Packet {
             protocol: IpProtocol::from_number(data[9]),
             src: Ipv4Addr::from_octets([data[12], data[13], data[14], data[15]]),
             dst: Ipv4Addr::from_octets([data[16], data[17], data[18], data[19]]),
-            options: Bytes::copy_from_slice(&data[IPV4_HEADER_LEN..ihl]),
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+            options: data.slice(IPV4_HEADER_LEN..ihl),
+            payload: data.slice(ihl..total_len),
         })
     }
 

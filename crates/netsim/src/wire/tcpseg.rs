@@ -161,8 +161,19 @@ impl TcpSegment {
         buf
     }
 
-    /// Parse and verify against the carrying packet's pseudo-header.
+    /// Parse borrowed bytes: [`TcpSegment::parse_bytes`] over one copy of
+    /// `data`.
     pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<TcpSegment, ParseError> {
+        Self::parse_bytes(&Bytes::copy_from_slice(data), src, dst)
+    }
+
+    /// Parse and verify against the carrying packet's pseudo-header. The
+    /// payload is a view of `data`, not a copy.
+    pub fn parse_bytes(
+        data: &Bytes,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<TcpSegment, ParseError> {
         if data.len() < TCP_HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: TCP_HEADER_LEN,
@@ -208,7 +219,7 @@ impl TcpSegment {
             flags: TcpFlags::from_bits(data[13]),
             window: u16::from_be_bytes([data[14], data[15]]),
             mss,
-            payload: Bytes::copy_from_slice(&data[hlen..]),
+            payload: data.slice(hlen..),
         })
     }
 }

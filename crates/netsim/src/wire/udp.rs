@@ -10,12 +10,10 @@ pub const UDP_HEADER_LEN: usize = 8;
 
 /// One's-complement sum of the IPv4 pseudo-header used by UDP and TCP.
 pub fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProtocol, len: u16) -> u32 {
-    let mut ph = Vec::with_capacity(12);
-    ph.extend_from_slice(&src.octets());
-    ph.extend_from_slice(&dst.octets());
-    ph.push(0);
-    ph.push(proto.number());
-    ph.extend_from_slice(&len.to_be_bytes());
+    let [s0, s1, s2, s3] = src.octets();
+    let [d0, d1, d2, d3] = dst.octets();
+    let [l0, l1] = len.to_be_bytes();
+    let ph = [s0, s1, s2, s3, d0, d1, d2, d3, 0, proto.number(), l0, l1];
     u32::from(ones_complement_sum(&ph, 0))
 }
 
@@ -64,9 +62,19 @@ impl UdpDatagram {
         buf
     }
 
-    /// Parse and verify against the pseudo-header of the packet that carried
-    /// this datagram.
+    /// Parse borrowed bytes: [`UdpDatagram::parse_bytes`] over one copy of
+    /// `data`.
     pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, ParseError> {
+        Self::parse_bytes(&Bytes::copy_from_slice(data), src, dst)
+    }
+
+    /// Parse and verify against the pseudo-header of the packet that carried
+    /// this datagram. The payload is a view of `data`, not a copy.
+    pub fn parse_bytes(
+        data: &Bytes,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<UdpDatagram, ParseError> {
         if data.len() < UDP_HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: UDP_HEADER_LEN,
@@ -90,7 +98,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: Bytes::copy_from_slice(&data[UDP_HEADER_LEN..len]),
+            payload: data.slice(UDP_HEADER_LEN..len),
         })
     }
 }

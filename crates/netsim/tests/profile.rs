@@ -1,7 +1,7 @@
 //! Integration tests for the flight recorder (`netsim::profile`): scope
 //! trees built from real simulations, counter wiring through the route
-//! cache, the gauge sampler on a live world, and the O(1)-allocation
-//! guarantee of the HDR histogram.
+//! cache, the gauge sampler on a live world, and the allocation
+//! guarantees of the HDR histogram and the empty `Bytes`.
 //!
 //! The recorder is process-global, so every test that enables it runs
 //! under one mutex and resets state on the way in and out; tests that
@@ -9,6 +9,7 @@
 
 use std::sync::Mutex;
 
+use bytes::Bytes;
 use netsim::profile;
 use netsim::{Histogram, HostConfig, LinkConfig, RouterConfig, SimDuration, World};
 
@@ -161,24 +162,48 @@ fn scopes_attribute_allocations() {
 }
 
 #[test]
-fn histogram_records_allocate_nothing() {
-    // The HDR histogram is fixed-size: after construction, recording any
-    // number of samples must not allocate. Warm up, then diff the
-    // thread-local allocation counter around one million records.
+fn histogram_allocates_once_on_the_first_record() {
+    // An empty histogram owns no buckets; the first record allocates the
+    // one fixed-size bucket array and nothing after that allocates, however
+    // many samples follow. Diff the thread-local allocation counter around
+    // the first record, then around one million more.
     let mut h = Histogram::EMPTY;
+    let (allocs_start, _) = profile::thread_allocations();
     h.record(1);
-    let (allocs_before, _) = profile::thread_allocations();
+    let (allocs_first, _) = profile::thread_allocations();
+    assert_eq!(allocs_first - allocs_start, 1, "the bucket array");
     for i in 0..1_000_000u64 {
         h.record(i.wrapping_mul(2_654_435_761) % (1 << 40));
     }
     let (allocs_after, _) = profile::thread_allocations();
     assert_eq!(
-        allocs_after - allocs_before,
+        allocs_after - allocs_first,
         0,
-        "1M histogram records must allocate nothing"
+        "1M further histogram records must allocate nothing"
     );
     assert_eq!(h.count(), 1_000_001);
     assert!(h.percentile(50).is_some());
+}
+
+#[test]
+fn empty_bytes_allocate_nothing() {
+    // Every option-less `Ipv4Packet` carries an empty `options`; building
+    // one, cloning it, slicing an empty range or adopting an empty vector
+    // must not touch the allocator.
+    let full = Bytes::from(vec![1u8, 2, 3]);
+    let (before, _) = profile::thread_allocations();
+    for _ in 0..1_000 {
+        let views = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::new().clone(),
+            full.slice(1..1),
+            Bytes::from(Vec::new()),
+        ];
+        assert!(views.iter().all(|b| b.is_empty()));
+    }
+    let (after, _) = profile::thread_allocations();
+    assert_eq!(after - before, 0, "empty Bytes must be allocation-free");
 }
 
 #[test]

@@ -650,7 +650,7 @@ impl TcpLayer {
 impl ProtocolHandler for TcpLayer {
     fn on_packet(&mut self, pkt: &Ipv4Packet, _iface: IfaceNo, host: &mut Host, ctx: &mut NetCtx) {
         let _prof = netsim::profile::scope("tcp/segment");
-        let Ok(seg) = TcpSegment::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(seg) = TcpSegment::parse_bytes(&pkt.payload, pkt.src, pkt.dst) else {
             return;
         };
         let local = (pkt.dst, seg.dst_port);

@@ -85,7 +85,7 @@ impl UdpLayer {
 
 impl ProtocolHandler for UdpLayer {
     fn on_packet(&mut self, pkt: &Ipv4Packet, _iface: IfaceNo, _host: &mut Host, ctx: &mut NetCtx) {
-        let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
+        let Ok(dgram) = UdpDatagram::parse_bytes(&pkt.payload, pkt.src, pkt.dst) else {
             return;
         };
         match self.demux(pkt.dst, dgram.dst_port) {

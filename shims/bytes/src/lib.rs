@@ -17,17 +17,30 @@ use std::sync::Arc;
 ///
 /// Backed by `Arc<Vec<u8>>` so `From<Vec<u8>>` is zero-copy: the vector's
 /// allocation is adopted as-is and only the refcount header is allocated.
+/// The empty buffer has no backing store at all: `Bytes::new()`, an empty
+/// `slice` and `From` of an empty vector allocate nothing and hold no
+/// reference to anyone's storage.
+///
+/// The view is a pair of `u32` offsets (a buffer holds at most 4 GiB, far
+/// above any frame or report the workspace builds), which keeps the struct
+/// at 16 bytes with the `Option`'s null niche spent on "empty" — enums
+/// wrapping a `Bytes`, the scheduler's event above all, stay the size they
+/// were when the pointer was never null.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
+    data: Option<Arc<Vec<u8>>>,
+    start: u32,
+    end: u32,
 }
 
 impl Bytes {
-    /// Creates a new empty `Bytes`.
-    pub fn new() -> Bytes {
-        Bytes::default()
+    /// Creates a new empty `Bytes`. Allocation-free.
+    pub const fn new() -> Bytes {
+        Bytes {
+            data: None,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Creates `Bytes` from a static slice.
@@ -45,7 +58,7 @@ impl Bytes {
 
     /// Number of bytes in the view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// True if the view is empty.
@@ -54,6 +67,8 @@ impl Bytes {
     }
 
     /// Returns a slice of self for the provided range, sharing storage.
+    /// An empty range yields `Bytes::new()` rather than a view that pins
+    /// the storage, like the real crate.
     ///
     /// Panics when the range is out of bounds, like the real crate.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
@@ -70,29 +85,36 @@ impl Bytes {
         };
         assert!(begin <= end, "range start must not be greater than end");
         assert!(end <= len, "range end out of bounds");
+        if begin == end {
+            return Bytes::new();
+        }
+        // `begin <= end <= len <= u32::MAX`: the casts cannot truncate.
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + begin,
-            end: self.start + end,
+            data: self.data.clone(),
+            start: self.start + begin as u32,
+            end: self.start + end as u32,
         }
     }
 
     /// Advances the start of the view by `cnt` bytes.
     pub fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "cannot advance past the end of Bytes");
-        self.start += cnt;
+        self.start += cnt as u32;
     }
 
     /// Splits off and returns the first `at` bytes, leaving the rest.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         let head = self.slice(..at);
-        self.start += at;
+        self.advance(at);
         head
     }
 
     /// The view as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start as usize..self.end as usize],
+            None => &[],
+        }
     }
 
     /// Copies the view into an owned `Vec<u8>`.
@@ -193,9 +215,12 @@ impl<const N: usize> PartialEq<[u8; N]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     /// Zero-copy: adopts the vector's allocation without copying the bytes.
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+        if v.is_empty() {
+            return Bytes::new();
+        }
+        let end = u32::try_from(v.len()).expect("a Bytes holds at most 4 GiB");
         Bytes {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -281,6 +306,26 @@ mod tests {
         let head = b.split_to(4);
         assert_eq!(&head[..], b"head");
         assert_eq!(&b[..], b"tail");
+    }
+
+    #[test]
+    fn empty_views_hold_no_storage() {
+        let b = Bytes::from(vec![1, 2, 3]);
+        for empty in [
+            Bytes::new(),
+            Bytes::default(),
+            b.slice(2..2),
+            Bytes::from(vec![]),
+        ] {
+            assert!(empty.is_empty());
+            assert!(empty.data.is_none());
+            assert_eq!(empty, Bytes::new());
+            assert_eq!(&empty.slice(..)[..], b"");
+        }
+        let mut tail = b.clone();
+        tail.advance(3);
+        assert!(tail.is_empty());
+        assert_eq!(tail.split_to(0), Bytes::new());
     }
 
     #[test]

@@ -41,8 +41,120 @@ prop_compose! {
     }
 }
 
+/// One adversarial edit of a wire image: keep it, cut it short, pad it,
+/// flip one bit, or replace it with garbage (up to 2 KiB).
+fn mutate(mut wire: Vec<u8>, kind: u8, at: usize, bit: u8, garbage: Vec<u8>) -> Vec<u8> {
+    match kind {
+        0 => {}
+        1 => wire.truncate(at % (wire.len() + 1)),
+        2 => wire.extend_from_slice(&garbage[..garbage.len().min(64)]),
+        3 => {
+            if let Some(ix) = at.checked_rem(wire.len()) {
+                wire[ix] ^= 1 << bit;
+            }
+        }
+        _ => wire = garbage,
+    }
+    wire
+}
+
+/// `wire` as the receive path sees it: a view into the middle of a larger
+/// shared buffer, so a parser slicing at the wrong base offset is caught.
+fn embedded(wire: &[u8]) -> Bytes {
+    let mut frame = vec![0xa5u8; 14];
+    frame.extend_from_slice(wire);
+    frame.extend_from_slice(&[0x5a; 9]);
+    Bytes::from(frame).slice(14..14 + wire.len())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The zero-copy parsers the receive path uses and the `&[u8]` wrappers
+    /// tests and tools call give the same `Ok` value or the same
+    /// `ParseError` on valid, truncated, padded, bit-flipped and random
+    /// input — for every format on the frame → NIC → IP → decap →
+    /// transport path.
+    #[test]
+    fn shared_and_borrowed_parsers_agree(
+        inner in arb_packet(),
+        opts in proptest::collection::vec(any::<u8>(), 0..41),
+        sp in any::<u16>(), dp in any::<u16>(),
+        seq in any::<u32>(), ack in any::<u32>(),
+        flag_bits in any::<u8>(),
+        mss in proptest::option::of(any::<u16>()),
+        fmt in 0usize..3,
+        kind in 0u8..5,
+        at in any::<usize>(),
+        bit in 0u8..8,
+        garbage in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        let edit = |wire: Vec<u8>| mutate(wire, kind, at, bit, garbage.clone());
+        let (src, dst) = (inner.src, inner.dst);
+
+        let mut with_opts = inner.clone();
+        with_opts.set_options(&opts);
+        let ip = edit(with_opts.emit().to_vec());
+        prop_assert_eq!(Ipv4Packet::parse_bytes(&embedded(&ip)), Ipv4Packet::parse(&ip));
+
+        let eth = edit(
+            EthernetFrame::new(MacAddr::from_index(1), MacAddr::from_index(2), EtherType::Ipv4, with_opts.emit())
+                .emit()
+                .to_vec(),
+        );
+        prop_assert_eq!(EthernetFrame::parse_bytes(&embedded(&eth)), EthernetFrame::parse(&eth));
+
+        let udp = edit(UdpDatagram::new(sp, dp, inner.payload.clone()).emit(src, dst));
+        prop_assert_eq!(
+            UdpDatagram::parse_bytes(&embedded(&udp), src, dst),
+            UdpDatagram::parse(&udp, src, dst)
+        );
+
+        let tcp = edit(
+            TcpSegment {
+                src_port: sp,
+                dst_port: dp,
+                seq,
+                ack,
+                flags: TcpFlags {
+                    syn: flag_bits & 1 != 0,
+                    ack: flag_bits & 2 != 0,
+                    fin: flag_bits & 4 != 0,
+                    rst: flag_bits & 8 != 0,
+                    psh: flag_bits & 16 != 0,
+                },
+                window: dp,
+                mss,
+                payload: inner.payload.clone(),
+            }
+            .emit(src, dst),
+        );
+        prop_assert_eq!(
+            TcpSegment::parse_bytes(&embedded(&tcp), src, dst),
+            TcpSegment::parse(&tcp, src, dst)
+        );
+
+        let icmp_msg = match flag_bits % 4 {
+            0 => IcmpMessage::EchoRequest { ident: sp, seq: dp, payload: inner.payload.clone() },
+            1 => IcmpMessage::EchoReply { ident: sp, seq: dp, payload: inner.payload.clone() },
+            2 => IcmpMessage::TimeExceeded { original: inner.payload.clone() },
+            _ => IcmpMessage::MobileHostRedirect { home: src, care_of: dst, lifetime_secs: sp },
+        };
+        let icmp = edit(icmp_msg.emit());
+        prop_assert_eq!(IcmpMessage::parse_bytes(&embedded(&icmp)), IcmpMessage::parse(&icmp));
+
+        // Decapsulation: the same tunnel packet once as a view of a shared
+        // frame and once on storage of its own must unwrap alike.
+        let format = [EncapFormat::IpInIp, EncapFormat::Minimal, EncapFormat::Gre][fmt];
+        let outer = encapsulate(format, Ipv4Addr(seq), Ipv4Addr(ack), &with_opts, sp).unwrap();
+        let tunnel = edit(outer.emit().to_vec());
+        let shared = Ipv4Packet::parse_bytes(&embedded(&tunnel));
+        let owned = Ipv4Packet::parse(&tunnel);
+        prop_assert_eq!(&shared, &owned);
+        if let (Ok(shared), Ok(owned)) = (shared, owned) {
+            prop_assert_eq!(decapsulate(&shared), decapsulate(&owned));
+        }
+    }
 
     #[test]
     fn ipv4_emit_parse_roundtrip(p in arb_packet()) {
@@ -230,7 +342,7 @@ proptest! {
     }
 
     #[test]
-    fn parse_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+    fn parse_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let _ = Ipv4Packet::parse(&data);
         let _ = EthernetFrame::parse(&data);
         let _ = ArpPacket::parse(&data);

@@ -3,14 +3,19 @@
 //! shards — and memory-compact: a hundred-thousand-host world costs at
 //! most 1 KiB of live heap per host, through build and a handoff storm.
 //!
-//! Both tests flip process-global state (the default shard count and the
-//! counting allocator's live-byte gauge), so they serialize on one lock.
+//! The tests flip or read process-global state (the default shard count
+//! and the counting allocator's live-byte gauge), so they serialize on one
+//! lock.
 
 use std::sync::Mutex;
 
 use bench::report;
 use bench::scale::{build_world, run_churn, ChurnParams, ScaleParams};
-use mobility4x4::netsim::{self, set_default_shards};
+use mobility4x4::netsim::link::FaultOutcome;
+use mobility4x4::netsim::{
+    self, set_default_shards, IpProtocol, Ipv4Addr, Ipv4Packet, MetricsRegistry, NodeId, SegmentId,
+    SimDuration, TraceEventKind,
+};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -103,5 +108,54 @@ fn big_world_stays_under_a_kib_per_host() {
         steady / n <= 1024,
         "world after a handoff storm costs {} B/host (budget 1024)",
         steady / n
+    );
+}
+
+#[test]
+fn dense_metrics_footprint_ignores_touch_order() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A handoff storm touches nodes in whatever order hosts move; the
+    // registry's steady-state memory must depend on which ids recorded,
+    // not on which came first.
+    const NODES: usize = 100_000;
+    let pkt = Ipv4Packet::new(
+        Ipv4Addr(1),
+        Ipv4Addr(2),
+        IpProtocol::Udp,
+        Default::default(),
+    );
+    let footprint = |order: &mut dyn Iterator<Item = usize>| {
+        let before = netsim::profile::live_bytes();
+        let mut reg = MetricsRegistry::new(true);
+        for id in order {
+            reg.record_packet(NodeId(id), TraceEventKind::Sent, &pkt);
+            reg.record_transmit(
+                SegmentId(id / 196),
+                64,
+                SimDuration::ZERO,
+                SimDuration::from_micros(5),
+                FaultOutcome::Deliver,
+            );
+        }
+        let bytes = netsim::profile::live_bytes() - before;
+        assert_eq!(reg.totals().packets_sent, NODES as u64);
+        bytes
+    };
+    let ascending = footprint(&mut (0..NODES));
+    let descending = footprint(&mut (0..NODES).rev());
+    // 7919 is coprime to NODES: a full-cycle stride, like the churn driver's.
+    let strided = footprint(&mut (0..NODES).map(|i| i * 7919 % NODES));
+    // The gauge is process-wide and the test harness's own threads allocate
+    // a few KiB while this runs; an order-dependent capacity is off by
+    // megabytes (doubling from id 0 ends 31% above an exact fit).
+    let slack = 64 * 1024;
+    assert!(
+        ascending.abs_diff(descending) <= slack && ascending.abs_diff(strided) <= slack,
+        "footprint depends on touch order: {ascending} / {descending} / {strided} B"
+    );
+    assert!(
+        ascending / NODES as i64 <= 600,
+        "dense metrics cost {} B/node",
+        ascending / NODES as i64
     );
 }
