@@ -158,6 +158,11 @@ fn print_shards(doc: &Value) {
                 f("msgs_out"),
             );
         }
+        if let Some(Value::Str(why)) =
+            get(snap, "scheduler").and_then(|s| get(s, "shard_degradation"))
+        {
+            println!("  degraded to merged in-order dispatch: {why}");
+        }
     }
 }
 

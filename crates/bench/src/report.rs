@@ -160,6 +160,11 @@ pub fn world_snapshot(world: &World) -> Value {
                 Value::Array(stats.iter().map(|s| s.to_value()).collect()),
             ));
         }
+        // A sharded world that fell back to merged in-order dispatch says
+        // so here, not only once on stderr.
+        if let Some(why) = world.shard_degradation() {
+            sched.push(("shard_degradation".into(), Value::Str(why.into())));
+        }
         snap.push(("scheduler".into(), Value::Object(sched)));
         if let Some(samples) = world.samples_value() {
             snap.push(("profile_samples".into(), samples));

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use bytes::Bytes;
 
 use crate::event::{EventQueue, IfaceNo, NodeId, SchedulerKind, SchedulerStats};
-use crate::link::{FaultOutcome, LinkConfig};
+use crate::link::{FaultOutcome, LinkConfig, Segment};
 use crate::metrics::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEventKind, TransformKind};
@@ -209,7 +209,8 @@ pub(crate) struct PendingTx {
 }
 
 impl PendingTx {
-    fn order(&self) -> (SimTime, u32, u64, u32) {
+    /// The canonical application order of buffered transmissions.
+    pub fn order(&self) -> (SimTime, u32, u64, u32) {
         (self.t, self.round, self.key, self.op)
     }
 }
@@ -244,19 +245,19 @@ pub(crate) struct Runtime {
     pub members: Vec<Vec<usize>>,
     /// Global node id → index within its owner's `members` list.
     pub node_slot: Vec<u32>,
-    /// Sticky segment → shard assignment from partitioning (the home for
-    /// private segments and the BFS seed for locality).
+    /// Sticky segment → shard assignment from partitioning: what a new
+    /// node's owner is taken from, and the home of an unattached segment.
     pub owner_seg: Vec<u32>,
-    /// Segment ids whose state each shard carries during a window
-    /// (private segments only; border states stay with the coordinator).
+    /// Segment ids whose state each shard carries during a run (private
+    /// segments only; border states stay with the coordinator).
     pub seg_members: Vec<Vec<usize>>,
-    /// Global segment id → index within its home shard's `seg_members`.
+    /// Private segment → the shard carrying its state: its attachments'
+    /// common owner, or the partition owner when nothing is attached.
+    pub seg_home: Vec<u32>,
+    /// Private segment → index within its home shard's `seg_members`.
     pub seg_slot: Vec<u32>,
-    /// Is this segment attached to nodes of more than one shard?
-    pub border: Vec<bool>,
-    /// Border segments: `(segment id, latency ticks, attached shards)`.
-    /// The latency is the lookahead that segment contributes.
-    pub border_adj: Vec<(usize, u64, Vec<u32>)>,
+    /// The border graph: segments attached to nodes of more than one shard.
+    pub borders: Borders,
     /// One timing wheel per shard.
     pub queues: Vec<EventQueue>,
     /// One metrics registry per shard, merged into the world registry at
@@ -277,13 +278,13 @@ pub(crate) struct Runtime {
     /// Per-segment FIFO of applied-transmission records awaiting their
     /// observer replay.
     pub tx_records: Vec<VecDeque<TxRecord>>,
-    /// Set when topology changed since borders were last derived.
-    pub topo_dirty: bool,
-    /// Why the world degrades to merged execution, if it must.
-    pub degraded: Option<&'static str>,
+    /// Segments whose attachments or configuration changed since borders
+    /// were last derived (see [`Runtime::touch`]).
+    dirty: Vec<usize>,
     /// Whether the degradation warning has been printed.
     pub warned: bool,
-    /// Cached `available_parallelism() > 1`; windows run inline otherwise.
+    /// Cached `available_parallelism() > 1`; otherwise no workers are spawned
+    /// and every window runs inline.
     pub parallel: bool,
 }
 
@@ -320,6 +321,8 @@ impl UnionFind {
 impl Runtime {
     /// Partition the topology into `nshards` shards.
     ///
+    /// * `segments` — the media, for their configs and (through the
+    ///   closing [`Runtime::refresh`]) their attachments.
     /// * `seg_nodes[s]` — node ids attached to segment `s` (deduplicated).
     /// * `node_segs[n]` — segment ids node `n` is attached to.
     ///
@@ -335,17 +338,17 @@ impl Runtime {
         nshards: usize,
         kind: SchedulerKind,
         metrics_enabled: bool,
-        seg_cfgs: &[LinkConfig],
+        segments: &[Segment],
         seg_nodes: &[Vec<usize>],
         node_segs: &[Vec<usize>],
     ) -> Runtime {
-        let seg_count = seg_cfgs.len();
+        let seg_count = segments.len();
         let nshards = nshards.clamp(1, seg_count.max(1));
 
         // 1. Constrained segments pull their whole neighbourhood together.
         let mut uf = UnionFind::new(seg_count);
-        for (s, cfg) in seg_cfgs.iter().enumerate() {
-            if !constrained(cfg) {
+        for (s, seg) in segments.iter().enumerate() {
+            if !constrained(&seg.config) {
                 continue;
             }
             for &n in &seg_nodes[s] {
@@ -437,9 +440,9 @@ impl Runtime {
             node_slot: Vec::new(),
             owner_seg,
             seg_members: vec![Vec::new(); nshards],
+            seg_home: Vec::new(),
             seg_slot: Vec::new(),
-            border: Vec::new(),
-            border_adj: Vec::new(),
+            borders: Borders::default(),
             queues: (0..nshards).map(|_| EventQueue::with_kind(kind)).collect(),
             shard_metrics: (0..nshards)
                 .map(|_| MetricsRegistry::new(metrics_enabled))
@@ -449,95 +452,178 @@ impl Runtime {
             pending_rounds: Vec::new(),
             pending_txs: Vec::new(),
             tx_records: Vec::new(),
-            topo_dirty: true,
-            degraded: None,
+            dirty: (0..seg_count).collect(),
             warned: false,
             parallel: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
         };
-        rt.refresh(seg_cfgs, seg_nodes, node_segs);
+        rt.refresh(segments, node_segs.len());
         rt
     }
 
-    /// Bring ownership, borders and lookahead up to date with the current
-    /// topology. New nodes get sticky owners (their first segment's owner);
-    /// segments are re-classified as private or border from their
-    /// attachments' owners. Called at run start and whenever topology
-    /// changed (mobility happens between runs, never mid-run).
-    pub fn refresh(
-        &mut self,
-        seg_cfgs: &[LinkConfig],
-        seg_nodes: &[Vec<usize>],
-        node_segs: &[Vec<usize>],
-    ) {
-        let node_count = node_segs.len();
-        if !self.topo_dirty && self.owner_node.len() == node_count {
-            return;
+    /// Record that segment `seg`'s attachments or configuration changed:
+    /// the next [`Runtime::refresh`] re-derives its classification. Every
+    /// topology mutation of the world lands here, so upkeep costs the
+    /// segments that changed, not the world.
+    pub fn touch(&mut self, seg: usize) {
+        if self.dirty.last() != Some(&seg) {
+            self.dirty.push(seg);
         }
+    }
 
-        // Sticky owners for segments created after partitioning.
-        for s in self.owner_seg.len()..seg_cfgs.len() {
+    /// Why the world must degrade to merged execution, if it must.
+    pub fn degraded(&self) -> Option<&'static str> {
+        (self.borders.constrained > 0).then_some("faulty or zero-latency segment on a shard border")
+    }
+
+    /// Bring ownership, borders and lookahead up to date with the topology
+    /// changes recorded since the last call. New segments and nodes get
+    /// sticky owners (a node takes its lowest-numbered segment's owner);
+    /// each touched segment is re-classified as private or border from its
+    /// attachments' owners. Called before anything is scheduled or run
+    /// (mobility happens between runs, never mid-run).
+    pub fn refresh(&mut self, segments: &[Segment], node_count: usize) {
+        for s in self.owner_seg.len()..segments.len() {
             self.owner_seg.push((s % self.nshards) as u32);
         }
+        self.seg_home.resize(segments.len(), u32::MAX);
+        self.seg_slot.resize(segments.len(), u32::MAX);
+        self.borders.ix.resize(segments.len(), u32::MAX);
+        self.tx_records.resize_with(segments.len(), VecDeque::new);
 
-        // Sticky owners for new nodes.
-        for (n, segs) in node_segs.iter().enumerate().skip(self.owner_node.len()) {
-            let shard = segs
-                .first()
-                .map(|&s| self.owner_seg[s])
-                .unwrap_or((n % self.nshards) as u32);
-            self.owner_node.push(shard);
-            self.node_slot
-                .push(self.members[shard as usize].len() as u32);
-            self.members[shard as usize].push(n);
-        }
-
-        // Re-derive segment classification from current attachments.
-        for m in &mut self.seg_members {
-            m.clear();
-        }
-        self.seg_slot = vec![u32::MAX; seg_cfgs.len()];
-        self.border = vec![false; seg_cfgs.len()];
-        self.border_adj.clear();
-        self.tx_records.resize_with(seg_cfgs.len(), VecDeque::new);
-        let mut violation = None;
-        for s in 0..seg_cfgs.len() {
-            let mut shards: Vec<u32> = seg_nodes[s].iter().map(|&n| self.owner_node[n]).collect();
-            shards.sort_unstable();
-            shards.dedup();
-            match shards.len() {
-                0 | 1 => {
-                    // Unattached segments go to their partition owner so
-                    // `segment_stats` keeps working; they carry no traffic.
-                    let home = shards.first().copied().unwrap_or(self.owner_seg[s]) as usize;
-                    self.seg_slot[s] = self.seg_members[home].len() as u32;
-                    self.seg_members[home].push(s);
-                }
-                _ => {
-                    self.border[s] = true;
-                    if constrained(&seg_cfgs[s]) {
-                        violation = Some("faulty or zero-latency segment on a shard border");
+        // A node created since the last refresh can only be attached to
+        // segments touched since, so the dirty list finds its first one.
+        let known = self.owner_node.len();
+        if node_count > known {
+            let mut first = vec![usize::MAX; node_count - known];
+            for &s in &self.dirty {
+                for &(n, _) in segments[s].attachments() {
+                    if let Some(f) = n.0.checked_sub(known) {
+                        first[f] = first[f].min(s);
                     }
-                    self.border_adj.push((s, seg_cfgs[s].latency.0, shards));
                 }
             }
+            for (n, s) in (known..).zip(first) {
+                let shard = self
+                    .owner_seg
+                    .get(s)
+                    .copied()
+                    .unwrap_or((n % self.nshards) as u32);
+                self.owner_node.push(shard);
+                self.node_slot
+                    .push(self.members[shard as usize].len() as u32);
+                self.members[shard as usize].push(n);
+            }
         }
-        self.degraded = violation;
-        self.topo_dirty = false;
+
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for s in dirty.drain(..) {
+            self.reclassify(s, &segments[s]);
+        }
+        self.dirty = dirty;
+    }
+
+    /// Re-derive one segment's place — private to a shard, or a border —
+    /// from the owners of its current attachments.
+    fn reclassify(&mut self, s: usize, seg: &Segment) {
+        let mut shards = self.unplace(s);
+        for &(n, _) in seg.attachments() {
+            let owner = self.owner_node[n.0];
+            if !shards.contains(&owner) {
+                shards.push(owner);
+            }
+        }
+        shards.sort_unstable();
+        if shards.len() > 1 {
+            let constrained = constrained(&seg.config);
+            self.borders.constrained += usize::from(constrained);
+            self.borders.ix[s] = self.borders.adj.len() as u32;
+            self.borders.adj.push(Border {
+                seg: s,
+                latency: seg.config.latency.0,
+                shards,
+                constrained,
+            });
+        } else {
+            // Unattached segments go to their partition owner so
+            // `segment_stats` keeps working; they carry no traffic.
+            let home = shards.first().copied().unwrap_or(self.owner_seg[s]);
+            self.seg_home[s] = home;
+            self.seg_slot[s] = self.seg_members[home as usize].len() as u32;
+            self.seg_members[home as usize].push(s);
+        }
+    }
+
+    /// Remove segment `s` from wherever it is placed (swap-remove, fixing
+    /// the displaced entry's index). Returns a border's emptied shard list
+    /// for reuse.
+    fn unplace(&mut self, s: usize) -> Vec<u32> {
+        let ix = std::mem::replace(&mut self.borders.ix[s], u32::MAX) as usize;
+        if ix < self.borders.adj.len() {
+            let mut old = self.borders.adj.swap_remove(ix);
+            self.borders.constrained -= usize::from(old.constrained);
+            if let Some(moved) = self.borders.adj.get(ix) {
+                self.borders.ix[moved.seg] = ix as u32;
+            }
+            old.shards.clear();
+            return old.shards;
+        }
+        let slot = std::mem::replace(&mut self.seg_slot[s], u32::MAX) as usize;
+        let home = std::mem::replace(&mut self.seg_home[s], u32::MAX) as usize;
+        // Neither a border nor private: a segment not placed yet.
+        if let Some(members) = self.seg_members.get_mut(home) {
+            members.swap_remove(slot);
+            if let Some(&moved) = members.get(slot) {
+                self.seg_slot[moved] = slot as u32;
+            }
+        }
+        Vec::new()
+    }
+}
+
+/// One border segment: a medium whose attachments span shards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Border {
+    pub seg: usize,
+    /// Latency ticks — the lookahead this segment contributes.
+    pub latency: u64,
+    /// Shards owning an attached node, ascending.
+    pub shards: Vec<u32>,
+    /// Faulty or zero-latency: deferred replay is unsound while this holds.
+    pub constrained: bool,
+}
+
+/// The border graph the barrier protocol derives every bound from. Fixed
+/// for the length of a run, so the coordinator reads it while the shards
+/// hold their queues.
+#[derive(Debug, Default)]
+pub(crate) struct Borders {
+    /// Border segments, in no particular order.
+    pub adj: Vec<Border>,
+    /// Segment id → index in `adj`; `u32::MAX` when the segment is private.
+    pub ix: Vec<u32>,
+    /// How many of `adj` are constrained.
+    constrained: usize,
+}
+
+impl Borders {
+    /// Is this segment attached to nodes of more than one shard?
+    pub fn is_border(&self, seg: usize) -> bool {
+        self.ix[seg] != u32::MAX
     }
 
     /// Per-border minimum send time among *buffered, not yet applied*
-    /// transmissions, indexed parallel to `border_adj`. These floors feed
-    /// [`Runtime::effective`]: a buffered send at an old timestamp still
+    /// transmissions, indexed parallel to `adj`. These floors feed
+    /// [`Borders::effective`]: a buffered send at an old timestamp still
     /// produces deliveries (send + latency), so it caps what adjacent
     /// shards may be assumed to have passed.
-    pub fn tx_floors(&self) -> Vec<u64> {
-        let mut floors = vec![u64::MAX; self.border_adj.len()];
-        for tx in &self.pending_txs {
-            if let Some(i) = self.border_adj.iter().position(|(s, _, _)| *s == tx.seg) {
-                floors[i] = floors[i].min(tx.t.0);
+    pub fn tx_floors(&self, pending: &[PendingTx], floors: &mut Vec<u64>) {
+        floors.clear();
+        floors.resize(self.adj.len(), u64::MAX);
+        for tx in pending {
+            if let Some(f) = floors.get_mut(self.ix[tx.seg] as usize) {
+                *f = (*f).min(tx.t.0);
             }
         }
-        floors
     }
 
     /// Effective next-activity times, one per shard: a lower bound on the
@@ -551,26 +637,21 @@ impl Runtime {
     /// positive border latency guarantees convergence). Each border's
     /// send floor is the minimum of its adjacent shards' effective times
     /// and the send times of transmissions already buffered on it
-    /// (`floors`, from [`Runtime::tx_floors`]); deliveries land at floor +
+    /// (`floors`, from [`Borders::tx_floors`]); deliveries land at floor +
     /// latency or later. Including the buffered sends is what makes the
     /// fixpoint self-consistent: an applied old send can wake a neighbour
     /// to transmit again *before* other already-buffered sends on the same
     /// medium, and the resulting thresholds hold those later sends back
     /// until the chain resolves.
-    pub fn effective(&self, t_next: &[Option<SimTime>], floors: &[u64]) -> Vec<u64> {
+    pub fn effective(&self, t_next: &[Option<SimTime>], floors: &[u64], eff: &mut Vec<u64>) {
         let inf = u64::MAX;
-        let mut eff: Vec<u64> = t_next.iter().map(|t| t.map_or(inf, |t| t.0)).collect();
+        eff.clear();
+        eff.extend(t_next.iter().map(|t| t.map_or(inf, |t| t.0)));
         loop {
             let mut changed = false;
-            for (i, (_, lat, adj)) in self.border_adj.iter().enumerate() {
-                let m = adj
-                    .iter()
-                    .map(|&s| eff[s as usize])
-                    .min()
-                    .unwrap_or(inf)
-                    .min(floors[i]);
-                let bound = m.saturating_add(*lat);
-                for &r in adj {
+            for (b, floor) in self.adj.iter().zip(floors) {
+                let bound = b.threshold(eff).min(*floor).saturating_add(b.latency);
+                for &r in &b.shards {
                     if bound < eff[r as usize] {
                         eff[r as usize] = bound;
                         changed = true;
@@ -578,7 +659,7 @@ impl Runtime {
                 }
             }
             if !changed {
-                return eff;
+                return;
             }
         }
     }
@@ -588,55 +669,110 @@ impl Runtime {
     /// window never overruns the caller's deadline. The global-minimum
     /// shard always gets `H > t_next` (border latency is positive), so
     /// windows always make progress.
-    pub fn horizons(&self, eff: &[u64], deadline: SimTime) -> Vec<SimTime> {
-        let cap = SimTime(deadline.0.saturating_add(1));
-        let mut h: Vec<SimTime> = vec![cap; self.nshards];
-        for (_, lat, adj) in &self.border_adj {
-            let m = adj
-                .iter()
-                .map(|&s| eff[s as usize])
-                .min()
-                .unwrap_or(u64::MAX);
-            let bound = SimTime(m.saturating_add(*lat));
-            for &r in adj {
+    pub fn horizons(&self, eff: &[u64], deadline: SimTime, h: &mut Vec<SimTime>) {
+        h.clear();
+        h.resize(eff.len(), SimTime(deadline.0.saturating_add(1)));
+        for b in &self.adj {
+            let bound = SimTime(b.threshold(eff).saturating_add(b.latency));
+            for &r in &b.shards {
                 if bound < h[r as usize] {
                     h[r as usize] = bound;
                 }
             }
         }
-        h
     }
 
     /// Per-border-segment application threshold: a buffered transmission
     /// on segment `B` at send time `t` may be applied once `t <
     /// threshold(B)` — no adjacent shard can still transmit on `B` at or
     /// before `t`.
-    pub fn border_threshold(&self, eff: &[u64], seg: usize) -> u64 {
-        self.border_adj
+    pub fn threshold(&self, eff: &[u64], seg: usize) -> u64 {
+        self.adj
+            .get(self.ix[seg] as usize)
+            .map_or(u64::MAX, |b| b.threshold(eff))
+    }
+}
+
+impl Border {
+    /// The earliest effective time among the shards on this border.
+    fn threshold(&self, eff: &[u64]) -> u64 {
+        self.shards
             .iter()
-            .find(|(s, _, _)| *s == seg)
-            .map(|(_, _, adj)| {
-                adj.iter()
-                    .map(|&s| eff[s as usize])
-                    .min()
-                    .unwrap_or(u64::MAX)
-            })
+            .map(|&s| eff[s as usize])
+            .min()
             .unwrap_or(u64::MAX)
     }
+}
 
-    /// Sort buffered border transmissions into canonical order. Per
-    /// segment the safe set is always a time-prefix, so applying in this
-    /// order under per-segment thresholds evolves each medium exactly as
-    /// the serial run would.
-    pub fn sort_pending_txs(&mut self) {
-        self.pending_txs.sort_by_key(PendingTx::order);
+#[cfg(test)]
+impl Runtime {
+    /// Test oracle: derive every segment's placement from scratch — the
+    /// whole-world pass the incremental [`Runtime::refresh`] replaced.
+    /// `seg_nodes` is [`crate::world::World`]'s `topo_views` half.
+    pub(crate) fn rebuild(&mut self, segments: &[Segment], seg_nodes: &[Vec<usize>]) {
+        for m in &mut self.seg_members {
+            m.clear();
+        }
+        self.seg_home = vec![u32::MAX; segments.len()];
+        self.seg_slot = vec![u32::MAX; segments.len()];
+        self.borders = Borders {
+            ix: vec![u32::MAX; segments.len()],
+            ..Borders::default()
+        };
+        for (s, seg) in segments.iter().enumerate() {
+            let mut shards: Vec<u32> = seg_nodes[s].iter().map(|&n| self.owner_node[n]).collect();
+            shards.sort_unstable();
+            shards.dedup();
+            if shards.len() > 1 {
+                let constrained = constrained(&seg.config);
+                self.borders.constrained += usize::from(constrained);
+                self.borders.ix[s] = self.borders.adj.len() as u32;
+                self.borders.adj.push(Border {
+                    seg: s,
+                    latency: seg.config.latency.0,
+                    shards,
+                    constrained,
+                });
+            } else {
+                let home = shards.first().copied().unwrap_or(self.owner_seg[s]);
+                self.seg_home[s] = home;
+                self.seg_slot[s] = self.seg_members[home as usize].len() as u32;
+                self.seg_members[home as usize].push(s);
+            }
+        }
+    }
+
+    /// Everything derived from the topology, in a form two runtimes can be
+    /// compared by: per-segment home shard (`u32::MAX` on borders), the
+    /// border set ordered by segment, and the degradation verdict. Panics
+    /// if the index arrays disagree with the lists they index.
+    pub(crate) fn derived(&self) -> (Vec<u32>, Vec<Border>, Option<&'static str>) {
+        for (s, (&ix, &slot)) in self.borders.ix.iter().zip(&self.seg_slot).enumerate() {
+            match self.borders.adj.get(ix as usize) {
+                Some(b) => assert_eq!((b.seg, slot), (s, u32::MAX), "border_ix[{s}]"),
+                None => {
+                    assert_eq!(ix, u32::MAX, "border_ix[{s}] out of range");
+                    let home = self.seg_home[s] as usize;
+                    assert_eq!(self.seg_members[home][slot as usize], s, "seg_slot[{s}]");
+                }
+            }
+        }
+        let placed: usize = self.seg_members.iter().map(Vec::len).sum();
+        assert_eq!(placed + self.borders.adj.len(), self.seg_slot.len());
+        let mut adj = self.borders.adj.clone();
+        adj.sort_by_key(|b| b.seg);
+        (self.seg_home.clone(), adj, self.degraded())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::host::HostConfig;
+    use crate::link::SegmentId;
     use crate::time::SimDuration;
+    use crate::world::World;
+    use proptest::prelude::*;
 
     fn cfg(lat_us: u64) -> LinkConfig {
         LinkConfig {
@@ -646,22 +782,29 @@ mod tests {
     }
 
     /// Two LANs joined by a router node 2: segment 0 {0,2}, segment 1 {1,2}.
-    fn two_lan_views() -> (Vec<LinkConfig>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        (
-            vec![cfg(100), cfg(100)],
-            vec![vec![0, 2], vec![1, 2]],
-            vec![vec![0], vec![1], vec![0, 1]],
-        )
+    fn two_lan_views() -> (Vec<Segment>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let seg_nodes = vec![vec![0, 2], vec![1, 2]];
+        let segments = seg_nodes
+            .iter()
+            .map(|nodes| {
+                let mut seg = Segment::new(cfg(100));
+                for &n in nodes {
+                    seg.attach(NodeId(n), 0);
+                }
+                seg
+            })
+            .collect();
+        (segments, seg_nodes, vec![vec![0], vec![1], vec![0, 1]])
     }
 
     #[test]
     fn partition_splits_two_lans_and_finds_the_border() {
-        let (cfgs, seg_nodes, node_segs) = two_lan_views();
+        let (segments, seg_nodes, node_segs) = two_lan_views();
         let rt = Runtime::partition(
             2,
             SchedulerKind::Wheel,
             false,
-            &cfgs,
+            &segments,
             &seg_nodes,
             &node_segs,
         );
@@ -670,61 +813,128 @@ mod tests {
         // makes one of them a border (the router's owner differs from one
         // LAN's other members).
         assert_eq!(rt.owner_node.len(), 3);
-        let borders = rt.border.iter().filter(|&&b| b).count();
-        assert!(borders >= 1, "a two-shard split must expose a border");
-        for (_, lat, adj) in &rt.border_adj {
-            assert!(*lat > 0);
-            assert!(adj.len() >= 2);
+        assert!(
+            !rt.borders.adj.is_empty(),
+            "a two-shard split must expose a border"
+        );
+        for b in &rt.borders.adj {
+            assert!(rt.borders.is_border(b.seg));
+            assert!(b.latency > 0);
+            assert!(b.shards.len() >= 2);
         }
     }
 
     #[test]
     fn constrained_segments_collapse_onto_one_shard() {
-        let (mut cfgs, seg_nodes, node_segs) = two_lan_views();
+        let (mut segments, seg_nodes, node_segs) = two_lan_views();
         // Faulty segment 0 must pull segment 1 (shared node 2) with it.
-        cfgs[0].fault.drop_prob = 0.5;
+        segments[0].config.fault.drop_prob = 0.5;
         let rt = Runtime::partition(
             2,
             SchedulerKind::Wheel,
             false,
-            &cfgs,
+            &segments,
             &seg_nodes,
             &node_segs,
         );
         assert_eq!(rt.owner_seg[0], rt.owner_seg[1]);
-        assert!(rt.border_adj.is_empty(), "no borders, no degradation");
-        assert!(rt.degraded.is_none());
+        assert!(rt.borders.adj.is_empty(), "no borders, no degradation");
+        assert!(rt.degraded().is_none());
     }
 
     #[test]
     fn effective_times_relax_through_borders_and_horizons_progress() {
-        let (cfgs, seg_nodes, node_segs) = two_lan_views();
+        let (segments, seg_nodes, node_segs) = two_lan_views();
         let rt = Runtime::partition(
             2,
             SchedulerKind::Wheel,
             false,
-            &cfgs,
+            &segments,
             &seg_nodes,
             &node_segs,
         );
-        if rt.border_adj.is_empty() {
+        if rt.borders.adj.is_empty() {
             return; // partition kept everything private; nothing to check
         }
         // Shard A at t=50, shard B idle: B's effective time is bounded by
         // A's next send + latency, not infinity.
-        let floors = rt.tx_floors();
-        let eff = rt.effective(&[Some(SimTime(50)), None], &floors);
+        let (mut floors, mut eff, mut h) = (Vec::new(), Vec::new(), Vec::new());
+        rt.borders.tx_floors(&rt.pending_txs, &mut floors);
+        rt.borders
+            .effective(&[Some(SimTime(50)), None], &floors, &mut eff);
         assert_eq!(eff[0], 50);
         assert_eq!(eff[1], 150);
         // The global-minimum shard's horizon strictly exceeds its own next
         // event: windows always dispatch something.
-        let h = rt.horizons(&eff, SimTime(1_000_000));
+        rt.borders.horizons(&eff, SimTime(1_000_000), &mut h);
         assert!(h[0] > SimTime(50), "horizon {:?} must pass t_next", h[0]);
         // A buffered tx on the border at t=50 is not yet safe (A itself
         // could still transmit at 50), but one at t=49 is.
-        let seg = rt.border_adj[0].0;
-        let thr = rt.border_threshold(&eff, seg);
+        let seg = rt.borders.adj[0].seg;
+        let thr = rt.borders.threshold(&eff, seg);
         assert_eq!(thr, 50);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Incremental ≡ from-scratch: after every topology mutation the
+        /// world API offers, the touched-segments upkeep leaves the same
+        /// placements, border set (latencies, adjacent shards), index
+        /// arrays and degradation verdict as a whole-world rebuild.
+        #[test]
+        fn incremental_border_upkeep_matches_a_full_rebuild(
+            shards in 2usize..5,
+            ops in proptest::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..48),
+        ) {
+            let mut w = World::with_shards(3, shards);
+            let mut ifaces: Vec<(NodeId, IfaceNo)> = Vec::new();
+            let mut nsegs = 0usize;
+            for _ in 0..3 {
+                let seg = w.add_segment(cfg(100));
+                let h = w.add_host(HostConfig::conventional("h"));
+                ifaces.push((h, w.attach(h, seg, None)));
+                nsegs += 1;
+            }
+            w.check_shard_upkeep();
+            for (op, a, b) in ops {
+                let (a, b) = (usize::from(a), usize::from(b));
+                let seg = SegmentId(b % nsegs);
+                match op {
+                    0 => {
+                        w.add_segment(cfg(100 + b as u64 % 3));
+                        nsegs += 1;
+                    }
+                    1 => {
+                        // A new node, attached to up to two segments.
+                        let h = w.add_host(HostConfig::conventional("h"));
+                        for k in 0..a % 3 {
+                            ifaces.push((h, w.attach(h, SegmentId((b + k * 7) % nsegs), None)));
+                        }
+                    }
+                    2 => {
+                        let node = NodeId(a % w.node_count());
+                        ifaces.push((node, w.attach(node, seg, None)));
+                    }
+                    3 => {
+                        let (node, iface) = ifaces[a % ifaces.len()];
+                        w.reattach(node, iface, seg);
+                    }
+                    4 => {
+                        let (node, iface) = ifaces[a % ifaces.len()];
+                        w.detach(node, iface);
+                    }
+                    5 => {
+                        let fault = &mut w.segment_config_mut(seg).fault;
+                        fault.drop_prob = if fault.drop_prob > 0.0 { 0.0 } else { 0.25 };
+                    }
+                    _ => {
+                        w.segment_config_mut(seg).latency = SimDuration::from_micros(a as u64 % 3 * 50);
+                    }
+                }
+                w.check_shard_upkeep();
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! deterministic sharded runtime (conservative parallel discrete-event
 //! simulation whose output is byte-identical to serial runs).
 
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -19,7 +20,9 @@ use crate::event::{
 };
 use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
 use crate::metrics::{MetricsRegistry, SketchConfig};
-use crate::shard::{Group, Op, PendingTx, PushCounts, RoundLog, Runtime, ShardStats, TxRecord};
+use crate::shard::{
+    Borders, Group, Op, PendingTx, PushCounts, RoundLog, Runtime, ShardStats, TxRecord,
+};
 use crate::telemetry::{hash64, InvariantMonitor, TelemetryConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PacketTrace, TraceEventKind, TransformKind};
@@ -214,18 +217,17 @@ impl EventSink for CountingSink<'_> {
 /// deliveries route to each receiver's shard, `msgs_in` counts the crossing
 /// per receiving shard, and the push total is recorded for the matching
 /// [`TxRecord`] (ledger pushes land at the `Op::BorderTx` replay point).
-struct BorderApplySink<'a> {
-    queues: &'a mut [EventQueue],
+struct BorderApplySink<'a, 'w> {
+    runs: &'a mut [Option<ShardRun<'w>>],
     owner_node: &'a [u32],
-    stats: &'a mut [ShardStats],
     pushed: u64,
 }
 
-impl EventSink for BorderApplySink<'_> {
+impl EventSink for BorderApplySink<'_, '_> {
     fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        let shard = self.owner_node[event_node(&kind).0] as usize;
-        self.queues[shard].push_keyed(at, key, kind);
-        self.stats[shard].msgs_in += 1;
+        let run = parked(&mut self.runs[self.owner_node[event_node(&kind).0] as usize]);
+        run.queue.push_keyed(at, key, kind);
+        run.stats.msgs_in += 1;
         self.pushed += 1;
     }
 }
@@ -259,7 +261,7 @@ enum CtxInner<'a, 'w> {
         segments: &'w [Segment],
         seg_states: &'a mut Vec<&'w mut SegState>,
         seg_slot: &'w [u32],
-        border: &'w [bool],
+        borders: &'w Borders,
         rng: &'a mut StdRng,
         seq: &'a mut u64,
         metrics: &'a mut MetricsRegistry,
@@ -367,13 +369,13 @@ impl NetCtx<'_, '_> {
                 segments,
                 seg_states,
                 seg_slot,
-                border,
+                borders,
                 metrics,
                 inv_enabled,
                 pcap_on,
                 ..
             } => {
-                if border[seg.0] {
+                if borders.is_border(seg.0) {
                     // Cross-shard wire: buffer the transmission for the
                     // coordinator. The outcome is predictable without
                     // touching the medium — border segments are fault-free
@@ -915,9 +917,7 @@ impl World {
         seg.rng_seed = segment_seed(self.seed, s);
         self.segments.push(seg);
         self.seg_states.push(SegState::default());
-        if let Some(rt) = &mut self.rt {
-            rt.topo_dirty = true;
-        }
+        self.touch_segment(SegmentId(s));
         SegmentId(s)
     }
 
@@ -949,9 +949,11 @@ impl World {
         m
     }
 
-    fn mark_topo_dirty(&mut self) {
+    /// Tell the sharded runtime (if any) that `seg`'s attachments or
+    /// configuration changed; see [`Runtime::touch`].
+    fn touch_segment(&mut self, seg: SegmentId) {
         if let Some(rt) = &mut self.rt {
-            rt.topo_dirty = true;
+            rt.touch(seg.0);
         }
     }
 
@@ -969,7 +971,7 @@ impl World {
         n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
-        self.mark_topo_dirty();
+        self.touch_segment(seg);
         iface
     }
 
@@ -984,7 +986,7 @@ impl World {
         n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
-        self.mark_topo_dirty();
+        self.touch_segment(seg);
     }
 
     /// Unplug an interface from whatever segment it is on.
@@ -994,7 +996,7 @@ impl World {
             self.segments[old.0].detach(node, iface);
             n.nic_mut().set_segment(iface, None, 1500);
             n.invalidate_route_cache();
-            self.mark_topo_dirty();
+            self.touch_segment(old);
         }
     }
 
@@ -1035,10 +1037,10 @@ impl World {
     }
 
     /// Mutably borrow a segment's parameters (tests change fault rates).
-    /// Marks the shard topology dirty: a fault config can legalize or
-    /// outlaw a shard border.
+    /// Marks the segment for shard re-classification: a fault config can
+    /// legalize or outlaw a shard border.
     pub fn segment_config_mut(&mut self, seg: SegmentId) -> &mut LinkConfig {
-        self.mark_topo_dirty();
+        self.touch_segment(seg);
         &mut self.segments[seg.0].config
     }
 
@@ -1100,11 +1102,10 @@ impl World {
 
     // ---- sharded runtime --------------------------------------------------
 
-    /// Topology views the shard partitioner consumes: per-segment configs,
-    /// per-segment attached node ids (deduplicated, ascending), and the
-    /// inverse per-node segment lists.
-    fn topo_views(&self) -> (Vec<LinkConfig>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let seg_cfgs: Vec<LinkConfig> = self.segments.iter().map(|s| s.config).collect();
+    /// Topology views the shard partitioner consumes: per-segment attached
+    /// node ids (deduplicated, ascending) and the inverse per-node segment
+    /// lists. O(world); built once, when the runtime is created.
+    fn topo_views(&self) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let seg_nodes: Vec<Vec<usize>> = self
             .segments
             .iter()
@@ -1121,10 +1122,11 @@ impl World {
                 node_segs[n].push(s);
             }
         }
-        (seg_cfgs, seg_nodes, node_segs)
+        (seg_nodes, node_segs)
     }
 
-    /// Create or refresh the sharded runtime. A no-op when sharding is off
+    /// Create the sharded runtime, or bring it up to date with the
+    /// segments touched since it last ran. A no-op when sharding is off
     /// (one shard requested, fewer than two segments, or permanently
     /// locked serial). On creation the serial queue's contents migrate to
     /// the shard queues — refused (with a warning, once) if cancellable
@@ -1135,16 +1137,7 @@ impl World {
             return;
         }
         if let Some(rt) = &mut self.rt {
-            if rt.topo_dirty || rt.owner_node.len() != self.nodes.len() {
-                let (cfgs, seg_nodes, node_segs) = {
-                    let s = &*self;
-                    s.topo_views()
-                };
-                self.rt
-                    .as_mut()
-                    .expect("runtime present")
-                    .refresh(&cfgs, &seg_nodes, &node_segs);
-            }
+            rt.refresh(&self.segments, self.nodes.len());
             return;
         }
         if self.segments.len() < 2 {
@@ -1158,12 +1151,12 @@ impl World {
             );
             return;
         }
-        let (cfgs, seg_nodes, node_segs) = self.topo_views();
+        let (seg_nodes, node_segs) = self.topo_views();
         let mut rt = Runtime::partition(
             self.shards_requested,
             self.sched_kind,
             self.metrics.enabled(),
-            &cfgs,
+            &self.segments,
             &seg_nodes,
             &node_segs,
         );
@@ -1175,6 +1168,28 @@ impl World {
             rt.queues[shard].push_keyed(ev.at, ev.seq, ev.kind);
         }
         self.rt = Some(rt);
+    }
+
+    /// Test hook for the incremental ≡ from-scratch property: bring the
+    /// runtime up to date the way every run does, then check new nodes'
+    /// sticky owners and every derived placement against the whole-world
+    /// derivation over [`World::topo_views`].
+    #[cfg(test)]
+    pub(crate) fn check_shard_upkeep(&mut self) {
+        let known = self.rt.as_ref().map_or(0, |rt| rt.owner_node.len());
+        self.ensure_runtime();
+        let (seg_nodes, node_segs) = self.topo_views();
+        let rt = self.rt.as_mut().expect("sharded world with two segments");
+        for (n, segs) in node_segs.iter().enumerate().skip(known) {
+            let want = match segs.first() {
+                Some(&s) => rt.owner_seg[s],
+                None => (n % rt.nshards) as u32,
+            };
+            assert_eq!(rt.owner_node[n], want, "owner of new node {n}");
+        }
+        let incremental = rt.derived();
+        rt.rebuild(&self.segments, &seg_nodes);
+        assert_eq!(incremental, rt.derived());
     }
 
     // ---- event loop -----------------------------------------------------------
@@ -1384,17 +1399,10 @@ impl World {
             return;
         }
         self.flush_step_batch();
-        let merged = {
-            let rt = self.rt.as_ref().expect("runtime present");
-            rt.degraded.is_some() || self.metrics.sketch_armed()
-        };
-        if merged {
+        if let Some(why) = self.shard_degradation() {
             let rt = self.rt.as_mut().expect("runtime present");
             if !rt.warned {
                 rt.warned = true;
-                let why = rt
-                    .degraded
-                    .unwrap_or("sketched metrics are dispatch-order-sensitive");
                 eprintln!("netsim: sharded run degraded to merged in-order dispatch: {why}");
             }
             self.run_merged(deadline, limit);
@@ -1543,377 +1551,182 @@ impl World {
     ///
     /// Exits when every queue is drained past `deadline` with nothing left
     /// to apply or replay.
+    ///
+    /// The world is split once, before the loop, into disjoint borrows:
+    /// each shard's [`ShardRun`] holds its queue, its nodes and its private
+    /// media for the whole run; the [`Coordinator`] holds the observers,
+    /// the clock and the border media. The `nshards - 1` workers are
+    /// spawned once and park on a channel between windows; a window's
+    /// first participant runs on the calling thread, so a window only one
+    /// shard can advance in costs no hand-off.
     fn run_sharded(&mut self, deadline: SimTime, limit: Option<u64>) {
         let mut rt = self.rt.take().expect("runtime present");
         let nshards = rt.nshards;
-        let mut run_events: Vec<u64> = vec![0; nshards];
-        let mut replayed_events: u64 = 0;
-        loop {
-            let mut t_next: Vec<Option<SimTime>> = rt.queues.iter().map(|q| q.min_time()).collect();
-            let floors = rt.tx_floors();
-            let mut eff = rt.effective(&t_next, &floors);
-            let applied = self.apply_border_txs(&mut rt, &eff);
-            if applied > 0 {
-                t_next = rt.queues.iter().map(|q| q.min_time()).collect();
-                let floors = rt.tx_floors();
-                eff = rt.effective(&t_next, &floors);
-            }
-            let frontier = eff.iter().copied().min().unwrap_or(u64::MAX);
-            let replayed = self.replay_rounds(&mut rt, frontier, limit, &mut replayed_events);
-            let horizons = rt.horizons(&eff, deadline);
-            let mut participants: Vec<usize> = Vec::new();
-            for r in 0..nshards {
-                let Some(t) = t_next[r] else { continue };
-                if t > deadline {
-                    continue;
-                }
-                if limit.is_some_and(|l| run_events[r] > l) {
-                    // Locally over the event limit: excluded so the forced
-                    // replay below fires the canonical limit panic.
-                    continue;
-                }
-                if t < horizons[r] {
-                    participants.push(r);
-                } else {
-                    rt.stats[r].stalls += 1;
-                }
-            }
-            if participants.is_empty() {
-                if applied > 0 || replayed > 0 {
-                    continue;
-                }
-                if limit.is_some() && run_events.iter().any(|&e| e > limit.unwrap_or(u64::MAX)) {
-                    self.replay_rounds(&mut rt, u64::MAX, limit, &mut replayed_events);
-                    unreachable!("forced replay past the event limit must panic");
-                }
-                let all_idle = t_next.iter().all(|t| t.is_none_or(|t| t > deadline));
-                if all_idle {
-                    break;
-                }
-                panic!("netsim: sharded scheduler stalled with runnable events");
-            }
-            self.run_window(&mut rt, &participants, &horizons, limit, &mut run_events);
+        let mut nodes_p: Vec<Vec<NodeView>> = rt
+            .members
+            .iter()
+            .map(|m| Vec::with_capacity(m.len()))
+            .collect();
+        let per_node = self.nodes.iter_mut().zip(&mut self.node_seq);
+        for (((node, seq), rng), &owner) in per_node.zip(&mut self.node_rng).zip(&rt.owner_node) {
+            nodes_p[owner as usize].push(NodeView { node, seq, rng });
         }
-        debug_assert!(
-            rt.pending_txs.is_empty(),
-            "undelivered border transmissions"
-        );
-        debug_assert!(rt.pending_rounds.is_empty(), "unreplayed rounds");
-        self.rt = Some(rt);
-    }
-
-    /// Run one window on every participant shard (in parallel when the
-    /// machine has more than one core), then collect the logged rounds and
-    /// scatter their cross-shard transmissions into the pending buffer.
-    fn run_window(
-        &mut self,
-        rt: &mut Runtime,
-        participants: &[usize],
-        horizons: &[SimTime],
-        limit: Option<u64>,
-        run_events: &mut [u64],
-    ) {
-        let _prof = crate::profile::scope("world/shard_window");
-        let nshards = rt.nshards;
-        // Partition `&mut` views of the node and segment state by owner:
-        // zero-copy, and each shard sees its members indexed by slot.
-        let mut nodes_p: Vec<Vec<&mut Option<Node>>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (i, slot) in self.nodes.iter_mut().enumerate() {
-            nodes_p[rt.owner_node[i] as usize].push(slot);
-        }
-        let mut seqs_p: Vec<Vec<&mut u64>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (i, s) in self.node_seq.iter_mut().enumerate() {
-            seqs_p[rt.owner_node[i] as usize].push(s);
-        }
-        let mut rngs_p: Vec<Vec<&mut StdRng>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (i, r) in self.node_rng.iter_mut().enumerate() {
-            rngs_p[rt.owner_node[i] as usize].push(r);
-        }
-        // Border segment state stays with the coordinator (only
-        // `apply_border_txs` touches it).
-        let mut segst_p: Vec<Vec<&mut SegState>> = (0..nshards).map(|_| Vec::new()).collect();
+        // Private segment state goes to its home shard's slot; border
+        // state stays with the coordinator, parallel to `borders.adj`.
+        let mut border_states: Vec<Option<&mut SegState>> =
+            rt.borders.adj.iter().map(|_| None).collect();
+        let mut segst_p: Vec<Vec<Option<&mut SegState>>> = rt
+            .seg_members
+            .iter()
+            .map(|m| m.iter().map(|_| None).collect())
+            .collect();
         for (s, st) in self.seg_states.iter_mut().enumerate() {
-            if !rt.border[s] {
-                segst_p[rt.owner_seg[s] as usize].push(st);
+            match border_states.get_mut(rt.borders.ix[s] as usize) {
+                Some(b) => *b = Some(st),
+                None => segst_p[rt.seg_home[s] as usize][rt.seg_slot[s] as usize] = Some(st),
             }
         }
         let shared = ShardShared {
             segments: &self.segments,
             node_slot: &rt.node_slot,
             seg_slot: &rt.seg_slot,
-            border: &rt.border,
+            borders: &rt.borders,
             inv_enabled: self.invariants.enabled(),
             trace_on: self.trace.is_enabled(),
             pcap_on: self.pcap.is_some(),
         };
-        let mut runs: Vec<ShardRun> = Vec::with_capacity(participants.len());
-        {
-            let mut queues: Vec<Option<&mut EventQueue>> = rt.queues.iter_mut().map(Some).collect();
-            let mut metrics: Vec<Option<&mut MetricsRegistry>> =
-                rt.shard_metrics.iter_mut().map(Some).collect();
-            let mut stats: Vec<Option<&mut ShardStats>> = rt.stats.iter_mut().map(Some).collect();
-            for &r in participants {
-                runs.push(ShardRun {
-                    shard: r,
-                    horizon: horizons[r],
-                    budget: match limit {
-                        Some(l) => l.saturating_add(1).saturating_sub(run_events[r]),
-                        None => u64::MAX,
-                    },
-                    queue: queues[r].take().expect("participant queue"),
-                    metrics: metrics[r].take().expect("participant metrics"),
-                    stats: stats[r].take().expect("participant stats"),
-                    nodes: std::mem::take(&mut nodes_p[r]),
-                    seqs: std::mem::take(&mut seqs_p[r]),
-                    rngs: std::mem::take(&mut rngs_p[r]),
-                    seg_states: std::mem::take(&mut segst_p[r]),
+        let per_shard = rt.queues.iter_mut().zip(&mut rt.shard_metrics);
+        let mut runs: Vec<Option<ShardRun>> = per_shard
+            .zip(&mut rt.stats)
+            .zip(nodes_p.into_iter().zip(segst_p))
+            .map(|(((queue, metrics), stats), (nodes, seg_states))| {
+                Some(ShardRun {
+                    horizon: SimTime::ZERO,
+                    budget: u64::MAX,
+                    queue,
+                    metrics,
+                    stats,
+                    nodes,
+                    seg_states: seg_states.into_iter().flatten().collect(),
                     rounds: Vec::new(),
+                    buf: Vec::new(),
                     events: 0,
-                });
-            }
-        }
-        if rt.parallel && runs.len() > 1 {
-            let sh = &shared;
-            let (first, rest) = runs.split_first_mut().expect("non-empty runs");
-            std::thread::scope(|scope| {
-                for run in rest.iter_mut() {
-                    scope.spawn(move || run_shard_window(sh, run));
-                }
-                run_shard_window(sh, first);
-            });
-        } else {
-            for run in &mut runs {
-                run_shard_window(&shared, run);
-            }
-        }
-        let mut collected: Vec<Vec<RoundLog>> = Vec::with_capacity(runs.len());
-        for run in runs {
-            let ShardRun {
-                shard,
-                events,
-                rounds,
-                stats,
-                ..
-            } = run;
-            run_events[shard] += events;
-            let crossed = rounds
-                .iter()
-                .flat_map(|rd| rd.groups.iter())
-                .flat_map(|g| g.ops.iter())
-                .filter(|op| matches!(op, Op::BorderTx { .. }))
-                .count() as u64;
-            stats.msgs_out += crossed;
-            collected.push(rounds);
-        }
-        for rounds in collected {
-            for round in &rounds {
-                for g in &round.groups {
-                    for (i, op) in g.ops.iter().enumerate() {
-                        if let Op::BorderTx { seg, iface, frame } = op {
-                            rt.pending_txs.push(PendingTx {
-                                seg: *seg,
-                                t: round.t,
-                                round: round.round,
-                                key: g.key,
-                                op: i as u32,
-                                node: g.node,
-                                iface: *iface,
-                                frame: frame.clone(),
-                            });
+                })
+            })
+            .collect();
+        let mut coord = Coordinator {
+            now: &mut self.now,
+            node_count: self.node_syms.len(),
+            segments: &self.segments,
+            border_states: border_states.into_iter().flatten().collect(),
+            trace: &mut self.trace,
+            metrics: &mut self.metrics,
+            invariants: &mut self.invariants,
+            pcap: &mut self.pcap,
+            sampler: &mut self.sampler,
+            borders: &rt.borders,
+            owner_node: &rt.owner_node,
+            sim_stats: &mut rt.sim_stats,
+            pending_rounds: &mut rt.pending_rounds,
+            pending_txs: &mut rt.pending_txs,
+            tx_records: &mut rt.tx_records,
+        };
+        std::thread::scope(|scope| {
+            // Shard `r > 0` always runs on worker `r - 1`, so its nodes
+            // stay warm in one core's cache. A `ShardRun` travels to its
+            // worker and back by value: ownership is the synchronisation.
+            let nworkers = if rt.parallel { nshards - 1 } else { 0 };
+            let workers: Vec<(Sender<ShardRun>, Receiver<ShardRun>)> = (0..nworkers)
+                .map(|_| {
+                    let (job_tx, job_rx) = channel::<ShardRun>();
+                    let (done_tx, done_rx) = channel();
+                    let sh = &shared;
+                    scope.spawn(move || {
+                        for mut run in job_rx {
+                            run_shard_window(sh, &mut run);
+                            if done_tx.send(run).is_err() {
+                                break;
+                            }
                         }
+                    });
+                    (job_tx, done_rx)
+                })
+                .collect();
+            let (mut t_next, mut floors, mut eff) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut horizons, mut participants) = (Vec::new(), Vec::<usize>::new());
+            let mut replayed_events: u64 = 0;
+            // One event past the limit, so the overrun is seen and replayed
+            // into the canonical limit panic.
+            let allowance = limit.map_or(u64::MAX, |l| l.saturating_add(1));
+            loop {
+                coord.probe(&runs, &mut t_next, &mut floors, &mut eff);
+                let applied = coord.apply_border_txs(&mut runs, &eff);
+                if applied > 0 {
+                    coord.probe(&runs, &mut t_next, &mut floors, &mut eff);
+                }
+                let frontier = eff.iter().copied().min().unwrap_or(u64::MAX);
+                let replayed = coord.replay_rounds(&runs, frontier, limit, &mut replayed_events);
+                coord.borders.horizons(&eff, deadline, &mut horizons);
+                participants.clear();
+                for r in 0..nshards {
+                    let run = parked(&mut runs[r]);
+                    let Some(t) = t_next[r] else { continue };
+                    if t > deadline {
+                        continue;
+                    }
+                    if limit.is_some_and(|l| run.events > l) {
+                        // Locally over the event limit: excluded so the forced
+                        // replay below fires the canonical limit panic.
+                        continue;
+                    }
+                    if t < horizons[r] {
+                        run.horizon = horizons[r];
+                        run.budget = allowance.saturating_sub(run.events);
+                        participants.push(r);
+                    } else {
+                        run.stats.stalls += 1;
                     }
                 }
-            }
-            rt.pending_rounds.extend(rounds);
-        }
-    }
-
-    /// Apply every buffered cross-shard transmission whose send time is
-    /// provably in every adjacent shard's past, in canonical order. The
-    /// medium (occupancy, stats, delivery scheduling) evolves exactly as
-    /// under serial dispatch; the observer half is recorded as a
-    /// [`TxRecord`] consumed by the matching `Op::BorderTx` replay.
-    fn apply_border_txs(&mut self, rt: &mut Runtime, eff: &[u64]) -> usize {
-        if rt.pending_txs.is_empty() {
-            return 0;
-        }
-        rt.sort_pending_txs();
-        let mut applied = 0usize;
-        let txs = std::mem::take(&mut rt.pending_txs);
-        let mut remaining: Vec<PendingTx> = Vec::with_capacity(txs.len());
-        for tx in txs {
-            if tx.t.0 >= rt.border_threshold(eff, tx.seg) {
-                remaining.push(tx);
-                continue;
-            }
-            let st = &mut self.seg_states[tx.seg];
-            let (queue_wait, serialize) = if self.metrics.enabled() {
-                (
-                    st.backlog(tx.t),
-                    self.segments[tx.seg].config.serialize_time(tx.frame.len()),
-                )
-            } else {
-                (SimDuration::ZERO, SimDuration::ZERO)
-            };
-            let wire_len = tx.frame.len();
-            let mut sink = BorderApplySink {
-                queues: &mut rt.queues,
-                owner_node: &rt.owner_node,
-                stats: &mut rt.stats,
-                pushed: 0,
-            };
-            let outcome =
-                self.segments[tx.seg].transmit(st, (tx.node, tx.iface), tx.frame, tx.t, &mut sink);
-            let pushed = sink.pushed;
-            rt.tx_records[tx.seg].push_back(TxRecord {
-                wire_len,
-                queue_wait,
-                serialize,
-                outcome,
-                pushed,
-            });
-            applied += 1;
-        }
-        rt.pending_txs = remaining;
-        applied
-    }
-
-    /// Replay every logged round strictly below `frontier`: merge rounds
-    /// with equal `(time, round)` across shards, order their event groups
-    /// by lane key, and run each group's deferred observer effects. This
-    /// is where the trace, the pcap stream, the conservation monitors and
-    /// the scheduler ledger observe the run — in exactly the serial order.
-    fn replay_rounds(
-        &mut self,
-        rt: &mut Runtime,
-        frontier: u64,
-        limit: Option<u64>,
-        replayed_events: &mut u64,
-    ) -> usize {
-        if rt.pending_rounds.is_empty() {
-            return 0;
-        }
-        let all = std::mem::take(&mut rt.pending_rounds);
-        let mut ready: Vec<RoundLog> = Vec::new();
-        for r in all {
-            if r.t.0 < frontier {
-                ready.push(r);
-            } else {
-                rt.pending_rounds.push(r);
-            }
-        }
-        if ready.is_empty() {
-            return 0;
-        }
-        let _prof = crate::profile::scope("world/replay");
-        ready.sort_by_key(|r| (r.t, r.round));
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i < ready.len() {
-            let (t, round) = (ready[i].t, ready[i].round);
-            let mut batch_total = 0u64;
-            let mut groups: Vec<Group> = Vec::new();
-            while i < ready.len() && ready[i].t == t && ready[i].round == round {
-                batch_total += ready[i].batch_len;
-                groups.append(&mut ready[i].groups);
-                i += 1;
-            }
-            groups.sort_by_key(|g| g.key);
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            if self.sampler.is_some() {
-                self.maybe_sample_rt(rt);
-            }
-            rt.sim_stats.dispatched += batch_total;
-            if self.invariants.enabled() {
-                let s = rt.sim_stats;
-                let pending = s.pushed - s.dispatched - s.cancelled;
-                self.invariants.check_scheduler(self.now, &s, pending);
-            }
-            for g in groups {
-                if let Some(lim) = limit {
-                    if *replayed_events >= lim {
-                        panic!(
-                            "run_until_idle: event limit {lim} exceeded at t={}",
-                            self.now
-                        );
+                let Some((&first, rest)) = participants.split_first() else {
+                    if applied > 0 || replayed > 0 {
+                        continue;
+                    }
+                    if limit.is_some_and(|l| runs.iter().flatten().any(|run| run.events > l)) {
+                        coord.replay_rounds(&runs, u64::MAX, limit, &mut replayed_events);
+                        unreachable!("forced replay past the event limit must panic");
+                    }
+                    if t_next.iter().all(|t| t.is_none_or(|t| t > deadline)) {
+                        break;
+                    }
+                    panic!("netsim: sharded scheduler stalled with runnable events");
+                };
+                let _prof = crate::profile::scope("world/shard_window");
+                for &r in rest {
+                    if let Some((job, _)) = workers.get(r - 1) {
+                        let run = runs[r].take().expect("shard parked between windows");
+                        job.send(run).expect("shard worker alive");
                     }
                 }
-                *replayed_events += 1;
-                count += 1;
-                rt.sim_stats.pushed += g.counts.pushed;
-                rt.sim_stats.cancelled += g.counts.cancelled;
-                for op in g.ops {
-                    self.replay_op(rt, g.node, op);
-                }
-            }
-        }
-        count
-    }
-
-    /// Replay one deferred observer effect at the current (replayed) time.
-    fn replay_op(&mut self, rt: &mut Runtime, node: NodeId, op: Op) {
-        match op {
-            Op::Trace { kind, pkt } => {
-                self.trace.record(self.now, node, kind, &pkt);
-                self.invariants.record_packet(kind, &pkt);
-            }
-            Op::Transform {
-                kind,
-                parent,
-                child,
-            } => {
-                self.trace
-                    .record_transform(self.now, node, kind, parent.as_ref(), &child);
-                self.invariants.record_transform(parent.as_ref(), &child);
-            }
-            Op::Promote { a, b, proto } => self.trace.promote_endpoints(a, b, proto),
-            Op::Pcap { frame } => {
-                if let Some(p) = self.pcap.as_mut() {
-                    let _ = p.write_frame(self.now, &frame);
-                }
-            }
-            Op::WireLoss => self.invariants.note_wire_loss(),
-            Op::UnclaimedFrame => self.invariants.note_unclaimed_frame(),
-            Op::DetachedFrame => self.invariants.note_detached_frame(),
-            Op::Parked => self.invariants.note_parked(),
-            Op::Unparked => self.invariants.note_unparked(),
-            Op::Consumed { pkt } => self.invariants.note_consumed(&pkt),
-            Op::Rewrite { before, after } => self.invariants.note_rewrite(&before, &after),
-            Op::BorderTx {
-                seg,
-                iface: _,
-                frame,
-            } => {
-                let rec = rt.tx_records[seg]
-                    .pop_front()
-                    .expect("border tx applied before replay");
-                self.metrics.record_transmit(
-                    SegmentId(seg),
-                    rec.wire_len,
-                    rec.queue_wait,
-                    rec.serialize,
-                    rec.outcome,
-                );
-                if matches!(rec.outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    self.invariants.note_wire_loss();
-                } else if self.invariants.enabled() && frame.len() >= 6 {
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !self.segments[seg].mac_attached(dst)
-                    {
-                        self.invariants.note_unclaimed_frame();
+                run_shard_window(&shared, parked(&mut runs[first]));
+                for &r in rest {
+                    match workers.get(r - 1) {
+                        Some((_, done)) => {
+                            runs[r] = Some(done.recv().expect("shard worker panicked"));
+                        }
+                        None => run_shard_window(&shared, parked(&mut runs[r])),
                     }
                 }
-                if rec.outcome != FaultOutcome::Drop {
-                    if let Some(p) = self.pcap.as_mut() {
-                        let _ = p.write_frame(self.now, &frame);
-                    }
+                for &r in &participants {
+                    coord.collect(parked(&mut runs[r]));
                 }
-                rt.sim_stats.pushed += rec.pushed;
             }
-        }
+        });
+        debug_assert!(
+            rt.pending_txs.is_empty(),
+            "undelivered border transmissions"
+        );
+        debug_assert!(rt.pending_rounds.is_empty(), "unreplayed rounds");
+        self.rt = Some(rt);
     }
 
     // ---- scheduler introspection -------------------------------------------
@@ -1973,6 +1786,18 @@ impl World {
     /// runtime exists (serial worlds never create one).
     pub fn shard_stats(&self) -> Option<&[ShardStats]> {
         self.rt.as_ref().map(|rt| rt.stats.as_slice())
+    }
+
+    /// Why this world's sharded runs fall back to merged in-order dispatch
+    /// on one thread, if they do: a faulty or zero-latency segment on a
+    /// shard border, or armed sketched metrics. `None` for serial worlds
+    /// and for sharded worlds running the parallel protocol.
+    pub fn shard_degradation(&self) -> Option<&'static str> {
+        let rt = self.rt.as_ref()?;
+        rt.degraded().or(self
+            .metrics
+            .sketch_armed()
+            .then_some("sketched metrics are dispatch-order-sensitive"))
     }
 
     /// How many shards the event loop actually runs on (1 = serial).
@@ -2036,48 +1861,22 @@ impl World {
         }
     }
 
-    /// Sharded-mode sampler entry points used where the runtime still sits
+    /// Sharded-mode sampler entry point used where the runtime still sits
     /// in `self` (step / merged paths).
     fn maybe_sample_sharded(&mut self) {
-        if let Some(rt) = self.rt.take() {
-            self.maybe_sample_rt(&rt);
-            self.rt = Some(rt);
+        if let (Some(rt), Some(sampler)) = (&self.rt, self.sampler.as_deref_mut()) {
+            let (nodes, traced) = (self.nodes.len(), self.trace.events().len());
+            sample_sharded(
+                sampler,
+                self.now,
+                nodes,
+                traced,
+                rt.sim_stats,
+                rt.queues.iter(),
+            );
         }
     }
 
-    /// Record a sample against the sharded runtime's global ledger and the
-    /// instantaneous union of the shard wheels. Profile-gauge-grade: the
-    /// gauges are an instantaneous parallel snapshot, outside the
-    /// byte-identity guarantee (which covers reports, metrics, traces and
-    /// pcaps, not the profiler's own sampling of wheel internals).
-    fn maybe_sample_rt(&mut self, rt: &Runtime) {
-        let due = self.sampler.as_deref().is_some_and(|s| s.due(self.now.0));
-        if !due {
-            return;
-        }
-        let s = rt.sim_stats;
-        let live = s.pushed - s.dispatched - s.cancelled;
-        let mut occ_sum = 0u64;
-        let mut overflow = 0usize;
-        for q in &rt.queues {
-            let (occ, of) = q.wheel_occupancy();
-            occ_sum += occ.iter().sum::<u64>();
-            overflow += of;
-        }
-        let raw = crate::profile::RawGauges {
-            sim_us: self.now.0,
-            dispatched: s.dispatched,
-            live_timers: live,
-            wheel_occupancy: occ_sum,
-            overflow_len: overflow as u64,
-            mem_est_bytes: self.nodes.len() as u64 * 768
-                + self.trace.events().len() as u64 * 160
-                + live * 112,
-        };
-        if let Some(smp) = self.sampler.as_deref_mut() {
-            smp.push(raw);
-        }
-    }
     // ---- automatic routing ----------------------------------------------------
 
     /// Compute shortest-path routes (by cumulative link latency) from every
@@ -2239,22 +2038,332 @@ impl World {
 // Shard worker
 // ---------------------------------------------------------------------------
 
-/// Read-only state shared by every shard worker during one window.
+/// Record a gauge sample, if one is due, against the sharded runtime's
+/// global ledger and the instantaneous union of the shard wheels.
+/// Profile-gauge-grade: the gauges are an instantaneous parallel snapshot,
+/// outside the byte-identity guarantee (which covers reports, metrics,
+/// traces and pcaps, not the profiler's own sampling of wheel internals).
+fn sample_sharded<'q>(
+    sampler: &mut crate::profile::TimeSeries,
+    now: SimTime,
+    nodes: usize,
+    traced: usize,
+    s: SchedulerStats,
+    queues: impl Iterator<Item = &'q EventQueue>,
+) {
+    if !sampler.due(now.0) {
+        return;
+    }
+    let live = s.pushed - s.dispatched - s.cancelled;
+    let mut occ_sum = 0u64;
+    let mut overflow = 0usize;
+    for q in queues {
+        let (occ, of) = q.wheel_occupancy();
+        occ_sum += occ.iter().sum::<u64>();
+        overflow += of;
+    }
+    sampler.push(crate::profile::RawGauges {
+        sim_us: now.0,
+        dispatched: s.dispatched,
+        live_timers: live,
+        wheel_occupancy: occ_sum,
+        overflow_len: overflow as u64,
+        mem_est_bytes: nodes as u64 * 768 + traced as u64 * 160 + live * 112,
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Sharded run: coordinator
+// ---------------------------------------------------------------------------
+
+/// The coordinator's slice of the world for one sharded run: the clock,
+/// every order-sensitive observer, the border media and the barrier
+/// protocol's buffers — everything no worker may touch. Shard queues and
+/// stats are reached through the parked [`ShardRun`]s.
+struct Coordinator<'w> {
+    now: &'w mut SimTime,
+    node_count: usize,
+    segments: &'w [Segment],
+    /// Border segment state, parallel to `borders.adj`.
+    border_states: Vec<&'w mut SegState>,
+    trace: &'w mut PacketTrace,
+    metrics: &'w mut MetricsRegistry,
+    invariants: &'w mut InvariantMonitor,
+    pcap: &'w mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
+    sampler: &'w mut Option<Box<crate::profile::TimeSeries>>,
+    borders: &'w Borders,
+    owner_node: &'w [u32],
+    sim_stats: &'w mut SchedulerStats,
+    pending_rounds: &'w mut Vec<RoundLog>,
+    pending_txs: &'w mut Vec<PendingTx>,
+    tx_records: &'w mut [VecDeque<TxRecord>],
+}
+
+/// A shard's run state while the coordinator holds it — always, except
+/// between a window's hand-off to a worker and its return.
+fn parked<'a, 'w>(run: &'a mut Option<ShardRun<'w>>) -> &'a mut ShardRun<'w> {
+    run.as_mut().expect("shard parked between windows")
+}
+
+impl<'w> Coordinator<'w> {
+    /// Steps 1–2 of the barrier: every shard's next-activity time, relaxed
+    /// through the border graph into effective lower bounds.
+    fn probe(
+        &self,
+        runs: &[Option<ShardRun<'w>>],
+        t_next: &mut Vec<Option<SimTime>>,
+        floors: &mut Vec<u64>,
+        eff: &mut Vec<u64>,
+    ) {
+        t_next.clear();
+        t_next.extend(runs.iter().flatten().map(|run| run.queue.min_time()));
+        self.borders.tx_floors(self.pending_txs, floors);
+        self.borders.effective(t_next, floors, eff);
+    }
+
+    /// Take in what a shard logged during the window it just ran: its
+    /// cross-shard transmissions join the pending buffer, its rounds await
+    /// replay.
+    fn collect(&mut self, run: &mut ShardRun<'w>) {
+        for round in run.rounds.drain(..) {
+            for g in &round.groups {
+                for (i, op) in g.ops.iter().enumerate() {
+                    if let Op::BorderTx { seg, iface, frame } = op {
+                        run.stats.msgs_out += 1;
+                        self.pending_txs.push(PendingTx {
+                            seg: *seg,
+                            t: round.t,
+                            round: round.round,
+                            key: g.key,
+                            op: i as u32,
+                            node: g.node,
+                            iface: *iface,
+                            frame: frame.clone(),
+                        });
+                    }
+                }
+            }
+            self.pending_rounds.push(round);
+        }
+    }
+
+    /// Apply every buffered cross-shard transmission whose send time is
+    /// provably in every adjacent shard's past, in canonical order. The
+    /// medium (occupancy, stats, delivery scheduling) evolves exactly as
+    /// under serial dispatch; the observer half is recorded as a
+    /// [`TxRecord`] consumed by the matching `Op::BorderTx` replay.
+    fn apply_border_txs(&mut self, runs: &mut [Option<ShardRun<'w>>], eff: &[u64]) -> usize {
+        if self.pending_txs.is_empty() {
+            return 0;
+        }
+        // Canonical order: per segment the safe set is always a
+        // time-prefix, so applying in this order under per-segment
+        // thresholds evolves each medium exactly as the serial run would.
+        self.pending_txs.sort_by_key(PendingTx::order);
+        let mut applied = 0usize;
+        let txs = std::mem::take(self.pending_txs);
+        for tx in txs {
+            if tx.t.0 >= self.borders.threshold(eff, tx.seg) {
+                self.pending_txs.push(tx);
+                continue;
+            }
+            let st = &mut *self.border_states[self.borders.ix[tx.seg] as usize];
+            let (queue_wait, serialize) = if self.metrics.enabled() {
+                (
+                    st.backlog(tx.t),
+                    self.segments[tx.seg].config.serialize_time(tx.frame.len()),
+                )
+            } else {
+                (SimDuration::ZERO, SimDuration::ZERO)
+            };
+            let wire_len = tx.frame.len();
+            let mut sink = BorderApplySink {
+                runs: &mut *runs,
+                owner_node: self.owner_node,
+                pushed: 0,
+            };
+            let outcome =
+                self.segments[tx.seg].transmit(st, (tx.node, tx.iface), tx.frame, tx.t, &mut sink);
+            let pushed = sink.pushed;
+            self.tx_records[tx.seg].push_back(TxRecord {
+                wire_len,
+                queue_wait,
+                serialize,
+                outcome,
+                pushed,
+            });
+            applied += 1;
+        }
+        applied
+    }
+
+    /// Replay every logged round strictly below `frontier`: merge rounds
+    /// with equal `(time, round)` across shards, order their event groups
+    /// by lane key, and run each group's deferred observer effects. This
+    /// is where the trace, the pcap stream, the conservation monitors and
+    /// the scheduler ledger observe the run — in exactly the serial order.
+    fn replay_rounds(
+        &mut self,
+        runs: &[Option<ShardRun<'w>>],
+        frontier: u64,
+        limit: Option<u64>,
+        replayed_events: &mut u64,
+    ) -> usize {
+        if self.pending_rounds.is_empty() {
+            return 0;
+        }
+        let all = std::mem::take(self.pending_rounds);
+        let mut ready: Vec<RoundLog> = Vec::new();
+        for r in all {
+            if r.t.0 < frontier {
+                ready.push(r);
+            } else {
+                self.pending_rounds.push(r);
+            }
+        }
+        if ready.is_empty() {
+            return 0;
+        }
+        let _prof = crate::profile::scope("world/replay");
+        ready.sort_by_key(|r| (r.t, r.round));
+        let mut count = 0usize;
+        let mut i = 0usize;
+        while i < ready.len() {
+            let (t, round) = (ready[i].t, ready[i].round);
+            let mut batch_total = 0u64;
+            let mut groups: Vec<Group> = Vec::new();
+            while i < ready.len() && ready[i].t == t && ready[i].round == round {
+                batch_total += ready[i].batch_len;
+                groups.append(&mut ready[i].groups);
+                i += 1;
+            }
+            groups.sort_by_key(|g| g.key);
+            debug_assert!(t >= *self.now, "time went backwards");
+            *self.now = t;
+            if let Some(sampler) = self.sampler.as_deref_mut() {
+                let queues = runs.iter().flatten().map(|run| &*run.queue);
+                let traced = self.trace.events().len();
+                sample_sharded(sampler, t, self.node_count, traced, *self.sim_stats, queues);
+            }
+            self.sim_stats.dispatched += batch_total;
+            if self.invariants.enabled() {
+                let s = *self.sim_stats;
+                let pending = s.pushed - s.dispatched - s.cancelled;
+                self.invariants.check_scheduler(t, &s, pending);
+            }
+            for g in groups {
+                if let Some(lim) = limit {
+                    if *replayed_events >= lim {
+                        panic!("run_until_idle: event limit {lim} exceeded at t={t}");
+                    }
+                }
+                *replayed_events += 1;
+                count += 1;
+                self.sim_stats.pushed += g.counts.pushed;
+                self.sim_stats.cancelled += g.counts.cancelled;
+                for op in g.ops {
+                    self.replay_op(g.node, op);
+                }
+            }
+        }
+        count
+    }
+
+    /// Replay one deferred observer effect at the current (replayed) time.
+    fn replay_op(&mut self, node: NodeId, op: Op) {
+        let now = *self.now;
+        match op {
+            Op::Trace { kind, pkt } => {
+                self.trace.record(now, node, kind, &pkt);
+                self.invariants.record_packet(kind, &pkt);
+            }
+            Op::Transform {
+                kind,
+                parent,
+                child,
+            } => {
+                self.trace
+                    .record_transform(now, node, kind, parent.as_ref(), &child);
+                self.invariants.record_transform(parent.as_ref(), &child);
+            }
+            Op::Promote { a, b, proto } => self.trace.promote_endpoints(a, b, proto),
+            Op::Pcap { frame } => {
+                if let Some(p) = self.pcap.as_mut() {
+                    let _ = p.write_frame(now, &frame);
+                }
+            }
+            Op::WireLoss => self.invariants.note_wire_loss(),
+            Op::UnclaimedFrame => self.invariants.note_unclaimed_frame(),
+            Op::DetachedFrame => self.invariants.note_detached_frame(),
+            Op::Parked => self.invariants.note_parked(),
+            Op::Unparked => self.invariants.note_unparked(),
+            Op::Consumed { pkt } => self.invariants.note_consumed(&pkt),
+            Op::Rewrite { before, after } => self.invariants.note_rewrite(&before, &after),
+            Op::BorderTx {
+                seg,
+                iface: _,
+                frame,
+            } => {
+                let rec = self.tx_records[seg]
+                    .pop_front()
+                    .expect("border tx applied before replay");
+                self.metrics.record_transmit(
+                    SegmentId(seg),
+                    rec.wire_len,
+                    rec.queue_wait,
+                    rec.serialize,
+                    rec.outcome,
+                );
+                if matches!(rec.outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
+                    self.invariants.note_wire_loss();
+                } else if self.invariants.enabled() && frame.len() >= 6 {
+                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
+                    if !dst.is_broadcast()
+                        && !dst.is_multicast()
+                        && !self.segments[seg].mac_attached(dst)
+                    {
+                        self.invariants.note_unclaimed_frame();
+                    }
+                }
+                if rec.outcome != FaultOutcome::Drop {
+                    if let Some(p) = self.pcap.as_mut() {
+                        let _ = p.write_frame(now, &frame);
+                    }
+                }
+                self.sim_stats.pushed += rec.pushed;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sharded run: shard worker
+// ---------------------------------------------------------------------------
+
+/// Read-only state shared by every shard worker during one run.
 struct ShardShared<'w> {
     segments: &'w [Segment],
     node_slot: &'w [u32],
     seg_slot: &'w [u32],
-    border: &'w [bool],
+    borders: &'w Borders,
     inv_enabled: bool,
     trace_on: bool,
     pcap_on: bool,
 }
 
-/// One shard's mutable slice of the world for one window: its queue,
-/// metrics registry, stats, and `&mut` views of its member nodes and
-/// private segment states (indexed by slot).
+/// `&mut` views of one node's state, partitioned to its owning shard.
+struct NodeView<'w> {
+    node: &'w mut Option<Node>,
+    seq: &'w mut u64,
+    rng: &'w mut StdRng,
+}
+
+/// One shard's mutable slice of the world for one run: its queue, metrics
+/// registry, stats, and `&mut` views of its member nodes and private
+/// segment states (indexed by slot). The coordinator sets `horizon` and
+/// `budget` before each window the shard takes part in and drains `rounds`
+/// after it.
 struct ShardRun<'w> {
-    shard: usize,
     horizon: SimTime,
     /// Remaining event allowance under `run_until_idle`'s limit: checked
     /// at batch boundaries only (a batch always completes), so it bounds
@@ -2263,11 +2372,12 @@ struct ShardRun<'w> {
     queue: &'w mut EventQueue,
     metrics: &'w mut MetricsRegistry,
     stats: &'w mut ShardStats,
-    nodes: Vec<&'w mut Option<Node>>,
-    seqs: Vec<&'w mut u64>,
-    rngs: Vec<&'w mut StdRng>,
+    nodes: Vec<NodeView<'w>>,
     seg_states: Vec<&'w mut SegState>,
     rounds: Vec<RoundLog>,
+    /// Same-timestamp batch buffer, drained every batch.
+    buf: Vec<Event>,
+    /// Events dispatched so far this run.
     events: u64,
 }
 
@@ -2278,7 +2388,6 @@ struct ShardRun<'w> {
 fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
     let _prof = crate::profile::scope("world/shard_run");
     let hcap = SimTime(run.horizon.0 - 1);
-    let mut buf: Vec<Event> = Vec::new();
     let mut cur_t: Option<SimTime> = None;
     let mut round: u32 = 0;
     run.stats.windows += 1;
@@ -2286,7 +2395,7 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
         if run.budget == 0 {
             break;
         }
-        let Some(t) = run.queue.pop_batch_until(hcap, &mut buf) else {
+        let Some(t) = run.queue.pop_batch_until(hcap, &mut run.buf) else {
             break;
         };
         // Shard-local round numbering at `t` coincides with the serial
@@ -2299,13 +2408,13 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
             _ => 0,
         };
         cur_t = Some(t);
-        let batch_len = buf.len() as u64;
-        let mut groups: Vec<Group> = Vec::with_capacity(buf.len());
-        for ev in buf.drain(..) {
+        let batch_len = run.buf.len() as u64;
+        let mut groups: Vec<Group> = Vec::with_capacity(run.buf.len());
+        for ev in run.buf.drain(..) {
             run.budget = run.budget.saturating_sub(1);
             let key = ev.seq;
             let node = event_node(&ev.kind);
-            let slot = shared.node_slot[node.0] as usize;
+            let view = &mut run.nodes[shared.node_slot[node.0] as usize];
             let mut counts = PushCounts::default();
             let mut ops: Vec<Op> = Vec::new();
             let (iface_frame, tok) = match ev.kind {
@@ -2313,7 +2422,7 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
                 EventKind::Timer(t) => (None, Some(t.token)),
             };
             // Mirror the serial dispatcher's detached-node handling.
-            let Some(mut n) = run.nodes[slot].take() else {
+            let Some(mut n) = view.node.take() else {
                 if iface_frame.is_some() && shared.inv_enabled {
                     ops.push(Op::DetachedFrame);
                 }
@@ -2327,7 +2436,7 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
             };
             if let Some((iface, _)) = &iface_frame {
                 if n.nic().segment(*iface).is_none() {
-                    *run.nodes[slot] = Some(n);
+                    *view.node = Some(n);
                     if shared.inv_enabled {
                         ops.push(Op::DetachedFrame);
                     }
@@ -2351,9 +2460,9 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
                         segments: shared.segments,
                         seg_states: &mut run.seg_states,
                         seg_slot: shared.seg_slot,
-                        border: shared.border,
-                        rng: &mut *run.rngs[slot],
-                        seq: &mut *run.seqs[slot],
+                        borders: shared.borders,
+                        rng: &mut *view.rng,
+                        seq: &mut *view.seq,
                         metrics: &mut *run.metrics,
                         inv_enabled: shared.inv_enabled,
                         trace_on: shared.trace_on,
@@ -2366,7 +2475,7 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
                     (None, None) => unreachable!(),
                 }
             }
-            *run.nodes[slot] = Some(n);
+            *view.node = Some(n);
             groups.push(Group {
                 key,
                 node,
@@ -2924,6 +3033,75 @@ mod tests {
         let serial = run(1);
         let sharded = run(4);
         assert_eq!(serial, sharded);
+    }
+
+    #[test]
+    fn shard_degradation_names_the_fallback() {
+        let ping = |w: &mut World, a: NodeId| {
+            w.host_do(a, |h, ctx| {
+                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
+            });
+            w.run_until_idle(100_000);
+        };
+        let (mut w, a, _b, _r) = two_lan_world_sharded(1);
+        ping(&mut w, a);
+        assert_eq!(w.shard_degradation(), None, "serial worlds never degrade");
+
+        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
+        ping(&mut w, a);
+        assert_eq!(w.shard_degradation(), None, "healthy borders run parallel");
+        // The router joins both LANs, so one of them is the border.
+        for s in 0..2 {
+            w.segment_config_mut(SegmentId(s)).fault.drop_prob = 0.5;
+        }
+        ping(&mut w, a);
+        assert_eq!(
+            w.shard_degradation(),
+            Some("faulty or zero-latency segment on a shard border")
+        );
+
+        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
+        w.apply_telemetry(&TelemetryConfig::default());
+        ping(&mut w, a);
+        assert_eq!(
+            w.shard_degradation(),
+            Some("sketched metrics are dispatch-order-sensitive")
+        );
+    }
+
+    /// A window's later participants run on parked workers, or inline where
+    /// the machine has one core and none are spawned: same run either way.
+    #[test]
+    fn inline_and_worker_windows_agree() {
+        let run = |parallel: bool| {
+            let (mut w, a, _b, _r) = two_lan_world_sharded(2);
+            w.enable_invariants();
+            w.host_do(a, |h, ctx| {
+                for seq in 1..=3 {
+                    h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
+                }
+            });
+            w.rt.as_mut().expect("sharded").parallel = parallel;
+            w.run_until_idle(100_000);
+            assert!(!w.has_invariant_violations(), "parallel={parallel}");
+            let shards = w.shard_stats().expect("sharded").to_vec();
+            (w.now(), w.trace.events().len(), w.scheduler_stats(), shards)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// The limit panic unwinds out of the run's thread scope: the parked
+    /// workers must see their channels close and exit, not hold the join.
+    #[test]
+    #[should_panic(expected = "event limit 3 exceeded")]
+    fn sharded_event_limit_panics_and_releases_the_workers() {
+        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
+        w.host_do(a, |h, ctx| {
+            h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
+        });
+        // Spawn the workers even on a one-core machine.
+        w.rt.as_mut().expect("sharded").parallel = true;
+        w.run_until_idle(3);
     }
 
     #[test]

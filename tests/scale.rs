@@ -2,6 +2,8 @@
 //! deterministic — same seed, same world, byte for byte, at 1, 2, and 4
 //! shards — and memory-compact: a hundred-thousand-host world costs at
 //! most 1 KiB of live heap per host, through build and a handoff storm.
+//! On two shards the storm's cost follows the work done, not the size of
+//! the world it happens in.
 //!
 //! The tests flip or read process-global state (the default shard count
 //! and the counting allocator's live-byte gauge), so they serialize on one
@@ -158,4 +160,61 @@ fn dense_metrics_footprint_ignores_touch_order() {
         "dense metrics cost {} B/node",
         ascending / NODES as i64
     );
+}
+
+#[test]
+fn sharded_storm_cost_does_not_scale_with_the_world() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    set_default_shards(2);
+    let storm = ChurnParams {
+        handoffs: 64,
+        flash_crowd: 0,
+        rereg: 0,
+        lifetime: 300,
+        correspondents: 0,
+    };
+    // Allocations this thread (the shard coordinator) makes across the
+    // storm: 64 × (re-plug, re-address, announce) and one sharded run.
+    let storm_allocs = |params: &ScaleParams| {
+        let (mut w, ix) = build_world(params);
+        w.trace.set_enabled(false);
+        // The one-off partition (made when traffic is first injected) is
+        // O(world) by design; it is set-up, not storm.
+        w.host_do(ix.hosts[0], |_, _| ());
+        let before = netsim::profile::thread_allocations().0;
+        let stats = run_churn(&mut w, &ix, &storm);
+        let allocs = netsim::profile::thread_allocations().0 - before;
+        assert_eq!(stats.handoffs, 64, "storm must actually run");
+        assert_eq!(w.shard_count(), 2, "storm must run sharded");
+        (w, ix, allocs)
+    };
+    // Same stub density, an eighth of the stubs.
+    let (_, _, small) = storm_allocs(&ScaleParams {
+        backbones: 2,
+        transits_per_backbone: 4,
+        stubs_per_transit: 8,
+        hosts_per_stub: 196,
+        seed: 1,
+    });
+    let (mut w, ix, big) = storm_allocs(&ScaleParams {
+        seed: 1,
+        ..ScaleParams::with_hosts(100_000)
+    });
+    assert_eq!(ix.hosts.len(), 100_352);
+    assert!(
+        big * 2 <= small * 3 && small * 2 <= big * 3,
+        "a 64-handoff storm allocates {small} times at 12 544 hosts, {big} at 100 352"
+    );
+
+    // One more handoff on the built world: border upkeep re-derives the
+    // two LANs it touched, never a per-node or per-segment view of the rest.
+    let (h, target) = (ix.hosts[5], ix.stubs[9].segment);
+    let before = netsim::profile::thread_allocations().0;
+    w.reattach(h, 0, target);
+    w.host_do(h, |host, ctx| {
+        host.send_gratuitous_arp(ctx, 0, Ipv4Addr(0x0a00_09f0))
+    });
+    let allocs = netsim::profile::thread_allocations().0 - before;
+    assert!(allocs <= 64, "one handoff allocated {allocs} times");
+    set_default_shards(1);
 }
