@@ -136,32 +136,35 @@ fn print_counters(report: &ProfileReport) {
 /// Render each snapshot's per-shard scheduler counters (present only when
 /// the run was sharded via `--shards` / `NETSIM_SHARDS`): how far each
 /// shard got, how often its horizon stalled it, and how much traffic
-/// crossed its borders — the quickest way to judge a partitioning.
+/// crossed its borders — the quickest way to judge a partitioning — and
+/// why a world asked for shards ran on one thread instead, if it did.
 fn print_shards(doc: &Value) {
     let Some(Value::Object(snapshots)) = get(doc, "snapshots") else {
         return;
     };
     for (label, snap) in snapshots {
-        let Some(Value::Array(shards)) = get(snap, "scheduler").and_then(|s| get(s, "shards"))
-        else {
+        let sched = get(snap, "scheduler");
+        let shards = sched.and_then(|s| get(s, "shards"));
+        let why = sched.and_then(|s| get(s, "shard_degradation"));
+        if shards.is_none() && why.is_none() {
             continue;
-        };
-        println!("shards ({label}):");
-        for (ix, sh) in shards.iter().enumerate() {
-            let f = |k| get(sh, k).and_then(as_u64).unwrap_or(0);
-            println!(
-                "  shard {ix}: {:>8} events  {:>6} windows  {:>5} stalls  msgs in/out {}/{}",
-                f("events"),
-                f("windows"),
-                f("stalls"),
-                f("msgs_in"),
-                f("msgs_out"),
-            );
         }
-        if let Some(Value::Str(why)) =
-            get(snap, "scheduler").and_then(|s| get(s, "shard_degradation"))
-        {
-            println!("  degraded to merged in-order dispatch: {why}");
+        println!("shards ({label}):");
+        if let Some(Value::Array(shards)) = shards {
+            for (ix, sh) in shards.iter().enumerate() {
+                let f = |k| get(sh, k).and_then(as_u64).unwrap_or(0);
+                println!(
+                    "  shard {ix}: {:>8} events  {:>6} windows  {:>5} stalls  msgs in/out {}/{}",
+                    f("events"),
+                    f("windows"),
+                    f("stalls"),
+                    f("msgs_in"),
+                    f("msgs_out"),
+                );
+            }
+        }
+        if let Some(Value::Str(why)) = why {
+            println!("  degraded to in-order dispatch on one thread: {why}");
         }
     }
 }

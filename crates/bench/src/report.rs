@@ -16,9 +16,9 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use netsim::{Lifecycle, TelemetryConfig, World};
-use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
 use crate::Table;
@@ -37,6 +37,14 @@ static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
     snapshots: Vec::new(),
 });
 
+/// Lock one of this module's statics, taking the guard of a poisoned lock
+/// too: `paper_suite` runs experiments under `catch_unwind`, every update
+/// below leaves its value whole at each step, and so one panicking
+/// experiment must not wedge the collector for the rest.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Process-global telemetry configuration, set from CLI flags/environment
 /// by [`crate::run_experiments`] before any experiment builds a world.
 /// `None` means full-fidelity observation — today's default.
@@ -46,22 +54,22 @@ static TELEMETRY: Mutex<Option<TelemetryConfig>> = Mutex::new(None);
 /// receives (sampling, sketches, invariant monitors). Binaries call this
 /// once, from flags like `--sample-flows` / `NETSIM_SAMPLE`.
 pub fn set_telemetry_config(cfg: TelemetryConfig) {
-    *TELEMETRY.lock() = Some(cfg);
+    *lock(&TELEMETRY) = Some(cfg);
 }
 
 /// The installed telemetry configuration, if any.
 pub fn telemetry_config() -> Option<TelemetryConfig> {
-    *TELEMETRY.lock()
+    *lock(&TELEMETRY)
 }
 
 /// Turn snapshot collection on for this process (binaries call this first).
 pub fn enable() {
-    COLLECTOR.lock().enabled = true;
+    lock(&COLLECTOR).enabled = true;
 }
 
 /// Whether collection is on for this process.
 pub fn enabled() -> bool {
-    COLLECTOR.lock().enabled
+    lock(&COLLECTOR).enabled
 }
 
 /// Sim-time interval between flight-recorder gauge samples when profiling
@@ -95,7 +103,7 @@ pub fn observe_world(world: &mut World) {
 /// summaries of its trace (when the trace recorded anything). No-op unless
 /// [`enable`] was called and the world's metrics are enabled.
 pub fn record_world(label: &str, world: &World) {
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     if !c.enabled || !world.metrics.enabled() {
         return;
     }
@@ -160,8 +168,8 @@ pub fn world_snapshot(world: &World) -> Value {
                 Value::Array(stats.iter().map(|s| s.to_value()).collect()),
             ));
         }
-        // A sharded world that fell back to merged in-order dispatch says
-        // so here, not only once on stderr.
+        // A world asked for shards that runs the inline loop on one thread
+        // instead says so here, not only once on stderr.
         if let Some(why) = world.shard_degradation() {
             sched.push(("shard_degradation".into(), Value::Str(why.into())));
         }
@@ -176,7 +184,7 @@ pub fn world_snapshot(world: &World) -> Value {
 /// Attach any serializable value (audit trails, sweep parameters, …) to
 /// the next emitted report. No-op unless [`enable`] was called.
 pub fn record_value(label: &str, value: &impl Serialize) {
-    let mut c = COLLECTOR.lock();
+    let mut c = lock(&COLLECTOR);
     if !c.enabled {
         return;
     }
@@ -200,7 +208,7 @@ const PROFILE_SCOPE_CAP: usize = 96;
 /// Snapshots are emitted sorted by label so report bytes are stable run to
 /// run regardless of the order an experiment recorded them in.
 pub fn build(name: &str, tables: &[Table]) -> Value {
-    let mut snapshots = std::mem::take(&mut COLLECTOR.lock().snapshots);
+    let mut snapshots = std::mem::take(&mut lock(&COLLECTOR).snapshots);
     snapshots.sort_by(|(a, _), (b, _)| a.cmp(b));
     let mut fields = vec![
         ("name".into(), Value::Str(name.to_string())),

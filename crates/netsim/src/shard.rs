@@ -36,19 +36,30 @@
 //! `--shards N` versus serial execution — asserted over all of the repo's
 //! experiments by `tests/shard_equivalence.rs`.
 //!
-//! Worlds whose topology defeats the protocol (fault injection or zero
-//! latency on a border segment — post-partition mobility can create
-//! either) and worlds with an armed metrics sketch (whose collapse is
-//! order-sensitive) degrade to a single-threaded *merged* mode that
-//! interleaves all shard wheels in the same canonical order — always
-//! correct, never parallel, and reported once per world.
+//! A world therefore has two event loops and no more (both in
+//! [`crate::world`]): the *inline* loop, which pops canonical
+//! same-timestamp batches from the world's [`QueueSet`] and fires them in
+//! key order on the calling thread with the observers running inline, and
+//! the *barrier* loop described above. The inline loop over one queue is
+//! serial execution; over one queue per shard it is what a sharded world
+//! falls back to when its topology defeats the protocol (fault injection
+//! or zero latency on a border segment — post-partition mobility can
+//! create either) or its metrics sketch is armed (the collapse is
+//! order-sensitive) — always correct, never parallel, reported once per
+//! world and in `World::shard_degradation`. Both loops fire events through
+//! one function and hand devices one [`crate::world::NetCtx`]; which engine
+//! is running shows only in where that context's [`Sched`] counts, where
+//! its media live, and whether its observers act now or journal [`Op`]s.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 
-use crate::event::{EventQueue, IfaceNo, NodeId, SchedulerKind, SchedulerStats};
+use crate::event::{
+    Event, EventKind, EventQueue, EventSink, IfaceNo, NodeId, SchedulerKind, SchedulerStats,
+    SchedulerTelemetry, TimerHandle,
+};
 use crate::link::{FaultOutcome, LinkConfig, Segment};
 use crate::metrics::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
@@ -109,10 +120,10 @@ serde::impl_serialize!(ShardStats {
 // ---------------------------------------------------------------------------
 
 /// One observer side effect recorded during worker dispatch, replayed by
-/// the coordinator in canonical order. Each variant mirrors exactly one
-/// `NetCtx` observer call; metrics are *not* deferred (their counters are
-/// commutative and recorded into per-shard registries that merge at the
-/// end of the run).
+/// the coordinator in canonical order through the same inline observers a
+/// serial run calls directly. Metrics are *not* deferred (their counters
+/// are commutative and recorded into per-shard registries that merge at
+/// the end of the run).
 #[derive(Debug)]
 pub(crate) enum Op {
     /// `trace_packet`: a trace record plus its conservation-monitor echo.
@@ -132,13 +143,14 @@ pub(crate) enum Op {
         b: Ipv4Addr,
         proto: IpProtocol,
     },
-    /// A frame written to the wire of a non-border segment (pcap capture).
-    Pcap {
+    /// A transmission on a shard-private segment, for the wire's observers
+    /// (conservation notes, pcap capture) — recorded only when one is on.
+    Transmitted {
+        seg: usize,
+        outcome: FaultOutcome,
         frame: Bytes,
     },
     /// Conservation-ledger notes (see `InvariantMonitor`).
-    WireLoss,
-    UnclaimedFrame,
     DetachedFrame,
     Parked,
     Unparked,
@@ -152,8 +164,8 @@ pub(crate) enum Op {
     /// A transmission on a border segment. Scheduling (medium occupancy,
     /// delivery events) is applied from the buffered [`PendingTx`] copy;
     /// this op marks where the transmission's observer effects — link
-    /// metrics, pcap, conservation notes, scheduler-ledger pushes — land
-    /// in canonical order, consuming the matching [`TxRecord`].
+    /// metrics, the wire's observers, scheduler-ledger pushes — land in
+    /// canonical order, consuming the matching [`TxRecord`].
     BorderTx {
         seg: usize,
         iface: IfaceNo,
@@ -161,21 +173,15 @@ pub(crate) enum Op {
     },
 }
 
-/// Queue activity one dispatched event performed — the per-group delta
-/// feeding the scheduler-stats reconstruction that keeps
-/// `check_scheduler` byte-identical with serial runs.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PushCounts {
-    pub pushed: u64,
-    pub cancelled: u64,
-}
-
 /// Everything one dispatched event did, keyed for the canonical merge.
 #[derive(Debug)]
 pub(crate) struct Group {
     pub key: u64,
     pub node: NodeId,
-    pub counts: PushCounts,
+    /// Queue activity the event performed (`pushed`, `cancelled`) — the
+    /// per-group delta feeding the scheduler-ledger reconstruction that
+    /// keeps `check_scheduler` byte-identical with serial runs.
+    pub counts: SchedulerStats,
     pub ops: Vec<Op>,
 }
 
@@ -229,17 +235,231 @@ pub(crate) struct TxRecord {
 }
 
 // ---------------------------------------------------------------------------
+// The queue set
+// ---------------------------------------------------------------------------
+
+/// The node an event is addressed to — the routing function of the queue
+/// set (every event waits in, and is dispatched from, its target node's
+/// queue).
+pub(crate) fn event_node(kind: &EventKind) -> NodeId {
+    match kind {
+        EventKind::Deliver { node, .. } => *node,
+        EventKind::Timer(t) => t.node,
+    }
+}
+
+/// A world's event queues — one until the world is partitioned, one per
+/// shard after — and the scheduler ledger of everything that went through
+/// them. Serial execution is the one-queue case of every method here, not
+/// a separate code path.
+pub(crate) struct QueueSet {
+    queues: Queues,
+    /// The global scheduler ledger: pushes and cancels counted as they
+    /// happen (or, for a barrier worker's, when its [`Group`] replays),
+    /// dispatches as batches are popped (or replayed) — in canonical order
+    /// either way, so `check_scheduler` and the run report read the same
+    /// history whatever the queue count.
+    stats: SchedulerStats,
+}
+
+/// One queue held inline, so a world that is never partitioned allocates
+/// nothing for its set.
+enum Queues {
+    One(EventQueue),
+    Many(Vec<EventQueue>),
+}
+
+impl Queues {
+    fn as_slice(&self) -> &[EventQueue] {
+        match self {
+            Queues::One(q) => std::slice::from_ref(q),
+            Queues::Many(qs) => qs,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [EventQueue] {
+        match self {
+            Queues::One(q) => std::slice::from_mut(q),
+            Queues::Many(qs) => qs,
+        }
+    }
+}
+
+impl QueueSet {
+    /// A set of one empty queue.
+    pub fn new(kind: SchedulerKind) -> QueueSet {
+        QueueSet {
+            queues: Queues::One(EventQueue::with_kind(kind)),
+            stats: SchedulerStats::default(),
+        }
+    }
+
+    /// The queues, in shard order.
+    pub fn iter(&self) -> std::slice::Iter<'_, EventQueue> {
+        self.queues.as_slice().iter()
+    }
+
+    /// The way in: pushes and cancels routed by `owner_node` (empty while
+    /// there is one queue) and counted into the ledger.
+    pub fn sched<'a>(&'a mut self, owner_node: &'a [u32]) -> Sched<'a> {
+        Sched {
+            queues: self.queues.as_mut_slice(),
+            owner_node,
+            ledger: &mut self.stats,
+        }
+    }
+
+    /// Spread the set over `n` fresh queues, every queued event moving to
+    /// its target node's owner. The ledger carries over untouched: it
+    /// already counts these events as pushed.
+    pub fn partition(&mut self, n: usize, kind: SchedulerKind, owner_node: &[u32]) {
+        let mut many: Vec<EventQueue> = (0..n).map(|_| EventQueue::with_kind(kind)).collect();
+        for q in self.queues.as_mut_slice() {
+            while let Some(ev) = q.pop() {
+                let shard = owner_node[event_node(&ev.kind).0] as usize;
+                many[shard].push_keyed(ev.at, ev.seq, ev.kind);
+            }
+        }
+        self.queues = Queues::Many(many);
+    }
+
+    /// Append the next canonical same-timestamp batch to `buf` — every
+    /// event queued anywhere at the globally earliest timestamp, in key
+    /// order — **if** that timestamp is `<= deadline`, and return it. The
+    /// batch is counted as dispatched.
+    pub fn pop_batch_until(&mut self, deadline: SimTime, buf: &mut Vec<Event>) -> Option<SimTime> {
+        let start = buf.len();
+        let t = match self.queues.as_mut_slice() {
+            [q] => q.pop_batch_until(deadline, buf)?,
+            queues => loop {
+                let tmin = queues.iter().filter_map(|q| q.min_time()).min()?;
+                if tmin > deadline {
+                    return None;
+                }
+                for q in queues.iter_mut() {
+                    let _ = q.pop_batch_until(tmin, buf);
+                }
+                if buf.len() > start {
+                    buf[start..].sort_by_key(|e| e.seq);
+                    break tmin;
+                }
+                // `tmin` was a tombstone-only bound; the probes reaped it.
+            },
+        };
+        self.stats.dispatched += (buf.len() - start) as u64;
+        Some(t)
+    }
+
+    /// The scheduler ledger.
+    pub fn stats(&self) -> SchedulerStats {
+        self.stats
+    }
+
+    /// Events queued (cancelled timers excluded), by the queues' own count
+    /// — independent of the ledger, which is what lets `check_scheduler`
+    /// reconcile one against the other.
+    pub fn len(&self) -> usize {
+        self.iter().map(EventQueue::len).sum()
+    }
+
+    /// Cancellable-timer slab slots allocated across the set; see
+    /// [`EventQueue::live_cancellable`].
+    pub fn live_cancellable(&self) -> usize {
+        self.iter().map(EventQueue::live_cancellable).sum()
+    }
+
+    /// The wheels' gauges merged: counters summed, peaks maxed.
+    pub fn telemetry(&self) -> SchedulerTelemetry {
+        let mut out = SchedulerTelemetry::default();
+        for t in self.iter().map(EventQueue::telemetry) {
+            out.cascades += t.cascades;
+            out.cascade_entries += t.cascade_entries;
+            out.overflow_promotions += t.overflow_promotions;
+            out.overflow_peak = out.overflow_peak.max(t.overflow_peak);
+            out.samples += t.samples;
+            for (a, b) in out.occupancy_sum.iter_mut().zip(t.occupancy_sum) {
+                *a += b;
+            }
+            for (a, b) in out.occupancy_peak.iter_mut().zip(t.occupancy_peak) {
+                *a = (*a).max(b);
+            }
+        }
+        out
+    }
+
+    /// Give back burst capacity; see [`EventQueue::shrink`].
+    pub fn shrink(&mut self) {
+        for q in self.queues.as_mut_slice() {
+            q.shrink();
+        }
+    }
+}
+
+/// A routed, counted way into event queues: what a
+/// [`crate::world::NetCtx`] schedules and cancels through. Inline it spans
+/// the world's whole [`QueueSet`] and counts into its ledger as things
+/// happen; a barrier worker's spans the shard's own queue and counts into
+/// the dispatching event's [`Group`], which the coordinator adds to the
+/// ledger at the canonical replay point.
+pub(crate) struct Sched<'a> {
+    pub queues: &'a mut [EventQueue],
+    /// Node → index into `queues`; nodes it does not cover (all of them,
+    /// when it is empty) use queue 0.
+    pub owner_node: &'a [u32],
+    pub ledger: &'a mut SchedulerStats,
+}
+
+impl Sched<'_> {
+    fn queue(&mut self, node: NodeId) -> &mut EventQueue {
+        let shard = self.owner_node.get(node.0).map_or(0, |&s| s as usize);
+        &mut self.queues[shard]
+    }
+
+    /// [`EventQueue::push_cancellable_keyed`] on the target node's queue.
+    pub fn push_cancellable_keyed(
+        &mut self,
+        at: SimTime,
+        key: u64,
+        kind: EventKind,
+    ) -> TimerHandle {
+        self.ledger.pushed += 1;
+        self.queue(event_node(&kind))
+            .push_cancellable_keyed(at, key, kind)
+    }
+
+    /// Cancel a timer owned by `node`. Ownership is sticky, so the handle
+    /// always refers to the same queue's slab it was allocated from.
+    pub fn cancel(&mut self, node: NodeId, h: TimerHandle) -> bool {
+        let ok = self.queue(node).cancel(h);
+        if ok {
+            self.ledger.cancelled += 1;
+        }
+        ok
+    }
+}
+
+impl EventSink for Sched<'_> {
+    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
+        self.ledger.pushed += 1;
+        self.queue(event_node(&kind)).push_keyed(at, key, kind);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Runtime
 // ---------------------------------------------------------------------------
 
 /// The sharded-execution state a [`crate::world::World`] carries once more
-/// than one shard is configured and traffic starts.
+/// than one shard is configured and traffic starts: the partition, the
+/// border graph and the barrier protocol's buffers. The queues themselves
+/// stay with the world, in its [`QueueSet`].
 pub(crate) struct Runtime {
     /// Shard count (≥ 1 after clamping to the segment count).
     pub nshards: usize,
-    /// Sticky node → shard assignment. Never reassigned: lane keys make
-    /// the simulation output independent of ownership, so stickiness costs
-    /// nothing and keeps timer handles and in-flight events valid forever.
+    /// Sticky node → shard assignment, and so the queue set's routing
+    /// table. Never reassigned: lane keys make the simulation output
+    /// independent of ownership, so stickiness costs nothing and keeps
+    /// timer handles and in-flight events valid forever.
     pub owner_node: Vec<u32>,
     /// Node ids owned by each shard, in assignment order.
     pub members: Vec<Vec<usize>>,
@@ -258,15 +478,9 @@ pub(crate) struct Runtime {
     pub seg_slot: Vec<u32>,
     /// The border graph: segments attached to nodes of more than one shard.
     pub borders: Borders,
-    /// One timing wheel per shard.
-    pub queues: Vec<EventQueue>,
     /// One metrics registry per shard, merged into the world registry at
     /// the end of every run (counters are commutative).
     pub shard_metrics: Vec<MetricsRegistry>,
-    /// Reconstructed global scheduler ledger, maintained in canonical
-    /// order so `check_scheduler` and the run report see exactly what a
-    /// serial run's single queue would have recorded.
-    pub sim_stats: SchedulerStats,
     /// Per-shard execution counters.
     pub stats: Vec<ShardStats>,
     /// Dispatched-but-not-yet-replayed rounds, across windows. A round at
@@ -281,8 +495,6 @@ pub(crate) struct Runtime {
     /// Segments whose attachments or configuration changed since borders
     /// were last derived (see [`Runtime::touch`]).
     dirty: Vec<usize>,
-    /// Whether the degradation warning has been printed.
-    pub warned: bool,
     /// Cached `available_parallelism() > 1`; otherwise no workers are spawned
     /// and every window runs inline.
     pub parallel: bool,
@@ -336,7 +548,6 @@ impl Runtime {
     /// make the simulation output identical under *any* assignment.
     pub fn partition(
         nshards: usize,
-        kind: SchedulerKind,
         metrics_enabled: bool,
         segments: &[Segment],
         seg_nodes: &[Vec<usize>],
@@ -443,17 +654,14 @@ impl Runtime {
             seg_home: Vec::new(),
             seg_slot: Vec::new(),
             borders: Borders::default(),
-            queues: (0..nshards).map(|_| EventQueue::with_kind(kind)).collect(),
             shard_metrics: (0..nshards)
                 .map(|_| MetricsRegistry::new(metrics_enabled))
                 .collect(),
-            sim_stats: SchedulerStats::default(),
             stats: vec![ShardStats::default(); nshards],
             pending_rounds: Vec::new(),
             pending_txs: Vec::new(),
             tx_records: Vec::new(),
             dirty: (0..seg_count).collect(),
-            warned: false,
             parallel: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
         };
         rt.refresh(segments, node_segs.len());
@@ -470,7 +678,7 @@ impl Runtime {
         }
     }
 
-    /// Why the world must degrade to merged execution, if it must.
+    /// Why the world's runs must use the inline loop, if they must.
     pub fn degraded(&self) -> Option<&'static str> {
         (self.borders.constrained > 0).then_some("faulty or zero-latency segment on a shard border")
     }
@@ -800,14 +1008,7 @@ mod tests {
     #[test]
     fn partition_splits_two_lans_and_finds_the_border() {
         let (segments, seg_nodes, node_segs) = two_lan_views();
-        let rt = Runtime::partition(
-            2,
-            SchedulerKind::Wheel,
-            false,
-            &segments,
-            &seg_nodes,
-            &node_segs,
-        );
+        let rt = Runtime::partition(2, false, &segments, &seg_nodes, &node_segs);
         assert_eq!(rt.nshards, 2);
         // Each segment on its own shard; the router's segment-ownership
         // makes one of them a border (the router's owner differs from one
@@ -829,14 +1030,7 @@ mod tests {
         let (mut segments, seg_nodes, node_segs) = two_lan_views();
         // Faulty segment 0 must pull segment 1 (shared node 2) with it.
         segments[0].config.fault.drop_prob = 0.5;
-        let rt = Runtime::partition(
-            2,
-            SchedulerKind::Wheel,
-            false,
-            &segments,
-            &seg_nodes,
-            &node_segs,
-        );
+        let rt = Runtime::partition(2, false, &segments, &seg_nodes, &node_segs);
         assert_eq!(rt.owner_seg[0], rt.owner_seg[1]);
         assert!(rt.borders.adj.is_empty(), "no borders, no degradation");
         assert!(rt.degraded().is_none());
@@ -845,14 +1039,7 @@ mod tests {
     #[test]
     fn effective_times_relax_through_borders_and_horizons_progress() {
         let (segments, seg_nodes, node_segs) = two_lan_views();
-        let rt = Runtime::partition(
-            2,
-            SchedulerKind::Wheel,
-            false,
-            &segments,
-            &seg_nodes,
-            &node_segs,
-        );
+        let rt = Runtime::partition(2, false, &segments, &seg_nodes, &node_segs);
         if rt.borders.adj.is_empty() {
             return; // partition kept everything private; nothing to check
         }

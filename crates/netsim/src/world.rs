@@ -1,7 +1,7 @@
-//! The simulation world: nodes, segments, the event loop, automatic
-//! shortest-path route computation for static topologies, and the
-//! deterministic sharded runtime (conservative parallel discrete-event
-//! simulation whose output is byte-identical to serial runs).
+//! The simulation world: nodes, segments, the two event loops — inline,
+//! and the conservative parallel barrier loop whose output is
+//! byte-identical to it (see [`crate::shard`]) — and automatic
+//! shortest-path route computation for static topologies.
 
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -21,7 +21,8 @@ use crate::event::{
 use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
 use crate::metrics::{MetricsRegistry, SketchConfig};
 use crate::shard::{
-    Borders, Group, Op, PendingTx, PushCounts, RoundLog, Runtime, ShardStats, TxRecord,
+    event_node, Borders, Group, Op, PendingTx, QueueSet, RoundLog, Runtime, Sched, ShardStats,
+    TxRecord,
 };
 use crate::telemetry::{hash64, InvariantMonitor, TelemetryConfig};
 use crate::time::{SimDuration, SimTime};
@@ -108,15 +109,6 @@ impl Node {
 // Event routing plumbing
 // ---------------------------------------------------------------------------
 
-/// The node an event is addressed to — the routing function of the sharded
-/// runtime (every event is dispatched on its target node's shard).
-fn event_node(kind: &EventKind) -> NodeId {
-    match kind {
-        EventKind::Deliver { node, .. } => *node,
-        EventKind::Timer(t) => t.node,
-    }
-}
-
 /// Deterministic per-node RNG seed: a hash of the world seed and the node
 /// id, so every node's stream is independent of dispatch interleaving.
 fn node_seed(world_seed: u64, n: usize) -> u64 {
@@ -126,91 +118,6 @@ fn node_seed(world_seed: u64, n: usize) -> u64 {
 /// Deterministic per-segment fault-RNG seed.
 fn segment_seed(world_seed: u64, s: usize) -> u64 {
     hash64(world_seed ^ (0x5345_474du64 << 32) ^ s as u64)
-}
-
-/// A coordinator-side event sink: either the serial queue, or the shard
-/// queues with events routed by target node. Routed pushes and cancels are
-/// counted into the runtime's global scheduler ledger (`sim_stats`) so the
-/// ledger reproduces the serial queue's counters exactly.
-enum QueueRef<'a> {
-    Single(&'a mut EventQueue),
-    Routed {
-        queues: &'a mut [EventQueue],
-        owner_node: &'a [u32],
-        stats: &'a mut SchedulerStats,
-    },
-}
-
-impl QueueRef<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        match self {
-            QueueRef::Single(q) => q.push_keyed(at, key, kind),
-            QueueRef::Routed {
-                queues,
-                owner_node,
-                stats,
-            } => {
-                let shard = owner_node[event_node(&kind).0] as usize;
-                queues[shard].push_keyed(at, key, kind);
-                stats.pushed += 1;
-            }
-        }
-    }
-
-    fn push_cancellable_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) -> TimerHandle {
-        match self {
-            QueueRef::Single(q) => q.push_cancellable_keyed(at, key, kind),
-            QueueRef::Routed {
-                queues,
-                owner_node,
-                stats,
-            } => {
-                let shard = owner_node[event_node(&kind).0] as usize;
-                stats.pushed += 1;
-                queues[shard].push_cancellable_keyed(at, key, kind)
-            }
-        }
-    }
-
-    /// Cancel a timer owned by `node`. Ownership is sticky, so the handle
-    /// always refers to the same shard queue's slab it was allocated from.
-    fn cancel(&mut self, node: NodeId, h: TimerHandle) -> bool {
-        match self {
-            QueueRef::Single(q) => q.cancel(h),
-            QueueRef::Routed {
-                queues,
-                owner_node,
-                stats,
-            } => {
-                let ok = queues[owner_node[node.0] as usize].cancel(h);
-                if ok {
-                    stats.cancelled += 1;
-                }
-                ok
-            }
-        }
-    }
-}
-
-impl EventSink for QueueRef<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        QueueRef::push_keyed(self, at, key, kind);
-    }
-}
-
-/// Sink used by worker-side private-segment transmits: pushes land on the
-/// shard's own queue and are tallied into the dispatching event's
-/// [`PushCounts`] for the canonical scheduler-ledger replay.
-struct CountingSink<'a> {
-    q: &'a mut EventQueue,
-    pushed: &'a mut u64,
-}
-
-impl EventSink for CountingSink<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        self.q.push_keyed(at, key, kind);
-        *self.pushed += 1;
-    }
 }
 
 /// Sink used when the coordinator applies a buffered border transmission:
@@ -236,39 +143,242 @@ impl EventSink for BorderApplySink<'_, '_> {
 // NetCtx
 // ---------------------------------------------------------------------------
 
-/// The two execution modes behind [`NetCtx`]. `Direct` is the serial /
-/// coordinator path: observers (trace, invariants, pcap) run inline.
-/// `Worker` is the sharded path: pushes go to the shard's own queue,
-/// metrics go to the shard's registry (commutative, merged at run end),
-/// and every non-commutative observer effect is recorded as an [`Op`] for
-/// the coordinator to replay in canonical `(time, round, key)` order.
-enum CtxInner<'a, 'w> {
-    Direct {
-        queue: QueueRef<'a>,
-        segments: &'a [Segment],
-        seg_states: &'a mut [SegState],
-        rng: &'a mut StdRng,
-        seq: &'a mut u64,
-        trace: &'a mut PacketTrace,
-        metrics: &'a mut MetricsRegistry,
-        invariants: &'a mut InvariantMonitor,
-        pcap: &'a mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
-    },
-    Worker {
-        queue: &'a mut EventQueue,
-        counts: &'a mut PushCounts,
-        ops: &'a mut Vec<Op>,
-        segments: &'w [Segment],
-        seg_states: &'a mut Vec<&'w mut SegState>,
-        seg_slot: &'w [u32],
+/// `&mut` views of one node's state: what an event fired at it may touch of
+/// the node vectors, whole-world or partitioned to the node's shard.
+struct NodeView<'a> {
+    node: &'a mut Option<Node>,
+    seq: &'a mut u64,
+    rng: &'a mut StdRng,
+}
+
+/// Everything beyond its own node an event handler can reach, as the
+/// running engine lends it. The inline loop lends the whole world: the
+/// queue set, every medium, the observers themselves. A barrier worker
+/// lends its shard: its own queue (counting into the event's [`Group`]),
+/// its private media, and a journal in place of the order-sensitive
+/// observers. `sched`, `media` and `obs` are the only places that know
+/// which.
+struct Engine<'a, 'w> {
+    segments: &'w [Segment],
+    /// Commutative counters: the world's registry inline, the shard's own
+    /// (merged at run end) on a worker.
+    metrics: &'a mut MetricsRegistry,
+    sched: Sched<'a>,
+    media: Media<'a, 'w>,
+    obs: Observers<'a>,
+}
+
+/// Where a transmit finds a segment's mutable link state.
+enum Media<'a, 'w> {
+    /// Every segment's, indexed by segment id.
+    World(&'a mut [SegState]),
+    /// A shard's private segments', indexed by slot.
+    Shard {
+        states: &'a mut [&'w mut SegState],
+        slot: &'w [u32],
         borders: &'w Borders,
-        rng: &'a mut StdRng,
-        seq: &'a mut u64,
-        metrics: &'a mut MetricsRegistry,
-        inv_enabled: bool,
-        trace_on: bool,
-        pcap_on: bool,
     },
+}
+
+impl Media<'_, '_> {
+    /// `seg`'s state, or `None` on a shard border: that medium evolves in
+    /// global time order under the coordinator, not here.
+    fn state(&mut self, seg: SegmentId) -> Option<&mut SegState> {
+        match self {
+            Media::World(states) => Some(&mut states[seg.0]),
+            Media::Shard {
+                states,
+                slot,
+                borders,
+            } => (!borders.is_border(seg.0)).then(|| &mut *states[slot[seg.0] as usize]),
+        }
+    }
+}
+
+/// The order-sensitive observers — packet trace, invariant monitors, pcap
+/// — acting at once. The inline loop hands these to every event; the
+/// barrier coordinator replays its workers' journals through the same
+/// methods, so each effect is implemented here and nowhere else.
+struct Inline<'a> {
+    trace: &'a mut PacketTrace,
+    invariants: &'a mut InvariantMonitor,
+    pcap: &'a mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
+}
+
+impl Inline<'_> {
+    /// A trace record plus its conservation-monitor echo.
+    fn packet(&mut self, now: SimTime, node: NodeId, kind: TraceEventKind, pkt: &Ipv4Packet) {
+        self.trace.record(now, node, kind, pkt);
+        self.invariants.record_packet(kind, pkt);
+    }
+
+    /// A causal edge between parent and child packets.
+    fn transform(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        kind: TransformKind,
+        parent: Option<&Ipv4Packet>,
+        child: &Ipv4Packet,
+    ) {
+        self.trace.record_transform(now, node, kind, parent, child);
+        self.invariants.record_transform(parent, child);
+    }
+
+    /// What the wire's observers make of one transmission on `segment`,
+    /// once the medium has taken or refused it.
+    fn transmitted(
+        &mut self,
+        now: SimTime,
+        segment: &Segment,
+        outcome: FaultOutcome,
+        frame: &Bytes,
+    ) {
+        if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
+            // Whatever packet the frame carried is attributably lost on
+            // the wire, not leaked — the conservation monitor's ledger.
+            self.invariants.note_wire_loss();
+        } else if self.invariants.enabled() && frame.len() >= 6 {
+            // A frame unicast to a MAC no longer on this wire (stale ARP
+            // after a handoff, a vanished care-of address) is ignored by
+            // every NIC and dies here — attributable, not leaked.
+            let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
+            if !dst.is_broadcast() && !dst.is_multicast() && !segment.mac_attached(dst) {
+                self.invariants.note_unclaimed_frame();
+            }
+        }
+        if outcome != FaultOutcome::Drop {
+            if let Some(pcap) = self.pcap.as_mut() {
+                // Capture what was put on the wire (post fault injection
+                // is not observable here; the sender's view is what
+                // tcpdump on the sender would show).
+                let _ = pcap.write_frame(now, frame);
+            }
+        }
+    }
+}
+
+/// Which of the order-sensitive observers are on — a journal records no
+/// effect that none of them would look at.
+#[derive(Clone, Copy)]
+struct Watching {
+    invariants: bool,
+    trace: bool,
+    pcap: bool,
+}
+
+/// Where an event's order-sensitive observer effects go: straight to the
+/// observers, or — on a barrier worker, which runs ahead of and behind its
+/// peers — into the event's journal, for the coordinator to replay through
+/// [`Inline`] in canonical `(time, round, key)` order. The inline arms take
+/// their arguments borrowed; only a journal clones.
+enum Observers<'a> {
+    Inline(Inline<'a>),
+    Journal { ops: &'a mut Vec<Op>, on: Watching },
+}
+
+impl Observers<'_> {
+    fn packet(&mut self, now: SimTime, node: NodeId, kind: TraceEventKind, pkt: &Ipv4Packet) {
+        match self {
+            Observers::Inline(o) => o.packet(now, node, kind, pkt),
+            Observers::Journal { ops, on } => {
+                if on.trace || on.invariants {
+                    ops.push(Op::Trace {
+                        kind,
+                        pkt: pkt.clone(),
+                    });
+                }
+            }
+        }
+    }
+
+    fn transform(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        kind: TransformKind,
+        parent: Option<&Ipv4Packet>,
+        child: &Ipv4Packet,
+    ) {
+        match self {
+            Observers::Inline(o) => o.transform(now, node, kind, parent, child),
+            Observers::Journal { ops, on } => {
+                if on.trace || on.invariants {
+                    ops.push(Op::Transform {
+                        kind,
+                        parent: parent.cloned(),
+                        child: child.clone(),
+                    });
+                }
+            }
+        }
+    }
+
+    fn promote(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: crate::wire::ipv4::IpProtocol) {
+        match self {
+            Observers::Inline(o) => o.trace.promote_endpoints(a, b, proto),
+            Observers::Journal { ops, on } => {
+                if on.trace {
+                    ops.push(Op::Promote { a, b, proto });
+                }
+            }
+        }
+    }
+
+    fn transmitted(
+        &mut self,
+        now: SimTime,
+        seg: SegmentId,
+        segment: &Segment,
+        outcome: FaultOutcome,
+        frame: &Bytes,
+    ) {
+        match self {
+            Observers::Inline(o) => o.transmitted(now, segment, outcome, frame),
+            Observers::Journal { ops, on } => {
+                if on.invariants || on.pcap {
+                    ops.push(Op::Transmitted {
+                        seg: seg.0,
+                        outcome,
+                        frame: frame.clone(),
+                    });
+                }
+            }
+        }
+    }
+
+    /// The scheduling half of a transmission on a shard border. Only a
+    /// journal is ever handed one: only a barrier worker's media have
+    /// borders.
+    fn border_tx(&mut self, seg: SegmentId, iface: IfaceNo, frame: Bytes) {
+        if let Observers::Journal { ops, .. } = self {
+            ops.push(Op::BorderTx {
+                seg: seg.0,
+                iface,
+                frame,
+            });
+        }
+    }
+
+    /// A conservation-ledger note with no trace event of its own: `tell`
+    /// the monitor now, or journal `op` for it.
+    fn note(&mut self, tell: impl FnOnce(&mut InvariantMonitor), op: impl FnOnce() -> Op) {
+        match self {
+            Observers::Inline(o) => tell(o.invariants),
+            Observers::Journal { ops, on } => {
+                if on.invariants {
+                    ops.push(op());
+                }
+            }
+        }
+    }
+
+    fn invariants_enabled(&self) -> bool {
+        match self {
+            Observers::Inline(o) => o.invariants.enabled(),
+            Observers::Journal { on, .. } => on.invariants,
+        }
+    }
 }
 
 /// The per-event context handed to devices: the only way they can touch the
@@ -278,7 +388,51 @@ pub struct NetCtx<'a, 'w> {
     pub now: SimTime,
     /// The node being dispatched.
     pub node: NodeId,
-    inner: CtxInner<'a, 'w>,
+    rng: &'a mut StdRng,
+    seq: &'a mut u64,
+    eng: Engine<'a, 'w>,
+}
+
+/// Run `f` on a node with a live context — the one place a [`NetCtx`] is
+/// built, whichever engine is running and whether an event or a caller of
+/// [`World::host_do`] is at the door.
+fn with_ctx<R>(
+    now: SimTime,
+    node: NodeId,
+    view: &mut NodeView<'_>,
+    eng: Engine<'_, '_>,
+    f: impl FnOnce(Option<&mut Node>, &mut NetCtx) -> R,
+) -> R {
+    let mut ctx = NetCtx {
+        now,
+        node,
+        rng: view.rng,
+        seq: view.seq,
+        eng,
+    };
+    f(view.node.as_mut(), &mut ctx)
+}
+
+/// Fire one popped event at its node: every dispatch of both event loops.
+fn fire(now: SimTime, kind: EventKind, view: &mut NodeView<'_>, eng: Engine<'_, '_>) {
+    with_ctx(now, event_node(&kind), view, eng, |n, ctx| {
+        match (n, kind) {
+            (Some(n), EventKind::Timer(t)) => n.on_timer(ctx, t.token),
+            (Some(n), EventKind::Deliver { iface, frame, .. })
+                if n.nic().segment(iface).is_some() =>
+            {
+                n.on_frame(ctx, iface, &frame)
+            }
+            // A node or its interface may have been detached between
+            // scheduling and delivery (mid-flight frames to a departed mobile
+            // host are lost, as in reality).
+            (_, EventKind::Deliver { .. }) => ctx
+                .eng
+                .obs
+                .note(InvariantMonitor::note_detached_frame, || Op::DetachedFrame),
+            (None, EventKind::Timer(_)) => {}
+        }
+    })
 }
 
 impl NetCtx<'_, '_> {
@@ -302,140 +456,42 @@ impl NetCtx<'_, '_> {
     /// nothing on this path copies the frame.
     pub fn transmit_raw(&mut self, seg: SegmentId, iface: IfaceNo, frame: Bytes) -> FaultOutcome {
         let _prof = crate::profile::scope("link/transmit");
-        let now = self.now;
-        let node = self.node;
-        match &mut self.inner {
-            CtxInner::Direct {
-                queue,
-                segments,
-                seg_states,
-                metrics,
-                invariants,
-                pcap,
-                ..
-            } => {
-                // Snapshot link-metric inputs before the transmit mutates
-                // the segment's committed-until time.
-                let (queue_wait, serialize) = if metrics.enabled() {
-                    let st = &seg_states[seg.0];
-                    (
-                        st.backlog(now),
-                        segments[seg.0].config.serialize_time(frame.len()),
-                    )
-                } else {
-                    (SimDuration::ZERO, SimDuration::ZERO)
-                };
-                let wire_len = frame.len();
-                let outcome = segments[seg.0].transmit(
-                    &mut seg_states[seg.0],
-                    (node, iface),
-                    frame.clone(),
-                    now,
-                    queue,
-                );
-                metrics.record_transmit(seg, wire_len, queue_wait, serialize, outcome);
-                if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    // Whatever packet the frame carried is attributably lost
-                    // on the wire, not leaked — the conservation monitor's
-                    // ledger.
-                    invariants.note_wire_loss();
-                } else if invariants.enabled() && frame.len() >= 6 {
-                    // A frame unicast to a MAC no longer on this wire (stale
-                    // ARP after a handoff, a vanished care-of address) is
-                    // ignored by every NIC and dies here — attributable, not
-                    // leaked.
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !segments[seg.0].mac_attached(dst)
-                    {
-                        invariants.note_unclaimed_frame();
-                    }
-                }
-                if outcome != FaultOutcome::Drop {
-                    if let Some(pcap) = pcap.as_mut() {
-                        // Capture what was put on the wire (post fault
-                        // injection is not observable here; the sender's view
-                        // is what tcpdump on the sender would show).
-                        let _ = pcap.write_frame(now, &frame);
-                    }
-                }
-                outcome
-            }
-            CtxInner::Worker {
-                queue,
-                counts,
-                ops,
-                segments,
-                seg_states,
-                seg_slot,
-                borders,
-                metrics,
-                inv_enabled,
-                pcap_on,
-                ..
-            } => {
-                if borders.is_border(seg.0) {
-                    // Cross-shard wire: buffer the transmission for the
-                    // coordinator. The outcome is predictable without
-                    // touching the medium — border segments are fault-free
-                    // by construction (the partitioner collapses faulty
-                    // segments into one shard), so only oversize frames
-                    // drop.
-                    let max_frame =
-                        segments[seg.0].config.mtu + crate::wire::ethernet::ETHERNET_HEADER_LEN;
-                    let outcome = if frame.len() > max_frame {
-                        FaultOutcome::Drop
-                    } else {
-                        FaultOutcome::Deliver
-                    };
-                    ops.push(Op::BorderTx {
-                        seg: seg.0,
-                        iface,
-                        frame,
-                    });
-                    return outcome;
-                }
-                let st = &mut *seg_states[seg_slot[seg.0] as usize];
-                let (queue_wait, serialize) = if metrics.enabled() {
-                    (
-                        st.backlog(now),
-                        segments[seg.0].config.serialize_time(frame.len()),
-                    )
-                } else {
-                    (SimDuration::ZERO, SimDuration::ZERO)
-                };
-                let wire_len = frame.len();
-                let outcome = segments[seg.0].transmit(
-                    st,
-                    (node, iface),
-                    frame.clone(),
-                    now,
-                    &mut CountingSink {
-                        q: queue,
-                        pushed: &mut counts.pushed,
-                    },
-                );
-                metrics.record_transmit(seg, wire_len, queue_wait, serialize, outcome);
-                if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    if *inv_enabled {
-                        ops.push(Op::WireLoss);
-                    }
-                } else if *inv_enabled && frame.len() >= 6 {
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !segments[seg.0].mac_attached(dst)
-                    {
-                        ops.push(Op::UnclaimedFrame);
-                    }
-                }
-                if outcome != FaultOutcome::Drop && *pcap_on {
-                    ops.push(Op::Pcap { frame });
-                }
-                outcome
-            }
-        }
+        let (now, node) = (self.now, self.node);
+        let Engine {
+            segments,
+            metrics,
+            sched,
+            media,
+            obs,
+        } = &mut self.eng;
+        let segment = &segments[seg.0];
+        let Some(st) = media.state(seg) else {
+            // Cross-shard wire: buffer the transmission for the
+            // coordinator. The outcome is predictable without touching the
+            // medium — border segments are fault-free by construction (the
+            // partitioner collapses faulty segments into one shard), so
+            // only oversize frames drop.
+            let max_frame = segment.config.mtu + crate::wire::ethernet::ETHERNET_HEADER_LEN;
+            let oversize = frame.len() > max_frame;
+            obs.border_tx(seg, iface, frame);
+            return if oversize {
+                FaultOutcome::Drop
+            } else {
+                FaultOutcome::Deliver
+            };
+        };
+        // Snapshot link-metric inputs before the transmit mutates the
+        // segment's committed-until time.
+        let (queue_wait, serialize) = if metrics.enabled() {
+            (st.backlog(now), segment.config.serialize_time(frame.len()))
+        } else {
+            (SimDuration::ZERO, SimDuration::ZERO)
+        };
+        let wire_len = frame.len();
+        let outcome = segment.transmit(st, (node, iface), frame.clone(), now, sched);
+        metrics.record_transmit(seg, wire_len, queue_wait, serialize, outcome);
+        obs.transmitted(now, seg, segment, outcome, &frame);
+        outcome
     }
 
     /// Schedule a timer for this node. The returned handle cancels it in
@@ -445,23 +501,12 @@ impl NetCtx<'_, '_> {
     /// sharded.
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
         let node = self.node;
-        let at = self.now + after;
+        let key = lane_key(node_lane(node), *self.seq);
+        *self.seq += 1;
         let kind = EventKind::Timer(Timer { node, token });
-        match &mut self.inner {
-            CtxInner::Direct { queue, seq, .. } => {
-                let key = lane_key(node_lane(node), **seq);
-                **seq += 1;
-                queue.push_cancellable_keyed(at, key, kind)
-            }
-            CtxInner::Worker {
-                queue, counts, seq, ..
-            } => {
-                let key = lane_key(node_lane(node), **seq);
-                **seq += 1;
-                counts.pushed += 1;
-                queue.push_cancellable_keyed(at, key, kind)
-            }
-        }
+        self.eng
+            .sched
+            .push_cancellable_keyed(self.now + after, key, kind)
     }
 
     /// Cancel a timer set with [`NetCtx::set_timer`]. Returns `false`
@@ -470,68 +515,26 @@ impl NetCtx<'_, '_> {
     /// loop's in-flight batch, in which case it still fires — so handlers
     /// keep their stale-timer guards as a second line of defence.
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
-        let node = self.node;
-        match &mut self.inner {
-            CtxInner::Direct { queue, .. } => queue.cancel(node, h),
-            CtxInner::Worker { queue, counts, .. } => {
-                let ok = queue.cancel(h);
-                if ok {
-                    counts.cancelled += 1;
-                }
-                ok
-            }
-        }
+        self.eng.sched.cancel(self.node, h)
     }
 
     /// MTU of a segment (IP bytes per frame).
     pub fn segment_mtu(&self, seg: SegmentId) -> usize {
-        match &self.inner {
-            CtxInner::Direct { segments, .. } => segments[seg.0].config.mtu,
-            CtxInner::Worker { segments, .. } => segments[seg.0].config.mtu,
-        }
+        self.eng.segments[seg.0].config.mtu
     }
 
     /// This node's deterministic RNG (fault injection, workloads). Streams
     /// are per-node, so draws are independent of dispatch interleaving.
     pub fn rng(&mut self) -> &mut StdRng {
-        match &mut self.inner {
-            CtxInner::Direct { rng, .. } => rng,
-            CtxInner::Worker { rng, .. } => rng,
-        }
+        self.rng
     }
 
     /// Record a trace event for `pkt` at this node. Also feeds the metrics
     /// registry: this is the one choke point every send / forward /
     /// delivery / drop flows through.
     pub fn trace_packet(&mut self, kind: TraceEventKind, pkt: &Ipv4Packet) {
-        let (now, node) = (self.now, self.node);
-        match &mut self.inner {
-            CtxInner::Direct {
-                trace,
-                metrics,
-                invariants,
-                ..
-            } => {
-                trace.record(now, node, kind, pkt);
-                metrics.record_packet(node, kind, pkt);
-                invariants.record_packet(kind, pkt);
-            }
-            CtxInner::Worker {
-                ops,
-                metrics,
-                inv_enabled,
-                trace_on,
-                ..
-            } => {
-                metrics.record_packet(node, kind, pkt);
-                if *trace_on || *inv_enabled {
-                    ops.push(Op::Trace {
-                        kind,
-                        pkt: pkt.clone(),
-                    });
-                }
-            }
-        }
+        self.eng.metrics.record_packet(self.node, kind, pkt);
+        self.eng.obs.packet(self.now, self.node, kind, pkt);
     }
 
     /// Record that `child` was produced from `parent` by `kind` at this
@@ -547,45 +550,18 @@ impl NetCtx<'_, '_> {
         parent: Option<&Ipv4Packet>,
         child: &Ipv4Packet,
     ) {
-        let (now, node) = (self.now, self.node);
-        match &mut self.inner {
-            CtxInner::Direct {
-                trace,
-                metrics,
-                invariants,
-                ..
-            } => {
-                trace.record_transform(now, node, kind, parent, child);
-                metrics.record_packet(node, TraceEventKind::Transformed(kind), child);
-                invariants.record_transform(parent, child);
-            }
-            CtxInner::Worker {
-                ops,
-                metrics,
-                inv_enabled,
-                trace_on,
-                ..
-            } => {
-                metrics.record_packet(node, TraceEventKind::Transformed(kind), child);
-                if *trace_on || *inv_enabled {
-                    ops.push(Op::Transform {
-                        kind,
-                        parent: parent.cloned(),
-                        child: child.clone(),
-                    });
-                }
-            }
-        }
+        let seen = TraceEventKind::Transformed(kind);
+        self.eng.metrics.record_packet(self.node, seen, child);
+        self.eng
+            .obs
+            .transform(self.now, self.node, kind, parent, child);
     }
 
     /// The metrics registry — how the transport layer records TCP and UDP
     /// counters against the node being dispatched. On a worker this is the
     /// shard's registry; counters are commutative and merge at run end.
     pub fn metrics(&mut self) -> &mut MetricsRegistry {
-        match &mut self.inner {
-            CtxInner::Direct { metrics, .. } => metrics,
-            CtxInner::Worker { metrics, .. } => metrics,
-        }
+        self.eng.metrics
     }
 
     /// Flag an anomaly on the conversation between `a` and `b` over
@@ -594,90 +570,54 @@ impl NetCtx<'_, '_> {
     /// denial or retry exhaustion), promoting the flow to full capture
     /// under flow sampling. No-op when sampling is off.
     pub fn flag_anomaly(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: crate::wire::ipv4::IpProtocol) {
-        match &mut self.inner {
-            CtxInner::Direct { trace, .. } => trace.promote_endpoints(a, b, proto),
-            CtxInner::Worker { ops, trace_on, .. } => {
-                if *trace_on {
-                    ops.push(Op::Promote { a, b, proto });
-                }
-            }
-        }
+        self.eng.obs.promote(a, b, proto);
     }
 
     /// Tell the conservation monitor a packet was parked in a link-layer
     /// pending queue (awaiting ARP); see [`InvariantMonitor::note_parked`].
     #[inline]
     pub fn note_parked(&mut self) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_parked(),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Parked);
-                }
-            }
-        }
+        self.eng
+            .obs
+            .note(InvariantMonitor::note_parked, || Op::Parked);
     }
 
     /// Tell the conservation monitor a parked packet left its pending
     /// queue (flushed or evicted).
     #[inline]
     pub fn note_unparked(&mut self) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_unparked(),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Unparked);
-                }
-            }
-        }
+        self.eng
+            .obs
+            .note(InvariantMonitor::note_unparked, || Op::Unparked);
     }
 
     /// Whether the invariant monitors are on — lets hot paths skip the
     /// bookkeeping (e.g. a packet clone) feeding them.
     #[inline]
     pub fn invariants_enabled(&self) -> bool {
-        match &self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.enabled(),
-            CtxInner::Worker { inv_enabled, .. } => *inv_enabled,
-        }
+        self.eng.obs.invariants_enabled()
     }
 
     /// Tell the conservation monitor a packet was consumed by a mobility
     /// hook before local delivery (no trace event fires for it).
     #[inline]
     pub fn note_consumed(&mut self, pkt: &Ipv4Packet) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_consumed(pkt),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Consumed { pkt: pkt.clone() });
-                }
-            }
-        }
+        self.eng.obs.note(
+            |inv| inv.note_consumed(pkt),
+            || Op::Consumed { pkt: pkt.clone() },
+        );
     }
 
     /// Tell the conservation monitor a hook rewrote a packet's identity.
     #[inline]
     pub fn note_rewrite(&mut self, before: &Ipv4Packet, after: &Ipv4Packet) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_rewrite(before, after),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Rewrite {
-                        before: before.clone(),
-                        after: after.clone(),
-                    });
-                }
-            }
-        }
+        self.eng.obs.note(
+            |inv| inv.note_rewrite(before, after),
+            || Op::Rewrite {
+                before: before.clone(),
+                after: after.clone(),
+            },
+        );
     }
 }
 
@@ -703,7 +643,9 @@ pub struct World {
     /// Mutable link state (medium occupancy, stats, fault RNG), parallel
     /// to `segments`; split out so shards can own their private media.
     seg_states: Vec<SegState>,
-    queue: EventQueue,
+    /// Every event queue — one, or one per shard — and the scheduler
+    /// ledger.
+    queues: QueueSet,
     now: SimTime,
     seed: u64,
     sched_kind: SchedulerKind,
@@ -718,8 +660,10 @@ pub struct World {
     pub invariants: InvariantMonitor,
     next_mac: u32,
     pcap: Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
-    /// Reusable same-timestamp batch buffer for the serial run loops —
-    /// drained every batch, so the allocation is made once per world.
+    /// The canonical same-timestamp batch being fired, popped whole so
+    /// round precedence is the same however the world is driven: drained
+    /// by a run, served one event a call by [`World::step`]. Reused, so
+    /// the allocation is made once per world.
     batch: Vec<Event>,
     /// Periodic gauge sampler; absent (one branch per batch) until
     /// [`World::enable_sampling`].
@@ -729,16 +673,14 @@ pub struct World {
     shards_requested: usize,
     /// Permanently degraded to serial: set when the sharded runtime would
     /// have to be created while cancellable timer handles minted by the
-    /// serial queue are still live (their slab identity cannot survive the
+    /// single queue are still live (their slab identity cannot survive the
     /// migration).
     serial_locked: bool,
+    /// Whether the degradation warning has been printed.
+    warned: bool,
     /// The sharded runtime; `None` until first needed (or never, when
     /// `shards_requested <= 1`).
     rt: Option<Runtime>,
-    /// Same-timestamp batch being served one event at a time by
-    /// [`World::step`] in sharded mode: the canonical global round, loaded
-    /// whole so round precedence matches the serial scheduler.
-    step_batch: std::collections::VecDeque<Event>,
 }
 
 impl World {
@@ -763,7 +705,7 @@ impl World {
             node_rng: Vec::new(),
             segments: Vec::new(),
             seg_states: Vec::new(),
-            queue: EventQueue::with_kind(kind),
+            queues: QueueSet::new(kind),
             now: SimTime::ZERO,
             seed,
             sched_kind: kind,
@@ -776,8 +718,8 @@ impl World {
             sampler: None,
             shards_requested: shards.max(1),
             serial_locked: false,
+            warned: false,
             rt: None,
-            step_batch: std::collections::VecDeque::new(),
         }
     }
 
@@ -822,17 +764,10 @@ impl World {
         self.invariants.set_enabled(true);
     }
 
-    /// The scheduler ledger the invariant monitors reconcile against: in
-    /// serial mode the queue's own counters; in sharded mode the global
-    /// ledger the coordinator reconstructs in canonical replay order.
+    /// What the invariant monitors reconcile: the scheduler ledger against
+    /// the queues' own count of what they still hold.
     fn sched_ledger(&self) -> (SchedulerStats, u64) {
-        match &self.rt {
-            Some(rt) => {
-                let s = rt.sim_stats;
-                (s, s.pushed - s.dispatched - s.cancelled)
-            }
-            None => (self.queue.stats(), self.queue.len() as u64),
-        }
+        (self.queues.stats(), self.queues.len() as u64)
     }
 
     /// The invariant monitors' run-report section: counters plus every
@@ -841,9 +776,10 @@ impl World {
     /// packets are legitimate.
     pub fn invariant_report(&self) -> serde::Value {
         let (stats, pending) = self.sched_ledger();
+        let quiescent = self.pending_events() == 0;
         let totals = self.metrics.enabled().then(|| self.metrics.totals());
         self.invariants
-            .report_value(self.now, &stats, pending, pending == 0, totals.as_ref())
+            .report_value(self.now, &stats, pending, quiescent, totals.as_ref())
     }
 
     /// Whether any invariant violation has been detected (incremental or
@@ -853,10 +789,11 @@ impl World {
             return true;
         }
         let (stats, pending) = self.sched_ledger();
+        let quiescent = self.pending_events() == 0;
         let totals = self.metrics.enabled().then(|| self.metrics.totals());
         !self
             .invariants
-            .final_violations(self.now, &stats, pending, pending == 0, totals.as_ref())
+            .final_violations(self.now, &stats, pending, quiescent, totals.as_ref())
             .is_empty()
     }
 
@@ -1044,60 +981,55 @@ impl World {
         &mut self.segments[seg.0].config
     }
 
+    /// Split the world into what firing an event at `id` takes: the node's
+    /// own slots, and everything else as the inline engine lends it.
+    fn parts(&mut self, id: NodeId) -> (NodeView<'_>, Engine<'_, '_>) {
+        let view = NodeView {
+            node: &mut self.nodes[id.0],
+            seq: &mut self.node_seq[id.0],
+            rng: &mut self.node_rng[id.0],
+        };
+        let owner_node = self.rt.as_ref().map_or(&[][..], |rt| &rt.owner_node);
+        let eng = Engine {
+            segments: &self.segments,
+            metrics: &mut self.metrics,
+            sched: self.queues.sched(owner_node),
+            media: Media::World(&mut self.seg_states),
+            obs: Observers::Inline(Inline {
+                trace: &mut self.trace,
+                invariants: &mut self.invariants,
+                pcap: &mut self.pcap,
+            }),
+        };
+        (view, eng)
+    }
+
     /// Run `f` against a host with a live [`NetCtx`] — how tests, examples
     /// and the mobility layer inject work into the simulation.
     pub fn host_do<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Host, &mut NetCtx) -> R) -> R {
         self.ensure_runtime();
-        let mut node = self.nodes[id.0].take().expect("node present");
-        let queue = match &mut self.rt {
-            Some(rt) => QueueRef::Routed {
-                queues: &mut rt.queues,
-                owner_node: &rt.owner_node,
-                stats: &mut rt.sim_stats,
-            },
-            None => QueueRef::Single(&mut self.queue),
-        };
-        let r = {
-            let mut ctx = NetCtx {
-                now: self.now,
-                node: id,
-                inner: CtxInner::Direct {
-                    queue,
-                    segments: &self.segments,
-                    seg_states: &mut self.seg_states,
-                    rng: &mut self.node_rng[id.0],
-                    seq: &mut self.node_seq[id.0],
-                    trace: &mut self.trace,
-                    metrics: &mut self.metrics,
-                    invariants: &mut self.invariants,
-                    pcap: &mut self.pcap,
-                },
-            };
-            match &mut node {
-                Node::Host(h) => f(h, &mut ctx),
+        let now = self.now;
+        let (mut view, eng) = self.parts(id);
+        with_ctx(now, id, &mut view, eng, |node, ctx| {
+            match node.expect("node present") {
+                Node::Host(h) => f(h, ctx),
                 Node::Router(_) => panic!("node {} is a router", id.0),
             }
-        };
-        self.nodes[id.0] = Some(node);
-        r
+        })
     }
 
     /// Schedule an immediate application poll on `node` (bootstraps apps).
     pub fn poll_soon(&mut self, node: NodeId) {
         self.ensure_runtime();
-        let key = lane_key(node_lane(node), self.node_seq[node.0]);
-        self.node_seq[node.0] += 1;
+        let now = self.now;
+        let (view, mut eng) = self.parts(node);
+        let key = lane_key(node_lane(node), *view.seq);
+        *view.seq += 1;
         let kind = EventKind::Timer(Timer {
             node,
             token: token(NS_APPS, 0),
         });
-        match &mut self.rt {
-            Some(rt) => {
-                rt.queues[rt.owner_node[node.0] as usize].push_keyed(self.now, key, kind);
-                rt.sim_stats.pushed += 1;
-            }
-            None => self.queue.push_keyed(self.now, key, kind),
-        }
+        eng.sched.push_keyed(now, key, kind);
     }
 
     // ---- sharded runtime --------------------------------------------------
@@ -1128,10 +1060,10 @@ impl World {
     /// Create the sharded runtime, or bring it up to date with the
     /// segments touched since it last ran. A no-op when sharding is off
     /// (one shard requested, fewer than two segments, or permanently
-    /// locked serial). On creation the serial queue's contents migrate to
-    /// the shard queues — refused (with a warning, once) if cancellable
-    /// timer handles are still live, since their slab identity cannot
-    /// survive the migration.
+    /// locked serial). On creation the queue set spreads over one queue
+    /// per shard — refused (and reported by [`World::shard_degradation`])
+    /// if cancellable timer handles are still live, since their slab
+    /// identity cannot survive the migration.
     fn ensure_runtime(&mut self) {
         if self.shards_requested <= 1 || self.serial_locked {
             return;
@@ -1143,30 +1075,20 @@ impl World {
         if self.segments.len() < 2 {
             return;
         }
-        if self.queue.live_cancellable() > 0 {
+        if self.queues.live_cancellable() > 0 {
             self.serial_locked = true;
-            eprintln!(
-                "netsim: sharding disabled for this world: cancellable timers \
-                 predate the sharded runtime; running serial"
-            );
             return;
         }
         let (seg_nodes, node_segs) = self.topo_views();
-        let mut rt = Runtime::partition(
+        let rt = Runtime::partition(
             self.shards_requested,
-            self.sched_kind,
             self.metrics.enabled(),
             &self.segments,
             &seg_nodes,
             &node_segs,
         );
-        // Seed the global scheduler ledger from the serial queue *before*
-        // draining it (popping counts into `dispatched`).
-        rt.sim_stats = self.queue.stats();
-        while let Some(ev) = self.queue.pop() {
-            let shard = rt.owner_node[event_node(&ev.kind).0] as usize;
-            rt.queues[shard].push_keyed(ev.at, ev.seq, ev.kind);
-        }
+        self.queues
+            .partition(rt.nshards, self.sched_kind, &rt.owner_node);
         self.rt = Some(rt);
     }
 
@@ -1194,167 +1116,48 @@ impl World {
 
     // ---- event loop -----------------------------------------------------------
 
-    /// Fire one already-popped event: route it to the owning node with a
-    /// fresh [`NetCtx`] view over the world. Events route to the serial
-    /// queue or the shard queues depending on whether the sharded runtime
-    /// exists. Shared by every coordinator-side dispatch path (serial run
-    /// loops, merged mode, single-step).
+    /// Fire one already-popped event inline.
     fn dispatch(&mut self, kind: EventKind) {
-        let (node, iface_frame, token) = match kind {
-            EventKind::Deliver { node, iface, frame } => (node, Some((iface, frame)), None),
-            EventKind::Timer(t) => (t.node, None, Some(t.token)),
-        };
-        let kind_was_frame = iface_frame.is_some();
-        // A node may have been detached between scheduling and delivery
-        // (mid-flight frames to a departed mobile host are lost, as in
-        // reality).
-        let Some(mut n) = self.nodes.get_mut(node.0).and_then(Option::take) else {
-            if kind_was_frame {
-                self.invariants.note_detached_frame();
-            }
-            return;
-        };
-        if let Some((iface, _)) = &iface_frame {
-            if n.nic().segment(*iface).is_none() {
-                self.nodes[node.0] = Some(n);
-                self.invariants.note_detached_frame();
-                return;
-            }
-        }
-        let queue = match &mut self.rt {
-            Some(rt) => QueueRef::Routed {
-                queues: &mut rt.queues,
-                owner_node: &rt.owner_node,
-                stats: &mut rt.sim_stats,
-            },
-            None => QueueRef::Single(&mut self.queue),
-        };
-        let mut ctx = NetCtx {
-            now: self.now,
-            node,
-            inner: CtxInner::Direct {
-                queue,
-                segments: &self.segments,
-                seg_states: &mut self.seg_states,
-                rng: &mut self.node_rng[node.0],
-                seq: &mut self.node_seq[node.0],
-                trace: &mut self.trace,
-                metrics: &mut self.metrics,
-                invariants: &mut self.invariants,
-                pcap: &mut self.pcap,
-            },
-        };
-        match (iface_frame, token) {
-            (Some((iface, frame)), _) => n.on_frame(&mut ctx, iface, &frame),
-            (None, Some(token)) => n.on_timer(&mut ctx, token),
-            (None, None) => unreachable!(),
-        }
-        self.nodes[node.0] = Some(n);
+        let now = self.now;
+        let (mut view, eng) = self.parts(event_node(&kind));
+        fire(now, kind, &mut view, eng);
     }
 
-    /// Load the next canonical global round into `step_batch`: the merged,
-    /// seq-sorted union of every shard queue's batch at the globally
-    /// minimal timestamp. Returns `false` when all queues are empty.
-    fn load_step_batch(&mut self) -> bool {
-        let rt = self.rt.as_mut().expect("runtime present");
-        let mut buf: Vec<Event> = Vec::new();
-        loop {
-            let Some(tmin) = rt.queues.iter().filter_map(|q| q.min_time()).min() else {
-                return false;
-            };
-            for q in &mut rt.queues {
-                let _ = q.pop_batch_until(tmin, &mut buf);
-            }
-            if !buf.is_empty() {
-                break;
-            }
-            // `tmin` was a tombstone-only bound; the probe reaped it, retry.
+    /// Pop the next canonical batch due by `deadline` into the (empty)
+    /// batch buffer, advance the clock to it and show the per-batch
+    /// observers — gauge sampler, scheduler reconciliation — the ledger as
+    /// it stands. `false` when nothing is due.
+    fn load_batch(&mut self, deadline: SimTime) -> bool {
+        let t = {
+            let _prof = crate::profile::scope("sched/pop_batch");
+            self.queues.pop_batch_until(deadline, &mut self.batch)
+        };
+        let Some(t) = t else { return false };
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
+        self.maybe_sample();
+        if self.invariants.enabled() {
+            // The just-popped batch is dispatched-but-not-yet-run; the
+            // ledger already counts it as dispatched and the queues no
+            // longer hold it, so the two balance here.
+            let (stats, pending) = self.sched_ledger();
+            self.invariants.check_scheduler(self.now, &stats, pending);
         }
-        buf.sort_by_key(|e| e.seq);
-        self.step_batch.extend(buf);
         true
     }
 
-    /// Process one event. Returns `false` when the queue is empty.
+    /// Process one event. Returns `false` when the queue is empty. Events
+    /// come off the same canonical batches a run fires, so stepping, a run,
+    /// or any mix of the two walk one history. O(batch) per call.
     pub fn step(&mut self) -> bool {
         let _prof = crate::profile::scope("world/step");
         self.ensure_runtime();
-        if self.rt.is_none() {
-            let Some(Event { at, kind, .. }) = self.queue.pop() else {
-                return false;
-            };
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            if self.sampler.is_some() {
-                self.maybe_sample();
-            }
-            if self.invariants.enabled() {
-                let stats = self.queue.stats();
-                let pending = self.queue.len() as u64;
-                self.invariants.check_scheduler(self.now, &stats, pending);
-            }
-            self.dispatch(kind);
-            return true;
-        }
-        if self.step_batch.is_empty() && !self.load_step_batch() {
+        if self.batch.is_empty() && !self.load_batch(SimTime(u64::MAX)) {
             return false;
         }
-        let Event { at, kind, .. } = self.step_batch.pop_front().expect("non-empty batch");
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        if self.sampler.is_some() {
-            self.maybe_sample_sharded();
-        }
-        // Count the served event into the ledger first: unserved batch
-        // leftovers then still count as pending, exactly like the serial
-        // queue which pops one event at a time.
-        self.rt
-            .as_mut()
-            .expect("runtime present")
-            .sim_stats
-            .dispatched += 1;
-        if self.invariants.enabled() {
-            let (stats, pending) = self.sched_ledger();
-            self.invariants.check_scheduler(self.now, &stats, pending);
-        }
+        let Event { kind, .. } = self.batch.remove(0);
         self.dispatch(kind);
         true
-    }
-
-    /// Dispatch whatever remains of an in-flight [`World::step`] round
-    /// before a batch run starts, merged with any same-timestamp events the
-    /// served steps already pushed — reconstructing exactly the batch the
-    /// serial scheduler would pop next.
-    fn flush_step_batch(&mut self) {
-        if self.step_batch.is_empty() {
-            return;
-        }
-        let t0 = self.step_batch.front().expect("non-empty").at;
-        let mut buf: Vec<Event> = self.step_batch.drain(..).collect();
-        {
-            let rt = self.rt.as_mut().expect("step batch implies runtime");
-            for q in &mut rt.queues {
-                let _ = q.pop_batch_until(t0, &mut buf);
-            }
-        }
-        buf.sort_by_key(|e| e.seq);
-        let n = buf.len() as u64;
-        self.now = t0;
-        if self.sampler.is_some() {
-            self.maybe_sample_sharded();
-        }
-        self.rt
-            .as_mut()
-            .expect("runtime present")
-            .sim_stats
-            .dispatched += n;
-        if self.invariants.enabled() {
-            let (stats, pending) = self.sched_ledger();
-            self.invariants.check_scheduler(self.now, &stats, pending);
-        }
-        for Event { kind, .. } in buf {
-            self.dispatch(kind);
-        }
     }
 
     /// Run until the queue is empty or simulated time reaches `deadline`.
@@ -1385,29 +1188,25 @@ impl World {
     }
 
     /// The shared driver behind [`World::run_until`] and
-    /// [`World::run_until_idle`]: serial when sharding is off; otherwise
-    /// the conservative parallel protocol, or — when a topology constraint
-    /// or order-sensitive telemetry rules out deferred replay — the merged
-    /// fallback that still uses the shard queues but dispatches every
-    /// global batch inline in canonical order.
+    /// [`World::run_until_idle`]: the barrier loop for a sharded world
+    /// whose borders and telemetry allow deferred replay, the inline loop
+    /// for every other — serial worlds over their one queue, degraded
+    /// sharded ones over their shards' queues.
     fn run_driven(&mut self, deadline: SimTime, limit: Option<u64>) {
         let _prof = crate::profile::scope("world/run");
         self.ensure_runtime();
-        if self.rt.is_none() {
-            self.run_serial(deadline, limit);
-            self.shrink_after_run();
-            return;
-        }
-        self.flush_step_batch();
-        if let Some(why) = self.shard_degradation() {
-            let rt = self.rt.as_mut().expect("runtime present");
-            if !rt.warned {
-                rt.warned = true;
-                eprintln!("netsim: sharded run degraded to merged in-order dispatch: {why}");
+        let why = self.shard_degradation();
+        if let Some(why) = why {
+            if !std::mem::replace(&mut self.warned, true) {
+                eprintln!("netsim: sharded run degraded to in-order dispatch on one thread: {why}");
             }
-            self.run_merged(deadline, limit);
-        } else {
+        }
+        if self.rt.is_some() && why.is_none() {
+            // What `step` left of a batch is fired inline first.
+            self.fire_batch(limit, &mut 0);
             self.run_sharded(deadline, limit);
+        } else {
+            self.run_inline(deadline, limit);
         }
         // Fold the shards' commutative counters into the world registry so
         // readers see one coherent view between runs.
@@ -1426,112 +1225,39 @@ impl World {
     /// same-instant fan-out they ever carried — a broadcast storm on one
     /// big LAN — and would otherwise hold that high-water mark forever.
     fn shrink_after_run(&mut self) {
-        self.queue.shrink();
-        if let Some(rt) = &mut self.rt {
-            for q in &mut rt.queues {
-                q.shrink();
-            }
-        }
+        self.queues.shrink();
         if self.batch.is_empty() && self.batch.capacity() > 32 {
             self.batch = Vec::new();
         }
     }
 
-    /// The serial event loop (exactly the pre-sharding hot path).
-    fn run_serial(&mut self, deadline: SimTime, limit: Option<u64>) {
+    /// Fire everything in the batch buffer, in order.
+    fn fire_batch(&mut self, limit: Option<u64>, fired: &mut u64) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let _prof = crate::profile::scope("world/dispatch");
         let mut batch = std::mem::take(&mut self.batch);
-        let mut dispatched = 0u64;
-        loop {
-            let t = {
-                let _prof = crate::profile::scope("sched/pop_batch");
-                self.queue.pop_batch_until(deadline, &mut batch)
-            };
-            let Some(t) = t else { break };
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            if self.sampler.is_some() {
-                self.maybe_sample();
-            }
-            if self.invariants.enabled() {
-                let stats = self.queue.stats();
-                // The just-popped batch is dispatched-but-not-yet-run;
-                // it is already counted in `dispatched`, and `len` no
-                // longer includes it, so the ledger balances here.
-                let pending = self.queue.len() as u64;
-                self.invariants.check_scheduler(self.now, &stats, pending);
-            }
-            let _prof = crate::profile::scope("world/dispatch");
-            for Event { kind, .. } in batch.drain(..) {
-                if let Some(limit) = limit {
-                    if dispatched >= limit {
-                        panic!(
-                            "run_until_idle: event limit {limit} exceeded at t={}",
-                            self.now
-                        );
-                    }
-                }
-                dispatched += 1;
-                self.dispatch(kind);
-            }
+        for Event { kind, .. } in batch.drain(..) {
+            check_event_limit(limit, *fired, self.now);
+            *fired += 1;
+            self.dispatch(kind);
         }
         self.batch = batch;
     }
 
-    /// Merged fallback: events live in the shard queues, but every global
-    /// same-timestamp batch is popped, seq-merged and dispatched inline by
-    /// the coordinator — the exact serial order, with observers running
-    /// inline. Used when deferred replay is unsound (faulty or zero-latency
-    /// border, order-sensitive sketched metrics).
-    fn run_merged(&mut self, deadline: SimTime, limit: Option<u64>) {
-        let mut dispatched = 0u64;
-        let mut buf: Vec<Event> = Vec::new();
+    /// The inline loop: every canonical batch due by `deadline`, popped
+    /// from the queue set and fired on this thread with the observers
+    /// running inline. Over one queue this is serial execution; over N it
+    /// is the exact serial order all the same, since a batch is the
+    /// key-sorted union of the queues' batches at the globally earliest
+    /// timestamp.
+    fn run_inline(&mut self, deadline: SimTime, limit: Option<u64>) {
+        let mut fired = 0u64;
         loop {
-            let tmin = {
-                let rt = self.rt.as_ref().expect("runtime present");
-                rt.queues.iter().filter_map(|q| q.min_time()).min()
-            };
-            let Some(tmin) = tmin else { break };
-            if tmin > deadline {
+            self.fire_batch(limit, &mut fired);
+            if !self.load_batch(deadline) {
                 break;
-            }
-            {
-                let _prof = crate::profile::scope("sched/pop_batch");
-                let rt = self.rt.as_mut().expect("runtime present");
-                for q in &mut rt.queues {
-                    let _ = q.pop_batch_until(tmin, &mut buf);
-                }
-            }
-            if buf.is_empty() {
-                // `tmin` was a tombstone-only bound; the probes reaped it.
-                continue;
-            }
-            buf.sort_by_key(|e| e.seq);
-            debug_assert!(tmin >= self.now, "time went backwards");
-            self.now = tmin;
-            if self.sampler.is_some() {
-                self.maybe_sample_sharded();
-            }
-            self.rt
-                .as_mut()
-                .expect("runtime present")
-                .sim_stats
-                .dispatched += buf.len() as u64;
-            if self.invariants.enabled() {
-                let (stats, pending) = self.sched_ledger();
-                self.invariants.check_scheduler(self.now, &stats, pending);
-            }
-            let _prof = crate::profile::scope("world/dispatch");
-            for Event { kind, .. } in buf.drain(..) {
-                if let Some(limit) = limit {
-                    if dispatched >= limit {
-                        panic!(
-                            "run_until_idle: event limit {limit} exceeded at t={}",
-                            self.now
-                        );
-                    }
-                }
-                dispatched += 1;
-                self.dispatch(kind);
             }
         }
     }
@@ -1591,11 +1317,19 @@ impl World {
             node_slot: &rt.node_slot,
             seg_slot: &rt.seg_slot,
             borders: &rt.borders,
-            inv_enabled: self.invariants.enabled(),
-            trace_on: self.trace.is_enabled(),
-            pcap_on: self.pcap.is_some(),
+            on: Watching {
+                invariants: self.invariants.enabled(),
+                trace: self.trace.is_enabled(),
+                pcap: self.pcap.is_some(),
+            },
         };
-        let per_shard = rt.queues.iter_mut().zip(&mut rt.shard_metrics);
+        // Each shard takes its queue; the coordinator keeps the ledger.
+        let Sched {
+            queues,
+            owner_node,
+            ledger: sim_stats,
+        } = self.queues.sched(&rt.owner_node);
+        let per_shard = queues.iter_mut().zip(&mut rt.shard_metrics);
         let mut runs: Vec<Option<ShardRun>> = per_shard
             .zip(&mut rt.stats)
             .zip(nodes_p.into_iter().zip(segst_p))
@@ -1619,14 +1353,16 @@ impl World {
             node_count: self.node_syms.len(),
             segments: &self.segments,
             border_states: border_states.into_iter().flatten().collect(),
-            trace: &mut self.trace,
+            obs: Inline {
+                trace: &mut self.trace,
+                invariants: &mut self.invariants,
+                pcap: &mut self.pcap,
+            },
             metrics: &mut self.metrics,
-            invariants: &mut self.invariants,
-            pcap: &mut self.pcap,
             sampler: &mut self.sampler,
             borders: &rt.borders,
-            owner_node: &rt.owner_node,
-            sim_stats: &mut rt.sim_stats,
+            owner_node,
+            sim_stats,
             pending_rounds: &mut rt.pending_rounds,
             pending_txs: &mut rt.pending_txs,
             tx_records: &mut rt.tx_records,
@@ -1731,26 +1467,17 @@ impl World {
 
     // ---- scheduler introspection -------------------------------------------
 
-    /// Events currently queued (cancelled timers excluded).
+    /// Events not yet fired (cancelled timers excluded).
     pub fn pending_events(&self) -> usize {
-        match &self.rt {
-            Some(_) => {
-                let (_, pending) = self.sched_ledger();
-                pending as usize + self.step_batch.len()
-            }
-            None => self.queue.len(),
-        }
+        self.queues.len() + self.batch.len()
     }
 
     /// Scheduler activity counters: events pushed, dispatched, and
     /// cancelled before firing. Cancelled events are never dispatched and
-    /// therefore never reach the trace or metrics. In sharded mode this is
-    /// the global ledger, byte-identical with the serial counters.
+    /// therefore never reach the trace or metrics. One ledger whatever the
+    /// shard count, byte-identical with the serial counters.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        match &self.rt {
-            Some(rt) => rt.sim_stats,
-            None => self.queue.stats(),
-        }
+        self.queues.stats()
     }
 
     /// Timing-wheel gauges (cascades, occupancy, overflow pressure)
@@ -1758,27 +1485,7 @@ impl World {
     /// otherwise and on the reference-heap backend. In sharded mode the
     /// per-shard wheels' gauges are merged (counters summed, peaks maxed).
     pub fn scheduler_telemetry(&self) -> SchedulerTelemetry {
-        match &self.rt {
-            None => self.queue.telemetry(),
-            Some(rt) => {
-                let mut out = SchedulerTelemetry::default();
-                for q in &rt.queues {
-                    let t = q.telemetry();
-                    out.cascades += t.cascades;
-                    out.cascade_entries += t.cascade_entries;
-                    out.overflow_promotions += t.overflow_promotions;
-                    out.overflow_peak = out.overflow_peak.max(t.overflow_peak);
-                    out.samples += t.samples;
-                    for (a, b) in out.occupancy_sum.iter_mut().zip(t.occupancy_sum) {
-                        *a += b;
-                    }
-                    for (a, b) in out.occupancy_peak.iter_mut().zip(t.occupancy_peak) {
-                        *a = (*a).max(b);
-                    }
-                }
-                out
-            }
-        }
+        self.queues.telemetry()
     }
 
     /// Per-shard utilization counters (events dispatched, windows run,
@@ -1788,12 +1495,18 @@ impl World {
         self.rt.as_ref().map(|rt| rt.stats.as_slice())
     }
 
-    /// Why this world's sharded runs fall back to merged in-order dispatch
-    /// on one thread, if they do: a faulty or zero-latency segment on a
-    /// shard border, or armed sketched metrics. `None` for serial worlds
-    /// and for sharded worlds running the parallel protocol.
+    /// Why this world, asked for more than one shard, runs the inline loop
+    /// on one thread instead of the parallel protocol, if it does:
+    /// cancellable timers that predate the sharded runtime (which was
+    /// then never created), a faulty or zero-latency segment on a shard
+    /// border, or armed sketched metrics. `None` for serial worlds and for
+    /// sharded worlds running the parallel protocol.
     pub fn shard_degradation(&self) -> Option<&'static str> {
-        let rt = self.rt.as_ref()?;
+        let Some(rt) = &self.rt else {
+            return self
+                .serial_locked
+                .then_some("cancellable timers predate the sharded runtime");
+        };
         rt.degraded().or(self
             .metrics
             .sketch_armed()
@@ -1832,47 +1545,20 @@ impl World {
             .map(crate::profile::TimeSeries::to_value)
     }
 
-    /// Crude heap-footprint estimate: node, trace-event, and queued-event
-    /// counts times representative per-entry sizes. Gauge-grade only.
-    fn mem_estimate(&self) -> u64 {
-        self.nodes.len() as u64 * 768
-            + self.trace.events().len() as u64 * 160
-            + self.queue.len() as u64 * 112
-    }
-
-    /// Record a sample if one is due at the current sim time. Callers
-    /// gate on `self.sampler.is_some()` so the run loops pay one branch.
+    /// Record a gauge sample if sampling is on and one is due at the
+    /// current sim time.
     fn maybe_sample(&mut self) {
-        let due = self.sampler.as_deref().is_some_and(|s| s.due(self.now.0));
-        if !due {
-            return;
-        }
-        let (occ, overflow) = self.queue.wheel_occupancy();
-        let raw = crate::profile::RawGauges {
-            sim_us: self.now.0,
-            dispatched: self.queue.stats().dispatched,
-            live_timers: self.queue.len() as u64,
-            wheel_occupancy: occ.iter().sum(),
-            overflow_len: overflow as u64,
-            mem_est_bytes: self.mem_estimate(),
-        };
-        if let Some(s) = self.sampler.as_deref_mut() {
-            s.push(raw);
-        }
-    }
-
-    /// Sharded-mode sampler entry point used where the runtime still sits
-    /// in `self` (step / merged paths).
-    fn maybe_sample_sharded(&mut self) {
-        if let (Some(rt), Some(sampler)) = (&self.rt, self.sampler.as_deref_mut()) {
+        if let Some(sampler) = self.sampler.as_deref_mut() {
             let (nodes, traced) = (self.nodes.len(), self.trace.events().len());
-            sample_sharded(
+            let (stats, live) = (self.queues.stats(), self.queues.len() as u64);
+            sample(
                 sampler,
                 self.now,
                 nodes,
                 traced,
-                rt.sim_stats,
-                rt.queues.iter(),
+                stats,
+                live,
+                self.queues.iter(),
             );
         }
     }
@@ -2035,26 +1721,39 @@ impl World {
 }
 
 // ---------------------------------------------------------------------------
-// Shard worker
+// Per-batch helpers of both loops
 // ---------------------------------------------------------------------------
 
-/// Record a gauge sample, if one is due, against the sharded runtime's
-/// global ledger and the instantaneous union of the shard wheels.
-/// Profile-gauge-grade: the gauges are an instantaneous parallel snapshot,
-/// outside the byte-identity guarantee (which covers reports, metrics,
-/// traces and pcaps, not the profiler's own sampling of wheel internals).
-fn sample_sharded<'q>(
+/// The runaway guard of [`World::run_until_idle`]: a quiescing network
+/// always drains, so firing event number `limit + 1` is a bug to stop at.
+fn check_event_limit(limit: Option<u64>, fired: u64, now: SimTime) {
+    if let Some(limit) = limit {
+        if fired >= limit {
+            panic!("run_until_idle: event limit {limit} exceeded at t={now}");
+        }
+    }
+}
+
+/// Record a gauge sample, if one is due, of the scheduler ledger `s`, the
+/// `live` events behind it and the instantaneous state of the wheels.
+/// Profile-gauge-grade: under the barrier loop the wheels are an
+/// instantaneous parallel snapshot, outside the byte-identity guarantee
+/// (which covers reports, metrics, traces and pcaps, not the profiler's
+/// own sampling of wheel internals). The heap-footprint gauge is a crude
+/// estimate: node, trace-event and queued-event counts times
+/// representative per-entry sizes.
+fn sample<'q>(
     sampler: &mut crate::profile::TimeSeries,
     now: SimTime,
     nodes: usize,
     traced: usize,
     s: SchedulerStats,
+    live: u64,
     queues: impl Iterator<Item = &'q EventQueue>,
 ) {
     if !sampler.due(now.0) {
         return;
     }
-    let live = s.pushed - s.dispatched - s.cancelled;
     let mut occ_sum = 0u64;
     let mut overflow = 0usize;
     for q in queues {
@@ -2086,10 +1785,8 @@ struct Coordinator<'w> {
     segments: &'w [Segment],
     /// Border segment state, parallel to `borders.adj`.
     border_states: Vec<&'w mut SegState>,
-    trace: &'w mut PacketTrace,
+    obs: Inline<'w>,
     metrics: &'w mut MetricsRegistry,
-    invariants: &'w mut InvariantMonitor,
-    pcap: &'w mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
     sampler: &'w mut Option<Box<crate::profile::TimeSeries>>,
     borders: &'w Borders,
     owner_node: &'w [u32],
@@ -2240,23 +1937,21 @@ impl<'w> Coordinator<'w> {
             groups.sort_by_key(|g| g.key);
             debug_assert!(t >= *self.now, "time went backwards");
             *self.now = t;
+            // As `World::load_batch` does: count the batch dispatched, then
+            // show the per-batch observers the ledger.
+            self.sim_stats.dispatched += batch_total;
+            let s = *self.sim_stats;
+            let live = s.pushed - s.dispatched - s.cancelled;
             if let Some(sampler) = self.sampler.as_deref_mut() {
                 let queues = runs.iter().flatten().map(|run| &*run.queue);
-                let traced = self.trace.events().len();
-                sample_sharded(sampler, t, self.node_count, traced, *self.sim_stats, queues);
+                let traced = self.obs.trace.events().len();
+                sample(sampler, t, self.node_count, traced, s, live, queues);
             }
-            self.sim_stats.dispatched += batch_total;
-            if self.invariants.enabled() {
-                let s = *self.sim_stats;
-                let pending = s.pushed - s.dispatched - s.cancelled;
-                self.invariants.check_scheduler(t, &s, pending);
+            if self.obs.invariants.enabled() {
+                self.obs.invariants.check_scheduler(t, &s, live);
             }
             for g in groups {
-                if let Some(lim) = limit {
-                    if *replayed_events >= lim {
-                        panic!("run_until_idle: event limit {lim} exceeded at t={t}");
-                    }
-                }
+                check_event_limit(limit, *replayed_events, t);
                 *replayed_events += 1;
                 count += 1;
                 self.sim_stats.pushed += g.counts.pushed;
@@ -2269,36 +1964,30 @@ impl<'w> Coordinator<'w> {
         count
     }
 
-    /// Replay one deferred observer effect at the current (replayed) time.
+    /// Replay one deferred observer effect at the current (replayed) time,
+    /// through the inline observers.
     fn replay_op(&mut self, node: NodeId, op: Op) {
         let now = *self.now;
         match op {
-            Op::Trace { kind, pkt } => {
-                self.trace.record(now, node, kind, &pkt);
-                self.invariants.record_packet(kind, &pkt);
-            }
+            Op::Trace { kind, pkt } => self.obs.packet(now, node, kind, &pkt),
             Op::Transform {
                 kind,
                 parent,
                 child,
-            } => {
-                self.trace
-                    .record_transform(now, node, kind, parent.as_ref(), &child);
-                self.invariants.record_transform(parent.as_ref(), &child);
-            }
-            Op::Promote { a, b, proto } => self.trace.promote_endpoints(a, b, proto),
-            Op::Pcap { frame } => {
-                if let Some(p) = self.pcap.as_mut() {
-                    let _ = p.write_frame(now, &frame);
-                }
-            }
-            Op::WireLoss => self.invariants.note_wire_loss(),
-            Op::UnclaimedFrame => self.invariants.note_unclaimed_frame(),
-            Op::DetachedFrame => self.invariants.note_detached_frame(),
-            Op::Parked => self.invariants.note_parked(),
-            Op::Unparked => self.invariants.note_unparked(),
-            Op::Consumed { pkt } => self.invariants.note_consumed(&pkt),
-            Op::Rewrite { before, after } => self.invariants.note_rewrite(&before, &after),
+            } => self.obs.transform(now, node, kind, parent.as_ref(), &child),
+            Op::Promote { a, b, proto } => self.obs.trace.promote_endpoints(a, b, proto),
+            Op::Transmitted {
+                seg,
+                outcome,
+                frame,
+            } => self
+                .obs
+                .transmitted(now, &self.segments[seg], outcome, &frame),
+            Op::DetachedFrame => self.obs.invariants.note_detached_frame(),
+            Op::Parked => self.obs.invariants.note_parked(),
+            Op::Unparked => self.obs.invariants.note_unparked(),
+            Op::Consumed { pkt } => self.obs.invariants.note_consumed(&pkt),
+            Op::Rewrite { before, after } => self.obs.invariants.note_rewrite(&before, &after),
             Op::BorderTx {
                 seg,
                 iface: _,
@@ -2314,22 +2003,8 @@ impl<'w> Coordinator<'w> {
                     rec.serialize,
                     rec.outcome,
                 );
-                if matches!(rec.outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    self.invariants.note_wire_loss();
-                } else if self.invariants.enabled() && frame.len() >= 6 {
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !self.segments[seg].mac_attached(dst)
-                    {
-                        self.invariants.note_unclaimed_frame();
-                    }
-                }
-                if rec.outcome != FaultOutcome::Drop {
-                    if let Some(p) = self.pcap.as_mut() {
-                        let _ = p.write_frame(now, &frame);
-                    }
-                }
+                self.obs
+                    .transmitted(now, &self.segments[seg], rec.outcome, &frame);
                 self.sim_stats.pushed += rec.pushed;
             }
         }
@@ -2346,16 +2021,7 @@ struct ShardShared<'w> {
     node_slot: &'w [u32],
     seg_slot: &'w [u32],
     borders: &'w Borders,
-    inv_enabled: bool,
-    trace_on: bool,
-    pcap_on: bool,
-}
-
-/// `&mut` views of one node's state, partitioned to its owning shard.
-struct NodeView<'w> {
-    node: &'w mut Option<Node>,
-    seq: &'w mut u64,
-    rng: &'w mut StdRng,
+    on: Watching,
 }
 
 /// One shard's mutable slice of the world for one run: its queue, metrics
@@ -2412,76 +2078,34 @@ fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
         let mut groups: Vec<Group> = Vec::with_capacity(run.buf.len());
         for ev in run.buf.drain(..) {
             run.budget = run.budget.saturating_sub(1);
-            let key = ev.seq;
             let node = event_node(&ev.kind);
-            let view = &mut run.nodes[shared.node_slot[node.0] as usize];
-            let mut counts = PushCounts::default();
-            let mut ops: Vec<Op> = Vec::new();
-            let (iface_frame, tok) = match ev.kind {
-                EventKind::Deliver { iface, frame, .. } => (Some((iface, frame)), None),
-                EventKind::Timer(t) => (None, Some(t.token)),
-            };
-            // Mirror the serial dispatcher's detached-node handling.
-            let Some(mut n) = view.node.take() else {
-                if iface_frame.is_some() && shared.inv_enabled {
-                    ops.push(Op::DetachedFrame);
-                }
-                groups.push(Group {
-                    key,
-                    node,
-                    counts,
-                    ops,
-                });
-                continue;
-            };
-            if let Some((iface, _)) = &iface_frame {
-                if n.nic().segment(*iface).is_none() {
-                    *view.node = Some(n);
-                    if shared.inv_enabled {
-                        ops.push(Op::DetachedFrame);
-                    }
-                    groups.push(Group {
-                        key,
-                        node,
-                        counts,
-                        ops,
-                    });
-                    continue;
-                }
-            }
-            {
-                let mut ctx = NetCtx {
-                    now: t,
-                    node,
-                    inner: CtxInner::Worker {
-                        queue: &mut *run.queue,
-                        counts: &mut counts,
-                        ops: &mut ops,
-                        segments: shared.segments,
-                        seg_states: &mut run.seg_states,
-                        seg_slot: shared.seg_slot,
-                        borders: shared.borders,
-                        rng: &mut *view.rng,
-                        seq: &mut *view.seq,
-                        metrics: &mut *run.metrics,
-                        inv_enabled: shared.inv_enabled,
-                        trace_on: shared.trace_on,
-                        pcap_on: shared.pcap_on,
-                    },
-                };
-                match (iface_frame, tok) {
-                    (Some((iface, frame)), _) => n.on_frame(&mut ctx, iface, &frame),
-                    (None, Some(token)) => n.on_timer(&mut ctx, token),
-                    (None, None) => unreachable!(),
-                }
-            }
-            *view.node = Some(n);
-            groups.push(Group {
-                key,
+            let mut group = Group {
+                key: ev.seq,
                 node,
-                counts,
-                ops,
-            });
+                counts: SchedulerStats::default(),
+                ops: Vec::new(),
+            };
+            let view = &mut run.nodes[shared.node_slot[node.0] as usize];
+            let eng = Engine {
+                segments: shared.segments,
+                metrics: &mut *run.metrics,
+                sched: Sched {
+                    queues: std::slice::from_mut(&mut *run.queue),
+                    owner_node: &[],
+                    ledger: &mut group.counts,
+                },
+                media: Media::Shard {
+                    states: &mut run.seg_states,
+                    slot: shared.seg_slot,
+                    borders: shared.borders,
+                },
+                obs: Observers::Journal {
+                    ops: &mut group.ops,
+                    on: shared.on,
+                },
+            };
+            fire(t, ev.kind, view, eng);
+            groups.push(group);
         }
         run.events += batch_len;
         run.stats.events += batch_len;
@@ -2919,21 +2543,66 @@ mod tests {
 
     // ---- sharded execution ------------------------------------------------
 
-    /// Build the two-LAN topology at a given shard count, run a fixed
-    /// ping workload across the router, and return everything observable
-    /// (time, trace length, scheduler counters, metrics snapshot JSON,
-    /// link stats).
-    fn sharded_fingerprint(shards: usize) -> (SimTime, usize, SchedulerStats, String, LinkStats) {
-        let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
+    /// How a fingerprint world is driven to quiescence.
+    #[derive(Debug, Clone, Copy)]
+    enum Drive {
+        /// One `run_until_idle`.
+        Run,
+        /// `step()` to exhaustion.
+        Step,
+        /// That many `step()`s, then `run_until_idle`.
+        StepsThenRun(usize),
+        /// 1 ms `run_for` slices.
+        Slices,
+    }
+
+    /// Build the two-LAN topology at a given shard count — `degraded`:
+    /// with the metrics sketch armed, so a sharded world runs the inline
+    /// loop over its shards' queues — drive a fixed ping workload across
+    /// the router, and return everything observable (time, trace length,
+    /// scheduler counters, metrics snapshot JSON, link stats, and the
+    /// invariant report, where batch boundaries show).
+    fn sharded_fingerprint(
+        shards: usize,
+        drive: Drive,
+        degraded: bool,
+    ) -> (SimTime, usize, SchedulerStats, String, LinkStats, String) {
+        let (mut w, a, b, _r) = two_lan_world_sharded(shards);
         w.enable_metrics();
         w.enable_invariants();
-        w.host_do(a, |h, ctx| {
-            for seq in 1..=3 {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
+        if degraded {
+            w.apply_telemetry(&TelemetryConfig::default());
+        }
+        // Both ends at once: the two LANs carry frames at the same instants,
+        // so batches hold several events, from more than one shard.
+        for (host, src, dst) in [(a, "10.0.1.10", "10.0.2.10"), (b, "10.0.2.10", "10.0.1.10")] {
+            w.host_do(host, |h, ctx| {
+                for seq in 1..=3 {
+                    h.send_ping(ctx, ip(src), ip(dst), seq);
+                }
+            });
+        }
+        match drive {
+            Drive::Run => w.run_until_idle(100_000),
+            Drive::Step => while w.step() {},
+            Drive::StepsThenRun(k) => {
+                for _ in 0..k {
+                    assert!(w.step(), "the workload outlasts {k} steps");
+                }
+                w.run_until_idle(100_000);
             }
-        });
-        w.run_until_idle(100_000);
-        assert!(!w.has_invariant_violations(), "shards={shards}");
+            Drive::Slices => {
+                while w.pending_events() > 0 {
+                    w.run_for(SimDuration::from_millis(1));
+                }
+            }
+        }
+        // Settle every cell's clock on the same millisecond boundary.
+        w.run_until(SimTime(w.now().0.div_ceil(1000) * 1000));
+        let cell = format!("shards={shards} {drive:?} degraded={degraded}");
+        assert_eq!(w.pending_events(), 0, "{cell}");
+        assert_eq!(w.shard_degradation().is_some(), degraded && shards > 1);
+        assert!(!w.has_invariant_violations(), "{cell}");
         let names = w.node_names();
         let now = w.now();
         let snap = serde_json::to_string_pretty(&w.metrics.snapshot(&names, now)).unwrap();
@@ -2943,6 +2612,7 @@ mod tests {
             w.scheduler_stats(),
             snap,
             w.segment_stats(SegmentId(0)),
+            serde_json::to_string(&w.invariant_report()).unwrap(),
         )
     }
 
@@ -2961,16 +2631,32 @@ mod tests {
         (w, a, b, r)
     }
 
+    /// Every way of driving a world — both loops, the inline one over one
+    /// queue and over N, stepped, run, mixed and sliced — walks the history
+    /// of one serial `run_until_idle`.
     #[test]
     fn sharded_run_is_byte_identical_to_serial() {
-        let serial = sharded_fingerprint(1);
-        for shards in [2, 4] {
-            let sharded = sharded_fingerprint(shards);
-            assert_eq!(serial.0, sharded.0, "now, shards={shards}");
-            assert_eq!(serial.1, sharded.1, "trace len, shards={shards}");
-            assert_eq!(serial.2, sharded.2, "scheduler stats, shards={shards}");
-            assert_eq!(serial.3, sharded.3, "metrics snapshot, shards={shards}");
-            assert_eq!(serial.4, sharded.4, "link stats, shards={shards}");
+        let drives = [
+            Drive::Run,
+            Drive::Step,
+            Drive::StepsThenRun(1),
+            Drive::StepsThenRun(7),
+            Drive::Slices,
+        ];
+        for degraded in [false, true] {
+            let serial = sharded_fingerprint(1, Drive::Run, degraded);
+            for shards in [1, 2, 4] {
+                for drive in drives {
+                    let cell = format!("shards={shards} {drive:?} degraded={degraded}");
+                    let sharded = sharded_fingerprint(shards, drive, degraded);
+                    assert_eq!(serial.0, sharded.0, "now, {cell}");
+                    assert_eq!(serial.1, sharded.1, "trace len, {cell}");
+                    assert_eq!(serial.2, sharded.2, "scheduler stats, {cell}");
+                    assert_eq!(serial.3, sharded.3, "metrics snapshot, {cell}");
+                    assert_eq!(serial.4, sharded.4, "link stats, {cell}");
+                    assert_eq!(serial.5, sharded.5, "invariant report, {cell}");
+                }
+            }
         }
     }
 
@@ -3066,6 +2752,24 @@ mod tests {
         assert_eq!(
             w.shard_degradation(),
             Some("sketched metrics are dispatch-order-sensitive")
+        );
+
+        // A cancellable timer set while the world had one segment (and so
+        // one queue) is still live when the second segment makes it
+        // shardable: its handle pins the world to that queue.
+        let mut w = World::with_shards(7, 2);
+        let lan = w.add_segment(LinkConfig::lan());
+        let a = w.add_host(HostConfig::conventional("a"));
+        w.attach(a, lan, Some("10.0.1.10/24"));
+        w.host_do(a, |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(1), token(NS_APPS, 0));
+        });
+        w.add_segment(LinkConfig::lan());
+        w.run_until_idle(100);
+        assert_eq!(w.shard_count(), 1);
+        assert_eq!(
+            w.shard_degradation(),
+            Some("cancellable timers predate the sharded runtime")
         );
     }
 
