@@ -6,10 +6,6 @@
 //!           [--profile]
 //! ```
 //!
-//! Environment fallbacks: `NETSIM_SCALE_HOSTS`, `NETSIM_SCALE_SEED`,
-//! `NETSIM_SCALE_HANDOFFS`, `NETSIM_SCALE_FLASH`, `NETSIM_SCALE_REREG`,
-//! `NETSIM_SCALE_CORRESPONDENTS`.
-//!
 //! `--correspondents N` adds the policy miss storm: one mobile's method
 //! cache, capped at `N/2` entries, faces `N` distinct correspondents while
 //! a hot set keeps conversing — the table then reports mode-decision
@@ -28,17 +24,15 @@ use bench::runbin::{self, u64_knob};
 use bench::scale::{build_world, run_churn, ChurnParams, ScaleParams};
 
 fn main() {
-    let hosts = u64_knob("--hosts", "NETSIM_SCALE_HOSTS").unwrap_or(10_000) as usize;
-    let seed = u64_knob("--seed", "NETSIM_SCALE_SEED").unwrap_or(1);
+    let hosts = u64_knob("--hosts").unwrap_or(10_000) as usize;
+    let seed = u64_knob("--seed").unwrap_or(1);
     let defaults = ChurnParams::default();
     let churn = ChurnParams {
-        handoffs: u64_knob("--handoffs", "NETSIM_SCALE_HANDOFFS")
-            .map_or(defaults.handoffs, |n| n as usize),
-        flash_crowd: u64_knob("--flash", "NETSIM_SCALE_FLASH")
-            .map_or(defaults.flash_crowd, |n| n as usize),
-        rereg: u64_knob("--rereg", "NETSIM_SCALE_REREG").map_or(defaults.rereg, |n| n as usize),
+        handoffs: u64_knob("--handoffs").map_or(defaults.handoffs, |n| n as usize),
+        flash_crowd: u64_knob("--flash").map_or(defaults.flash_crowd, |n| n as usize),
+        rereg: u64_knob("--rereg").map_or(defaults.rereg, |n| n as usize),
         lifetime: defaults.lifetime,
-        correspondents: u64_knob("--correspondents", "NETSIM_SCALE_CORRESPONDENTS")
+        correspondents: u64_knob("--correspondents")
             .map_or(defaults.correspondents, |n| n as usize),
     };
 

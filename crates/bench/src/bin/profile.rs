@@ -10,8 +10,7 @@
 //! ```
 //!
 //! With no mode flag it prints the call tree. Text modes also render the
-//! runner section (per-worker utilization and queue-depth pressure) when
-//! the report has one.
+//! runner section (per-worker utilization) when the report has one.
 
 use std::fs;
 use std::process::ExitCode;

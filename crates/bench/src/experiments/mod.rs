@@ -9,7 +9,7 @@ pub mod exp_http;
 pub mod exp_lsr;
 pub mod exp_multicast;
 pub mod exp_probing;
-/// Not part of [`run_all`]: scale runs are sized by flags and wall-clock
+/// Not part of [`run_all_with`]: scale runs are sized by flags and wall-clock
 /// sensitive, so `all_experiments` output stays byte-stable without them.
 pub mod exp_scale;
 pub mod fig01_basic;
@@ -20,24 +20,21 @@ pub mod fig05_smart_ch;
 pub mod fig06_formats;
 pub mod fig10_grid;
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::Table;
 
-/// A pool task: one "runner" participating in a [`pool_map`] batch.
-type PoolTask = Box<dyn FnOnce() + Send + 'static>;
-
 // ---- runner telemetry --------------------------------------------------------
 
-/// What one runner (pool worker or the calling thread) did during a
-/// [`pool_map`] batch, recorded while the flight recorder is enabled.
+/// What one runner (a helper thread or the calling thread) did during a
+/// [`pool_map`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerStat {
-    /// Thread name plus claim-order index, e.g. `bench-pool#1`.
+    /// Thread name plus the runner's index in the batch, e.g.
+    /// `bench-pool#1`; `#0` is the calling thread.
     pub label: String,
     /// Jobs this runner claimed and ran.
     pub jobs: u64,
@@ -52,21 +49,19 @@ serde::impl_serialize!(WorkerStat {
     busy_ns,
 });
 
-/// Telemetry for one [`pool_map`] batch: per-runner utilization and the
-/// job-queue depth over time.
+/// Telemetry for one [`pool_map`] batch: per-runner utilization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunnerBatch {
     /// Jobs in the batch.
     pub jobs: usize,
-    /// Runners the batch was asked to use (including the caller).
+    /// Runners the batch used (including the caller).
     pub threads: usize,
-    /// Batch wall time, start of fan-out to last result collected.
+    /// Batch wall time, start of fan-out to last runner joined.
     pub wall_ns: u64,
-    /// One entry per runner that participated, sorted by label.
+    /// One entry per runner, the caller first. A runner that claimed
+    /// nothing is listed too: that is exactly what utilization data is
+    /// supposed to expose.
     pub workers: Vec<WorkerStat>,
-    /// `(ns since batch start, unclaimed jobs)` at each claim, capped at
-    /// [`DEPTH_CAP`] entries.
-    pub queue_depth: Vec<(u64, u64)>,
 }
 
 serde::impl_serialize!(RunnerBatch {
@@ -74,23 +69,13 @@ serde::impl_serialize!(RunnerBatch {
     threads,
     wall_ns,
     workers,
-    queue_depth,
 });
 
-/// Cap on per-batch queue-depth entries, so huge batches stay affordable.
-const DEPTH_CAP: usize = 1024;
-
-/// Batches recorded since the last [`take_runner_telemetry`].
+/// Every batch run while the flight recorder was enabled.
 static RUNNER_TELEMETRY: Mutex<Vec<RunnerBatch>> = Mutex::new(Vec::new());
 
-/// Drains and returns every [`RunnerBatch`] recorded so far (only batches
-/// run while the flight recorder was enabled are recorded).
-pub fn take_runner_telemetry() -> Vec<RunnerBatch> {
-    std::mem::take(&mut *RUNNER_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-/// A non-draining snapshot of recorded batches as a run-report value;
-/// `None` when nothing was recorded.
+/// A snapshot of the recorded batches as a run-report value; `None` when
+/// nothing was recorded.
 pub fn runner_telemetry_value() -> Option<serde::Value> {
     let batches = RUNNER_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     if batches.is_empty() {
@@ -100,325 +85,116 @@ pub fn runner_telemetry_value() -> Option<serde::Value> {
     }
 }
 
-/// Shared per-batch instrumentation: claim-time queue depths and
-/// per-runner busy tallies, committed as one [`RunnerBatch`].
-struct BatchMonitor {
-    start: Instant,
-    next_runner: AtomicUsize,
-    workers: Mutex<Vec<WorkerStat>>,
-    depth: Mutex<Vec<(u64, u64)>>,
-    /// Runners that called [`BatchMonitor::finish_runner`]; commit waits
-    /// for all of them so late, zero-job runners still land in their own
-    /// batch instead of leaking into the next one.
-    finished: Mutex<usize>,
-    all_finished: Condvar,
-}
-
-impl BatchMonitor {
-    fn new() -> BatchMonitor {
-        BatchMonitor {
-            start: Instant::now(),
-            next_runner: AtomicUsize::new(0),
-            workers: Mutex::new(Vec::new()),
-            depth: Mutex::new(Vec::new()),
-            finished: Mutex::new(0),
-            all_finished: Condvar::new(),
+/// Fan `jobs` out over `threads` runners (clamped to `1..=jobs.len()`) and
+/// return the results **in job order**, regardless of completion order.
+/// Runners pull the next unclaimed job index from a shared counter (work
+/// stealing by index), so long and short jobs mix freely. `threads == 1`
+/// is a strictly serial in-order run on the calling thread — the
+/// `--serial` escape hatch — and produces identical results by
+/// construction, since job order alone determines the output vector.
+///
+/// The calling thread is runner 0; the other `threads - 1` are scoped
+/// threads spawned for this call and joined before it returns. The width
+/// is honoured as given, also above the core count: the jobs are CPU-bound
+/// simulations, so runners past that point only time-slice, and choosing
+/// a sensible width is [`default_threads`]' job. A panicking job is
+/// resurfaced on the caller after the rest of the batch finishes.
+pub fn pool_map<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let threads = threads.clamp(1, jobs.len().max(1));
+    let start = Instant::now();
+    let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let next = AtomicUsize::new(0);
+    let run = |runner: usize| {
+        let mut done = Vec::new();
+        let mut busy_ns = 0u64;
+        loop {
+            // Relaxed: the counter only hands out indexes; a job is
+            // published to its runner by the slot's mutex.
+            let ix = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = jobs.get(ix) else { break };
+            let job = slot
+                .lock()
+                .expect("jobs run outside their slot's lock")
+                .take()
+                .expect("each job claimed once");
+            let t0 = Instant::now();
+            done.push((ix, catch_unwind(AssertUnwindSafe(job))));
+            busy_ns += t0.elapsed().as_nanos() as u64;
         }
-    }
-
-    fn note_depth(&self, remaining: usize) {
-        let mut d = self.depth.lock().unwrap();
-        if d.len() < DEPTH_CAP {
-            d.push((self.start.elapsed().as_nanos() as u64, remaining as u64));
-        }
-    }
-
-    fn finish_runner(&self, jobs: u64, busy_ns: u64) {
-        let ix = self.next_runner.fetch_add(1, Ordering::Relaxed);
-        let name = std::thread::current();
-        let name = name.name().unwrap_or("worker");
-        self.workers.lock().unwrap().push(WorkerStat {
-            label: format!("{name}#{ix}"),
-            jobs,
+        netsim::profile::flush_thread();
+        let thread = std::thread::current();
+        let stat = WorkerStat {
+            label: format!("{}#{runner}", thread.name().unwrap_or("worker")),
+            jobs: done.len() as u64,
             busy_ns,
-        });
-        let mut f = self.finished.lock().unwrap();
-        *f += 1;
-        self.all_finished.notify_all();
+        };
+        (done, stat)
+    };
+    let parts = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|runner| {
+                std::thread::Builder::new()
+                    .name("bench-pool".into())
+                    .spawn_scoped(s, move || run(runner))
+                    .expect("spawning a pool runner")
+            })
+            .collect();
+        let mut parts = vec![run(0)];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("a runner catches its jobs' panics")),
+        );
+        parts
+    });
+    let mut results = Vec::with_capacity(jobs.len());
+    let mut workers = Vec::with_capacity(threads);
+    for (done, stat) in parts {
+        results.extend(done);
+        workers.push(stat);
     }
-
-    fn commit(&self, jobs: usize, threads: usize) {
-        let mut f = self.finished.lock().unwrap();
-        while *f < threads {
-            f = self.all_finished.wait(f).unwrap();
-        }
-        drop(f);
-        let mut workers = std::mem::take(&mut *self.workers.lock().unwrap());
-        workers.sort_by(|a, b| a.label.cmp(&b.label));
-        let queue_depth = std::mem::take(&mut *self.depth.lock().unwrap());
+    if netsim::profile::enabled() {
         RUNNER_TELEMETRY
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(RunnerBatch {
-                jobs,
+                jobs: jobs.len(),
                 threads,
-                wall_ns: self.start.elapsed().as_nanos() as u64,
+                wall_ns: start.elapsed().as_nanos() as u64,
                 workers,
-                queue_depth,
             });
     }
-}
-
-/// The process-wide worker pool backing [`pool_map`]. Threads are spawned
-/// on demand, detached, and then parked on the condvar between batches —
-/// a `pool_map` call hands out tasks without paying thread-creation cost,
-/// which is what made the old per-invocation `scope`+spawn slower than
-/// running the jobs serially.
-struct WorkerPool {
-    queue: Mutex<VecDeque<PoolTask>>,
-    available: Condvar,
-    /// Threads spawned so far (they never exit).
-    workers: AtomicUsize,
-}
-
-impl WorkerPool {
-    fn get() -> &'static Arc<WorkerPool> {
-        static POOL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-        POOL.get_or_init(|| {
-            Arc::new(WorkerPool {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                workers: AtomicUsize::new(0),
-            })
-        })
-    }
-
-    /// Grow the pool to at least `want` resident threads.
-    fn ensure_workers(self: &Arc<Self>, want: usize) {
-        loop {
-            let have = self.workers.load(Ordering::Acquire);
-            if have >= want {
-                return;
-            }
-            if self
-                .workers
-                .compare_exchange(have, have + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let pool = Arc::clone(self);
-                std::thread::Builder::new()
-                    .name("bench-pool".into())
-                    .spawn(move || loop {
-                        let task = {
-                            let mut q = pool.queue.lock().unwrap();
-                            loop {
-                                if let Some(t) = q.pop_front() {
-                                    break t;
-                                }
-                                q = pool.available.wait(q).unwrap();
-                            }
-                        };
-                        task();
-                    })
-                    .expect("spawning pool worker");
-            }
-        }
-    }
-
-    fn submit(&self, task: PoolTask) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
-    }
-}
-
-/// One `pool_map` batch: jobs claimed by index from a shared counter,
-/// results parked in order-preserving slots, completion signalled to the
-/// waiting caller.
-struct Batch<T, F> {
-    jobs: Vec<Mutex<Option<F>>>,
-    slots: Mutex<Vec<Option<std::thread::Result<T>>>>,
-    next: AtomicUsize,
-    completed: Mutex<usize>,
-    all_done: Condvar,
-    /// Present only while the flight recorder is enabled.
-    monitor: Option<Arc<BatchMonitor>>,
-}
-
-impl<T, F: FnOnce() -> T> Batch<T, F> {
-    /// Pull job indexes until none remain. Run by pool workers *and* the
-    /// calling thread, so a batch completes even if every pool worker is
-    /// busy elsewhere.
-    fn run_jobs(&self) {
-        let n = self.jobs.len();
-        let mut my_jobs = 0u64;
-        let mut busy_ns = 0u64;
-        loop {
-            let ix = self.next.fetch_add(1, Ordering::Relaxed);
-            if ix >= n {
-                break;
-            }
-            if let Some(m) = &self.monitor {
-                m.note_depth(n - ix);
-            }
-            let job = self.jobs[ix]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each job claimed once");
-            let t0 = self.monitor.as_ref().map(|_| Instant::now());
-            let out = catch_unwind(AssertUnwindSafe(job));
-            if let Some(t0) = t0 {
-                busy_ns += t0.elapsed().as_nanos() as u64;
-                my_jobs += 1;
-            }
-            self.slots.lock().unwrap()[ix] = Some(out);
-            let mut done = self.completed.lock().unwrap();
-            *done += 1;
-            if *done == n {
-                self.all_done.notify_all();
-            }
-        }
-        if let Some(m) = &self.monitor {
-            // Record even zero-job runners: a runner that claimed nothing
-            // is exactly what utilization data is supposed to expose.
-            m.finish_runner(my_jobs, busy_ns);
-            netsim::profile::flush_thread();
-        }
-    }
-}
-
-/// Fan `jobs` out over at most `threads` worker threads and return the
-/// results **in job order**, regardless of completion order. Runners pull
-/// the next unclaimed job index from a shared counter (work stealing by
-/// index), so long and short jobs mix freely. `threads == 1` degenerates
-/// to a strictly serial in-order run — the `--serial` escape hatch — and
-/// produces identical results by construction, since job order alone
-/// determines the output vector.
-///
-/// Worker threads come from a persistent process-wide pool (grown on
-/// demand, parked between calls); the calling thread itself acts as one of
-/// the `threads` runners. A panicking job is resurfaced on the caller
-/// after the rest of the batch finishes.
-///
-/// `threads` is normally capped at the machine's available parallelism:
-/// the jobs are CPU-bound simulations, so extra runners past that point
-/// cannot overlap any work and only add context switches. An **explicit**
-/// `NETSIM_BENCH_THREADS` asking for exactly this width overrides the cap
-/// (with a warning, once) — oversubscription is sometimes what you want,
-/// e.g. to exercise pool handoff on a small box or to overlap jobs that
-/// block on I/O under profiling.
-pub fn pool_map<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let cap = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
-    if threads > cap {
-        if explicit_env_threads() == Some(threads) {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "netsim-bench: NETSIM_BENCH_THREADS={threads} exceeds available \
-                     parallelism ({cap}); oversubscribing as requested"
-                );
-            });
-            return pool_map_exact(jobs, threads);
-        }
-        return pool_map_exact(jobs, cap);
-    }
-    pool_map_exact(jobs, threads)
-}
-
-/// The worker-thread count the user explicitly asked for via
-/// `NETSIM_BENCH_THREADS`, if the variable is set to a positive integer.
-fn explicit_env_threads() -> Option<usize> {
-    let v = std::env::var("NETSIM_BENCH_THREADS").ok()?;
-    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// [`pool_map`] without the hardware-parallelism cap. Exposed so tests can
-/// exercise the pool handoff deterministically even on a single-core host;
-/// everything else should call [`pool_map`].
-#[doc(hidden)]
-pub fn pool_map_exact<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let n = jobs.len();
-    let threads = threads.clamp(1, n.max(1));
-    let monitor = netsim::profile::enabled().then(|| Arc::new(BatchMonitor::new()));
-    if threads <= 1 {
-        let Some(m) = monitor else {
-            return jobs.into_iter().map(|j| j()).collect();
-        };
-        let mut out = Vec::with_capacity(n);
-        let mut busy_ns = 0u64;
-        for (ix, j) in jobs.into_iter().enumerate() {
-            m.note_depth(n - ix);
-            let t0 = Instant::now();
-            out.push(j());
-            busy_ns += t0.elapsed().as_nanos() as u64;
-        }
-        m.finish_runner(n as u64, busy_ns);
-        m.commit(n, 1);
-        return out;
-    }
-    let batch = Arc::new(Batch {
-        jobs: jobs.into_iter().map(|j| Mutex::new(Some(j))).collect(),
-        slots: Mutex::new((0..n).map(|_| None).collect()),
-        next: AtomicUsize::new(0),
-        completed: Mutex::new(0),
-        all_done: Condvar::new(),
-        monitor,
-    });
-    let pool = WorkerPool::get();
-    pool.ensure_workers(threads - 1);
-    for _ in 0..threads - 1 {
-        let b = Arc::clone(&batch);
-        pool.submit(Box::new(move || b.run_jobs()));
-    }
-    batch.run_jobs();
-    let mut done = batch.completed.lock().unwrap();
-    while *done < n {
-        done = batch.all_done.wait(done).unwrap();
-    }
-    drop(done);
-    if let Some(m) = &batch.monitor {
-        m.commit(n, threads);
-    }
-    let slots = std::mem::take(&mut *batch.slots.lock().unwrap());
-    slots
+    results.sort_unstable_by_key(|&(ix, _)| ix);
+    results
         .into_iter()
-        .map(|t| match t.expect("every slot filled") {
-            Ok(v) => v,
-            Err(payload) => resume_unwind(payload),
-        })
+        .map(|(_, out)| out.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
-/// Worker-thread count for [`run_all`]: the `NETSIM_BENCH_THREADS`
-/// environment variable when set to a positive integer, else the number of
-/// available cores (else 4 when that cannot be determined).
+/// Worker-thread count for [`run_all_with`] — the one place a width is
+/// chosen: the `NETSIM_BENCH_THREADS` environment variable when set to a
+/// positive integer, else the number of available cores (else 4 when that
+/// cannot be determined).
 pub fn default_threads() -> usize {
-    explicit_env_threads()
+    std::env::var("NETSIM_BENCH_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n >= 1)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
-/// Run every experiment at full scale and collect the output tables, in
-/// paper order. Used by `src/bin/all_experiments.rs` to regenerate
-/// `EXPERIMENTS.md`'s measured columns.
+/// Run every experiment at full scale on `threads` runners and collect
+/// the output tables, in paper order. Used by `src/bin/all_experiments.rs`
+/// to regenerate `EXPERIMENTS.md`'s measured columns.
 ///
 /// Experiments are independent, deterministic simulations (each builds its
-/// own seeded `World`), so they fan out over a [`pool_map`] thread pool
-/// and are re-assembled in paper order afterwards — the output is
-/// byte-identical to a serial run.
-pub fn run_all() -> Vec<Table> {
-    run_all_with(default_threads())
-}
-
-/// [`run_all`] with an explicit worker-thread count; `1` runs strictly
-/// serially in paper order.
+/// own seeded `World`), so they fan out over [`pool_map`] and are
+/// re-assembled in paper order afterwards — the output is byte-identical
+/// to a serial run (`threads == 1`).
 pub fn run_all_with(threads: usize) -> Vec<Table> {
     type Job = Box<dyn FnOnce() -> Vec<Table> + Send>;
     /// Names each experiment's profiling scope so `profile --hot` can
@@ -452,83 +228,4 @@ pub fn run_all_with(threads: usize) -> Vec<Table> {
         prof("exp:lsr", || vec![exp_lsr::run()]),
     ];
     pool_map(jobs, threads).into_iter().flatten().collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // These use `pool_map_exact` so the worker handoff runs even when the
-    // host reports a single core (where `pool_map` would cap to serial).
-
-    #[test]
-    fn pool_workers_preserve_job_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
-            .map(|i| Box::new(move || i * 7) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let got = pool_map_exact(jobs, 4);
-        assert_eq!(got, (0..32).map(|i| i * 7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_reuses_resident_workers_across_batches() {
-        let before = WorkerPool::get().workers.load(Ordering::Acquire);
-        for round in 0..4u64 {
-            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..8u64)
-                .map(|i| Box::new(move || round * 100 + i) as Box<dyn FnOnce() -> u64 + Send>)
-                .collect();
-            let got = pool_map_exact(jobs, 4);
-            assert_eq!(got, (0..8).map(|i| round * 100 + i).collect::<Vec<_>>());
-        }
-        let after = WorkerPool::get().workers.load(Ordering::Acquire);
-        // Four batches wanting three helpers each never grow past three
-        // resident threads (other tests in this binary may add their own).
-        assert!(after >= 3, "pool spawned {after} workers");
-        assert!(
-            after <= before + 3,
-            "pool grew past its high-water mark: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn pool_resurfaces_job_panics_on_the_caller() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    assert!(i != 5, "job five exploded");
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool_map_exact(jobs, 4)))
-            .expect_err("panic must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic>".into());
-        assert!(msg.contains("job five exploded"), "got: {msg}");
-    }
-
-    #[test]
-    fn pool_map_honors_explicit_env_width_above_core_count() {
-        // `set_var` is process-global; this is the only test touching the
-        // variable, and it restores the prior value before returning.
-        let prior = std::env::var("NETSIM_BENCH_THREADS").ok();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let want = cores + 3;
-        std::env::set_var("NETSIM_BENCH_THREADS", want.to_string());
-        assert_eq!(explicit_env_threads(), Some(want));
-        assert_eq!(default_threads(), want);
-        // The oversubscribed width must actually run (and in order).
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..want * 2)
-            .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let got = pool_map(jobs, want);
-        assert_eq!(got, (0..want * 2).map(|i| i + 1).collect::<Vec<_>>());
-        match prior {
-            Some(v) => std::env::set_var("NETSIM_BENCH_THREADS", v),
-            None => std::env::remove_var("NETSIM_BENCH_THREADS"),
-        }
-    }
 }

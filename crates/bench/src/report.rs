@@ -10,7 +10,7 @@
 //! [`record_world`] captures a [`World`]'s metrics registry,
 //! [`record_value`] attaches any serializable value (an audit trail, a
 //! parameter sweep point). The collector is process-global but **disabled
-//! by default**: library, test and criterion callers of the experiment
+//! by default**: library and test callers of the experiment
 //! functions pay nothing and accumulate nothing. Binaries opt in with
 //! [`enable`].
 
@@ -79,7 +79,7 @@ const SAMPLE_INTERVAL_US: u64 = 10_000;
 const SAMPLE_CAP: usize = 256;
 
 /// Enable a world's metrics registry — but only when report collection is
-/// on, so experiment functions stay zero-cost under tests and criterion.
+/// on, so experiment functions stay zero-cost under tests.
 /// Call right after building a scenario, before running it. When the
 /// flight recorder is on this also starts the world's gauge sampler.
 pub fn observe_world(world: &mut World) {

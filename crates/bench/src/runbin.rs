@@ -22,6 +22,8 @@
 //! experiment; per-shard counters land in the profile-gated `scheduler`
 //! report section.
 
+use std::path::Path;
+
 use crate::report;
 use crate::Table;
 use netsim::TelemetryConfig;
@@ -34,23 +36,35 @@ pub fn profile_requested() -> bool {
         || std::env::args().any(|a| a == "--profile")
 }
 
-/// The value following `flag` in argv, when present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let ix = args.iter().position(|a| a == flag)?;
-    args.get(ix + 1).filter(|v| !v.starts_with("--")).cloned()
+/// The integer following `flag` in `args`: `Ok(None)` when the flag is
+/// absent, the complaint when it is there without one — a flag that was
+/// typed must never quietly run the default configuration.
+fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+    let Some(ix) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(ix + 1).map_or("nothing", String::as_str);
+    match value.parse() {
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!("{flag} needs a non-negative integer, got {value}")),
+    }
 }
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
-/// An integer knob settable as `--flag N` (wins) or `ENV=N` — the pattern
-/// every scale/churn size shares.
-pub fn u64_knob(flag: &str, env: &str) -> Option<u64> {
-    arg_value(flag)
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64(env))
+/// An integer knob settable as `--flag N` — the pattern every scale/churn
+/// size shares. A flag without a usable value ends the process with
+/// `<bin>: <flag> needs a non-negative integer, got <value>` and status 2.
+pub fn u64_knob(flag: &str) -> Option<u64> {
+    let args: Vec<String> = std::env::args().collect();
+    flag_u64(&args, flag).unwrap_or_else(|complaint| {
+        let bin = args.first().map(Path::new).and_then(Path::file_name);
+        let bin = bin.map_or("bench".into(), |b| b.to_string_lossy());
+        eprintln!("{bin}: {complaint}");
+        std::process::exit(2)
+    })
 }
 
 /// Parse the scale-ready telemetry configuration from argv and the
@@ -59,31 +73,22 @@ pub fn u64_knob(flag: &str, env: &str) -> Option<u64> {
 ///
 /// * `--sample-flows N` / `NETSIM_SAMPLE=N` — record 1-in-N flows fully
 ///   (anomalous flows always promoted to full capture)
-/// * `--topk K` / `NETSIM_TOPK=K` — heavy-hitter sketch slots
-/// * `--sketch-threshold N` / `NETSIM_SKETCH_THRESHOLD=N` — node count
-///   above which per-node counters collapse into sketches
+/// * `--topk K` — heavy-hitter sketch slots
+/// * `--sketch-threshold N` — node count above which per-node counters
+///   collapse into sketches
 /// * `NETSIM_TELEMETRY_SEED=S` — seed for every sampling decision
 pub fn telemetry_requested() -> Option<TelemetryConfig> {
     let mut cfg = TelemetryConfig::default();
     let mut any = false;
-    if let Some(n) = arg_value("--sample-flows")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_SAMPLE"))
-    {
+    if let Some(n) = u64_knob("--sample-flows").or_else(|| env_u64("NETSIM_SAMPLE")) {
         cfg.sample_flows = Some(n);
         any = true;
     }
-    if let Some(k) = arg_value("--topk")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_TOPK"))
-    {
+    if let Some(k) = u64_knob("--topk") {
         cfg.topk = k as usize;
         any = true;
     }
-    if let Some(t) = arg_value("--sketch-threshold")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_SKETCH_THRESHOLD"))
-    {
+    if let Some(t) = u64_knob("--sketch-threshold") {
         cfg.sketch_node_threshold = t as usize;
         any = true;
     }
@@ -97,9 +102,9 @@ pub fn telemetry_requested() -> Option<TelemetryConfig> {
 /// wins over the `NETSIM_SHARDS` environment variable. `None` when
 /// neither is present (worlds run serially, today's default).
 pub fn shards_requested() -> Option<usize> {
-    arg_value("--shards")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_SHARDS").map(|n| n as usize))
+    u64_knob("--shards")
+        .or_else(|| env_u64("NETSIM_SHARDS"))
+        .map(|n| n as usize)
         .filter(|&n| n >= 1)
 }
 
@@ -151,5 +156,33 @@ fn export_chrome_if_asked(name: &str) {
     match std::fs::write(&path, json) {
         Ok(()) => eprintln!("chrome-trace: {path}"),
         Err(e) => eprintln!("chrome-trace: cannot write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_u64;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split(' ').map(String::from).collect()
+    }
+
+    #[test]
+    fn a_flag_without_a_usable_value_is_an_error_not_the_default() {
+        assert_eq!(flag_u64(&argv("bin --shards 2"), "--shards"), Ok(Some(2)));
+        assert_eq!(flag_u64(&argv("bin --profile"), "--shards"), Ok(None));
+        for (line, got) in [
+            ("bin --shards two", "two"),
+            ("bin --profile --shards", "nothing"),
+            ("bin --shards --profile", "--profile"),
+            ("bin --shards -1", "-1"),
+            ("bin --shards 1e5", "1e5"),
+        ] {
+            assert_eq!(
+                flag_u64(&argv(line), "--shards"),
+                Err(format!("--shards needs a non-negative integer, got {got}")),
+                "{line}"
+            );
+        }
     }
 }

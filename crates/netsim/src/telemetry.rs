@@ -292,7 +292,7 @@ impl<T: Clone> Reservoir<T> {
 
 /// The telemetry knob block. [`crate::world::World::apply_telemetry`]
 /// fans it out; the bench harness builds it from `NETSIM_SAMPLE`,
-/// `--sample-flows`, `--topk` and `NETSIM_SKETCH_THRESHOLD`.
+/// `--sample-flows`, `--topk` and `--sketch-threshold`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Head-based flow sampling: record 1-in-N flows fully (anomalous

@@ -1,6 +1,9 @@
 //! The parallel experiment runner must be a pure wall-clock optimisation:
 //! same tables, same run report, byte for byte, at any worker count.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use bench::experiments::{pool_map, run_all_with};
 use bench::report;
 
@@ -23,6 +26,30 @@ fn pool_map_handles_degenerate_thread_counts() {
     }
     let none: Vec<Box<dyn FnOnce() -> i32 + Send>> = Vec::new();
     assert_eq!(pool_map(none, 8), Vec::<i32>::new());
+}
+
+#[test]
+fn pool_map_resurfaces_job_panics_on_the_caller() {
+    let ran = AtomicUsize::new(0);
+    let jobs: Vec<_> = (0..8usize)
+        .map(|i| {
+            let ran = &ran;
+            move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+                assert!(i != 5, "job five exploded");
+                i
+            }
+        })
+        .collect();
+    let err =
+        catch_unwind(AssertUnwindSafe(|| pool_map(jobs, 4))).expect_err("panic must propagate");
+    let msg = err
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| err.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".into());
+    assert!(msg.contains("job five exploded"), "got: {msg}");
+    assert_eq!(ran.load(Ordering::Relaxed), 8, "the rest of the batch ran");
 }
 
 #[test]
