@@ -74,15 +74,13 @@ serde::impl_serialize!(RunnerBatch {
 /// Every batch run while the flight recorder was enabled.
 static RUNNER_TELEMETRY: Mutex<Vec<RunnerBatch>> = Mutex::new(Vec::new());
 
-/// A snapshot of the recorded batches as a run-report value; `None` when
-/// nothing was recorded.
-pub fn runner_telemetry_value() -> Option<serde::Value> {
-    let batches = RUNNER_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
-    if batches.is_empty() {
-        None
-    } else {
-        Some(serde::Serialize::to_value(&*batches))
-    }
+/// A snapshot of the recorded batches — the run report's `runner` section
+/// when there are any.
+pub fn runner_telemetry() -> Vec<RunnerBatch> {
+    RUNNER_TELEMETRY
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .clone()
 }
 
 /// Fan `jobs` out over `threads` runners (clamped to `1..=jobs.len()`) and

@@ -9,27 +9,30 @@
 //! While an experiment runs it may attach labelled simulator snapshots —
 //! [`record_world`] captures a [`World`]'s metrics registry,
 //! [`record_value`] attaches any serializable value (an audit trail, a
-//! parameter sweep point). The collector is process-global but **disabled
-//! by default**: library and test callers of the experiment
-//! functions pay nothing and accumulate nothing. Binaries opt in with
-//! [`enable`].
+//! parameter sweep point). Each is rendered to compact JSON text on the
+//! spot, while the world it describes is still warm in cache, and kept as
+//! text; [`build`] splices the fragments into the report. The collector is
+//! process-global but **disabled by default**: library and test callers of
+//! the experiment functions pay nothing and accumulate nothing. Binaries
+//! opt in with [`enable`].
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use netsim::{Lifecycle, TelemetryConfig, World};
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize};
 
 use crate::Table;
 
 /// Per-snapshot cap on the packet spans a report embeds; drop chains are
-/// always kept in full (see [`Lifecycle::report_value`]).
+/// always kept in full (see [`Lifecycle::report`]).
 const LIFECYCLE_SPAN_CAP: usize = 512;
 
 struct Collector {
     enabled: bool,
-    snapshots: Vec<(String, Value)>,
+    /// Label and compact JSON text of each snapshot.
+    snapshots: Vec<(String, String)>,
 }
 
 static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
@@ -98,98 +101,92 @@ pub fn observe_world(world: &mut World) {
     }
 }
 
+fn render(value: &(impl Serialize + ?Sized)) -> String {
+    serde_json::to_string(value).expect("rendering is infallible")
+}
+
 /// Attach a labelled snapshot of `world` to the next emitted report: its
 /// metrics registry plus the reconstructed packet-lifecycle spans and flow
 /// summaries of its trace (when the trace recorded anything). No-op unless
 /// [`enable`] was called and the world's metrics are enabled.
 pub fn record_world(label: &str, world: &World) {
-    let mut c = lock(&COLLECTOR);
-    if !c.enabled || !world.metrics.enabled() {
+    if !enabled() || !world.metrics.enabled() {
         return;
     }
+    // Rendered outside the lock: `all_experiments` records from every pool
+    // thread at once.
     let snap = world_snapshot(world);
-    c.snapshots.push((label.to_string(), snap));
+    lock(&COLLECTOR).snapshots.push((label.to_string(), snap));
 }
 
-/// The report snapshot for one world, exactly as [`record_world`] embeds
-/// it. Pure (no collector involved) so tests can assert on report bytes —
-/// in particular that sampled runs are deterministic and that default
-/// (unsampled, unmonitored) snapshots carry no extra sections.
-pub fn world_snapshot(world: &World) -> Value {
-    let mut snap = vec![(
-        "metrics".to_string(),
-        world.metrics.snapshot(&world.node_names(), world.now()),
-    )];
-    if !world.trace.events().is_empty() {
-        let lc = Lifecycle::reconstruct(&world.trace, &world.node_names());
-        snap.push(("lifecycle".into(), lc.report_value(LIFECYCLE_SPAN_CAP)));
-    }
-    // Flow sampling is opt-in, so this section only appears when a
-    // telemetry config asked for it — default reports are untouched.
-    if let Some(n) = world.trace.flow_sample_rate() {
-        snap.push((
-            "sampling".into(),
-            Value::Object(vec![
-                ("flow_sample_rate".into(), Value::U64(n)),
-                (
-                    "suppressed_events".into(),
-                    Value::U64(world.trace.suppressed_events()),
-                ),
-                (
-                    "promoted_flows".into(),
-                    Value::U64(world.trace.promoted_flows() as u64),
-                ),
-            ]),
-        ));
-    }
-    // The invariant section appears when monitoring found a violation
-    // (always worth surfacing) or when telemetry was explicitly
-    // configured (the CI smoke job reads the `ok` flag). Clean default
-    // runs stay byte-identical to v3 apart from the schema bump.
-    if world.invariants.enabled()
-        && (telemetry_config().is_some() || world.has_invariant_violations())
-    {
-        snap.push(("invariants".into(), world.invariant_report()));
-    }
-    // Flight-recorder extras are wall-clock derived and so nondeterministic;
-    // they only appear when profiling was explicitly switched on, keeping
-    // default reports byte-identical run to run.
-    if netsim::profile::enabled() {
-        let mut sched = vec![
-            ("stats".into(), world.scheduler_stats().to_value()),
-            ("telemetry".into(), world.scheduler_telemetry().to_value()),
-        ];
-        // Per-shard progress counters, present only when the world actually
-        // partitioned: events dispatched, windows joined, horizon stalls,
-        // and cross-border message traffic per shard.
-        if let Some(stats) = world.shard_stats() {
-            sched.push((
-                "shards".into(),
-                Value::Array(stats.iter().map(|s| s.to_value()).collect()),
-            ));
-        }
-        // A world asked for shards that runs the inline loop on one thread
-        // instead says so here, not only once on stderr.
-        if let Some(why) = world.shard_degradation() {
-            sched.push(("shard_degradation".into(), Value::Str(why.into())));
-        }
-        snap.push(("scheduler".into(), Value::Object(sched)));
-        if let Some(samples) = world.samples_value() {
-            snap.push(("profile_samples".into(), samples));
-        }
-    }
-    Value::Object(snap)
+/// The report snapshot for one world, as the compact JSON text
+/// [`record_world`] embeds. Pure (no collector involved) so tests can
+/// assert on report bytes — in particular that sampled runs are
+/// deterministic and that default (unsampled, unmonitored) snapshots carry
+/// no extra sections.
+pub fn world_snapshot(world: &World) -> String {
+    let names = world.node_names();
+    render(&serde::from_fn(|w| {
+        w.object(|w| {
+            w.field("metrics", &world.metrics.snapshot(&names, world.now()));
+            if !world.trace.events().is_empty() {
+                let lc = Lifecycle::reconstruct(&world.trace, &names);
+                w.field("lifecycle", &lc.report(LIFECYCLE_SPAN_CAP));
+            }
+            // Flow sampling is opt-in, so this section only appears when a
+            // telemetry config asked for it — default reports are untouched.
+            if let Some(n) = world.trace.flow_sample_rate() {
+                w.key("sampling");
+                w.object(|w| {
+                    w.field("flow_sample_rate", &n);
+                    w.field("suppressed_events", &world.trace.suppressed_events());
+                    w.field("promoted_flows", &world.trace.promoted_flows());
+                });
+            }
+            // The invariant section appears when monitoring found a violation
+            // (always worth surfacing) or when telemetry was explicitly
+            // configured (the CI smoke job reads the `ok` flag). Clean default
+            // runs stay byte-identical to v3 apart from the schema bump.
+            if world.invariants.enabled()
+                && (telemetry_config().is_some() || world.has_invariant_violations())
+            {
+                w.field("invariants", &world.invariant_report());
+            }
+            // Flight-recorder extras are wall-clock derived and so
+            // nondeterministic; they only appear when profiling was explicitly
+            // switched on, keeping default reports byte-identical run to run.
+            if netsim::profile::enabled() {
+                w.key("scheduler");
+                w.object(|w| {
+                    w.field("stats", &world.scheduler_stats());
+                    w.field("telemetry", &world.scheduler_telemetry());
+                    // Per-shard progress counters, present only when the world
+                    // actually partitioned: events dispatched, windows joined,
+                    // horizon stalls, and cross-border message traffic per shard.
+                    if let Some(stats) = world.shard_stats() {
+                        w.field("shards", stats);
+                    }
+                    // A world asked for shards that runs the inline loop on one
+                    // thread instead says so here, not only once on stderr.
+                    if let Some(why) = world.shard_degradation() {
+                        w.field("shard_degradation", why);
+                    }
+                });
+                if let Some(sampler) = world.sampler() {
+                    w.field("profile_samples", sampler);
+                }
+            }
+        });
+    }))
 }
 
 /// Attach any serializable value (audit trails, sweep parameters, …) to
 /// the next emitted report. No-op unless [`enable`] was called.
 pub fn record_value(label: &str, value: &impl Serialize) {
-    let mut c = lock(&COLLECTOR);
-    if !c.enabled {
-        return;
+    if enabled() {
+        let json = render(value);
+        lock(&COLLECTOR).snapshots.push((label.to_string(), json));
     }
-    let v = value.to_value();
-    c.snapshots.push((label.to_string(), v));
 }
 
 fn report_dir() -> PathBuf {
@@ -203,36 +200,66 @@ fn report_dir() -> PathBuf {
 /// (by inclusive time) are kept, the tail is summarised.
 const PROFILE_SCOPE_CAP: usize = 96;
 
-/// Build the report value for `name` from the given tables plus every
-/// snapshot recorded since the last emit (which this call drains).
-/// Snapshots are emitted sorted by label so report bytes are stable run to
-/// run regardless of the order an experiment recorded them in.
-pub fn build(name: &str, tables: &[Table]) -> Value {
+/// A run report ready to render. Every section but the name is already
+/// compact JSON text, so serializing one is concatenation.
+#[derive(Debug)]
+pub struct Report {
+    name: String,
+    tables: String,
+    /// Label and text of each snapshot, sorted by label.
+    snapshots: Vec<(String, String)>,
+    /// The flight recorder's sections, when it is on.
+    recorder: Vec<(&'static str, String)>,
+}
+
+impl Serialize for Report {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("schema", "run-report/v4");
+            w.key("tables");
+            w.raw(&self.tables);
+            w.key("snapshots");
+            w.object(|w| {
+                for (label, json) in &self.snapshots {
+                    w.key(label);
+                    w.raw(json);
+                }
+            });
+            for (section, json) in &self.recorder {
+                w.key(section);
+                w.raw(json);
+            }
+        });
+    }
+}
+
+/// Build the report for `name` from the given tables plus every snapshot
+/// recorded since the last emit (which this call drains). Snapshots are
+/// emitted sorted by label so report bytes are stable run to run
+/// regardless of the order an experiment recorded them in.
+pub fn build(name: &str, tables: &[Table]) -> Report {
     let mut snapshots = std::mem::take(&mut lock(&COLLECTOR).snapshots);
     snapshots.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let mut fields = vec![
-        ("name".into(), Value::Str(name.to_string())),
-        ("schema".into(), Value::Str("run-report/v4".into())),
-        (
-            "tables".into(),
-            Value::Array(tables.iter().map(|t| t.to_value()).collect()),
-        ),
-        ("snapshots".into(), Value::Object(snapshots)),
-    ];
+    let mut recorder = Vec::new();
     // The flight-recorder sections are wall-clock derived, so they are only
     // present when profiling was explicitly enabled — default reports stay
     // deterministic.
     if netsim::profile::enabled() {
         netsim::profile::flush_thread();
-        fields.push((
-            "profile".into(),
-            netsim::profile::report_value(PROFILE_SCOPE_CAP),
-        ));
-        if let Some(runner) = crate::experiments::runner_telemetry_value() {
-            fields.push(("runner".into(), runner));
+        let profile = netsim::profile::capture();
+        recorder.push(("profile", render(&profile.capped(PROFILE_SCOPE_CAP))));
+        let batches = crate::experiments::runner_telemetry();
+        if !batches.is_empty() {
+            recorder.push(("runner", render(&batches)));
         }
     }
-    Value::Object(fields)
+    Report {
+        name: name.to_string(),
+        tables: render(tables),
+        snapshots,
+        recorder,
+    }
 }
 
 /// Write the JSON run report for `name`, returning its path. Errors are

@@ -468,41 +468,22 @@ serde::impl_serialize!(PolicyStormStats {
 });
 
 impl serde::Serialize for ChurnStats {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("handoffs".to_string(), serde::Value::U64(self.handoffs)),
-            (
-                "flash_pings".to_string(),
-                serde::Value::U64(self.flash_pings),
-            ),
-            (
-                "flash_replies".to_string(),
-                serde::Value::U64(self.flash_replies),
-            ),
-            (
-                "registrations_sent".to_string(),
-                serde::Value::U64(self.registrations_sent),
-            ),
-            (
-                "registrations_accepted".to_string(),
-                serde::Value::U64(self.registrations_accepted),
-            ),
-            (
-                "bindings_dropped".to_string(),
-                serde::Value::U64(self.bindings_dropped),
-            ),
-            ("events".to_string(), serde::Value::U64(self.events)),
-            (
-                "sim_elapsed_us".to_string(),
-                serde::Value::U64(self.sim_elapsed_us),
-            ),
-        ];
-        // Appended only when the storm ran, so default-config runs keep
-        // their pre-existing report bytes.
-        if let Some(p) = &self.policy {
-            fields.push(("policy".to_string(), p.to_value()));
-        }
-        serde::Value::Object(fields)
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        w.object(|w| {
+            w.field("handoffs", &self.handoffs);
+            w.field("flash_pings", &self.flash_pings);
+            w.field("flash_replies", &self.flash_replies);
+            w.field("registrations_sent", &self.registrations_sent);
+            w.field("registrations_accepted", &self.registrations_accepted);
+            w.field("bindings_dropped", &self.bindings_dropped);
+            w.field("events", &self.events);
+            w.field("sim_elapsed_us", &self.sim_elapsed_us);
+            // Appended only when the storm ran, so default-config runs keep
+            // their pre-existing report bytes.
+            if let Some(p) = &self.policy {
+                w.field("policy", p);
+            }
+        });
     }
 }
 

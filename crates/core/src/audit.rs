@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use netsim::{Ipv4Addr, SimTime};
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize};
 
 use crate::modes::OutMode;
 
@@ -170,27 +170,26 @@ impl AuditEvent {
     }
 }
 
-impl Serialize for AuditEvent {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("kind".into(), Value::Str(self.kind().into()))];
-        let mut put = |k: &str, v: Value| fields.push((k.into(), v));
+impl AuditEvent {
+    /// The members this event contributes to its entry's JSON object.
+    fn write_fields(&self, w: &mut JsonWriter) {
+        w.field("kind", self.kind());
         match *self {
             AuditEvent::Decision {
                 correspondent,
                 mode,
                 reason,
             } => {
-                put("correspondent", Value::Str(correspondent.to_string()));
-                put("mode", Value::Str(mode.to_string()));
-                put("reason", Value::Str(reason.as_str().into()));
+                w.field("correspondent", &correspondent);
+                w.field("mode", &mode);
+                w.field("reason", reason.as_str());
             }
             AuditEvent::DtPortShortCircuit {
                 correspondent,
                 port,
             } => {
-                put("correspondent", Value::Str(correspondent.to_string()));
-                put("port", Value::U64(port.into()));
+                w.field("correspondent", &correspondent);
+                w.field("port", &port);
             }
             AuditEvent::Demoted {
                 correspondent,
@@ -202,43 +201,36 @@ impl Serialize for AuditEvent {
                 from,
                 to,
             } => {
-                put("correspondent", Value::Str(correspondent.to_string()));
-                put("from", Value::Str(from.to_string()));
-                put("to", Value::Str(to.to_string()));
+                w.field("correspondent", &correspondent);
+                w.field("from", &from);
+                w.field("to", &to);
             }
-            AuditEvent::CacheCleared { entries } => {
-                put("entries", Value::U64(entries as u64));
-            }
+            AuditEvent::CacheCleared { entries } => w.field("entries", &entries),
             AuditEvent::Evicted {
                 correspondent,
                 mode,
             } => {
-                put("correspondent", Value::Str(correspondent.to_string()));
-                put("mode", Value::Str(mode.to_string()));
+                w.field("correspondent", &correspondent);
+                w.field("mode", &mode);
             }
             AuditEvent::Expired { correspondent }
             | AuditEvent::FeedbackIgnored { correspondent } => {
-                put("correspondent", Value::Str(correspondent.to_string()));
+                w.field("correspondent", &correspondent);
             }
             AuditEvent::RegistrationSent { care_of, lifetime } => {
-                put("care_of", Value::Str(care_of.to_string()));
-                put("lifetime", Value::U64(lifetime.into()));
+                w.field("care_of", &care_of);
+                w.field("lifetime", &lifetime);
             }
-            AuditEvent::RegistrationAccepted { lifetime } => {
-                put("lifetime", Value::U64(lifetime.into()));
-            }
+            AuditEvent::RegistrationAccepted { lifetime } => w.field("lifetime", &lifetime),
             AuditEvent::RegistrationDenied | AuditEvent::RegistrationTimeout => {}
-            AuditEvent::Handoff { care_of } => {
-                put(
-                    "care_of",
-                    match care_of {
-                        Some(a) => Value::Str(a.to_string()),
-                        None => Value::Null,
-                    },
-                );
-            }
+            AuditEvent::Handoff { care_of } => w.field("care_of", &care_of),
         }
-        Value::Object(fields)
+    }
+}
+
+impl Serialize for AuditEvent {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| self.write_fields(w));
     }
 }
 
@@ -252,12 +244,11 @@ pub struct AuditEntry {
 }
 
 impl Serialize for AuditEntry {
-    fn to_value(&self) -> Value {
-        let Value::Object(mut fields) = self.event.to_value() else {
-            unreachable!("AuditEvent serializes to an object");
-        };
-        fields.insert(0, ("t_us".into(), Value::U64(self.at.0)));
-        Value::Object(fields)
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("t_us", &self.at.0);
+            self.event.write_fields(w);
+        });
     }
 }
 
@@ -413,22 +404,20 @@ impl AuditTrail {
 }
 
 impl Serialize for AuditTrail {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            (
-                "entries".to_string(),
-                Value::Array(self.entries.iter().map(|e| e.to_value()).collect()),
-            ),
-            ("shed".to_string(), Value::U64(self.shed)),
-        ];
-        if self.shed > 0 {
-            // A truncated history must be legible as such: say how big the
-            // window was and how much passed through it. Omitted when
-            // nothing was shed so untruncated reports stay byte-stable.
-            fields.push(("capacity".to_string(), Value::U64(self.capacity as u64)));
-            fields.push(("recorded".to_string(), Value::U64(self.recorded())));
-        }
-        Value::Object(fields)
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("entries");
+            w.seq(&self.entries);
+            w.field("shed", &self.shed);
+            if self.shed > 0 {
+                // A truncated history must be legible as such: say how big
+                // the window was and how much passed through it. Omitted
+                // when nothing was shed so untruncated reports stay
+                // byte-stable.
+                w.field("capacity", &self.capacity);
+                w.field("recorded", &self.recorded());
+            }
+        });
     }
 }
 

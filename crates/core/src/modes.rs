@@ -131,14 +131,14 @@ impl InMode {
 }
 
 impl serde::Serialize for OutMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        w.display(self);
     }
 }
 
 impl serde::Serialize for InMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        w.display(self);
     }
 }
 
@@ -192,8 +192,8 @@ impl Combination {
 }
 
 impl serde::Serialize for Combination {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        w.display(self);
     }
 }
 

@@ -8,8 +8,9 @@
 //! bytes each encapsulation layer added.
 //!
 //! A [`Lifecycle`] is self-contained (it embeds the world's node names) and
-//! round-trips through the run-report JSON: [`Lifecycle::to_value`] /
-//! [`Lifecycle::from_value`]. Two exporters read it:
+//! round-trips through the run-report JSON: its [`Serialize`] impl (or the
+//! capped [`Lifecycle::report`]) out, [`Lifecycle::from_value`] back in.
+//! Two exporters read it:
 //!
 //! * [`Lifecycle::chrome_trace`] — Chrome trace-event JSON (load in
 //!   `chrome://tracing` or Perfetto), one lane per node, spans over
@@ -29,7 +30,7 @@ use crate::trace::{
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 use crate::wire::pcap::PcapNgWriter;
 use bytes::Bytes;
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize, Value};
 
 /// How a packet's recorded life ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,29 +48,23 @@ pub enum PacketOutcome {
 }
 
 impl Serialize for PacketOutcome {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![(
-            "outcome".to_string(),
-            Value::Str(
-                match self {
-                    PacketOutcome::Delivered(_) => "delivered",
-                    PacketOutcome::Dropped(..) => "dropped",
-                    PacketOutcome::Became(_) => "became",
-                    PacketOutcome::InFlight => "in-flight",
-                }
-                .into(),
-            ),
-        )];
-        match self {
-            PacketOutcome::Delivered(n) => fields.push(("node".into(), Value::U64(n.0 as u64))),
-            PacketOutcome::Dropped(n, r) => {
-                fields.push(("node".into(), Value::U64(n.0 as u64)));
-                fields.push(("reason".into(), r.to_value()));
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| match self {
+            PacketOutcome::Delivered(n) => {
+                w.field("outcome", "delivered");
+                w.field("node", &n.0);
             }
-            PacketOutcome::Became(c) => fields.push(("child".into(), c.to_value())),
-            PacketOutcome::InFlight => {}
-        }
-        Value::Object(fields)
+            PacketOutcome::Dropped(n, r) => {
+                w.field("outcome", "dropped");
+                w.field("node", &n.0);
+                w.field("reason", r);
+            }
+            PacketOutcome::Became(c) => {
+                w.field("outcome", "became");
+                w.field("child", c);
+            }
+            PacketOutcome::InFlight => w.field("outcome", "in-flight"),
+        });
     }
 }
 
@@ -86,12 +81,12 @@ pub struct Hop {
 }
 
 impl Serialize for Hop {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("from".to_string(), Value::U64(self.from.0 as u64)),
-            ("to".into(), Value::U64(self.to.0 as u64)),
-            ("us".into(), Value::U64(self.latency.as_micros())),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("from", &self.from.0);
+            w.field("to", &self.to.0);
+            w.field("us", &self.latency.as_micros());
+        });
     }
 }
 
@@ -138,20 +133,16 @@ impl PacketLifecycle {
     }
 }
 
-impl Serialize for PacketLifecycle {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_string(), self.id.to_value()),
-            ("flow".into(), self.flow.to_value()),
-            ("parent".into(), self.parent.to_value()),
-            ("truncated".into(), Value::Bool(self.truncated)),
-            ("encap_overhead".into(), self.encap_overhead.to_value()),
-            ("outcome".into(), self.outcome.to_value()),
-            ("hops".into(), self.hops.to_value()),
-            ("events".into(), self.events.to_value()),
-        ])
-    }
-}
+serde::impl_serialize!(PacketLifecycle {
+    id,
+    flow,
+    parent,
+    truncated,
+    encap_overhead,
+    outcome,
+    hops,
+    events,
+});
 
 /// Aggregate view of one conversation.
 #[derive(Debug, Clone)]
@@ -187,30 +178,23 @@ pub struct FlowSummary {
 }
 
 impl Serialize for FlowSummary {
-    fn to_value(&self) -> Value {
-        let drops = self
-            .drops
-            .iter()
-            .map(|(r, n)| (r.tag().to_string(), Value::U64(*n)))
-            .collect();
-        Value::Object(vec![
-            ("flow".to_string(), self.flow.to_value()),
-            ("src".into(), Value::Str(self.src.to_string())),
-            ("dst".into(), Value::Str(self.dst.to_string())),
-            ("protocol".into(), Value::U64(self.protocol.number().into())),
-            ("packets".into(), Value::U64(self.packets)),
-            ("wire_events".into(), Value::U64(self.wire_events)),
-            ("bytes_on_wire".into(), Value::U64(self.bytes_on_wire)),
-            ("deliveries".into(), Value::U64(self.deliveries)),
-            ("drops".into(), Value::Object(drops)),
-            ("retransmissions".into(), Value::U64(self.retransmissions)),
-            (
-                "encap_overhead_bytes".into(),
-                Value::U64(self.encap_overhead_bytes),
-            ),
-            ("first_us".into(), Value::U64(self.first_us)),
-            ("last_us".into(), Value::U64(self.last_us)),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("flow", &self.flow);
+            w.field("src", &self.src);
+            w.field("dst", &self.dst);
+            w.field("protocol", &self.protocol.number());
+            w.field("packets", &self.packets);
+            w.field("wire_events", &self.wire_events);
+            w.field("bytes_on_wire", &self.bytes_on_wire);
+            w.field("deliveries", &self.deliveries);
+            w.key("drops");
+            w.object(|w| self.drops.iter().for_each(|(r, n)| w.field(r.tag(), n)));
+            w.field("retransmissions", &self.retransmissions);
+            w.field("encap_overhead_bytes", &self.encap_overhead_bytes);
+            w.field("first_us", &self.first_us);
+            w.field("last_us", &self.last_us);
+        });
     }
 }
 
@@ -415,35 +399,28 @@ impl Lifecycle {
             .unwrap_or_else(|| format!("node{}", n.0))
     }
 
-    fn value_with(&self, packets: &[&PacketLifecycle], omitted: Option<usize>) -> Value {
-        let mut fields = vec![
-            (
-                "nodes".to_string(),
-                Value::Array(
-                    self.node_names
-                        .iter()
-                        .map(|n| Value::Str(n.clone()))
-                        .collect(),
-                ),
-            ),
-            ("shed_events".into(), Value::U64(self.shed_events)),
-        ];
-        if let Some(n) = omitted {
-            fields.push(("packets_omitted".into(), Value::U64(n as u64)));
-        }
-        fields.push((
-            "packets".into(),
-            Value::Array(packets.iter().map(|p| p.to_value()).collect()),
-        ));
-        fields.push(("flows".into(), self.flows.to_value()));
-        Value::Object(fields)
+    /// Writes the document [`Lifecycle::from_value`] reads: every span
+    /// when `keep` is `None`, else the spans in it plus a count of the rest.
+    fn write_with(&self, keep: Option<&BTreeSet<PacketId>>, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("nodes", &self.node_names);
+            w.field("shed_events", &self.shed_events);
+            let kept = |p: &&PacketLifecycle| keep.is_none_or(|k| k.contains(&p.id));
+            if keep.is_some() {
+                let omitted = self.packets.len() - self.packets.iter().filter(kept).count();
+                w.field("packets_omitted", &omitted);
+            }
+            w.key("packets");
+            w.seq(self.packets.iter().filter(kept));
+            w.field("flows", &self.flows);
+        });
     }
 
     /// A bounded rendition for run reports: every span participating in a
     /// drop chain is kept (those are what post-mortems need), the rest fill
     /// up to `cap` spans in id order, and `packets_omitted` counts the
     /// remainder. Flow rollups are always complete.
-    pub fn report_value(&self, cap: usize) -> Value {
+    pub fn report(&self, cap: usize) -> impl Serialize + '_ {
         let mut keep: BTreeSet<PacketId> = BTreeSet::new();
         for p in self.dropped().map(|p| p.id).collect::<Vec<_>>() {
             keep.extend(self.chain(p));
@@ -454,18 +431,12 @@ impl Lifecycle {
             }
             keep.insert(p.id);
         }
-        let kept: Vec<&PacketLifecycle> = self
-            .packets
-            .iter()
-            .filter(|p| keep.contains(&p.id))
-            .collect();
-        let omitted = self.packets.len() - kept.len();
-        self.value_with(&kept, Some(omitted))
+        serde::from_fn(move |w| self.write_with(Some(&keep), w))
     }
 
-    /// Rebuild a lifecycle from its serialized form ([`Lifecycle::to_value`]
-    /// or [`Lifecycle::report_value`]). Returns `None` on any shape
-    /// mismatch rather than panicking.
+    /// Rebuild a lifecycle from its parsed serialized form (the
+    /// [`Serialize`] impl's or [`Lifecycle::report`]'s). Returns `None` on
+    /// any shape mismatch rather than panicking.
     pub fn from_value(v: &Value) -> Option<Lifecycle> {
         let node_names = as_array(field(v, "nodes")?)?
             .iter()
@@ -606,9 +577,8 @@ impl Lifecycle {
 }
 
 impl Serialize for Lifecycle {
-    fn to_value(&self) -> Value {
-        let all: Vec<&PacketLifecycle> = self.packets.iter().collect();
-        self.value_with(&all, None)
+    fn serialize(&self, w: &mut JsonWriter) {
+        self.write_with(None, w);
     }
 }
 
@@ -827,6 +797,11 @@ mod tests {
         vec!["mh", "r1", "server"]
     }
 
+    /// `v` as a run-report reader sees it: rendered, then parsed.
+    fn parsed(v: &impl Serialize) -> Value {
+        serde_json::from_str(&serde_json::to_string(v).unwrap()).unwrap()
+    }
+
     /// A three-node story: mh sends, r1 forwards, server delivers; a second
     /// packet is dropped at r1.
     fn sample_trace() -> PacketTrace {
@@ -948,7 +923,7 @@ mod tests {
     fn value_round_trip_preserves_everything() {
         let t = sample_trace();
         let lc = Lifecycle::reconstruct(&t, &names());
-        let back = Lifecycle::from_value(&lc.to_value()).expect("parses");
+        let back = Lifecycle::from_value(&parsed(&lc)).expect("parses");
         assert_eq!(back.node_names, lc.node_names);
         assert_eq!(back.shed_events, lc.shed_events);
         assert_eq!(back.packets.len(), lc.packets.len());
@@ -967,7 +942,7 @@ mod tests {
     }
 
     #[test]
-    fn report_value_keeps_drop_chains_under_cap() {
+    fn report_keeps_drop_chains_under_cap() {
         let mut t = PacketTrace::new(true);
         // Ten delivered packets...
         for i in 0..10u16 {
@@ -992,7 +967,7 @@ mod tests {
             &q,
         );
         let lc = Lifecycle::reconstruct(&t, &names());
-        let v = lc.report_value(3);
+        let v = parsed(&lc.report(3));
         let back = Lifecycle::from_value(&v).unwrap();
         assert!(
             back.packets

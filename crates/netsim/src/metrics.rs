@@ -15,7 +15,7 @@
 //! Experiments enable it and read the aggregates at the end of a run —
 //! that is what the bench crate's structured `RunReport` JSON is built from.
 
-use serde::Serialize;
+use serde::{JsonWriter, Serialize};
 
 use crate::event::NodeId;
 use crate::link::{FaultOutcome, SegmentId};
@@ -256,17 +256,17 @@ impl Histogram {
     }
 }
 
-impl serde::Serialize for Histogram {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("count".into(), self.n.to_value()),
-            ("sum".into(), self.sum.to_value()),
-            ("mean".into(), self.mean().to_value()),
-            ("min".into(), self.min().unwrap_or(0).to_value()),
-            ("max".into(), self.max().unwrap_or(0).to_value()),
-            ("p50".into(), self.percentile(50).unwrap_or(0).to_value()),
-            ("p99".into(), self.percentile(99).unwrap_or(0).to_value()),
-        ])
+impl Serialize for Histogram {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("count", &self.n);
+            w.field("sum", &self.sum);
+            w.field("mean", &self.mean());
+            w.field("min", &self.min().unwrap_or(0));
+            w.field("max", &self.max().unwrap_or(0));
+            w.field("p50", &self.percentile(50).unwrap_or(0));
+            w.field("p99", &self.percentile(99).unwrap_or(0));
+        });
     }
 }
 
@@ -406,61 +406,45 @@ impl NodeMetrics {
     }
 }
 
-impl serde::Serialize for NodeMetrics {
-    fn to_value(&self) -> serde::Value {
-        let drops: Vec<(String, serde::Value)> = self
-            .drops_by_reason()
-            .map(|(r, n)| (r.tag().to_string(), n.to_value()))
-            .collect();
-        let encap: Vec<(String, serde::Value)> = ENCAP_FORMATS
-            .into_iter()
-            .map(|f| (format!("{f:?}"), self.encap_bytes(f).to_value()))
-            .filter(|(_, v)| *v != serde::Value::U64(0))
-            .collect();
-        serde::Value::Object(vec![
-            ("packets_sent".into(), self.packets_sent.to_value()),
-            (
-                "packets_forwarded".into(),
-                self.packets_forwarded.to_value(),
-            ),
-            (
-                "packets_delivered".into(),
-                self.packets_delivered.to_value(),
-            ),
-            ("bytes_sent".into(), self.bytes_sent.to_value()),
-            ("bytes_forwarded".into(), self.bytes_forwarded.to_value()),
-            ("bytes_delivered".into(), self.bytes_delivered.to_value()),
-            ("drops".into(), serde::Value::Object(drops)),
-            ("transforms".into(), self.transforms.to_value()),
-            ("encap_bytes".into(), serde::Value::Object(encap)),
-            (
-                "tcp".into(),
-                serde::Value::Object(vec![
-                    ("segments_sent".into(), self.tcp.segments_sent.to_value()),
-                    (
-                        "retransmissions".into(),
-                        self.tcp.retransmissions.to_value(),
-                    ),
-                    (
-                        "segments_received".into(),
-                        self.tcp.segments_received.to_value(),
-                    ),
-                    ("rtt_us".into(), self.tcp.rtt_us.to_value()),
-                ]),
-            ),
-            (
-                "udp".into(),
-                serde::Value::Object(vec![
-                    ("datagrams_sent".into(), self.udp.datagrams_sent.to_value()),
-                    ("bytes_sent".into(), self.udp.bytes_sent.to_value()),
-                    (
-                        "datagrams_received".into(),
-                        self.udp.datagrams_received.to_value(),
-                    ),
-                    ("bytes_received".into(), self.udp.bytes_received.to_value()),
-                ]),
-            ),
-        ])
+impl Serialize for NodeMetrics {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("packets_sent", &self.packets_sent);
+            w.field("packets_forwarded", &self.packets_forwarded);
+            w.field("packets_delivered", &self.packets_delivered);
+            w.field("bytes_sent", &self.bytes_sent);
+            w.field("bytes_forwarded", &self.bytes_forwarded);
+            w.field("bytes_delivered", &self.bytes_delivered);
+            w.key("drops");
+            w.object(|w| {
+                self.drops_by_reason()
+                    .for_each(|(r, n)| w.field(r.tag(), &n))
+            });
+            w.field("transforms", &self.transforms);
+            w.key("encap_bytes");
+            w.object(|w| {
+                for f in ENCAP_FORMATS {
+                    let bytes = self.encap_bytes(f);
+                    if bytes != 0 {
+                        w.field(&format!("{f:?}"), &bytes);
+                    }
+                }
+            });
+            w.key("tcp");
+            w.object(|w| {
+                w.field("segments_sent", &self.tcp.segments_sent);
+                w.field("retransmissions", &self.tcp.retransmissions);
+                w.field("segments_received", &self.tcp.segments_received);
+                w.field("rtt_us", &self.tcp.rtt_us);
+            });
+            w.key("udp");
+            w.object(|w| {
+                w.field("datagrams_sent", &self.udp.datagrams_sent);
+                w.field("bytes_sent", &self.udp.bytes_sent);
+                w.field("datagrams_received", &self.udp.datagrams_received);
+                w.field("bytes_received", &self.udp.bytes_received);
+            });
+        });
     }
 }
 
@@ -504,16 +488,17 @@ impl SegmentMetrics {
     }
 }
 
-impl serde::Serialize for SegmentMetrics {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("frames".into(), self.frames.to_value()),
-            ("bytes".into(), self.bytes.to_value()),
-            ("wire_drops".into(), self.wire_drops.to_value()),
-            ("crc_drops".into(), self.crc_drops.to_value()),
-            ("busy_us".into(), self.busy.as_micros().to_value()),
-            ("queue_wait_us".into(), self.queue_wait_us.to_value()),
-        ])
+impl SegmentMetrics {
+    /// The members of a snapshot's segment object: the counters plus the
+    /// utilization they imply at `now`.
+    fn write_fields(&self, now: SimTime, w: &mut JsonWriter) {
+        w.field("frames", &self.frames);
+        w.field("bytes", &self.bytes);
+        w.field("wire_drops", &self.wire_drops);
+        w.field("crc_drops", &self.crc_drops);
+        w.field("busy_us", &self.busy.as_micros());
+        w.field("queue_wait_us", &self.queue_wait_us);
+        w.field("utilization", &self.utilization(now.since(SimTime::ZERO)));
     }
 }
 
@@ -976,139 +961,104 @@ impl MetricsRegistry {
     /// Dense (exact) snapshots keep their historical shape byte-for-byte;
     /// sketched snapshots emit totals + heavy hitters + exemplars instead
     /// of per-node sections.
-    pub fn snapshot(&self, names: &[&str], now: SimTime) -> serde::Value {
-        if let Some(sk) = &self.sketched {
-            return self.sketched_snapshot(sk, names, now);
-        }
-        let nodes: Vec<(String, serde::Value)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let label = names
-                    .get(i)
-                    .map(|s| (*s).to_string())
-                    .unwrap_or_else(|| format!("node{i}"));
-                (label, m.to_value())
-            })
-            .collect();
-        let segments: Vec<(String, serde::Value)> = self
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let mut v = match m.to_value() {
-                    serde::Value::Object(fields) => fields,
-                    _ => unreachable!("segment snapshot is an object"),
-                };
-                v.push((
-                    "utilization".into(),
-                    m.utilization(now.since(SimTime::ZERO)).to_value(),
-                ));
-                (format!("segment{i}"), serde::Value::Object(v))
-            })
-            .collect();
-        let drops: Vec<(String, serde::Value)> = self
-            .total_drops_by_reason()
-            .into_iter()
-            .map(|(r, n)| (r.to_string(), n.to_value()))
-            .collect();
-        serde::Value::Object(vec![
-            ("sim_time_us".into(), now.as_micros().to_value()),
-            ("nodes".into(), serde::Value::Object(nodes)),
-            ("segments".into(), serde::Value::Object(segments)),
-            ("total_drops".into(), serde::Value::Object(drops)),
-        ])
+    pub fn snapshot<'a>(&'a self, names: &'a [&'a str], now: SimTime) -> impl Serialize + 'a {
+        serde::from_fn(move |w| match &self.sketched {
+            Some(sk) => self.write_sketched(sk, names, now, w),
+            None => self.write_dense(names, now, w),
+        })
+    }
+
+    fn write_total_drops(&self, w: &mut JsonWriter) {
+        w.key("total_drops");
+        w.object(|w| {
+            for (r, n) in self.total_drops_by_reason() {
+                w.field(&r.to_string(), &n);
+            }
+        });
+    }
+
+    fn write_dense(&self, names: &[&str], now: SimTime, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("sim_time_us", &now.as_micros());
+            w.key("nodes");
+            w.object(|w| {
+                for (i, m) in self.nodes.iter().enumerate() {
+                    w.field(&node_label(names, i), m);
+                }
+            });
+            w.key("segments");
+            w.object(|w| {
+                for (i, m) in self.segments.iter().enumerate() {
+                    w.key(&format!("segment{i}"));
+                    w.object(|w| m.write_fields(now, w));
+                }
+            });
+            self.write_total_drops(w);
+        });
     }
 
     /// Snapshot shape for the collapsed registry: exact global totals,
     /// top-k heavy hitters with their error bounds, and RTT exemplars.
-    fn sketched_snapshot(
+    fn write_sketched(
         &self,
         sk: &SketchedMetrics,
         names: &[&str],
         now: SimTime,
-    ) -> serde::Value {
-        let node_top: Vec<serde::Value> = sk
-            .node_hitters
-            .top()
-            .into_iter()
-            .map(|e| {
-                let label = names
-                    .get(e.key.0)
-                    .map(|s| (*s).to_string())
-                    .unwrap_or_else(|| format!("node{}", e.key.0));
-                serde::Value::Object(vec![
-                    ("node".into(), serde::Value::Str(label)),
-                    ("events".into(), e.count.to_value()),
-                    ("error".into(), e.error.to_value()),
-                ])
-            })
-            .collect();
-        let flow_top: Vec<serde::Value> = sk
-            .flow_hitters
-            .top()
-            .into_iter()
-            .map(|e| {
-                let (a, b, proto) = e.key;
-                serde::Value::Object(vec![
-                    (
-                        "flow".into(),
-                        serde::Value::Str(format!("{a}<->{b}/{proto}")),
-                    ),
-                    ("wire_events".into(), e.count.to_value()),
-                    ("error".into(), e.error.to_value()),
-                ])
-            })
-            .collect();
-        let mut seg_totals = match sk.seg_totals.to_value() {
-            serde::Value::Object(fields) => fields,
-            _ => unreachable!("segment snapshot is an object"),
-        };
-        seg_totals.push((
-            "utilization".into(),
-            sk.seg_totals
-                .utilization(now.since(SimTime::ZERO))
-                .to_value(),
-        ));
-        let drops: Vec<(String, serde::Value)> = self
-            .total_drops_by_reason()
-            .into_iter()
-            .map(|(r, n)| (r.to_string(), n.to_value()))
-            .collect();
-        serde::Value::Object(vec![
-            ("sim_time_us".into(), now.as_micros().to_value()),
-            ("mode".into(), serde::Value::Str("sketched".into())),
-            ("totals".into(), sk.totals.to_value()),
-            ("segments_total".into(), serde::Value::Object(seg_totals)),
-            (
-                "node_hitters".into(),
-                serde::Value::Object(vec![
-                    ("k".into(), sk.node_hitters.capacity().to_value()),
-                    ("exact".into(), sk.node_hitters.is_exact().to_value()),
-                    ("top".into(), serde::Value::Array(node_top)),
-                ]),
-            ),
-            (
-                "flow_hitters".into(),
-                serde::Value::Object(vec![
-                    ("k".into(), sk.flow_hitters.capacity().to_value()),
-                    ("exact".into(), sk.flow_hitters.is_exact().to_value()),
-                    ("top".into(), serde::Value::Array(flow_top)),
-                ]),
-            ),
-            (
-                "rtt_exemplars_us".into(),
-                serde::Value::Object(vec![
-                    ("seen".into(), sk.rtt_exemplars.seen().to_value()),
-                    (
-                        "samples".into(),
-                        sk.rtt_exemplars.items().to_vec().to_value(),
-                    ),
-                ]),
-            ),
-            ("total_drops".into(), serde::Value::Object(drops)),
-        ])
+        w: &mut JsonWriter,
+    ) {
+        w.object(|w| {
+            w.field("sim_time_us", &now.as_micros());
+            w.field("mode", "sketched");
+            w.field("totals", &sk.totals);
+            w.key("segments_total");
+            w.object(|w| sk.seg_totals.write_fields(now, w));
+            w.key("node_hitters");
+            w.object(|w| {
+                w.field("k", &sk.node_hitters.capacity());
+                w.field("exact", &sk.node_hitters.is_exact());
+                w.key("top");
+                w.array(|w| {
+                    for e in sk.node_hitters.top() {
+                        w.object(|w| {
+                            w.field("node", &*node_label(names, e.key.0));
+                            w.field("events", &e.count);
+                            w.field("error", &e.error);
+                        });
+                    }
+                });
+            });
+            w.key("flow_hitters");
+            w.object(|w| {
+                w.field("k", &sk.flow_hitters.capacity());
+                w.field("exact", &sk.flow_hitters.is_exact());
+                w.key("top");
+                w.array(|w| {
+                    for e in sk.flow_hitters.top() {
+                        let (a, b, proto) = e.key;
+                        w.object(|w| {
+                            w.key("flow");
+                            w.display(&format_args!("{a}<->{b}/{proto}"));
+                            w.field("wire_events", &e.count);
+                            w.field("error", &e.error);
+                        });
+                    }
+                });
+            });
+            w.key("rtt_exemplars_us");
+            w.object(|w| {
+                w.field("seen", &sk.rtt_exemplars.seen());
+                w.field("samples", sk.rtt_exemplars.items());
+            });
+            self.write_total_drops(w);
+        });
+    }
+}
+
+/// A node's snapshot label: its name where `names` has one, else `node<i>`.
+fn node_label<'a>(names: &[&'a str], i: usize) -> std::borrow::Cow<'a, str> {
+    match names.get(i) {
+        Some(name) => (*name).into(),
+        None => format!("node{i}").into(),
     }
 }
 
@@ -1377,7 +1327,8 @@ mod tests {
                 reg.record_packet(NodeId(i), TraceEventKind::DeliveredLocal, &p);
             }
             reg.record_tcp_rtt(NodeId(3), SimDuration::from_millis(20));
-            serde_json::to_string(&reg.snapshot(&[], SimTime(1_000))).unwrap()
+            let json = serde_json::to_string(&reg.snapshot(&[], SimTime(1_000))).unwrap();
+            json
         };
         assert_eq!(build(false), build(true));
     }

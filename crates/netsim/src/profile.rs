@@ -25,8 +25,9 @@
 //! automatically when a thread's recorder drops); [`capture`] flushes the
 //! calling thread, snapshots the merged tree as a [`ProfileReport`], and
 //! leaves the data in place so repeated captures are cheap. Reports
-//! render as text (`render_tree` / `render_hot` / `render_alloc`), lower
-//! into the run-report JSON via [`report_value`], round-trip back through
+//! render as text (`render_tree` / `render_hot` / `render_alloc`), write
+//! themselves into the run-report JSON via [`ProfileReport::capped`],
+//! round-trip back through
 //! [`ProfileReport::from_value`] for the `profile` inspector bin, and
 //! export as chrome-trace complete events via
 //! [`ProfileReport::chrome_trace`].
@@ -37,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize, Value};
 
 // ---------------------------------------------------------------------------
 // Enable flag
@@ -555,39 +556,36 @@ pub fn capture() -> ProfileReport {
     }
 }
 
-/// Captures a report and lowers it to a run-report value, keeping at most
-/// `cap` scopes (largest inclusive time first, ancestors always kept).
-pub fn report_value(cap: usize) -> Value {
-    capture().to_value_capped(cap)
-}
-
 fn count_nodes(stats: &[ScopeStat]) -> usize {
     stats.iter().map(|s| 1 + count_nodes(&s.children)).sum()
 }
 
-fn stat_value(s: &ScopeStat, budget: &mut usize) -> Value {
-    let mut fields = vec![
-        ("name".to_string(), Value::Str(s.name.clone())),
-        ("calls".to_string(), Value::U64(s.calls)),
-        ("incl_ns".to_string(), Value::U64(s.incl_ns)),
-        ("excl_ns".to_string(), Value::U64(s.excl_ns)),
-        ("allocs".to_string(), Value::U64(s.allocs)),
-        ("alloc_bytes".to_string(), Value::U64(s.alloc_bytes)),
-    ];
-    let mut children = Vec::new();
-    // Children arrive sorted by inclusive time, so a greedy budget walk
-    // keeps the hottest subtrees when capped.
-    for c in &s.children {
+/// Writes `s` and as many of its descendants as `budget` still allows.
+fn write_stat(s: &ScopeStat, budget: &mut usize, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.field("name", &s.name);
+        w.field("calls", &s.calls);
+        w.field("incl_ns", &s.incl_ns);
+        w.field("excl_ns", &s.excl_ns);
+        w.field("allocs", &s.allocs);
+        w.field("alloc_bytes", &s.alloc_bytes);
+        if *budget > 0 && !s.children.is_empty() {
+            w.key("children");
+            w.array(|w| write_capped(&s.children, budget, w));
+        }
+    });
+}
+
+/// Children arrive sorted by inclusive time, so a greedy budget walk keeps
+/// the hottest subtrees when capped.
+fn write_capped(stats: &[ScopeStat], budget: &mut usize, w: &mut JsonWriter) {
+    for s in stats {
         if *budget == 0 {
             break;
         }
         *budget -= 1;
-        children.push(stat_value(c, budget));
+        write_stat(s, budget, w);
     }
-    if !children.is_empty() {
-        fields.push(("children".to_string(), Value::Array(children)));
-    }
-    Value::Object(fields)
 }
 
 impl ProfileReport {
@@ -598,35 +596,21 @@ impl ProfileReport {
         self.roots.iter().map(|r| r.incl_ns).sum()
     }
 
-    /// Lowers the report into a run-report JSON value, emitting at most
-    /// `cap` scopes (hottest-first; the `scopes_total` field records how
-    /// many existed before capping).
-    pub fn to_value_capped(&self, cap: usize) -> Value {
-        let total = count_nodes(&self.roots);
-        let mut budget = cap.max(1);
-        let mut scopes = Vec::new();
-        for r in &self.roots {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
-            scopes.push(stat_value(r, &mut budget));
-        }
-        Value::Object(vec![
-            ("wall_ns".to_string(), Value::U64(self.wall_ns)),
-            ("flushes".to_string(), Value::U64(self.flushes)),
-            ("scopes_total".to_string(), Value::U64(total as u64)),
-            (
-                "counters".to_string(),
-                Value::Object(
-                    self.counters
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Value::U64(*v)))
-                        .collect(),
-                ),
-            ),
-            ("scopes".to_string(), Value::Array(scopes)),
-        ])
+    /// The report as a run-report `profile` section, emitting at most
+    /// `cap` scopes (hottest-first, ancestors always kept; the
+    /// `scopes_total` field records how many existed before capping).
+    pub fn capped(&self, cap: usize) -> impl Serialize + '_ {
+        serde::from_fn(move |w| {
+            w.object(|w| {
+                w.field("wall_ns", &self.wall_ns);
+                w.field("flushes", &self.flushes);
+                w.field("scopes_total", &count_nodes(&self.roots));
+                w.key("counters");
+                w.object(|w| self.counters.iter().for_each(|(n, v)| w.field(n, v)));
+                w.key("scopes");
+                w.array(|w| write_capped(&self.roots, &mut cap.max(1), w));
+            });
+        })
     }
 
     /// Parses a report back out of a run-report `profile` section.
@@ -1022,15 +1006,12 @@ impl TimeSeries {
     pub fn interval_us(&self) -> u64 {
         self.interval_us
     }
-
-    /// Lowers the sample set to a run-report value.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("interval_us".to_string(), Value::U64(self.interval_us)),
-            ("samples".to_string(), self.samples.to_value()),
-        ])
-    }
 }
+
+serde::impl_serialize!(TimeSeries {
+    interval_us,
+    samples
+});
 
 #[cfg(test)]
 mod tests {
@@ -1039,6 +1020,11 @@ mod tests {
     // Profiling state is process-global; unit tests here only exercise
     // pieces that do not flip the global enable flag (integration tests
     // own that, serialized behind a lock).
+
+    /// `v` as a run-report reader sees it: rendered, then parsed.
+    fn parsed(v: &impl Serialize) -> Value {
+        serde_json::from_str(&serde_json::to_string(v).unwrap()).unwrap()
+    }
 
     #[test]
     fn counting_allocator_sees_boxed_allocations() {
@@ -1102,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn report_value_round_trips() {
+    fn capped_report_round_trips() {
         let rep = ProfileReport {
             wall_ns: 5_000,
             flushes: 2,
@@ -1125,8 +1111,7 @@ mod tests {
                 }],
             }],
         };
-        let v = rep.to_value_capped(64);
-        let back = ProfileReport::from_value(&v).expect("parses");
+        let back = ProfileReport::from_value(&parsed(&rep.capped(64))).expect("parses");
         assert_eq!(back, rep);
     }
 
@@ -1143,8 +1128,7 @@ mod tests {
             roots: vec![mk("hot", 100), mk("warm", 50), mk("cold", 1)],
             ..ProfileReport::default()
         };
-        let v = rep.to_value_capped(2);
-        let back = ProfileReport::from_value(&v).expect("parses");
+        let back = ProfileReport::from_value(&parsed(&rep.capped(2))).expect("parses");
         assert_eq!(back.roots.len(), 2);
         assert_eq!(back.roots[0].name, "hot");
         assert_eq!(back.roots[1].name, "warm");

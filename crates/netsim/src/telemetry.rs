@@ -25,9 +25,11 @@
 //! Everything here is deterministic: sketches and reservoirs are seeded,
 //! so the same world and seed produce byte-identical sampled reports.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use crate::event::{NodeId, SchedulerStats};
 use crate::time::SimTime;
@@ -338,12 +340,12 @@ pub struct InvariantViolation {
 }
 
 impl Serialize for InvariantViolation {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("invariant".into(), Value::Str(self.invariant.into())),
-            ("detail".into(), Value::Str(self.detail.clone())),
-            ("t_us".into(), Value::U64(self.at.0)),
-        ])
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        w.object(|w| {
+            w.field("invariant", self.invariant);
+            w.field("detail", &self.detail);
+            w.field("t_us", &self.at.0);
+        });
     }
 }
 
@@ -409,7 +411,10 @@ pub struct InvariantMonitor {
     unparked: u64,
     unclaimed_frames: u64,
     hook_consumed: u64,
-    live: HashSet<LiveKey>,
+    // Fixed-key hasher: under insert/remove churn the table's next resize
+    // depends on where tombstones fall, so with `RandomState` the run's
+    // allocation count differed from process to process.
+    live: HashSet<LiveKey, BuildHasherDefault<DefaultHasher>>,
     // Incremental checking.
     checks: u64,
     scheduler_flagged: bool,
@@ -717,52 +722,44 @@ impl InvariantMonitor {
 
     /// The monitor's run-report section: counters, check count, and the
     /// union of incrementally recorded and freshly computed violations.
-    pub fn report_value(
-        &self,
+    pub fn report<'a>(
+        &'a self,
         at: SimTime,
         stats: &SchedulerStats,
         pending: u64,
         quiescent: bool,
         totals: Option<&crate::metrics::NodeMetrics>,
-    ) -> Value {
-        let mut violations: Vec<Value> = self.violations.iter().map(|v| v.to_value()).collect();
-        violations.extend(
-            self.final_violations(at, stats, pending, quiescent, totals)
-                .iter()
-                .map(|v| v.to_value()),
-        );
-        let ok = violations.is_empty() && self.suppressed_violations == 0;
-        Value::Object(vec![
-            ("ok".into(), Value::Bool(ok)),
-            ("checks".into(), Value::U64(self.checks)),
-            (
-                "counters".into(),
-                Value::Object(vec![
-                    ("sent_events".into(), Value::U64(self.sent_events)),
-                    ("forwarded_events".into(), Value::U64(self.forwarded_events)),
-                    ("delivered_events".into(), Value::U64(self.delivered_events)),
-                    ("dropped_events".into(), Value::U64(self.dropped_events)),
-                    ("transform_events".into(), Value::U64(self.transform_events)),
-                    ("originated".into(), Value::U64(self.originated)),
-                    ("adopted".into(), Value::U64(self.adopted)),
-                    ("in_flight".into(), Value::U64(self.live.len() as u64)),
-                    (
-                        "extra_terminations".into(),
-                        Value::U64(self.extra_terminations),
-                    ),
-                    ("wire_losses".into(), Value::U64(self.wire_losses)),
-                    ("detached_frames".into(), Value::U64(self.detached_frames)),
-                    ("parked".into(), Value::U64(self.parked_net())),
-                    ("unclaimed_frames".into(), Value::U64(self.unclaimed_frames)),
-                    ("hook_consumed".into(), Value::U64(self.hook_consumed)),
-                ]),
-            ),
-            ("violations".into(), Value::Array(violations)),
-            (
-                "suppressed_violations".into(),
-                Value::U64(self.suppressed_violations),
-            ),
-        ])
+    ) -> impl Serialize + 'a {
+        let fresh = self.final_violations(at, stats, pending, quiescent, totals);
+        serde::from_fn(move |w| {
+            w.object(|w| {
+                let ok = self.violations.is_empty()
+                    && fresh.is_empty()
+                    && self.suppressed_violations == 0;
+                w.field("ok", &ok);
+                w.field("checks", &self.checks);
+                w.key("counters");
+                w.object(|w| {
+                    w.field("sent_events", &self.sent_events);
+                    w.field("forwarded_events", &self.forwarded_events);
+                    w.field("delivered_events", &self.delivered_events);
+                    w.field("dropped_events", &self.dropped_events);
+                    w.field("transform_events", &self.transform_events);
+                    w.field("originated", &self.originated);
+                    w.field("adopted", &self.adopted);
+                    w.field("in_flight", &self.live.len());
+                    w.field("extra_terminations", &self.extra_terminations);
+                    w.field("wire_losses", &self.wire_losses);
+                    w.field("detached_frames", &self.detached_frames);
+                    w.field("parked", &self.parked_net());
+                    w.field("unclaimed_frames", &self.unclaimed_frames);
+                    w.field("hook_consumed", &self.hook_consumed);
+                });
+                w.key("violations");
+                w.seq(self.violations.iter().chain(&fresh));
+                w.field("suppressed_violations", &self.suppressed_violations);
+            });
+        })
     }
 
     /// Whether any violation has been observed so far (incremental checks

@@ -25,7 +25,7 @@ use crate::event::NodeId;
 use crate::time::SimTime;
 use crate::wire::encap::{self, EncapFormat};
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
-use serde::{Serialize, Value};
+use serde::{JsonWriter, Serialize};
 
 /// Why a packet was dropped. The first three are the network policies the
 /// paper names in §3.1.
@@ -98,8 +98,8 @@ impl DropReason {
 }
 
 impl Serialize for DropReason {
-    fn to_value(&self) -> Value {
-        Value::Str(self.tag().into())
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.str(self.tag());
     }
 }
 
@@ -135,8 +135,8 @@ impl std::fmt::Display for PacketId {
 }
 
 impl Serialize for PacketId {
-    fn to_value(&self) -> Value {
-        Value::U64(self.0)
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.u64(self.0);
     }
 }
 
@@ -153,8 +153,8 @@ impl std::fmt::Display for FlowId {
 }
 
 impl Serialize for FlowId {
-    fn to_value(&self) -> Value {
-        Value::U64(self.0)
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.u64(self.0);
     }
 }
 
@@ -221,12 +221,13 @@ impl std::fmt::Display for TransformKind {
 }
 
 impl Serialize for TransformKind {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("transform".to_string(), Value::Str(self.tag().into()))];
-        if let Some(fmt) = self.format() {
-            fields.push(("format".into(), Value::Str(fmt.tag().into())));
-        }
-        Value::Object(fields)
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("transform", self.tag());
+            if let Some(fmt) = self.format() {
+                w.field("format", fmt.tag());
+            }
+        });
     }
 }
 
@@ -314,30 +315,23 @@ impl PacketSummary {
 }
 
 impl Serialize for PacketSummary {
-    fn to_value(&self) -> Value {
-        let inner = match self.inner {
-            Some((s, d, p)) => Value::Object(vec![
-                ("src".into(), Value::Str(s.to_string())),
-                ("dst".into(), Value::Str(d.to_string())),
-                ("protocol".into(), Value::U64(p.number().into())),
-            ]),
-            None => Value::Null,
+    fn serialize(&self, w: &mut JsonWriter) {
+        let endpoints = |w: &mut JsonWriter, (s, d, p): (Ipv4Addr, Ipv4Addr, IpProtocol)| {
+            w.field("src", &s);
+            w.field("dst", &d);
+            w.field("protocol", &p.number());
         };
-        Value::Object(vec![
-            ("src".into(), Value::Str(self.src.to_string())),
-            ("dst".into(), Value::Str(self.dst.to_string())),
-            ("protocol".into(), Value::U64(self.protocol.number().into())),
-            ("ident".into(), Value::U64(self.ident.into())),
-            ("wire_len".into(), Value::U64(self.wire_len as u64)),
-            ("inner".into(), inner),
-            (
-                "sr_final".into(),
-                match self.sr_final {
-                    Some(a) => Value::Str(a.to_string()),
-                    None => Value::Null,
-                },
-            ),
-        ])
+        w.object(|w| {
+            endpoints(w, (self.src, self.dst, self.protocol));
+            w.field("ident", &self.ident);
+            w.field("wire_len", &self.wire_len);
+            w.key("inner");
+            match self.inner {
+                Some(inner) => w.object(|w| endpoints(w, inner)),
+                None => w.null(),
+            }
+            w.field("sr_final", &self.sr_final);
+        });
     }
 }
 
@@ -395,20 +389,26 @@ impl TraceEventKind {
     }
 }
 
-impl Serialize for TraceEventKind {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("event".to_string(), Value::Str(self.tag().into()))];
+impl TraceEventKind {
+    /// The members this kind contributes to an enclosing JSON object.
+    fn write_fields(&self, w: &mut JsonWriter) {
+        w.field("event", self.tag());
         match self {
-            TraceEventKind::Dropped(r) => fields.push(("reason".into(), r.to_value())),
+            TraceEventKind::Dropped(r) => w.field("reason", r),
             TraceEventKind::Transformed(t) => {
-                fields.push(("kind".into(), Value::Str(t.tag().into())));
+                w.field("kind", t.tag());
                 if let Some(f) = t.format() {
-                    fields.push(("format".into(), Value::Str(f.tag().into())));
+                    w.field("format", f.tag());
                 }
             }
             _ => {}
         }
-        Value::Object(fields)
+    }
+}
+
+impl Serialize for TraceEventKind {
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| self.write_fields(w));
     }
 }
 
@@ -433,20 +433,16 @@ pub struct TraceEvent {
 }
 
 impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        let Value::Object(kind_fields) = self.kind.to_value() else {
-            unreachable!("TraceEventKind serializes to an object");
-        };
-        let mut fields = vec![
-            ("t_us".to_string(), Value::U64(self.at.0)),
-            ("node".into(), Value::U64(self.node.0 as u64)),
-            ("packet_id".into(), self.packet_id.to_value()),
-            ("flow_id".into(), self.flow_id.to_value()),
-            ("parent_id".into(), self.parent_id.to_value()),
-        ];
-        fields.extend(kind_fields);
-        fields.push(("packet".into(), self.packet.to_value()));
-        Value::Object(fields)
+    fn serialize(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("t_us", &self.at.0);
+            w.field("node", &self.node.0);
+            w.field("packet_id", &self.packet_id);
+            w.field("flow_id", &self.flow_id);
+            w.field("parent_id", &self.parent_id);
+            self.kind.write_fields(w);
+            w.field("packet", &self.packet);
+        });
     }
 }
 

@@ -69,6 +69,28 @@ impl fmt::Display for Ipv4Addr {
     }
 }
 
+/// The dotted quad as a JSON string. Run reports carry two per trace
+/// event, so the digits are placed by hand rather than through `Display`.
+impl serde::Serialize for Ipv4Addr {
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        let mut text = [b'.'; 15];
+        let mut len = 0;
+        for octet in self.octets() {
+            if octet >= 100 {
+                text[len] = b'0' + octet / 100;
+                len += 1;
+            }
+            if octet >= 10 {
+                text[len] = b'0' + octet / 10 % 10;
+                len += 1;
+            }
+            text[len] = b'0' + octet % 10;
+            len += 2;
+        }
+        w.str(std::str::from_utf8(&text[..len - 1]).expect("ascii digits and dots"));
+    }
+}
+
 impl FromStr for Ipv4Addr {
     type Err = ParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {

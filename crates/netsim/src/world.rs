@@ -774,12 +774,12 @@ impl World {
     /// violation (incrementally recorded and final-check). Conservation
     /// is only judged when the world is quiescent — mid-run, in-flight
     /// packets are legitimate.
-    pub fn invariant_report(&self) -> serde::Value {
+    pub fn invariant_report(&self) -> impl serde::Serialize + '_ {
         let (stats, pending) = self.sched_ledger();
         let quiescent = self.pending_events() == 0;
         let totals = self.metrics.enabled().then(|| self.metrics.totals());
         self.invariants
-            .report_value(self.now, &stats, pending, quiescent, totals.as_ref())
+            .report(self.now, &stats, pending, quiescent, totals.as_ref())
     }
 
     /// Whether any invariant violation has been detected (incremental or
@@ -1529,20 +1529,10 @@ impl World {
         self.sampler = Some(Box::new(crate::profile::TimeSeries::new(interval.0, cap)));
     }
 
-    /// Gauge samples recorded so far, oldest first; `None` until
-    /// [`World::enable_sampling`].
-    pub fn samples(&self) -> Option<&[crate::profile::Sample]> {
-        self.sampler
-            .as_deref()
-            .map(crate::profile::TimeSeries::samples)
-    }
-
-    /// The sample set as a run-report value; `None` until
-    /// [`World::enable_sampling`].
-    pub fn samples_value(&self) -> Option<serde::Value> {
-        self.sampler
-            .as_deref()
-            .map(crate::profile::TimeSeries::to_value)
+    /// The gauge sampler — its samples so far, oldest first, and the
+    /// section run reports embed; `None` until [`World::enable_sampling`].
+    pub fn sampler(&self) -> Option<&crate::profile::TimeSeries> {
+        self.sampler.as_deref()
     }
 
     /// Record a gauge sample if sampling is on and one is due at the
@@ -2130,6 +2120,10 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn invariants_json(w: &World) -> String {
+        serde_json::to_string(&w.invariant_report()).unwrap()
+    }
+
     /// Two LANs joined by one router.
     ///   lanA(10.0.1.0/24): alice(.10) -- r(.1)
     ///   lanB(10.0.2.0/24): r(.1) -- bob(.10)
@@ -2470,7 +2464,7 @@ mod tests {
             h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1);
         });
         w.run_until_idle(10_000);
-        assert!(!w.has_invariant_violations(), "{:?}", w.invariant_report());
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
         assert_eq!(w.invariants.in_flight(), 0);
     }
 
@@ -2500,7 +2494,7 @@ mod tests {
         w.run_until_idle(10_000);
         // Every frame is lost on the wire; the conservation monitor must
         // attribute the leaked packets to wire losses, not flag them.
-        assert!(!w.has_invariant_violations(), "{:?}", w.invariant_report());
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
     }
 
     #[test]
@@ -2519,7 +2513,7 @@ mod tests {
             h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1);
         });
         w.run_until_idle(10_000);
-        assert!(!w.has_invariant_violations(), "{:?}", w.invariant_report());
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
         // Three nodes saw traffic, threshold is 1 — the registry must
         // have collapsed into sketched mode mid-run.
         assert!(w.metrics.is_sketched());
@@ -2535,8 +2529,7 @@ mod tests {
             h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1);
         });
         w.run_until_idle(10_000);
-        let v = w.invariant_report();
-        let s = serde_json::to_string(&v).unwrap();
+        let s = invariants_json(&w);
         assert!(s.contains("\"ok\":true"), "{s}");
         assert!(s.contains("\"violations\":[]"), "{s}");
     }
@@ -2606,13 +2599,14 @@ mod tests {
         let names = w.node_names();
         let now = w.now();
         let snap = serde_json::to_string_pretty(&w.metrics.snapshot(&names, now)).unwrap();
+        let invariants = invariants_json(&w);
         (
             w.now(),
             w.trace.events().len(),
             w.scheduler_stats(),
             snap,
             w.segment_stats(SegmentId(0)),
-            serde_json::to_string(&w.invariant_report()).unwrap(),
+            invariants,
         )
     }
 

@@ -213,7 +213,7 @@ fn world_sampler_records_bounded_monotonic_gauges() {
     let (mut w, a) = ping_world();
     w.enable_sampling(SimDuration(50), 16);
     run_pings(&mut w, a, 64);
-    let samples = w.samples().expect("sampler enabled");
+    let samples = w.sampler().expect("sampler enabled").samples();
     assert!(!samples.is_empty(), "pings span several sample intervals");
     assert!(samples.len() <= 16, "cap respected: {}", samples.len());
     for pair in samples.windows(2) {
@@ -233,8 +233,7 @@ fn report_survives_json_round_trip() {
     with_profiling(|| {
         let (mut w, a) = ping_world();
         run_pings(&mut w, a, 4);
-        let value = profile::report_value(64);
-        let json = serde_json::to_string(&value).unwrap();
+        let json = serde_json::to_string(&profile::capture().capped(64)).unwrap();
         let parsed = serde_json::from_str(&json).unwrap();
         let report = profile::ProfileReport::from_value(&parsed).expect("parses back");
         assert!(!report.roots.is_empty());

@@ -1,17 +1,16 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders the [`serde`] shim's [`Value`] tree as JSON text, and parses
-//! JSON text back into a [`Value`] tree ([`from_str`]) — enough for tools
-//! that re-read the run reports the workspace emits. Strings are escaped
-//! per RFC 8259; non-finite floats render as `null` (matching upstream's
-//! behaviour for `Value::from(f64::NAN)`).
+//! [`to_string`] hands a value a fresh [`serde::JsonWriter`] and returns
+//! the compact text it wrote — strings escaped per RFC 8259, non-finite
+//! floats as `null`. [`to_string_pretty`] is that same text passed through
+//! one re-indent pass, so there is one renderer. [`from_str`] parses JSON
+//! text into a [`Value`] tree — enough for tools that re-read the run
+//! reports the workspace emits.
 
 pub use serde::Value;
 
-use std::fmt::Write as _;
-
-/// Serialization or parse error. Rendering is infallible; parsing reports
-/// the byte offset where the input stopped being JSON.
+/// Parse error: the byte offset where the input stopped being JSON.
+/// Rendering is infallible.
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -28,83 +27,67 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes `value` as a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    render(&value.to_value(), None, 0, &mut out);
-    Ok(out)
+    let mut w = serde::JsonWriter::new();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serializes `value` as pretty-printed JSON (2-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    render(&value.to_value(), Some(2), 0, &mut out);
-    Ok(out)
+    to_string(value).map(|compact| reindent(&compact))
 }
 
-fn render(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => escape_into(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                render(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                escape_into(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                render(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
-    if let Some(width) = indent {
+/// Re-indents compact JSON: a line per element and member, `": "` after
+/// keys, empty containers left closed. Compact text has no whitespace
+/// outside strings, so every structural byte met outside one is
+/// structure; strings are copied through whole.
+fn reindent(compact: &str) -> String {
+    fn newline(out: &mut String, depth: usize) {
         out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
+        out.extend(std::iter::repeat_n("  ", depth));
     }
+    let bytes = compact.as_bytes();
+    let mut out = String::with_capacity(compact.len() + compact.len() / 2);
+    let mut depth = 0usize;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        let next = i + 1;
+        match b {
+            b'"' => {
+                let mut end = next;
+                while bytes.get(end).is_some_and(|&c| c != b'"') {
+                    end += if bytes[end] == b'\\' { 2 } else { 1 };
+                }
+                let end = end.min(bytes.len() - 1);
+                out.push_str(&compact[i..=end]);
+                i = end;
+            }
+            b'{' | b'[' if matches!(bytes.get(next), Some(b'}' | b']')) => {
+                out.push_str(&compact[i..=next]);
+                i = next;
+            }
+            b'{' | b'[' => {
+                out.push(char::from(b));
+                depth += 1;
+                newline(&mut out, depth);
+            }
+            b'}' | b']' => {
+                depth = depth.saturating_sub(1);
+                newline(&mut out, depth);
+                out.push(char::from(b));
+            }
+            b',' => {
+                out.push(',');
+                newline(&mut out, depth);
+            }
+            b':' => out.push_str(": "),
+            // A number or literal: ASCII, so a `char` apiece is exact.
+            _ => out.push(char::from(b)),
+        }
+        i += 1;
+    }
+    out
 }
 
 /// Parses JSON text into a [`Value`] tree.
@@ -334,38 +317,49 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::FnStrategy;
 
     #[test]
     fn compact_and_pretty_agree_on_structure() {
         let v = Value::Object(vec![
             ("name".into(), Value::Str("a\"b".into())),
             ("xs".into(), Value::Array(vec![Value::U64(1), Value::Null])),
+            ("none".into(), Value::Object(vec![])),
+            (
+                "deep".into(),
+                Value::Array(vec![Value::Array(vec![]), Value::Object(vec![])]),
+            ),
         ]);
-        assert_eq!(to_string(&v).unwrap(), r#"{"name":"a\"b","xs":[1,null]}"#);
-        let pretty = to_string_pretty(&v).unwrap();
-        assert!(pretty.contains("\n  \"name\": \"a\\\"b\""));
-        assert!(pretty.ends_with('}'));
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"name":"a\"b","xs":[1,null],"none":{},"deep":[[],{}]}"#
+        );
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            r#"{
+  "name": "a\"b",
+  "xs": [
+    1,
+    null
+  ],
+  "none": {},
+  "deep": [
+    [],
+    {}
+  ]
+}"#
+        );
+        assert_eq!(to_string_pretty(&Value::Array(vec![])).unwrap(), "[]");
+        assert_eq!(to_string_pretty(&-7i64).unwrap(), "-7");
+        // Structural bytes inside a string are not structure.
+        assert_eq!(
+            to_string_pretty(&vec!["{[,:]}\\\""]).unwrap(),
+            "[\n  \"{[,:]}\\\\\\\"\"\n]"
+        );
     }
 
     #[test]
@@ -422,5 +416,133 @@ mod tests {
         );
         assert_eq!(from_str("-5").unwrap(), Value::I64(-5));
         assert_eq!(from_str("1e3").unwrap(), Value::F64(1000.0));
+    }
+
+    /// Splits JSON text into its string tokens (quotes included) and
+    /// everything else with whitespace dropped.
+    fn strings_and_structure(text: &str) -> (Vec<&str>, String) {
+        let bytes = text.as_bytes();
+        let (mut strings, mut structure) = (Vec::new(), String::new());
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'"' {
+                let start = i;
+                i += 1;
+                while bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                strings.push(&text[start..=i]);
+                structure.push('"');
+            } else if !bytes[i].is_ascii_whitespace() {
+                structure.push(char::from(bytes[i]));
+            }
+            i += 1;
+        }
+        (strings, structure)
+    }
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        const ALPHABET: [&str; 24] = [
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1}",
+            "\u{1f}",
+            "\u{7f}",
+            "{",
+            "}",
+            "[",
+            "]",
+            ",",
+            ":",
+            " ",
+            "/",
+            "a",
+            "Z",
+            "0",
+            "é",
+            "\u{2028}",
+            "字",
+            "\u{1F600}",
+        ];
+        (0..rng.below(9))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A tree of every node kind; containers may be empty at any depth.
+    fn arb_value(rng: &mut TestRng, depth: u32) -> Value {
+        let kinds = if depth == 0 { 6 } else { 8 };
+        match rng.below(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 0),
+            2 => Value::U64([0, 9, 10, 99, 100, u64::MAX, rng.next_u64()][rng.below(7) as usize]),
+            // Non-negative integers parse back as `U64`.
+            3 => Value::I64(
+                [-1, -10, i64::MIN, -((rng.next_u64() >> 1) as i64) - 1][rng.below(4) as usize],
+            ),
+            // Integral floats print without a point and parse back as
+            // integers, so stay off them below 2^64.
+            4 => Value::F64(
+                [
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.1,
+                    -2.5e-7,
+                    1e300,
+                    f64::MIN_POSITIVE,
+                    (rng.next_u64() >> 12) as f64 + 0.5,
+                ][rng.below(8) as usize],
+            ),
+            5 => Value::Str(arb_string(rng)),
+            6 => Value::Array(
+                (0..rng.below(4))
+                    .map(|_| arb_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..rng.below(4))
+                    .map(|_| (arb_string(rng), arb_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// What `v` reads back as: non-finite floats were written as `null`.
+    fn as_parsed(v: &Value) -> Value {
+        match v {
+            Value::F64(x) if !x.is_finite() => Value::Null,
+            Value::Array(items) => Value::Array(items.iter().map(as_parsed).collect()),
+            Value::Object(fields) => Value::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), as_parsed(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rendered_trees_round_trip_compact_and_pretty(
+            v in FnStrategy(|rng: &mut TestRng| arb_value(rng, 4)),
+        ) {
+            let compact = to_string(&v).unwrap();
+            let pretty = to_string_pretty(&v).unwrap();
+            prop_assert_eq!(from_str(&compact).unwrap(), as_parsed(&v));
+            prop_assert_eq!(from_str(&pretty).unwrap(), as_parsed(&v));
+            // Re-indenting adds whitespace between tokens and nothing else:
+            // every string survives byte for byte.
+            let (strings, structure) = strings_and_structure(&pretty);
+            prop_assert_eq!(strings, strings_and_structure(&compact).0);
+            prop_assert_eq!(structure, strings_and_structure(&compact).1);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! recorder's enable flag is process-wide and `tests/runner.rs` compares
 //! run reports that must never see it on.
 
-use bench::experiments::{pool_map, runner_telemetry_value};
+use bench::experiments::{pool_map, runner_telemetry};
 use serde_json::Value;
 
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
@@ -23,9 +23,9 @@ fn uint(v: &Value) -> u64 {
 
 #[test]
 fn every_profiled_call_records_one_batch_listing_every_runner() {
-    assert_eq!(runner_telemetry_value(), None, "recorder off: nothing kept");
+    assert_eq!(runner_telemetry(), [], "recorder off: nothing kept");
     pool_map(vec![|| 0u8], 1);
-    assert_eq!(runner_telemetry_value(), None, "recorder off: nothing kept");
+    assert_eq!(runner_telemetry(), [], "recorder off: nothing kept");
 
     netsim::profile::set_enabled(true);
     // The empty batch is the deterministic zero-job runner: the caller
@@ -41,8 +41,10 @@ fn every_profiled_call_records_one_batch_listing_every_runner() {
     for (call, (jobs, asked, threads)) in shapes.into_iter().enumerate() {
         let got = pool_map((0..jobs).map(|i| move || i).collect(), asked);
         assert_eq!(got, (0..jobs).collect::<Vec<_>>());
-        let Some(Value::Array(batches)) = runner_telemetry_value() else {
-            panic!("recorder on: batches kept");
+        // As the `runner` section of a run report reads.
+        let section = serde_json::to_string(&runner_telemetry()).expect("renders");
+        let Ok(Value::Array(batches)) = serde_json::from_str(&section) else {
+            panic!("recorder on: batches kept, got {section}");
         };
         assert_eq!(batches.len(), call + 1, "one batch per call");
         let batch = &batches[call];

@@ -28,7 +28,7 @@ fn fingerprint(shards: usize, params: &ScaleParams, churn: &ChurnParams) -> (Str
     set_default_shards(shards);
     let (mut w, ix) = build_world(params);
     let stats = run_churn(&mut w, &ix, churn);
-    let snap = serde_json::to_string(&report::world_snapshot(&w)).expect("serialize snapshot");
+    let snap = report::world_snapshot(&w);
     (snap, format!("{stats:?}"))
 }
 

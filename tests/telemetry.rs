@@ -117,14 +117,14 @@ fn invariant_monitoring_leaves_default_report_bytes_untouched() {
     let (mut w1, a1) = ping_world();
     w1.enable_metrics();
     drive(&mut w1, a1);
-    let plain = serde_json::to_string(&bench::report::world_snapshot(&w1)).unwrap();
+    let plain = bench::report::world_snapshot(&w1);
 
     let (mut w2, a2) = ping_world();
     w2.enable_metrics();
     w2.enable_invariants();
     drive(&mut w2, a2);
     assert!(!w2.has_invariant_violations());
-    let monitored = serde_json::to_string(&bench::report::world_snapshot(&w2)).unwrap();
+    let monitored = bench::report::world_snapshot(&w2);
 
     assert_eq!(plain, monitored);
     assert!(!monitored.contains("\"sampling\""));
@@ -216,7 +216,7 @@ fn sampled_snapshot(seed: u64, rate: u64) -> String {
         ..TelemetryConfig::default()
     });
     drive(&mut w, a);
-    serde_json::to_string(&bench::report::world_snapshot(&w)).unwrap()
+    bench::report::world_snapshot(&w)
 }
 
 proptest! {
