@@ -978,4 +978,32 @@ mod tests {
             .arp_lookup(0, asker_ip, w.now())
             .is_none());
     }
+
+    /// A packet that fits the MTU and whose next hop is resolved costs the
+    /// IP layer its frame buffer (the bytes and the `Bytes` handle that
+    /// shares them with the wire) and nothing else: no fragment list, no
+    /// header clone.
+    #[test]
+    fn an_unfragmented_send_allocates_only_its_frame_buffer() {
+        let mut w = World::new(1);
+        let lan = w.add_segment(LinkConfig::lan());
+        let [a, b] = ["a", "b"].map(|n| w.add_host(HostConfig::conventional(n)));
+        w.attach(a, lan, Some("10.0.0.1/24"));
+        w.attach(b, lan, Some("10.0.0.2/24"));
+        let (src, dst) = ("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap());
+        // Resolve the next hop, then take the other costs of a send out of
+        // the reading: the trace's amortized growth is its own to pin, and
+        // with the peer unplugged the wire schedules no delivery event.
+        w.host_do(a, |h, ctx| h.send_ping(ctx, src, dst, 1));
+        w.run_until_idle(1_000);
+        w.trace.set_enabled(false);
+        w.detach(b, 0);
+        let pkt = Ipv4Packet::new(src, dst, IpProtocol::Udp, Bytes::from(vec![7; 1400]));
+        let allocs = w.host_do(a, |h, ctx| {
+            let (before, _) = thread_allocations();
+            h.send_ip(ctx, pkt, TxMeta::default());
+            thread_allocations().0 - before
+        });
+        assert_eq!(allocs, 2, "frame bytes + their shared handle");
+    }
 }

@@ -231,23 +231,41 @@ impl Nic {
         kind: TraceEventKind,
     ) {
         let mtu = self.ifaces[iface].mtu;
+        if pkt.wire_len() <= mtu {
+            // The common case by far: no fragment list, no header clone.
+            self.send_fitting(ctx, iface, next_hop, pkt, kind);
+            return;
+        }
         let Some(frags) = pkt.fragment(mtu) else {
             ctx.trace_packet(TraceEventKind::Dropped(DropReason::MtuExceeded), &pkt);
             return;
         };
         for frag in frags {
-            match next_hop {
-                NextHop::Broadcast => {
-                    self.emit(ctx, iface, MacAddr::BROADCAST, &frag, kind);
-                }
-                NextHop::Multicast(group) => {
-                    self.emit(ctx, iface, MacAddr::for_ipv4_multicast(group), &frag, kind);
-                }
-                NextHop::Unicast(nh) => match self.lookup_arp(iface, nh, ctx.now) {
-                    Some(mac) => self.emit(ctx, iface, mac, &frag, kind),
-                    None => self.queue_pending(ctx, iface, nh, frag, kind),
-                },
+            self.send_fitting(ctx, iface, next_hop, frag, kind);
+        }
+    }
+
+    /// Resolve `next_hop` to a MAC and emit `pkt`, which fits the MTU; an
+    /// unresolved unicast hop parks it behind an ARP request.
+    fn send_fitting(
+        &mut self,
+        ctx: &mut NetCtx,
+        iface: IfaceNo,
+        next_hop: NextHop,
+        pkt: Ipv4Packet,
+        kind: TraceEventKind,
+    ) {
+        match next_hop {
+            NextHop::Broadcast => {
+                self.emit(ctx, iface, MacAddr::BROADCAST, &pkt, kind);
             }
+            NextHop::Multicast(group) => {
+                self.emit(ctx, iface, MacAddr::for_ipv4_multicast(group), &pkt, kind);
+            }
+            NextHop::Unicast(nh) => match self.lookup_arp(iface, nh, ctx.now) {
+                Some(mac) => self.emit(ctx, iface, mac, &pkt, kind),
+                None => self.queue_pending(ctx, iface, nh, pkt, kind),
+            },
         }
     }
 

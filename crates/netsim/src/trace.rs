@@ -20,6 +20,7 @@
 //! needs heuristic pairing.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::NodeId;
 use crate::time::SimTime;
@@ -343,6 +344,44 @@ type PacketKey = (Ipv4Addr, Ipv4Addr, IpProtocol, u16);
 /// innermost protocol.
 type FlowKey = (Ipv4Addr, Ipv4Addr, IpProtocol);
 
+/// Hasher of the identity tables: integer fields fold into one word and
+/// [`crate::telemetry::hash64`] finalizes it. The keys come from packets
+/// the simulation built itself, never from outside the program, so they
+/// need no per-process random key — and a fixed one costs a few
+/// multiplies where SipHash over a four-field tuple was the largest part
+/// of a trace record. The tables are never iterated, so the hasher cannot
+/// show in any output.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+type IdentityMap<K, V> = HashMap<K, V, BuildHasherDefault<IdentityHasher>>;
+
+impl Hasher for IdentityHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+    fn finish(&self) -> u64 {
+        crate::telemetry::hash64(self.0)
+    }
+}
+
 /// Per-packet bookkeeping that outlives the event ring buffer, so causal
 /// links and overhead deltas survive shedding.
 #[derive(Debug, Clone, Copy)]
@@ -460,17 +499,17 @@ pub struct PacketTrace {
     /// Current id for each header identity seen in the world. A transform
     /// re-points the child's key at a fresh id, so the same wire identity
     /// observed after the transform belongs to the new causal node.
-    ids: HashMap<PacketKey, PacketId>,
-    /// Causal bookkeeping per id. Survives ring shedding (it is bounded by
-    /// distinct packets, not events), so parent links outlive the window.
-    meta: HashMap<PacketId, PacketMeta>,
+    ids: IdentityMap<PacketKey, PacketId>,
+    /// Causal bookkeeping per id, indexed by it: ids are minted densely
+    /// from `meta.len()`. Survives ring shedding (it is bounded by distinct
+    /// packets, not events), so parent links outlive the window.
+    meta: Vec<PacketMeta>,
     /// Conversation registry.
-    flows: HashMap<FlowKey, FlowId>,
+    flows: IdentityMap<FlowKey, FlowId>,
     /// Last packet each logical endpoint contributed to each flow — the
     /// presumed parent of a retransmission, which arrives with a fresh
     /// ident and no explicit parent packet.
-    last_in_flow: HashMap<(FlowId, Ipv4Addr), PacketId>,
-    next_packet: u64,
+    last_in_flow: IdentityMap<(FlowId, Ipv4Addr), PacketId>,
     next_flow: u64,
     /// Head-based flow sampling: `Some((n, seed))` records 1-in-n flows
     /// in full (decided by a stateless seeded hash of the [`FlowId`], so
@@ -605,6 +644,7 @@ impl PacketTrace {
         if !self.enabled {
             return;
         }
+        let _prof = crate::profile::scope("trace/record");
         let packet = PacketSummary::of(pkt);
         let (packet_id, flow_id, parent_id) = self.ids_for(&packet);
         if matches!(kind, TraceEventKind::Dropped(_)) {
@@ -642,6 +682,7 @@ impl PacketTrace {
         if !self.enabled {
             return;
         }
+        let _prof = crate::profile::scope("trace/record");
         let child_summary = PacketSummary::of(child);
         let parent_id = match parent {
             Some(p) => {
@@ -654,8 +695,8 @@ impl PacketTrace {
                 self.last_in_flow.get(&(flow, src)).copied()
             }
         };
-        let flow_id = match parent_id.and_then(|p| self.meta.get(&p)) {
-            Some(m) => m.flow,
+        let flow_id = match parent_id {
+            Some(p) => self.meta[p.0 as usize].flow,
             None => self.flow_for(&child_summary),
         };
         let packet_id = self.alloc_packet(&child_summary, flow_id, parent_id);
@@ -682,12 +723,12 @@ impl PacketTrace {
     /// The parent of `id` in the causal tree, if it was produced by a
     /// transform. Answered from bookkeeping that survives ring shedding.
     pub fn parent_of(&self, id: PacketId) -> Option<PacketId> {
-        self.meta.get(&id).and_then(|m| m.parent)
+        self.meta_of(id).and_then(|m| m.parent)
     }
 
     /// The flow `id` belongs to, from bookkeeping that survives shedding.
     pub fn flow_of(&self, id: PacketId) -> Option<FlowId> {
-        self.meta.get(&id).map(|m| m.flow)
+        self.meta_of(id).map(|m| m.flow)
     }
 
     /// Wire length of `id` when it was first observed — the pre-transform
@@ -695,7 +736,7 @@ impl PacketTrace {
     /// makes `child.wire_len - first_wire_len(parent)` the header bytes a
     /// layer added.
     pub fn first_wire_len(&self, id: PacketId) -> Option<usize> {
-        self.meta.get(&id).map(|m| m.wire_len)
+        self.meta_of(id).map(|m| m.wire_len)
     }
 
     /// Distinct packets the trace has identified since the last clear.
@@ -703,11 +744,17 @@ impl PacketTrace {
         self.meta.len()
     }
 
+    /// Bookkeeping of an id a caller hands back (possibly stale, from
+    /// before a [`PacketTrace::clear`]).
+    fn meta_of(&self, id: PacketId) -> Option<&PacketMeta> {
+        self.meta.get(usize::try_from(id.0).ok()?)
+    }
+
     /// Current id and flow for the packet `summary` describes, allocating
     /// both on first sight.
     fn ids_for(&mut self, summary: &PacketSummary) -> (PacketId, FlowId, Option<PacketId>) {
         if let Some(&id) = self.ids.get(&summary.flow_key()) {
-            let m = self.meta[&id];
+            let m = self.meta[id.0 as usize];
             return (id, m.flow, m.parent);
         }
         let flow = self.flow_for(summary);
@@ -740,17 +787,13 @@ impl PacketTrace {
         flow: FlowId,
         parent: Option<PacketId>,
     ) -> PacketId {
-        let id = PacketId(self.next_packet);
-        self.next_packet += 1;
+        let id = PacketId(self.meta.len() as u64);
         self.ids.insert(summary.flow_key(), id);
-        self.meta.insert(
-            id,
-            PacketMeta {
-                flow,
-                parent,
-                wire_len: summary.wire_len,
-            },
-        );
+        self.meta.push(PacketMeta {
+            flow,
+            parent,
+            wire_len: summary.wire_len,
+        });
         let (src, _) = summary.logical_endpoints();
         self.last_in_flow.insert((flow, src), id);
         id
@@ -782,7 +825,6 @@ impl PacketTrace {
         self.meta.clear();
         self.flows.clear();
         self.last_in_flow.clear();
-        self.next_packet = 0;
         self.next_flow = 0;
         self.promoted.clear();
         self.suppressed_events = 0;

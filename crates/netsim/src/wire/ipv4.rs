@@ -577,11 +577,12 @@ impl Reassembler {
             buf.pieces.push((off, pkt.payload));
         }
         let total = buf.total_len?;
-        // Check contiguous coverage of [0, total).
-        let mut pieces = buf.pieces.clone();
-        pieces.sort_by_key(|(o, _)| *o);
+        // Check contiguous coverage of [0, total). Sorted in place: the
+        // duplicate check above does not depend on the order, and a stable
+        // sort keeps equal offsets in arrival order however often it runs.
+        buf.pieces.sort_by_key(|(o, _)| *o);
         let mut covered = 0usize;
-        for (o, p) in &pieces {
+        for (o, p) in &buf.pieces {
             if *o > covered {
                 return None; // hole
             }
@@ -593,7 +594,7 @@ impl Reassembler {
         // Complete: splice the payload together.
         let buf = self.bufs.remove(&key).unwrap();
         let mut payload = vec![0u8; total];
-        for (o, p) in pieces {
+        for (o, p) in buf.pieces {
             let end = (o + p.len()).min(total);
             payload[o..end].copy_from_slice(&p[..end - o]);
         }

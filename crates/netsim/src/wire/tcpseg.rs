@@ -137,8 +137,16 @@ impl TcpSegment {
 
     /// Serialize; the checksum covers the pseudo-header of `src`/`dst`.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        self.emit_over(src, dst, &[&self.payload])
+    }
+
+    /// Serialize this segment's header over a payload gathered from `parts`
+    /// in order (`self.payload` is not read): a sender copies its data once,
+    /// from wherever it is queued — a ring buffer's two halves, say — into
+    /// the wire buffer.
+    pub fn emit_over(&self, src: Ipv4Addr, dst: Ipv4Addr, parts: &[&[u8]]) -> Vec<u8> {
         let hlen = self.header_len();
-        let total = self.wire_len();
+        let total = hlen + parts.iter().map(|p| p.len()).sum::<usize>();
         let mut buf = Vec::with_capacity(total);
         buf.extend_from_slice(&self.src_port.to_be_bytes());
         buf.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -154,7 +162,9 @@ impl TcpSegment {
             buf.push(4); // length
             buf.extend_from_slice(&mss.to_be_bytes());
         }
-        buf.extend_from_slice(&self.payload);
+        for part in parts {
+            buf.extend_from_slice(part);
+        }
         let seed = pseudo_header_sum(src, dst, IpProtocol::Tcp, total as u16);
         let ck = internet_checksum(&buf, seed);
         buf[16..18].copy_from_slice(&ck.to_be_bytes());

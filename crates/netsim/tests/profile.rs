@@ -84,6 +84,7 @@ fn simulation_scopes_aggregate_into_tree() {
             "link/transmit",
             "router/forward",
             "host/rx",
+            "trace/record",
         ] {
             assert!(
                 names.contains(&expected),

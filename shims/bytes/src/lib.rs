@@ -109,7 +109,10 @@ impl Bytes {
         head
     }
 
-    /// The view as a plain slice.
+    /// The view as a plain slice. `#[inline]`: parsers index a `Bytes` a
+    /// header byte at a time through `Deref`, and without the hint each of
+    /// those reads is a call into this crate.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match &self.data {
             Some(data) => &data[self.start as usize..self.end as usize],
@@ -125,6 +128,7 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
