@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! exp_scale [--hosts N] [--seed S] [--handoffs N] [--flash N] [--rereg N]
-//!           [--correspondents N] [--shards N] [--sample-flows N] [--topk K]
-//!           [--profile]
+//!           [--correspondents N] [--sample-flows N] [--topk K] [--profile]
 //! ```
 //!
 //! `--correspondents N` adds the policy miss storm: one mobile's method
@@ -15,7 +14,7 @@
 //! The printed table and the emitted run report contain only deterministic
 //! quantities; wall-clock build time, per-host steady-state memory (from
 //! the counting allocator's live-byte gauge), and churn throughput go to
-//! stderr, keeping reports byte-comparable across shard counts and runs.
+//! stderr, keeping reports byte-comparable across machines and runs.
 
 use std::time::Instant;
 

@@ -85,7 +85,6 @@ fn run(args: &[String]) -> Result<(), String> {
             print!("{}", report.render_tree());
             print_counters(&report);
             print_runner(&doc);
-            print_shards(&doc);
         }
         Mode::Hot(top) => {
             print!("{}", report.render_hot(top));
@@ -129,42 +128,6 @@ fn print_counters(report: &ProfileReport) {
     println!("counters:");
     for (name, v) in interesting {
         println!("  {name:<24} {v}");
-    }
-}
-
-/// Render each snapshot's per-shard scheduler counters (present only when
-/// the run was sharded via `--shards` / `NETSIM_SHARDS`): how far each
-/// shard got, how often its horizon stalled it, and how much traffic
-/// crossed its borders — the quickest way to judge a partitioning — and
-/// why a world asked for shards ran on one thread instead, if it did.
-fn print_shards(doc: &Value) {
-    let Some(Value::Object(snapshots)) = get(doc, "snapshots") else {
-        return;
-    };
-    for (label, snap) in snapshots {
-        let sched = get(snap, "scheduler");
-        let shards = sched.and_then(|s| get(s, "shards"));
-        let why = sched.and_then(|s| get(s, "shard_degradation"));
-        if shards.is_none() && why.is_none() {
-            continue;
-        }
-        println!("shards ({label}):");
-        if let Some(Value::Array(shards)) = shards {
-            for (ix, sh) in shards.iter().enumerate() {
-                let f = |k| get(sh, k).and_then(as_u64).unwrap_or(0);
-                println!(
-                    "  shard {ix}: {:>8} events  {:>6} windows  {:>5} stalls  msgs in/out {}/{}",
-                    f("events"),
-                    f("windows"),
-                    f("stalls"),
-                    f("msgs_in"),
-                    f("msgs_out"),
-                );
-            }
-        }
-        if let Some(Value::Str(why)) = why {
-            println!("  degraded to in-order dispatch on one thread: {why}");
-        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! only deterministic quantities (counts and simulated time); wall-clock
 //! build/run rates and per-host memory are measured by the `exp_scale`
 //! binary and printed to stderr, so run reports stay byte-comparable
-//! across machines and shard counts.
+//! across machines.
 
 use crate::scale::{build_world, run_churn, ChurnParams, ChurnStats, ScaleIndex, ScaleParams};
 use crate::util::Table;

@@ -160,17 +160,6 @@ pub fn world_snapshot(world: &World) -> String {
                 w.object(|w| {
                     w.field("stats", &world.scheduler_stats());
                     w.field("telemetry", &world.scheduler_telemetry());
-                    // Per-shard progress counters, present only when the world
-                    // actually partitioned: events dispatched, windows joined,
-                    // horizon stalls, and cross-border message traffic per shard.
-                    if let Some(stats) = world.shard_stats() {
-                        w.field("shards", stats);
-                    }
-                    // A world asked for shards that runs the inline loop on one
-                    // thread instead says so here, not only once on stderr.
-                    if let Some(why) = world.shard_degradation() {
-                        w.field("shard_degradation", why);
-                    }
                 });
                 if let Some(sampler) = world.sampler() {
                     w.field("profile_samples", sampler);

@@ -15,12 +15,10 @@
 //! every observed world receives — head-based flow sampling, heavy-hitter
 //! sketches, and the online invariant monitors' report section.
 //!
-//! Sharded execution is opt-in per process: `--shards N` /
-//! `NETSIM_SHARDS=N` makes every subsequently built world partition
-//! itself into up to `N` conservatively synchronized shards. Output is
-//! byte-identical to a serial run, so the flag is safe on any
-//! experiment; per-shard counters land in the profile-gated `scheduler`
-//! report section.
+//! `--shards N` / `NETSIM_SHARDS=N` selected an engine that no longer
+//! exists. For one release they are still parsed (a malformed value is
+//! still an error) and answered with one line on stderr; nothing below
+//! this module learns the number (see `shards_notice`).
 
 use std::path::Path;
 
@@ -59,10 +57,19 @@ fn env_u64(name: &str) -> Option<u64> {
 /// `<bin>: <flag> needs a non-negative integer, got <value>` and status 2.
 pub fn u64_knob(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
-    flag_u64(&args, flag).unwrap_or_else(|complaint| {
-        let bin = args.first().map(Path::new).and_then(Path::file_name);
-        let bin = bin.map_or("bench".into(), |b| b.to_string_lossy());
-        eprintln!("{bin}: {complaint}");
+    or_exit(&args, flag_u64(&args, flag))
+}
+
+/// What stderr lines are prefixed with: the file name of `argv[0]`.
+fn bin_name(args: &[String]) -> String {
+    let bin = args.first().map(Path::new).and_then(Path::file_name);
+    bin.map_or("bench".into(), |b| b.to_string_lossy().into_owned())
+}
+
+/// The parsed value, or its complaint on stderr and exit status 2.
+fn or_exit<T>(args: &[String], parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|complaint| {
+        eprintln!("{}: {complaint}", bin_name(args));
         std::process::exit(2)
     })
 }
@@ -98,14 +105,19 @@ pub fn telemetry_requested() -> Option<TelemetryConfig> {
     any.then_some(cfg)
 }
 
-/// The shard count for sharded world execution: the `--shards N` flag
-/// wins over the `NETSIM_SHARDS` environment variable. `None` when
-/// neither is present (worlds run serially, today's default).
-pub fn shards_requested() -> Option<usize> {
-    u64_knob("--shards")
-        .or_else(|| env_u64("NETSIM_SHARDS"))
-        .map(|n| n as usize)
-        .filter(|&n| n >= 1)
+/// What a process that asks for shards is told, once, on stderr after
+/// its `<bin>: ` prefix: `None` when it did not ask, the flag's complaint
+/// when `--shards` has no usable value. The flag is named over the
+/// `NETSIM_SHARDS` environment variable (`env_set`) when both are there.
+fn shards_notice(args: &[String], env_set: bool) -> Result<Option<String>, String> {
+    let knob = match flag_u64(args, "--shards")? {
+        Some(_) => "--shards",
+        None if env_set => "NETSIM_SHARDS",
+        None => return Ok(None),
+    };
+    Ok(Some(format!(
+        "{knob} is ignored: the sharded engine was removed (README, \"One engine\")"
+    )))
 }
 
 /// Run an experiment binary body under the standard harness: report
@@ -117,8 +129,10 @@ pub fn run(name: &'static str, f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
     if let Some(cfg) = telemetry_requested() {
         report::set_telemetry_config(cfg);
     }
-    if let Some(n) = shards_requested() {
-        netsim::set_default_shards(n);
+    let args: Vec<String> = std::env::args().collect();
+    let env_set = std::env::var_os("NETSIM_SHARDS").is_some();
+    if let Some(notice) = or_exit(&args, shards_notice(&args, env_set)) {
+        eprintln!("{}: {notice}", bin_name(&args));
     }
     let profiling = profile_requested();
     if profiling {
@@ -161,7 +175,7 @@ fn export_chrome_if_asked(name: &str) {
 
 #[cfg(test)]
 mod tests {
-    use super::flag_u64;
+    use super::{flag_u64, shards_notice};
 
     fn argv(s: &str) -> Vec<String> {
         s.split(' ').map(String::from).collect()
@@ -184,5 +198,28 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn asking_for_shards_is_answered_with_a_notice_and_nothing_else() {
+        let notice = |knob: &str| {
+            Ok(Some(format!(
+                "{knob} is ignored: the sharded engine was removed (README, \"One engine\")"
+            )))
+        };
+        assert_eq!(shards_notice(&argv("bin --profile"), false), Ok(None));
+        assert_eq!(
+            shards_notice(&argv("bin --shards 4"), false),
+            notice("--shards")
+        );
+        assert_eq!(
+            shards_notice(&argv("bin --shards 0"), true),
+            notice("--shards")
+        );
+        assert_eq!(shards_notice(&argv("bin"), true), notice("NETSIM_SHARDS"));
+        assert_eq!(
+            shards_notice(&argv("bin --shards two"), true),
+            Err("--shards needs a non-negative integer, got two".into())
+        );
     }
 }

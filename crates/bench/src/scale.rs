@@ -23,10 +23,6 @@
 //! `World::compute_routes` (per-node Dijkstra) is never called, which is
 //! what makes a 10⁵-host build affordable.
 //!
-//! Every segment has positive latency, so the PR-8 partitioner is free to
-//! shard the world along any domain border; sharded runs stay
-//! byte-identical to serial ones.
-//!
 //! [`run_churn`] then drives the three mass-churn workloads the paper's
 //! machinery has to survive at scale: handoff storms (movers re-plug into
 //! a neighbouring stub, re-address, announce, and resume traffic), flash
@@ -208,7 +204,7 @@ pub fn build_world(params: &ScaleParams) -> (World, ScaleIndex) {
         "stub id space overflows into the home prefix"
     );
 
-    let mut w = World::with_shards(params.seed, netsim::default_shards());
+    let mut w = World::new(params.seed);
     w.reserve(
         params.total_nodes(),
         2 + params.backbones + params.total_stubs(),

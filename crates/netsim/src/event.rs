@@ -77,8 +77,8 @@ pub struct Event {
     /// Deterministic tie-break key. For events pushed through
     /// [`EventQueue::push`] this is an insertion sequence number; the world
     /// instead supplies *lane keys* ([`lane_key`]) derived from the pushing
-    /// entity, so the same-timestamp order is identical no matter which
-    /// shard's queue an event was pushed into.
+    /// entity, so the same-timestamp order does not depend on the order the
+    /// pushes were made in.
     pub seq: u64,
     /// What fires.
     pub kind: EventKind,
@@ -86,20 +86,19 @@ pub struct Event {
 
 // ---- lane keys ---------------------------------------------------------------
 //
-// Sharded execution dispatches same-timestamp events in `(time, key)` order,
-// merged across shards. A globally incrementing push counter cannot supply
-// the key — push order is not reproducible once shards run concurrently — so
-// the world derives keys from the *pushing entity* instead: every node and
-// every segment owns a monotone counter, and a key is `(lane << 40) | seq`.
-// An entity is dispatched by exactly one shard, so its counter advances in
-// the same order serially and sharded, making keys (and therefore the merged
-// dispatch order) byte-identical across execution modes.
+// The world dispatches same-timestamp events in `(time, key)` order, with
+// keys derived from the *pushing entity* instead of a global push counter:
+// every node and every segment owns a monotone counter, and a key is
+// `(lane << 40) | seq`. An entity's counter advances with that entity's own
+// activity only, so the order within a batch is a function of the topology
+// and the traffic, not of how handlers happened to interleave their pushes
+// — and it is the order every committed table and report was produced
+// under.
 
 /// Bits reserved for the per-lane sequence counter.
 pub const LANE_SEQ_BITS: u32 = 40;
 
-/// Lane of world-level pushes ([`crate::world::World::poll_soon`] and
-/// friends), which only ever happen on the coordinating thread.
+/// Lane for pushes made on behalf of no node or segment.
 pub const LANE_EXTERNAL: u64 = 0;
 
 /// Lane owned by node `n` (timers it sets for itself).
@@ -117,22 +116,6 @@ pub fn lane_key(lane: u64, seq: u64) -> u64 {
     debug_assert!(lane < (1 << (64 - LANE_SEQ_BITS)), "lane overflow");
     debug_assert!(seq < (1 << LANE_SEQ_BITS), "lane sequence overflow");
     (lane << LANE_SEQ_BITS) | seq
-}
-
-/// Anything events can be scheduled into. [`crate::link::Segment::transmit`]
-/// is generic over this so delivery events can go to a single queue (serial
-/// execution), the dispatching shard's own queue, or be routed to each
-/// receiver's shard queue when a border transmission is applied at a
-/// synchronization barrier.
-pub trait EventSink {
-    /// Schedule `kind` at `at` with the explicit tie-break `key`.
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind);
-}
-
-impl EventSink for EventQueue {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        EventQueue::push_keyed(self, at, key, kind);
-    }
 }
 
 impl PartialEq for Event {
@@ -506,40 +489,6 @@ impl Wheel {
         }
     }
 
-    /// Read-only lower bound on the earliest queued entry's time, without
-    /// advancing the cursor or reaping tombstones. Cancelled entries still
-    /// count — they can only make the bound *earlier*, which conservative
-    /// horizon computation tolerates (a too-small horizon stalls progress
-    /// for a window, never corrupts it; the next `pop_batch_until` reaps
-    /// the tombstones and the bound recovers).
-    ///
-    /// Exactness: within the wheel, occupied levels are strictly ordered in
-    /// time (an entry files at the level of its xor distance from the
-    /// cursor, so higher levels hold strictly later windows), level-0
-    /// buckets hold a single timestamp, and a coarse bucket's minimum is
-    /// found by scanning its entries. Overflow entries sort after all wheel
-    /// entries.
-    fn min_time(&self) -> Option<u64> {
-        if let Some(front) = self.ready.front() {
-            debug_assert_eq!(front.at, self.ready_at);
-            return Some(self.ready_at);
-        }
-        if let Some(s) = self.first_slot(0) {
-            return Some((self.cursor & !(SLOTS as u64 - 1)) | s as u64);
-        }
-        for l in 1..LEVELS {
-            if let Some(s) = self.first_slot(l) {
-                let min = self.slots[l * SLOTS + s]
-                    .iter()
-                    .map(|e| e.at)
-                    .min()
-                    .expect("occupied bucket is non-empty");
-                return Some(min);
-            }
-        }
-        self.overflow.peek().map(|HeapEntry(e)| e.at)
-    }
-
     /// Lowest occupied bucket index at level `l`.
     fn first_slot(&self, l: usize) -> Option<usize> {
         for (w, &bits) in self.occupied[l].iter().enumerate() {
@@ -757,8 +706,7 @@ impl EventQueue {
 
     /// Schedule `kind` at `at` with an explicit tie-break key (see
     /// [`lane_key`]). The world uses this exclusively: entity-derived keys
-    /// make same-timestamp order independent of push order, which is what
-    /// lets sharded runs reproduce serial runs byte for byte. Do not mix
+    /// make same-timestamp order independent of push order. Do not mix
     /// with [`EventQueue::push`] on the same queue — the internal counter
     /// and lane keys share one ordering space.
     pub fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
@@ -856,47 +804,6 @@ impl EventQueue {
         }
     }
 
-    /// Read-only lower bound on the next event's time, tombstones included
-    /// (they can only make the bound earlier — see the wheel's `min_time`).
-    /// Unlike [`EventQueue::peek_time`] this never commits the backend to
-    /// anything, so events may still be scheduled at any time `>=` the last
-    /// dispatched batch afterwards. The sharded run loop's horizon probe.
-    pub fn min_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Wheel(w) => w.min_time().map(SimTime),
-            Backend::Heap(h) => h.peek().map(|HeapEntry(e)| SimTime(e.at)),
-        }
-    }
-
-    /// Time and tie-break key of the next event, **if** it is due at or
-    /// before `limit`; `None` otherwise. Normalization is bounded by
-    /// `limit`, so the queue is only ever committed to times the caller has
-    /// already resolved to dispatch — pushing events after `limit` settles
-    /// stays legal. Used to merge the heads of several shard queues in
-    /// exact `(time, key)` order.
-    pub fn peek_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
-        match &mut self.backend {
-            Backend::Wheel(w) => {
-                let t = w.next_batch_time(limit.0, &mut self.slab)?;
-                let front = w.ready.front().expect("normalized queue has a front");
-                Some((SimTime(t), front.seq))
-            }
-            Backend::Heap(h) => loop {
-                match h.peek() {
-                    None => return None,
-                    Some(HeapEntry(e)) => match e.handle {
-                        Some(hd) if self.slab.is_cancelled(hd) => {
-                            self.slab.release(hd);
-                            h.pop();
-                        }
-                        _ if e.at > limit.0 => return None,
-                        _ => return Some((SimTime(e.at), e.seq)),
-                    },
-                }
-            },
-        }
-    }
-
     /// Drain every event currently queued at the earliest timestamp into
     /// `buf` (in seq order), **if** that timestamp is `<= deadline`, and
     /// return it. One peek decides the deadline and the whole batch moves
@@ -988,14 +895,6 @@ impl EventQueue {
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Number of cancellable-timer slab slots currently allocated. A
-    /// conservative over-count (tombstoned-but-unreaped entries are
-    /// included); zero guarantees no outstanding [`TimerHandle`] refers
-    /// to this queue's slab.
-    pub(crate) fn live_cancellable(&self) -> usize {
-        self.slab.entries.len() - self.slab.free.len()
     }
 
     /// Activity counters since creation.
@@ -1209,39 +1108,6 @@ mod tests {
             q.push_keyed(t, lane_key(LANE_EXTERNAL, 0), timer_event(0, 0));
             // External lane 0 < segment 0 lane < node 3 lane.
             assert_eq!(drain_tokens(&mut q), vec![0, 1, 2, 7]);
-        }
-    }
-
-    #[test]
-    fn min_time_is_read_only_and_conservative() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            assert_eq!(q.min_time(), None);
-            // Far apart so they land on different wheel levels.
-            q.push(SimTime(70_000), timer_event(0, 2));
-            q.push(SimTime(300), timer_event(0, 1));
-            let h = q.push_cancellable(SimTime(5), timer_event(0, 0));
-            assert_eq!(q.min_time(), Some(SimTime(5)));
-            q.cancel(h);
-            // Tombstone still counts: a conservative (earlier) bound.
-            assert!(q.min_time().unwrap() <= SimTime(300));
-            // Scheduling earlier than the reported bound stays legal.
-            q.push(SimTime(2), timer_event(0, 9));
-            assert_eq!(q.min_time(), Some(SimTime(2)));
-            assert_eq!(drain_tokens(&mut q), vec![9, 1, 2]);
-        }
-    }
-
-    #[test]
-    fn peek_until_bounds_commitment() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            q.push_keyed(SimTime(1000), 42, timer_event(0, 1));
-            assert_eq!(q.peek_until(SimTime(999)), None);
-            // Probing commits at most up to the limit: pushing at or past
-            // the probed horizon stays legal, and peeking never dispatches.
-            q.push_keyed(SimTime(999), 7, timer_event(0, 0));
-            assert_eq!(q.peek_until(SimTime(999)), Some((SimTime(999), 7)));
-            assert_eq!(q.peek_until(SimTime(u64::MAX)), Some((SimTime(999), 7)));
-            assert_eq!(drain_tokens(&mut q), vec![0, 1]);
         }
     }
 

@@ -39,7 +39,6 @@ pub mod link;
 pub mod metrics;
 pub mod profile;
 pub mod route;
-pub mod shard;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
@@ -63,7 +62,6 @@ pub use metrics::{
     Histogram, MetricsRegistry, NodeMetrics, SegmentMetrics, SketchConfig, SketchedMetrics,
 };
 pub use route::RouteTable;
-pub use shard::{default_shards, set_default_shards, ShardStats};
 pub use telemetry::{
     InvariantMonitor, InvariantViolation, Reservoir, SketchEntry, SpaceSaving, TelemetryConfig,
 };
@@ -74,3 +72,24 @@ pub use trace::{
 pub use wire::encap::EncapFormat;
 pub use wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Cidr, Ipv4Packet};
 pub use world::{NetCtx, World};
+
+// Compile-only stubs of the removed sharded engine. `benchmark/` may not
+// be edited by the change that removed it, and its `churn_shards2`
+// workload names exactly these three items; they do nothing, and go when
+// that workload does (ROADMAP, "Benchmark housekeeping").
+#[doc(hidden)]
+pub fn set_default_shards(_n: usize) {}
+#[doc(hidden)]
+pub struct ShardStats {
+    pub events: u64,
+    pub windows: u64,
+    pub stalls: u64,
+    pub msgs_in: u64,
+    pub msgs_out: u64,
+}
+impl World {
+    #[doc(hidden)]
+    pub fn shard_stats(&self) -> Option<&[ShardStats]> {
+        None
+    }
+}

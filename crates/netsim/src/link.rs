@@ -12,7 +12,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::event::{lane_key, segment_lane, EventKind, EventSink, IfaceNo, NodeId};
+use crate::event::{lane_key, segment_lane, EventKind, EventQueue, IfaceNo, NodeId};
 use crate::time::{SimDuration, SimTime};
 use crate::wire::ethernet::MacAddr;
 
@@ -61,9 +61,7 @@ pub enum FaultOutcome {
 
 impl FaultInjector {
     /// Does this injector ever draw from the RNG? Fault-free segments skip
-    /// RNG seeding entirely, which keeps their outcome predictable from the
-    /// frame alone — the property sharded execution relies on at shard
-    /// borders.
+    /// RNG seeding entirely.
     pub fn is_active(&self) -> bool {
         self.drop_prob > 0.0 || self.corrupt_prob > 0.0 || self.duplicate_prob > 0.0
     }
@@ -182,9 +180,9 @@ serde::impl_serialize!(LinkStats {
 
 /// The mutable, per-run side of a segment: medium occupancy, traffic
 /// counters, the segment's event-ordering lane sequence and its lazily
-/// seeded fault RNG. Split out of [`Segment`] so sharded execution can
-/// share the immutable topology (`&[Segment]`) across worker threads while
-/// each shard owns the states of the segments it simulates.
+/// seeded fault RNG. Split out of [`Segment`] so an event handler can hold
+/// the immutable topology (`&[Segment]`) while a transmit mutates one
+/// segment's state.
 #[derive(Debug, Clone)]
 pub struct SegState {
     /// When the shared medium next becomes free (serialization queueing).
@@ -193,8 +191,7 @@ pub struct SegState {
     pub stats: LinkStats,
     /// Next sequence number on this segment's event lane. Delivery events
     /// are keyed `(segment lane, lane_seq)`, so their global tie-break order
-    /// depends only on which segment carried them — not on which thread or
-    /// shard happened to schedule them.
+    /// depends only on which segment carried them.
     pub(crate) lane_seq: u64,
     /// Fault-injection RNG, seeded from the segment's `rng_seed` on first
     /// use. Fault-free segments never touch it.
@@ -239,8 +236,8 @@ pub struct Segment {
     /// assigns it from the segment index at creation.
     pub(crate) lane: u64,
     /// Seed for this segment's private fault RNG, derived by the world from
-    /// the world seed and the segment index so fault decisions are
-    /// reproducible regardless of how many shards run the simulation.
+    /// the world seed and the segment index, so a segment's fault decisions
+    /// do not depend on other segments' traffic.
     pub(crate) rng_seed: u64,
 }
 
@@ -293,19 +290,19 @@ impl Segment {
     }
 
     /// Transmit `frame` from `from`, scheduling delivery events to every
-    /// other attachment through `sink`. Applies serialization delay,
+    /// other attachment into `queue`. Applies serialization delay,
     /// propagation latency and fault injection, mutating only the segment's
     /// [`SegState`]. Returns the fault outcome (for link stats and drop
     /// tracing by the caller). Delivery events carry `(segment lane,
     /// lane_seq)` keys, so equal-timestamp ordering is a pure function of
-    /// the topology and traffic — identical however the world is sharded.
+    /// the topology and traffic.
     pub fn transmit(
         &self,
         state: &mut SegState,
         from: (NodeId, IfaceNo),
         frame: Bytes,
         now: SimTime,
-        sink: &mut impl EventSink,
+        queue: &mut EventQueue,
     ) -> FaultOutcome {
         // Frames larger than MTU + Ethernet header indicate an IP-layer bug
         // upstream (fragmentation should have happened); drop and count.
@@ -362,7 +359,7 @@ impl Segment {
                 }
                 let key = lane_key(self.lane, state.lane_seq);
                 state.lane_seq += 1;
-                sink.push_keyed(
+                queue.push_keyed(
                     arrival,
                     key,
                     EventKind::Deliver {
@@ -380,7 +377,6 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
 
     fn frame(n: usize) -> Bytes {
         Bytes::from(vec![0xabu8; n])

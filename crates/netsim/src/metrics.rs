@@ -222,8 +222,7 @@ impl Histogram {
     /// Fold another histogram into this one. Bucket layouts are
     /// identical by construction, so the merge is elementwise and the
     /// result is exactly the histogram that would have recorded both
-    /// sample streams — sharded/parallel worlds combine telemetry
-    /// without re-recording.
+    /// sample streams.
     pub fn merge(&mut self, other: &Histogram) {
         if let Some(theirs) = other.counts.as_deref() {
             for (c, o) in self.buckets_mut().iter_mut().zip(theirs.iter()) {
@@ -659,13 +658,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Is sketched mode armed (whether or not the collapse has fired)?
-    /// Sketch collapse is order-sensitive, so armed registries force the
-    /// sharded scheduler into merged (serial-order) execution.
-    pub fn sketch_armed(&self) -> bool {
-        self.sketch.is_some()
-    }
-
     /// Is the registry currently collapsed?
     pub fn is_sketched(&self) -> bool {
         self.sketched.is_some()
@@ -677,7 +669,7 @@ impl MetricsRegistry {
     }
 
     /// Collapse dense storage into sketches immediately (normally driven
-    /// by the armed threshold; public for tests and merges).
+    /// by the armed threshold; public for tests).
     pub fn collapse_now(&mut self) {
         if self.sketched.is_some() {
             return;
@@ -776,47 +768,6 @@ impl MetricsRegistry {
             t.merge(s);
         }
         t
-    }
-
-    /// Fold another registry into this one without re-recording —
-    /// sharded/parallel worlds combine telemetry by merging. Dense +
-    /// dense merges stay dense (elementwise by id); if either side is
-    /// sketched the result is sketched (totals add exactly, sketches
-    /// union-merge with error bounds intact).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        if self.sketched.is_none() && other.sketched.is_none() {
-            grow_dense(&mut self.nodes, other.nodes.len());
-            for (m, o) in self.nodes.iter_mut().zip(other.nodes.iter()) {
-                m.merge(o);
-            }
-            grow_dense(&mut self.segments, other.segments.len());
-            for (m, o) in self.segments.iter_mut().zip(other.segments.iter()) {
-                m.merge(o);
-            }
-            if let Some(cfg) = self.sketch {
-                if self.nodes.len() > cfg.node_threshold {
-                    self.collapse_now();
-                }
-            }
-            return;
-        }
-        if self.sketched.is_none() {
-            // Adopt the other side's parameters so both halves sketch alike.
-            if self.sketch.is_none() {
-                self.sketch = other.sketched.as_ref().map(|sk| sk.cfg);
-            }
-            self.collapse_now();
-        }
-        let sk = self.sketched.as_deref_mut().expect("collapsed above");
-        if let Some(o) = other.sketched.as_deref() {
-            sk.totals.merge(&o.totals);
-            sk.seg_totals.merge(&o.seg_totals);
-            sk.node_hitters.merge(&o.node_hitters);
-            sk.flow_hitters.merge(&o.flow_hitters);
-            sk.rtt_exemplars.merge(&o.rtt_exemplars);
-        } else {
-            sk.absorb_dense(&other.nodes, &other.segments);
-        }
     }
 
     // ---- recording (each entry point starts with the enabled check) -------
@@ -1288,30 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_dense_is_elementwise() {
-        let mut a = MetricsRegistry::new(true);
-        let mut b = MetricsRegistry::new(true);
-        let p = pkt();
-        a.record_packet(NodeId(0), TraceEventKind::Sent, &p);
-        b.record_packet(NodeId(0), TraceEventKind::Sent, &p);
-        b.record_packet(NodeId(2), TraceEventKind::DeliveredLocal, &p);
-        b.record_tcp_rtt(NodeId(2), SimDuration::from_millis(5));
-        b.record_transmit(
-            SegmentId(1),
-            64,
-            SimDuration::ZERO,
-            SimDuration::from_micros(10),
-            FaultOutcome::Deliver,
-        );
-        a.merge(&b);
-        assert_eq!(a.node(NodeId(0)).packets_sent, 2);
-        assert_eq!(a.node(NodeId(2)).packets_delivered, 1);
-        assert_eq!(a.node(NodeId(2)).tcp.rtt_us.count(), 1);
-        assert_eq!(a.segment(SegmentId(1)).frames, 1);
-        assert!(!a.is_sketched());
-    }
-
-    #[test]
     fn armed_registry_below_threshold_is_bit_identical_to_exact() {
         let build = |arm: bool| {
             let mut reg = MetricsRegistry::new(true);
@@ -1361,40 +1288,6 @@ mod tests {
         assert_eq!(e.bytes_sent, s.bytes_sent);
         assert_eq!(e.total_drops(), s.total_drops());
         assert_eq!(exact.total_drops_by_reason(), armed.total_drops_by_reason());
-    }
-
-    #[test]
-    fn sketched_merge_combines_totals_and_hitters() {
-        let mk = || {
-            let mut reg = MetricsRegistry::new(true);
-            reg.arm_sketch(SketchConfig {
-                node_threshold: 0,
-                topk: 8,
-                reservoir: 4,
-                seed: 9,
-            });
-            reg
-        };
-        let (mut a, mut b) = (mk(), mk());
-        let p = pkt();
-        a.record_packet(NodeId(1), TraceEventKind::Sent, &p);
-        a.record_packet(NodeId(1), TraceEventKind::Sent, &p);
-        b.record_packet(NodeId(1), TraceEventKind::Sent, &p);
-        b.record_packet(NodeId(2), TraceEventKind::DeliveredLocal, &p);
-        b.record_tcp_rtt(NodeId(2), SimDuration::from_millis(7));
-        a.merge(&b);
-        let sk = a.sketched().unwrap();
-        assert_eq!(a.totals().packets_sent, 3);
-        assert_eq!(a.totals().packets_delivered, 1);
-        assert_eq!(sk.node_hitters.count(&NodeId(1)), Some(3));
-        assert_eq!(sk.node_hitters.count(&NodeId(2)), Some(1));
-        assert_eq!(sk.rtt_exemplars.items(), &[7_000]);
-        // Dense + sketched: the dense side collapses on merge.
-        let mut dense = MetricsRegistry::new(true);
-        dense.record_packet(NodeId(5), TraceEventKind::Sent, &p);
-        dense.merge(&b);
-        assert!(dense.is_sketched());
-        assert_eq!(dense.totals().packets_sent, 2);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl<K: Clone + Eq + std::hash::Hash + Ord> SpaceSaving<K> {
             return;
         }
         // Recycle the minimum-count slot (ties broken by key order so
-        // merges and repeat runs stay deterministic).
+        // repeat runs stay deterministic).
         let slot = self
             .entries
             .iter()
@@ -165,40 +165,6 @@ impl<K: Clone + Eq + std::hash::Hash + Ord> SpaceSaving<K> {
         let mut out = self.entries.clone();
         out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
         out
-    }
-
-    /// Fold another sketch in (sharded/parallel worlds combining
-    /// telemetry). Counts and error bounds of shared keys add; disjoint
-    /// keys compete for slots as if replayed. Exactness is preserved when
-    /// the union of distinct keys still fits in `k` slots.
-    pub fn merge(&mut self, other: &SpaceSaving<K>) {
-        // Deterministic order: heaviest first so the survivors of a
-        // capacity squeeze are the keys that matter.
-        for e in other.top() {
-            if let Some(&slot) = self.index.get(&e.key) {
-                self.entries[slot].count += e.count;
-                self.entries[slot].error += e.error;
-            } else if self.entries.len() < self.k {
-                self.index.insert(e.key.clone(), self.entries.len());
-                self.entries.push(e.clone());
-            } else {
-                let slot = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.count.cmp(&b.count).then_with(|| a.key.cmp(&b.key)))
-                    .map(|(i, _)| i)
-                    .expect("k >= 1");
-                let old = &mut self.entries[slot];
-                self.index.remove(&old.key);
-                self.index.insert(e.key.clone(), slot);
-                old.error = old.count + e.error;
-                old.count += e.count;
-                old.key = e.key.clone();
-                self.evictions += 1;
-            }
-        }
-        self.evictions += other.evictions;
     }
 }
 
@@ -257,34 +223,6 @@ impl<T> Reservoir<T> {
         if (j as usize) < self.cap {
             self.items[j as usize] = item;
         }
-    }
-}
-
-impl<T: Clone> Reservoir<T> {
-    /// Fold another reservoir in. Each of the other's exemplars is kept
-    /// with probability proportional to the stream weight it represents —
-    /// approximate (a merged reservoir is not byte-identical to one fed
-    /// the concatenated stream) but unbiased enough for exemplar duty,
-    /// and deterministic given both seeds.
-    pub fn merge(&mut self, other: &Reservoir<T>) {
-        let other_stream = other.seen;
-        for item in &other.items {
-            self.seen += 1;
-            if self.items.len() < self.cap {
-                self.items.push(item.clone());
-                continue;
-            }
-            if self.cap == 0 {
-                continue;
-            }
-            let j = splitmix64(&mut self.rng) % self.seen;
-            if (j as usize) < self.cap {
-                self.items[j as usize] = item.clone();
-            }
-        }
-        // Account for the part of the other stream its reservoir had
-        // already compressed away, so relative weights stay honest.
-        self.seen += other_stream.saturating_sub(other.items.len() as u64);
     }
 }
 
@@ -842,21 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn space_saving_merge_exact_when_union_fits() {
-        let mut a: SpaceSaving<u64> = SpaceSaving::new(8);
-        let mut b: SpaceSaving<u64> = SpaceSaving::new(8);
-        a.offer(1, 3);
-        a.offer(2, 2);
-        b.offer(2, 5);
-        b.offer(9, 1);
-        a.merge(&b);
-        assert!(a.is_exact());
-        assert_eq!(a.count(&1), Some(3));
-        assert_eq!(a.count(&2), Some(7));
-        assert_eq!(a.count(&9), Some(1));
-    }
-
-    #[test]
     fn reservoir_is_deterministic_and_bounded() {
         let run = || {
             let mut r: Reservoir<u64> = Reservoir::new(8, 7);
@@ -868,17 +791,6 @@ mod tests {
         let a = run();
         assert_eq!(a.len(), 8);
         assert_eq!(a, run(), "same seed, same sample");
-        let mut other: Reservoir<u64> = Reservoir::new(8, 8);
-        for i in 0..10_000u64 {
-            other.offer(i);
-        }
-        let mut merged: Reservoir<u64> = Reservoir::new(8, 7);
-        for i in 0..10_000u64 {
-            merged.offer(i);
-        }
-        merged.merge(&other);
-        assert_eq!(merged.items().len(), 8);
-        assert_eq!(merged.seen(), 20_000);
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! The simulation world: nodes, segments, the two event loops — inline,
-//! and the conservative parallel barrier loop whose output is
-//! byte-identical to it (see [`crate::shard`]) — and automatic
+//! The simulation world: nodes, segments, the event loop, and automatic
 //! shortest-path route computation for static topologies.
 
-use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::collections::{BinaryHeap, HashSet};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -15,20 +12,17 @@ use crate::device::nic::IfaceAddr;
 use crate::device::router::{Router, RouterConfig};
 use crate::device::{token, NS_APPS};
 use crate::event::{
-    lane_key, node_lane, Event, EventKind, EventQueue, EventSink, IfaceNo, NodeId, SchedulerKind,
-    SchedulerStats, SchedulerTelemetry, Timer, TimerHandle, TimerToken,
+    lane_key, node_lane, Event, EventKind, EventQueue, IfaceNo, NodeId, SchedulerStats,
+    SchedulerTelemetry, Timer, TimerHandle, TimerToken,
 };
 use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
 use crate::metrics::{MetricsRegistry, SketchConfig};
-use crate::shard::{
-    event_node, Borders, Group, Op, PendingTx, QueueSet, RoundLog, Runtime, Sched, ShardStats,
-    TxRecord,
-};
 use crate::telemetry::{hash64, InvariantMonitor, TelemetryConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PacketTrace, TraceEventKind, TransformKind};
 use crate::wire::ethernet::{EthernetFrame, MacAddr};
 use crate::wire::ipv4::{Ipv4Addr, Ipv4Cidr, Ipv4Packet};
+use crate::wire::pcap::PcapWriter;
 
 /// A node is either an end system or a router.
 #[allow(clippy::large_enum_variant)] // hosts dominate and are not copied
@@ -120,22 +114,11 @@ fn segment_seed(world_seed: u64, s: usize) -> u64 {
     hash64(world_seed ^ (0x5345_474du64 << 32) ^ s as u64)
 }
 
-/// Sink used when the coordinator applies a buffered border transmission:
-/// deliveries route to each receiver's shard, `msgs_in` counts the crossing
-/// per receiving shard, and the push total is recorded for the matching
-/// [`TxRecord`] (ledger pushes land at the `Op::BorderTx` replay point).
-struct BorderApplySink<'a, 'w> {
-    runs: &'a mut [Option<ShardRun<'w>>],
-    owner_node: &'a [u32],
-    pushed: u64,
-}
-
-impl EventSink for BorderApplySink<'_, '_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        let run = parked(&mut self.runs[self.owner_node[event_node(&kind).0] as usize]);
-        run.queue.push_keyed(at, key, kind);
-        run.stats.msgs_in += 1;
-        self.pushed += 1;
+/// The node an event is addressed to.
+fn event_node(kind: &EventKind) -> NodeId {
+    match kind {
+        EventKind::Deliver { node, .. } => *node,
+        EventKind::Timer(t) => t.node,
     }
 }
 
@@ -143,299 +126,30 @@ impl EventSink for BorderApplySink<'_, '_> {
 // NetCtx
 // ---------------------------------------------------------------------------
 
-/// `&mut` views of one node's state: what an event fired at it may touch of
-/// the node vectors, whole-world or partitioned to the node's shard.
-struct NodeView<'a> {
-    node: &'a mut Option<Node>,
-    seq: &'a mut u64,
-    rng: &'a mut StdRng,
-}
-
-/// Everything beyond its own node an event handler can reach, as the
-/// running engine lends it. The inline loop lends the whole world: the
-/// queue set, every medium, the observers themselves. A barrier worker
-/// lends its shard: its own queue (counting into the event's [`Group`]),
-/// its private media, and a journal in place of the order-sensitive
-/// observers. `sched`, `media` and `obs` are the only places that know
-/// which.
-struct Engine<'a, 'w> {
-    segments: &'w [Segment],
-    /// Commutative counters: the world's registry inline, the shard's own
-    /// (merged at run end) on a worker.
-    metrics: &'a mut MetricsRegistry,
-    sched: Sched<'a>,
-    media: Media<'a, 'w>,
-    obs: Observers<'a>,
-}
-
-/// Where a transmit finds a segment's mutable link state.
-enum Media<'a, 'w> {
-    /// Every segment's, indexed by segment id.
-    World(&'a mut [SegState]),
-    /// A shard's private segments', indexed by slot.
-    Shard {
-        states: &'a mut [&'w mut SegState],
-        slot: &'w [u32],
-        borders: &'w Borders,
-    },
-}
-
-impl Media<'_, '_> {
-    /// `seg`'s state, or `None` on a shard border: that medium evolves in
-    /// global time order under the coordinator, not here.
-    fn state(&mut self, seg: SegmentId) -> Option<&mut SegState> {
-        match self {
-            Media::World(states) => Some(&mut states[seg.0]),
-            Media::Shard {
-                states,
-                slot,
-                borders,
-            } => (!borders.is_border(seg.0)).then(|| &mut *states[slot[seg.0] as usize]),
-        }
-    }
-}
-
-/// The order-sensitive observers — packet trace, invariant monitors, pcap
-/// — acting at once. The inline loop hands these to every event; the
-/// barrier coordinator replays its workers' journals through the same
-/// methods, so each effect is implemented here and nowhere else.
-struct Inline<'a> {
-    trace: &'a mut PacketTrace,
-    invariants: &'a mut InvariantMonitor,
-    pcap: &'a mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
-}
-
-impl Inline<'_> {
-    /// A trace record plus its conservation-monitor echo.
-    fn packet(&mut self, now: SimTime, node: NodeId, kind: TraceEventKind, pkt: &Ipv4Packet) {
-        self.trace.record(now, node, kind, pkt);
-        self.invariants.record_packet(kind, pkt);
-    }
-
-    /// A causal edge between parent and child packets.
-    fn transform(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        kind: TransformKind,
-        parent: Option<&Ipv4Packet>,
-        child: &Ipv4Packet,
-    ) {
-        self.trace.record_transform(now, node, kind, parent, child);
-        self.invariants.record_transform(parent, child);
-    }
-
-    /// What the wire's observers make of one transmission on `segment`,
-    /// once the medium has taken or refused it.
-    fn transmitted(
-        &mut self,
-        now: SimTime,
-        segment: &Segment,
-        outcome: FaultOutcome,
-        frame: &Bytes,
-    ) {
-        if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-            // Whatever packet the frame carried is attributably lost on
-            // the wire, not leaked — the conservation monitor's ledger.
-            self.invariants.note_wire_loss();
-        } else if self.invariants.enabled() && frame.len() >= 6 {
-            // A frame unicast to a MAC no longer on this wire (stale ARP
-            // after a handoff, a vanished care-of address) is ignored by
-            // every NIC and dies here — attributable, not leaked.
-            let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-            if !dst.is_broadcast() && !dst.is_multicast() && !segment.mac_attached(dst) {
-                self.invariants.note_unclaimed_frame();
-            }
-        }
-        if outcome != FaultOutcome::Drop {
-            if let Some(pcap) = self.pcap.as_mut() {
-                // Capture what was put on the wire (post fault injection
-                // is not observable here; the sender's view is what
-                // tcpdump on the sender would show).
-                let _ = pcap.write_frame(now, frame);
-            }
-        }
-    }
-}
-
-/// Which of the order-sensitive observers are on — a journal records no
-/// effect that none of them would look at.
-#[derive(Clone, Copy)]
-struct Watching {
-    invariants: bool,
-    trace: bool,
-    pcap: bool,
-}
-
-/// Where an event's order-sensitive observer effects go: straight to the
-/// observers, or — on a barrier worker, which runs ahead of and behind its
-/// peers — into the event's journal, for the coordinator to replay through
-/// [`Inline`] in canonical `(time, round, key)` order. The inline arms take
-/// their arguments borrowed; only a journal clones.
-enum Observers<'a> {
-    Inline(Inline<'a>),
-    Journal { ops: &'a mut Vec<Op>, on: Watching },
-}
-
-impl Observers<'_> {
-    fn packet(&mut self, now: SimTime, node: NodeId, kind: TraceEventKind, pkt: &Ipv4Packet) {
-        match self {
-            Observers::Inline(o) => o.packet(now, node, kind, pkt),
-            Observers::Journal { ops, on } => {
-                if on.trace || on.invariants {
-                    ops.push(Op::Trace {
-                        kind,
-                        pkt: pkt.clone(),
-                    });
-                }
-            }
-        }
-    }
-
-    fn transform(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        kind: TransformKind,
-        parent: Option<&Ipv4Packet>,
-        child: &Ipv4Packet,
-    ) {
-        match self {
-            Observers::Inline(o) => o.transform(now, node, kind, parent, child),
-            Observers::Journal { ops, on } => {
-                if on.trace || on.invariants {
-                    ops.push(Op::Transform {
-                        kind,
-                        parent: parent.cloned(),
-                        child: child.clone(),
-                    });
-                }
-            }
-        }
-    }
-
-    fn promote(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: crate::wire::ipv4::IpProtocol) {
-        match self {
-            Observers::Inline(o) => o.trace.promote_endpoints(a, b, proto),
-            Observers::Journal { ops, on } => {
-                if on.trace {
-                    ops.push(Op::Promote { a, b, proto });
-                }
-            }
-        }
-    }
-
-    fn transmitted(
-        &mut self,
-        now: SimTime,
-        seg: SegmentId,
-        segment: &Segment,
-        outcome: FaultOutcome,
-        frame: &Bytes,
-    ) {
-        match self {
-            Observers::Inline(o) => o.transmitted(now, segment, outcome, frame),
-            Observers::Journal { ops, on } => {
-                if on.invariants || on.pcap {
-                    ops.push(Op::Transmitted {
-                        seg: seg.0,
-                        outcome,
-                        frame: frame.clone(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// The scheduling half of a transmission on a shard border. Only a
-    /// journal is ever handed one: only a barrier worker's media have
-    /// borders.
-    fn border_tx(&mut self, seg: SegmentId, iface: IfaceNo, frame: Bytes) {
-        if let Observers::Journal { ops, .. } = self {
-            ops.push(Op::BorderTx {
-                seg: seg.0,
-                iface,
-                frame,
-            });
-        }
-    }
-
-    /// A conservation-ledger note with no trace event of its own: `tell`
-    /// the monitor now, or journal `op` for it.
-    fn note(&mut self, tell: impl FnOnce(&mut InvariantMonitor), op: impl FnOnce() -> Op) {
-        match self {
-            Observers::Inline(o) => tell(o.invariants),
-            Observers::Journal { ops, on } => {
-                if on.invariants {
-                    ops.push(op());
-                }
-            }
-        }
-    }
-
-    fn invariants_enabled(&self) -> bool {
-        match self {
-            Observers::Inline(o) => o.invariants.enabled(),
-            Observers::Journal { on, .. } => on.invariants,
-        }
-    }
-}
+type Pcap = Option<PcapWriter<Box<dyn std::io::Write>>>;
 
 /// The per-event context handed to devices: the only way they can touch the
-/// world (transmit frames, set timers, draw randomness, write traces).
-pub struct NetCtx<'a, 'w> {
+/// world (transmit frames, set timers, draw randomness, write traces). It
+/// borrows, for one event, the dispatched node's own lane counter and RNG
+/// and everything of the world that is not a node: the media, the event
+/// queue and the observers.
+pub struct NetCtx<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// The node being dispatched.
     pub node: NodeId,
     rng: &'a mut StdRng,
     seq: &'a mut u64,
-    eng: Engine<'a, 'w>,
+    segments: &'a [Segment],
+    seg_states: &'a mut [SegState],
+    queue: &'a mut EventQueue,
+    metrics: &'a mut MetricsRegistry,
+    trace: &'a mut PacketTrace,
+    invariants: &'a mut InvariantMonitor,
+    pcap: &'a mut Pcap,
 }
 
-/// Run `f` on a node with a live context — the one place a [`NetCtx`] is
-/// built, whichever engine is running and whether an event or a caller of
-/// [`World::host_do`] is at the door.
-fn with_ctx<R>(
-    now: SimTime,
-    node: NodeId,
-    view: &mut NodeView<'_>,
-    eng: Engine<'_, '_>,
-    f: impl FnOnce(Option<&mut Node>, &mut NetCtx) -> R,
-) -> R {
-    let mut ctx = NetCtx {
-        now,
-        node,
-        rng: view.rng,
-        seq: view.seq,
-        eng,
-    };
-    f(view.node.as_mut(), &mut ctx)
-}
-
-/// Fire one popped event at its node: every dispatch of both event loops.
-fn fire(now: SimTime, kind: EventKind, view: &mut NodeView<'_>, eng: Engine<'_, '_>) {
-    with_ctx(now, event_node(&kind), view, eng, |n, ctx| {
-        match (n, kind) {
-            (Some(n), EventKind::Timer(t)) => n.on_timer(ctx, t.token),
-            (Some(n), EventKind::Deliver { iface, frame, .. })
-                if n.nic().segment(iface).is_some() =>
-            {
-                n.on_frame(ctx, iface, &frame)
-            }
-            // A node or its interface may have been detached between
-            // scheduling and delivery (mid-flight frames to a departed mobile
-            // host are lost, as in reality).
-            (_, EventKind::Deliver { .. }) => ctx
-                .eng
-                .obs
-                .note(InvariantMonitor::note_detached_frame, || Op::DetachedFrame),
-            (None, EventKind::Timer(_)) => {}
-        }
-    })
-}
-
-impl NetCtx<'_, '_> {
+impl NetCtx<'_> {
     /// Put a frame on a segment from this node's `iface`.
     pub fn transmit(
         &mut self,
@@ -456,56 +170,57 @@ impl NetCtx<'_, '_> {
     /// nothing on this path copies the frame.
     pub fn transmit_raw(&mut self, seg: SegmentId, iface: IfaceNo, frame: Bytes) -> FaultOutcome {
         let _prof = crate::profile::scope("link/transmit");
-        let (now, node) = (self.now, self.node);
-        let Engine {
-            segments,
-            metrics,
-            sched,
-            media,
-            obs,
-        } = &mut self.eng;
-        let segment = &segments[seg.0];
-        let Some(st) = media.state(seg) else {
-            // Cross-shard wire: buffer the transmission for the
-            // coordinator. The outcome is predictable without touching the
-            // medium — border segments are fault-free by construction (the
-            // partitioner collapses faulty segments into one shard), so
-            // only oversize frames drop.
-            let max_frame = segment.config.mtu + crate::wire::ethernet::ETHERNET_HEADER_LEN;
-            let oversize = frame.len() > max_frame;
-            obs.border_tx(seg, iface, frame);
-            return if oversize {
-                FaultOutcome::Drop
-            } else {
-                FaultOutcome::Deliver
-            };
-        };
+        let segment = &self.segments[seg.0];
+        let st = &mut self.seg_states[seg.0];
         // Snapshot link-metric inputs before the transmit mutates the
         // segment's committed-until time.
-        let (queue_wait, serialize) = if metrics.enabled() {
-            (st.backlog(now), segment.config.serialize_time(frame.len()))
+        let (queue_wait, serialize) = if self.metrics.enabled() {
+            (
+                st.backlog(self.now),
+                segment.config.serialize_time(frame.len()),
+            )
         } else {
             (SimDuration::ZERO, SimDuration::ZERO)
         };
-        let wire_len = frame.len();
-        let outcome = segment.transmit(st, (node, iface), frame.clone(), now, sched);
-        metrics.record_transmit(seg, wire_len, queue_wait, serialize, outcome);
-        obs.transmitted(now, seg, segment, outcome, &frame);
+        let from = (self.node, iface);
+        let outcome = segment.transmit(st, from, frame.clone(), self.now, self.queue);
+        self.metrics
+            .record_transmit(seg, frame.len(), queue_wait, serialize, outcome);
+        if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
+            // Whatever packet the frame carried is attributably lost on
+            // the wire, not leaked — the conservation monitor's ledger.
+            self.invariants.note_wire_loss();
+        } else if self.invariants.enabled() && frame.len() >= 6 {
+            // A frame unicast to a MAC no longer on this wire (stale ARP
+            // after a handoff, a vanished care-of address) is ignored by
+            // every NIC and dies here — attributable, not leaked.
+            let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
+            if !dst.is_broadcast() && !dst.is_multicast() && !segment.mac_attached(dst) {
+                self.invariants.note_unclaimed_frame();
+            }
+        }
+        if outcome != FaultOutcome::Drop {
+            if let Some(pcap) = self.pcap.as_mut() {
+                // Capture what was put on the wire (post fault injection
+                // is not observable here; the sender's view is what
+                // tcpdump on the sender would show).
+                let _ = pcap.write_frame(self.now, &frame);
+            }
+        }
         outcome
     }
 
     /// Schedule a timer for this node. The returned handle cancels it in
     /// O(1) via [`NetCtx::cancel_timer`]; callers that never cancel can
     /// drop the handle freely. Timer events carry `(node lane, seq)` keys,
-    /// so equal-timestamp ordering is identical however the world is
-    /// sharded.
+    /// so equal-timestamp ordering depends on who set the timer, not on
+    /// the order the pushes happened to be made in.
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
         let node = self.node;
         let key = lane_key(node_lane(node), *self.seq);
         *self.seq += 1;
         let kind = EventKind::Timer(Timer { node, token });
-        self.eng
-            .sched
+        self.queue
             .push_cancellable_keyed(self.now + after, key, kind)
     }
 
@@ -515,12 +230,12 @@ impl NetCtx<'_, '_> {
     /// loop's in-flight batch, in which case it still fires — so handlers
     /// keep their stale-timer guards as a second line of defence.
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
-        self.eng.sched.cancel(self.node, h)
+        self.queue.cancel(h)
     }
 
     /// MTU of a segment (IP bytes per frame).
     pub fn segment_mtu(&self, seg: SegmentId) -> usize {
-        self.eng.segments[seg.0].config.mtu
+        self.segments[seg.0].config.mtu
     }
 
     /// This node's deterministic RNG (fault injection, workloads). Streams
@@ -530,11 +245,12 @@ impl NetCtx<'_, '_> {
     }
 
     /// Record a trace event for `pkt` at this node. Also feeds the metrics
-    /// registry: this is the one choke point every send / forward /
-    /// delivery / drop flows through.
+    /// registry and the conservation monitor: this is the one choke point
+    /// every send / forward / delivery / drop flows through.
     pub fn trace_packet(&mut self, kind: TraceEventKind, pkt: &Ipv4Packet) {
-        self.eng.metrics.record_packet(self.node, kind, pkt);
-        self.eng.obs.packet(self.now, self.node, kind, pkt);
+        self.metrics.record_packet(self.node, kind, pkt);
+        self.trace.record(self.now, self.node, kind, pkt);
+        self.invariants.record_packet(kind, pkt);
     }
 
     /// Record that `child` was produced from `parent` by `kind` at this
@@ -551,17 +267,16 @@ impl NetCtx<'_, '_> {
         child: &Ipv4Packet,
     ) {
         let seen = TraceEventKind::Transformed(kind);
-        self.eng.metrics.record_packet(self.node, seen, child);
-        self.eng
-            .obs
-            .transform(self.now, self.node, kind, parent, child);
+        self.metrics.record_packet(self.node, seen, child);
+        self.trace
+            .record_transform(self.now, self.node, kind, parent, child);
+        self.invariants.record_transform(parent, child);
     }
 
     /// The metrics registry — how the transport layer records TCP and UDP
-    /// counters against the node being dispatched. On a worker this is the
-    /// shard's registry; counters are commutative and merge at run end.
+    /// counters against the node being dispatched.
     pub fn metrics(&mut self) -> &mut MetricsRegistry {
-        self.eng.metrics
+        self.metrics
     }
 
     /// Flag an anomaly on the conversation between `a` and `b` over
@@ -570,54 +285,41 @@ impl NetCtx<'_, '_> {
     /// denial or retry exhaustion), promoting the flow to full capture
     /// under flow sampling. No-op when sampling is off.
     pub fn flag_anomaly(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: crate::wire::ipv4::IpProtocol) {
-        self.eng.obs.promote(a, b, proto);
+        self.trace.promote_endpoints(a, b, proto);
     }
 
     /// Tell the conservation monitor a packet was parked in a link-layer
     /// pending queue (awaiting ARP); see [`InvariantMonitor::note_parked`].
     #[inline]
     pub fn note_parked(&mut self) {
-        self.eng
-            .obs
-            .note(InvariantMonitor::note_parked, || Op::Parked);
+        self.invariants.note_parked();
     }
 
     /// Tell the conservation monitor a parked packet left its pending
     /// queue (flushed or evicted).
     #[inline]
     pub fn note_unparked(&mut self) {
-        self.eng
-            .obs
-            .note(InvariantMonitor::note_unparked, || Op::Unparked);
+        self.invariants.note_unparked();
     }
 
     /// Whether the invariant monitors are on — lets hot paths skip the
     /// bookkeeping (e.g. a packet clone) feeding them.
     #[inline]
     pub fn invariants_enabled(&self) -> bool {
-        self.eng.obs.invariants_enabled()
+        self.invariants.enabled()
     }
 
     /// Tell the conservation monitor a packet was consumed by a mobility
     /// hook before local delivery (no trace event fires for it).
     #[inline]
     pub fn note_consumed(&mut self, pkt: &Ipv4Packet) {
-        self.eng.obs.note(
-            |inv| inv.note_consumed(pkt),
-            || Op::Consumed { pkt: pkt.clone() },
-        );
+        self.invariants.note_consumed(pkt);
     }
 
     /// Tell the conservation monitor a hook rewrote a packet's identity.
     #[inline]
     pub fn note_rewrite(&mut self, before: &Ipv4Packet, after: &Ipv4Packet) {
-        self.eng.obs.note(
-            |inv| inv.note_rewrite(before, after),
-            || Op::Rewrite {
-                before: before.clone(),
-                after: after.clone(),
-            },
-        );
+        self.invariants.note_rewrite(before, after);
     }
 }
 
@@ -636,19 +338,16 @@ pub struct World {
     /// `(node lane, seq)` key. Follows `nodes` index-for-index.
     node_seq: Vec<u64>,
     /// Per-node deterministic RNGs, seeded from the world seed and the node
-    /// id — streams are independent of dispatch interleaving, so sharded
-    /// and serial runs draw identically.
+    /// id — streams are independent of dispatch interleaving.
     node_rng: Vec<StdRng>,
     segments: Vec<Segment>,
     /// Mutable link state (medium occupancy, stats, fault RNG), parallel
-    /// to `segments`; split out so shards can own their private media.
+    /// to `segments`.
     seg_states: Vec<SegState>,
-    /// Every event queue — one, or one per shard — and the scheduler
-    /// ledger.
-    queues: QueueSet,
+    /// The event queue, and with it the scheduler ledger.
+    queue: EventQueue,
     now: SimTime,
     seed: u64,
-    sched_kind: SchedulerKind,
     /// The packet trace; enabled by default.
     pub trace: PacketTrace,
     /// Aggregate counters; disabled by default (near-zero cost), enabled
@@ -659,7 +358,7 @@ pub struct World {
     /// [`World::apply_telemetry`].
     pub invariants: InvariantMonitor,
     next_mac: u32,
-    pcap: Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
+    pcap: Pcap,
     /// The canonical same-timestamp batch being fired, popped whole so
     /// round precedence is the same however the world is driven: drained
     /// by a run, served one event a call by [`World::step`]. Reused, so
@@ -668,36 +367,12 @@ pub struct World {
     /// Periodic gauge sampler; absent (one branch per batch) until
     /// [`World::enable_sampling`].
     sampler: Option<Box<crate::profile::TimeSeries>>,
-    /// How many shards the caller asked for; the runtime clamps to the
-    /// segment count. 1 = serial.
-    shards_requested: usize,
-    /// Permanently degraded to serial: set when the sharded runtime would
-    /// have to be created while cancellable timer handles minted by the
-    /// single queue are still live (their slab identity cannot survive the
-    /// migration).
-    serial_locked: bool,
-    /// Whether the degradation warning has been printed.
-    warned: bool,
-    /// The sharded runtime; `None` until first needed (or never, when
-    /// `shards_requested <= 1`).
-    rt: Option<Runtime>,
 }
 
 impl World {
     /// Create a world with a deterministic RNG seed, using the process-wide
-    /// default scheduler (see [`crate::event::set_default_scheduler`]) and
-    /// the process-wide default shard count (see
-    /// [`crate::shard::set_default_shards`]).
+    /// default scheduler (see [`crate::event::set_default_scheduler`]).
     pub fn new(seed: u64) -> World {
-        World::with_shards(seed, crate::shard::default_shards())
-    }
-
-    /// Create a world that runs its event loop on `shards` shards
-    /// (clamped to the segment count; 1 = serial). Sharded runs are
-    /// byte-identical to serial runs — reports, metrics, traces and pcaps
-    /// included — so the only observable difference is wall-clock time.
-    pub fn with_shards(seed: u64, shards: usize) -> World {
-        let kind = crate::event::default_scheduler();
         World {
             nodes: Vec::new(),
             node_syms: Vec::new(),
@@ -705,10 +380,9 @@ impl World {
             node_rng: Vec::new(),
             segments: Vec::new(),
             seg_states: Vec::new(),
-            queues: QueueSet::new(kind),
+            queue: EventQueue::with_kind(crate::event::default_scheduler()),
             now: SimTime::ZERO,
             seed,
-            sched_kind: kind,
             trace: PacketTrace::new(true),
             metrics: MetricsRegistry::new(false),
             invariants: InvariantMonitor::new(),
@@ -716,10 +390,6 @@ impl World {
             pcap: None,
             batch: Vec::new(),
             sampler: None,
-            shards_requested: shards.max(1),
-            serial_locked: false,
-            warned: false,
-            rt: None,
         }
     }
 
@@ -733,11 +403,6 @@ impl World {
     /// back goes through [`World::metrics`].
     pub fn enable_metrics(&mut self) {
         self.metrics.set_enabled(true);
-        if let Some(rt) = &mut self.rt {
-            for m in &mut rt.shard_metrics {
-                m.set_enabled(true);
-            }
-        }
     }
 
     /// Start the online invariant monitors (packet conservation,
@@ -765,9 +430,9 @@ impl World {
     }
 
     /// What the invariant monitors reconcile: the scheduler ledger against
-    /// the queues' own count of what they still hold.
+    /// the queue's own count of what it still holds.
     fn sched_ledger(&self) -> (SchedulerStats, u64) {
-        (self.queues.stats(), self.queues.len() as u64)
+        (self.queue.stats(), self.queue.len() as u64)
     }
 
     /// The invariant monitors' run-report section: counters plus every
@@ -854,7 +519,6 @@ impl World {
         seg.rng_seed = segment_seed(self.seed, s);
         self.segments.push(seg);
         self.seg_states.push(SegState::default());
-        self.touch_segment(SegmentId(s));
         SegmentId(s)
     }
 
@@ -886,14 +550,6 @@ impl World {
         m
     }
 
-    /// Tell the sharded runtime (if any) that `seg`'s attachments or
-    /// configuration changed; see [`Runtime::touch`].
-    fn touch_segment(&mut self, seg: SegmentId) {
-        if let Some(rt) = &mut self.rt {
-            rt.touch(seg.0);
-        }
-    }
-
     /// Create a new interface on `node`, attach it to `seg`, and optionally
     /// configure an address ("171.64.15.9/24"-style).
     pub fn attach(&mut self, node: NodeId, seg: SegmentId, addr: Option<&str>) -> IfaceNo {
@@ -908,7 +564,6 @@ impl World {
         n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
-        self.touch_segment(seg);
         iface
     }
 
@@ -923,7 +578,6 @@ impl World {
         n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
-        self.touch_segment(seg);
     }
 
     /// Unplug an interface from whatever segment it is on.
@@ -933,7 +587,6 @@ impl World {
             self.segments[old.0].detach(node, iface);
             n.nic_mut().set_segment(iface, None, 1500);
             n.invalidate_route_cache();
-            self.touch_segment(old);
         }
     }
 
@@ -974,153 +627,69 @@ impl World {
     }
 
     /// Mutably borrow a segment's parameters (tests change fault rates).
-    /// Marks the segment for shard re-classification: a fault config can
-    /// legalize or outlaw a shard border.
     pub fn segment_config_mut(&mut self, seg: SegmentId) -> &mut LinkConfig {
-        self.touch_segment(seg);
         &mut self.segments[seg.0].config
     }
 
-    /// Split the world into what firing an event at `id` takes: the node's
-    /// own slots, and everything else as the inline engine lends it.
-    fn parts(&mut self, id: NodeId) -> (NodeView<'_>, Engine<'_, '_>) {
-        let view = NodeView {
-            node: &mut self.nodes[id.0],
-            seq: &mut self.node_seq[id.0],
+    /// Split the world into what firing an event at `id` takes: the node
+    /// itself, and a [`NetCtx`] over everything else.
+    fn node_and_ctx(&mut self, id: NodeId) -> (&mut Option<Node>, NetCtx<'_>) {
+        let ctx = NetCtx {
+            now: self.now,
+            node: id,
             rng: &mut self.node_rng[id.0],
-        };
-        let owner_node = self.rt.as_ref().map_or(&[][..], |rt| &rt.owner_node);
-        let eng = Engine {
+            seq: &mut self.node_seq[id.0],
             segments: &self.segments,
+            seg_states: &mut self.seg_states,
+            queue: &mut self.queue,
             metrics: &mut self.metrics,
-            sched: self.queues.sched(owner_node),
-            media: Media::World(&mut self.seg_states),
-            obs: Observers::Inline(Inline {
-                trace: &mut self.trace,
-                invariants: &mut self.invariants,
-                pcap: &mut self.pcap,
-            }),
+            trace: &mut self.trace,
+            invariants: &mut self.invariants,
+            pcap: &mut self.pcap,
         };
-        (view, eng)
+        (&mut self.nodes[id.0], ctx)
     }
 
     /// Run `f` against a host with a live [`NetCtx`] — how tests, examples
     /// and the mobility layer inject work into the simulation.
     pub fn host_do<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Host, &mut NetCtx) -> R) -> R {
-        self.ensure_runtime();
-        let now = self.now;
-        let (mut view, eng) = self.parts(id);
-        with_ctx(now, id, &mut view, eng, |node, ctx| {
-            match node.expect("node present") {
-                Node::Host(h) => f(h, ctx),
-                Node::Router(_) => panic!("node {} is a router", id.0),
-            }
-        })
+        let (node, mut ctx) = self.node_and_ctx(id);
+        match node.as_mut().expect("node present") {
+            Node::Host(h) => f(h, &mut ctx),
+            Node::Router(_) => panic!("node {} is a router", id.0),
+        }
     }
 
     /// Schedule an immediate application poll on `node` (bootstraps apps).
     pub fn poll_soon(&mut self, node: NodeId) {
-        self.ensure_runtime();
-        let now = self.now;
-        let (view, mut eng) = self.parts(node);
-        let key = lane_key(node_lane(node), *view.seq);
-        *view.seq += 1;
+        let seq = &mut self.node_seq[node.0];
+        let key = lane_key(node_lane(node), *seq);
+        *seq += 1;
         let kind = EventKind::Timer(Timer {
             node,
             token: token(NS_APPS, 0),
         });
-        eng.sched.push_keyed(now, key, kind);
-    }
-
-    // ---- sharded runtime --------------------------------------------------
-
-    /// Topology views the shard partitioner consumes: per-segment attached
-    /// node ids (deduplicated, ascending) and the inverse per-node segment
-    /// lists. O(world); built once, when the runtime is created.
-    fn topo_views(&self) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let seg_nodes: Vec<Vec<usize>> = self
-            .segments
-            .iter()
-            .map(|s| {
-                let mut v: Vec<usize> = s.attachments().iter().map(|&(n, _)| n.0).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        let mut node_segs: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (s, nodes) in seg_nodes.iter().enumerate() {
-            for &n in nodes {
-                node_segs[n].push(s);
-            }
-        }
-        (seg_nodes, node_segs)
-    }
-
-    /// Create the sharded runtime, or bring it up to date with the
-    /// segments touched since it last ran. A no-op when sharding is off
-    /// (one shard requested, fewer than two segments, or permanently
-    /// locked serial). On creation the queue set spreads over one queue
-    /// per shard — refused (and reported by [`World::shard_degradation`])
-    /// if cancellable timer handles are still live, since their slab
-    /// identity cannot survive the migration.
-    fn ensure_runtime(&mut self) {
-        if self.shards_requested <= 1 || self.serial_locked {
-            return;
-        }
-        if let Some(rt) = &mut self.rt {
-            rt.refresh(&self.segments, self.nodes.len());
-            return;
-        }
-        if self.segments.len() < 2 {
-            return;
-        }
-        if self.queues.live_cancellable() > 0 {
-            self.serial_locked = true;
-            return;
-        }
-        let (seg_nodes, node_segs) = self.topo_views();
-        let rt = Runtime::partition(
-            self.shards_requested,
-            self.metrics.enabled(),
-            &self.segments,
-            &seg_nodes,
-            &node_segs,
-        );
-        self.queues
-            .partition(rt.nshards, self.sched_kind, &rt.owner_node);
-        self.rt = Some(rt);
-    }
-
-    /// Test hook for the incremental ≡ from-scratch property: bring the
-    /// runtime up to date the way every run does, then check new nodes'
-    /// sticky owners and every derived placement against the whole-world
-    /// derivation over [`World::topo_views`].
-    #[cfg(test)]
-    pub(crate) fn check_shard_upkeep(&mut self) {
-        let known = self.rt.as_ref().map_or(0, |rt| rt.owner_node.len());
-        self.ensure_runtime();
-        let (seg_nodes, node_segs) = self.topo_views();
-        let rt = self.rt.as_mut().expect("sharded world with two segments");
-        for (n, segs) in node_segs.iter().enumerate().skip(known) {
-            let want = match segs.first() {
-                Some(&s) => rt.owner_seg[s],
-                None => (n % rt.nshards) as u32,
-            };
-            assert_eq!(rt.owner_node[n], want, "owner of new node {n}");
-        }
-        let incremental = rt.derived();
-        rt.rebuild(&self.segments, &seg_nodes);
-        assert_eq!(incremental, rt.derived());
+        self.queue.push_keyed(self.now, key, kind);
     }
 
     // ---- event loop -----------------------------------------------------------
 
-    /// Fire one already-popped event inline.
+    /// Fire one popped event at its node: every dispatch of the event loop.
     fn dispatch(&mut self, kind: EventKind) {
-        let now = self.now;
-        let (mut view, eng) = self.parts(event_node(&kind));
-        fire(now, kind, &mut view, eng);
+        let (node, mut ctx) = self.node_and_ctx(event_node(&kind));
+        match (node.as_mut(), kind) {
+            (Some(n), EventKind::Timer(t)) => n.on_timer(&mut ctx, t.token),
+            (Some(n), EventKind::Deliver { iface, frame, .. })
+                if n.nic().segment(iface).is_some() =>
+            {
+                n.on_frame(&mut ctx, iface, &frame)
+            }
+            // A node or its interface may have been detached between
+            // scheduling and delivery (mid-flight frames to a departed mobile
+            // host are lost, as in reality).
+            (_, EventKind::Deliver { .. }) => ctx.invariants.note_detached_frame(),
+            (None, EventKind::Timer(_)) => {}
+        }
     }
 
     /// Pop the next canonical batch due by `deadline` into the (empty)
@@ -1130,7 +699,7 @@ impl World {
     fn load_batch(&mut self, deadline: SimTime) -> bool {
         let t = {
             let _prof = crate::profile::scope("sched/pop_batch");
-            self.queues.pop_batch_until(deadline, &mut self.batch)
+            self.queue.pop_batch_until(deadline, &mut self.batch)
         };
         let Some(t) = t else { return false };
         debug_assert!(t >= self.now, "time went backwards");
@@ -1138,8 +707,8 @@ impl World {
         self.maybe_sample();
         if self.invariants.enabled() {
             // The just-popped batch is dispatched-but-not-yet-run; the
-            // ledger already counts it as dispatched and the queues no
-            // longer hold it, so the two balance here.
+            // ledger already counts it as dispatched and the queue no
+            // longer holds it, so the two balance here.
             let (stats, pending) = self.sched_ledger();
             self.invariants.check_scheduler(self.now, &stats, pending);
         }
@@ -1151,7 +720,6 @@ impl World {
     /// or any mix of the two walk one history. O(batch) per call.
     pub fn step(&mut self) -> bool {
         let _prof = crate::profile::scope("world/step");
-        self.ensure_runtime();
         if self.batch.is_empty() && !self.load_batch(SimTime(u64::MAX)) {
             return false;
         }
@@ -1167,8 +735,7 @@ impl World {
     /// check), instead of a peek *and* a pop per event. Events a batch
     /// schedules at the same instant get sequence numbers after the batch
     /// and are picked up by the next probe, so dispatch order is exactly
-    /// the (time, seq) order of the one-at-a-time path — and, with more
-    /// than one shard, exactly the serial order (see [`World::with_shards`]).
+    /// the (time, seq) order of the one-at-a-time path.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.run_driven(deadline, None);
         self.now = self.now.max(deadline);
@@ -1188,33 +755,16 @@ impl World {
     }
 
     /// The shared driver behind [`World::run_until`] and
-    /// [`World::run_until_idle`]: the barrier loop for a sharded world
-    /// whose borders and telemetry allow deferred replay, the inline loop
-    /// for every other — serial worlds over their one queue, degraded
-    /// sharded ones over their shards' queues.
+    /// [`World::run_until_idle`], and the one event loop: what `step` left
+    /// of a batch, then every canonical batch due by `deadline`, popped
+    /// from the queue and fired in key order.
     fn run_driven(&mut self, deadline: SimTime, limit: Option<u64>) {
         let _prof = crate::profile::scope("world/run");
-        self.ensure_runtime();
-        let why = self.shard_degradation();
-        if let Some(why) = why {
-            if !std::mem::replace(&mut self.warned, true) {
-                eprintln!("netsim: sharded run degraded to in-order dispatch on one thread: {why}");
-            }
-        }
-        if self.rt.is_some() && why.is_none() {
-            // What `step` left of a batch is fired inline first.
-            self.fire_batch(limit, &mut 0);
-            self.run_sharded(deadline, limit);
-        } else {
-            self.run_inline(deadline, limit);
-        }
-        // Fold the shards' commutative counters into the world registry so
-        // readers see one coherent view between runs.
-        if let Some(rt) = &mut self.rt {
-            let enabled = self.metrics.enabled();
-            for m in &mut rt.shard_metrics {
-                self.metrics.merge(m);
-                *m = MetricsRegistry::new(enabled);
+        let mut fired = 0u64;
+        loop {
+            self.fire_batch(limit, &mut fired);
+            if !self.load_batch(deadline) {
+                break;
             }
         }
         self.shrink_after_run();
@@ -1225,13 +775,16 @@ impl World {
     /// same-instant fan-out they ever carried — a broadcast storm on one
     /// big LAN — and would otherwise hold that high-water mark forever.
     fn shrink_after_run(&mut self) {
-        self.queues.shrink();
+        self.queue.shrink();
         if self.batch.is_empty() && self.batch.capacity() > 32 {
             self.batch = Vec::new();
         }
     }
 
-    /// Fire everything in the batch buffer, in order.
+    /// Fire everything in the batch buffer, in order. `limit` is the
+    /// runaway guard of [`World::run_until_idle`]: a quiescing network
+    /// always drains, so firing event number `limit + 1` is a bug to stop
+    /// at.
     fn fire_batch(&mut self, limit: Option<u64>, fired: &mut u64) {
         if self.batch.is_empty() {
             return;
@@ -1239,283 +792,38 @@ impl World {
         let _prof = crate::profile::scope("world/dispatch");
         let mut batch = std::mem::take(&mut self.batch);
         for Event { kind, .. } in batch.drain(..) {
-            check_event_limit(limit, *fired, self.now);
+            if let Some(limit) = limit {
+                assert!(
+                    *fired < limit,
+                    "run_until_idle: event limit {limit} exceeded at t={}",
+                    self.now
+                );
+            }
             *fired += 1;
             self.dispatch(kind);
         }
         self.batch = batch;
     }
 
-    /// The inline loop: every canonical batch due by `deadline`, popped
-    /// from the queue set and fired on this thread with the observers
-    /// running inline. Over one queue this is serial execution; over N it
-    /// is the exact serial order all the same, since a batch is the
-    /// key-sorted union of the queues' batches at the globally earliest
-    /// timestamp.
-    fn run_inline(&mut self, deadline: SimTime, limit: Option<u64>) {
-        let mut fired = 0u64;
-        loop {
-            self.fire_batch(limit, &mut fired);
-            if !self.load_batch(deadline) {
-                break;
-            }
-        }
-    }
-
-    /// The conservative parallel protocol. Repeats a barrier loop:
-    ///
-    /// 1. probe every shard's next-activity time;
-    /// 2. relax the probes through the border graph (link latency is the
-    ///    lookahead) into per-shard *effective* lower bounds;
-    /// 3. apply buffered cross-shard transmissions whose send time every
-    ///    adjacent shard has provably passed;
-    /// 4. replay finished rounds below the global frontier in canonical
-    ///    `(time, round, key)` order — trace, pcap, invariants and the
-    ///    scheduler ledger observe exactly the serial history;
-    /// 5. run every shard that can advance for one window, dispatching
-    ///    only events strictly below its horizon.
-    ///
-    /// Exits when every queue is drained past `deadline` with nothing left
-    /// to apply or replay.
-    ///
-    /// The world is split once, before the loop, into disjoint borrows:
-    /// each shard's [`ShardRun`] holds its queue, its nodes and its private
-    /// media for the whole run; the [`Coordinator`] holds the observers,
-    /// the clock and the border media. The `nshards - 1` workers are
-    /// spawned once and park on a channel between windows; a window's
-    /// first participant runs on the calling thread, so a window only one
-    /// shard can advance in costs no hand-off.
-    fn run_sharded(&mut self, deadline: SimTime, limit: Option<u64>) {
-        let mut rt = self.rt.take().expect("runtime present");
-        let nshards = rt.nshards;
-        let mut nodes_p: Vec<Vec<NodeView>> = rt
-            .members
-            .iter()
-            .map(|m| Vec::with_capacity(m.len()))
-            .collect();
-        let per_node = self.nodes.iter_mut().zip(&mut self.node_seq);
-        for (((node, seq), rng), &owner) in per_node.zip(&mut self.node_rng).zip(&rt.owner_node) {
-            nodes_p[owner as usize].push(NodeView { node, seq, rng });
-        }
-        // Private segment state goes to its home shard's slot; border
-        // state stays with the coordinator, parallel to `borders.adj`.
-        let mut border_states: Vec<Option<&mut SegState>> =
-            rt.borders.adj.iter().map(|_| None).collect();
-        let mut segst_p: Vec<Vec<Option<&mut SegState>>> = rt
-            .seg_members
-            .iter()
-            .map(|m| m.iter().map(|_| None).collect())
-            .collect();
-        for (s, st) in self.seg_states.iter_mut().enumerate() {
-            match border_states.get_mut(rt.borders.ix[s] as usize) {
-                Some(b) => *b = Some(st),
-                None => segst_p[rt.seg_home[s] as usize][rt.seg_slot[s] as usize] = Some(st),
-            }
-        }
-        let shared = ShardShared {
-            segments: &self.segments,
-            node_slot: &rt.node_slot,
-            seg_slot: &rt.seg_slot,
-            borders: &rt.borders,
-            on: Watching {
-                invariants: self.invariants.enabled(),
-                trace: self.trace.is_enabled(),
-                pcap: self.pcap.is_some(),
-            },
-        };
-        // Each shard takes its queue; the coordinator keeps the ledger.
-        let Sched {
-            queues,
-            owner_node,
-            ledger: sim_stats,
-        } = self.queues.sched(&rt.owner_node);
-        let per_shard = queues.iter_mut().zip(&mut rt.shard_metrics);
-        let mut runs: Vec<Option<ShardRun>> = per_shard
-            .zip(&mut rt.stats)
-            .zip(nodes_p.into_iter().zip(segst_p))
-            .map(|(((queue, metrics), stats), (nodes, seg_states))| {
-                Some(ShardRun {
-                    horizon: SimTime::ZERO,
-                    budget: u64::MAX,
-                    queue,
-                    metrics,
-                    stats,
-                    nodes,
-                    seg_states: seg_states.into_iter().flatten().collect(),
-                    rounds: Vec::new(),
-                    buf: Vec::new(),
-                    events: 0,
-                })
-            })
-            .collect();
-        let mut coord = Coordinator {
-            now: &mut self.now,
-            node_count: self.node_syms.len(),
-            segments: &self.segments,
-            border_states: border_states.into_iter().flatten().collect(),
-            obs: Inline {
-                trace: &mut self.trace,
-                invariants: &mut self.invariants,
-                pcap: &mut self.pcap,
-            },
-            metrics: &mut self.metrics,
-            sampler: &mut self.sampler,
-            borders: &rt.borders,
-            owner_node,
-            sim_stats,
-            pending_rounds: &mut rt.pending_rounds,
-            pending_txs: &mut rt.pending_txs,
-            tx_records: &mut rt.tx_records,
-        };
-        std::thread::scope(|scope| {
-            // Shard `r > 0` always runs on worker `r - 1`, so its nodes
-            // stay warm in one core's cache. A `ShardRun` travels to its
-            // worker and back by value: ownership is the synchronisation.
-            let nworkers = if rt.parallel { nshards - 1 } else { 0 };
-            let workers: Vec<(Sender<ShardRun>, Receiver<ShardRun>)> = (0..nworkers)
-                .map(|_| {
-                    let (job_tx, job_rx) = channel::<ShardRun>();
-                    let (done_tx, done_rx) = channel();
-                    let sh = &shared;
-                    scope.spawn(move || {
-                        for mut run in job_rx {
-                            run_shard_window(sh, &mut run);
-                            if done_tx.send(run).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    (job_tx, done_rx)
-                })
-                .collect();
-            let (mut t_next, mut floors, mut eff) = (Vec::new(), Vec::new(), Vec::new());
-            let (mut horizons, mut participants) = (Vec::new(), Vec::<usize>::new());
-            let mut replayed_events: u64 = 0;
-            // One event past the limit, so the overrun is seen and replayed
-            // into the canonical limit panic.
-            let allowance = limit.map_or(u64::MAX, |l| l.saturating_add(1));
-            loop {
-                coord.probe(&runs, &mut t_next, &mut floors, &mut eff);
-                let applied = coord.apply_border_txs(&mut runs, &eff);
-                if applied > 0 {
-                    coord.probe(&runs, &mut t_next, &mut floors, &mut eff);
-                }
-                let frontier = eff.iter().copied().min().unwrap_or(u64::MAX);
-                let replayed = coord.replay_rounds(&runs, frontier, limit, &mut replayed_events);
-                coord.borders.horizons(&eff, deadline, &mut horizons);
-                participants.clear();
-                for r in 0..nshards {
-                    let run = parked(&mut runs[r]);
-                    let Some(t) = t_next[r] else { continue };
-                    if t > deadline {
-                        continue;
-                    }
-                    if limit.is_some_and(|l| run.events > l) {
-                        // Locally over the event limit: excluded so the forced
-                        // replay below fires the canonical limit panic.
-                        continue;
-                    }
-                    if t < horizons[r] {
-                        run.horizon = horizons[r];
-                        run.budget = allowance.saturating_sub(run.events);
-                        participants.push(r);
-                    } else {
-                        run.stats.stalls += 1;
-                    }
-                }
-                let Some((&first, rest)) = participants.split_first() else {
-                    if applied > 0 || replayed > 0 {
-                        continue;
-                    }
-                    if limit.is_some_and(|l| runs.iter().flatten().any(|run| run.events > l)) {
-                        coord.replay_rounds(&runs, u64::MAX, limit, &mut replayed_events);
-                        unreachable!("forced replay past the event limit must panic");
-                    }
-                    if t_next.iter().all(|t| t.is_none_or(|t| t > deadline)) {
-                        break;
-                    }
-                    panic!("netsim: sharded scheduler stalled with runnable events");
-                };
-                let _prof = crate::profile::scope("world/shard_window");
-                for &r in rest {
-                    if let Some((job, _)) = workers.get(r - 1) {
-                        let run = runs[r].take().expect("shard parked between windows");
-                        job.send(run).expect("shard worker alive");
-                    }
-                }
-                run_shard_window(&shared, parked(&mut runs[first]));
-                for &r in rest {
-                    match workers.get(r - 1) {
-                        Some((_, done)) => {
-                            runs[r] = Some(done.recv().expect("shard worker panicked"));
-                        }
-                        None => run_shard_window(&shared, parked(&mut runs[r])),
-                    }
-                }
-                for &r in &participants {
-                    coord.collect(parked(&mut runs[r]));
-                }
-            }
-        });
-        debug_assert!(
-            rt.pending_txs.is_empty(),
-            "undelivered border transmissions"
-        );
-        debug_assert!(rt.pending_rounds.is_empty(), "unreplayed rounds");
-        self.rt = Some(rt);
-    }
-
     // ---- scheduler introspection -------------------------------------------
 
     /// Events not yet fired (cancelled timers excluded).
     pub fn pending_events(&self) -> usize {
-        self.queues.len() + self.batch.len()
+        self.queue.len() + self.batch.len()
     }
 
     /// Scheduler activity counters: events pushed, dispatched, and
     /// cancelled before firing. Cancelled events are never dispatched and
-    /// therefore never reach the trace or metrics. One ledger whatever the
-    /// shard count, byte-identical with the serial counters.
+    /// therefore never reach the trace or metrics.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.queues.stats()
+        self.queue.stats()
     }
 
     /// Timing-wheel gauges (cascades, occupancy, overflow pressure)
     /// recorded while the flight recorder was enabled; all zeros
-    /// otherwise and on the reference-heap backend. In sharded mode the
-    /// per-shard wheels' gauges are merged (counters summed, peaks maxed).
+    /// otherwise and on the reference-heap backend.
     pub fn scheduler_telemetry(&self) -> SchedulerTelemetry {
-        self.queues.telemetry()
-    }
-
-    /// Per-shard utilization counters (events dispatched, windows run,
-    /// horizon stalls, border messages in/out); `None` until the sharded
-    /// runtime exists (serial worlds never create one).
-    pub fn shard_stats(&self) -> Option<&[ShardStats]> {
-        self.rt.as_ref().map(|rt| rt.stats.as_slice())
-    }
-
-    /// Why this world, asked for more than one shard, runs the inline loop
-    /// on one thread instead of the parallel protocol, if it does:
-    /// cancellable timers that predate the sharded runtime (which was
-    /// then never created), a faulty or zero-latency segment on a shard
-    /// border, or armed sketched metrics. `None` for serial worlds and for
-    /// sharded worlds running the parallel protocol.
-    pub fn shard_degradation(&self) -> Option<&'static str> {
-        let Some(rt) = &self.rt else {
-            return self
-                .serial_locked
-                .then_some("cancellable timers predate the sharded runtime");
-        };
-        rt.degraded().or(self
-            .metrics
-            .sketch_armed()
-            .then_some("sketched metrics are dispatch-order-sensitive"))
-    }
-
-    /// How many shards the event loop actually runs on (1 = serial).
-    pub fn shard_count(&self) -> usize {
-        self.rt.as_ref().map_or(1, |rt| rt.nshards)
+        self.queue.telemetry()
     }
 
     // ---- gauge sampling --------------------------------------------------------
@@ -1536,21 +844,27 @@ impl World {
     }
 
     /// Record a gauge sample if sampling is on and one is due at the
-    /// current sim time.
+    /// current sim time. The heap-footprint gauge is a crude estimate:
+    /// node, trace-event and queued-event counts times representative
+    /// per-entry sizes.
     fn maybe_sample(&mut self) {
-        if let Some(sampler) = self.sampler.as_deref_mut() {
-            let (nodes, traced) = (self.nodes.len(), self.trace.events().len());
-            let (stats, live) = (self.queues.stats(), self.queues.len() as u64);
-            sample(
-                sampler,
-                self.now,
-                nodes,
-                traced,
-                stats,
-                live,
-                self.queues.iter(),
-            );
+        let Some(sampler) = self.sampler.as_deref_mut() else {
+            return;
+        };
+        if !sampler.due(self.now.0) {
+            return;
         }
+        let (nodes, traced) = (self.nodes.len() as u64, self.trace.events().len() as u64);
+        let live = self.queue.len() as u64;
+        let (occupancy, overflow) = self.queue.wheel_occupancy();
+        sampler.push(crate::profile::RawGauges {
+            sim_us: self.now.0,
+            dispatched: self.queue.stats().dispatched,
+            live_timers: live,
+            wheel_occupancy: occupancy.iter().sum(),
+            overflow_len: overflow as u64,
+            mem_est_bytes: nodes * 768 + traced * 160 + live * 112,
+        });
     }
 
     // ---- automatic routing ----------------------------------------------------
@@ -1710,403 +1024,6 @@ impl World {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-batch helpers of both loops
-// ---------------------------------------------------------------------------
-
-/// The runaway guard of [`World::run_until_idle`]: a quiescing network
-/// always drains, so firing event number `limit + 1` is a bug to stop at.
-fn check_event_limit(limit: Option<u64>, fired: u64, now: SimTime) {
-    if let Some(limit) = limit {
-        if fired >= limit {
-            panic!("run_until_idle: event limit {limit} exceeded at t={now}");
-        }
-    }
-}
-
-/// Record a gauge sample, if one is due, of the scheduler ledger `s`, the
-/// `live` events behind it and the instantaneous state of the wheels.
-/// Profile-gauge-grade: under the barrier loop the wheels are an
-/// instantaneous parallel snapshot, outside the byte-identity guarantee
-/// (which covers reports, metrics, traces and pcaps, not the profiler's
-/// own sampling of wheel internals). The heap-footprint gauge is a crude
-/// estimate: node, trace-event and queued-event counts times
-/// representative per-entry sizes.
-fn sample<'q>(
-    sampler: &mut crate::profile::TimeSeries,
-    now: SimTime,
-    nodes: usize,
-    traced: usize,
-    s: SchedulerStats,
-    live: u64,
-    queues: impl Iterator<Item = &'q EventQueue>,
-) {
-    if !sampler.due(now.0) {
-        return;
-    }
-    let mut occ_sum = 0u64;
-    let mut overflow = 0usize;
-    for q in queues {
-        let (occ, of) = q.wheel_occupancy();
-        occ_sum += occ.iter().sum::<u64>();
-        overflow += of;
-    }
-    sampler.push(crate::profile::RawGauges {
-        sim_us: now.0,
-        dispatched: s.dispatched,
-        live_timers: live,
-        wheel_occupancy: occ_sum,
-        overflow_len: overflow as u64,
-        mem_est_bytes: nodes as u64 * 768 + traced as u64 * 160 + live * 112,
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Sharded run: coordinator
-// ---------------------------------------------------------------------------
-
-/// The coordinator's slice of the world for one sharded run: the clock,
-/// every order-sensitive observer, the border media and the barrier
-/// protocol's buffers — everything no worker may touch. Shard queues and
-/// stats are reached through the parked [`ShardRun`]s.
-struct Coordinator<'w> {
-    now: &'w mut SimTime,
-    node_count: usize,
-    segments: &'w [Segment],
-    /// Border segment state, parallel to `borders.adj`.
-    border_states: Vec<&'w mut SegState>,
-    obs: Inline<'w>,
-    metrics: &'w mut MetricsRegistry,
-    sampler: &'w mut Option<Box<crate::profile::TimeSeries>>,
-    borders: &'w Borders,
-    owner_node: &'w [u32],
-    sim_stats: &'w mut SchedulerStats,
-    pending_rounds: &'w mut Vec<RoundLog>,
-    pending_txs: &'w mut Vec<PendingTx>,
-    tx_records: &'w mut [VecDeque<TxRecord>],
-}
-
-/// A shard's run state while the coordinator holds it — always, except
-/// between a window's hand-off to a worker and its return.
-fn parked<'a, 'w>(run: &'a mut Option<ShardRun<'w>>) -> &'a mut ShardRun<'w> {
-    run.as_mut().expect("shard parked between windows")
-}
-
-impl<'w> Coordinator<'w> {
-    /// Steps 1–2 of the barrier: every shard's next-activity time, relaxed
-    /// through the border graph into effective lower bounds.
-    fn probe(
-        &self,
-        runs: &[Option<ShardRun<'w>>],
-        t_next: &mut Vec<Option<SimTime>>,
-        floors: &mut Vec<u64>,
-        eff: &mut Vec<u64>,
-    ) {
-        t_next.clear();
-        t_next.extend(runs.iter().flatten().map(|run| run.queue.min_time()));
-        self.borders.tx_floors(self.pending_txs, floors);
-        self.borders.effective(t_next, floors, eff);
-    }
-
-    /// Take in what a shard logged during the window it just ran: its
-    /// cross-shard transmissions join the pending buffer, its rounds await
-    /// replay.
-    fn collect(&mut self, run: &mut ShardRun<'w>) {
-        for round in run.rounds.drain(..) {
-            for g in &round.groups {
-                for (i, op) in g.ops.iter().enumerate() {
-                    if let Op::BorderTx { seg, iface, frame } = op {
-                        run.stats.msgs_out += 1;
-                        self.pending_txs.push(PendingTx {
-                            seg: *seg,
-                            t: round.t,
-                            round: round.round,
-                            key: g.key,
-                            op: i as u32,
-                            node: g.node,
-                            iface: *iface,
-                            frame: frame.clone(),
-                        });
-                    }
-                }
-            }
-            self.pending_rounds.push(round);
-        }
-    }
-
-    /// Apply every buffered cross-shard transmission whose send time is
-    /// provably in every adjacent shard's past, in canonical order. The
-    /// medium (occupancy, stats, delivery scheduling) evolves exactly as
-    /// under serial dispatch; the observer half is recorded as a
-    /// [`TxRecord`] consumed by the matching `Op::BorderTx` replay.
-    fn apply_border_txs(&mut self, runs: &mut [Option<ShardRun<'w>>], eff: &[u64]) -> usize {
-        if self.pending_txs.is_empty() {
-            return 0;
-        }
-        // Canonical order: per segment the safe set is always a
-        // time-prefix, so applying in this order under per-segment
-        // thresholds evolves each medium exactly as the serial run would.
-        self.pending_txs.sort_by_key(PendingTx::order);
-        let mut applied = 0usize;
-        let txs = std::mem::take(self.pending_txs);
-        for tx in txs {
-            if tx.t.0 >= self.borders.threshold(eff, tx.seg) {
-                self.pending_txs.push(tx);
-                continue;
-            }
-            let st = &mut *self.border_states[self.borders.ix[tx.seg] as usize];
-            let (queue_wait, serialize) = if self.metrics.enabled() {
-                (
-                    st.backlog(tx.t),
-                    self.segments[tx.seg].config.serialize_time(tx.frame.len()),
-                )
-            } else {
-                (SimDuration::ZERO, SimDuration::ZERO)
-            };
-            let wire_len = tx.frame.len();
-            let mut sink = BorderApplySink {
-                runs: &mut *runs,
-                owner_node: self.owner_node,
-                pushed: 0,
-            };
-            let outcome =
-                self.segments[tx.seg].transmit(st, (tx.node, tx.iface), tx.frame, tx.t, &mut sink);
-            let pushed = sink.pushed;
-            self.tx_records[tx.seg].push_back(TxRecord {
-                wire_len,
-                queue_wait,
-                serialize,
-                outcome,
-                pushed,
-            });
-            applied += 1;
-        }
-        applied
-    }
-
-    /// Replay every logged round strictly below `frontier`: merge rounds
-    /// with equal `(time, round)` across shards, order their event groups
-    /// by lane key, and run each group's deferred observer effects. This
-    /// is where the trace, the pcap stream, the conservation monitors and
-    /// the scheduler ledger observe the run — in exactly the serial order.
-    fn replay_rounds(
-        &mut self,
-        runs: &[Option<ShardRun<'w>>],
-        frontier: u64,
-        limit: Option<u64>,
-        replayed_events: &mut u64,
-    ) -> usize {
-        if self.pending_rounds.is_empty() {
-            return 0;
-        }
-        let all = std::mem::take(self.pending_rounds);
-        let mut ready: Vec<RoundLog> = Vec::new();
-        for r in all {
-            if r.t.0 < frontier {
-                ready.push(r);
-            } else {
-                self.pending_rounds.push(r);
-            }
-        }
-        if ready.is_empty() {
-            return 0;
-        }
-        let _prof = crate::profile::scope("world/replay");
-        ready.sort_by_key(|r| (r.t, r.round));
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i < ready.len() {
-            let (t, round) = (ready[i].t, ready[i].round);
-            let mut batch_total = 0u64;
-            let mut groups: Vec<Group> = Vec::new();
-            while i < ready.len() && ready[i].t == t && ready[i].round == round {
-                batch_total += ready[i].batch_len;
-                groups.append(&mut ready[i].groups);
-                i += 1;
-            }
-            groups.sort_by_key(|g| g.key);
-            debug_assert!(t >= *self.now, "time went backwards");
-            *self.now = t;
-            // As `World::load_batch` does: count the batch dispatched, then
-            // show the per-batch observers the ledger.
-            self.sim_stats.dispatched += batch_total;
-            let s = *self.sim_stats;
-            let live = s.pushed - s.dispatched - s.cancelled;
-            if let Some(sampler) = self.sampler.as_deref_mut() {
-                let queues = runs.iter().flatten().map(|run| &*run.queue);
-                let traced = self.obs.trace.events().len();
-                sample(sampler, t, self.node_count, traced, s, live, queues);
-            }
-            if self.obs.invariants.enabled() {
-                self.obs.invariants.check_scheduler(t, &s, live);
-            }
-            for g in groups {
-                check_event_limit(limit, *replayed_events, t);
-                *replayed_events += 1;
-                count += 1;
-                self.sim_stats.pushed += g.counts.pushed;
-                self.sim_stats.cancelled += g.counts.cancelled;
-                for op in g.ops {
-                    self.replay_op(g.node, op);
-                }
-            }
-        }
-        count
-    }
-
-    /// Replay one deferred observer effect at the current (replayed) time,
-    /// through the inline observers.
-    fn replay_op(&mut self, node: NodeId, op: Op) {
-        let now = *self.now;
-        match op {
-            Op::Trace { kind, pkt } => self.obs.packet(now, node, kind, &pkt),
-            Op::Transform {
-                kind,
-                parent,
-                child,
-            } => self.obs.transform(now, node, kind, parent.as_ref(), &child),
-            Op::Promote { a, b, proto } => self.obs.trace.promote_endpoints(a, b, proto),
-            Op::Transmitted {
-                seg,
-                outcome,
-                frame,
-            } => self
-                .obs
-                .transmitted(now, &self.segments[seg], outcome, &frame),
-            Op::DetachedFrame => self.obs.invariants.note_detached_frame(),
-            Op::Parked => self.obs.invariants.note_parked(),
-            Op::Unparked => self.obs.invariants.note_unparked(),
-            Op::Consumed { pkt } => self.obs.invariants.note_consumed(&pkt),
-            Op::Rewrite { before, after } => self.obs.invariants.note_rewrite(&before, &after),
-            Op::BorderTx {
-                seg,
-                iface: _,
-                frame,
-            } => {
-                let rec = self.tx_records[seg]
-                    .pop_front()
-                    .expect("border tx applied before replay");
-                self.metrics.record_transmit(
-                    SegmentId(seg),
-                    rec.wire_len,
-                    rec.queue_wait,
-                    rec.serialize,
-                    rec.outcome,
-                );
-                self.obs
-                    .transmitted(now, &self.segments[seg], rec.outcome, &frame);
-                self.sim_stats.pushed += rec.pushed;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded run: shard worker
-// ---------------------------------------------------------------------------
-
-/// Read-only state shared by every shard worker during one run.
-struct ShardShared<'w> {
-    segments: &'w [Segment],
-    node_slot: &'w [u32],
-    seg_slot: &'w [u32],
-    borders: &'w Borders,
-    on: Watching,
-}
-
-/// One shard's mutable slice of the world for one run: its queue, metrics
-/// registry, stats, and `&mut` views of its member nodes and private
-/// segment states (indexed by slot). The coordinator sets `horizon` and
-/// `budget` before each window the shard takes part in and drains `rounds`
-/// after it.
-struct ShardRun<'w> {
-    horizon: SimTime,
-    /// Remaining event allowance under `run_until_idle`'s limit: checked
-    /// at batch boundaries only (a batch always completes), so it bounds
-    /// runaway shards without ever splitting a canonical round.
-    budget: u64,
-    queue: &'w mut EventQueue,
-    metrics: &'w mut MetricsRegistry,
-    stats: &'w mut ShardStats,
-    nodes: Vec<NodeView<'w>>,
-    seg_states: Vec<&'w mut SegState>,
-    rounds: Vec<RoundLog>,
-    /// Same-timestamp batch buffer, drained every batch.
-    buf: Vec<Event>,
-    /// Events dispatched so far this run.
-    events: u64,
-}
-
-/// Drain one shard's queue up to (strictly below) its horizon, dispatching
-/// events against its own nodes and private media and logging every round
-/// for canonical replay. Runs on a worker thread; everything it touches is
-/// owned by or partitioned to this shard.
-fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
-    let _prof = crate::profile::scope("world/shard_run");
-    let hcap = SimTime(run.horizon.0 - 1);
-    let mut cur_t: Option<SimTime> = None;
-    let mut round: u32 = 0;
-    run.stats.windows += 1;
-    loop {
-        if run.budget == 0 {
-            break;
-        }
-        let Some(t) = run.queue.pop_batch_until(hcap, &mut run.buf) else {
-            break;
-        };
-        // Shard-local round numbering at `t` coincides with the serial
-        // scheduler's batch numbering at `t`: border latency is strictly
-        // positive, so same-timestamp causality never crosses shards, and
-        // a window never resumes another window's timestamp (a capped
-        // shard is excluded from further windows entirely).
-        round = match cur_t {
-            Some(ct) if ct == t => round + 1,
-            _ => 0,
-        };
-        cur_t = Some(t);
-        let batch_len = run.buf.len() as u64;
-        let mut groups: Vec<Group> = Vec::with_capacity(run.buf.len());
-        for ev in run.buf.drain(..) {
-            run.budget = run.budget.saturating_sub(1);
-            let node = event_node(&ev.kind);
-            let mut group = Group {
-                key: ev.seq,
-                node,
-                counts: SchedulerStats::default(),
-                ops: Vec::new(),
-            };
-            let view = &mut run.nodes[shared.node_slot[node.0] as usize];
-            let eng = Engine {
-                segments: shared.segments,
-                metrics: &mut *run.metrics,
-                sched: Sched {
-                    queues: std::slice::from_mut(&mut *run.queue),
-                    owner_node: &[],
-                    ledger: &mut group.counts,
-                },
-                media: Media::Shard {
-                    states: &mut run.seg_states,
-                    slot: shared.seg_slot,
-                    borders: shared.borders,
-                },
-                obs: Observers::Journal {
-                    ops: &mut group.ops,
-                    on: shared.on,
-                },
-            };
-            fire(t, ev.kind, view, eng);
-            groups.push(group);
-        }
-        run.events += batch_len;
-        run.stats.events += batch_len;
-        run.rounds.push(RoundLog {
-            t,
-            round,
-            batch_len,
-            groups,
-        });
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2534,7 +1451,7 @@ mod tests {
         assert!(s.contains("\"violations\":[]"), "{s}");
     }
 
-    // ---- sharded execution ------------------------------------------------
+    // ---- one history, however the world is driven --------------------------
 
     /// How a fingerprint world is driven to quiescence.
     #[derive(Debug, Clone, Copy)]
@@ -2549,25 +1466,24 @@ mod tests {
         Slices,
     }
 
-    /// Build the two-LAN topology at a given shard count — `degraded`:
-    /// with the metrics sketch armed, so a sharded world runs the inline
-    /// loop over its shards' queues — drive a fixed ping workload across
-    /// the router, and return everything observable (time, trace length,
+    /// Build the two-LAN topology — `telemetry`: with flow sampling, the
+    /// metrics sketch and the invariant monitors armed through
+    /// [`World::apply_telemetry`] — drive a fixed ping workload across the
+    /// router, and return everything observable (time, trace length,
     /// scheduler counters, metrics snapshot JSON, link stats, and the
     /// invariant report, where batch boundaries show).
-    fn sharded_fingerprint(
-        shards: usize,
+    fn drive_fingerprint(
         drive: Drive,
-        degraded: bool,
+        telemetry: bool,
     ) -> (SimTime, usize, SchedulerStats, String, LinkStats, String) {
-        let (mut w, a, b, _r) = two_lan_world_sharded(shards);
+        let (mut w, a, b, _r) = two_lan_world();
         w.enable_metrics();
         w.enable_invariants();
-        if degraded {
+        if telemetry {
             w.apply_telemetry(&TelemetryConfig::default());
         }
         // Both ends at once: the two LANs carry frames at the same instants,
-        // so batches hold several events, from more than one shard.
+        // so batches hold several events.
         for (host, src, dst) in [(a, "10.0.1.10", "10.0.2.10"), (b, "10.0.2.10", "10.0.1.10")] {
             w.host_do(host, |h, ctx| {
                 for seq in 1..=3 {
@@ -2592,9 +1508,8 @@ mod tests {
         }
         // Settle every cell's clock on the same millisecond boundary.
         w.run_until(SimTime(w.now().0.div_ceil(1000) * 1000));
-        let cell = format!("shards={shards} {drive:?} degraded={degraded}");
+        let cell = format!("{drive:?} telemetry={telemetry}");
         assert_eq!(w.pending_events(), 0, "{cell}");
-        assert_eq!(w.shard_degradation().is_some(), degraded && shards > 1);
         assert!(!w.has_invariant_violations(), "{cell}");
         let names = w.node_names();
         let now = w.now();
@@ -2610,240 +1525,39 @@ mod tests {
         )
     }
 
-    fn two_lan_world_sharded(shards: usize) -> (World, NodeId, NodeId, NodeId) {
-        let mut w = World::with_shards(7, shards);
-        let lan_a = w.add_segment(LinkConfig::lan());
-        let lan_b = w.add_segment(LinkConfig::lan());
-        let a = w.add_host(HostConfig::conventional("a"));
-        let b = w.add_host(HostConfig::conventional("b"));
-        let r = w.add_router(RouterConfig::named("r1"));
-        w.attach(a, lan_a, Some("10.0.1.10/24"));
-        w.attach(b, lan_b, Some("10.0.2.10/24"));
-        w.attach(r, lan_a, Some("10.0.1.1/24"));
-        w.attach(r, lan_b, Some("10.0.2.1/24"));
-        w.compute_routes();
-        (w, a, b, r)
-    }
-
-    /// Every way of driving a world — both loops, the inline one over one
-    /// queue and over N, stepped, run, mixed and sliced — walks the history
-    /// of one serial `run_until_idle`.
+    /// Every way of driving a world — stepped, run, mixed and sliced —
+    /// walks the history of one `run_until_idle`. `step()` once diverged
+    /// from a run in its batch boundaries; this pins that it cannot.
     #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
+    fn every_drive_walks_the_history_of_one_run() {
         let drives = [
-            Drive::Run,
             Drive::Step,
             Drive::StepsThenRun(1),
             Drive::StepsThenRun(7),
             Drive::Slices,
         ];
-        for degraded in [false, true] {
-            let serial = sharded_fingerprint(1, Drive::Run, degraded);
-            for shards in [1, 2, 4] {
-                for drive in drives {
-                    let cell = format!("shards={shards} {drive:?} degraded={degraded}");
-                    let sharded = sharded_fingerprint(shards, drive, degraded);
-                    assert_eq!(serial.0, sharded.0, "now, {cell}");
-                    assert_eq!(serial.1, sharded.1, "trace len, {cell}");
-                    assert_eq!(serial.2, sharded.2, "scheduler stats, {cell}");
-                    assert_eq!(serial.3, sharded.3, "metrics snapshot, {cell}");
-                    assert_eq!(serial.4, sharded.4, "link stats, {cell}");
-                    assert_eq!(serial.5, sharded.5, "invariant report, {cell}");
-                }
+        for telemetry in [false, true] {
+            let run = drive_fingerprint(Drive::Run, telemetry);
+            for drive in drives {
+                let cell = format!("{drive:?} telemetry={telemetry}");
+                let driven = drive_fingerprint(drive, telemetry);
+                assert_eq!(run.0, driven.0, "now, {cell}");
+                assert_eq!(run.1, driven.1, "trace len, {cell}");
+                assert_eq!(run.2, driven.2, "scheduler stats, {cell}");
+                assert_eq!(run.3, driven.3, "metrics snapshot, {cell}");
+                assert_eq!(run.4, driven.4, "link stats, {cell}");
+                assert_eq!(run.5, driven.5, "invariant report, {cell}");
             }
         }
     }
 
-    #[test]
-    fn sharded_pcap_is_byte_identical_to_serial() {
-        use std::sync::{Arc, Mutex};
-        struct Tap(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Tap {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let capture = |shards: usize| {
-            let bytes = Arc::new(Mutex::new(Vec::new()));
-            let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-            w.capture_pcap(Box::new(Tap(bytes.clone()))).unwrap();
-            w.host_do(a, |h, ctx| {
-                for seq in 1..=2 {
-                    h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-                }
-            });
-            w.run_until_idle(100_000);
-            let frames = w.finish_pcap().unwrap();
-            assert!(frames > 0, "shards={shards}");
-            Arc::try_unwrap(bytes).unwrap().into_inner().unwrap()
-        };
-        let serial = capture(1);
-        for shards in [2, 4] {
-            assert_eq!(serial, capture(shards), "pcap bytes, shards={shards}");
-        }
-    }
-
-    #[test]
-    fn mid_run_fault_change_repartitions_and_stays_identical() {
-        // Flipping a fault on after the first run makes segment 0
-        // constrained: the next partition refresh must pin its endpoints
-        // to one shard (faults need the segment RNG, which cannot be
-        // replayed across a border) and stay byte-identical to serial.
-        let run = |shards: usize| {
-            let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-            w.enable_metrics();
-            w.enable_invariants();
-            w.host_do(a, |h, ctx| {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
-            });
-            w.run_until_idle(100_000);
-            // Mid-life fault config change on what was a border wire.
-            w.segment_config_mut(SegmentId(0)).fault.drop_prob = 1.0;
-            w.host_do(a, |h, ctx| {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 2)
-            });
-            w.run_until_idle(100_000);
-            assert!(!w.has_invariant_violations(), "shards={shards}");
-            (w.now(), w.trace.events().len(), w.scheduler_stats())
-        };
-        let serial = run(1);
-        let sharded = run(4);
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn shard_degradation_names_the_fallback() {
-        let ping = |w: &mut World, a: NodeId| {
-            w.host_do(a, |h, ctx| {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
-            });
-            w.run_until_idle(100_000);
-        };
-        let (mut w, a, _b, _r) = two_lan_world_sharded(1);
-        ping(&mut w, a);
-        assert_eq!(w.shard_degradation(), None, "serial worlds never degrade");
-
-        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
-        ping(&mut w, a);
-        assert_eq!(w.shard_degradation(), None, "healthy borders run parallel");
-        // The router joins both LANs, so one of them is the border.
-        for s in 0..2 {
-            w.segment_config_mut(SegmentId(s)).fault.drop_prob = 0.5;
-        }
-        ping(&mut w, a);
-        assert_eq!(
-            w.shard_degradation(),
-            Some("faulty or zero-latency segment on a shard border")
-        );
-
-        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
-        w.apply_telemetry(&TelemetryConfig::default());
-        ping(&mut w, a);
-        assert_eq!(
-            w.shard_degradation(),
-            Some("sketched metrics are dispatch-order-sensitive")
-        );
-
-        // A cancellable timer set while the world had one segment (and so
-        // one queue) is still live when the second segment makes it
-        // shardable: its handle pins the world to that queue.
-        let mut w = World::with_shards(7, 2);
-        let lan = w.add_segment(LinkConfig::lan());
-        let a = w.add_host(HostConfig::conventional("a"));
-        w.attach(a, lan, Some("10.0.1.10/24"));
-        w.host_do(a, |_, ctx| {
-            ctx.set_timer(SimDuration::from_millis(1), token(NS_APPS, 0));
-        });
-        w.add_segment(LinkConfig::lan());
-        w.run_until_idle(100);
-        assert_eq!(w.shard_count(), 1);
-        assert_eq!(
-            w.shard_degradation(),
-            Some("cancellable timers predate the sharded runtime")
-        );
-    }
-
-    /// A window's later participants run on parked workers, or inline where
-    /// the machine has one core and none are spawned: same run either way.
-    #[test]
-    fn inline_and_worker_windows_agree() {
-        let run = |parallel: bool| {
-            let (mut w, a, _b, _r) = two_lan_world_sharded(2);
-            w.enable_invariants();
-            w.host_do(a, |h, ctx| {
-                for seq in 1..=3 {
-                    h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-                }
-            });
-            w.rt.as_mut().expect("sharded").parallel = parallel;
-            w.run_until_idle(100_000);
-            assert!(!w.has_invariant_violations(), "parallel={parallel}");
-            let shards = w.shard_stats().expect("sharded").to_vec();
-            (w.now(), w.trace.events().len(), w.scheduler_stats(), shards)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// The limit panic unwinds out of the run's thread scope: the parked
-    /// workers must see their channels close and exit, not hold the join.
     #[test]
     #[should_panic(expected = "event limit 3 exceeded")]
-    fn sharded_event_limit_panics_and_releases_the_workers() {
-        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
-        w.host_do(a, |h, ctx| {
+    fn event_limit_overrun_panics() {
+        let (mut w, alice, _, _) = two_lan_world();
+        w.host_do(alice, |h, ctx| {
             h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
         });
-        // Spawn the workers even on a one-core machine.
-        w.rt.as_mut().expect("sharded").parallel = true;
         w.run_until_idle(3);
-    }
-
-    #[test]
-    fn shard_stats_show_horizon_bounded_progress() {
-        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
-        w.host_do(a, |h, ctx| {
-            for seq in 1..=5 {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-            }
-        });
-        w.run_until_idle(100_000);
-        let stats = w.shard_stats().expect("sharded runtime exists");
-        assert_eq!(stats.len(), 2);
-        let events: u64 = stats.iter().map(|s| s.events).sum();
-        let windows: u64 = stats.iter().map(|s| s.windows).sum();
-        let out: u64 = stats.iter().map(|s| s.msgs_out).sum();
-        let inn: u64 = stats.iter().map(|s| s.msgs_in).sum();
-        assert_eq!(events, w.scheduler_stats().dispatched);
-        assert!(windows > 0, "shards ran windows");
-        assert!(out > 0, "pings crossed the router's shard border");
-        // Every border transmit here delivers to exactly one peer.
-        assert_eq!(inn, out);
-    }
-
-    #[test]
-    fn sharded_step_matches_serial_step() {
-        let run = |shards: usize| {
-            let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-            w.host_do(a, |h, ctx| {
-                for seq in 1..=2 {
-                    h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-                }
-            });
-            let mut steps = 0usize;
-            for _ in 0..10 {
-                if !w.step() {
-                    break;
-                }
-                steps += 1;
-            }
-            // Finish with a batch run to exercise the step-batch flush.
-            w.run_until_idle(100_000);
-            (steps, w.now(), w.trace.events().len(), w.scheduler_stats())
-        };
-        assert_eq!(run(1), run(2));
     }
 }
