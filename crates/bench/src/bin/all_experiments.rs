@@ -1,18 +1,14 @@
-//! Runs every experiment in DESIGN.md §5 (in parallel — they are
-//! independent deterministic simulations) and prints all result tables —
-//! the source of the "measured" columns in EXPERIMENTS.md.
+//! Runs every experiment in DESIGN.md §5, one after the other, and prints
+//! all result tables — the source of the "measured" columns in
+//! EXPERIMENTS.md.
 //!
 //! Always writes the structured run report to `target/run-reports/`; with
 //! `--json <path>`, additionally writes the bare tables as JSON at the
 //! given path (the pre-report format kept for downstream tooling).
 //!
-//! `--serial` forces a single-threaded run (identical output, for
-//! debugging or timing comparisons); otherwise the worker count comes
-//! from `NETSIM_BENCH_THREADS` or the number of available cores.
-//!
 //! `NETSIM_PROFILE=1` or `--profile` records the flight recorder (scope
-//! timings, runner telemetry, gauge samples) into the run report;
-//! `--profile-chrome <path>` also writes a chrome://tracing file.
+//! timings, gauge samples) into the run report; `--profile-chrome <path>`
+//! also writes a chrome://tracing file.
 //!
 //! Scale-ready telemetry knobs apply here like every experiment binary:
 //! `--sample-flows N` / `NETSIM_SAMPLE=N` (1-in-N flow capture, anomalies
@@ -20,22 +16,13 @@
 //! `NETSIM_TELEMETRY_SEED` — see `bench::runbin::telemetry_requested`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = if args.iter().any(|a| a == "--serial") {
-        1
-    } else {
-        bench::experiments::default_threads()
-    };
-    let tables = bench::runbin::run("all_experiments", || {
-        bench::experiments::run_all_with(threads)
-    });
-    if let Some(ix) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(ix + 1)
-            .map(String::as_str)
-            .unwrap_or("experiments.json");
+    // Read before the run: `--json` with no path after it is refused at
+    // once, not after the tables have printed.
+    let json_path = bench::runbin::path_knob("--json");
+    let tables = bench::runbin::run("all_experiments", bench::experiments::run_all);
+    if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&tables).expect("serializable");
-        std::fs::write(path, json).expect("write json");
+        std::fs::write(&path, json).expect("write json");
         eprintln!("wrote {path}");
     }
 }

@@ -9,8 +9,7 @@
 //! cargo run --bin profile -- <report> --export-chrome out.json
 //! ```
 //!
-//! With no mode flag it prints the call tree. Text modes also render the
-//! runner section (per-worker utilization) when the report has one.
+//! With no mode flag it prints the call tree.
 
 use std::fs;
 use std::process::ExitCode;
@@ -84,16 +83,9 @@ fn run(args: &[String]) -> Result<(), String> {
         Mode::Tree => {
             print!("{}", report.render_tree());
             print_counters(&report);
-            print_runner(&doc);
         }
-        Mode::Hot(top) => {
-            print!("{}", report.render_hot(top));
-            print_runner(&doc);
-        }
-        Mode::Alloc(top) => {
-            print!("{}", report.render_alloc(top));
-            print_runner(&doc);
-        }
+        Mode::Hot(top) => print!("{}", report.render_hot(top)),
+        Mode::Alloc(top) => print!("{}", report.render_alloc(top)),
         Mode::ExportChrome(out) => {
             let json = serde_json::to_string_pretty(&report.chrome_trace())
                 .map_err(|e| format!("chrome trace: {e:?}"))?;
@@ -111,15 +103,6 @@ fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
     }
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        Value::I64(n) => u64::try_from(*n).ok(),
-        Value::F64(f) => Some(*f as u64),
-        _ => None,
-    }
-}
-
 fn print_counters(report: &ProfileReport) {
     let interesting: Vec<_> = report.counters.iter().filter(|(_, v)| *v > 0).collect();
     if interesting.is_empty() {
@@ -128,56 +111,5 @@ fn print_counters(report: &ProfileReport) {
     println!("counters:");
     for (name, v) in interesting {
         println!("  {name:<24} {v}");
-    }
-}
-
-/// Render the `runner` section: one block per pool batch with per-worker
-/// job counts and busy-time shares — the quickest way to see whether a
-/// "parallel" run actually overlapped work or just time-sliced one core.
-fn print_runner(doc: &Value) {
-    let Some(Value::Array(batches)) = get(doc, "runner") else {
-        return;
-    };
-    for (ix, batch) in batches.iter().enumerate() {
-        let jobs = get(batch, "jobs").and_then(as_u64).unwrap_or(0);
-        let threads = get(batch, "threads").and_then(as_u64).unwrap_or(0);
-        let wall = get(batch, "wall_ns").and_then(as_u64).unwrap_or(0);
-        println!(
-            "runner batch {ix}: {jobs} jobs / {threads} threads · wall {}",
-            human_ns(wall)
-        );
-        let Some(Value::Array(workers)) = get(batch, "workers") else {
-            continue;
-        };
-        for w in workers {
-            let label = match get(w, "label") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => "?".into(),
-            };
-            let wjobs = get(w, "jobs").and_then(as_u64).unwrap_or(0);
-            let busy = get(w, "busy_ns").and_then(as_u64).unwrap_or(0);
-            let util = if wall > 0 {
-                busy as f64 * 100.0 / wall as f64
-            } else {
-                0.0
-            };
-            println!(
-                "  {label:<20} {wjobs:>4} jobs  busy {:>10}  util {util:>5.1}%",
-                human_ns(busy)
-            );
-        }
-    }
-}
-
-fn human_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns >= 1e9 {
-        format!("{:.2} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} us", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
     }
 }

@@ -4,7 +4,8 @@
 //! One module per paper artifact (see `DESIGN.md` §5 for the experiment
 //! index). Each experiment is an ordinary function returning a typed result
 //! whose `Display` prints the table/series the paper's figure illustrates;
-//! the `src/bin/*` wrappers run them from the command line, and the repo
+//! `exp <name>` and `all_experiments` run them from the command line over
+//! one table ([`experiments::EXPERIMENTS`]), and the repo
 //! benchmark (`benchmark/`, its own package) times them.
 //!
 //! All experiments are deterministic: fixed seeds, simulated time.

@@ -1,7 +1,7 @@
 //! Structured run reports: machine-readable JSON alongside every
 //! experiment's human tables.
 //!
-//! Each `src/bin` wrapper calls [`emit`] after printing its tables; the
+//! [`crate::runbin::run`] calls [`emit`] after printing the tables; the
 //! report lands in `target/run-reports/<name>.json` (override the
 //! directory with `RUN_REPORT_DIR`). The schema is documented in
 //! `EXPERIMENTS.md` ("Observability").
@@ -113,8 +113,6 @@ pub fn record_world(label: &str, world: &World) {
     if !enabled() || !world.metrics.enabled() {
         return;
     }
-    // Rendered outside the lock: `all_experiments` records from every pool
-    // thread at once.
     let snap = world_snapshot(world);
     lock(&COLLECTOR).snapshots.push((label.to_string(), snap));
 }
@@ -235,13 +233,8 @@ pub fn build(name: &str, tables: &[Table]) -> Report {
     // present when profiling was explicitly enabled — default reports stay
     // deterministic.
     if netsim::profile::enabled() {
-        netsim::profile::flush_thread();
         let profile = netsim::profile::capture();
         recorder.push(("profile", render(&profile.capped(PROFILE_SCOPE_CAP))));
-        let batches = crate::experiments::runner_telemetry();
-        if !batches.is_empty() {
-            recorder.push(("runner", render(&batches)));
-        }
     }
     Report {
         name: name.to_string(),
@@ -279,45 +272,44 @@ pub fn emit(name: &str, tables: &[Table]) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
+    /// One test, because the collector is process-global and [`build`]
+    /// drains it: as three tests on the harness's threads these steps stole
+    /// each other's snapshots. Once it is on, the experiments' own unit
+    /// tests record into it too, so from there on only this test's labels
+    /// are looked at.
     #[test]
-    fn disabled_collector_accumulates_nothing() {
-        // Default state: not enabled (tests run in one process with the
-        // enable-path test, so assert on the report contents instead of
-        // global state).
+    fn collector_is_off_until_enabled_then_drains_sorted_by_label() {
+        let mut w = World::new(1);
+        w.enable_metrics();
+        record_world("ignored", &w);
+        record_value("ignored", &0u64);
         let mut t = Table::new("demo", &["a"]);
         t.row(&["1"]);
-        let v = build("demo", &[t]);
-        let json = serde_json::to_string(&v).unwrap();
+        let json = serde_json::to_string(&build("demo", &[t])).unwrap();
         assert!(json.contains("\"name\":\"demo\""));
         assert!(json.contains("\"schema\":\"run-report/v4\""));
         assert!(json.contains("\"tables\":["));
-    }
+        assert!(json.contains("\"snapshots\":{}"), "off by default: {json}");
 
-    #[test]
-    fn enabled_collector_captures_world_snapshots() {
         enable();
-        let mut w = World::new(1);
-        w.enable_metrics();
-        record_world("before", &w);
+        record_world("zz-world", &w);
         record_value("param", &42u64);
-        let v = build("snap-test", &[]);
-        let json = serde_json::to_string(&v).unwrap();
-        assert!(json.contains("\"before\":{\"metrics\":{"), "{json}");
-        assert!(json.contains("\"param\":42"), "{json}");
-        // Drained: a second build sees an empty snapshot set.
-        let v2 = build("snap-test", &[]);
-        let json2 = serde_json::to_string(&v2).unwrap();
-        assert!(json2.contains("\"snapshots\":{}"), "{json2}");
-    }
-
-    #[test]
-    fn snapshots_emit_sorted_by_label() {
-        enable();
-        record_value("zz-last", &1u64);
         record_value("aa-first", &2u64);
-        let json = serde_json::to_string(&build("order-test", &[])).unwrap();
-        let a = json.find("\"aa-first\"").expect("aa-first present");
-        let z = json.find("\"zz-last\"").expect("zz-last present");
-        assert!(a < z, "labels sorted regardless of recording order: {json}");
+        let json = serde_json::to_string(&build("snap-test", &[])).unwrap();
+        assert!(json.contains("\"zz-world\":{\"metrics\":{"), "{json}");
+        assert!(json.contains("\"param\":42"), "{json}");
+        let at = |label: &str| {
+            json.find(label)
+                .unwrap_or_else(|| panic!("{label}: {json}"))
+        };
+        assert!(
+            at("\"aa-first\"") < at("\"param\"") && at("\"param\"") < at("\"zz-world\""),
+            "labels sorted regardless of recording order: {json}"
+        );
+        // Drained: a second build has none of them.
+        let json = serde_json::to_string(&build("snap-test", &[])).unwrap();
+        for label in ["\"aa-first\"", "\"param\"", "\"zz-world\""] {
+            assert!(!json.contains(label), "{label}: {json}");
+        }
     }
 }

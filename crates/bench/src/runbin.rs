@@ -1,12 +1,12 @@
 //! Shared main-routine for the experiment binaries.
 //!
-//! Every `src/bin` wrapper does the same four things: enable report
+//! Every experiment binary does the same four things: enable report
 //! collection, run its experiment, print the tables, and emit the JSON
 //! run report. [`run`] centralises that and layers the flight recorder on
 //! top: setting `NETSIM_PROFILE=1` (any non-empty value other than `0`)
 //! or passing `--profile` turns on `netsim::profile` for the process, so
-//! the emitted report carries `profile`, `runner`, and per-snapshot
-//! gauge-sample sections. `--profile-chrome <path>` additionally writes
+//! the emitted report carries `profile` and per-snapshot gauge-sample
+//! sections. `--profile-chrome <path>` additionally writes
 //! the scope tree as a chrome://tracing / Perfetto file.
 //!
 //! Scale-ready telemetry is layered the same way: `--sample-flows N` /
@@ -34,18 +34,38 @@ pub fn profile_requested() -> bool {
         || std::env::args().any(|a| a == "--profile")
 }
 
-/// The integer following `flag` in `args`: `Ok(None)` when the flag is
-/// absent, the complaint when it is there without one — a flag that was
-/// typed must never quietly run the default configuration.
-fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+/// The value following `flag` in `args`, as `parse` reads it: `Ok(None)`
+/// when the flag is absent, the complaint when it is there without one — a
+/// flag that was typed must never quietly run the default configuration.
+fn flag_value<T>(
+    args: &[String],
+    flag: &str,
+    wants: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
     let Some(ix) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
-    let value = args.get(ix + 1).map_or("nothing", String::as_str);
-    match value.parse() {
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!("{flag} needs a non-negative integer, got {value}")),
+    let value = args.get(ix + 1).map(String::as_str);
+    match value.and_then(parse) {
+        Some(v) => Ok(Some(v)),
+        None => Err(format!(
+            "{flag} needs {wants}, got {}",
+            value.unwrap_or("nothing")
+        )),
     }
+}
+
+fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+    flag_value(args, flag, "a non-negative integer", |v| v.parse().ok())
+}
+
+/// The next argument is a path unless it starts with `--`: that is the
+/// next flag (`--json --profile`), not a file to write.
+fn flag_path(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    flag_value(args, flag, "a path", |v| {
+        (!v.starts_with("--")).then(|| v.to_string())
+    })
 }
 
 fn env_u64(name: &str) -> Option<u64> {
@@ -58,6 +78,13 @@ fn env_u64(name: &str) -> Option<u64> {
 pub fn u64_knob(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
     or_exit(&args, flag_u64(&args, flag))
+}
+
+/// A path settable as `--flag PATH`; a flag without one ends the process
+/// the way [`u64_knob`] does.
+pub fn path_knob(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    or_exit(&args, flag_path(&args, flag))
 }
 
 /// What stderr lines are prefixed with: the file name of `argv[0]`.
@@ -122,7 +149,7 @@ fn shards_notice(args: &[String], env_set: bool) -> Result<Option<String>, Strin
 
 /// Run an experiment binary body under the standard harness: report
 /// collection on, profiling on when requested, the whole run wrapped in a
-/// root scope named after the binary, tables printed, and the run report
+/// root scope called `name`, tables printed, and the run report
 /// emitted. Returns the tables for callers that post-process them.
 pub fn run(name: &'static str, f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
     report::enable();
@@ -175,7 +202,7 @@ fn export_chrome_if_asked(name: &str) {
 
 #[cfg(test)]
 mod tests {
-    use super::{flag_u64, shards_notice};
+    use super::{flag_path, flag_u64, shards_notice};
 
     fn argv(s: &str) -> Vec<String> {
         s.split(' ').map(String::from).collect()
@@ -197,6 +224,22 @@ mod tests {
                 Err(format!("--shards needs a non-negative integer, got {got}")),
                 "{line}"
             );
+        }
+    }
+
+    #[test]
+    fn the_next_flag_is_not_a_path() {
+        let path = |line| flag_path(&argv(line), "--json");
+        assert_eq!(path("bin --profile"), Ok(None));
+        assert_eq!(path("bin --json out.json"), Ok(Some("out.json".into())));
+        assert_eq!(path("bin --json -"), Ok(Some("-".into())));
+        for (line, got) in [
+            ("bin --json --profile", "--profile"),
+            ("bin --json --serial out.json", "--serial"),
+            ("bin --profile --json", "nothing"),
+        ] {
+            let complaint = format!("--json needs a path, got {got}");
+            assert_eq!(path(line), Err(complaint), "{line}");
         }
     }
 

@@ -5,8 +5,9 @@
 //! with a single relaxed atomic load and returns immediately, so
 //! instrumented hot paths (forwarding, route lookup, timer dispatch) pay
 //! one predictable branch. When enabled via [`set_enabled`] (experiment
-//! binaries honor `NETSIM_PROFILE=1` / `--profile`), each thread records
-//! into a private call tree:
+//! binaries honor `NETSIM_PROFILE=1` / `--profile`), the thread that opens
+//! a scope records it into its own call tree — no thread is spawned
+//! anywhere in the workspace, so that is the one tree there is:
 //!
 //! - [`scope`] returns an RAII guard; enter/exit deltas from the
 //!   monotonic clock aggregate into per-(parent, name) nodes holding
@@ -21,10 +22,8 @@
 //!   whenever the bounded buffer fills, so arbitrarily long runs keep a
 //!   capped, evenly spread sample set.
 //!
-//! Thread trees merge into a process-global tree on [`flush_thread`] (and
-//! automatically when a thread's recorder drops); [`capture`] flushes the
-//! calling thread, snapshots the merged tree as a [`ProfileReport`], and
-//! leaves the data in place so repeated captures are cheap. Reports
+//! [`capture`] snapshots the calling thread's tree as a [`ProfileReport`]
+//! and leaves the data in place, so repeated captures agree. Reports
 //! render as text (`render_tree` / `render_hot` / `render_alloc`), write
 //! themselves into the run-report JSON via [`ProfileReport::capped`],
 //! round-trip back through
@@ -35,7 +34,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use serde::{JsonWriter, Serialize, Value};
@@ -227,7 +226,6 @@ const NONE: u32 = u32::MAX;
 /// (parent, name) pair has been seen.
 struct TreeNode {
     name: &'static str,
-    parent: u32,
     first_child: u32,
     next_sibling: u32,
     calls: u64,
@@ -246,7 +244,6 @@ struct Frame {
 struct Recorder {
     nodes: Vec<TreeNode>,
     stack: Vec<Frame>,
-    dirty: bool,
 }
 
 impl Recorder {
@@ -254,7 +251,6 @@ impl Recorder {
         Recorder {
             nodes: vec![TreeNode {
                 name: "",
-                parent: NONE,
                 first_child: NONE,
                 next_sibling: NONE,
                 calls: 0,
@@ -263,7 +259,6 @@ impl Recorder {
                 alloc_bytes: 0,
             }],
             stack: Vec::new(),
-            dirty: false,
         }
     }
 
@@ -276,7 +271,6 @@ impl Recorder {
                 let head = self.nodes[parent as usize].first_child;
                 self.nodes.push(TreeNode {
                     name,
-                    parent,
                     first_child: NONE,
                     next_sibling: head,
                     calls: 0,
@@ -315,11 +309,10 @@ impl Recorder {
         node.incl_ns += delta;
         node.allocs += allocs.wrapping_sub(frame.allocs0);
         node.alloc_bytes += bytes.wrapping_sub(frame.bytes0);
-        self.dirty = true;
     }
 
     /// Zeroes every tally while keeping the node structure (live frames
-    /// reference nodes by index, so the tree must survive a flush).
+    /// reference nodes by index, so the tree must survive a reset).
     fn zero(&mut self) {
         for n in &mut self.nodes {
             n.calls = 0;
@@ -327,23 +320,38 @@ impl Recorder {
             n.allocs = 0;
             n.alloc_bytes = 0;
         }
-        self.dirty = false;
     }
-}
 
-/// Thread-local wrapper whose `Drop` flushes whatever the thread recorded
-/// into the global merged tree, so short-lived pool workers never lose
-/// samples.
-struct Holder(Recorder);
-
-impl Drop for Holder {
-    fn drop(&mut self) {
-        merge_into_global(&mut self.0);
+    /// The children of `parent` that closed at least once or hold a
+    /// descendant that did, hottest first. A node zeroed by [`reset`] or
+    /// still open with nothing closed under it is structure, not data.
+    fn stats(&self, parent: u32) -> Vec<ScopeStat> {
+        let mut stats = Vec::new();
+        let mut ix = self.nodes[parent as usize].first_child;
+        while ix != NONE {
+            let n = &self.nodes[ix as usize];
+            let children = self.stats(ix);
+            if n.calls > 0 || !children.is_empty() {
+                let child_incl: u64 = children.iter().map(|c| c.incl_ns).sum();
+                stats.push(ScopeStat {
+                    name: n.name.to_string(),
+                    calls: n.calls,
+                    incl_ns: n.incl_ns,
+                    excl_ns: n.incl_ns.saturating_sub(child_incl),
+                    allocs: n.allocs,
+                    alloc_bytes: n.alloc_bytes,
+                    children,
+                });
+            }
+            ix = n.next_sibling;
+        }
+        stats.sort_by_key(|s| std::cmp::Reverse(s.incl_ns));
+        stats
     }
 }
 
 thread_local! {
-    static RECORDER: RefCell<Holder> = RefCell::new(Holder(Recorder::new()));
+    static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::new());
 }
 
 /// RAII guard returned by [`scope`]; records the scope's inclusive time
@@ -357,7 +365,7 @@ impl Drop for ScopeGuard {
     #[inline]
     fn drop(&mut self) {
         if self.active {
-            let _ = RECORDER.try_with(|r| r.borrow_mut().0.exit());
+            let _ = RECORDER.try_with(|r| r.borrow_mut().exit());
         }
     }
 }
@@ -371,104 +379,15 @@ pub fn scope(name: &'static str) -> ScopeGuard {
     if !enabled() {
         return ScopeGuard { active: false };
     }
-    let active = RECORDER.try_with(|r| r.borrow_mut().0.enter(name)).is_ok();
+    let active = RECORDER.try_with(|r| r.borrow_mut().enter(name)).is_ok();
     ScopeGuard { active }
 }
 
-// ---------------------------------------------------------------------------
-// Global merged tree
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct MergedNode {
-    name: &'static str,
-    children: Vec<u32>,
-    calls: u64,
-    incl_ns: u64,
-    allocs: u64,
-    alloc_bytes: u64,
-}
-
-#[derive(Default)]
-struct Merged {
-    nodes: Vec<MergedNode>,
-    flushes: u64,
-}
-
-impl Merged {
-    fn ensure_root(&mut self) {
-        if self.nodes.is_empty() {
-            self.nodes.push(MergedNode::default());
-        }
-    }
-
-    fn child_named(&mut self, parent: u32, name: &'static str) -> u32 {
-        if let Some(&c) = self.nodes[parent as usize]
-            .children
-            .iter()
-            .find(|&&c| self.nodes[c as usize].name == name)
-        {
-            return c;
-        }
-        let ix = self.nodes.len() as u32;
-        self.nodes.push(MergedNode {
-            name,
-            ..MergedNode::default()
-        });
-        self.nodes[parent as usize].children.push(ix);
-        ix
-    }
-}
-
-fn global() -> &'static Mutex<Merged> {
-    static GLOBAL: OnceLock<Mutex<Merged>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Merged::default()))
-}
-
-fn merge_into_global(rec: &mut Recorder) {
-    if !rec.dirty {
-        return;
-    }
-    let mut g = global().lock().unwrap_or_else(|e| e.into_inner());
-    g.ensure_root();
-    // A recorder node's parent always has a smaller index (parents are
-    // created before the child is first entered), so one forward pass can
-    // map thread indices onto merged indices.
-    let mut map = vec![0u32; rec.nodes.len()];
-    for i in 1..rec.nodes.len() {
-        let parent = map[rec.nodes[i].parent as usize];
-        let mix = g.child_named(parent, rec.nodes[i].name);
-        map[i] = mix;
-        let src = &rec.nodes[i];
-        let dst = &mut g.nodes[mix as usize];
-        dst.calls += src.calls;
-        dst.incl_ns += src.incl_ns;
-        dst.allocs += src.allocs;
-        dst.alloc_bytes += src.alloc_bytes;
-    }
-    g.flushes += 1;
-    rec.zero();
-}
-
-/// Merges this thread's recorded tree into the global one and zeroes the
-/// thread-local tallies. Call after a worker finishes a batch and before
-/// building reports; a no-op when the thread recorded nothing new.
-pub fn flush_thread() {
-    let _ = RECORDER.try_with(|r| merge_into_global(&mut r.borrow_mut().0));
-}
-
-/// Clears all recorded data: the global merged tree, this thread's
-/// recorder, and every global counter. Primarily for tests and benches
-/// that must not leak samples into a later capture.
+/// Clears all recorded data: this thread's recorder and every global
+/// counter. Primarily for tests and benches that must not leak samples
+/// into a later capture.
 pub fn reset() {
-    let _ = RECORDER.try_with(|r| {
-        let rec = &mut r.borrow_mut().0;
-        rec.zero();
-    });
-    let mut g = global().lock().unwrap_or_else(|e| e.into_inner());
-    g.nodes.clear();
-    g.flushes = 0;
-    drop(g);
+    let _ = RECORDER.try_with(|r| r.borrow_mut().zero());
     for c in &COUNTERS {
         c.store(0, Ordering::Relaxed);
     }
@@ -498,61 +417,32 @@ pub struct ScopeStat {
     pub children: Vec<ScopeStat>,
 }
 
-/// A snapshot of everything the flight recorder gathered: the merged
-/// call-tree forest, global counters, and bookkeeping totals.
+/// A snapshot of everything the flight recorder gathered: the call-tree
+/// forest, global counters, and bookkeeping totals.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileReport {
     /// Wall nanoseconds profiling has been enabled when captured.
     pub wall_ns: u64,
-    /// How many thread flushes fed the merged tree.
-    pub flushes: u64,
     /// Global counter values, in declaration order.
     pub counters: Vec<(String, u64)>,
     /// Top-level scopes (scopes entered with no enclosing scope).
     pub roots: Vec<ScopeStat>,
 }
 
-fn to_stat(g: &Merged, ix: u32) -> ScopeStat {
-    let n = &g.nodes[ix as usize];
-    let mut children: Vec<ScopeStat> = n.children.iter().map(|&c| to_stat(g, c)).collect();
-    children.sort_by_key(|c| std::cmp::Reverse(c.incl_ns));
-    let child_incl: u64 = children.iter().map(|c| c.incl_ns).sum();
-    ScopeStat {
-        name: n.name.to_string(),
-        calls: n.calls,
-        incl_ns: n.incl_ns,
-        excl_ns: n.incl_ns.saturating_sub(child_incl),
-        allocs: n.allocs,
-        alloc_bytes: n.alloc_bytes,
-        children,
-    }
-}
-
-/// Flushes this thread and snapshots the merged tree as a
-/// [`ProfileReport`]. Non-destructive: recorded data stays in place.
+/// Snapshots the calling thread's call tree as a [`ProfileReport`].
+/// Non-destructive: recorded data stays in place. A scope still open at
+/// the time has not recorded its own exit yet and reports only what has
+/// closed under it.
 pub fn capture() -> ProfileReport {
-    flush_thread();
-    let g = global().lock().unwrap_or_else(|e| e.into_inner());
-    let roots = if g.nodes.is_empty() {
-        Vec::new()
-    } else {
-        let mut roots: Vec<ScopeStat> = g.nodes[0]
-            .children
-            .iter()
-            .map(|&c| to_stat(&g, c))
-            .collect();
-        roots.sort_by_key(|r| std::cmp::Reverse(r.incl_ns));
-        roots
-    };
+    let roots = RECORDER.try_with(|r| r.borrow().stats(0));
     ProfileReport {
         wall_ns: ns_since_anchor().saturating_sub(ENABLED_AT_NS.load(Ordering::Relaxed)),
-        flushes: g.flushes,
         counters: COUNTER_NAMES
             .iter()
             .zip(&COUNTERS)
             .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
             .collect(),
-        roots,
+        roots: roots.unwrap_or_default(),
     }
 }
 
@@ -589,9 +479,8 @@ fn write_capped(stats: &[ScopeStat], budget: &mut usize, w: &mut JsonWriter) {
 }
 
 impl ProfileReport {
-    /// Total inclusive nanoseconds across root scopes. On a single
-    /// profiled thread this is the wall time attributed to named scopes;
-    /// with pool workers it can exceed [`ProfileReport::wall_ns`].
+    /// Total inclusive nanoseconds across root scopes: the wall time
+    /// attributed to named scopes.
     pub fn total_incl_ns(&self) -> u64 {
         self.roots.iter().map(|r| r.incl_ns).sum()
     }
@@ -603,7 +492,6 @@ impl ProfileReport {
         serde::from_fn(move |w| {
             w.object(|w| {
                 w.field("wall_ns", &self.wall_ns);
-                w.field("flushes", &self.flushes);
                 w.field("scopes_total", &count_nodes(&self.roots));
                 w.key("counters");
                 w.object(|w| self.counters.iter().for_each(|(n, v)| w.field(n, v)));
@@ -663,7 +551,6 @@ impl ProfileReport {
         };
         Some(ProfileReport {
             wall_ns: get(v, "wall_ns").and_then(as_u64).unwrap_or(0),
-            flushes: get(v, "flushes").and_then(as_u64).unwrap_or(0),
             counters,
             roots,
         })
@@ -688,9 +575,8 @@ impl ProfileReport {
             }
         }
         let mut out = format!(
-            "profile: wall {} · {} flushes · {} scopes\n",
+            "profile: wall {} · {} scopes\n",
             human_ns(self.wall_ns),
-            self.flushes,
             count_nodes(&self.roots),
         );
         for r in &self.roots {
@@ -1091,7 +977,6 @@ mod tests {
     fn capped_report_round_trips() {
         let rep = ProfileReport {
             wall_ns: 5_000,
-            flushes: 2,
             counters: vec![("route_cache_hit".into(), 7)],
             roots: vec![ScopeStat {
                 name: "world/run".into(),

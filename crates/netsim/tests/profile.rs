@@ -13,8 +13,8 @@ use bytes::Bytes;
 use netsim::profile;
 use netsim::{Histogram, HostConfig, LinkConfig, RouterConfig, SimDuration, World};
 
-/// Serializes the profiling-enabled tests: the recorder's enable flag,
-/// counters, and merged tree are process-wide.
+/// Serializes the profiling-enabled tests: the recorder's enable flag and
+/// counters are process-wide.
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn with_profiling(f: impl FnOnce()) {
@@ -131,7 +131,6 @@ fn route_cache_counters_accumulate() {
         for _ in 0..8 {
             table.lookup(ip("10.3.4.5"));
         }
-        profile::flush_thread();
         let hits = profile::counter(profile::Counter::RouteCacheHit);
         let misses = profile::counter(profile::Counter::RouteCacheMiss);
         // The first lookup misses, repeats hit the cache.
@@ -150,7 +149,6 @@ fn scopes_attribute_allocations() {
             let _s = profile::scope("test/allocating");
             std::hint::black_box(vec![0u8; 4096]);
         }
-        profile::flush_thread();
         let report = profile::capture();
         let node = report
             .roots
@@ -159,6 +157,43 @@ fn scopes_attribute_allocations() {
             .expect("scope recorded");
         assert!(node.allocs >= 1, "Vec allocation attributed");
         assert!(node.alloc_bytes >= 4096);
+    });
+}
+
+#[test]
+fn the_calling_threads_tree_is_the_report() {
+    with_profiling(|| {
+        {
+            let _outer = profile::scope("test/outer");
+            {
+                let _inner = profile::scope("test/inner");
+            }
+            // `test/outer` is still open: it has not recorded its exit, its
+            // closed child is there.
+            let open = profile::capture();
+            assert_eq!(open.roots.len(), 1, "{open:?}");
+            assert_eq!(open.roots[0].name, "test/outer");
+            assert_eq!(open.roots[0].calls, 0);
+            assert_eq!(open.roots[0].children[0].name, "test/inner");
+            assert_eq!(open.roots[0].children[0].calls, 1);
+        }
+        // Closed on this thread: captured with nothing in between.
+        let first = profile::capture();
+        assert_eq!(first.roots[0].name, "test/outer");
+        assert_eq!(first.roots[0].calls, 1);
+        assert!(first.roots[0].incl_ns >= first.roots[0].children[0].incl_ns);
+        let second = profile::capture();
+        assert_eq!(first.roots, second.roots, "capturing consumes nothing");
+        assert_eq!(first.counters, second.counters);
+
+        profile::reset();
+        assert_eq!(profile::capture().roots, [], "reset empties the tree");
+        {
+            let _again = profile::scope("test/outer");
+        }
+        let after = profile::capture();
+        assert_eq!(after.roots[0].calls, 1, "and recording starts afresh");
+        assert_eq!(after.roots[0].children, [], "{after:?}");
     });
 }
 

@@ -6,7 +6,7 @@
 //! process-global default scheduler, and cargo runs test binaries
 //! sequentially but tests within a binary in parallel.
 
-use bench::experiments::run_all_with;
+use bench::experiments::run_all;
 use bench::report;
 use mobility4x4::netsim::{set_default_scheduler, SchedulerKind};
 
@@ -15,12 +15,12 @@ fn all_experiment_worlds_are_byte_identical_across_schedulers() {
     report::enable();
 
     set_default_scheduler(SchedulerKind::Wheel);
-    let wheel_tables = run_all_with(1);
+    let wheel_tables = run_all();
     let wheel =
         serde_json::to_string(&report::build("all_experiments", &wheel_tables)).expect("serialize");
 
     set_default_scheduler(SchedulerKind::ReferenceHeap);
-    let heap_tables = run_all_with(1);
+    let heap_tables = run_all();
     let heap =
         serde_json::to_string(&report::build("all_experiments", &heap_tables)).expect("serialize");
     set_default_scheduler(SchedulerKind::Wheel);
