@@ -22,7 +22,7 @@
 //! host.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use bytes::Bytes;
 
@@ -242,7 +242,9 @@ pub struct Host {
     proxy_arp: Vec<Ipv4Addr>,
     /// Joined multicast groups, per interface.
     multicast: HashSet<(IfaceNo, Ipv4Addr)>,
-    handlers: HashMap<u8, Option<Box<dyn ProtocolHandler>>>,
+    /// Transport handlers by IP protocol number: a handful per host, taken
+    /// and put back around every delivered packet, so a scan beats a hash.
+    handlers: Vec<(u8, Option<Box<dyn ProtocolHandler>>)>,
     hook: Option<Box<dyn MobilityHook>>,
     hook_taken: bool,
     apps: Vec<Option<Box<dyn App>>>,
@@ -264,7 +266,7 @@ impl Host {
             intercept: HashSet::new(),
             proxy_arp: Vec::new(),
             multicast: HashSet::new(),
-            handlers: HashMap::new(),
+            handlers: Vec::new(),
             hook: None,
             hook_taken: false,
             apps: Vec::new(),
@@ -494,28 +496,36 @@ impl Host {
 
     /// Install the transport handler for an IP protocol.
     pub fn register_handler(&mut self, proto: IpProtocol, handler: Box<dyn ProtocolHandler>) {
-        self.handlers.insert(proto.number(), Some(handler));
+        match self.handler_slot(proto) {
+            Some(slot) => *slot = Some(handler),
+            None => self.handlers.push((proto.number(), Some(handler))),
+        }
+    }
+
+    /// The slot `proto`'s handler lives in, if one was ever registered.
+    fn handler_slot(&mut self, proto: IpProtocol) -> Option<&mut Option<Box<dyn ProtocolHandler>>> {
+        let n = proto.number();
+        self.handlers
+            .iter_mut()
+            .find_map(|(p, slot)| (*p == n).then_some(slot))
     }
 
     /// Temporarily remove a handler so it can be invoked with `&mut Host`
     /// (the take-out pattern). Pair with [`Host::put_handler`].
     pub fn take_handler(&mut self, proto: IpProtocol) -> Option<Box<dyn ProtocolHandler>> {
-        self.handlers
-            .get_mut(&proto.number())
-            .and_then(Option::take)
+        self.handler_slot(proto).and_then(Option::take)
     }
 
     /// Return a handler taken out with [`Host::take_handler`].
     pub fn put_handler(&mut self, proto: IpProtocol, handler: Box<dyn ProtocolHandler>) {
-        self.handlers.insert(proto.number(), Some(handler));
+        self.register_handler(proto, handler);
     }
 
     /// Mutable access to a registered handler, downcast to its concrete
     /// type. For operations that need no [`NetCtx`] (binding, reading
     /// received data); use the take-out pattern for operations that send.
     pub fn handler_as<T: 'static>(&mut self, proto: IpProtocol) -> Option<&mut T> {
-        self.handlers
-            .get_mut(&proto.number())
+        self.handler_slot(proto)
             .and_then(|h| h.as_mut())
             .and_then(|h| h.as_any().downcast_mut::<T>())
     }

@@ -227,7 +227,7 @@ impl Lifecycle {
                     child_of.insert(p, e.packet_id);
                 }
             }
-            by_packet.entry(e.packet_id).or_default().push(e.clone());
+            by_packet.entry(e.packet_id).or_default().push(e);
         }
 
         let mut packets = Vec::with_capacity(by_packet.len());

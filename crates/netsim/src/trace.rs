@@ -7,10 +7,6 @@
 //! path hop counts, per-direction latency, bytes on the wire, and exactly
 //! *which router dropped which packet and why* (Figure 2).
 //!
-//! Long-running simulations can bound the memory the trace consumes with
-//! [`PacketTrace::with_capacity`]: the trace becomes a ring buffer keeping
-//! the most recent events and counting the ones it had to shed.
-//!
 //! Beyond the flat event log, the trace assigns **causal identity**: every
 //! packet injected into the world gets a stable [`PacketId`], every logical
 //! conversation a [`FlowId`], and every transform (encapsulation,
@@ -18,8 +14,37 @@
 //! the new packet to its parent — so the events form a causal tree a
 //! [`crate::lifecycle`] reconstruction can walk, rather than a log that
 //! needs heuristic pairing.
+//!
+//! # What is stored, what is assembled
+//!
+//! Readers get [`TraceEvent`]s (96 bytes); the trace stores none. A world
+//! records every hop of every packet by default, so what one record keeps
+//! is the simulator's largest per-event cost, and most of a `TraceEvent`
+//! repeats what the packet's other events already said:
+//!
+//! * **per event, 24 bytes** — time, node, packet id, event kind, and which
+//!   summary the event was recorded with: one slot of a `VecDeque` that is
+//!   the whole log in both modes ([`PacketTrace::with_capacity`] makes it
+//!   a ring that sheds its oldest records and counts them);
+//! * **per packet, 56 bytes** — flow, parent and the summary the packet was
+//!   first seen with, in a `Vec` indexed by [`PacketId`] that also answers
+//!   [`PacketTrace::parent_of`] / [`PacketTrace::flow_of`] /
+//!   [`PacketTrace::first_wire_len`] after the ring shed the events — plus
+//!   the packet's entry in the header-identity map;
+//! * **per change of summary, 40 bytes** — a packet's events share a
+//!   summary for as long as each is recorded with one equal to the last;
+//!   an event that differs (another fragment's `wire_len`, a `dst` a
+//!   source-route waypoint rewrote, an ident that wrapped onto an old id)
+//!   appends the new summary to a spill table. Nothing is assumed about
+//!   which fields can vary, so what is read back is exactly what was
+//!   recorded. Spilled summaries live until [`PacketTrace::clear`], like
+//!   the per-packet table: a ring bounds events, not packets.
+//!
+//! [`PacketTrace::events`] and [`PacketTrace::matching`] assemble each
+//! `TraceEvent` by value when it is read: two indexed loads and a 40-byte
+//! copy per event, paid by the reader instead of by every hop of the run.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{vec_deque, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::NodeId;
@@ -259,13 +284,7 @@ pub struct PacketSummary {
 impl PacketSummary {
     /// Summarize a packet, looking through one tunnel layer if present.
     pub fn of(pkt: &Ipv4Packet) -> PacketSummary {
-        let inner = if encap::is_tunnel(pkt) {
-            encap::decapsulate(pkt)
-                .ok()
-                .map(|i| (i.src, i.dst, i.protocol))
-        } else {
-            None
-        };
+        let inner = encap::inner_endpoints(pkt).ok();
         let sr_final = if pkt.options.is_empty() {
             None
         } else {
@@ -383,14 +402,43 @@ impl Hasher for IdentityHasher {
 }
 
 /// Per-packet bookkeeping that outlives the event ring buffer, so causal
-/// links and overhead deltas survive shedding.
-#[derive(Debug, Clone, Copy)]
+/// links and overhead deltas survive shedding — and everything a
+/// [`TraceEvent`] says that is the same for all of a packet's events.
+#[derive(Debug)]
 struct PacketMeta {
     flow: FlowId,
-    parent: Option<PacketId>,
-    /// Wire length when first observed (pre-transform for parents), for
-    /// per-layer header-overhead deltas.
-    wire_len: usize,
+    /// The id this packet was derived from; [`NO_PARENT`] for none.
+    parent: u32,
+    /// Which summary the packet's latest retained event was recorded with,
+    /// in [`Record::summary`]'s encoding.
+    last: u32,
+    /// The packet as first observed (pre-transform for parents): the
+    /// summary its events share until one differs, and the wire length
+    /// per-layer header-overhead deltas start from.
+    first: PacketSummary,
+}
+
+/// [`PacketMeta::parent`] of a packet no transform produced. Ids are minted
+/// below it ([`PacketTrace::alloc_packet`] checks).
+const NO_PARENT: u32 = u32::MAX;
+
+impl PacketMeta {
+    fn parent(&self) -> Option<PacketId> {
+        (self.parent != NO_PARENT).then_some(PacketId(u64::from(self.parent)))
+    }
+}
+
+/// One retained observation as the log stores it; [`PacketTrace::assemble`]
+/// makes the [`TraceEvent`] readers see.
+#[derive(Debug)]
+struct Record {
+    at: SimTime,
+    node: u32,
+    /// The [`PacketId`], an index into `meta`.
+    packet: u32,
+    /// 0: the event saw `meta[packet].first`; `n`: it saw `spilled[n - 1]`.
+    summary: u32,
+    kind: TraceEventKind,
 }
 
 /// What happened to the packet at `node`.
@@ -488,7 +536,10 @@ impl Serialize for TraceEvent {
 /// Collects [`TraceEvent`]s. Owned by the [`crate::world::World`].
 #[derive(Debug, Default)]
 pub struct PacketTrace {
-    events: VecDeque<TraceEvent>,
+    log: VecDeque<Record>,
+    /// Summaries that differed from the one their packet's previous event
+    /// was recorded with, in recording order.
+    spilled: Vec<PacketSummary>,
     enabled: bool,
     /// `Some(n)` = ring buffer holding at most `n` events.
     capacity: Option<usize>,
@@ -530,10 +581,6 @@ fn flow_sampled_in(flow: FlowId, n: u64, seed: u64) -> bool {
     crate::telemetry::hash64(flow.0 ^ seed).is_multiple_of(n)
 }
 
-/// Where trace records get written. Kept as a struct rather than a trait so
-/// the world can expose it without dynamic dispatch; experiments only read.
-pub type TraceSink = PacketTrace;
-
 impl PacketTrace {
     /// An empty, unbounded trace; records only while enabled.
     pub fn new(enabled: bool) -> PacketTrace {
@@ -549,7 +596,7 @@ impl PacketTrace {
     /// everything it sheds and keeps nothing.
     pub fn with_capacity(capacity: usize) -> PacketTrace {
         PacketTrace {
-            events: VecDeque::with_capacity(capacity),
+            log: VecDeque::with_capacity(capacity),
             enabled: true,
             capacity: Some(capacity),
             ..PacketTrace::default()
@@ -646,7 +693,7 @@ impl PacketTrace {
         }
         let _prof = crate::profile::scope("trace/record");
         let packet = PacketSummary::of(pkt);
-        let (packet_id, flow_id, parent_id) = self.ids_for(&packet);
+        let (packet_id, flow_id) = self.ids_for(&packet);
         if matches!(kind, TraceEventKind::Dropped(_)) {
             self.promote_flow(flow_id);
         }
@@ -654,15 +701,7 @@ impl PacketTrace {
             self.suppressed_events += 1;
             return;
         }
-        self.push(TraceEvent {
-            at,
-            node,
-            kind,
-            packet,
-            packet_id,
-            flow_id,
-            parent_id,
-        });
+        self.push(at, node, kind, packet_id, packet);
     }
 
     /// Record that `child` was produced from a parent packet by `kind` at
@@ -709,21 +748,14 @@ impl PacketTrace {
             self.suppressed_events += 1;
             return;
         }
-        self.push(TraceEvent {
-            at,
-            node,
-            kind: TraceEventKind::Transformed(kind),
-            packet: child_summary,
-            packet_id,
-            flow_id,
-            parent_id,
-        });
+        let kind = TraceEventKind::Transformed(kind);
+        self.push(at, node, kind, packet_id, child_summary);
     }
 
     /// The parent of `id` in the causal tree, if it was produced by a
     /// transform. Answered from bookkeeping that survives ring shedding.
     pub fn parent_of(&self, id: PacketId) -> Option<PacketId> {
-        self.meta_of(id).and_then(|m| m.parent)
+        self.meta_of(id).and_then(PacketMeta::parent)
     }
 
     /// The flow `id` belongs to, from bookkeeping that survives shedding.
@@ -736,7 +768,7 @@ impl PacketTrace {
     /// makes `child.wire_len - first_wire_len(parent)` the header bytes a
     /// layer added.
     pub fn first_wire_len(&self, id: PacketId) -> Option<usize> {
-        self.meta_of(id).map(|m| m.wire_len)
+        self.meta_of(id).map(|m| m.first.wire_len)
     }
 
     /// Distinct packets the trace has identified since the last clear.
@@ -752,14 +784,12 @@ impl PacketTrace {
 
     /// Current id and flow for the packet `summary` describes, allocating
     /// both on first sight.
-    fn ids_for(&mut self, summary: &PacketSummary) -> (PacketId, FlowId, Option<PacketId>) {
+    fn ids_for(&mut self, summary: &PacketSummary) -> (PacketId, FlowId) {
         if let Some(&id) = self.ids.get(&summary.flow_key()) {
-            let m = self.meta[id.0 as usize];
-            return (id, m.flow, m.parent);
+            return (id, self.meta[id.0 as usize].flow);
         }
         let flow = self.flow_for(summary);
-        let id = self.alloc_packet(summary, flow, None);
-        (id, flow, None)
+        (self.alloc_packet(summary, flow, None), flow)
     }
 
     /// The flow for `summary`'s logical conversation, allocated on first
@@ -787,23 +817,38 @@ impl PacketTrace {
         flow: FlowId,
         parent: Option<PacketId>,
     ) -> PacketId {
+        // The log names packets by `u32`; 2^32 of them would be 224 GiB of
+        // `meta` alone.
+        assert!(
+            self.meta.len() < NO_PARENT as usize,
+            "trace: a trace identifies at most 2^32 - 1 packets between clears"
+        );
         let id = PacketId(self.meta.len() as u64);
         self.ids.insert(summary.flow_key(), id);
         self.meta.push(PacketMeta {
             flow,
-            parent,
-            wire_len: summary.wire_len,
+            // An id is below `meta.len()`, so the assert above bounds it.
+            parent: parent.map_or(NO_PARENT, |p| p.0 as u32),
+            last: 0,
+            first: summary.clone(),
         });
         let (src, _) = summary.logical_endpoints();
         self.last_in_flow.insert((flow, src), id);
         id
     }
 
-    /// Append one event, honouring the ring bound.
-    fn push(&mut self, event: TraceEvent) {
+    /// Append one event of packet `id`, honouring the ring bound.
+    fn push(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        kind: TraceEventKind,
+        id: PacketId,
+        summary: PacketSummary,
+    ) {
         if let Some(cap) = self.capacity {
-            while self.events.len() >= cap {
-                if self.events.pop_front().is_none() {
+            while self.log.len() >= cap {
+                if self.log.pop_front().is_none() {
                     break; // cap == 0
                 }
                 self.dropped_events += 1;
@@ -813,13 +858,54 @@ impl PacketTrace {
                 return;
             }
         }
-        self.events.push_back(event);
+        let m = &mut self.meta[id.0 as usize];
+        let last = match m.last {
+            0 => &m.first,
+            n => &self.spilled[n as usize - 1],
+        };
+        if *last != summary {
+            self.spilled.push(summary);
+            m.last = u32::try_from(self.spilled.len())
+                .expect("trace: at most 2^32 - 1 changed packet summaries between clears");
+        }
+        self.log.push_back(Record {
+            at,
+            node: u32::try_from(node.0).expect("trace: node ids above 2^32 - 1 are not recorded"),
+            // `alloc_packet` minted `id` below `NO_PARENT`.
+            packet: id.0 as u32,
+            summary: m.last,
+            kind,
+        });
+    }
+
+    /// The summary `r` was recorded with.
+    fn summary_of(&self, r: &Record) -> &PacketSummary {
+        match r.summary {
+            0 => &self.meta[r.packet as usize].first,
+            n => &self.spilled[n as usize - 1],
+        }
+    }
+
+    /// The event `r` stands for: what the record holds, what its packet's
+    /// bookkeeping says of every event of that packet, and its summary.
+    fn assemble(&self, r: &Record) -> TraceEvent {
+        let m = &self.meta[r.packet as usize];
+        TraceEvent {
+            at: r.at,
+            node: NodeId(r.node as usize),
+            kind: r.kind,
+            packet: self.summary_of(r).clone(),
+            packet_id: PacketId(u64::from(r.packet)),
+            flow_id: m.flow,
+            parent_id: m.parent(),
+        }
     }
 
     /// Forget everything recorded so far (including the shed-event count
     /// and all packet/flow identities).
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.log.clear();
+        self.spilled.clear();
         self.dropped_events = 0;
         self.ids.clear();
         self.meta.clear();
@@ -830,19 +916,25 @@ impl PacketTrace {
         self.suppressed_events = 0;
     }
 
-    /// Every retained event, in order. (A deque rather than a slice so the
-    /// bounded ring-buffer mode never has to shuffle memory; it iterates,
-    /// `len()`s and `is_empty()`s the same way.)
-    pub fn events(&self) -> &VecDeque<TraceEvent> {
-        &self.events
+    /// Every retained event, in order: a view that assembles each
+    /// [`TraceEvent`] from its 24-byte record, its packet's bookkeeping and
+    /// the summary it was recorded with as it is read. `len` and `is_empty`
+    /// read nothing; `front`, `back` and each step of `iter` cost two
+    /// indexed loads and a 40-byte copy.
+    pub fn events(&self) -> TraceEvents<'_> {
+        TraceEvents(self)
     }
 
-    /// Events whose packet summary satisfies `pred`.
-    pub fn matching<'a, F>(&'a self, pred: F) -> impl Iterator<Item = &'a TraceEvent>
+    /// Events whose packet summary satisfies `pred`; only those are
+    /// assembled.
+    pub fn matching<'a, F>(&'a self, pred: F) -> impl Iterator<Item = TraceEvent> + 'a
     where
         F: Fn(&PacketSummary) -> bool + 'a,
     {
-        self.events.iter().filter(move |e| pred(&e.packet))
+        self.log
+            .iter()
+            .filter(move |r| pred(self.summary_of(r)))
+            .map(|r| self.assemble(r))
     }
 
     /// Number of times matching packets were put on a wire (Sent+Forwarded):
@@ -949,6 +1041,87 @@ impl PacketTrace {
     }
 }
 
+/// The retained events of a [`PacketTrace`], oldest first
+/// ([`PacketTrace::events`]). Yields [`TraceEvent`]s by value: the trace
+/// stores them apart (see the module header).
+#[derive(Clone, Copy)]
+pub struct TraceEvents<'a>(&'a PacketTrace);
+
+impl<'a> TraceEvents<'a> {
+    /// Number of retained events.
+    pub fn len(&self) -> usize {
+        self.0.log.len()
+    }
+
+    /// Whether nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.0.log.is_empty()
+    }
+
+    /// The oldest retained event.
+    pub fn front(&self) -> Option<TraceEvent> {
+        self.iter().next()
+    }
+
+    /// The most recent event.
+    pub fn back(&self) -> Option<TraceEvent> {
+        self.iter().next_back()
+    }
+
+    /// The events in order, from either end.
+    pub fn iter(&self) -> TraceEventsIter<'a> {
+        TraceEventsIter {
+            trace: self.0,
+            records: self.0.log.iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for TraceEvents<'a> {
+    type Item = TraceEvent;
+    type IntoIter = TraceEventsIter<'a>;
+    fn into_iter(self) -> TraceEventsIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for TraceEvents<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for TraceEvents<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator of [`TraceEvents::iter`].
+#[derive(Clone)]
+pub struct TraceEventsIter<'a> {
+    trace: &'a PacketTrace,
+    records: vec_deque::Iter<'a, Record>,
+}
+
+impl Iterator for TraceEventsIter<'_> {
+    type Item = TraceEvent;
+    fn next(&mut self) -> Option<TraceEvent> {
+        self.records.next().map(|r| self.trace.assemble(r))
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for TraceEventsIter<'_> {
+    fn next_back(&mut self) -> Option<TraceEvent> {
+        self.records.next_back().map(|r| self.trace.assemble(r))
+    }
+}
+
+impl ExactSizeIterator for TraceEventsIter<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,6 +1135,15 @@ mod tests {
 
     fn pkt(src: &str, dst: &str) -> Ipv4Packet {
         Ipv4Packet::new(ip(src), ip(dst), IpProtocol::Udp, Bytes::from_static(b"x"))
+    }
+
+    #[test]
+    fn a_stored_event_is_24_bytes() {
+        // What every hop of every packet costs the default-on trace; a
+        // whole `TraceEvent` is four times that.
+        assert!(std::mem::size_of::<Record>() <= 24);
+        assert!(std::mem::size_of::<PacketMeta>() <= 56);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 96);
     }
 
     #[test]

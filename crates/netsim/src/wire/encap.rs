@@ -157,28 +157,43 @@ pub fn encapsulate(
     }
 }
 
-/// Unwrap a tunnel packet, recovering the inner IP packet. Dispatches on the
-/// outer protocol field; fails on non-tunnel packets. The inner packet's
-/// options and payload are views of the outer payload in all three formats.
-pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
+/// Where the inner packet sits in a tunnel packet's payload, once the
+/// tunnel header's own checks have passed.
+enum Tunnel {
+    /// A whole IPv4 packet starts at this offset (IP-in-IP: 0; GRE: behind
+    /// its 4- or 8-byte header).
+    Ip(usize),
+    /// Minimal encapsulation: the forwarding header names the endpoints and
+    /// the inner payload starts `hdr_len` bytes in.
+    Minimal {
+        endpoints: (Ipv4Addr, Ipv4Addr, IpProtocol),
+        hdr_len: usize,
+    },
+}
+
+/// The one validator of tunnel headers — the minimal-encapsulation header
+/// checksum, GRE's protocol type and optional checksum, the lengths both
+/// need — dispatching on the outer protocol field; fails on non-tunnel
+/// packets. The inner IPv4 header's checks are `Ipv4Packet`'s.
+fn locate(outer: &Ipv4Packet) -> Result<Tunnel, ParseError> {
+    let p: &[u8] = &outer.payload;
+    let need = |needed: usize| {
+        if p.len() < needed {
+            Err(ParseError::Truncated {
+                needed,
+                got: p.len(),
+            })
+        } else {
+            Ok(())
+        }
+    };
     match outer.protocol {
-        IpProtocol::IpInIp => Ipv4Packet::parse_bytes(&outer.payload),
+        IpProtocol::IpInIp => Ok(Tunnel::Ip(0)),
         IpProtocol::MinimalEncap => {
-            let p = &outer.payload;
-            if p.len() < 4 {
-                return Err(ParseError::Truncated {
-                    needed: 4,
-                    got: p.len(),
-                });
-            }
-            let has_src = p[0x01] & 0x80 != 0;
+            need(4)?;
+            let has_src = p[1] & 0x80 != 0;
             let hdr_len = if has_src { MINENC_LEN_WITH_SRC } else { 8 };
-            if p.len() < hdr_len {
-                return Err(ParseError::Truncated {
-                    needed: hdr_len,
-                    got: p.len(),
-                });
-            }
+            need(hdr_len)?;
             if !checksum_valid(&p[..hdr_len], 0) {
                 return Err(ParseError::BadChecksum {
                     what: "minimal encapsulation",
@@ -190,28 +205,13 @@ pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
             } else {
                 outer.src
             };
-            Ok(Ipv4Packet {
-                tos: outer.tos,
-                ident: outer.ident,
-                dont_fragment: outer.dont_fragment,
-                more_fragments: false,
-                frag_offset: 0,
-                ttl: outer.ttl,
-                protocol: IpProtocol::from_number(p[0]),
-                src,
-                dst,
-                options: Bytes::new(),
-                payload: outer.payload.slice(hdr_len..),
+            Ok(Tunnel::Minimal {
+                endpoints: (src, dst, IpProtocol::from_number(p[0])),
+                hdr_len,
             })
         }
         IpProtocol::Gre => {
-            let p = &outer.payload;
-            if p.len() < 4 {
-                return Err(ParseError::Truncated {
-                    needed: 4,
-                    got: p.len(),
-                });
-            }
+            need(4)?;
             let flags = u16::from_be_bytes([p[0], p[1]]);
             let proto = u16::from_be_bytes([p[2], p[3]]);
             if proto != 0x0800 {
@@ -222,20 +222,55 @@ pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
             }
             let has_cksum = flags & 0x8000 != 0;
             let hdr_len = if has_cksum { GRE_LEN } else { 4 };
-            if p.len() < hdr_len {
-                return Err(ParseError::Truncated {
-                    needed: hdr_len,
-                    got: p.len(),
-                });
-            }
+            need(hdr_len)?;
             if has_cksum && !checksum_valid(p, 0) {
                 return Err(ParseError::BadChecksum { what: "gre" });
             }
-            Ipv4Packet::parse_bytes(&p.slice(hdr_len..))
+            Ok(Tunnel::Ip(hdr_len))
         }
         other => Err(ParseError::BadField {
             what: "tunnel protocol",
             value: u64::from(other.number()),
+        }),
+    }
+}
+
+/// `(src, dst, protocol)` of the packet a tunnel packet carries — what
+/// [`decapsulate`] would return of it, under the same validation, without
+/// building the packet. This is what every trace record of a tunnel packet
+/// needs; a fragment of a tunnel packet (its payload ends before, or starts
+/// after, the inner header says) and a corrupted inner header fail here
+/// exactly as they fail to decapsulate.
+pub fn inner_endpoints(outer: &Ipv4Packet) -> Result<(Ipv4Addr, Ipv4Addr, IpProtocol), ParseError> {
+    match locate(outer)? {
+        Tunnel::Ip(at) => Ipv4Packet::parse_endpoints(&outer.payload[at..]),
+        Tunnel::Minimal { endpoints, .. } => Ok(endpoints),
+    }
+}
+
+/// Unwrap a tunnel packet, recovering the inner IP packet. Fails on
+/// non-tunnel packets. The inner packet's options and payload are views of
+/// the outer payload in all three formats.
+pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
+    match locate(outer)? {
+        // Nothing to skip: spare the slice its refcount round trip.
+        Tunnel::Ip(0) => Ipv4Packet::parse_bytes(&outer.payload),
+        Tunnel::Ip(at) => Ipv4Packet::parse_bytes(&outer.payload.slice(at..)),
+        Tunnel::Minimal {
+            endpoints: (src, dst, protocol),
+            hdr_len,
+        } => Ok(Ipv4Packet {
+            tos: outer.tos,
+            ident: outer.ident,
+            dont_fragment: outer.dont_fragment,
+            more_fragments: false,
+            frag_offset: 0,
+            ttl: outer.ttl,
+            protocol,
+            src,
+            dst,
+            options: Bytes::new(),
+            payload: outer.payload.slice(hdr_len..),
         }),
     }
 }

@@ -312,6 +312,51 @@ pub struct Ipv4Packet {
     pub payload: Bytes,
 }
 
+/// The one validator of IPv4 wire bytes — minimum length, version, IHL,
+/// header checksum, total length against the bytes present — returning
+/// early with the [`ParseError`], else evaluating to `(ihl, total_len)`.
+/// A macro rather than a function so that each of its two users compiles
+/// to one straight-line parse: split into a function (even an
+/// `#[inline(always)]` one) `parse_bytes` measured 32 ns against 25.
+macro_rules! checked_header_lengths {
+    ($data:expr) => {{
+        let data = $data;
+        if data.len() < IPV4_HEADER_LEN {
+            return Err(ParseError::Truncated {
+                needed: IPV4_HEADER_LEN,
+                got: data.len(),
+            });
+        }
+        let version = data[0] >> 4;
+        if version != 4 {
+            return Err(ParseError::BadField {
+                what: "ip version",
+                value: u64::from(version),
+            });
+        }
+        let ihl = usize::from(data[0] & 0x0f) * 4;
+        if ihl < IPV4_HEADER_LEN || data.len() < ihl {
+            return Err(ParseError::BadField {
+                what: "ihl",
+                value: (ihl / 4) as u64,
+            });
+        }
+        if !checksum_valid(&data[..ihl], 0) {
+            return Err(ParseError::BadChecksum {
+                what: "ipv4 header",
+            });
+        }
+        let total_len = usize::from(u16::from_be_bytes([data[2], data[3]]));
+        if total_len < ihl || data.len() < total_len {
+            return Err(ParseError::Truncated {
+                needed: total_len,
+                got: data.len(),
+            });
+        }
+        (ihl, total_len)
+    }};
+}
+
 impl Ipv4Packet {
     /// Convenience constructor with default TOS/TTL and no fragmentation.
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: Bytes) -> Ipv4Packet {
@@ -410,38 +455,7 @@ impl Ipv4Packet {
     /// Options and payload are views of `data`, not copies; bytes past the
     /// header's total length (link padding) are left out of the view.
     pub fn parse_bytes(data: &Bytes) -> Result<Ipv4Packet, ParseError> {
-        if data.len() < IPV4_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                needed: IPV4_HEADER_LEN,
-                got: data.len(),
-            });
-        }
-        let version = data[0] >> 4;
-        if version != 4 {
-            return Err(ParseError::BadField {
-                what: "ip version",
-                value: u64::from(version),
-            });
-        }
-        let ihl = usize::from(data[0] & 0x0f) * 4;
-        if ihl < IPV4_HEADER_LEN || data.len() < ihl {
-            return Err(ParseError::BadField {
-                what: "ihl",
-                value: (ihl / 4) as u64,
-            });
-        }
-        if !checksum_valid(&data[..ihl], 0) {
-            return Err(ParseError::BadChecksum {
-                what: "ipv4 header",
-            });
-        }
-        let total_len = usize::from(u16::from_be_bytes([data[2], data[3]]));
-        if total_len < ihl || data.len() < total_len {
-            return Err(ParseError::Truncated {
-                needed: total_len,
-                got: data.len(),
-            });
-        }
+        let (ihl, total_len) = checked_header_lengths!(data);
         let flags_frag = u16::from_be_bytes([data[6], data[7]]);
         Ok(Ipv4Packet {
             tos: data[1],
@@ -456,6 +470,20 @@ impl Ipv4Packet {
             options: data.slice(IPV4_HEADER_LEN..ihl),
             payload: data.slice(ihl..total_len),
         })
+    }
+
+    /// `(src, dst, protocol)` of the packet at `data[0]`, under every check
+    /// [`Ipv4Packet::parse_bytes`] makes and without taking a view: all a
+    /// reader of a tunnel's inner header needs.
+    pub(crate) fn parse_endpoints(
+        data: &[u8],
+    ) -> Result<(Ipv4Addr, Ipv4Addr, IpProtocol), ParseError> {
+        checked_header_lengths!(data);
+        Ok((
+            Ipv4Addr::from_octets([data[12], data[13], data[14], data[15]]),
+            Ipv4Addr::from_octets([data[16], data[17], data[18], data[19]]),
+            IpProtocol::from_number(data[9]),
+        ))
     }
 
     /// Fragment this packet so no fragment exceeds `mtu` bytes on the wire.

@@ -1,20 +1,26 @@
-//! `PacketTrace`'s identity bookkeeping against a reference model.
+//! `PacketTrace`'s identity bookkeeping and event log against a reference
+//! model.
 //!
 //! The trace resolves every record through four tables (header identity →
 //! packet id, packet id → causal bookkeeping, conversation → flow id, last
-//! packet per flow endpoint). How those tables are stored is free to change
-//! as long as nothing observable does; the model below is the plain
-//! four-`HashMap` formulation, and random `record` / `record_transform` /
-//! `clear` sequences must leave trace and model in agreement.
+//! packet per flow endpoint) and stores an event as a 24-byte record whose
+//! summary, flow and parent are looked up when it is read. How any of that
+//! is stored is free to change as long as nothing observable does; the
+//! model below is the plain four-`HashMap` formulation over a deque of
+//! whole [`TraceEvent`]s, and random `record` / `record_transform` /
+//! `clear` sequences must leave trace and model in agreement — event for
+//! event, every field.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Mutex;
 
 use bytes::Bytes;
+use netsim::trace::PacketSummary;
 use netsim::wire::encap::encapsulate;
-use netsim::wire::srcroute::apply_route;
+use netsim::wire::srcroute::{apply_route, process_at_hop};
 use netsim::{
     DropReason, EncapFormat, FlowId, IpProtocol, Ipv4Addr, Ipv4Packet, NodeId, PacketId,
-    PacketTrace, SimTime, TraceEventKind, TransformKind,
+    PacketTrace, SimTime, TraceEvent, TraceEventKind, TransformKind,
 };
 use proptest::prelude::*;
 
@@ -35,18 +41,21 @@ struct Seen {
     key: PacketKey,
     logical: (Ipv4Addr, Ipv4Addr),
     proto: IpProtocol,
-    wire_len: usize,
+    summary: PacketSummary,
 }
 
 fn seen(pkt: &Ipv4Packet) -> Seen {
-    let s = netsim::trace::PacketSummary::of(pkt);
+    let s = PacketSummary::of(pkt);
     Seen {
         key: (s.src, s.sr_final.unwrap_or(s.dst), s.protocol, s.ident),
         logical: s.logical_endpoints(),
         proto: s.logical_protocol(),
-        wire_len: s.wire_len,
+        summary: s,
     }
 }
+
+/// When and where an op happens.
+type Stamp = (SimTime, NodeId);
 
 #[derive(Default)]
 struct Model {
@@ -61,7 +70,7 @@ struct Model {
     promoted: HashSet<u64>,
     suppressed: u64,
     capacity: Option<usize>,
-    events: VecDeque<Ids>,
+    events: VecDeque<TraceEvent>,
     shed: u64,
 }
 
@@ -83,7 +92,7 @@ impl Model {
         let id = self.next_packet;
         self.next_packet += 1;
         self.ids.insert(s.key, id);
-        self.meta.insert(id, (flow, parent, s.wire_len));
+        self.meta.insert(id, (flow, parent, s.summary.wire_len));
         self.last_in_flow.insert((flow, s.logical.0), id);
         id
     }
@@ -97,7 +106,11 @@ impl Model {
         (self.alloc(s, flow, None), flow, None)
     }
 
-    fn keep(&mut self, anomaly: bool, ids: Ids) {
+    fn keep(&mut self, (at, node): Stamp, kind: TraceEventKind, ids: Ids, packet: PacketSummary) {
+        let anomaly = matches!(
+            kind,
+            TraceEventKind::Dropped(_) | TraceEventKind::Transformed(TransformKind::Retransmission)
+        );
         if let Some((n, seed)) = self.sample {
             if anomaly {
                 self.promoted.insert(ids.1);
@@ -107,24 +120,35 @@ impl Model {
                 return;
             }
         }
+        let event = TraceEvent {
+            at,
+            node,
+            kind,
+            packet,
+            packet_id: PacketId(ids.0),
+            flow_id: FlowId(ids.1),
+            parent_id: ids.2.map(PacketId),
+        };
         match self.capacity {
             Some(0) => self.shed += 1,
             Some(cap) if self.events.len() >= cap => {
                 self.events.pop_front();
                 self.shed += 1;
-                self.events.push_back(ids);
+                self.events.push_back(event);
             }
-            _ => self.events.push_back(ids),
+            _ => self.events.push_back(event),
         }
     }
 
-    fn record(&mut self, kind: TraceEventKind, pkt: &Ipv4Packet) {
-        let ids = self.ids_for(&seen(pkt));
-        self.keep(matches!(kind, TraceEventKind::Dropped(_)), ids);
+    fn record(&mut self, stamp: Stamp, kind: TraceEventKind, pkt: &Ipv4Packet) {
+        let s = seen(pkt);
+        let ids = self.ids_for(&s);
+        self.keep(stamp, kind, ids, s.summary);
     }
 
     fn record_transform(
         &mut self,
+        stamp: Stamp,
         kind: TransformKind,
         parent: Option<&Ipv4Packet>,
         child: &Ipv4Packet,
@@ -142,7 +166,8 @@ impl Model {
             None => self.flow_for(&c),
         };
         let id = self.alloc(&c, flow, parent);
-        self.keep(kind == TransformKind::Retransmission, (id, flow, parent));
+        let kind = TraceEventKind::Transformed(kind);
+        self.keep(stamp, kind, (id, flow, parent), c.summary);
     }
 
     fn clear(&mut self) {
@@ -201,15 +226,70 @@ enum Op {
     Clear,
 }
 
+/// The life of one packet that crosses a router: four events of one id.
+const WALK: [TraceEventKind; 4] = [
+    TraceEventKind::Sent,
+    TraceEventKind::Forwarded,
+    TraceEventKind::Forwarded,
+    TraceEventKind::DeliveredLocal,
+];
+
+/// `pkt` grown past a 44-byte MTU and fragmented: one header identity, so
+/// one `PacketId`, whose fragments differ in `wire_len` (and, for a tunnel
+/// packet, in whether the inner header can be read). Each stage of the
+/// walk records every fragment, so consecutive events of the id alternate
+/// between summaries.
+fn fragments_walk(mut pkt: Ipv4Packet, extra: usize) -> Vec<Op> {
+    let mut payload = pkt.payload.to_vec();
+    payload.resize(payload.len() + 30 + extra, 0x5a);
+    pkt.payload = Bytes::from(payload);
+    pkt.dont_fragment = false;
+    let frags = pkt
+        .fragment(44)
+        .expect("DF is clear and the MTU holds a header");
+    assert!(frags.len() >= 2);
+    WALK.iter()
+        .flat_map(|&kind| frags.iter().map(move |f| Op::Record(kind, f.clone())))
+        .collect()
+}
+
+/// A loose-source-routed packet recorded on its way to a waypoint and
+/// again after the waypoint rewrote `dst`: the header identity (keyed on
+/// the route's final destination) and so the `PacketId` stay, the summary
+/// does not.
+fn rerouted_walk(mut pkt: Ipv4Packet, via: [Ipv4Addr; 2], legs: usize) -> Vec<Op> {
+    pkt.set_options(&[]);
+    let dst = pkt.dst;
+    apply_route(&mut pkt, &via[..legs], dst);
+    let mut ops = vec![Op::Record(TraceEventKind::Sent, pkt.clone())];
+    for _ in 0..legs {
+        let here = pkt.dst;
+        ops.push(Op::Record(TraceEventKind::Forwarded, pkt.clone()));
+        assert!(
+            process_at_hop(&mut pkt, here),
+            "an unexhausted route advances"
+        );
+        ops.push(Op::Record(TraceEventKind::Forwarded, pkt.clone()));
+    }
+    ops.push(Op::Record(TraceEventKind::DeliveredLocal, pkt));
+    ops
+}
+
 prop_compose! {
-    fn arb_op()(
-        what in 0u8..40,
+    /// One primitive op, or a burst that gives one `PacketId` several
+    /// events — with one summary (a plain walk) or several (fragments, a
+    /// source route in progress) — optionally replayed after a `clear()`,
+    /// when the same identities must start again from nothing.
+    fn arb_ops()(
+        what in 0u8..58,
         kind in 0usize..5,
         pkt in arb_packet(),
         parent in proptest::option::of(arb_packet()),
-    ) -> Op {
-        match what {
-            0 => Op::Clear,
+        extra in 0usize..40,
+        replay in any::<bool>(),
+    ) -> Vec<Op> {
+        let burst = match what {
+            0 => return vec![Op::Clear],
             1..=12 => {
                 let kind = [
                     TransformKind::Encapsulated(EncapFormat::IpInIp),
@@ -218,9 +298,9 @@ prop_compose! {
                     TransformKind::Relayed,
                     TransformKind::Retransmission,
                 ][kind];
-                Op::Transform(kind, parent, pkt)
+                return vec![Op::Transform(kind, parent, pkt)];
             }
-            _ => {
+            13..=39 => {
                 let kind = [
                     TraceEventKind::Sent,
                     TraceEventKind::Forwarded,
@@ -228,10 +308,52 @@ prop_compose! {
                     TraceEventKind::Dropped(DropReason::LinkFault),
                     TraceEventKind::Dropped(DropReason::TtlExpired),
                 ][kind];
-                Op::Record(kind, pkt)
+                return vec![Op::Record(kind, pkt)];
             }
+            40..=45 => WALK.iter().map(|&k| Op::Record(k, pkt.clone())).collect(),
+            46..=51 => fragments_walk(pkt, extra),
+            _ => rerouted_walk(pkt, [host(5), host(6)], 1 + extra % 2),
+        };
+        if !replay {
+            return burst;
+        }
+        let mut ops = burst.clone();
+        ops.push(Op::Clear);
+        ops.extend(burst);
+        ops
+    }
+}
+
+/// `profile::live_bytes` is process-wide: the footprint pin must not see
+/// the model test's allocations come and go.
+static GAUGE: Mutex<()> = Mutex::new(());
+
+/// What the default-on trace retains for a run the size of one
+/// `grid_stream` cell: 24 bytes an event and 56 a packet, plus the identity
+/// map — 5.5 MiB here (5 800 225 B). Storing whole 96-byte events took
+/// 13.8 MiB (14 450 977 B).
+#[test]
+fn an_unbounded_trace_of_100k_events_retains_under_8_mib() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
+    let before = netsim::profile::live_bytes();
+    let mut trace = PacketTrace::new(true);
+    let mut pkt = Ipv4Packet::new(host(0), host(1), IpProtocol::Udp, Bytes::from_static(b"x"));
+    for ident in 0..20_000u16 {
+        pkt.ident = ident;
+        for (hop, kind) in [WALK[0], WALK[1], WALK[1], WALK[1], WALK[3]]
+            .into_iter()
+            .enumerate()
+        {
+            trace.record(SimTime(u64::from(ident)), NodeId(hop), kind, &pkt);
         }
     }
+    let retained = netsim::profile::live_bytes() - before;
+    assert_eq!(trace.events().len(), 100_000);
+    assert_eq!(trace.packets_identified(), 20_000);
+    assert!(
+        retained <= 8 << 20,
+        "100 000 events of 20 000 packets retain {retained} B"
+    );
 }
 
 proptest! {
@@ -242,8 +364,9 @@ proptest! {
         ring in 0u8..4,
         sampling in 0u8..4,
         seed in any::<u64>(),
-        ops in proptest::collection::vec(arb_op(), 0..120),
+        ops in proptest::collection::vec(arb_ops(), 0..60),
     ) {
+        let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
         let capacity = [None, Some(0), Some(3), Some(1000)][usize::from(ring)];
         let mut trace = match capacity {
             None => PacketTrace::new(true),
@@ -259,16 +382,16 @@ proptest! {
             ..Model::default()
         };
 
-        for (t, op) in ops.iter().enumerate() {
+        for (t, op) in ops.iter().flatten().enumerate() {
             let (at, node) = (SimTime(t as u64), NodeId(t % 3));
             match op {
                 Op::Record(kind, pkt) => {
                     trace.record(at, node, *kind, pkt);
-                    model.record(*kind, pkt);
+                    model.record((at, node), *kind, pkt);
                 }
                 Op::Transform(kind, parent, child) => {
                     trace.record_transform(at, node, *kind, parent.as_ref(), child);
-                    model.record_transform(*kind, parent.as_ref(), child);
+                    model.record_transform((at, node), *kind, parent.as_ref(), child);
                 }
                 Op::Clear => {
                     trace.clear();
@@ -276,12 +399,15 @@ proptest! {
                 }
             }
 
-            let events: Vec<Ids> = trace
-                .events()
-                .iter()
-                .map(|e| (e.packet_id.0, e.flow_id.0, e.parent_id.map(|p| p.0)))
-                .collect();
-            prop_assert_eq!(&events, &Vec::from(model.events.clone()), "events after op {}", t);
+            let events = trace.events();
+            prop_assert!(events.iter().eq(model.events.iter().cloned()), "events after op {}", t);
+            prop_assert_eq!(events.len(), model.events.len());
+            prop_assert_eq!(events.front(), model.events.front().cloned());
+            prop_assert_eq!(events.back(), model.events.back().cloned());
+            prop_assert!(events.iter().rev().eq(model.events.iter().rev().cloned()));
+            let matched: Vec<TraceEvent> = trace.matching(|s| s.wire_len % 2 == 0).collect();
+            let expect = model.events.iter().filter(|e| e.packet.wire_len % 2 == 0);
+            prop_assert!(matched.iter().eq(expect), "matching after op {}", t);
             prop_assert_eq!(trace.dropped_events(), model.shed);
             prop_assert_eq!(trace.suppressed_events(), model.suppressed);
             prop_assert_eq!(trace.promoted_flows(), model.promoted.len());

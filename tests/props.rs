@@ -6,8 +6,10 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use mobility4x4::mip_core::{classify, CellClass, Combination, InMode, OutMode};
+use mobility4x4::netsim::trace::PacketSummary;
 use mobility4x4::netsim::wire::arp::ArpPacket;
-use mobility4x4::netsim::wire::encap::{decapsulate, encapsulate, EncapFormat};
+use mobility4x4::netsim::wire::checksum_valid;
+use mobility4x4::netsim::wire::encap::{decapsulate, encapsulate, inner_endpoints, EncapFormat};
 use mobility4x4::netsim::wire::ethernet::{EtherType, EthernetFrame, MacAddr};
 use mobility4x4::netsim::wire::icmp::IcmpMessage;
 use mobility4x4::netsim::wire::ipv4::{IpProtocol, Ipv4Packet, Reassembler};
@@ -38,6 +40,62 @@ prop_compose! {
         p.ident = ident;
         p.ttl = ttl;
         p
+    }
+}
+
+/// What the trace reads of a tunnel packet — `(src, dst, protocol)` of the
+/// packet inside — as `decapsulate` + `Ipv4Packet::parse_bytes` established
+/// it before `encap::inner_endpoints` existed: a copy of those bodies, kept
+/// as the reference now that `decapsulate` itself runs on the new validator.
+fn reference_inner_endpoints(outer: &Ipv4Packet) -> Option<(Ipv4Addr, Ipv4Addr, IpProtocol)> {
+    fn addr(b: &[u8]) -> Ipv4Addr {
+        Ipv4Addr::from_octets([b[0], b[1], b[2], b[3]])
+    }
+    fn ipv4(d: &[u8]) -> Option<(Ipv4Addr, Ipv4Addr, IpProtocol)> {
+        if d.len() < 20 || d[0] >> 4 != 4 {
+            return None;
+        }
+        let ihl = usize::from(d[0] & 0x0f) * 4;
+        if ihl < 20 || d.len() < ihl || !checksum_valid(&d[..ihl], 0) {
+            return None;
+        }
+        let total_len = usize::from(u16::from_be_bytes([d[2], d[3]]));
+        if total_len < ihl || d.len() < total_len {
+            return None;
+        }
+        Some((
+            addr(&d[12..]),
+            addr(&d[16..]),
+            IpProtocol::from_number(d[9]),
+        ))
+    }
+    let p = &outer.payload[..];
+    match outer.protocol {
+        IpProtocol::IpInIp => ipv4(p),
+        IpProtocol::MinimalEncap => {
+            if p.len() < 4 {
+                return None;
+            }
+            let has_src = p[1] & 0x80 != 0;
+            let hdr_len = if has_src { 12 } else { 8 };
+            if p.len() < hdr_len || !checksum_valid(&p[..hdr_len], 0) {
+                return None;
+            }
+            let src = if has_src { addr(&p[8..]) } else { outer.src };
+            Some((src, addr(&p[4..]), IpProtocol::from_number(p[0])))
+        }
+        IpProtocol::Gre => {
+            if p.len() < 4 || u16::from_be_bytes([p[2], p[3]]) != 0x0800 {
+                return None;
+            }
+            let has_cksum = p[0] & 0x80 != 0;
+            let hdr_len = if has_cksum { 8 } else { 4 };
+            if p.len() < hdr_len || (has_cksum && !checksum_valid(p, 0)) {
+                return None;
+            }
+            ipv4(&p[hdr_len..])
+        }
+        _ => None,
     }
 }
 
@@ -290,6 +348,41 @@ proptest! {
     }
 
     #[test]
+    fn inner_endpoints_reads_what_decapsulate_parsed(
+        p in arb_packet(),
+        outer_src in arb_addr(),
+        outer_dst in arb_addr(),
+        ident in any::<u16>(),
+        mtu in 68usize..700,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        // Whole, every fragment (the first ends before the inner header says
+        // it does, the later ones start mid-packet), one corrupted byte in
+        // the first 40 of the payload — tunnel header and inner IP header in
+        // every format — and a payload cut short anywhere.
+        let mut cases = vec![p.clone()];
+        for f in [EncapFormat::IpInIp, EncapFormat::Minimal, EncapFormat::Gre] {
+            let outer = encapsulate(f, outer_src, outer_dst, &p, ident).unwrap();
+            prop_assert_eq!(inner_endpoints(&outer).ok(), Some((p.src, p.dst, p.protocol)));
+            cases.extend(outer.fragment(mtu).unwrap());
+            let mut bytes = outer.payload.to_vec();
+            let ix = at % bytes.len().min(40);
+            bytes[ix] ^= flip;
+            cases.push(Ipv4Packet { payload: Bytes::from(bytes), ..outer.clone() });
+            let cut = outer.payload.slice(..at % outer.payload.len());
+            cases.push(Ipv4Packet { payload: cut, ..outer.clone() });
+            cases.push(outer);
+        }
+        for c in &cases {
+            let expect = reference_inner_endpoints(c);
+            prop_assert_eq!(inner_endpoints(c).ok(), expect);
+            prop_assert_eq!(decapsulate(c).ok().map(|i| (i.src, i.dst, i.protocol)), expect);
+            prop_assert_eq!(PacketSummary::of(c).inner, expect);
+        }
+    }
+
+    #[test]
     fn ethernet_roundtrip(
         dst in any::<[u8; 6]>(), src in any::<[u8; 6]>(),
         ethertype in any::<u16>(),
@@ -477,7 +570,7 @@ proptest! {
 
         // Node view: registry totals equal what the packet trace recorded,
         // event for event and byte for byte.
-        let all = |_: &mobility4x4::netsim::trace::PacketSummary| true;
+        let all = |_: &PacketSummary| true;
         let count = |kind: TraceEventKind| {
             w.trace.matching(all).filter(|e| e.kind == kind).count() as u64
         };
@@ -640,7 +733,7 @@ proptest! {
         );
         let events: Vec<_> = trace.events().iter().collect();
         prop_assert_eq!(events.len(), 3);
-        let (sent, enc, dec) = (events[0], events[1], events[2]);
+        let (sent, enc, dec) = (&events[0], &events[1], &events[2]);
         prop_assert_eq!(enc.parent_id, Some(sent.packet_id));
         prop_assert_eq!(dec.parent_id, Some(enc.packet_id));
         prop_assert_eq!(enc.flow_id, sent.flow_id);
