@@ -8,18 +8,13 @@
 //!
 //! `NETSIM_PROFILE=1` or `--profile` records the flight recorder (scope
 //! timings, gauge samples) into the run report; `--profile-chrome <path>`
-//! also writes a chrome://tracing file.
-//!
-//! Scale-ready telemetry knobs apply here like every experiment binary:
-//! `--sample-flows N` / `NETSIM_SAMPLE=N` (1-in-N flow capture, anomalies
-//! always promoted), `--topk K`, `--sketch-threshold N`, and
-//! `NETSIM_TELEMETRY_SEED` — see `bench::runbin::telemetry_requested`.
+//! also writes a chrome://tracing file. Any other `--flag` exits 2.
 
 fn main() {
     // Read before the run: `--json` with no path after it is refused at
     // once, not after the tables have printed.
     let json_path = bench::runbin::path_knob("--json");
-    let tables = bench::runbin::run("all_experiments", bench::experiments::run_all);
+    let tables = bench::runbin::run("all_experiments", &["--json"], bench::experiments::run_all);
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&tables).expect("serializable");
         std::fs::write(&path, json).expect("write json");

@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --bin diff -- old.json new.json
 //! cargo run --bin diff -- old.json new.json --threshold 5
-//! cargo run --bin diff -- full.json sampled.json --fail-on-violations
+//! cargo run --bin diff -- old.json new.json --fail-on-violations
 //! ```
 //!
 //! `--threshold PCT` hides numeric deltas smaller than PCT percent

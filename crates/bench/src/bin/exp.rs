@@ -5,16 +5,13 @@
 //!
 //! `NETSIM_PROFILE=1` or `--profile` records the flight recorder into the
 //! run report; `--profile-chrome <path>` also writes a chrome://tracing
-//! file. The scale-ready telemetry knobs apply to every experiment:
-//! `--sample-flows N` / `NETSIM_SAMPLE=N` (1-in-N flow capture, anomalies
-//! always promoted), `--topk K`, `--sketch-threshold N`, and
-//! `NETSIM_TELEMETRY_SEED` — see `bench::runbin::telemetry_requested`.
+//! file. Any other `--flag` exits 2.
 
 fn main() {
     let name = std::env::args().nth(1);
     match bench::experiments::lookup(name.as_deref()) {
         Ok((name, run)) => {
-            bench::runbin::run(name, run);
+            bench::runbin::run(name, &[], run);
         }
         Err(complaint) => {
             eprintln!("exp: {complaint}");

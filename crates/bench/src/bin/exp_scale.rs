@@ -2,8 +2,10 @@
 //!
 //! ```text
 //! exp_scale [--hosts N] [--seed S] [--handoffs N] [--flash N] [--rereg N]
-//!           [--correspondents N] [--sample-flows N] [--topk K] [--profile]
+//!           [--correspondents N] [--profile] [--profile-chrome [PATH]]
 //! ```
+//!
+//! Any other `--flag` exits 2.
 //!
 //! `--correspondents N` adds the policy miss storm: one mobile's method
 //! cache, capped at `N/2` entries, faces `N` distinct correspondents while
@@ -15,12 +17,26 @@
 //! quantities; wall-clock build time, per-host steady-state memory (from
 //! the counting allocator's live-byte gauge), and churn throughput go to
 //! stderr, keeping reports byte-comparable across machines and runs.
+//!
+//! The world runs under the invariant monitors. A violation is attached to
+//! the report as the `scale/invariants` snapshot (a clean run has none),
+//! named on stderr, and makes the exit status 1.
 
 use std::time::Instant;
 
 use bench::experiments::exp_scale;
 use bench::runbin::{self, u64_knob};
 use bench::scale::{build_world, run_churn, ChurnParams, ScaleParams};
+
+/// The flags `main` reads through [`u64_knob`].
+const FLAGS: [&str; 6] = [
+    "--hosts",
+    "--seed",
+    "--handoffs",
+    "--flash",
+    "--rereg",
+    "--correspondents",
+];
 
 fn main() {
     let hosts = u64_knob("--hosts").unwrap_or(10_000) as usize;
@@ -35,7 +51,8 @@ fn main() {
             .map_or(defaults.correspondents, |n| n as usize),
     };
 
-    runbin::run("exp_scale", || {
+    let mut violated = false;
+    runbin::run("exp_scale", &FLAGS, || {
         let params = ScaleParams {
             seed,
             ..ScaleParams::with_hosts(hosts)
@@ -52,6 +69,12 @@ fn main() {
         let churn_wall = t_churn.elapsed();
         let live_steady = netsim::profile::live_bytes() - live_before;
         bench::report::record_value("scale/churn", &stats);
+        violated = world.has_invariant_violations();
+        if violated {
+            let verdict = world.invariant_report();
+            let section = serde::from_fn(|w| w.object(|w| w.field("invariants", &verdict)));
+            bench::report::record_value("scale/invariants", &section);
+        }
 
         let n = index.hosts.len() as i64;
         eprintln!(
@@ -73,4 +96,8 @@ fn main() {
         );
         vec![exp_scale::table(index.hosts.len(), &stats)]
     });
+    if violated {
+        eprintln!("exp_scale: invariant violations, see the report's scale/invariants snapshot");
+        std::process::exit(1);
+    }
 }

@@ -20,7 +20,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use netsim::{Lifecycle, TelemetryConfig, World};
+use netsim::{Lifecycle, World};
 use serde::{JsonWriter, Serialize};
 
 use crate::Table;
@@ -40,39 +40,22 @@ static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
     snapshots: Vec::new(),
 });
 
-/// Lock one of this module's statics, taking the guard of a poisoned lock
-/// too: `paper_suite` runs experiments under `catch_unwind`, every update
-/// below leaves its value whole at each step, and so one panicking
-/// experiment must not wedge the collector for the rest.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Process-global telemetry configuration, set from CLI flags/environment
-/// by [`crate::run_experiments`] before any experiment builds a world.
-/// `None` means full-fidelity observation — today's default.
-static TELEMETRY: Mutex<Option<TelemetryConfig>> = Mutex::new(None);
-
-/// Install the telemetry configuration every subsequently observed world
-/// receives (sampling, sketches, invariant monitors). Binaries call this
-/// once, from flags like `--sample-flows` / `NETSIM_SAMPLE`.
-pub fn set_telemetry_config(cfg: TelemetryConfig) {
-    *lock(&TELEMETRY) = Some(cfg);
-}
-
-/// The installed telemetry configuration, if any.
-pub fn telemetry_config() -> Option<TelemetryConfig> {
-    *lock(&TELEMETRY)
+/// Lock the collector, taking the guard of a poisoned lock too:
+/// `paper_suite` runs experiments under `catch_unwind`, every update below
+/// leaves it whole at each step, and so one panicking experiment must not
+/// wedge the collector for the rest.
+fn collector() -> MutexGuard<'static, Collector> {
+    COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Turn snapshot collection on for this process (binaries call this first).
 pub fn enable() {
-    lock(&COLLECTOR).enabled = true;
+    collector().enabled = true;
 }
 
 /// Whether collection is on for this process.
 pub fn enabled() -> bool {
-    lock(&COLLECTOR).enabled
+    collector().enabled
 }
 
 /// Sim-time interval between flight-recorder gauge samples when profiling
@@ -92,9 +75,6 @@ pub fn observe_world(world: &mut World) {
         // cost one branch and a hash-set op per trace event, and turn
         // conservation bugs into report sections instead of silence.
         world.enable_invariants();
-        if let Some(cfg) = telemetry_config() {
-            world.apply_telemetry(&cfg);
-        }
     }
     if netsim::profile::enabled() {
         world.enable_sampling(netsim::SimDuration(SAMPLE_INTERVAL_US), SAMPLE_CAP);
@@ -114,14 +94,13 @@ pub fn record_world(label: &str, world: &World) {
         return;
     }
     let snap = world_snapshot(world);
-    lock(&COLLECTOR).snapshots.push((label.to_string(), snap));
+    collector().snapshots.push((label.to_string(), snap));
 }
 
 /// The report snapshot for one world, as the compact JSON text
 /// [`record_world`] embeds. Pure (no collector involved) so tests can
-/// assert on report bytes — in particular that sampled runs are
-/// deterministic and that default (unsampled, unmonitored) snapshots carry
-/// no extra sections.
+/// assert on report bytes — in particular that a clean monitored run
+/// carries no section an unmonitored one lacks.
 pub fn world_snapshot(world: &World) -> String {
     let names = world.node_names();
     render(&serde::from_fn(|w| {
@@ -131,23 +110,9 @@ pub fn world_snapshot(world: &World) -> String {
                 let lc = Lifecycle::reconstruct(&world.trace, &names);
                 w.field("lifecycle", &lc.report(LIFECYCLE_SPAN_CAP));
             }
-            // Flow sampling is opt-in, so this section only appears when a
-            // telemetry config asked for it — default reports are untouched.
-            if let Some(n) = world.trace.flow_sample_rate() {
-                w.key("sampling");
-                w.object(|w| {
-                    w.field("flow_sample_rate", &n);
-                    w.field("suppressed_events", &world.trace.suppressed_events());
-                    w.field("promoted_flows", &world.trace.promoted_flows());
-                });
-            }
-            // The invariant section appears when monitoring found a violation
-            // (always worth surfacing) or when telemetry was explicitly
-            // configured (the CI smoke job reads the `ok` flag). Clean default
-            // runs stay byte-identical to v3 apart from the schema bump.
-            if world.invariants.enabled()
-                && (telemetry_config().is_some() || world.has_invariant_violations())
-            {
+            // Only a violation earns the section: clean runs keep the bytes
+            // they had before worlds were monitored.
+            if world.has_invariant_violations() {
                 w.field("invariants", &world.invariant_report());
             }
             // Flight-recorder extras are wall-clock derived and so
@@ -172,7 +137,7 @@ pub fn world_snapshot(world: &World) -> String {
 pub fn record_value(label: &str, value: &impl Serialize) {
     if enabled() {
         let json = render(value);
-        lock(&COLLECTOR).snapshots.push((label.to_string(), json));
+        collector().snapshots.push((label.to_string(), json));
     }
 }
 
@@ -226,7 +191,7 @@ impl Serialize for Report {
 /// emitted sorted by label so report bytes are stable run to run
 /// regardless of the order an experiment recorded them in.
 pub fn build(name: &str, tables: &[Table]) -> Report {
-    let mut snapshots = std::mem::take(&mut lock(&COLLECTOR).snapshots);
+    let mut snapshots = std::mem::take(&mut collector().snapshots);
     snapshots.sort_by(|(a, _), (b, _)| a.cmp(b));
     let mut recorder = Vec::new();
     // The flight-recorder sections are wall-clock derived, so they are only

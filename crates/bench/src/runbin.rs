@@ -9,22 +9,16 @@
 //! sections. `--profile-chrome <path>` additionally writes
 //! the scope tree as a chrome://tracing / Perfetto file.
 //!
-//! Scale-ready telemetry is layered the same way: `--sample-flows N` /
-//! `NETSIM_SAMPLE=N`, `--topk K`, and `--sketch-threshold N` (see
-//! [`telemetry_requested`]) install a [`netsim::TelemetryConfig`] that
-//! every observed world receives — head-based flow sampling, heavy-hitter
-//! sketches, and the online invariant monitors' report section.
-//!
-//! `--shards N` / `NETSIM_SHARDS=N` selected an engine that no longer
-//! exists. For one release they are still parsed (a malformed value is
-//! still an error) and answered with one line on stderr; nothing below
-//! this module learns the number (see `shards_notice`).
+//! A bin hands [`run`] the flags it reads itself; an argument starting with
+//! `--` that is neither one of those nor `--profile` / `--profile-chrome`
+//! ends the process with `<bin>: unknown flag <flag>` and status 2: a
+//! mistyped flag, or one of a feature that was removed, must not quietly
+//! run the default configuration.
 
 use std::path::Path;
 
 use crate::report;
 use crate::Table;
-use netsim::TelemetryConfig;
 
 /// Whether this process should record the flight recorder: the
 /// `NETSIM_PROFILE` environment variable (non-empty, not `"0"`) or a
@@ -68,10 +62,6 @@ fn flag_path(args: &[String], flag: &str) -> Result<Option<String>, String> {
     })
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 /// An integer knob settable as `--flag N` — the pattern every scale/churn
 /// size shares. A flag without a usable value ends the process with
 /// `<bin>: <flag> needs a non-negative integer, got <value>` and status 2.
@@ -101,66 +91,33 @@ fn or_exit<T>(args: &[String], parsed: Result<T, String>) -> T {
     })
 }
 
-/// Parse the scale-ready telemetry configuration from argv and the
-/// environment. `None` when nothing was asked for — the full-fidelity
-/// default. Knobs (flag wins over environment variable):
-///
-/// * `--sample-flows N` / `NETSIM_SAMPLE=N` — record 1-in-N flows fully
-///   (anomalous flows always promoted to full capture)
-/// * `--topk K` — heavy-hitter sketch slots
-/// * `--sketch-threshold N` — node count above which per-node counters
-///   collapse into sketches
-/// * `NETSIM_TELEMETRY_SEED=S` — seed for every sampling decision
-pub fn telemetry_requested() -> Option<TelemetryConfig> {
-    let mut cfg = TelemetryConfig::default();
-    let mut any = false;
-    if let Some(n) = u64_knob("--sample-flows").or_else(|| env_u64("NETSIM_SAMPLE")) {
-        cfg.sample_flows = Some(n);
-        any = true;
-    }
-    if let Some(k) = u64_knob("--topk") {
-        cfg.topk = k as usize;
-        any = true;
-    }
-    if let Some(t) = u64_knob("--sketch-threshold") {
-        cfg.sketch_node_threshold = t as usize;
-        any = true;
-    }
-    if let Some(s) = env_u64("NETSIM_TELEMETRY_SEED") {
-        cfg.seed = s;
-    }
-    any.then_some(cfg)
+/// The first argument starting with `--` that is neither a flag every bin
+/// shares nor one of `own`, the flags the running bin reads itself.
+fn unknown_flag<'a>(args: &'a [String], own: &[&str]) -> Option<&'a str> {
+    let known = |a: &str| a == "--profile" || a == "--profile-chrome" || own.contains(&a);
+    let mut flags = args.iter().skip(1).map(String::as_str);
+    flags.find(|a| a.starts_with("--") && !known(a))
 }
 
-/// What a process that asks for shards is told, once, on stderr after
-/// its `<bin>: ` prefix: `None` when it did not ask, the flag's complaint
-/// when `--shards` has no usable value. The flag is named over the
-/// `NETSIM_SHARDS` environment variable (`env_set`) when both are there.
-fn shards_notice(args: &[String], env_set: bool) -> Result<Option<String>, String> {
-    let knob = match flag_u64(args, "--shards")? {
-        Some(_) => "--shards",
-        None if env_set => "NETSIM_SHARDS",
-        None => return Ok(None),
-    };
-    Ok(Some(format!(
-        "{knob} is ignored: the sharded engine was removed (README, \"One engine\")"
-    )))
+/// Where `--profile-chrome [PATH]` asks for the chrome trace: `None` when
+/// the flag is absent, `Some(None)` when no path follows it.
+fn chrome_path(args: &[String]) -> Option<Option<&str>> {
+    let ix = args.iter().position(|a| a == "--profile-chrome")?;
+    let next = args.get(ix + 1).map(String::as_str);
+    Some(next.filter(|p| !p.starts_with("--")))
 }
 
-/// Run an experiment binary body under the standard harness: report
-/// collection on, profiling on when requested, the whole run wrapped in a
-/// root scope called `name`, tables printed, and the run report
-/// emitted. Returns the tables for callers that post-process them.
-pub fn run(name: &'static str, f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
-    report::enable();
-    if let Some(cfg) = telemetry_requested() {
-        report::set_telemetry_config(cfg);
-    }
+/// Run an experiment binary body under the standard harness: arguments
+/// checked against `flags` (the ones this bin reads itself) and the shared
+/// ones, report collection on, profiling on when requested, the whole run
+/// wrapped in a root scope called `name`, tables printed, and the run
+/// report emitted. Returns the tables for callers that post-process them.
+pub fn run(name: &'static str, flags: &[&str], f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
     let args: Vec<String> = std::env::args().collect();
-    let env_set = std::env::var_os("NETSIM_SHARDS").is_some();
-    if let Some(notice) = or_exit(&args, shards_notice(&args, env_set)) {
-        eprintln!("{}: {notice}", bin_name(&args));
+    if let Some(flag) = unknown_flag(&args, flags) {
+        or_exit(&args, Err(format!("unknown flag {flag}")))
     }
+    report::enable();
     let profiling = profile_requested();
     if profiling {
         netsim::profile::set_enabled(true);
@@ -173,24 +130,16 @@ pub fn run(name: &'static str, f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
         println!("{t}");
     }
     report::emit(name, &tables);
-    if profiling {
-        export_chrome_if_asked(name);
+    if let (true, Some(path)) = (profiling, chrome_path(&args)) {
+        export_chrome(name, path);
     }
     tables
 }
 
-/// Honour `--profile-chrome <path>`; with no path the trace lands next to
-/// the run reports as `<name>-chrome.json`.
-fn export_chrome_if_asked(name: &str) {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(ix) = args.iter().position(|a| a == "--profile-chrome") else {
-        return;
-    };
-    let path = args
-        .get(ix + 1)
-        .filter(|p| !p.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| format!("{name}-chrome.json"));
+/// Write the scope tree as a chrome://tracing file; with no path it lands
+/// in the working directory as `<name>-chrome.json`.
+fn export_chrome(name: &str, path: Option<&str>) {
+    let path = path.map_or_else(|| format!("{name}-chrome.json"), String::from);
     let trace = netsim::profile::capture().chrome_trace();
     let json = serde_json::to_string_pretty(&trace)
         .unwrap_or_else(|e| format!("{{\"error\":\"serialization failed: {e:?}\"}}"));
@@ -202,7 +151,7 @@ fn export_chrome_if_asked(name: &str) {
 
 #[cfg(test)]
 mod tests {
-    use super::{flag_path, flag_u64, shards_notice};
+    use super::{chrome_path, flag_path, flag_u64, unknown_flag};
 
     fn argv(s: &str) -> Vec<String> {
         s.split(' ').map(String::from).collect()
@@ -244,25 +193,37 @@ mod tests {
     }
 
     #[test]
-    fn asking_for_shards_is_answered_with_a_notice_and_nothing_else() {
-        let notice = |knob: &str| {
-            Ok(Some(format!(
-                "{knob} is ignored: the sharded engine was removed (README, \"One engine\")"
-            )))
-        };
-        assert_eq!(shards_notice(&argv("bin --profile"), false), Ok(None));
+    fn a_flag_nobody_reads_is_named_not_ignored() {
+        let own = ["--hosts", "--seed"];
+        let unknown = |line| unknown_flag(&argv(line), &own).map(String::from);
+        assert_eq!(unknown("bin"), None);
+        assert_eq!(unknown("bin fig01_basic --hosts 5 --seed -1"), None);
+        assert_eq!(unknown("bin --profile --profile-chrome out.json"), None);
+        assert_eq!(unknown("bin --hosts 5 --shards 2"), Some("--shards".into()));
         assert_eq!(
-            shards_notice(&argv("bin --shards 4"), false),
-            notice("--shards")
+            unknown("bin --sample-flows 64"),
+            Some("--sample-flows".into())
+        );
+        assert_eq!(unknown("bin --hosts=5"), Some("--hosts=5".into()));
+        assert_eq!(unknown("bin --"), Some("--".into()));
+        // Another bin's flag is not this one's.
+        assert_eq!(
+            unknown_flag(&argv("bin --hosts 5"), &["--json"]),
+            Some("--hosts")
+        );
+        // argv[0] is a path, whatever it looks like.
+        assert_eq!(unknown_flag(&argv("--odd-bin"), &[]), None);
+
+        // `--profile-chrome` is known with and without its path.
+        assert_eq!(chrome_path(&argv("bin --profile")), None);
+        assert_eq!(chrome_path(&argv("bin --profile-chrome")), Some(None));
+        assert_eq!(
+            chrome_path(&argv("bin --profile-chrome --profile")),
+            Some(None)
         );
         assert_eq!(
-            shards_notice(&argv("bin --shards 0"), true),
-            notice("--shards")
-        );
-        assert_eq!(shards_notice(&argv("bin"), true), notice("NETSIM_SHARDS"));
-        assert_eq!(
-            shards_notice(&argv("bin --shards two"), true),
-            Err("--shards needs a non-negative integer, got two".into())
+            chrome_path(&argv("bin --profile-chrome out.json --profile")),
+            Some(Some("out.json"))
         );
     }
 }

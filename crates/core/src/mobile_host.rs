@@ -464,10 +464,6 @@ impl MobileHost {
                     self.reg = RegState::Unregistered;
                     self.stats.registration_failures += 1;
                     self.policy.audit.record(AuditEvent::RegistrationDenied);
-                    // A denied registration is an anomaly: under flow
-                    // sampling, promote the registration conversation to
-                    // full capture.
-                    ctx.flag_anomaly(self.home(), self.config.home_agent, IpProtocol::Udp);
                     if let Some(h) = self.reg_timer.take() {
                         ctx.cancel_timer(h);
                     }
@@ -673,9 +669,6 @@ impl MobilityHook for MobileHost {
                         self.stats.registration_failures += 1;
                         self.policy.audit.set_now(ctx.now);
                         self.policy.audit.record(AuditEvent::RegistrationTimeout);
-                        // Retry exhaustion is an anomaly: promote the
-                        // registration conversation under flow sampling.
-                        ctx.flag_anomaly(self.home(), self.config.home_agent, IpProtocol::Udp);
                     } else {
                         self.stats.registration_retries += 1;
                         self.send_registration(self.config.reg_lifetime, host, ctx);

@@ -58,13 +58,9 @@ pub use event::{
 };
 pub use lifecycle::{FlowSummary, Lifecycle, PacketLifecycle, PacketOutcome};
 pub use link::{FaultInjector, LinkConfig, LinkId, SegmentId};
-pub use metrics::{
-    Histogram, MetricsRegistry, NodeMetrics, SegmentMetrics, SketchConfig, SketchedMetrics,
-};
+pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, SegmentMetrics};
 pub use route::RouteTable;
-pub use telemetry::{
-    InvariantMonitor, InvariantViolation, Reservoir, SketchEntry, SpaceSaving, TelemetryConfig,
-};
+pub use telemetry::{InvariantMonitor, InvariantViolation, Reservoir, SketchEntry, SpaceSaving};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     DropReason, FlowId, PacketId, PacketTrace, TraceEvent, TraceEventKind, TransformKind,

@@ -46,9 +46,7 @@ fn encap_format_of(pkt: &Ipv4Packet) -> Option<EncapFormat> {
         .find(|f| f.protocol() == pkt.protocol)
 }
 
-/// Apply one packet event to a counter block — shared by the dense
-/// per-node path and the sketched global-totals path so both count
-/// identically (the exact/sketched agreement tests depend on this).
+/// Apply one packet event to a node's counter block.
 #[inline]
 fn apply_packet(
     m: &mut NodeMetrics,
@@ -501,85 +499,6 @@ impl SegmentMetrics {
     }
 }
 
-/// Parameters for the registry's sketched (collapsed) mode — see
-/// [`MetricsRegistry::arm_sketch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SketchConfig {
-    /// Distinct-node count above which dense per-node storage collapses.
-    pub node_threshold: usize,
-    /// Slots in each heavy-hitter sketch.
-    pub topk: usize,
-    /// RTT exemplar reservoir capacity.
-    pub reservoir: usize,
-    /// Seed for the exemplar reservoir.
-    pub seed: u64,
-}
-
-impl Default for SketchConfig {
-    fn default() -> SketchConfig {
-        let t = crate::telemetry::TelemetryConfig::default();
-        SketchConfig {
-            node_threshold: t.sketch_node_threshold,
-            topk: t.topk,
-            reservoir: t.reservoir,
-            seed: t.seed,
-        }
-    }
-}
-
-/// Collapsed storage: global totals plus fixed-size sketches. Memory is
-/// O(topk + reservoir) regardless of node, segment or flow count.
-#[derive(Debug)]
-pub struct SketchedMetrics {
-    /// The parameters this collapse was armed with.
-    pub cfg: SketchConfig,
-    /// Aggregate of every node's counters (what dense mode would sum to).
-    pub totals: NodeMetrics,
-    /// Aggregate of every segment's counters.
-    pub seg_totals: SegmentMetrics,
-    /// Heavy-hitter nodes, weighted by packet events (sent + forwarded +
-    /// delivered + dropped + transformed).
-    pub node_hitters: crate::telemetry::SpaceSaving<NodeId>,
-    /// Heavy-hitter flows by normalized outer header (wire events only),
-    /// see [`crate::telemetry::flow_label`].
-    pub flow_hitters: crate::telemetry::SpaceSaving<crate::telemetry::FlowLabel>,
-    /// Seeded uniform sample of measured TCP RTTs (µs) — exact exemplars
-    /// that survive even though per-node histograms are gone.
-    pub rtt_exemplars: crate::telemetry::Reservoir<u64>,
-}
-
-impl SketchedMetrics {
-    fn new(cfg: SketchConfig) -> SketchedMetrics {
-        SketchedMetrics {
-            cfg,
-            totals: NodeMetrics::default(),
-            seg_totals: SegmentMetrics::default(),
-            node_hitters: crate::telemetry::SpaceSaving::new(cfg.topk),
-            flow_hitters: crate::telemetry::SpaceSaving::new(cfg.topk),
-            rtt_exemplars: crate::telemetry::Reservoir::new(cfg.reservoir, cfg.seed),
-        }
-    }
-
-    /// Fold dense per-id records in: totals add exactly, and every node
-    /// that recorded anything is offered to the heavy-hitter sketch.
-    fn absorb_dense(&mut self, nodes: &[NodeMetrics], segments: &[SegmentMetrics]) {
-        for (i, n) in nodes.iter().enumerate() {
-            self.totals.merge(n);
-            let events = n.packets_sent
-                + n.packets_forwarded
-                + n.packets_delivered
-                + n.total_drops()
-                + n.transforms;
-            if events > 0 {
-                self.node_hitters.offer(NodeId(i), events);
-            }
-        }
-        for s in segments {
-            self.seg_totals.merge(s);
-        }
-    }
-}
-
 /// Extend a dense per-id vector to at least `len` zeroed records. Capacity
 /// goes to the next power of two, so it depends only on the highest id ever
 /// touched — not on which id came first, as amortised doubling from an
@@ -591,32 +510,25 @@ fn grow_dense<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     }
 }
 
-/// The registry: one [`NodeMetrics`] per node and one [`SegmentMetrics`]
-/// per segment, in dense vectors indexed by id and lazily grown as ids are
-/// first seen: touching id `n` creates zeroed records for every id up to
-/// `n`, and capacity is the next power of two above the highest id touched
-/// — a function of which ids recorded, never of the order they did. A
-/// record holds only counters inline (a [`NodeMetrics`] is ~260 bytes); its
-/// histogram's buckets exist only once something was recorded into it.
-///
-/// **Sketched mode.** Dense per-node/per-segment vectors are exact but
-/// O(nodes) — unaffordable at the 10⁵⁺-node scale on the ROADMAP. When a
-/// [`SketchConfig`] is armed (see [`MetricsRegistry::arm_sketch`]) and
-/// the distinct-node count crosses its threshold, the registry collapses:
-/// dense vectors fold into global totals plus Space-Saving top-k sketches
-/// (per node and per flow) and a seeded RTT exemplar reservoir, and all
-/// further recording goes to those fixed-size structures. Aggregate
-/// totals are preserved exactly across the collapse; only per-node
-/// attribution degrades (to top-k with explicit error bounds). Below the
-/// threshold nothing changes — exact and sketched-armed registries agree
-/// bit-for-bit, which the tests assert.
+/// The registry: one [`NodeMetrics`] per node that recorded and one
+/// [`SegmentMetrics`] per segment id. Readers see every node id up to the
+/// highest one touched, the untouched ones as zeros; what is stored is one
+/// `u32` per id up to that one — a slot number, capacity the next power of
+/// two above the highest id touched — and the records themselves in
+/// first-touch order. A world of 10⁵ nodes of which 273 record holds 273
+/// records, and neither the capacity nor the record count depends on the
+/// order ids recorded in. A record holds only counters inline (a
+/// [`NodeMetrics`] is ~260 bytes); its histogram's buckets exist only once
+/// something was recorded into it. Segments are few and nearly all carry
+/// frames, so theirs is a plain vector indexed by id.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
+    /// Per node id: 0 = never recorded, else 1 + its index in `nodes`.
+    slots: Vec<u32>,
+    /// The records, in first-touch order.
     nodes: Vec<NodeMetrics>,
     segments: Vec<SegmentMetrics>,
-    sketch: Option<SketchConfig>,
-    sketched: Option<Box<SketchedMetrics>>,
 }
 
 impl MetricsRegistry {
@@ -624,10 +536,7 @@ impl MetricsRegistry {
     pub fn new(enabled: bool) -> MetricsRegistry {
         MetricsRegistry {
             enabled,
-            nodes: Vec::new(),
-            segments: Vec::new(),
-            sketch: None,
-            sketched: None,
+            ..MetricsRegistry::default()
         }
     }
 
@@ -641,52 +550,22 @@ impl MetricsRegistry {
         self.enabled = on;
     }
 
-    /// Zero every counter (sketches reset too; the armed config is kept).
+    /// Zero every counter.
     pub fn clear(&mut self) {
+        self.slots.clear();
         self.nodes.clear();
         self.segments.clear();
-        self.sketched = None;
-    }
-
-    /// Arm sketched mode: once more than `cfg.node_threshold` distinct
-    /// nodes have recorded, the registry collapses (see type docs). If
-    /// the threshold is already exceeded the collapse happens now.
-    pub fn arm_sketch(&mut self, cfg: SketchConfig) {
-        self.sketch = Some(cfg);
-        if self.nodes.len() > cfg.node_threshold {
-            self.collapse_now();
-        }
-    }
-
-    /// Is the registry currently collapsed?
-    pub fn is_sketched(&self) -> bool {
-        self.sketched.is_some()
-    }
-
-    /// The collapsed storage, when in sketched mode.
-    pub fn sketched(&self) -> Option<&SketchedMetrics> {
-        self.sketched.as_deref()
-    }
-
-    /// Collapse dense storage into sketches immediately (normally driven
-    /// by the armed threshold; public for tests).
-    pub fn collapse_now(&mut self) {
-        if self.sketched.is_some() {
-            return;
-        }
-        let cfg = self.sketch.unwrap_or_default();
-        let mut sk = Box::new(SketchedMetrics::new(cfg));
-        sk.absorb_dense(&self.nodes, &self.segments);
-        // Per-flow history and raw RTT exemplars cannot be reconstructed
-        // from dense counters; their sketches fill from here on.
-        self.nodes = Vec::new();
-        self.segments = Vec::new();
-        self.sketched = Some(sk);
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut NodeMetrics {
-        grow_dense(&mut self.nodes, id.0 + 1);
-        &mut self.nodes[id.0]
+        grow_dense(&mut self.slots, id.0 + 1);
+        let slot = &mut self.slots[id.0];
+        if *slot == 0 {
+            self.nodes.push(NodeMetrics::default());
+            *slot = u32::try_from(self.nodes.len())
+                .expect("metrics: at most 2^32 - 1 nodes record between clears");
+        }
+        &mut self.nodes[*slot as usize - 1]
     }
 
     fn segment_mut(&mut self, id: SegmentId) -> &mut SegmentMetrics {
@@ -696,7 +575,10 @@ impl MetricsRegistry {
 
     /// Counters for one node (zeros if it never recorded anything).
     pub fn node(&self, id: NodeId) -> &NodeMetrics {
-        self.nodes.get(id.0).unwrap_or(&EMPTY_NODE)
+        match self.slots.get(id.0) {
+            Some(&slot) if slot != 0 => &self.nodes[slot as usize - 1],
+            _ => &EMPTY_NODE,
+        }
     }
 
     /// Counters for one segment (zeros if it never recorded anything).
@@ -714,23 +596,19 @@ impl MetricsRegistry {
 
     /// Every node id up to the highest one that has recorded an event, in
     /// id order — ids below it that never recorded are included and read
-    /// as zeros (reports iterate this and rely on it). Empty once sketched.
+    /// as zeros (reports iterate this and rely on it).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId)
+        (0..self.slots.len()).map(NodeId)
     }
 
     /// Every segment id up to the highest one that has recorded an event,
-    /// in id order; untouched ids below it read as zeros. Empty once
-    /// sketched.
+    /// in id order; untouched ids below it read as zeros.
     pub fn segment_ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
         (0..self.segments.len()).map(SegmentId)
     }
 
     /// Drops across all nodes, summed by reason (nonzero reasons only).
     pub fn total_drops_by_reason(&self) -> Vec<(DropReason, u64)> {
-        if let Some(sk) = &self.sketched {
-            return sk.totals.drops_by_reason().collect();
-        }
         let mut totals = [0u64; DropReason::ALL.len()];
         for n in &self.nodes {
             for r in DropReason::ALL {
@@ -744,13 +622,9 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Aggregate of every node's counters — identical whether the
-    /// registry is dense or sketched (the collapse preserves totals
-    /// exactly), which is what the invariant monitor reconciles against.
+    /// Aggregate of every node's counters, which is what the invariant
+    /// monitor reconciles against.
     pub fn totals(&self) -> NodeMetrics {
-        if let Some(sk) = &self.sketched {
-            return sk.totals.clone();
-        }
         let mut t = NodeMetrics::default();
         for n in &self.nodes {
             t.merge(n);
@@ -758,11 +632,8 @@ impl MetricsRegistry {
         t
     }
 
-    /// Aggregate of every segment's counters (dense or sketched).
+    /// Aggregate of every segment's counters.
     pub fn segment_totals(&self) -> SegmentMetrics {
-        if let Some(sk) = &self.sketched {
-            return sk.seg_totals.clone();
-        }
         let mut t = SegmentMetrics::default();
         for s in &self.segments {
             t.merge(s);
@@ -782,23 +653,7 @@ impl MetricsRegistry {
         }
         let wire_len = pkt.wire_len() as u64;
         let tunnel = encap_format_of(pkt);
-        if let Some(sk) = self.sketched.as_deref_mut() {
-            apply_packet(&mut sk.totals, kind, wire_len, tunnel);
-            sk.node_hitters.offer(node, 1);
-            if matches!(
-                kind,
-                TraceEventKind::Sent | TraceEventKind::Forwarded | TraceEventKind::DeliveredLocal
-            ) {
-                sk.flow_hitters.offer(crate::telemetry::flow_label(pkt), 1);
-            }
-            return;
-        }
         apply_packet(self.node_mut(node), kind, wire_len, tunnel);
-        if let Some(cfg) = self.sketch {
-            if self.nodes.len() > cfg.node_threshold {
-                self.collapse_now();
-            }
-        }
     }
 
     /// Record one frame offered to `seg`. Called from
@@ -817,11 +672,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let m = if self.sketched.is_some() {
-            &mut self.sketched.as_deref_mut().expect("checked").seg_totals
-        } else {
-            self.segment_mut(seg)
-        };
+        let m = self.segment_mut(seg);
         match outcome {
             FaultOutcome::Drop => {
                 m.wire_drops += 1;
@@ -836,23 +687,13 @@ impl MetricsRegistry {
         m.queue_wait_us.record(queue_wait.as_micros());
     }
 
-    /// The block transport counters land in: the node's own in dense
-    /// mode, the global totals once sketched.
-    fn node_or_totals(&mut self, node: NodeId) -> &mut NodeMetrics {
-        if self.sketched.is_some() {
-            &mut self.sketched.as_deref_mut().expect("checked").totals
-        } else {
-            self.node_mut(node)
-        }
-    }
-
     /// Record a TCP segment transmission at `node`.
     #[inline]
     pub fn record_tcp_segment_sent(&mut self, node: NodeId, retransmission: bool) {
         if !self.enabled {
             return;
         }
-        let m = &mut self.node_or_totals(node).tcp;
+        let m = &mut self.node_mut(node).tcp;
         m.segments_sent += 1;
         if retransmission {
             m.retransmissions += 1;
@@ -865,7 +706,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.node_or_totals(node).tcp.segments_received += 1;
+        self.node_mut(node).tcp.segments_received += 1;
     }
 
     /// Record one measured TCP round-trip time at `node`.
@@ -874,13 +715,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let us = rtt.as_micros();
-        if let Some(sk) = self.sketched.as_deref_mut() {
-            sk.totals.tcp.rtt_us.record(us);
-            sk.rtt_exemplars.offer(us);
-            return;
-        }
-        self.node_mut(node).tcp.rtt_us.record(us);
+        self.node_mut(node).tcp.rtt_us.record(rtt.as_micros());
     }
 
     /// Record a UDP datagram sent from `node`.
@@ -889,7 +724,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let m = &mut self.node_or_totals(node).udp;
+        let m = &mut self.node_mut(node).udp;
         m.datagrams_sent += 1;
         m.bytes_sent += payload_bytes as u64;
     }
@@ -900,7 +735,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let m = &mut self.node_or_totals(node).udp;
+        let m = &mut self.node_mut(node).udp;
         m.datagrams_received += 1;
         m.bytes_received += payload_bytes as u64;
     }
@@ -908,100 +743,31 @@ impl MetricsRegistry {
     /// A serializable snapshot of every counter, labelling nodes with
     /// `names` (by `NodeId` index) where provided and taking `now` so
     /// segment utilization can be derived by consumers.
-    ///
-    /// Dense (exact) snapshots keep their historical shape byte-for-byte;
-    /// sketched snapshots emit totals + heavy hitters + exemplars instead
-    /// of per-node sections.
     pub fn snapshot<'a>(&'a self, names: &'a [&'a str], now: SimTime) -> impl Serialize + 'a {
-        serde::from_fn(move |w| match &self.sketched {
-            Some(sk) => self.write_sketched(sk, names, now, w),
-            None => self.write_dense(names, now, w),
+        serde::from_fn(move |w| {
+            w.object(|w| {
+                w.field("sim_time_us", &now.as_micros());
+                w.key("nodes");
+                w.object(|w| {
+                    for id in self.node_ids() {
+                        w.field(&node_label(names, id.0), self.node(id));
+                    }
+                });
+                w.key("segments");
+                w.object(|w| {
+                    for (i, m) in self.segments.iter().enumerate() {
+                        w.key(&format!("segment{i}"));
+                        w.object(|w| m.write_fields(now, w));
+                    }
+                });
+                w.key("total_drops");
+                w.object(|w| {
+                    for (r, n) in self.total_drops_by_reason() {
+                        w.field(&r.to_string(), &n);
+                    }
+                });
+            });
         })
-    }
-
-    fn write_total_drops(&self, w: &mut JsonWriter) {
-        w.key("total_drops");
-        w.object(|w| {
-            for (r, n) in self.total_drops_by_reason() {
-                w.field(&r.to_string(), &n);
-            }
-        });
-    }
-
-    fn write_dense(&self, names: &[&str], now: SimTime, w: &mut JsonWriter) {
-        w.object(|w| {
-            w.field("sim_time_us", &now.as_micros());
-            w.key("nodes");
-            w.object(|w| {
-                for (i, m) in self.nodes.iter().enumerate() {
-                    w.field(&node_label(names, i), m);
-                }
-            });
-            w.key("segments");
-            w.object(|w| {
-                for (i, m) in self.segments.iter().enumerate() {
-                    w.key(&format!("segment{i}"));
-                    w.object(|w| m.write_fields(now, w));
-                }
-            });
-            self.write_total_drops(w);
-        });
-    }
-
-    /// Snapshot shape for the collapsed registry: exact global totals,
-    /// top-k heavy hitters with their error bounds, and RTT exemplars.
-    fn write_sketched(
-        &self,
-        sk: &SketchedMetrics,
-        names: &[&str],
-        now: SimTime,
-        w: &mut JsonWriter,
-    ) {
-        w.object(|w| {
-            w.field("sim_time_us", &now.as_micros());
-            w.field("mode", "sketched");
-            w.field("totals", &sk.totals);
-            w.key("segments_total");
-            w.object(|w| sk.seg_totals.write_fields(now, w));
-            w.key("node_hitters");
-            w.object(|w| {
-                w.field("k", &sk.node_hitters.capacity());
-                w.field("exact", &sk.node_hitters.is_exact());
-                w.key("top");
-                w.array(|w| {
-                    for e in sk.node_hitters.top() {
-                        w.object(|w| {
-                            w.field("node", &*node_label(names, e.key.0));
-                            w.field("events", &e.count);
-                            w.field("error", &e.error);
-                        });
-                    }
-                });
-            });
-            w.key("flow_hitters");
-            w.object(|w| {
-                w.field("k", &sk.flow_hitters.capacity());
-                w.field("exact", &sk.flow_hitters.is_exact());
-                w.key("top");
-                w.array(|w| {
-                    for e in sk.flow_hitters.top() {
-                        let (a, b, proto) = e.key;
-                        w.object(|w| {
-                            w.key("flow");
-                            w.display(&format_args!("{a}<->{b}/{proto}"));
-                            w.field("wire_events", &e.count);
-                            w.field("error", &e.error);
-                        });
-                    }
-                });
-            });
-            w.key("rtt_exemplars_us");
-            w.object(|w| {
-                w.field("seen", &sk.rtt_exemplars.seen());
-                w.field("samples", sk.rtt_exemplars.items());
-            });
-            self.write_total_drops(w);
-        });
     }
 }
 
@@ -1238,75 +1004,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn armed_registry_below_threshold_is_bit_identical_to_exact() {
-        let build = |arm: bool| {
-            let mut reg = MetricsRegistry::new(true);
-            if arm {
-                reg.arm_sketch(SketchConfig {
-                    node_threshold: 100,
-                    ..SketchConfig::default()
-                });
-            }
-            let p = pkt();
-            for i in 0..10 {
-                reg.record_packet(NodeId(i), TraceEventKind::Sent, &p);
-                reg.record_packet(NodeId(i), TraceEventKind::DeliveredLocal, &p);
-            }
-            reg.record_tcp_rtt(NodeId(3), SimDuration::from_millis(20));
-            let json = serde_json::to_string(&reg.snapshot(&[], SimTime(1_000))).unwrap();
-            json
-        };
-        assert_eq!(build(false), build(true));
+    /// Three ids: node 2 records first, then node 0; node 1 never does.
+    fn gapped() -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new(true);
+        let p = pkt();
+        reg.record_packet(NodeId(2), TraceEventKind::Sent, &p);
+        reg.record_packet(NodeId(0), TraceEventKind::Dropped(DropReason::NoRoute), &p);
+        reg
     }
 
     #[test]
-    fn collapse_preserves_totals_and_caps_memory() {
-        let mut exact = MetricsRegistry::new(true);
-        let mut armed = MetricsRegistry::new(true);
-        armed.arm_sketch(SketchConfig {
-            node_threshold: 16,
-            topk: 8,
-            reservoir: 4,
-            seed: 1,
-        });
-        let p = pkt();
-        for i in 0..1000 {
-            for reg in [&mut exact, &mut armed] {
+    fn untouched_ids_below_the_highest_read_as_zeros() {
+        let reg = gapped();
+        assert_eq!(reg.node_ids().count(), 3, "the highest id + 1");
+        assert_eq!(reg.node(NodeId(0)).total_drops(), 1);
+        assert_eq!(reg.node(NodeId(1)), &EMPTY_NODE);
+        assert_eq!(reg.node(NodeId(2)).packets_sent, 1);
+        assert_eq!(reg.node(NodeId(3)), &EMPTY_NODE, "past the highest too");
+        assert_eq!(reg.nodes.len(), 2, "one record per node that recorded");
+    }
+
+    #[test]
+    fn totals_ignore_touch_order() {
+        let record = |order: &[usize]| {
+            let mut reg = MetricsRegistry::new(true);
+            let p = pkt();
+            for &i in order {
                 reg.record_packet(NodeId(i), TraceEventKind::Sent, &p);
-                if i % 3 == 0 {
+                reg.record_tcp_rtt(NodeId(i), SimDuration::from_micros(10 * i as u64));
+                if i % 2 == 0 {
                     reg.record_packet(NodeId(i), TraceEventKind::Dropped(DropReason::NoRoute), &p);
                 }
             }
-        }
-        assert!(armed.is_sketched());
-        let sk = armed.sketched().unwrap();
-        assert_eq!(sk.node_hitters.len(), 8, "sketch memory capped at k");
-        // Aggregate totals survive the collapse exactly.
-        let (e, s) = (exact.totals(), armed.totals());
-        assert_eq!(e.packets_sent, s.packets_sent);
-        assert_eq!(e.bytes_sent, s.bytes_sent);
-        assert_eq!(e.total_drops(), s.total_drops());
-        assert_eq!(exact.total_drops_by_reason(), armed.total_drops_by_reason());
+            let json = serde_json::to_string(&reg.snapshot(&[], SimTime(9))).unwrap();
+            (reg.totals(), reg.total_drops_by_reason(), json)
+        };
+        let ascending = record(&[1, 4, 6, 40]);
+        assert_eq!(ascending.0.packets_sent, 4);
+        assert_eq!(ascending.1, vec![(DropReason::NoRoute, 3)]);
+        assert_eq!(ascending, record(&[40, 6, 4, 1]));
+        assert_eq!(ascending, record(&[6, 40, 1, 4]));
     }
 
     #[test]
-    fn sketched_snapshot_shape() {
-        let mut reg = MetricsRegistry::new(true);
-        reg.arm_sketch(SketchConfig {
-            node_threshold: 0,
-            topk: 4,
-            reservoir: 4,
-            seed: 3,
-        });
-        reg.record_packet(NodeId(0), TraceEventKind::Sent, &pkt());
-        reg.record_tcp_rtt(NodeId(0), SimDuration::from_millis(1));
-        let json = serde_json::to_string(&reg.snapshot(&["alice"], SimTime(1_000))).unwrap();
-        assert!(json.contains("\"mode\":\"sketched\""));
-        assert!(json.contains("\"totals\""));
-        assert!(json.contains("\"node_hitters\""));
-        assert!(json.contains("\"flow_hitters\""));
-        assert!(json.contains("\"alice\""));
-        assert!(json.contains("\"rtt_exemplars_us\""));
+    fn snapshot_with_a_gap_keeps_its_bytes() {
+        // Printed by the registry that stored a record per id (2abe784).
+        const QUIET: &str = r#""transforms":0,"encap_bytes":{},"tcp":{"segments_sent":0,"retransmissions":0,"segments_received":0,"rtt_us":{"count":0,"sum":0,"mean":0,"min":0,"max":0,"p50":0,"p99":0}},"udp":{"datagrams_sent":0,"bytes_sent":0,"datagrams_received":0,"bytes_received":0}}"#;
+        let pinned = [
+            r#"{"sim_time_us":7,"nodes":{"#,
+            r#""a":{"packets_sent":0,"packets_forwarded":0,"packets_delivered":0,"bytes_sent":0,"bytes_forwarded":0,"bytes_delivered":0,"drops":{"no-route":1},"#,
+            QUIET,
+            r#","node1":{"packets_sent":0,"packets_forwarded":0,"packets_delivered":0,"bytes_sent":0,"bytes_forwarded":0,"bytes_delivered":0,"drops":{},"#,
+            QUIET,
+            r#","node2":{"packets_sent":1,"packets_forwarded":0,"packets_delivered":0,"bytes_sent":22,"bytes_forwarded":0,"bytes_delivered":0,"drops":{},"#,
+            QUIET,
+            r#"},"segments":{},"total_drops":{"no route":1}}"#,
+        ]
+        .concat();
+        let json = serde_json::to_string(&gapped().snapshot(&["a"], SimTime(7))).unwrap();
+        assert_eq!(json, pinned);
     }
 }

@@ -1,29 +1,21 @@
-//! Scale-ready telemetry primitives: heavy-hitter sketches, seeded
-//! reservoirs, and online invariant monitors.
+//! Online invariant monitors, and the two fixed-memory stream summaries
+//! kept beside them.
 //!
-//! The dense observability in [`crate::metrics`] and [`crate::trace`]
-//! keeps one counter block per node and one record per packet event —
-//! perfect at today's experiment sizes, unaffordable at the 10⁵⁺-node
-//! scale the ROADMAP aims for. This module provides the pieces that let
-//! observability degrade *deliberately* instead of falling over:
-//!
+//! * [`InvariantMonitor`] — online conservation/reconciliation checks
+//!   evaluated incrementally while the world runs, reporting
+//!   [`InvariantViolation`]s into the run report instead of panicking.
 //! * [`SpaceSaving`] — the Metwally/Agrawal/El Abbadi top-k heavy-hitter
 //!   sketch: fixed `k` slots regardless of how many distinct keys stream
 //!   through, per-key counts exact whenever the distinct-key count never
 //!   exceeded `k`, and an explicit per-entry error bound otherwise.
 //! * [`Reservoir`] — seeded Algorithm-R reservoir sampling: a uniform,
-//!   deterministic sample of an unbounded stream in fixed memory, for
-//!   latency/RTT exemplars that survive aggregation.
-//! * [`TelemetryConfig`] — the single knob block (flow-sampling rate,
-//!   sketch width, collapse threshold, seed) that
-//!   [`crate::world::World::apply_telemetry`] fans out to the metrics
-//!   registry, the packet trace and the invariant monitor.
-//! * [`InvariantMonitor`] — online conservation/reconciliation checks
-//!   evaluated incrementally while the world runs, reporting
-//!   [`InvariantViolation`]s into the run report instead of panicking.
+//!   deterministic sample of an unbounded stream in fixed memory.
 //!
-//! Everything here is deterministic: sketches and reservoirs are seeded,
-//! so the same world and seed produce byte-identical sampled reports.
+//! Nothing in the simulator feeds the two summaries: the metrics registry
+//! they once stood in for stores a record per node that recorded
+//! ([`crate::metrics::MetricsRegistry`]), which is what a 10⁵-host world
+//! needed. They are library code the repository benchmark times
+//! (`telemetry.space_saving_offer_ns`, `telemetry.reservoir_offer_ns`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -31,14 +23,13 @@ use std::hash::BuildHasherDefault;
 
 use serde::Serialize;
 
-use crate::event::{NodeId, SchedulerStats};
+use crate::event::SchedulerStats;
 use crate::time::SimTime;
 use crate::trace::{DropReason, TraceEventKind};
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 
-/// SplitMix64 step — the deterministic generator behind [`Reservoir`] and
-/// the trace's head-based flow-sampling decision. Public within the crate
-/// so both sample the *same* stream given the same seed.
+/// SplitMix64 step — the deterministic generator behind [`Reservoir`] and,
+/// through [`hash64`], the world's per-node and per-segment seeds.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -47,7 +38,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One stateless hash draw (for per-key sampling decisions).
+/// One stateless hash draw.
 pub(crate) fn hash64(x: u64) -> u64 {
     let mut s = x;
     splitmix64(&mut s)
@@ -222,42 +213,6 @@ impl<T> Reservoir<T> {
         let j = splitmix64(&mut self.rng) % self.seen;
         if (j as usize) < self.cap {
             self.items[j as usize] = item;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
-
-/// The telemetry knob block. [`crate::world::World::apply_telemetry`]
-/// fans it out; the bench harness builds it from `NETSIM_SAMPLE`,
-/// `--sample-flows`, `--topk` and `--sketch-threshold`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Head-based flow sampling: record 1-in-N flows fully (anomalous
-    /// flows are always promoted). `None` records every flow — today's
-    /// full-fidelity default.
-    pub sample_flows: Option<u64>,
-    /// Slots per heavy-hitter sketch when the registry is collapsed.
-    pub topk: usize,
-    /// Node count above which the metrics registry collapses per-node
-    /// counters into sketches + global totals.
-    pub sketch_node_threshold: usize,
-    /// Exemplar reservoir capacity (RTT samples in sketched mode).
-    pub reservoir: usize,
-    /// Seed for every sampling decision this config drives.
-    pub seed: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            sample_flows: None,
-            topk: 64,
-            sketch_node_threshold: 4096,
-            reservoir: 64,
-            seed: 0x4d49_5034_7834, // "MIP4x4"
         }
     }
 }
@@ -706,24 +661,6 @@ impl InvariantMonitor {
         !self.violations.is_empty() || self.suppressed_violations > 0
     }
 }
-
-/// Normalized per-flow sketch key: outer-header endpoints (direction
-/// insensitive) plus IANA protocol number. Outer rather than logical
-/// endpoints keeps the sketched hot path free of tunnel parsing; at wire
-/// level the tunnel aggregate (HA ↔ care-of) *is* the heavy hitter.
-pub type FlowLabel = (Ipv4Addr, Ipv4Addr, u8);
-
-/// The [`FlowLabel`] of a packet.
-pub fn flow_label(pkt: &Ipv4Packet) -> FlowLabel {
-    if pkt.src <= pkt.dst {
-        (pkt.src, pkt.dst, pkt.protocol.number())
-    } else {
-        (pkt.dst, pkt.src, pkt.protocol.number())
-    }
-}
-
-/// Re-exported for sketches keyed by node.
-pub type NodeKey = NodeId;
 
 /// Stable drop-reason listing used by diff tooling.
 pub fn drop_reason_tags() -> impl Iterator<Item = &'static str> {

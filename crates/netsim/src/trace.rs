@@ -44,7 +44,7 @@
 //! `TraceEvent` by value when it is read: two indexed loads and a 40-byte
 //! copy per event, paid by the reader instead of by every hop of the run.
 
-use std::collections::{vec_deque, HashMap, HashSet, VecDeque};
+use std::collections::{vec_deque, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::NodeId;
@@ -562,23 +562,6 @@ pub struct PacketTrace {
     /// ident and no explicit parent packet.
     last_in_flow: IdentityMap<(FlowId, Ipv4Addr), PacketId>,
     next_flow: u64,
-    /// Head-based flow sampling: `Some((n, seed))` records 1-in-n flows
-    /// in full (decided by a stateless seeded hash of the [`FlowId`], so
-    /// no per-flow memory) and suppresses the rest — except flows that
-    /// hit an anomaly, which are promoted to full capture.
-    sample: Option<(u64, u64)>,
-    /// Flows promoted to full capture by an anomaly (drop, TTL expiry,
-    /// retransmission, registration failure). Bounded by the number of
-    /// *anomalous* flows, not total flows.
-    promoted: HashSet<FlowId>,
-    /// Events suppressed by flow sampling since the last clear.
-    suppressed_events: u64,
-}
-
-/// The stateless 1-in-n sampling decision for a flow: a seeded hash draw,
-/// so the sampled subset is deterministic and needs no per-flow state.
-fn flow_sampled_in(flow: FlowId, n: u64, seed: u64) -> bool {
-    crate::telemetry::hash64(flow.0 ^ seed).is_multiple_of(n)
 }
 
 impl PacketTrace {
@@ -623,84 +606,14 @@ impl PacketTrace {
         self.dropped_events
     }
 
-    /// Enable head-based 1-in-`n` flow sampling, seeded so the sampled
-    /// subset is deterministic. `n` ≤ 1 disables sampling (every flow is
-    /// recorded). Anomalous flows are always promoted to full capture —
-    /// see [`PacketTrace::record`].
-    pub fn enable_flow_sampling(&mut self, n: u64, seed: u64) {
-        self.sample = (n > 1).then_some((n, seed));
-    }
-
-    /// The sampling rate `n` (record 1-in-n flows), if sampling is on.
-    pub fn flow_sample_rate(&self) -> Option<u64> {
-        self.sample.map(|(n, _)| n)
-    }
-
-    /// Events suppressed by flow sampling since the last clear.
-    pub fn suppressed_events(&self) -> u64 {
-        self.suppressed_events
-    }
-
-    /// Flows promoted to full capture by an anomaly since the last clear.
-    pub fn promoted_flows(&self) -> usize {
-        self.promoted.len()
-    }
-
-    /// Whether `flow`'s events are currently being kept (always true when
-    /// sampling is off).
-    pub fn keeps_flow(&self, flow: FlowId) -> bool {
-        match self.sample {
-            None => true,
-            Some((n, seed)) => flow_sampled_in(flow, n, seed) || self.promoted.contains(&flow),
-        }
-    }
-
-    /// Promote one flow to full capture (idempotent; no-op when sampling
-    /// is off — everything is captured anyway).
-    pub fn promote_flow(&mut self, flow: FlowId) {
-        if self.sample.is_none() {
-            return;
-        }
-        self.promoted.insert(flow);
-    }
-
-    /// Promote the conversation between `a` and `b` over `proto`
-    /// (direction insensitive) — the hook protocol layers use to flag
-    /// anomalies the trace cannot see itself, e.g. a mobile host's
-    /// registration denial or timeout. No-op if the conversation has not
-    /// produced any trace identity yet (nothing recorded to promote).
-    pub fn promote_endpoints(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: IpProtocol) {
-        if self.sample.is_none() {
-            return;
-        }
-        let key = if a <= b { (a, b, proto) } else { (b, a, proto) };
-        if let Some(&f) = self.flows.get(&key) {
-            self.promote_flow(f);
-        }
-    }
-
     /// Record one observation (no-op while disabled).
-    ///
-    /// Under flow sampling, events of unsampled flows are suppressed and
-    /// counted rather than stored — but a [`TraceEventKind::Dropped`]
-    /// event (any reason, including TTL expiry) promotes its flow to full
-    /// capture from that point on, so every anomalous flow is observable.
-    /// Identity bookkeeping (packet/flow ids) always runs, keeping causal
-    /// links consistent for the flows that are kept.
     pub fn record(&mut self, at: SimTime, node: NodeId, kind: TraceEventKind, pkt: &Ipv4Packet) {
         if !self.enabled {
             return;
         }
         let _prof = crate::profile::scope("trace/record");
         let packet = PacketSummary::of(pkt);
-        let (packet_id, flow_id) = self.ids_for(&packet);
-        if matches!(kind, TraceEventKind::Dropped(_)) {
-            self.promote_flow(flow_id);
-        }
-        if !self.keeps_flow(flow_id) {
-            self.suppressed_events += 1;
-            return;
-        }
+        let packet_id = self.id_for(&packet);
         self.push(at, node, kind, packet_id, packet);
     }
 
@@ -726,7 +639,7 @@ impl PacketTrace {
         let parent_id = match parent {
             Some(p) => {
                 let ps = PacketSummary::of(p);
-                Some(self.ids_for(&ps).0)
+                Some(self.id_for(&ps))
             }
             None => {
                 let flow = self.flow_for(&child_summary);
@@ -739,15 +652,6 @@ impl PacketTrace {
             None => self.flow_for(&child_summary),
         };
         let packet_id = self.alloc_packet(&child_summary, flow_id, parent_id);
-        if kind == TransformKind::Retransmission {
-            // A retransmission means loss or delay somewhere — promote
-            // the flow so its recovery is fully observable.
-            self.promote_flow(flow_id);
-        }
-        if !self.keeps_flow(flow_id) {
-            self.suppressed_events += 1;
-            return;
-        }
         let kind = TraceEventKind::Transformed(kind);
         self.push(at, node, kind, packet_id, child_summary);
     }
@@ -782,14 +686,14 @@ impl PacketTrace {
         self.meta.get(usize::try_from(id.0).ok()?)
     }
 
-    /// Current id and flow for the packet `summary` describes, allocating
-    /// both on first sight.
-    fn ids_for(&mut self, summary: &PacketSummary) -> (PacketId, FlowId) {
+    /// Current id for the packet `summary` describes, allocated (with its
+    /// flow) on first sight.
+    fn id_for(&mut self, summary: &PacketSummary) -> PacketId {
         if let Some(&id) = self.ids.get(&summary.flow_key()) {
-            return (id, self.meta[id.0 as usize].flow);
+            return id;
         }
         let flow = self.flow_for(summary);
-        (self.alloc_packet(summary, flow, None), flow)
+        self.alloc_packet(summary, flow, None)
     }
 
     /// The flow for `summary`'s logical conversation, allocated on first
@@ -912,8 +816,6 @@ impl PacketTrace {
         self.flows.clear();
         self.last_in_flow.clear();
         self.next_flow = 0;
-        self.promoted.clear();
-        self.suppressed_events = 0;
     }
 
     /// Every retained event, in order: a view that assembles each
@@ -1370,124 +1272,6 @@ mod tests {
             "overhead baseline outlives the window"
         );
         assert_eq!(t.packets_identified(), 2);
-    }
-
-    #[test]
-    fn flow_sampling_keeps_one_in_n_and_counts_suppressed() {
-        let mut t = PacketTrace::new(true);
-        t.enable_flow_sampling(4, 99);
-        assert_eq!(t.flow_sample_rate(), Some(4));
-        // 64 distinct flows, 2 events each.
-        let mut kept_flows = 0;
-        for i in 0..64u32 {
-            let p = pkt(&format!("10.0.{i}.1"), &format!("10.0.{i}.2"));
-            t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p);
-            t.record(SimTime(1), NodeId(1), TraceEventKind::DeliveredLocal, &p);
-        }
-        for e in t.events() {
-            assert!(t.keeps_flow(e.flow_id));
-        }
-        let flows: std::collections::HashSet<_> = t.events().iter().map(|e| e.flow_id).collect();
-        kept_flows += flows.len();
-        assert!(
-            kept_flows > 0 && kept_flows < 64,
-            "sampled subset, kept {kept_flows}"
-        );
-        assert_eq!(
-            t.suppressed_events() as usize + t.events().len(),
-            128,
-            "every event either kept or counted"
-        );
-        // Identity bookkeeping still covers every flow.
-        assert_eq!(t.packets_identified(), 64);
-    }
-
-    #[test]
-    fn flow_sampling_is_deterministic_given_seed() {
-        let run = |seed: u64| {
-            let mut t = PacketTrace::new(true);
-            t.enable_flow_sampling(3, seed);
-            for i in 0..32u32 {
-                let p = pkt(&format!("10.1.{i}.1"), &format!("10.1.{i}.2"));
-                t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p);
-            }
-            t.events().iter().map(|e| e.flow_id.0).collect::<Vec<_>>()
-        };
-        assert_eq!(run(7), run(7), "same seed, same sample");
-        assert_ne!(run(7), run(8), "different seed, different sample");
-    }
-
-    #[test]
-    fn anomalous_flows_are_promoted_to_full_capture() {
-        let mut t = PacketTrace::new(true);
-        // Rate so high nothing is sampled in by the hash.
-        t.enable_flow_sampling(u64::MAX, 1);
-        let p = pkt("10.9.0.1", "10.9.0.2");
-        t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p);
-        assert!(t.events().is_empty(), "head of flow sampled out");
-        assert_eq!(t.suppressed_events(), 1);
-        // A drop promotes the flow: the drop and everything after is kept.
-        t.record(
-            SimTime(1),
-            NodeId(1),
-            TraceEventKind::Dropped(DropReason::TtlExpired),
-            &p,
-        );
-        t.record(SimTime(2), NodeId(0), TraceEventKind::Sent, &p);
-        assert_eq!(t.events().len(), 2, "drop + post-drop event kept");
-        assert_eq!(t.promoted_flows(), 1);
-    }
-
-    #[test]
-    fn retransmission_promotes_its_flow() {
-        let mut t = PacketTrace::new(true);
-        t.enable_flow_sampling(u64::MAX, 1);
-        let mut first = pkt("10.8.0.1", "10.8.0.2");
-        first.ident = 1;
-        let mut retx = pkt("10.8.0.1", "10.8.0.2");
-        retx.ident = 2;
-        t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &first);
-        assert!(t.events().is_empty());
-        t.record_transform(
-            SimTime(10),
-            NodeId(0),
-            TransformKind::Retransmission,
-            None,
-            &retx,
-        );
-        t.record(SimTime(11), NodeId(0), TraceEventKind::Sent, &retx);
-        assert_eq!(t.events().len(), 2, "retransmission promoted the flow");
-    }
-
-    #[test]
-    fn promote_endpoints_flags_known_conversations() {
-        let mut t = PacketTrace::new(true);
-        t.enable_flow_sampling(u64::MAX, 1);
-        let p = pkt("10.7.0.1", "10.7.0.2");
-        t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p);
-        assert!(t.events().is_empty());
-        // Protocol layer flags the conversation (reversed direction —
-        // promotion is direction insensitive).
-        t.promote_endpoints(ip("10.7.0.2"), ip("10.7.0.1"), IpProtocol::Udp);
-        t.record(SimTime(1), NodeId(0), TraceEventKind::Sent, &p);
-        assert_eq!(t.events().len(), 1);
-        assert_eq!(t.promoted_flows(), 1);
-    }
-
-    #[test]
-    fn sampling_off_keeps_everything_and_clear_resets() {
-        let mut t = PacketTrace::new(true);
-        let p = pkt("10.6.0.1", "10.6.0.2");
-        t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p);
-        assert_eq!(t.suppressed_events(), 0);
-        assert!(t.keeps_flow(FlowId(123)));
-        t.enable_flow_sampling(1, 0);
-        assert_eq!(t.flow_sample_rate(), None, "n<=1 disables sampling");
-        t.enable_flow_sampling(1000, 0);
-        t.record(SimTime(1), NodeId(0), TraceEventKind::Sent, &p);
-        t.clear();
-        assert_eq!(t.suppressed_events(), 0);
-        assert_eq!(t.promoted_flows(), 0);
     }
 
     #[test]

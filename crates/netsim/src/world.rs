@@ -16,8 +16,8 @@ use crate::event::{
     SchedulerTelemetry, Timer, TimerHandle, TimerToken,
 };
 use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
-use crate::metrics::{MetricsRegistry, SketchConfig};
-use crate::telemetry::{hash64, InvariantMonitor, TelemetryConfig};
+use crate::metrics::MetricsRegistry;
+use crate::telemetry::{hash64, InvariantMonitor};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PacketTrace, TraceEventKind, TransformKind};
 use crate::wire::ethernet::{EthernetFrame, MacAddr};
@@ -279,15 +279,6 @@ impl NetCtx<'_> {
         self.metrics
     }
 
-    /// Flag an anomaly on the conversation between `a` and `b` over
-    /// `proto` — protocol layers call this for failures the trace cannot
-    /// see in the packet stream itself (e.g. a mobile host's registration
-    /// denial or retry exhaustion), promoting the flow to full capture
-    /// under flow sampling. No-op when sampling is off.
-    pub fn flag_anomaly(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: crate::wire::ipv4::IpProtocol) {
-        self.trace.promote_endpoints(a, b, proto);
-    }
-
     /// Tell the conservation monitor a packet was parked in a link-layer
     /// pending queue (awaiting ARP); see [`InvariantMonitor::note_parked`].
     #[inline]
@@ -354,8 +345,7 @@ pub struct World {
     /// with [`World::enable_metrics`].
     pub metrics: MetricsRegistry,
     /// Online invariant monitors; disabled by default (one branch per
-    /// event), enabled with [`World::enable_invariants`] or
-    /// [`World::apply_telemetry`].
+    /// event), enabled with [`World::enable_invariants`].
     pub invariants: InvariantMonitor,
     next_mac: u32,
     pcap: Pcap,
@@ -409,23 +399,6 @@ impl World {
     /// metrics/scheduler reconciliation). Violations are reported through
     /// [`World::invariant_report`], never panicked on.
     pub fn enable_invariants(&mut self) {
-        self.invariants.set_enabled(true);
-    }
-
-    /// Fan a [`TelemetryConfig`] out to every observability layer: arm
-    /// the metrics registry's sketched mode, enable head-based flow
-    /// sampling on the trace (when configured), and turn the invariant
-    /// monitors on. The scale-ready telemetry entry point.
-    pub fn apply_telemetry(&mut self, cfg: &TelemetryConfig) {
-        if let Some(n) = cfg.sample_flows {
-            self.trace.enable_flow_sampling(n, cfg.seed);
-        }
-        self.metrics.arm_sketch(SketchConfig {
-            node_threshold: cfg.sketch_node_threshold,
-            topk: cfg.topk,
-            reservoir: cfg.reservoir,
-            seed: cfg.seed,
-        });
         self.invariants.set_enabled(true);
     }
 
@@ -1415,30 +1388,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_telemetry_arms_every_layer() {
-        let (mut w, alice, _, _) = two_lan_world();
-        w.enable_metrics();
-        let cfg = TelemetryConfig {
-            sample_flows: Some(4),
-            sketch_node_threshold: 1,
-            ..TelemetryConfig::default()
-        };
-        w.apply_telemetry(&cfg);
-        assert_eq!(w.trace.flow_sample_rate(), Some(4));
-        assert!(w.invariants.enabled());
-        w.host_do(alice, |h, ctx| {
-            h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1);
-        });
-        w.run_until_idle(10_000);
-        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
-        // Three nodes saw traffic, threshold is 1 — the registry must
-        // have collapsed into sketched mode mid-run.
-        assert!(w.metrics.is_sketched());
-        let sk = w.metrics.sketched().expect("sketched");
-        assert!(sk.totals.packets_sent >= 1);
-    }
-
-    #[test]
     fn invariant_report_shape() {
         let (mut w, alice, _, _) = two_lan_world();
         w.enable_invariants();
@@ -1466,22 +1415,17 @@ mod tests {
         Slices,
     }
 
-    /// Build the two-LAN topology — `telemetry`: with flow sampling, the
-    /// metrics sketch and the invariant monitors armed through
-    /// [`World::apply_telemetry`] — drive a fixed ping workload across the
-    /// router, and return everything observable (time, trace length,
-    /// scheduler counters, metrics snapshot JSON, link stats, and the
-    /// invariant report, where batch boundaries show).
+    /// Build the two-LAN topology with metrics and the invariant monitors
+    /// on, drive a fixed ping workload across the router, and return
+    /// everything observable (time, trace length, scheduler counters,
+    /// metrics snapshot JSON, link stats, and the invariant report, where
+    /// batch boundaries show).
     fn drive_fingerprint(
         drive: Drive,
-        telemetry: bool,
     ) -> (SimTime, usize, SchedulerStats, String, LinkStats, String) {
         let (mut w, a, b, _r) = two_lan_world();
         w.enable_metrics();
         w.enable_invariants();
-        if telemetry {
-            w.apply_telemetry(&TelemetryConfig::default());
-        }
         // Both ends at once: the two LANs carry frames at the same instants,
         // so batches hold several events.
         for (host, src, dst) in [(a, "10.0.1.10", "10.0.2.10"), (b, "10.0.2.10", "10.0.1.10")] {
@@ -1508,9 +1452,8 @@ mod tests {
         }
         // Settle every cell's clock on the same millisecond boundary.
         w.run_until(SimTime(w.now().0.div_ceil(1000) * 1000));
-        let cell = format!("{drive:?} telemetry={telemetry}");
-        assert_eq!(w.pending_events(), 0, "{cell}");
-        assert!(!w.has_invariant_violations(), "{cell}");
+        assert_eq!(w.pending_events(), 0, "{drive:?}");
+        assert!(!w.has_invariant_violations(), "{drive:?}");
         let names = w.node_names();
         let now = w.now();
         let snap = serde_json::to_string_pretty(&w.metrics.snapshot(&names, now)).unwrap();
@@ -1536,18 +1479,15 @@ mod tests {
             Drive::StepsThenRun(7),
             Drive::Slices,
         ];
-        for telemetry in [false, true] {
-            let run = drive_fingerprint(Drive::Run, telemetry);
-            for drive in drives {
-                let cell = format!("{drive:?} telemetry={telemetry}");
-                let driven = drive_fingerprint(drive, telemetry);
-                assert_eq!(run.0, driven.0, "now, {cell}");
-                assert_eq!(run.1, driven.1, "trace len, {cell}");
-                assert_eq!(run.2, driven.2, "scheduler stats, {cell}");
-                assert_eq!(run.3, driven.3, "metrics snapshot, {cell}");
-                assert_eq!(run.4, driven.4, "link stats, {cell}");
-                assert_eq!(run.5, driven.5, "invariant report, {cell}");
-            }
+        let run = drive_fingerprint(Drive::Run);
+        for drive in drives {
+            let driven = drive_fingerprint(drive);
+            assert_eq!(run.0, driven.0, "now, {drive:?}");
+            assert_eq!(run.1, driven.1, "trace len, {drive:?}");
+            assert_eq!(run.2, driven.2, "scheduler stats, {drive:?}");
+            assert_eq!(run.3, driven.3, "metrics snapshot, {drive:?}");
+            assert_eq!(run.4, driven.4, "link stats, {drive:?}");
+            assert_eq!(run.5, driven.5, "invariant report, {drive:?}");
         }
     }
 

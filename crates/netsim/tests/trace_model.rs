@@ -11,7 +11,7 @@
 //! `clear` sequences must leave trace and model in agreement — event for
 //! event, every field.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 use bytes::Bytes;
@@ -26,14 +26,6 @@ use proptest::prelude::*;
 
 type PacketKey = (Ipv4Addr, Ipv4Addr, IpProtocol, u16);
 type Ids = (u64, u64, Option<u64>);
-
-/// SplitMix64's output function, as the trace's sampling decision uses it.
-fn hash64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// What the model needs of a packet, read off the trace's own public
 /// summary so both sides parse tunnels and source routes the same way.
@@ -66,9 +58,6 @@ struct Model {
     last_in_flow: HashMap<(u64, Ipv4Addr), u64>,
     next_packet: u64,
     next_flow: u64,
-    sample: Option<(u64, u64)>,
-    promoted: HashSet<u64>,
-    suppressed: u64,
     capacity: Option<usize>,
     events: VecDeque<TraceEvent>,
     shed: u64,
@@ -107,19 +96,6 @@ impl Model {
     }
 
     fn keep(&mut self, (at, node): Stamp, kind: TraceEventKind, ids: Ids, packet: PacketSummary) {
-        let anomaly = matches!(
-            kind,
-            TraceEventKind::Dropped(_) | TraceEventKind::Transformed(TransformKind::Retransmission)
-        );
-        if let Some((n, seed)) = self.sample {
-            if anomaly {
-                self.promoted.insert(ids.1);
-            }
-            if !hash64(ids.1 ^ seed).is_multiple_of(n) && !self.promoted.contains(&ids.1) {
-                self.suppressed += 1;
-                return;
-            }
-        }
         let event = TraceEvent {
             at,
             node,
@@ -172,7 +148,6 @@ impl Model {
 
     fn clear(&mut self) {
         *self = Model {
-            sample: self.sample,
             capacity: self.capacity,
             ..Model::default()
         };
@@ -362,8 +337,6 @@ proptest! {
     #[test]
     fn identity_tables_match_the_four_map_model(
         ring in 0u8..4,
-        sampling in 0u8..4,
-        seed in any::<u64>(),
         ops in proptest::collection::vec(arb_ops(), 0..60),
     ) {
         let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
@@ -372,13 +345,8 @@ proptest! {
             None => PacketTrace::new(true),
             Some(cap) => PacketTrace::with_capacity(cap),
         };
-        let sample = [None, Some(2), Some(3), Some(u64::MAX)][usize::from(sampling)];
-        if let Some(n) = sample {
-            trace.enable_flow_sampling(n, seed);
-        }
         let mut model = Model {
             capacity,
-            sample: sample.map(|n| (n, seed)),
             ..Model::default()
         };
 
@@ -409,8 +377,6 @@ proptest! {
             let expect = model.events.iter().filter(|e| e.packet.wire_len % 2 == 0);
             prop_assert!(matched.iter().eq(expect), "matching after op {}", t);
             prop_assert_eq!(trace.dropped_events(), model.shed);
-            prop_assert_eq!(trace.suppressed_events(), model.suppressed);
-            prop_assert_eq!(trace.promoted_flows(), model.promoted.len());
             prop_assert_eq!(trace.packets_identified(), model.meta.len());
             // Every id ever minted, and two that never were (stale ids from
             // before a clear look the same).

@@ -74,8 +74,8 @@ fn big_world_stays_under_a_kib_per_host() {
 
     let before = netsim::profile::live_bytes();
     let (mut w, ix) = build_world(&params);
-    // Full packet tracing is a debugging aid; scale runs sample flows
-    // instead (see the telemetry knobs), so the budget excludes it.
+    // Full packet tracing is a debugging aid a scale run turns off, so the
+    // budget excludes it.
     w.trace.set_enabled(false);
     let built = netsim::profile::live_bytes() - before;
     let n = ix.hosts.len() as i64;
@@ -149,6 +149,51 @@ fn dense_metrics_footprint_ignores_touch_order() {
         ascending / NODES as i64 <= 600,
         "dense metrics cost {} B/node",
         ascending / NODES as i64
+    );
+}
+
+/// What `churn_observed` leaves behind: 1 549 of a 10⁵-host world's
+/// 100 371 nodes record. The registry holds what recorded, plus four bytes
+/// an id up to the highest — a record per id up to the highest was 33.5 MB.
+#[test]
+fn sparse_metrics_footprint_follows_the_nodes_that_recorded() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    const NODES: usize = 100_371;
+    const RECORDING: usize = 1_549;
+    let pkt = Ipv4Packet::new(
+        Ipv4Addr(1),
+        Ipv4Addr(2),
+        IpProtocol::Udp,
+        Default::default(),
+    );
+    let footprint = |order: &mut dyn Iterator<Item = usize>| {
+        let before = netsim::profile::live_bytes();
+        let mut reg = MetricsRegistry::new(true);
+        for i in order {
+            let id = NodeId(i * NODES / RECORDING);
+            reg.record_packet(id, TraceEventKind::Sent, &pkt);
+        }
+        let bytes = netsim::profile::live_bytes() - before;
+        assert_eq!(reg.totals().packets_sent, RECORDING as u64);
+        assert_eq!(
+            reg.node_ids().count(),
+            (RECORDING - 1) * NODES / RECORDING + 1
+        );
+        bytes
+    };
+    let ascending = footprint(&mut (0..RECORDING));
+    let descending = footprint(&mut (0..RECORDING).rev());
+    // 1 549 is prime: any stride is a full cycle.
+    let strided = footprint(&mut (0..RECORDING).map(|i| i * 7919 % RECORDING));
+    // The gauge is process-wide; see the slack above.
+    let slack = 64 * 1024;
+    assert!(
+        ascending.abs_diff(descending) <= slack && ascending.abs_diff(strided) <= slack,
+        "footprint depends on touch order: {ascending} / {descending} / {strided} B"
+    );
+    assert!(
+        ascending <= 2 << 20,
+        "{RECORDING} recording nodes of {NODES} cost {ascending} B"
     );
 }
 
