@@ -77,14 +77,9 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     let (label, lc) = pick_snapshot(&lifecycles, snapshot.as_deref())?;
     eprintln!(
-        "trace: {path}: snapshot {label:?} ({} packets, {} flows{})",
+        "trace: {path}: snapshot {label:?} ({} packets, {} flows)",
         lc.packets.len(),
         lc.flows.len(),
-        if lc.shed_events > 0 {
-            format!(", {} events shed", lc.shed_events)
-        } else {
-            String::new()
-        }
     );
 
     match mode {
@@ -160,14 +155,9 @@ fn overview(all: &[(String, Lifecycle)]) {
     for (label, lc) in all {
         let drops = lc.dropped().count();
         println!(
-            "snapshot {label:>12}: {:3} packets, {:2} flows, {drops} dropped{}",
+            "snapshot {label:>12}: {:3} packets, {:2} flows, {drops} dropped",
             lc.packets.len(),
             lc.flows.len(),
-            if lc.shed_events > 0 {
-                format!(" ({} events shed)", lc.shed_events)
-            } else {
-                String::new()
-            }
         );
     }
     println!();
@@ -194,7 +184,11 @@ fn drops(lc: &Lifecycle) {
         );
         let chain = lc.chain(p.id);
         if lc.packet(chain[0]).is_none() {
-            println!("  {} (earlier history shed by the trace ring)", chain[0]);
+            // `record_transform` identifies a parent it never saw an event of.
+            println!(
+                "  {} (no events recorded: known only as a parent)",
+                chain[0]
+            );
         }
         for id in chain {
             if let Some(span) = lc.packet(id) {
@@ -244,7 +238,7 @@ fn packet(lc: &Lifecycle, id: PacketId) -> Result<(), String> {
     for cid in lc.chain(id) {
         match lc.packet(cid) {
             Some(s) => print_span(lc, s, if cid == id { "* " } else { "  " }),
-            None => println!("  {cid} (events shed)"),
+            None => println!("  {cid} (no span in this report)"),
         }
     }
     Ok(())

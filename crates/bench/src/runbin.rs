@@ -140,8 +140,8 @@ pub fn run(name: &'static str, flags: &[&str], f: impl FnOnce() -> Vec<Table>) -
 /// in the working directory as `<name>-chrome.json`.
 fn export_chrome(name: &str, path: Option<&str>) {
     let path = path.map_or_else(|| format!("{name}-chrome.json"), String::from);
-    let trace = netsim::profile::capture().chrome_trace();
-    let json = serde_json::to_string_pretty(&trace)
+    let report = netsim::profile::capture();
+    let json = serde_json::to_string_pretty(&report.chrome_trace())
         .unwrap_or_else(|e| format!("{{\"error\":\"serialization failed: {e:?}\"}}"));
     match std::fs::write(&path, json) {
         Ok(()) => eprintln!("chrome-trace: {path}"),

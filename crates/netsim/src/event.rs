@@ -2,18 +2,17 @@
 //!
 //! Every interesting occurrence in the simulated network — a frame arriving
 //! at an interface, a protocol timer firing — is an [`Event`] ordered by
-//! simulated time. Ties are broken by insertion sequence number, which makes
-//! runs fully deterministic.
+//! simulated time. Ties are broken by a key — the insertion order, or the
+//! world's [`lane_key`]s — which makes runs fully deterministic.
 //!
-//! The production implementation is a **hierarchical timing wheel**
-//! ([`SchedulerKind::Wheel`]): four levels of 256 buckets whose slot widths
-//! grow by 256× per level (1 µs, 256 µs, ~65.5 ms, ~16.8 s), covering
-//! 2³² µs ≈ 71 minutes of simulated future; anything farther sits in an
-//! overflow heap until the wheel rotates close enough. Push and cancel are
-//! O(1); popping cascades coarse buckets into finer ones as time advances,
-//! touching each event at most [`LEVELS`] times. A plain `BinaryHeap` model
-//! ([`SchedulerKind::ReferenceHeap`]) is kept for differential tests: both
-//! backends pop byte-identical event sequences.
+//! The queue is a **hierarchical timing wheel**: four levels of 256 buckets
+//! whose slot widths grow by 256× per level (1 µs, 256 µs, ~65.5 ms,
+//! ~16.8 s), covering 2³² µs ≈ 71 minutes of simulated future; anything
+//! farther sits in an overflow heap until the wheel rotates close enough.
+//! Push and cancel are O(1); popping cascades coarse buckets into finer
+//! ones as time advances, touching each event at most [`LEVELS`] times.
+//! The repository's `tests/scheduler_equivalence.rs` holds it to a
+//! `BTreeMap` model of the same ordering contract.
 //!
 //! Timers scheduled through [`EventQueue::push_cancellable`] return a
 //! [`TimerHandle`]. Cancellation is *lazy tombstoning*: the handle's slab
@@ -25,7 +24,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use bytes::Bytes;
 
@@ -125,23 +123,6 @@ impl PartialEq for Event {
 }
 impl Eq for Event {}
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time (then lowest
-        // sequence number) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 // ---- cancellable timer handles ----------------------------------------------
 
 /// Handle to a cancellable scheduled event, returned by
@@ -221,39 +202,7 @@ impl TimerSlab {
     }
 }
 
-// ---- scheduler selection -----------------------------------------------------
-
-/// Which event-queue implementation to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The hierarchical timing wheel (production default).
-    Wheel,
-    /// The plain `BinaryHeap` model the wheel must match event-for-event.
-    /// Kept for differential tests and benchmarks.
-    ReferenceHeap,
-}
-
-static DEFAULT_SCHEDULER: AtomicU8 = AtomicU8::new(0);
-
-/// Set the scheduler every subsequently created [`crate::world::World`]
-/// uses. Differential tests flip this to [`SchedulerKind::ReferenceHeap`]
-/// to prove run reports are byte-identical across backends; everything
-/// else leaves it alone.
-pub fn set_default_scheduler(kind: SchedulerKind) {
-    let v = match kind {
-        SchedulerKind::Wheel => 0,
-        SchedulerKind::ReferenceHeap => 1,
-    };
-    DEFAULT_SCHEDULER.store(v, AtomicOrdering::SeqCst);
-}
-
-/// The scheduler new worlds currently get (see [`set_default_scheduler`]).
-pub fn default_scheduler() -> SchedulerKind {
-    match DEFAULT_SCHEDULER.load(AtomicOrdering::SeqCst) {
-        0 => SchedulerKind::Wheel,
-        _ => SchedulerKind::ReferenceHeap,
-    }
-}
+// ---- counters and gauges -----------------------------------------------------
 
 /// Scheduler activity counters, readable through
 /// [`crate::world::World::scheduler_stats`]. `dispatched + cancelled ==
@@ -277,7 +226,7 @@ serde::impl_serialize!(SchedulerStats {
 /// Timing-wheel internals sampled while the flight recorder
 /// ([`crate::profile`]) is enabled: cascade activity, occupancy-bitmap
 /// popcounts per level, and overflow-heap pressure. All zeros when
-/// profiling never ran or on the reference-heap backend. Readable through
+/// profiling never ran. Readable through
 /// [`EventQueue::telemetry`] / [`crate::world::World::scheduler_telemetry`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerTelemetry {
@@ -625,12 +574,6 @@ impl Wheel {
 
 // ---- the public queue --------------------------------------------------------
 
-#[derive(Debug)]
-enum Backend {
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<HeapEntry>),
-}
-
 /// Deterministic time-ordered event queue with O(1) cancellable timers.
 ///
 /// Push times must be monotone with respect to dispatch: an event may not
@@ -638,7 +581,7 @@ enum Backend {
 /// guarantees this — everything is scheduled at `now + delay`).
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    wheel: Box<Wheel>,
     slab: TimerSlab,
     next_seq: u64,
     live: usize,
@@ -652,23 +595,10 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty timing-wheel queue.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_kind(SchedulerKind::Wheel)
-    }
-
-    /// An empty queue backed by the reference `BinaryHeap` model.
-    pub fn new_reference() -> Self {
-        Self::with_kind(SchedulerKind::ReferenceHeap)
-    }
-
-    /// An empty queue with an explicit backend.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
         EventQueue {
-            backend: match kind {
-                SchedulerKind::Wheel => Backend::Wheel(Box::new(Wheel::new())),
-                SchedulerKind::ReferenceHeap => Backend::Heap(BinaryHeap::new()),
-            },
+            wheel: Box::new(Wheel::new()),
             slab: TimerSlab::default(),
             next_seq: 0,
             live: 0,
@@ -679,16 +609,12 @@ impl EventQueue {
     fn push_entry(&mut self, at: SimTime, seq: u64, kind: EventKind, handle: Option<TimerHandle>) {
         self.live += 1;
         self.stats.pushed += 1;
-        let e = Entry {
+        self.wheel.insert(Entry {
             at: at.0,
             seq,
             handle,
             kind,
-        };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.insert(e),
-            Backend::Heap(h) => h.push(HeapEntry(e)),
-        }
+        });
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -763,45 +689,13 @@ impl EventQueue {
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.backend {
-            Backend::Wheel(w) => {
-                w.next_batch_time(u64::MAX, &mut self.slab)?;
-                let e = w.ready.pop_front().expect("normalized queue has a front");
-                Some(self.emit(e))
-            }
-            Backend::Heap(h) => loop {
-                let HeapEntry(e) = h.pop()?;
-                match e.handle {
-                    Some(hd) if self.slab.is_cancelled(hd) => self.slab.release(hd),
-                    _ => return Some(self.emit(e)),
-                }
-            },
-        }
-    }
-
-    /// Time of the next event without removing it. `&mut` because finding
-    /// it may cascade wheel buckets (and reap tombstones) — neither changes
-    /// anything observable *through pops*. It does commit the wheel to the
-    /// returned time: scheduling anything earlier afterwards (without
-    /// popping first) is a contract violation the wheel backend panics on.
-    /// [`EventQueue::pop_batch_until`] bounds the same scan by its deadline
-    /// and carries no such edge — prefer it for deadline loops.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.next_batch_time(u64::MAX, &mut self.slab).map(SimTime),
-            Backend::Heap(h) => loop {
-                match h.peek() {
-                    None => return None,
-                    Some(HeapEntry(e)) => match e.handle {
-                        Some(hd) if self.slab.is_cancelled(hd) => {
-                            self.slab.release(hd);
-                            h.pop();
-                        }
-                        _ => return Some(SimTime(e.at)),
-                    },
-                }
-            },
-        }
+        self.wheel.next_batch_time(u64::MAX, &mut self.slab)?;
+        let e = self
+            .wheel
+            .ready
+            .pop_front()
+            .expect("normalized queue has a front");
+        Some(self.emit(e))
     }
 
     /// Drain every event currently queued at the earliest timestamp into
@@ -810,65 +704,19 @@ impl EventQueue {
     /// without further queue traversal. Events the batch's dispatch
     /// schedules at the same timestamp are picked up by the next call.
     pub fn pop_batch_until(&mut self, deadline: SimTime, buf: &mut Vec<Event>) -> Option<SimTime> {
-        let t = match &mut self.backend {
-            // The deadline bounds wheel normalization: the cursor never
-            // advances past it, even over a tombstone-only tail, so the
-            // caller can settle at `deadline` and keep scheduling.
-            Backend::Wheel(w) => SimTime(w.next_batch_time(deadline.0, &mut self.slab)?),
-            Backend::Heap(_) => {
-                let t = self.peek_time()?;
-                if t > deadline {
-                    return None;
-                }
-                t
-            }
-        };
+        // The deadline bounds normalization: the cursor never advances past
+        // it, even over a tombstone-only tail, so the caller can settle at
+        // `deadline` and keep scheduling.
+        let t = self.wheel.next_batch_time(deadline.0, &mut self.slab)?;
         let start = buf.len();
-        match &mut self.backend {
-            Backend::Wheel(w) => {
-                while let Some(e) = w.ready.pop_front() {
-                    match e.handle {
-                        Some(h) if self.slab.is_cancelled(h) => self.slab.release(h),
-                        _ => {
-                            if let Some(h) = e.handle {
-                                self.slab.release(h);
-                            }
-                            buf.push(Event {
-                                at: SimTime(e.at),
-                                seq: e.seq,
-                                kind: e.kind,
-                            });
-                        }
-                    }
-                }
-            }
-            Backend::Heap(h) => {
-                while let Some(HeapEntry(e)) = h.peek() {
-                    if e.at != t.0 {
-                        break;
-                    }
-                    let HeapEntry(e) = h.pop().expect("peeked");
-                    match e.handle {
-                        Some(hd) if self.slab.is_cancelled(hd) => self.slab.release(hd),
-                        _ => {
-                            if let Some(hd) = e.handle {
-                                self.slab.release(hd);
-                            }
-                            buf.push(Event {
-                                at: SimTime(e.at),
-                                seq: e.seq,
-                                kind: e.kind,
-                            });
-                        }
-                    }
-                }
+        while let Some(e) = self.wheel.ready.pop_front() {
+            match e.handle {
+                Some(h) if self.slab.is_cancelled(h) => self.slab.release(h),
+                _ => buf.push(self.emit(e)),
             }
         }
-        let n = buf.len() - start;
-        self.live -= n;
-        self.stats.dispatched += n as u64;
-        debug_assert!(n > 0, "peeked batch cannot be empty");
-        Some(t)
+        debug_assert!(buf.len() > start, "peeked batch cannot be empty");
+        Some(SimTime(t))
     }
 
     /// Release internal capacity grown during event bursts (a broadcast
@@ -877,14 +725,7 @@ impl EventQueue {
     /// buffers are dropped, so the call is unobservable except through
     /// the allocator; the world invokes it when a run drains the queue.
     pub fn shrink(&mut self) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.shrink(),
-            Backend::Heap(h) => {
-                if h.is_empty() && h.capacity() > 32 {
-                    *h = BinaryHeap::new();
-                }
-            }
-        }
+        self.wheel.shrink();
     }
 
     /// Number of queued (non-cancelled) events.
@@ -902,23 +743,15 @@ impl EventQueue {
         self.stats
     }
 
-    /// Wheel-internals gauges recorded while profiling was enabled. All
-    /// zeros on the reference-heap backend (it has no cascades).
+    /// Wheel-internals gauges recorded while profiling was enabled.
     pub fn telemetry(&self) -> SchedulerTelemetry {
-        match &self.backend {
-            Backend::Wheel(w) => w.telemetry,
-            Backend::Heap(_) => SchedulerTelemetry::default(),
-        }
+        self.wheel.telemetry
     }
 
     /// Instantaneous wheel occupancy: occupied-slot popcount per level
-    /// plus the overflow-heap length. On the reference-heap backend every
-    /// entry counts as overflow.
+    /// plus the overflow-heap length.
     pub fn wheel_occupancy(&self) -> ([u64; LEVELS], usize) {
-        match &self.backend {
-            Backend::Wheel(w) => (w.occupancy(), w.overflow.len()),
-            Backend::Heap(h) => ([0; LEVELS], h.len()),
-        }
+        (self.wheel.occupancy(), self.wheel.overflow.len())
     }
 }
 
@@ -945,51 +778,46 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            q.push(SimTime(30), timer_event(0, 3));
-            q.push(SimTime(10), timer_event(0, 1));
-            q.push(SimTime(20), timer_event(0, 2));
-            assert_eq!(drain_tokens(&mut q), vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime(30), timer_event(0, 3));
+        q.push(SimTime(10), timer_event(0, 1));
+        q.push(SimTime(20), timer_event(0, 2));
+        assert_eq!(drain_tokens(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            let t = SimTime::ZERO + SimDuration::from_millis(1);
-            for token in 0..100 {
-                q.push(t, timer_event(0, token));
-            }
-            assert_eq!(drain_tokens(&mut q), (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        let t = SimTime::ZERO + SimDuration::from_millis(1);
+        for token in 0..100 {
+            q.push(t, timer_event(0, token));
         }
+        assert_eq!(drain_tokens(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            q.push(SimTime(5), timer_event(1, 0));
-            assert_eq!(q.peek_time(), Some(SimTime(5)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop().unwrap();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        }
+    fn len_counts_what_is_queued() {
+        let mut q = EventQueue::new();
+        q.push(SimTime(5), timer_event(1, 0));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop().unwrap();
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn cancelled_events_never_fire() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            let _keep = q.push_cancellable(SimTime(10), timer_event(0, 1));
-            let kill = q.push_cancellable(SimTime(20), timer_event(0, 2));
-            q.push(SimTime(30), timer_event(0, 3));
-            assert!(q.cancel(kill));
-            assert!(!q.cancel(kill), "double cancel is a no-op");
-            assert_eq!(q.len(), 2);
-            assert_eq!(drain_tokens(&mut q), vec![1, 3]);
-            let s = q.stats();
-            assert_eq!((s.pushed, s.dispatched, s.cancelled), (3, 2, 1));
-        }
+        let mut q = EventQueue::new();
+        let _keep = q.push_cancellable(SimTime(10), timer_event(0, 1));
+        let kill = q.push_cancellable(SimTime(20), timer_event(0, 2));
+        q.push(SimTime(30), timer_event(0, 3));
+        assert!(q.cancel(kill));
+        assert!(!q.cancel(kill), "double cancel is a no-op");
+        assert_eq!(q.len(), 2);
+        assert_eq!(drain_tokens(&mut q), vec![1, 3]);
+        let s = q.stats();
+        assert_eq!((s.pushed, s.dispatched, s.cancelled), (3, 2, 1));
     }
 
     #[test]
@@ -1025,55 +853,14 @@ mod tests {
             (1 << 32) + 5,
             (1 << 40),
         ];
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            for (i, &t) in times.iter().rev().enumerate() {
-                q.push(SimTime(t), timer_event(0, i as u64));
-            }
-            let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
-            let mut expect = times.to_vec();
-            expect.sort_unstable();
-            assert_eq!(popped, expect);
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().rev().enumerate() {
+            q.push(SimTime(t), timer_event(0, i as u64));
         }
-    }
-
-    #[test]
-    fn interleaved_push_pop_across_windows() {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::new_reference();
-        let mut lcg = 0x1234_5678_u64;
-        let mut now = 0u64;
-        let mut out_w = Vec::new();
-        let mut out_h = Vec::new();
-        for i in 0..2_000u64 {
-            lcg = lcg
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            // Mix of same-tick, near, cascade-crossing and far-future delays.
-            let delay = match lcg % 7 {
-                0 => 0,
-                1 => lcg % 256,
-                2 => 255 + lcg % 3,
-                3 => lcg % 70_000,
-                4 => lcg % (1 << 25),
-                5 => (1 << 32) + lcg % 1_000,
-                _ => lcg % 64,
-            };
-            wheel.push(SimTime(now + delay), timer_event(0, i));
-            heap.push(SimTime(now + delay), timer_event(0, i));
-            if lcg.is_multiple_of(3) {
-                let a = wheel.pop().unwrap();
-                let b = heap.pop().unwrap();
-                now = a.at.0;
-                out_w.push((a.at.0, a.seq));
-                out_h.push((b.at.0, b.seq));
-            }
-        }
-        while let (Some(a), Some(b)) = (wheel.pop(), heap.pop()) {
-            out_w.push((a.at.0, a.seq));
-            out_h.push((b.at.0, b.seq));
-        }
-        assert!(wheel.is_empty() && heap.is_empty());
-        assert_eq!(out_w, out_h);
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        let mut expect = times.to_vec();
+        expect.sort_unstable();
+        assert_eq!(popped, expect);
     }
 
     #[test]
@@ -1100,22 +887,13 @@ mod tests {
 
     #[test]
     fn keyed_pushes_order_by_key_not_insertion() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            let t = SimTime(500);
-            q.push_keyed(t, lane_key(node_lane(NodeId(3)), 0), timer_event(0, 7));
-            q.push_keyed(t, lane_key(LANE_EXTERNAL, 1), timer_event(0, 1));
-            q.push_keyed(t, lane_key(segment_lane(0), 0), timer_event(0, 2));
-            q.push_keyed(t, lane_key(LANE_EXTERNAL, 0), timer_event(0, 0));
-            // External lane 0 < segment 0 lane < node 3 lane.
-            assert_eq!(drain_tokens(&mut q), vec![0, 1, 2, 7]);
-        }
-    }
-
-    #[test]
-    fn default_scheduler_is_settable() {
-        assert_eq!(default_scheduler(), SchedulerKind::Wheel);
-        set_default_scheduler(SchedulerKind::ReferenceHeap);
-        assert_eq!(default_scheduler(), SchedulerKind::ReferenceHeap);
-        set_default_scheduler(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
+        let t = SimTime(500);
+        q.push_keyed(t, lane_key(node_lane(NodeId(3)), 0), timer_event(0, 7));
+        q.push_keyed(t, lane_key(LANE_EXTERNAL, 1), timer_event(0, 1));
+        q.push_keyed(t, lane_key(segment_lane(0), 0), timer_event(0, 2));
+        q.push_keyed(t, lane_key(LANE_EXTERNAL, 0), timer_event(0, 0));
+        // External lane 0 < segment 0 lane < node 3 lane.
+        assert_eq!(drain_tokens(&mut q), vec![0, 1, 2, 7]);
     }
 }

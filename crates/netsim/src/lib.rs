@@ -53,8 +53,7 @@ pub use device::router::{FilterAction, FilterRule, FilterWhen, Router, RouterCon
 pub use device::TxMeta;
 pub use event::SchedulerTelemetry;
 pub use event::{
-    default_scheduler, set_default_scheduler, Event, EventKind, EventQueue, IfaceNo, NodeId,
-    SchedulerKind, SchedulerStats, Timer, TimerHandle, TimerToken,
+    Event, EventKind, EventQueue, IfaceNo, NodeId, SchedulerStats, Timer, TimerHandle, TimerToken,
 };
 pub use lifecycle::{FlowSummary, Lifecycle, PacketLifecycle, PacketOutcome};
 pub use link::{FaultInjector, LinkConfig, LinkId, SegmentId};

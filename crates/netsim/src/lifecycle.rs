@@ -42,8 +42,8 @@ pub enum PacketOutcome {
     /// Turned into another packet (encapsulated, decapsulated, rewritten…);
     /// the story continues under the child's id.
     Became(PacketId),
-    /// The trace window closed with the packet still in flight (or its
-    /// later events were shed by the ring buffer).
+    /// The trace ended with the packet still in flight: no drop or
+    /// delivery was recorded for it and no transform made it another.
     InFlight,
 }
 
@@ -100,15 +100,15 @@ pub struct PacketLifecycle {
     pub flow: FlowId,
     /// The packet it was derived from, when a transform produced it.
     pub parent: Option<PacketId>,
-    /// Every retained trace event for this packet, in time order.
+    /// Every trace event of this packet, in time order.
     pub events: Vec<TraceEvent>,
     /// How the recorded life ended.
     pub outcome: PacketOutcome,
     /// Link traversals with per-hop latency.
     pub hops: Vec<Hop>,
-    /// True when the span's beginning is missing — its first retained event
-    /// is not the send or transform that created it, so earlier events were
-    /// shed by the ring buffer (or recording started mid-flight).
+    /// True when the span's beginning is missing — its first recorded event
+    /// is not the send or transform that created it, because recording
+    /// started (or the trace was cleared) while the packet was in flight.
     pub truncated: bool,
     /// Header bytes the encapsulation added, for packets created by an
     /// `Encapsulated` transform: this packet's wire length minus the
@@ -117,12 +117,12 @@ pub struct PacketLifecycle {
 }
 
 impl PacketLifecycle {
-    /// When the span starts (first retained event).
+    /// When the span starts (first recorded event).
     pub fn start_us(&self) -> u64 {
         self.events.first().map(|e| e.at.0).unwrap_or(0)
     }
 
-    /// When the span ends (last retained event).
+    /// When the span ends (last recorded event).
     pub fn end_us(&self) -> u64 {
         self.events.last().map(|e| e.at.0).unwrap_or(0)
     }
@@ -198,16 +198,13 @@ impl Serialize for FlowSummary {
     }
 }
 
-/// The reconstructed lifecycles of every packet a trace retained, plus
+/// The reconstructed lifecycles of every packet a trace recorded, plus
 /// per-flow rollups. Self-contained: carries the node names, so a lifecycle
 /// loaded back from a run report can render without the world.
 #[derive(Debug, Clone, Default)]
 pub struct Lifecycle {
     /// Node names by [`NodeId`] index.
     pub node_names: Vec<String>,
-    /// Events the trace's ring buffer shed before reconstruction — when
-    /// nonzero, spans may be [truncated](PacketLifecycle::truncated).
-    pub shed_events: u64,
     /// Per-packet spans, ordered by [`PacketId`].
     pub packets: Vec<PacketLifecycle>,
     /// Per-flow rollups, ordered by [`FlowId`].
@@ -216,8 +213,8 @@ pub struct Lifecycle {
 
 impl Lifecycle {
     /// Fold a trace's event log into per-packet spans and per-flow
-    /// summaries. Works purely from the retained events: a bounded trace
-    /// that shed history yields truncated spans, never a panic.
+    /// summaries. Works purely from the recorded events: a packet whose
+    /// beginning was not recorded yields a truncated span, never a panic.
     pub fn reconstruct(trace: &PacketTrace, node_names: &[&str]) -> Lifecycle {
         let mut by_packet: BTreeMap<PacketId, Vec<TraceEvent>> = BTreeMap::new();
         let mut child_of: HashMap<PacketId, PacketId> = HashMap::new();
@@ -344,13 +341,12 @@ impl Lifecycle {
 
         Lifecycle {
             node_names: node_names.iter().map(|s| (*s).to_string()).collect(),
-            shed_events: trace.dropped_events(),
             packets,
             flows: flows.into_values().collect(),
         }
     }
 
-    /// The span for `id`, if retained.
+    /// The span for `id`, if recorded.
     pub fn packet(&self, id: PacketId) -> Option<&PacketLifecycle> {
         self.packets
             .binary_search_by_key(&id, |p| p.id)
@@ -358,7 +354,7 @@ impl Lifecycle {
             .map(|i| &self.packets[i])
     }
 
-    /// The rollup for `flow`, if any of its packets were retained.
+    /// The rollup for `flow`, if any of its packets were recorded.
     pub fn flow(&self, flow: FlowId) -> Option<&FlowSummary> {
         self.flows
             .binary_search_by_key(&flow, |f| f.flow)
@@ -374,9 +370,10 @@ impl Lifecycle {
     }
 
     /// The causal chain ending at `id`, root first. The chain follows
-    /// parent links through the retained spans; if an ancestor's span was
-    /// shed, its bare id still appears (as the chain's first element) but
-    /// the walk cannot continue past it.
+    /// parent links through the spans; an ancestor with no span (a parent
+    /// the trace identified but recorded no event of, or one a capped
+    /// report omitted) still appears as the chain's first element, but the
+    /// walk cannot continue past it.
     pub fn chain(&self, id: PacketId) -> Vec<PacketId> {
         let mut rev = vec![id];
         let mut cur = id;
@@ -404,7 +401,6 @@ impl Lifecycle {
     fn write_with(&self, keep: Option<&BTreeSet<PacketId>>, w: &mut JsonWriter) {
         w.object(|w| {
             w.field("nodes", &self.node_names);
-            w.field("shed_events", &self.shed_events);
             let kept = |p: &&PacketLifecycle| keep.is_none_or(|k| k.contains(&p.id));
             if keep.is_some() {
                 let omitted = self.packets.len() - self.packets.iter().filter(kept).count();
@@ -442,7 +438,6 @@ impl Lifecycle {
             .iter()
             .map(|n| as_str(n).map(str::to_string))
             .collect::<Option<Vec<_>>>()?;
-        let shed_events = as_u64(field(v, "shed_events")?)?;
         let packets = as_array(field(v, "packets")?)?
             .iter()
             .map(parse_packet)
@@ -453,7 +448,6 @@ impl Lifecycle {
             .collect::<Option<Vec<_>>>()?;
         Some(Lifecycle {
             node_names,
-            shed_events,
             packets,
             flows,
         })
@@ -464,78 +458,83 @@ impl Lifecycle {
     /// node is a lane; link traversals become complete ("X") spans on the
     /// transmitting node's lane, and transforms, drops and deliveries
     /// become instant events, all over simulated time (µs).
-    pub fn chrome_trace(&self) -> Value {
-        fn meta(tid: u64, what: &str, name: &str) -> Value {
-            Value::Object(vec![
-                ("ph".to_string(), Value::Str("M".into())),
-                ("pid".into(), Value::U64(0)),
-                ("tid".into(), Value::U64(tid)),
-                ("name".into(), Value::Str(what.into())),
-                (
-                    "args".into(),
-                    Value::Object(vec![("name".to_string(), Value::Str(name.into()))]),
-                ),
-            ])
-        }
-        let mut events = vec![meta(0, "process_name", "netsim")];
-        for (i, name) in self.node_names.iter().enumerate() {
-            events.push(meta(i as u64, "thread_name", name));
-        }
-        for p in &self.packets {
-            let label = format!("{} {}", p.id, p.flow);
-            let mut args = vec![
-                ("packet".to_string(), Value::Str(p.id.to_string())),
-                ("flow".into(), Value::Str(p.flow.to_string())),
-            ];
+    pub fn chrome_trace(&self) -> impl Serialize + '_ {
+        let meta = |w: &mut JsonWriter, tid: usize, what: &str, name: &str| {
+            w.object(|w| {
+                w.field("ph", "M");
+                w.field("pid", &0u64);
+                w.field("tid", &tid);
+                w.field("name", what);
+                w.key("args");
+                w.object(|w| w.field("name", name));
+            });
+        };
+        serde::from_fn(move |w| {
+            w.object(|w| {
+                w.key("traceEvents");
+                w.array(|w| {
+                    meta(w, 0, "process_name", "netsim");
+                    for (i, name) in self.node_names.iter().enumerate() {
+                        meta(w, i, "thread_name", name);
+                    }
+                    for p in &self.packets {
+                        self.write_chrome_packet(p, w);
+                    }
+                });
+                w.field("displayTimeUnit", "ms");
+            });
+        })
+    }
+
+    /// One packet's [`Lifecycle::chrome_trace`] events: a span per hop,
+    /// an instant per transform, drop and delivery.
+    fn write_chrome_packet(&self, p: &PacketLifecycle, w: &mut JsonWriter) {
+        let ids = |w: &mut JsonWriter| {
+            w.key("packet");
+            w.display(&p.id);
+            w.key("flow");
+            w.display(&p.flow);
             if let Some(parent) = p.parent {
-                args.push(("parent".into(), Value::Str(parent.to_string())));
+                w.key("parent");
+                w.display(&parent);
             }
-            for h in &p.hops {
-                events.push(Value::Object(vec![
-                    ("name".to_string(), Value::Str(label.clone())),
-                    ("cat".into(), Value::Str("hop".into())),
-                    ("ph".into(), Value::Str("X".into())),
-                    (
-                        "ts".into(),
-                        Value::U64(hop_start(p, h).unwrap_or_else(|| p.start_us())),
-                    ),
-                    ("dur".into(), Value::U64(h.latency.as_micros())),
-                    ("pid".into(), Value::U64(0)),
-                    ("tid".into(), Value::U64(h.from.0 as u64)),
-                    (
-                        "args".into(),
-                        Value::Object(
-                            args.iter()
-                                .cloned()
-                                .chain([("to".to_string(), Value::Str(self.node_name(h.to)))])
-                                .collect(),
-                        ),
-                    ),
-                ]));
-            }
-            for e in &p.events {
-                let name = match e.kind {
-                    TraceEventKind::Transformed(t) => format!("{} {}", p.id, t),
-                    TraceEventKind::Dropped(r) => format!("{} dropped: {}", p.id, r.tag()),
-                    TraceEventKind::DeliveredLocal => format!("{} delivered", p.id),
-                    _ => continue,
-                };
-                events.push(Value::Object(vec![
-                    ("name".to_string(), Value::Str(name)),
-                    ("cat".into(), Value::Str(e.kind.tag().into())),
-                    ("ph".into(), Value::Str("i".into())),
-                    ("s".into(), Value::Str("t".into())),
-                    ("ts".into(), Value::U64(e.at.0)),
-                    ("pid".into(), Value::U64(0)),
-                    ("tid".into(), Value::U64(e.node.0 as u64)),
-                    ("args".into(), Value::Object(args.clone())),
-                ]));
-            }
+        };
+        for h in &p.hops {
+            w.object(|w| {
+                w.key("name");
+                w.display(&format_args!("{} {}", p.id, p.flow));
+                w.field("cat", "hop");
+                w.field("ph", "X");
+                w.field("ts", &hop_start(p, h).unwrap_or_else(|| p.start_us()));
+                w.field("dur", &h.latency.as_micros());
+                w.field("pid", &0u64);
+                w.field("tid", &h.from.0);
+                w.key("args");
+                w.object(|w| {
+                    ids(w);
+                    w.field("to", &self.node_name(h.to));
+                });
+            });
         }
-        Value::Object(vec![
-            ("traceEvents".to_string(), Value::Array(events)),
-            ("displayTimeUnit".into(), Value::Str("ms".into())),
-        ])
+        for e in &p.events {
+            let name = match e.kind {
+                TraceEventKind::Transformed(t) => format!("{} {}", p.id, t),
+                TraceEventKind::Dropped(r) => format!("{} dropped: {}", p.id, r.tag()),
+                TraceEventKind::DeliveredLocal => format!("{} delivered", p.id),
+                _ => continue,
+            };
+            w.object(|w| {
+                w.field("name", &name);
+                w.field("cat", e.kind.tag());
+                w.field("ph", "i");
+                w.field("s", "t");
+                w.field("ts", &e.at.0);
+                w.field("pid", &0u64);
+                w.field("tid", &e.node.0);
+                w.key("args");
+                w.object(ids);
+            });
+        }
     }
 
     /// Export as a pcapng capture: one enhanced packet block per trace
@@ -902,21 +901,25 @@ mod tests {
     }
 
     #[test]
-    fn bounded_trace_yields_truncated_spans_not_panics() {
-        let mut t = PacketTrace::with_capacity(2);
+    fn a_trace_cleared_mid_flight_yields_truncated_spans_not_panics() {
+        let mut t = PacketTrace::new(true);
         let p = pkt("1.1.1.1", "2.2.2.2");
         t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p);
         t.record(SimTime(100), NodeId(1), TraceEventKind::Forwarded, &p);
+        // The packet is on the wire when the trace forgets its send.
+        t.clear();
+        t.record(SimTime(150), NodeId(1), TraceEventKind::Forwarded, &p);
         t.record(SimTime(200), NodeId(2), TraceEventKind::DeliveredLocal, &p);
-        assert_eq!(t.dropped_events(), 1, "the Sent event was shed");
 
         let lc = Lifecycle::reconstruct(&t, &names());
-        assert_eq!(lc.shed_events, 1);
         assert_eq!(lc.packets.len(), 1);
         let span = &lc.packets[0];
-        assert!(span.truncated, "first retained event is a Forwarded");
+        assert!(span.truncated, "first recorded event is a Forwarded");
         assert_eq!(span.outcome, PacketOutcome::Delivered(NodeId(2)));
-        assert_eq!(span.hops.len(), 1, "only the retained hop is measurable");
+        assert_eq!(span.hops.len(), 1, "only the recorded hop is measurable");
+        let back = Lifecycle::from_value(&parsed(&lc)).expect("parses");
+        assert!(back.packets[0].truncated);
+        assert_eq!(back.packets[0].outcome, span.outcome);
     }
 
     #[test]
@@ -925,7 +928,6 @@ mod tests {
         let lc = Lifecycle::reconstruct(&t, &names());
         let back = Lifecycle::from_value(&parsed(&lc)).expect("parses");
         assert_eq!(back.node_names, lc.node_names);
-        assert_eq!(back.shed_events, lc.shed_events);
         assert_eq!(back.packets.len(), lc.packets.len());
         for (a, b) in lc.packets.iter().zip(&back.packets) {
             assert_eq!(a.id, b.id);
@@ -939,6 +941,13 @@ mod tests {
         assert_eq!(back.flows.len(), lc.flows.len());
         assert_eq!(back.flows[0].drops, lc.flows[0].drops);
         assert_eq!(back.flows[0].bytes_on_wire, lc.flows[0].bytes_on_wire);
+        // Reports of older schemas carry keys this one no longer writes.
+        let mut old = parsed(&lc);
+        if let Value::Object(fields) = &mut old {
+            fields.insert(1, ("a_retired_counter".into(), Value::U64(0)));
+        }
+        let back = Lifecycle::from_value(&old).expect("extra keys are ignored");
+        assert_eq!(back.packets.len(), lc.packets.len());
     }
 
     #[test]
@@ -988,7 +997,7 @@ mod tests {
     fn chrome_trace_has_a_lane_per_node_and_spans() {
         let t = sample_trace();
         let lc = Lifecycle::reconstruct(&t, &names());
-        let v = lc.chrome_trace();
+        let v = parsed(&lc.chrome_trace());
         let events = as_array(field(&v, "traceEvents").unwrap()).unwrap();
         let lanes = events
             .iter()

@@ -659,52 +659,48 @@ impl ProfileReport {
     /// a synthetic flame layout where each scope spans its inclusive time
     /// and children tile left-to-right inside the parent. Load the result
     /// in `chrome://tracing` / Perfetto.
-    pub fn chrome_trace(&self) -> Value {
-        fn emit(events: &mut Vec<Value>, s: &ScopeStat, ts_us: f64) {
-            let dur_us = s.incl_ns as f64 / 1_000.0;
-            events.push(Value::Object(vec![
-                ("name".to_string(), Value::Str(s.name.clone())),
-                ("ph".to_string(), Value::Str("X".to_string())),
-                ("ts".to_string(), Value::F64(ts_us)),
-                ("dur".to_string(), Value::F64(dur_us)),
-                ("pid".to_string(), Value::U64(1)),
-                ("tid".to_string(), Value::U64(1)),
-                (
-                    "args".to_string(),
-                    Value::Object(vec![
-                        ("calls".to_string(), Value::U64(s.calls)),
-                        ("allocs".to_string(), Value::U64(s.allocs)),
-                        ("alloc_bytes".to_string(), Value::U64(s.alloc_bytes)),
-                    ]),
-                ),
-            ]));
+    pub fn chrome_trace(&self) -> impl Serialize + '_ {
+        fn emit(w: &mut JsonWriter, s: &ScopeStat, ts_us: f64) {
+            w.object(|w| {
+                w.field("name", &s.name);
+                w.field("ph", "X");
+                w.field("ts", &ts_us);
+                w.field("dur", &(s.incl_ns as f64 / 1_000.0));
+                w.field("pid", &1u64);
+                w.field("tid", &1u64);
+                w.key("args");
+                w.object(|w| {
+                    w.field("calls", &s.calls);
+                    w.field("allocs", &s.allocs);
+                    w.field("alloc_bytes", &s.alloc_bytes);
+                });
+            });
             let mut child_ts = ts_us;
             for c in &s.children {
-                emit(events, c, child_ts);
+                emit(w, c, child_ts);
                 child_ts += c.incl_ns as f64 / 1_000.0;
             }
         }
-        let mut events = vec![Value::Object(vec![
-            ("name".to_string(), Value::Str("process_name".to_string())),
-            ("ph".to_string(), Value::Str("M".to_string())),
-            ("pid".to_string(), Value::U64(1)),
-            (
-                "args".to_string(),
-                Value::Object(vec![(
-                    "name".to_string(),
-                    Value::Str("netsim profile (merged scopes)".to_string()),
-                )]),
-            ),
-        ])];
-        let mut ts = 0.0;
-        for r in &self.roots {
-            emit(&mut events, r, ts);
-            ts += r.incl_ns as f64 / 1_000.0;
-        }
-        Value::Object(vec![
-            ("traceEvents".to_string(), Value::Array(events)),
-            ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-        ])
+        serde::from_fn(move |w| {
+            w.object(|w| {
+                w.key("traceEvents");
+                w.array(|w| {
+                    w.object(|w| {
+                        w.field("name", "process_name");
+                        w.field("ph", "M");
+                        w.field("pid", &1u64);
+                        w.key("args");
+                        w.object(|w| w.field("name", "netsim profile (merged scopes)"));
+                    });
+                    let mut ts = 0.0;
+                    for r in &self.roots {
+                        emit(w, r, ts);
+                        ts += r.incl_ns as f64 / 1_000.0;
+                    }
+                });
+                w.field("displayTimeUnit", "ms");
+            });
+        })
     }
 }
 

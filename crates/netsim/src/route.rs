@@ -211,13 +211,6 @@ impl PartialEq for RouteTable {
     }
 }
 
-/// Verifies [`RouteTable::lookup`] against the reference linear [`lpm`].
-/// Exposed (hidden) for the parity property test and benches.
-#[doc(hidden)]
-pub fn lpm_reference(routes: &[RouteEntry], dst: Ipv4Addr) -> Option<RouteEntry> {
-    lpm(routes, dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

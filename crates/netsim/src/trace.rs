@@ -23,14 +23,13 @@
 //! repeats what the packet's other events already said:
 //!
 //! * **per event, 24 bytes** — time, node, packet id, event kind, and which
-//!   summary the event was recorded with: one slot of a `VecDeque` that is
-//!   the whole log in both modes ([`PacketTrace::with_capacity`] makes it
-//!   a ring that sheds its oldest records and counts them);
+//!   summary the event was recorded with: one slot of the `Vec` that is the
+//!   whole log, kept until [`PacketTrace::clear`];
 //! * **per packet, 56 bytes** — flow, parent and the summary the packet was
 //!   first seen with, in a `Vec` indexed by [`PacketId`] that also answers
 //!   [`PacketTrace::parent_of`] / [`PacketTrace::flow_of`] /
-//!   [`PacketTrace::first_wire_len`] after the ring shed the events — plus
-//!   the packet's entry in the header-identity map;
+//!   [`PacketTrace::first_wire_len`] — plus the packet's entry in the
+//!   header-identity map;
 //! * **per change of summary, 40 bytes** — a packet's events share a
 //!   summary for as long as each is recorded with one equal to the last;
 //!   an event that differs (another fragment's `wire_len`, a `dst` a
@@ -38,13 +37,13 @@
 //!   appends the new summary to a spill table. Nothing is assumed about
 //!   which fields can vary, so what is read back is exactly what was
 //!   recorded. Spilled summaries live until [`PacketTrace::clear`], like
-//!   the per-packet table: a ring bounds events, not packets.
+//!   the rest.
 //!
 //! [`PacketTrace::events`] and [`PacketTrace::matching`] assemble each
 //! `TraceEvent` by value when it is read: two indexed loads and a 40-byte
 //! copy per event, paid by the reader instead of by every hop of the run.
 
-use std::collections::{vec_deque, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::NodeId;
@@ -401,15 +400,15 @@ impl Hasher for IdentityHasher {
     }
 }
 
-/// Per-packet bookkeeping that outlives the event ring buffer, so causal
-/// links and overhead deltas survive shedding — and everything a
-/// [`TraceEvent`] says that is the same for all of a packet's events.
+/// Per-packet bookkeeping: causal links, the overhead baseline, and
+/// everything a [`TraceEvent`] says that is the same for all of a packet's
+/// events.
 #[derive(Debug)]
 struct PacketMeta {
     flow: FlowId,
     /// The id this packet was derived from; [`NO_PARENT`] for none.
     parent: u32,
-    /// Which summary the packet's latest retained event was recorded with,
+    /// Which summary the packet's latest event was recorded with,
     /// in [`Record::summary`]'s encoding.
     last: u32,
     /// The packet as first observed (pre-transform for parents): the
@@ -428,7 +427,7 @@ impl PacketMeta {
     }
 }
 
-/// One retained observation as the log stores it; [`PacketTrace::assemble`]
+/// One observation as the log stores it; [`PacketTrace::assemble`]
 /// makes the [`TraceEvent`] readers see.
 #[derive(Debug)]
 struct Record {
@@ -536,24 +535,17 @@ impl Serialize for TraceEvent {
 /// Collects [`TraceEvent`]s. Owned by the [`crate::world::World`].
 #[derive(Debug, Default)]
 pub struct PacketTrace {
-    log: VecDeque<Record>,
+    log: Vec<Record>,
     /// Summaries that differed from the one their packet's previous event
     /// was recorded with, in recording order.
     spilled: Vec<PacketSummary>,
     enabled: bool,
-    /// `Some(n)` = ring buffer holding at most `n` events.
-    capacity: Option<usize>,
-    /// Events shed from the front of the ring since the last [`clear`].
-    ///
-    /// [`clear`]: PacketTrace::clear
-    dropped_events: u64,
     /// Current id for each header identity seen in the world. A transform
     /// re-points the child's key at a fresh id, so the same wire identity
     /// observed after the transform belongs to the new causal node.
     ids: IdentityMap<PacketKey, PacketId>,
     /// Causal bookkeeping per id, indexed by it: ids are minted densely
-    /// from `meta.len()`. Survives ring shedding (it is bounded by distinct
-    /// packets, not events), so parent links outlive the window.
+    /// from `meta.len()`.
     meta: Vec<PacketMeta>,
     /// Conversation registry.
     flows: IdentityMap<FlowKey, FlowId>,
@@ -565,23 +557,10 @@ pub struct PacketTrace {
 }
 
 impl PacketTrace {
-    /// An empty, unbounded trace; records only while enabled.
+    /// An empty trace; records only while enabled.
     pub fn new(enabled: bool) -> PacketTrace {
         PacketTrace {
             enabled,
-            ..PacketTrace::default()
-        }
-    }
-
-    /// An enabled trace that keeps only the `capacity` most recent events,
-    /// shedding the oldest (and counting them in
-    /// [`PacketTrace::dropped_events`]) once full. `capacity` of 0 counts
-    /// everything it sheds and keeps nothing.
-    pub fn with_capacity(capacity: usize) -> PacketTrace {
-        PacketTrace {
-            log: VecDeque::with_capacity(capacity),
-            enabled: true,
-            capacity: Some(capacity),
             ..PacketTrace::default()
         }
     }
@@ -594,16 +573,6 @@ impl PacketTrace {
     /// Is recording on?
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The ring-buffer bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Events shed by the ring buffer since the last [`PacketTrace::clear`].
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
     }
 
     /// Record one observation (no-op while disabled).
@@ -657,12 +626,12 @@ impl PacketTrace {
     }
 
     /// The parent of `id` in the causal tree, if it was produced by a
-    /// transform. Answered from bookkeeping that survives ring shedding.
+    /// transform.
     pub fn parent_of(&self, id: PacketId) -> Option<PacketId> {
         self.meta_of(id).and_then(PacketMeta::parent)
     }
 
-    /// The flow `id` belongs to, from bookkeeping that survives shedding.
+    /// The flow `id` belongs to.
     pub fn flow_of(&self, id: PacketId) -> Option<FlowId> {
         self.meta_of(id).map(|m| m.flow)
     }
@@ -741,7 +710,7 @@ impl PacketTrace {
         id
     }
 
-    /// Append one event of packet `id`, honouring the ring bound.
+    /// Append one event of packet `id`.
     fn push(
         &mut self,
         at: SimTime,
@@ -750,18 +719,6 @@ impl PacketTrace {
         id: PacketId,
         summary: PacketSummary,
     ) {
-        if let Some(cap) = self.capacity {
-            while self.log.len() >= cap {
-                if self.log.pop_front().is_none() {
-                    break; // cap == 0
-                }
-                self.dropped_events += 1;
-            }
-            if cap == 0 {
-                self.dropped_events += 1;
-                return;
-            }
-        }
         let m = &mut self.meta[id.0 as usize];
         let last = match m.last {
             0 => &m.first,
@@ -772,7 +729,7 @@ impl PacketTrace {
             m.last = u32::try_from(self.spilled.len())
                 .expect("trace: at most 2^32 - 1 changed packet summaries between clears");
         }
-        self.log.push_back(Record {
+        self.log.push(Record {
             at,
             node: u32::try_from(node.0).expect("trace: node ids above 2^32 - 1 are not recorded"),
             // `alloc_packet` minted `id` below `NO_PARENT`.
@@ -805,12 +762,11 @@ impl PacketTrace {
         }
     }
 
-    /// Forget everything recorded so far (including the shed-event count
-    /// and all packet/flow identities).
+    /// Forget everything recorded so far, packet and flow identities
+    /// included.
     pub fn clear(&mut self) {
         self.log.clear();
         self.spilled.clear();
-        self.dropped_events = 0;
         self.ids.clear();
         self.meta.clear();
         self.flows.clear();
@@ -818,7 +774,7 @@ impl PacketTrace {
         self.next_flow = 0;
     }
 
-    /// Every retained event, in order: a view that assembles each
+    /// Every recorded event, in order: a view that assembles each
     /// [`TraceEvent`] from its 24-byte record, its packet's bookkeeping and
     /// the summary it was recorded with as it is read. `len` and `is_empty`
     /// read nothing; `front`, `back` and each step of `iter` cost two
@@ -943,24 +899,24 @@ impl PacketTrace {
     }
 }
 
-/// The retained events of a [`PacketTrace`], oldest first
+/// The recorded events of a [`PacketTrace`], oldest first
 /// ([`PacketTrace::events`]). Yields [`TraceEvent`]s by value: the trace
 /// stores them apart (see the module header).
 #[derive(Clone, Copy)]
 pub struct TraceEvents<'a>(&'a PacketTrace);
 
 impl<'a> TraceEvents<'a> {
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.0.log.len()
     }
 
-    /// Whether nothing is retained.
+    /// Whether nothing is recorded.
     pub fn is_empty(&self) -> bool {
         self.0.log.is_empty()
     }
 
-    /// The oldest retained event.
+    /// The oldest event.
     pub fn front(&self) -> Option<TraceEvent> {
         self.iter().next()
     }
@@ -1003,7 +959,7 @@ impl std::fmt::Debug for TraceEvents<'_> {
 #[derive(Clone)]
 pub struct TraceEventsIter<'a> {
     trace: &'a PacketTrace,
-    records: vec_deque::Iter<'a, Record>,
+    records: std::slice::Iter<'a, Record>,
 }
 
 impl Iterator for TraceEventsIter<'_> {
@@ -1199,91 +1155,5 @@ mod tests {
             .first_delivery_latency(|s| s.logical_endpoints().1 == ip("18.26.0.1"))
             .unwrap();
         assert_eq!(lat, SimDuration::from_micros(900));
-    }
-
-    #[test]
-    fn ring_buffer_keeps_most_recent_and_counts_shed_events() {
-        let mut t = PacketTrace::with_capacity(3);
-        assert_eq!(t.capacity(), Some(3));
-        for i in 0..5u64 {
-            t.record(
-                SimTime(i),
-                NodeId(0),
-                TraceEventKind::Sent,
-                &pkt("1.1.1.1", "2.2.2.2"),
-            );
-        }
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.dropped_events(), 2);
-        let times: Vec<u64> = t.events().iter().map(|e| e.at.0).collect();
-        assert_eq!(times, vec![2, 3, 4], "oldest events shed first");
-        // Aggregates now see only the window.
-        assert_eq!(t.hops(|_| true), 3);
-        t.clear();
-        assert_eq!(t.dropped_events(), 0);
-        assert_eq!(t.capacity(), Some(3), "clear keeps the bound");
-    }
-
-    #[test]
-    fn ring_buffer_shed_count_is_exact_at_the_boundary() {
-        let mut t = PacketTrace::with_capacity(4);
-        let p = pkt("1.1.1.1", "2.2.2.2");
-        // Exactly at capacity: nothing shed yet.
-        for i in 0..4u64 {
-            t.record(SimTime(i), NodeId(0), TraceEventKind::Sent, &p);
-        }
-        assert_eq!(t.events().len(), 4);
-        assert_eq!(t.dropped_events(), 0, "full ring has shed nothing");
-        // Each event past capacity sheds exactly one.
-        for extra in 1..=3u64 {
-            t.record(SimTime(10 + extra), NodeId(0), TraceEventKind::Sent, &p);
-            assert_eq!(t.events().len(), 4);
-            assert_eq!(t.dropped_events(), extra);
-        }
-    }
-
-    #[test]
-    fn causal_bookkeeping_survives_ring_shedding() {
-        // Capacity 1: by the end only the last event remains, but parent
-        // links and flow membership are answered from the id registry,
-        // which is bounded by packets, not events.
-        let mut t = PacketTrace::with_capacity(1);
-        let inner = pkt("1.1.1.1", "2.2.2.2");
-        let outer =
-            encapsulate(EncapFormat::IpInIp, ip("9.9.9.9"), ip("8.8.8.8"), &inner, 3).unwrap();
-        t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &inner);
-        let root = t.events().back().unwrap().packet_id;
-        let flow = t.events().back().unwrap().flow_id;
-        t.record_transform(
-            SimTime(1),
-            NodeId(0),
-            TransformKind::Encapsulated(EncapFormat::IpInIp),
-            Some(&inner),
-            &outer,
-        );
-        let child = t.events().back().unwrap().packet_id;
-        assert_eq!(t.events().len(), 1, "ring kept only the transform");
-        assert_eq!(t.dropped_events(), 1);
-        assert_eq!(t.parent_of(child), Some(root), "link outlives the window");
-        assert_eq!(t.flow_of(child), Some(flow));
-        assert_eq!(
-            t.first_wire_len(root),
-            Some(inner.wire_len()),
-            "overhead baseline outlives the window"
-        );
-        assert_eq!(t.packets_identified(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_ring_counts_everything() {
-        let mut t = PacketTrace::with_capacity(0);
-        t.record(
-            SimTime(0),
-            NodeId(0),
-            TraceEventKind::Sent,
-            &pkt("1.1.1.1", "2.2.2.2"),
-        );
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped_events(), 1);
     }
 }

@@ -360,8 +360,7 @@ pub struct World {
 }
 
 impl World {
-    /// Create a world with a deterministic RNG seed, using the process-wide
-    /// default scheduler (see [`crate::event::set_default_scheduler`]).
+    /// Create a world with a deterministic RNG seed.
     pub fn new(seed: u64) -> World {
         World {
             nodes: Vec::new(),
@@ -370,7 +369,7 @@ impl World {
             node_rng: Vec::new(),
             segments: Vec::new(),
             seg_states: Vec::new(),
-            queue: EventQueue::with_kind(crate::event::default_scheduler()),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             seed,
             trace: PacketTrace::new(true),

@@ -6,12 +6,12 @@
 //! packet per flow endpoint) and stores an event as a 24-byte record whose
 //! summary, flow and parent are looked up when it is read. How any of that
 //! is stored is free to change as long as nothing observable does; the
-//! model below is the plain four-`HashMap` formulation over a deque of
+//! model below is the plain four-`HashMap` formulation over a `Vec` of
 //! whole [`TraceEvent`]s, and random `record` / `record_transform` /
 //! `clear` sequences must leave trace and model in agreement — event for
 //! event, every field.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use bytes::Bytes;
@@ -58,9 +58,7 @@ struct Model {
     last_in_flow: HashMap<(u64, Ipv4Addr), u64>,
     next_packet: u64,
     next_flow: u64,
-    capacity: Option<usize>,
-    events: VecDeque<TraceEvent>,
-    shed: u64,
+    events: Vec<TraceEvent>,
 }
 
 impl Model {
@@ -96,7 +94,7 @@ impl Model {
     }
 
     fn keep(&mut self, (at, node): Stamp, kind: TraceEventKind, ids: Ids, packet: PacketSummary) {
-        let event = TraceEvent {
+        self.events.push(TraceEvent {
             at,
             node,
             kind,
@@ -104,16 +102,7 @@ impl Model {
             packet_id: PacketId(ids.0),
             flow_id: FlowId(ids.1),
             parent_id: ids.2.map(PacketId),
-        };
-        match self.capacity {
-            Some(0) => self.shed += 1,
-            Some(cap) if self.events.len() >= cap => {
-                self.events.pop_front();
-                self.shed += 1;
-                self.events.push_back(event);
-            }
-            _ => self.events.push_back(event),
-        }
+        });
     }
 
     fn record(&mut self, stamp: Stamp, kind: TraceEventKind, pkt: &Ipv4Packet) {
@@ -147,10 +136,7 @@ impl Model {
     }
 
     fn clear(&mut self) {
-        *self = Model {
-            capacity: self.capacity,
-            ..Model::default()
-        };
+        *self = Model::default();
     }
 }
 
@@ -336,19 +322,11 @@ proptest! {
 
     #[test]
     fn identity_tables_match_the_four_map_model(
-        ring in 0u8..4,
         ops in proptest::collection::vec(arb_ops(), 0..60),
     ) {
         let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
-        let capacity = [None, Some(0), Some(3), Some(1000)][usize::from(ring)];
-        let mut trace = match capacity {
-            None => PacketTrace::new(true),
-            Some(cap) => PacketTrace::with_capacity(cap),
-        };
-        let mut model = Model {
-            capacity,
-            ..Model::default()
-        };
+        let mut trace = PacketTrace::new(true);
+        let mut model = Model::default();
 
         for (t, op) in ops.iter().flatten().enumerate() {
             let (at, node) = (SimTime(t as u64), NodeId(t % 3));
@@ -370,13 +348,12 @@ proptest! {
             let events = trace.events();
             prop_assert!(events.iter().eq(model.events.iter().cloned()), "events after op {}", t);
             prop_assert_eq!(events.len(), model.events.len());
-            prop_assert_eq!(events.front(), model.events.front().cloned());
-            prop_assert_eq!(events.back(), model.events.back().cloned());
+            prop_assert_eq!(events.front(), model.events.first().cloned());
+            prop_assert_eq!(events.back(), model.events.last().cloned());
             prop_assert!(events.iter().rev().eq(model.events.iter().rev().cloned()));
             let matched: Vec<TraceEvent> = trace.matching(|s| s.wire_len % 2 == 0).collect();
             let expect = model.events.iter().filter(|e| e.packet.wire_len % 2 == 0);
             prop_assert!(matched.iter().eq(expect), "matching after op {}", t);
-            prop_assert_eq!(trace.dropped_events(), model.shed);
             prop_assert_eq!(trace.packets_identified(), model.meta.len());
             // Every id ever minted, and two that never were (stale ids from
             // before a clear look the same).

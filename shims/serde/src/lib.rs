@@ -16,8 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 
-/// A parsed JSON document: what `serde_json::from_str` returns, and what
-/// the cold exporters (Chrome traces) assemble before rendering.
+/// A parsed JSON document: what `serde_json::from_str` returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
