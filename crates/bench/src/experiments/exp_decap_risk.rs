@@ -55,7 +55,7 @@ pub fn attack(tunnelled: bool, victim_decaps: bool) -> SpoofOutcome {
             trusted,
             victim,
             IpProtocol::Udp,
-            Bytes::from(dgram.emit(trusted, victim)),
+            dgram.emit(trusted, victim),
         );
         forged.ident = h.alloc_ident();
         let pkt = if tunnelled {

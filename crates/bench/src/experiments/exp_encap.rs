@@ -118,10 +118,8 @@ pub fn minimal_with_fragments() -> (usize, usize) {
                 ip(addrs::SERVER),
                 ip(addrs::MH_HOME),
                 IpProtocol::Udp,
-                Bytes::from(
-                    netsim::wire::udp::UdpDatagram::new(5000, 5000, Bytes::from(payload))
-                        .emit(ip(addrs::SERVER), ip(addrs::MH_HOME)),
-                ),
+                netsim::wire::udp::UdpDatagram::new(5000, 5000, Bytes::from(payload))
+                    .emit(ip(addrs::SERVER), ip(addrs::MH_HOME)),
             );
             p.ident = ident;
             h.send_ip(ctx, p, TxMeta::default());

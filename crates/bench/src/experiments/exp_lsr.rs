@@ -82,8 +82,7 @@ pub fn probe(method: Steering, filtered: bool) -> LsrOutcome {
                     seq: 1,
                     payload: Bytes::from_static(b"mobility4x4 ping"),
                 };
-                let mut p =
-                    Ipv4Packet::new(home, ch_addr, IpProtocol::Icmp, Bytes::from(msg.emit()));
+                let mut p = Ipv4Packet::new(home, ch_addr, IpProtocol::Icmp, msg.emit());
                 p.ident = h.alloc_ident();
                 srcroute::apply_route(&mut p, &[ha], ch_addr);
                 // Bypass the mobility policy: LSR IS the steering.

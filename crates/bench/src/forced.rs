@@ -12,8 +12,6 @@
 
 use std::any::Any;
 
-use bytes::Bytes;
-
 use mip_core::InMode;
 use netsim::device::host::{MobilityHook, RouteDecision};
 use netsim::device::TxMeta;
@@ -29,10 +27,10 @@ use netsim::{Host, NetCtx, TransformKind};
 pub fn readdress(pkt: &Ipv4Packet, new_src: Ipv4Addr, new_dst: Ipv4Addr) -> Ipv4Packet {
     let payload = match pkt.protocol {
         IpProtocol::Tcp => TcpSegment::parse_bytes(&pkt.payload, pkt.src, pkt.dst)
-            .map(|seg| Bytes::from(seg.emit(new_src, new_dst)))
+            .map(|seg| seg.emit(new_src, new_dst))
             .unwrap_or_else(|_| pkt.payload.clone()),
         IpProtocol::Udp => UdpDatagram::parse_bytes(&pkt.payload, pkt.src, pkt.dst)
-            .map(|d| Bytes::from(d.emit(new_src, new_dst)))
+            .map(|d| d.emit(new_src, new_dst))
             .unwrap_or_else(|_| pkt.payload.clone()),
         _ => pkt.payload.clone(),
     };
@@ -168,6 +166,8 @@ impl MobilityHook for ForcedChDelivery {
 
 #[cfg(test)]
 mod tests {
+    use bytes::Bytes;
+
     use super::*;
 
     fn ip(s: &str) -> Ipv4Addr {
@@ -192,7 +192,7 @@ mod tests {
             old_src,
             old_dst,
             IpProtocol::Tcp,
-            Bytes::from(seg.emit(old_src, old_dst)),
+            seg.emit(old_src, old_dst),
         );
         let new_dst = ip("171.64.15.9");
         let re = readdress(&pkt, old_src, new_dst);
@@ -209,12 +209,7 @@ mod tests {
         let d = UdpDatagram::new(53, 5353, Bytes::from_static(b"answer"));
         let old_src = ip("1.1.1.1");
         let old_dst = ip("2.2.2.2");
-        let pkt = Ipv4Packet::new(
-            old_src,
-            old_dst,
-            IpProtocol::Udp,
-            Bytes::from(d.emit(old_src, old_dst)),
-        );
+        let pkt = Ipv4Packet::new(old_src, old_dst, IpProtocol::Udp, d.emit(old_src, old_dst));
         let re = readdress(&pkt, ip("3.3.3.3"), ip("4.4.4.4"));
         assert!(UdpDatagram::parse(&re.payload, re.src, re.dst).is_ok());
         assert!(UdpDatagram::parse(&re.payload, old_src, old_dst).is_err());

@@ -667,7 +667,7 @@ pub fn run_churn(w: &mut World, index: &ScaleIndex, churn: &ChurnParams) -> Chur
                             a.addr,
                             ha_addr,
                             IpProtocol::Udp,
-                            Bytes::from(dgram.emit(a.addr, ha_addr)),
+                            dgram.emit(a.addr, ha_addr),
                         );
                         pkt.ident = host.alloc_ident();
                         host.send_ip(ctx, pkt, TxMeta::default());

@@ -169,7 +169,7 @@ impl ForeignAgent {
                 self.config.addr,
                 req.home_agent,
                 IpProtocol::Udp,
-                Bytes::from(out_dgram.emit(self.config.addr, req.home_agent)),
+                out_dgram.emit(self.config.addr, req.home_agent),
             );
             out.ident = host.alloc_ident();
             self.stats.requests_relayed += 1;
@@ -208,7 +208,7 @@ impl ForeignAgent {
                 self.config.addr,
                 home,
                 IpProtocol::Udp,
-                Bytes::from(out_dgram.emit(self.config.addr, home)),
+                out_dgram.emit(self.config.addr, home),
             );
             out.ident = host.alloc_ident();
             self.stats.replies_relayed += 1;
@@ -271,7 +271,7 @@ impl MobilityHook for ForeignAgent {
             self.config.addr,
             Ipv4Addr::BROADCAST,
             IpProtocol::Udp,
-            Bytes::from(dgram.emit(self.config.addr, Ipv4Addr::BROADCAST)),
+            dgram.emit(self.config.addr, Ipv4Addr::BROADCAST),
         );
         pkt.ident = host.alloc_ident();
         pkt.ttl = 1;

@@ -283,7 +283,7 @@ impl HomeAgent {
             self.config.addr,
             pkt.src,
             IpProtocol::Udp,
-            Bytes::from(out_dgram.emit(self.config.addr, pkt.src)),
+            out_dgram.emit(self.config.addr, pkt.src),
         );
         out.ident = host.alloc_ident();
         host.send_ip(
@@ -362,7 +362,7 @@ impl HomeAgent {
             self.config.addr,
             correspondent,
             IpProtocol::Icmp,
-            Bytes::from(msg.emit()),
+            msg.emit(),
         );
         out.ident = host.alloc_ident();
         self.stats.redirects_sent += 1;
@@ -698,7 +698,7 @@ mod tests {
                 ip("171.64.15.9"), // home source inside the tunnel
                 ip("171.64.15.7"),
                 IpProtocol::Udp,
-                Bytes::from(inner_dgram.emit(ip("171.64.15.9"), ip("171.64.15.7"))),
+                inner_dgram.emit(ip("171.64.15.9"), ip("171.64.15.7")),
             );
             inner.ident = h.alloc_ident();
             let outer = encapsulate(

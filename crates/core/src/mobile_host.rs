@@ -391,7 +391,7 @@ impl MobileHost {
             REGISTRATION_PORT,
             Bytes::from(req.emit()),
         );
-        let mut pkt = Ipv4Packet::new(src, dst, IpProtocol::Udp, Bytes::from(dgram.emit(src, dst)));
+        let mut pkt = Ipv4Packet::new(src, dst, IpProtocol::Udp, dgram.emit(src, dst));
         pkt.ident = host.alloc_ident();
         self.stats.registrations_sent += 1;
         self.policy.audit.set_now(ctx.now);

@@ -90,7 +90,7 @@ pub struct FeedbackEvent {
 /// The mobility layer a `Host` may carry. All methods default to the
 /// behaviour of a conventional, mobility-unaware host.
 #[allow(unused_variables)]
-pub trait MobilityHook: Any + Send {
+pub trait MobilityHook: Any {
     /// Consulted before the normal route table for every locally-originated
     /// packet (unless the sender set [`TxMeta::skip_override`]).
     fn route_outgoing(
@@ -144,7 +144,7 @@ pub trait MobilityHook: Any + Send {
 
 /// A transport-layer protocol handler (UDP, TCP, …) registered with a host.
 #[allow(unused_variables)]
-pub trait ProtocolHandler: Any + Send {
+pub trait ProtocolHandler: Any {
     /// The packet's destination was local and its protocol matched.
     fn on_packet(&mut self, pkt: &Ipv4Packet, iface: IfaceNo, host: &mut Host, ctx: &mut NetCtx);
 
@@ -157,7 +157,7 @@ pub trait ProtocolHandler: Any + Send {
 
 /// An in-simulation application, polled after every event its host handles.
 #[allow(unused_variables)]
-pub trait App: Any + Send {
+pub trait App: Any {
     /// Called after every event the host handles; do work, schedule wake-ups.
     fn poll(&mut self, host: &mut Host, ctx: &mut NetCtx);
     /// Downcast support (see `Host::hook_as`/`handler_as`/`app_as`).
@@ -681,7 +681,7 @@ impl Host {
             seq,
             payload: Bytes::from_static(b"mobility4x4 ping"),
         };
-        let mut pkt = Ipv4Packet::new(src, dst, IpProtocol::Icmp, Bytes::from(msg.emit()));
+        let mut pkt = Ipv4Packet::new(src, dst, IpProtocol::Icmp, msg.emit());
         pkt.ident = self.alloc_ident();
         self.send_ip(ctx, pkt, TxMeta::default());
     }
@@ -868,12 +868,7 @@ impl Host {
                     seq: *seq,
                     payload: payload.clone(),
                 };
-                let mut out = Ipv4Packet::new(
-                    pkt.dst,
-                    pkt.src,
-                    IpProtocol::Icmp,
-                    Bytes::from(reply.emit()),
-                );
+                let mut out = Ipv4Packet::new(pkt.dst, pkt.src, IpProtocol::Icmp, reply.emit());
                 out.ident = self.alloc_ident();
                 self.send_ip(ctx, out, TxMeta::default());
             }
@@ -990,9 +985,9 @@ mod tests {
     }
 
     /// A packet that fits the MTU and whose next hop is resolved costs the
-    /// IP layer its frame buffer (the bytes and the `Bytes` handle that
-    /// shares them with the wire) and nothing else: no fragment list, no
-    /// header clone.
+    /// IP layer its frame buffer — one block holding the bytes and the
+    /// count that shares them with the wire — and nothing else: no
+    /// fragment list, no header clone.
     #[test]
     fn an_unfragmented_send_allocates_only_its_frame_buffer() {
         let mut w = World::new(1);
@@ -1014,6 +1009,6 @@ mod tests {
             h.send_ip(ctx, pkt, TxMeta::default());
             thread_allocations().0 - before
         });
-        assert_eq!(allocs, 2, "frame bytes + their shared handle");
+        assert_eq!(allocs, 1, "the frame's one block");
     }
 }

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::event::IfaceNo;
 use crate::link::{FaultOutcome, SegmentId};
@@ -282,13 +282,14 @@ impl Nic {
             ctx.trace_packet(TraceEventKind::Dropped(DropReason::NoRoute), pkt);
             return;
         };
-        // Serialize header and packet into a single buffer: the one
-        // allocation on the whole send path (the segment, pcap writer and
-        // every delivery event share it through `Bytes`).
-        let mut buf = Vec::with_capacity(ETHERNET_HEADER_LEN + pkt.wire_len());
+        // Serialize header and packet into a single buffer: the IP layer's
+        // one allocation, a block holding the frame and its reference count
+        // (the segment, pcap writer and every delivery event share it
+        // through `Bytes`).
+        let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + pkt.wire_len());
         EthernetFrame::emit_header_into(dst_mac, st.mac, EtherType::Ipv4, &mut buf);
         pkt.emit_into(&mut buf);
-        let outcome = ctx.transmit_raw(seg, iface, Bytes::from(buf));
+        let outcome = ctx.transmit_raw(seg, iface, buf.freeze());
         match outcome {
             FaultOutcome::Drop => {
                 ctx.trace_packet(TraceEventKind::Dropped(DropReason::LinkFault), pkt);

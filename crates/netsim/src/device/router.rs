@@ -14,7 +14,7 @@
 //! bi-directional tunneling works: "the inner packets are protected from
 //! scrutiny by routers" (§3.1).
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use super::nic::{ArpIdentity, NextHop, Nic, NicRx};
 use crate::event::{IfaceNo, NodeId, TimerToken};
@@ -454,9 +454,10 @@ impl Router {
         // Eligible: one copy of the validated region (receivers share the
         // inbound buffer, so the patch needs its own), then patch in place.
         // Trailing link padding is truncated, exactly as a re-emit would.
-        let mut out = b[..ETHERNET_HEADER_LEN + total_len].to_vec();
+        let mut out = BytesMut::with_capacity(ETHERNET_HEADER_LEN + total_len);
+        out.extend_from_slice(&b[..ETHERNET_HEADER_LEN + total_len]);
         patch_forwarded_frame(&mut out, dst_mac, self.nic.mac(route.iface));
-        let outcome = ctx.transmit_raw(seg, route.iface, Bytes::from(out));
+        let outcome = ctx.transmit_raw(seg, route.iface, out.freeze());
         self.fast_path_forwards += 1;
 
         // Trace exactly what the slow path would have: the forwarded packet
@@ -508,12 +509,7 @@ impl Router {
                     seq,
                     payload,
                 };
-                let out = Ipv4Packet::new(
-                    pkt.dst,
-                    pkt.src,
-                    IpProtocol::Icmp,
-                    Bytes::from(reply.emit()),
-                );
+                let out = Ipv4Packet::new(pkt.dst, pkt.src, IpProtocol::Icmp, reply.emit());
                 self.originate(ctx, out);
                 return;
             }
@@ -594,12 +590,7 @@ impl Router {
                 original: quote,
             },
         };
-        let mut out = Ipv4Packet::new(
-            src,
-            offending.src,
-            IpProtocol::Icmp,
-            Bytes::from(msg.emit()),
-        );
+        let mut out = Ipv4Packet::new(src, offending.src, IpProtocol::Icmp, msg.emit());
         out.ident = self.ident;
         self.ident = self.ident.wrapping_add(1);
         self.originate(ctx, out);

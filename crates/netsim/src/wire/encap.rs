@@ -14,7 +14,7 @@
 //! quantified by experiment E6 using the `overhead()` figures from this
 //! module.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use super::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN};
 use super::{checksum_valid, internet_checksum, ParseError};
@@ -118,21 +118,21 @@ pub fn encapsulate(
             if inner.is_fragment() {
                 return None;
             }
-            let mut hdr = Vec::with_capacity(MINENC_LEN_WITH_SRC);
-            hdr.push(inner.protocol.number());
-            hdr.push(0x80); // S bit: original source address present
-            hdr.extend_from_slice(&[0, 0]); // checksum placeholder
-            hdr.extend_from_slice(&inner.dst.octets());
-            hdr.extend_from_slice(&inner.src.octets());
+            let mut hdr = [0u8; MINENC_LEN_WITH_SRC];
+            hdr[0] = inner.protocol.number();
+            hdr[1] = 0x80; // S bit: original source address present
+            hdr[4..8].copy_from_slice(&inner.dst.octets());
+            hdr[8..12].copy_from_slice(&inner.src.octets());
             let ck = internet_checksum(&hdr, 0);
             hdr[2..4].copy_from_slice(&ck.to_be_bytes());
-            let mut payload = hdr;
+            let mut payload = BytesMut::with_capacity(MINENC_LEN_WITH_SRC + inner.payload.len());
+            payload.extend_from_slice(&hdr);
             payload.extend_from_slice(&inner.payload);
             let mut outer = Ipv4Packet::new(
                 outer_src,
                 outer_dst,
                 IpProtocol::MinimalEncap,
-                Bytes::from(payload),
+                payload.freeze(),
             );
             outer.ident = inner.ident;
             outer.ttl = inner.ttl;
@@ -140,15 +140,16 @@ pub fn encapsulate(
             Some(outer)
         }
         EncapFormat::Gre => {
-            let mut gre = Vec::with_capacity(GRE_LEN + inner.wire_len());
+            // The inner packet is emitted straight behind the GRE header,
+            // into the one buffer the outer packet carries.
+            let mut gre = BytesMut::with_capacity(GRE_LEN + inner.wire_len());
             gre.extend_from_slice(&0x8000u16.to_be_bytes()); // C=1, ver 0
             gre.extend_from_slice(&0x0800u16.to_be_bytes()); // proto: IPv4
             gre.extend_from_slice(&[0, 0, 0, 0]); // checksum + offset
-            gre.extend_from_slice(&inner.emit());
+            inner.emit_into(&mut gre);
             let ck = internet_checksum(&gre, 0);
             gre[4..6].copy_from_slice(&ck.to_be_bytes());
-            let mut outer =
-                Ipv4Packet::new(outer_src, outer_dst, IpProtocol::Gre, Bytes::from(gre));
+            let mut outer = Ipv4Packet::new(outer_src, outer_dst, IpProtocol::Gre, gre.freeze());
             outer.ident = ident;
             outer.ttl = inner.ttl;
             outer.tos = inner.tos;

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use super::ParseError;
 
@@ -126,27 +126,29 @@ impl EthernetFrame {
     /// share the single emitted buffer (fault injection, pcap, delivery)
     /// without copying.
     pub fn emit(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_len());
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         self.emit_into(&mut buf);
-        Bytes::from(buf)
+        buf.freeze()
     }
 
     /// Serialize to wire bytes, appending to `buf`.
-    pub fn emit_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(self.wire_len());
-        buf.extend_from_slice(&self.dst.0);
-        buf.extend_from_slice(&self.src.0);
-        buf.extend_from_slice(&self.ethertype.number().to_be_bytes());
-        buf.extend_from_slice(&self.payload);
+    pub fn emit_into<B: BufMut>(&self, buf: &mut B) {
+        Self::emit_header_into(self.dst, self.src, self.ethertype, buf);
+        buf.put_slice(&self.payload);
     }
 
     /// Serialize just the 14-byte header, appending to `buf`; the caller
     /// then appends the payload itself (used to build a whole frame in one
     /// allocation without materializing the payload `Bytes` first).
-    pub fn emit_header_into(dst: MacAddr, src: MacAddr, ethertype: EtherType, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&dst.0);
-        buf.extend_from_slice(&src.0);
-        buf.extend_from_slice(&ethertype.number().to_be_bytes());
+    pub fn emit_header_into<B: BufMut>(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        buf: &mut B,
+    ) {
+        buf.put_slice(&dst.0);
+        buf.put_slice(&src.0);
+        buf.put_slice(&ethertype.number().to_be_bytes());
     }
 
     /// Parse the 14-byte header alone — destination, source, EtherType —

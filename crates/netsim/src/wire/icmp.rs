@@ -7,7 +7,7 @@
 //! this purpose; we use it to carry a `(home address, care-of address,
 //! lifetime)` binding.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use super::ipv4::Ipv4Addr;
 use super::{checksum_valid, internet_checksum, ParseError};
@@ -98,8 +98,8 @@ pub enum IcmpMessage {
 
 impl IcmpMessage {
     /// Serialize to wire bytes.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
+    pub fn emit(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         match self {
             IcmpMessage::EchoRequest {
                 ident,
@@ -116,16 +116,16 @@ impl IcmpMessage {
                 } else {
                     0
                 };
-                buf.push(ty);
-                buf.push(0);
+                buf.put_u8(ty);
+                buf.put_u8(0);
                 buf.extend_from_slice(&[0, 0]);
                 buf.extend_from_slice(&ident.to_be_bytes());
                 buf.extend_from_slice(&seq.to_be_bytes());
                 buf.extend_from_slice(payload);
             }
             IcmpMessage::DestUnreachable { code, original } => {
-                buf.push(3);
-                buf.push(code.number());
+                buf.put_u8(3);
+                buf.put_u8(code.number());
                 buf.extend_from_slice(&[0, 0]);
                 let rest = match code {
                     UnreachableCode::FragmentationNeeded { mtu } => {
@@ -139,8 +139,8 @@ impl IcmpMessage {
                 buf.extend_from_slice(original);
             }
             IcmpMessage::TimeExceeded { original } => {
-                buf.push(11);
-                buf.push(0);
+                buf.put_u8(11);
+                buf.put_u8(0);
                 buf.extend_from_slice(&[0, 0]);
                 buf.extend_from_slice(&[0u8; 4]);
                 buf.extend_from_slice(original);
@@ -150,8 +150,8 @@ impl IcmpMessage {
                 care_of,
                 lifetime_secs,
             } => {
-                buf.push(32);
-                buf.push(0);
+                buf.put_u8(32);
+                buf.put_u8(0);
                 buf.extend_from_slice(&[0, 0]);
                 buf.extend_from_slice(&lifetime_secs.to_be_bytes());
                 buf.extend_from_slice(&[0, 0]);
@@ -161,7 +161,19 @@ impl IcmpMessage {
         }
         let ck = internet_checksum(&buf, 0);
         buf[2..4].copy_from_slice(&ck.to_be_bytes());
-        buf
+        buf.freeze()
+    }
+
+    /// On-wire length in bytes.
+    fn wire_len(&self) -> usize {
+        match self {
+            IcmpMessage::EchoRequest { payload, .. } | IcmpMessage::EchoReply { payload, .. } => {
+                8 + payload.len()
+            }
+            IcmpMessage::DestUnreachable { original, .. }
+            | IcmpMessage::TimeExceeded { original } => 8 + original.len(),
+            IcmpMessage::MobileHostRedirect { .. } => 16,
+        }
     }
 
     /// Parse borrowed bytes: [`IcmpMessage::parse_bytes`] over one copy of
@@ -316,7 +328,7 @@ mod tests {
             seq: 1,
             payload: Bytes::from_static(b"x"),
         };
-        let mut wire = m.emit();
+        let mut wire = m.emit().to_vec();
         wire[5] ^= 0x80;
         assert_eq!(
             IcmpMessage::parse(&wire),

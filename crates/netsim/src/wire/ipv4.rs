@@ -9,7 +9,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use super::{checksum_valid, internet_checksum, ParseError};
 use crate::time::SimTime;
@@ -380,10 +380,10 @@ impl Ipv4Packet {
     pub fn set_options(&mut self, opts: &[u8]) {
         assert!(opts.len() <= IPV4_MAX_OPTIONS, "options too long");
         let padded_len = opts.len().div_ceil(4) * 4;
-        let mut b = Vec::with_capacity(padded_len);
+        let mut b = BytesMut::with_capacity(padded_len);
         b.extend_from_slice(opts);
-        b.resize(padded_len, 0); // EOL padding
-        self.options = Bytes::from(b);
+        b.extend_from_slice(&[0; 3][..padded_len - opts.len()]); // EOL padding
+        self.options = b.freeze();
     }
 
     /// Header length including options.
@@ -407,24 +407,19 @@ impl Ipv4Packet {
     /// without further copies; use [`Ipv4Packet::emit_into`] to serialize
     /// into an existing buffer (e.g. right after an Ethernet header).
     pub fn emit(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_len());
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         self.emit_into(&mut buf);
-        Bytes::from(buf)
+        buf.freeze()
     }
 
     /// Serialize to wire bytes, appending to `buf` (which may already hold
-    /// link-layer framing).
-    pub fn emit_into(&self, buf: &mut Vec<u8>) {
+    /// link-layer framing). The header is assembled and checksummed on the
+    /// stack, so the buffer is only ever appended to; size it first.
+    pub fn emit_into<B: BufMut>(&self, buf: &mut B) {
         let total_len = self.wire_len();
         assert!(total_len <= 65_535, "IPv4 packet too large: {total_len}");
         debug_assert_eq!(self.options.len() % 4, 0, "options must be padded");
-        let ihl = self.header_len() / 4;
-        let base = buf.len();
-        buf.reserve(total_len);
-        buf.push(0x40 | ihl as u8); // version 4 + IHL
-        buf.push(self.tos);
-        buf.extend_from_slice(&(total_len as u16).to_be_bytes());
-        buf.extend_from_slice(&self.ident.to_be_bytes());
+        let header_len = self.header_len();
         let mut flags_frag = self.frag_offset & 0x1fff;
         if self.dont_fragment {
             flags_frag |= 0x4000;
@@ -432,17 +427,22 @@ impl Ipv4Packet {
         if self.more_fragments {
             flags_frag |= 0x2000;
         }
-        buf.extend_from_slice(&flags_frag.to_be_bytes());
-        buf.push(self.ttl);
-        buf.push(self.protocol.number());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.dst.octets());
-        buf.extend_from_slice(&self.options);
-        let header_len = self.header_len();
-        let ck = internet_checksum(&buf[base..base + header_len], 0);
-        buf[base + 10..base + 12].copy_from_slice(&ck.to_be_bytes());
-        buf.extend_from_slice(&self.payload);
+        let mut h = [0u8; IPV4_HEADER_LEN + IPV4_MAX_OPTIONS];
+        h[0] = 0x40 | (header_len / 4) as u8; // version 4 + IHL
+        h[1] = self.tos;
+        h[2..4].copy_from_slice(&(total_len as u16).to_be_bytes());
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        h[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        h[8] = self.ttl;
+        h[9] = self.protocol.number();
+        // h[10..12]: the checksum, zero while it is computed.
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        h[IPV4_HEADER_LEN..header_len].copy_from_slice(&self.options);
+        let ck = internet_checksum(&h[..header_len], 0);
+        h[10..12].copy_from_slice(&ck.to_be_bytes());
+        buf.put_slice(&h[..header_len]);
+        buf.put_slice(&self.payload);
     }
 
     /// Parse borrowed wire bytes: [`Ipv4Packet::parse_bytes`] over one copy
@@ -619,17 +619,22 @@ impl Reassembler {
         if covered < total {
             return None;
         }
-        // Complete: splice the payload together.
+        // Complete: splice the payload together. In offset order every
+        // piece starts inside what is written (there is no hole); where it
+        // overlaps, its bytes overwrite the earlier piece's, and only the
+        // rest is appended.
         let buf = self.bufs.remove(&key).unwrap();
-        let mut payload = vec![0u8; total];
+        let mut payload = BytesMut::with_capacity(total);
         for (o, p) in buf.pieces {
             let end = (o + p.len()).min(total);
-            payload[o..end].copy_from_slice(&p[..end - o]);
+            let written = payload.len().min(end);
+            payload[o..written].copy_from_slice(&p[..written - o]);
+            payload.extend_from_slice(&p[written - o..end - o]);
         }
         Some(Ipv4Packet {
             more_fragments: false,
             frag_offset: 0,
-            payload: Bytes::from(payload),
+            payload: payload.freeze(),
             ..buf.template
         })
     }

@@ -6,7 +6,7 @@
 //! other formats lets routers, traces and fault injection treat TCP bytes
 //! like any other payload.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use super::ipv4::{IpProtocol, Ipv4Addr};
 use super::udp::pseudo_header_sum;
@@ -136,30 +136,30 @@ impl TcpSegment {
     }
 
     /// Serialize; the checksum covers the pseudo-header of `src`/`dst`.
-    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
         self.emit_over(src, dst, &[&self.payload])
     }
 
     /// Serialize this segment's header over a payload gathered from `parts`
     /// in order (`self.payload` is not read): a sender copies its data once,
     /// from wherever it is queued — a ring buffer's two halves, say — into
-    /// the wire buffer.
-    pub fn emit_over(&self, src: Ipv4Addr, dst: Ipv4Addr, parts: &[&[u8]]) -> Vec<u8> {
+    /// the wire buffer, which is the `Bytes` it returns.
+    pub fn emit_over(&self, src: Ipv4Addr, dst: Ipv4Addr, parts: &[&[u8]]) -> Bytes {
         let hlen = self.header_len();
         let total = hlen + parts.iter().map(|p| p.len()).sum::<usize>();
-        let mut buf = Vec::with_capacity(total);
+        let mut buf = BytesMut::with_capacity(total);
         buf.extend_from_slice(&self.src_port.to_be_bytes());
         buf.extend_from_slice(&self.dst_port.to_be_bytes());
         buf.extend_from_slice(&self.seq.to_be_bytes());
         buf.extend_from_slice(&self.ack.to_be_bytes());
-        buf.push(((hlen / 4) as u8) << 4);
-        buf.push(self.flags.bits());
+        buf.put_u8(((hlen / 4) as u8) << 4);
+        buf.put_u8(self.flags.bits());
         buf.extend_from_slice(&self.window.to_be_bytes());
         buf.extend_from_slice(&[0, 0]); // checksum
         buf.extend_from_slice(&[0, 0]); // urgent pointer (unused)
         if let (Some(mss), true) = (self.mss, self.flags.syn) {
-            buf.push(2); // kind: MSS
-            buf.push(4); // length
+            buf.put_u8(2); // kind: MSS
+            buf.put_u8(4); // length
             buf.extend_from_slice(&mss.to_be_bytes());
         }
         for part in parts {
@@ -168,7 +168,7 @@ impl TcpSegment {
         let seed = pseudo_header_sum(src, dst, IpProtocol::Tcp, total as u16);
         let ck = internet_checksum(&buf, seed);
         buf[16..18].copy_from_slice(&ck.to_be_bytes());
-        buf
+        buf.freeze()
     }
 
     /// Parse borrowed bytes: [`TcpSegment::parse_bytes`] over one copy of
@@ -318,7 +318,7 @@ mod tests {
         let s = seg();
         let src = ip("10.0.0.1");
         let dst = ip("10.0.0.2");
-        let mut wire = s.emit(src, dst);
+        let mut wire = s.emit(src, dst).to_vec();
         let n = wire.len();
         wire[n - 1] ^= 0x40;
         assert_eq!(
@@ -339,7 +339,7 @@ mod tests {
         let s = seg();
         let src = ip("10.0.0.1");
         let dst = ip("10.0.0.2");
-        let mut wire = s.emit(src, dst);
+        let mut wire = s.emit(src, dst).to_vec();
         wire[12] = 0x10; // data offset 4 words < minimum 5
         assert!(matches!(
             TcpSegment::parse(&wire, src, dst),

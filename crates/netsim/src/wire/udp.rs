@@ -1,6 +1,6 @@
 //! UDP (RFC 768) with the IPv4 pseudo-header checksum.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use super::ipv4::{IpProtocol, Ipv4Addr};
 use super::{checksum_valid, internet_checksum, ones_complement_sum, ParseError};
@@ -45,9 +45,9 @@ impl UdpDatagram {
 
     /// Serialize. The checksum covers the pseudo-header, so the enclosing
     /// IP source and destination addresses are required.
-    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
         let len = self.wire_len() as u16;
-        let mut buf = Vec::with_capacity(self.wire_len());
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         buf.extend_from_slice(&self.src_port.to_be_bytes());
         buf.extend_from_slice(&self.dst_port.to_be_bytes());
         buf.extend_from_slice(&len.to_be_bytes());
@@ -59,7 +59,7 @@ impl UdpDatagram {
             ck = 0xffff; // RFC 768: transmitted zero means "no checksum"
         }
         buf[6..8].copy_from_slice(&ck.to_be_bytes());
-        buf
+        buf.freeze()
     }
 
     /// Parse borrowed bytes: [`UdpDatagram::parse_bytes`] over one copy of
@@ -137,7 +137,7 @@ mod tests {
         let d = UdpDatagram::new(1, 2, Bytes::from_static(b"abcdef"));
         let src = ip("1.2.3.4");
         let dst = ip("5.6.7.8");
-        let mut wire = d.emit(src, dst);
+        let mut wire = d.emit(src, dst).to_vec();
         wire[9] ^= 0x01;
         assert_eq!(
             UdpDatagram::parse(&wire, src, dst),
@@ -150,7 +150,7 @@ mod tests {
         let d = UdpDatagram::new(7, 8, Bytes::from_static(b"nocksum"));
         let src = ip("1.1.1.1");
         let dst = ip("2.2.2.2");
-        let mut wire = d.emit(src, dst);
+        let mut wire = d.emit(src, dst).to_vec();
         wire[6] = 0;
         wire[7] = 0;
         assert_eq!(UdpDatagram::parse(&wire, src, dst).unwrap(), d);

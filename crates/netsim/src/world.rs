@@ -1083,7 +1083,7 @@ mod tests {
                 ip("10.0.1.10"),
                 ip("10.0.2.10"),
                 IpProtocol::Icmp,
-                Bytes::from(msg.emit()),
+                msg.emit(),
             );
             p.ttl = 1; // dies at the router
             h.send_ip(ctx, p, TxMeta::default());

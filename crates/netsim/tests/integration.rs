@@ -57,7 +57,7 @@ fn large_packets_fragment_at_the_narrow_link_and_reassemble() {
             ip("10.0.1.10"),
             ip("10.0.2.10"),
             IpProtocol::Icmp,
-            Bytes::from(msg.emit()),
+            msg.emit(),
         );
         p.ident = h.alloc_ident();
         h.send_ip(ctx, p, TxMeta::default());
@@ -248,7 +248,7 @@ fn firewall_hole_punching_end_to_end() {
             ip("36.186.0.99"),
             ip("171.64.15.7"),
             IpProtocol::Icmp,
-            Bytes::from(msg.emit()),
+            msg.emit(),
         );
         inner.ident = h.alloc_ident();
         let outer = netsim::wire::encap::encapsulate(

@@ -314,7 +314,7 @@ impl TcpLayer {
         let (src, dst) = (c.local.0, c.remote.0);
         let peer = c.remote.0;
         let wire = seg.emit_over(src, dst, &ring_range(&c.send_buf, data));
-        let mut pkt = Ipv4Packet::new(src, dst, IpProtocol::Tcp, Bytes::from(wire));
+        let mut pkt = Ipv4Packet::new(src, dst, IpProtocol::Tcp, wire);
         pkt.ident = host.alloc_ident();
         if carries {
             // §7.1.2: tell the mobility layer about every substantive
@@ -661,7 +661,7 @@ impl TcpLayer {
             local.0,
             remote.0,
             IpProtocol::Tcp,
-            Bytes::from(seg.emit(local.0, remote.0)),
+            seg.emit(local.0, remote.0),
         );
         pkt.ident = host.alloc_ident();
         host.send_ip(ctx, pkt, TxMeta::default());
@@ -1621,7 +1621,7 @@ mod tests {
                     mss: None,
                     payload: Bytes::new(),
                 };
-                let wire = Bytes::from(seg.emit(remote.0, local.0));
+                let wire = seg.emit(remote.0, local.0);
                 let pkt = Ipv4Packet::new(remote.0, local.0, IpProtocol::Tcp, wire);
                 let (before, _) = netsim::profile::thread_allocations();
                 l.on_packet(&pkt, 0, h, ctx);

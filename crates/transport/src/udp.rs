@@ -173,12 +173,7 @@ pub fn send_to(
     let node = ctx.node;
     ctx.metrics().record_udp_sent(node, payload.len());
     let dgram = UdpDatagram::new(src_port, dst.1, payload);
-    let mut pkt = Ipv4Packet::new(
-        src,
-        dst.0,
-        IpProtocol::Udp,
-        Bytes::from(dgram.emit(src, dst.0)),
-    );
+    let mut pkt = Ipv4Packet::new(src, dst.0, IpProtocol::Udp, dgram.emit(src, dst.0));
     pkt.ident = host.alloc_ident();
     host.send_ip(ctx, pkt, TxMeta::default());
     true

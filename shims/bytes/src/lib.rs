@@ -1,34 +1,114 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! The build environment has no access to a crates registry, so the
-//! workspace vendors the small API subset it actually uses: an immutable,
-//! cheaply cloneable byte buffer backed by a reference-counted allocation
-//! with an offset/length view. Semantics match `bytes::Bytes` for the
+//! workspace vendors the small API subset it actually uses, under the real
+//! crate's names: [`Bytes`], an immutable, cheaply cloneable view of a
+//! shared buffer; [`BytesMut`], the unique buffer a producer writes once
+//! and then [`freeze`](BytesMut::freeze)s; and [`BufMut`], the writer trait
+//! both it and `Vec<u8>` implement. Semantics match the real crate for the
 //! operations provided (`Clone` is O(1) and shares storage; `slice` and
 //! `advance` adjust the view without copying).
+//!
+//! A buffer is one heap block: a two-word header — the reference count and
+//! the capacity — followed by the bytes. The count is a plain `Cell`, not
+//! an atomic, because the simulator is single-threaded; `Bytes` and
+//! `BytesMut` are therefore neither `Send` nor `Sync`, which the compiler
+//! enforces through their raw pointer.
 
+use std::alloc::{self, Layout};
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::mem::{self, ManuallyDrop};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::ptr::{self, NonNull};
+use std::slice;
+
+/// The front of every buffer block; the block's bytes follow it.
+struct Header {
+    /// Live `Bytes` views of the block (1 while a `BytesMut` owns it).
+    count: Cell<usize>,
+    /// Bytes the block holds after the header.
+    cap: usize,
+}
+
+const HEADER_LEN: usize = mem::size_of::<Header>();
+
+fn block_layout(cap: usize) -> Layout {
+    HEADER_LEN
+        .checked_add(cap)
+        .and_then(|size| Layout::from_size_align(size, mem::align_of::<Header>()).ok())
+        .expect("buffer capacity overflows the address space")
+}
+
+/// A fresh block for `cap` bytes, counted once.
+fn alloc_block(cap: usize) -> NonNull<Header> {
+    let layout = block_layout(cap);
+    // SAFETY: the layout is never zero-sized (it includes the header).
+    let raw = unsafe { alloc::alloc(layout) }.cast::<Header>();
+    let Some(block) = NonNull::new(raw) else {
+        alloc::handle_alloc_error(layout)
+    };
+    // SAFETY: freshly allocated for a `Header` and the bytes behind it.
+    unsafe {
+        block.as_ptr().write(Header {
+            count: Cell::new(1),
+            cap,
+        })
+    };
+    block
+}
+
+/// Grow a uniquely owned block to `cap` bytes, keeping its contents.
+///
+/// # Safety
+/// `block` came from [`alloc_block`] or this function, and nothing else
+/// points into it.
+unsafe fn grow_block(block: NonNull<Header>, cap: usize) -> NonNull<Header> {
+    let old = block_layout(block.as_ref().cap);
+    let new = block_layout(cap);
+    let raw = alloc::realloc(block.as_ptr().cast(), old, new.size()).cast::<Header>();
+    let Some(block) = NonNull::new(raw) else {
+        alloc::handle_alloc_error(new)
+    };
+    (*block.as_ptr()).cap = cap;
+    block
+}
+
+/// Give a block back to the allocator.
+///
+/// # Safety
+/// `block` is live and this was its last reference.
+unsafe fn free_block(block: NonNull<Header>) {
+    let layout = block_layout(block.as_ref().cap);
+    alloc::dealloc(block.as_ptr().cast(), layout);
+}
+
+/// The first byte after a block's header.
+///
+/// # Safety
+/// `block` is live.
+unsafe fn block_bytes(block: NonNull<Header>) -> *mut u8 {
+    block.as_ptr().cast::<u8>().add(HEADER_LEN)
+}
 
 /// A cheaply cloneable, contiguous, immutable region of memory.
 ///
-/// Backed by `Arc<Vec<u8>>` so `From<Vec<u8>>` is zero-copy: the vector's
-/// allocation is adopted as-is and only the refcount header is allocated.
-/// The empty buffer has no backing store at all: `Bytes::new()`, an empty
-/// `slice` and `From` of an empty vector allocate nothing and hold no
-/// reference to anyone's storage.
+/// Every non-empty `Bytes` points at one block holding its reference count
+/// and the bytes; a clone increments the count, a drop decrements it and
+/// the last one frees the block. The empty buffer has no block at all:
+/// `Bytes::new()`, an empty `slice`, and an empty source of any `From`
+/// allocate nothing and hold no reference to anyone's storage.
 ///
 /// The view is a pair of `u32` offsets (a buffer holds at most 4 GiB, far
 /// above any frame or report the workspace builds), which keeps the struct
 /// at 16 bytes with the `Option`'s null niche spent on "empty" — enums
 /// wrapping a `Bytes`, the scheduler's event above all, stay the size they
 /// were when the pointer was never null.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Bytes {
-    data: Option<Arc<Vec<u8>>>,
+    block: Option<NonNull<Header>>,
     start: u32,
     end: u32,
 }
@@ -37,7 +117,7 @@ impl Bytes {
     /// Creates a new empty `Bytes`. Allocation-free.
     pub const fn new() -> Bytes {
         Bytes {
-            data: None,
+            block: None,
             start: 0,
             end: 0,
         }
@@ -45,15 +125,17 @@ impl Bytes {
 
     /// Creates `Bytes` from a static slice.
     ///
-    /// Unlike the real crate this copies once into a shared allocation;
-    /// every clone still shares that single allocation.
+    /// Unlike the real crate this copies once into a block of its own;
+    /// every clone still shares that block.
     pub fn from_static(bytes: &'static [u8]) -> Bytes {
         Bytes::copy_from_slice(bytes)
     }
 
-    /// Copies `data` into a new `Bytes`.
+    /// Copies `data` into a new `Bytes`: one allocation.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        let mut buf = BytesMut::with_capacity(data.len());
+        buf.extend_from_slice(data);
+        buf.freeze()
     }
 
     /// Number of bytes in the view.
@@ -89,11 +171,10 @@ impl Bytes {
             return Bytes::new();
         }
         // `begin <= end <= len <= u32::MAX`: the casts cannot truncate.
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + begin as u32,
-            end: self.start + end as u32,
-        }
+        let mut view = self.clone();
+        view.start = self.start + begin as u32;
+        view.end = self.start + end as u32;
+        view
     }
 
     /// Advances the start of the view by `cnt` bytes.
@@ -114,8 +195,12 @@ impl Bytes {
     /// those reads is a call into this crate.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        match &self.data {
-            Some(data) => &data[self.start as usize..self.end as usize],
+        match self.block {
+            // SAFETY: the block is live while `self` counts in it, and
+            // `start..end` lies within the bytes its producer wrote.
+            Some(block) => unsafe {
+                slice::from_raw_parts(block_bytes(block).add(self.start as usize), self.len())
+            },
             None => &[],
         }
     }
@@ -123,6 +208,39 @@ impl Bytes {
     /// Copies the view into an owned `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
+    }
+}
+
+impl Clone for Bytes {
+    #[inline]
+    fn clone(&self) -> Bytes {
+        if let Some(block) = self.block {
+            // SAFETY: the block is live while `self` counts in it.
+            let count = unsafe { &block.as_ref().count };
+            count.set(count.get() + 1);
+        }
+        Bytes {
+            block: self.block,
+            start: self.start,
+            end: self.end,
+        }
+    }
+}
+
+impl Drop for Bytes {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(block) = self.block {
+            // SAFETY: the block is live while `self` counts in it; at zero
+            // no other view is left to read it.
+            unsafe {
+                let count = &block.as_ref().count;
+                match count.get() {
+                    1 => free_block(block),
+                    n => count.set(n - 1),
+                }
+            }
+        }
     }
 }
 
@@ -217,17 +335,10 @@ impl<const N: usize> PartialEq<[u8; N]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    /// Zero-copy: adopts the vector's allocation without copying the bytes.
+    /// Copies the vector's bytes into one block (the vector is freed): a
+    /// producer that can write into a [`BytesMut`] instead saves the copy.
     fn from(v: Vec<u8>) -> Bytes {
-        if v.is_empty() {
-            return Bytes::new();
-        }
-        let end = u32::try_from(v.len()).expect("a Bytes holds at most 4 GiB");
-        Bytes {
-            data: Some(Arc::new(v)),
-            start: 0,
-            end,
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -251,13 +362,13 @@ impl From<&'static str> for Bytes {
 
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
-        Bytes::from(s.into_bytes())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Bytes {
-        Bytes::from(b.into_vec())
+        Bytes::copy_from_slice(&b)
     }
 }
 
@@ -283,6 +394,161 @@ impl<'a> IntoIterator for &'a Bytes {
     }
 }
 
+/// A unique, growable buffer: a producer writes a packet into it once and
+/// [`freeze`](BytesMut::freeze)s it into a [`Bytes`] that keeps the same
+/// block — header, payload and the count in one allocation.
+pub struct BytesMut {
+    block: Option<NonNull<Header>>,
+    len: usize,
+}
+
+impl BytesMut {
+    /// An empty buffer with room for `capacity` bytes (no allocation for 0).
+    #[inline]
+    pub fn with_capacity(capacity: usize) -> BytesMut {
+        let mut buf = BytesMut {
+            block: None,
+            len: 0,
+        };
+        buf.reserve(capacity);
+        buf
+    }
+
+    /// Bytes the buffer holds before it has to grow.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        // SAFETY: an owned block is live.
+        self.block.map_or(0, |block| unsafe { block.as_ref().cap })
+    }
+
+    /// Make room for at least `additional` more bytes, at least doubling
+    /// the capacity when the buffer has to grow.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        // `len <= capacity` always: the subtraction cannot wrap.
+        if additional > self.capacity() - self.len {
+            self.grow(additional);
+        }
+    }
+
+    /// The allocating half of [`BytesMut::reserve`], kept out of line so
+    /// that the check inlines into every serializer.
+    #[cold]
+    fn grow(&mut self, additional: usize) {
+        let needed = self
+            .len
+            .checked_add(additional)
+            .expect("buffer capacity overflows usize");
+        let cap = needed.max(2 * self.capacity());
+        self.block = Some(match self.block {
+            // SAFETY: a `BytesMut`'s block is its own until `freeze`.
+            Some(block) => unsafe { grow_block(block, cap) },
+            None => alloc_block(cap),
+        });
+    }
+
+    /// Append `extend`, growing the buffer if it is full.
+    #[inline]
+    pub fn extend_from_slice(&mut self, extend: &[u8]) {
+        self.reserve(extend.len());
+        if let Some(block) = self.block {
+            // SAFETY: `reserve` made room for `extend` behind the written
+            // bytes, and a borrowed `extend` cannot alias a unique block.
+            unsafe {
+                ptr::copy_nonoverlapping(
+                    extend.as_ptr(),
+                    block_bytes(block).add(self.len),
+                    extend.len(),
+                )
+            };
+        }
+        self.len += extend.len();
+    }
+
+    /// Convert into an immutable [`Bytes`] over the same block, without
+    /// copying. An empty buffer frees its block and yields `Bytes::new()`.
+    #[inline]
+    pub fn freeze(self) -> Bytes {
+        let end = u32::try_from(self.len).expect("a Bytes holds at most 4 GiB");
+        let this = ManuallyDrop::new(self);
+        match this.block {
+            Some(block) if end > 0 => Bytes {
+                block: Some(block),
+                start: 0,
+                end,
+            },
+            Some(block) => {
+                // SAFETY: the block was this buffer's alone.
+                unsafe { free_block(block) };
+                Bytes::new()
+            }
+            None => Bytes::new(),
+        }
+    }
+}
+
+impl Drop for BytesMut {
+    fn drop(&mut self) {
+        if let Some(block) = self.block {
+            // SAFETY: the block was this buffer's alone.
+            unsafe { free_block(block) };
+        }
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match self.block {
+            // SAFETY: the first `len` bytes of the block are written.
+            Some(block) => unsafe { slice::from_raw_parts(block_bytes(block), self.len) },
+            None => &[],
+        }
+    }
+}
+
+impl DerefMut for BytesMut {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self.block {
+            // SAFETY: as for `deref`, and `&mut self` makes it unique.
+            Some(block) => unsafe { slice::from_raw_parts_mut(block_bytes(block), self.len) },
+            None => &mut [],
+        }
+    }
+}
+
+/// A buffer a serializer appends to — `Vec<u8>` or [`BytesMut`] — so one
+/// `emit_into` writes wherever its caller keeps bytes.
+pub trait BufMut {
+    /// Append `src`.
+    fn put_slice(&mut self, src: &[u8]);
+
+    /// Append one byte.
+    #[inline]
+    fn put_u8(&mut self, n: u8) {
+        self.put_slice(&[n]);
+    }
+}
+
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+
+    fn put_u8(&mut self, n: u8) {
+        self.push(n);
+    }
+}
+
+impl BufMut for BytesMut {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +558,7 @@ mod tests {
         let b = Bytes::from(vec![1, 2, 3, 4, 5]);
         let c = b.clone();
         assert_eq!(b, c);
+        assert_eq!(b.as_ptr(), c.as_ptr(), "a clone shares the block");
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.len(), 3);
@@ -320,9 +587,10 @@ mod tests {
             Bytes::default(),
             b.slice(2..2),
             Bytes::from(vec![]),
+            BytesMut::with_capacity(8).freeze(),
         ] {
             assert!(empty.is_empty());
-            assert!(empty.data.is_none());
+            assert!(empty.block.is_none());
             assert_eq!(empty, Bytes::new());
             assert_eq!(&empty.slice(..)[..], b"");
         }
@@ -330,6 +598,19 @@ mod tests {
         tail.advance(3);
         assert!(tail.is_empty());
         assert_eq!(tail.split_to(0), Bytes::new());
+    }
+
+    #[test]
+    fn a_frozen_buffer_keeps_its_block() {
+        let mut buf = BytesMut::with_capacity(4);
+        buf.put_u8(1);
+        buf.put_slice(&[2, 3, 4, 5, 6]);
+        buf[0] = 9;
+        assert!(buf.capacity() >= 6);
+        let at = buf.as_ptr();
+        let b = buf.freeze();
+        assert_eq!(b, [9, 2, 3, 4, 5, 6]);
+        assert_eq!(b.as_ptr(), at);
     }
 
     #[test]

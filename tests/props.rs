@@ -162,7 +162,7 @@ proptest! {
         );
         prop_assert_eq!(EthernetFrame::parse_bytes(&embedded(&eth)), EthernetFrame::parse(&eth));
 
-        let udp = edit(UdpDatagram::new(sp, dp, inner.payload.clone()).emit(src, dst));
+        let udp = edit(UdpDatagram::new(sp, dp, inner.payload.clone()).emit(src, dst).to_vec());
         prop_assert_eq!(
             UdpDatagram::parse_bytes(&embedded(&udp), src, dst),
             UdpDatagram::parse(&udp, src, dst)
@@ -185,7 +185,8 @@ proptest! {
                 mss,
                 payload: inner.payload.clone(),
             }
-            .emit(src, dst),
+            .emit(src, dst)
+            .to_vec(),
         );
         prop_assert_eq!(
             TcpSegment::parse_bytes(&embedded(&tcp), src, dst),
@@ -198,7 +199,7 @@ proptest! {
             2 => IcmpMessage::TimeExceeded { original: inner.payload.clone() },
             _ => IcmpMessage::MobileHostRedirect { home: src, care_of: dst, lifetime_secs: sp },
         };
-        let icmp = edit(icmp_msg.emit());
+        let icmp = edit(icmp_msg.emit().to_vec());
         prop_assert_eq!(IcmpMessage::parse_bytes(&embedded(&icmp)), IcmpMessage::parse(&icmp));
 
         // Decapsulation: the same tunnel packet once as a view of a shared
