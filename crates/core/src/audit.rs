@@ -99,12 +99,6 @@ pub enum AuditEvent {
         /// The method that was in effect when the entry was displaced.
         mode: OutMode,
     },
-    /// A TTL'd method-cache entry sat untouched past its lifetime and was
-    /// discarded on its next lookup.
-    Expired {
-        /// The correspondent whose stale entry was discarded.
-        correspondent: Ipv4Addr,
-    },
     /// Transmission feedback arrived for a correspondent absent from the
     /// method cache after evictions have occurred: the signal may concern
     /// history the LRU displaced, and is dropped.
@@ -145,7 +139,6 @@ impl AuditEvent {
             AuditEvent::Promoted { .. } => "promoted",
             AuditEvent::CacheCleared { .. } => "cache-cleared",
             AuditEvent::Evicted { .. } => "evicted",
-            AuditEvent::Expired { .. } => "expired",
             AuditEvent::FeedbackIgnored { .. } => "feedback-ignored",
             AuditEvent::RegistrationSent { .. } => "registration-sent",
             AuditEvent::RegistrationAccepted { .. } => "registration-accepted",
@@ -163,7 +156,6 @@ impl AuditEvent {
             | AuditEvent::Demoted { correspondent, .. }
             | AuditEvent::Promoted { correspondent, .. }
             | AuditEvent::Evicted { correspondent, .. }
-            | AuditEvent::Expired { correspondent }
             | AuditEvent::FeedbackIgnored { correspondent } => Some(correspondent),
             _ => None,
         }
@@ -213,8 +205,7 @@ impl AuditEvent {
                 w.field("correspondent", &correspondent);
                 w.field("mode", &mode);
             }
-            AuditEvent::Expired { correspondent }
-            | AuditEvent::FeedbackIgnored { correspondent } => {
+            AuditEvent::FeedbackIgnored { correspondent } => {
                 w.field("correspondent", &correspondent);
             }
             AuditEvent::RegistrationSent { care_of, lifetime } => {
@@ -294,27 +285,20 @@ impl AuditTrail {
         self.now = now;
     }
 
-    /// The clock last set by [`AuditTrail::set_now`]. The policy layer
-    /// reads this as its notion of "now" for LRU stamps and TTL expiry,
-    /// so cache aging runs on the same sim-time the trail records.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Append one event at the current clock.
     pub(crate) fn record(&mut self, event: AuditEvent) {
+        if self.capacity == 0 {
+            self.shed += 1;
+            return;
+        }
         if self.entries.len() >= self.capacity {
             self.entries.pop_front();
             self.shed += 1;
         }
-        if self.capacity > 0 {
-            self.entries.push_back(AuditEntry {
-                at: self.now,
-                event,
-            });
-        } else {
-            self.shed += 1;
-        }
+        self.entries.push_back(AuditEntry {
+            at: self.now,
+            event,
+        });
     }
 
     /// All retained entries, oldest first.
@@ -469,6 +453,17 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![3, 4]);
+    }
+
+    #[test]
+    fn zero_capacity_sheds_each_event_once() {
+        let mut t = AuditTrail::with_capacity(0);
+        for _ in 0..3 {
+            t.record(decision("10.0.0.1", OutMode::DH, DecisionReason::Default));
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.shed(), 3);
+        assert_eq!(t.recorded(), 3);
     }
 
     #[test]

@@ -396,7 +396,7 @@ mod tests {
             .hook_as::<MobileHost>()
             .unwrap()
             .policy_mut()
-            .config = PolicyConfig::fixed(OutMode::DE).without_dt_ports();
+            .set_config(PolicyConfig::fixed(OutMode::DE).without_dt_ports());
 
         move_to(
             &mut net.w,
@@ -432,7 +432,7 @@ mod tests {
             .hook_as::<MobileHost>()
             .unwrap()
             .policy_mut()
-            .config = PolicyConfig::fixed(OutMode::DE).without_dt_ports();
+            .set_config(PolicyConfig::fixed(OutMode::DE).without_dt_ports());
         move_to(
             &mut net.w,
             net.mh,

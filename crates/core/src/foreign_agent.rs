@@ -115,11 +115,6 @@ impl ForeignAgent {
         }
     }
 
-    /// Number of currently registered visitors.
-    pub fn visitor_count(&self) -> usize {
-        self.visitors.len()
-    }
-
     /// Is this home address registered through us?
     pub fn is_visiting(&self, home: Ipv4Addr) -> bool {
         self.visitors.contains_key(&home)

@@ -163,13 +163,6 @@ impl HomeAgent {
         }
     }
 
-    /// Stop tunnelling `group` to the mobile registered at `home`.
-    pub fn unsubscribe_multicast(&mut self, group: Ipv4Addr, home: Ipv4Addr) {
-        if let Some(subs) = self.multicast_subs.get_mut(&group) {
-            subs.retain(|&h| h != home);
-        }
-    }
-
     /// Install a home agent on `node` of `world`. Enables the host's tunnel
     /// endpoint capabilities.
     pub fn install(world: &mut World, node: NodeId, config: HomeAgentConfig) {

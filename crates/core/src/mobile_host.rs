@@ -311,7 +311,7 @@ impl MobileHost {
         &mut self.policy
     }
 
-    /// Method-cache hit/miss/eviction/expiry counts since construction —
+    /// Method-cache hit/miss/eviction counts since construction —
     /// the decision-quality numbers scale experiments report under cache
     /// pressure.
     pub fn policy_cache_stats(&self) -> crate::policy::CacheStats {
@@ -596,7 +596,7 @@ impl MobilityHook for MobileHost {
             return Some(self.home());
         }
         // Privacy mode conceals the care-of address entirely.
-        if self.policy.config.privacy {
+        if self.policy.config().privacy {
             return Some(self.home());
         }
         // Port heuristics: HTTP/DNS-style conversations forgo Mobile IP.

@@ -31,42 +31,42 @@
 //! this repository (`netsim::route`, the NIC ARP cache) rather than as a
 //! map of boxed entries:
 //!
-//! * **Compact SoA slab** — each correspondent costs a handful of packed
-//!   words (mode, strategy, and the failed-mode history are bit-fields in
-//!   one `u32`; the "history of which communication methods have proven …
-//!   not" successful is a 4-bit mask, since there are only four out-modes).
-//!   Steady state is ~44 bytes per correspondent including the hash index,
-//!   measured by `netsim::profile::live_bytes()`.
+//! * **Dense slab** — one `Vec` of 32-byte slots, each a correspondent's
+//!   address, its two recency links and its [`MethodEntry`] (the "history
+//!   of which communication methods have proven … not" successful is a
+//!   4-bit mask, since there are only four out-modes). Removing an entry
+//!   moves the last slot into the hole.
 //! * **Single-probe hash index** — an open-addressing table at ≤ 50 % load
 //!   maps correspondent → slab slot in one expected probe; deletions use
 //!   backward-shift so no tombstones accumulate.
 //! * **Real eviction** — at [`PolicyConfig::cache_cap`] the *least
 //!   recently used* entry is evicted (intrusive doubly-linked list, exact
-//!   recency order, no timestamps and therefore no ties), so a flash crowd
+//!   recency order, no clock and therefore no ties), so a flash crowd
 //!   of new correspondents displaces only the coldest history instead of
-//!   resetting the whole cache. An optional [`PolicyConfig::cache_ttl`]
-//!   additionally expires entries by sim-time age, lazily, on next touch.
-//!   Both leave [`crate::audit::AuditEvent::Evicted`] /
-//!   [`crate::audit::AuditEvent::Expired`] marks in the audit trail and
-//!   bump the `policy_cache_*` counters in `netsim::profile`.
-//! * **Compiled rules** — the §7.1.2 first-match rule list is compiled
-//!   into per-prefix-length buckets (the `netsim::route` layout) keyed by
-//!   `(len, network)` holding the *lowest* matching rule index, so lookup
-//!   is O(#populated prefix lengths) while preserving first-match-wins
-//!   exactly. A capped per-destination strategy cache short-circuits
-//!   repeat decisions and is invalidated whenever the config changes
-//!   (detected by fingerprint, so even direct `policy.config = …`
-//!   replacement recompiles). [`Policy::use_dt_for_port`] answers from a
-//!   64 Ki-bit port bitset instead of scanning the port list.
+//!   resetting the whole cache. Each eviction leaves an
+//!   [`crate::audit::AuditEvent::Evicted`] mark in the audit trail and
+//!   bumps the `policy_cache_eviction` counter in `netsim::profile`.
+//! * **Rule index** — a §7.1.2 rule list longer than eight rules is
+//!   compiled, when the config is set, into per-prefix-length buckets (the
+//!   `netsim::route` layout) keyed by `(len, network)` holding the
+//!   *lowest* matching rule index, so lookup is O(#populated prefix
+//!   lengths) while preserving first-match-wins exactly. The config is
+//!   private and changes only through [`Policy::set_config`], which
+//!   rebuilds the index, so it can never describe a different rule list.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 use netsim::profile::{self, Counter};
-use netsim::{Ipv4Addr, Ipv4Cidr, SimDuration, SimTime};
+use netsim::{Ipv4Addr, Ipv4Cidr};
 
 use crate::audit::{AuditEvent, AuditTrail, DecisionReason};
 use crate::modes::OutMode;
+
+/// Failure signals (retransmissions, either direction) before demoting.
+const DEMOTE_THRESHOLD: u32 = 2;
+
+/// Success signals before a pessimistic upgrade probe.
+const PROMOTE_AFTER: u32 = 8;
 
 /// How to pick the first home-address delivery method for a correspondent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,23 +91,6 @@ impl Strategy {
     fn probes(self) -> bool {
         !matches!(self, Strategy::Fixed(_))
     }
-
-    /// 3-bit code used by the packed slab word.
-    fn code(self) -> u32 {
-        match self {
-            Strategy::Optimistic => 0,
-            Strategy::Pessimistic => 1,
-            Strategy::Fixed(m) => 2 + m.index() as u32,
-        }
-    }
-
-    fn from_code(code: u32) -> Strategy {
-        match code {
-            0 => Strategy::Optimistic,
-            1 => Strategy::Pessimistic,
-            n => Strategy::Fixed(OutMode::from_index((n - 2) as usize)),
-        }
-    }
 }
 
 /// Static policy configuration.
@@ -125,10 +108,6 @@ pub struct PolicyConfig {
     pub privacy: bool,
     /// Act on the §7.1.2 transmission-feedback signal.
     pub feedback_demotion: bool,
-    /// Failure signals (retransmissions, either direction) before demoting.
-    pub demote_threshold: u32,
-    /// Success signals before a pessimistic upgrade probe.
-    pub promote_after: u32,
     /// Method-cache entries kept before eviction begins. A mobile that
     /// talks to more correspondents than this (a flash crowd) evicts its
     /// *least recently used* history rather than growing without bound —
@@ -136,12 +115,6 @@ pub struct PolicyConfig {
     /// taken literally. Eviction order is exact recency, so behaviour is
     /// deterministic at any scale. `0` disables the cap entirely.
     pub cache_cap: usize,
-    /// Optional sim-time lifetime for cache entries. An entry untouched
-    /// for longer than this is discarded (lazily, on its next lookup or
-    /// feedback) and the next contact decides afresh from rules — stale
-    /// conclusions about a path age out the way ARP entries do. `None`
-    /// (the default) keeps history until eviction or movement.
-    pub cache_ttl: Option<SimDuration>,
 }
 
 impl Default for PolicyConfig {
@@ -152,10 +125,7 @@ impl Default for PolicyConfig {
             dt_ports: vec![80, 53],
             privacy: false,
             feedback_demotion: true,
-            demote_threshold: 2,
-            promote_after: 8,
             cache_cap: 4096,
-            cache_ttl: None,
         }
     }
 }
@@ -207,12 +177,6 @@ impl PolicyConfig {
         self.cache_cap = cap;
         self
     }
-
-    /// Expire method-cache entries untouched for `ttl` of simulated time.
-    pub fn with_cache_ttl(mut self, ttl: SimDuration) -> Self {
-        self.cache_ttl = Some(ttl);
-        self
-    }
 }
 
 /// Reference first-match rule scan: the §7.1.2 semantics the compiled
@@ -224,17 +188,13 @@ pub fn rule_match_reference(rules: &[(Ipv4Cidr, Strategy)], dst: Ipv4Addr) -> Op
 }
 
 // ---------------------------------------------------------------------------
-// Compiled configuration: rule LPM buckets, port bitset, strategy cache
+// Rule index: per-prefix-length LPM buckets
 // ---------------------------------------------------------------------------
 
 /// Rule lists at or below this stay uncompiled: a linear first-match over
 /// a handful of rules beats hashing and costs no auxiliary heap — the same
 /// size discipline as `netsim::route::RouteTable`.
 const RULES_LINEAR_MAX: usize = 8;
-
-/// Per-destination strategy memos kept before the memo table resets; the
-/// cap bounds memory during address sweeps, exactly like the route cache.
-const STRATEGY_CACHE_CAP: usize = 4096;
 
 /// The bucketed-LPM index over the rule list: one map over every rule
 /// prefix plus the populated-lengths bitmap lookups scan. Buckets hold the
@@ -253,7 +213,12 @@ impl RuleIndex {
         (u64::from(len) << 32) | u64::from(network)
     }
 
-    fn build(rules: &[(Ipv4Cidr, Strategy)]) -> RuleIndex {
+    /// The index for `rules`, or `None` while the list is short enough
+    /// that the linear reference scan wins.
+    fn build(rules: &[(Ipv4Cidr, Strategy)]) -> Option<Box<RuleIndex>> {
+        if rules.len() <= RULES_LINEAR_MAX {
+            return None;
+        }
         let mut ix = RuleIndex::default();
         for (i, (prefix, _)) in rules.iter().enumerate() {
             let p = prefix.prefix_len();
@@ -262,7 +227,7 @@ impl RuleIndex {
                 .or_insert(i as u32);
             ix.populated |= 1u64 << p;
         }
-        ix
+        Some(Box::new(ix))
     }
 
     /// Index of the first (lowest-numbered) rule containing `dst`.
@@ -281,81 +246,27 @@ impl RuleIndex {
     }
 }
 
-/// Everything derived from a `PolicyConfig`, rebuilt lazily whenever the
-/// fingerprint below stops matching the live config — so experiments that
-/// replace `policy.config` wholesale (or push rules through it) are picked
-/// up without an explicit invalidation call.
-#[derive(Debug)]
-struct Compiled {
-    /// Fingerprint of the config this was compiled from: the rule and
-    /// port storage identity plus the scalar decision inputs. Replacing
-    /// or growing either `Vec` changes pointer or length; the scalars are
-    /// compared directly.
-    rules_ptr: usize,
-    rules_len: usize,
-    ports_ptr: usize,
-    ports_len: usize,
-    privacy: bool,
-    default_strategy: Strategy,
-    /// Bucketed rule LPM; `None` while the rule list is small enough that
-    /// the linear reference scan wins.
-    rule_index: Option<Box<RuleIndex>>,
-    /// 64 Ki-bit destination-port set for the §7.1.1 DT heuristic; `None`
-    /// when no ports are configured (the common fixed-mode experiments).
-    dt_bits: Option<Box<[u64]>>,
-    /// dst → (strategy, why) memo, capped at [`STRATEGY_CACHE_CAP`].
-    strategy_cache: HashMap<u32, (Strategy, DecisionReason)>,
-}
-
-impl Compiled {
-    fn fingerprint_matches(&self, config: &PolicyConfig) -> bool {
-        self.rules_ptr == config.rules.as_ptr() as usize
-            && self.rules_len == config.rules.len()
-            && self.ports_ptr == config.dt_ports.as_ptr() as usize
-            && self.ports_len == config.dt_ports.len()
-            && self.privacy == config.privacy
-            && self.default_strategy == config.default_strategy
-    }
-
-    fn build(config: &PolicyConfig) -> Compiled {
-        let rule_index = (config.rules.len() > RULES_LINEAR_MAX)
-            .then(|| Box::new(RuleIndex::build(&config.rules)));
-        let dt_bits = (!config.dt_ports.is_empty()).then(|| {
-            let mut bits = vec![0u64; 1024].into_boxed_slice();
-            for &port in &config.dt_ports {
-                bits[usize::from(port) >> 6] |= 1u64 << (port & 63);
-            }
-            bits
-        });
-        Compiled {
-            rules_ptr: config.rules.as_ptr() as usize,
-            rules_len: config.rules.len(),
-            ports_ptr: config.dt_ports.as_ptr() as usize,
-            ports_len: config.dt_ports.len(),
-            privacy: config.privacy,
-            default_strategy: config.default_strategy,
-            rule_index,
-            dt_bits,
-            strategy_cache: HashMap::new(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The method cache: SoA slab + single-probe index + intrusive LRU
+// The method cache: slab + single-probe index + intrusive LRU
 // ---------------------------------------------------------------------------
 
 /// Niche marker for slab and list links.
 const NIL: u32 = u32::MAX;
 
-// Bit layout of one packed slab word.
-const MODE_SHIFT: u32 = 0; // bits 0-1: current OutMode index
-const STRAT_SHIFT: u32 = 2; // bits 2-4: Strategy code
-const FAILED_SHIFT: u32 = 8; // bits 8-11: failed-modes mask
+/// One slab slot: a correspondent, its place in the recency list, and
+/// what the policy has learned about it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    ip: u32,
+    /// Previous (more recent) neighbour, or [`NIL`] at the head.
+    prev: u32,
+    /// Next (less recent) neighbour, or [`NIL`] at the tail.
+    next: u32,
+    entry: MethodEntry,
+}
 
-/// The per-correspondent store. Struct-of-arrays: every field of every
-/// entry lives in a dense `Vec`, slots are stable until an entry is
-/// removed (the last entry backfills the hole), and an open-addressing
+/// The per-correspondent store. Slots are stable until an entry is
+/// removed (the last slot backfills the hole), and an open-addressing
 /// index at ≤ 50 % load maps correspondent address → slot in one expected
 /// probe. Recency is an intrusive doubly-linked list over `prev`/`next`,
 /// giving exact, deterministic LRU order with O(1) touch and evict.
@@ -363,22 +274,7 @@ const FAILED_SHIFT: u32 = 8; // bits 8-11: failed-modes mask
 struct MethodCache {
     /// Open-addressing slots holding slab indices (or [`NIL`]).
     index: Vec<u32>,
-    /// Correspondent addresses, one per slab slot.
-    ips: Vec<u32>,
-    /// Packed mode/strategy/failed-mask words (see the `*_SHIFT` layout).
-    packed: Vec<u32>,
-    /// Consecutive failure signals since the last transition.
-    fails: Vec<u32>,
-    /// Consecutive success signals since the last transition.
-    succs: Vec<u32>,
-    /// Demotions (low 16 bits) and promotions (high 16), saturating.
-    trans: Vec<u32>,
-    /// Sim-time (µs) of the last touch, for TTL expiry.
-    stamp: Vec<u64>,
-    /// LRU list: previous (more recent) neighbour, or [`NIL`] at head.
-    prev: Vec<u32>,
-    /// LRU list: next (less recent) neighbour, or [`NIL`] at tail.
-    next: Vec<u32>,
+    slots: Vec<Slot>,
     /// Most recently used slot, [`NIL`] when empty.
     head: u32,
     /// Least recently used slot — the eviction victim.
@@ -386,32 +282,23 @@ struct MethodCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    expiries: u64,
 }
 
 impl MethodCache {
     fn new() -> MethodCache {
         MethodCache {
             index: Vec::new(),
-            ips: Vec::new(),
-            packed: Vec::new(),
-            fails: Vec::new(),
-            succs: Vec::new(),
-            trans: Vec::new(),
-            stamp: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
+            slots: Vec::new(),
             head: NIL,
             tail: NIL,
             hits: 0,
             misses: 0,
             evictions: 0,
-            expiries: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.ips.len()
+        self.slots.len()
     }
 
     /// The probe start for `ip`: a multiplicative hash with a mixing shift
@@ -422,121 +309,113 @@ impl MethodCache {
         h as usize & (self.index.len() - 1)
     }
 
+    /// The index position holding slab slot `e`, which must be present.
+    fn index_pos(&self, e: u32) -> usize {
+        let mask = self.index.len() - 1;
+        let mut pos = self.ideal_slot(self.slots[e as usize].ip);
+        while self.index[pos] != e {
+            pos = (pos + 1) & mask;
+        }
+        pos
+    }
+
     /// Slab slot of `ip`, if cached. One expected probe at ≤ 50 % load.
     fn find(&self, ip: u32) -> Option<usize> {
         if self.index.is_empty() {
             return None;
         }
         let mask = self.index.len() - 1;
-        let mut slot = self.ideal_slot(ip);
+        let mut pos = self.ideal_slot(ip);
         loop {
-            let e = self.index[slot];
+            let e = self.index[pos];
             if e == NIL {
                 return None;
             }
-            if self.ips[e as usize] == ip {
+            if self.slots[e as usize].ip == ip {
                 return Some(e as usize);
             }
-            slot = (slot + 1) & mask;
+            pos = (pos + 1) & mask;
         }
     }
 
-    /// Double (or create) the index and rehash every live entry.
-    fn grow_index(&mut self) {
-        let new_len = (self.index.len() * 2).max(16);
-        self.index.clear();
-        self.index.resize(new_len, NIL);
-        let mask = new_len - 1;
-        for e in 0..self.ips.len() {
-            let mut slot = self.ideal_slot(self.ips[e]);
-            while self.index[slot] != NIL {
-                slot = (slot + 1) & mask;
-            }
-            self.index[slot] = e as u32;
+    /// Put slab slot `e` into the first free index position on its chain.
+    fn index_insert(&mut self, e: u32) {
+        let mask = self.index.len() - 1;
+        let mut pos = self.ideal_slot(self.slots[e as usize].ip);
+        while self.index[pos] != NIL {
+            pos = (pos + 1) & mask;
         }
+        self.index[pos] = e;
     }
 
     /// Insert a brand-new entry (caller guarantees `ip` is absent) and
-    /// link it most-recent. Returns its slab slot.
-    fn insert(&mut self, ip: u32, packed: u32, now: SimTime) -> usize {
-        if (self.len() + 1) * 2 > self.index.len() {
-            self.grow_index();
+    /// link it most-recent.
+    fn insert(&mut self, ip: u32, entry: MethodEntry) {
+        let e = self.slots.len() as u32;
+        self.slots.push(Slot {
+            ip,
+            prev: NIL,
+            next: NIL,
+            entry,
+        });
+        if self.slots.len() * 2 > self.index.len() {
+            // Double (or create) the index and rehash every live entry.
+            let new_len = (self.index.len() * 2).max(16);
+            self.index.clear();
+            self.index.resize(new_len, NIL);
+            (0..=e).for_each(|s| self.index_insert(s));
+        } else {
+            self.index_insert(e);
         }
-        let e = self.ips.len() as u32;
-        self.ips.push(ip);
-        self.packed.push(packed);
-        self.fails.push(0);
-        self.succs.push(0);
-        self.trans.push(0);
-        self.stamp.push(now.0);
-        self.prev.push(NIL);
-        self.next.push(NIL);
-        let mask = self.index.len() - 1;
-        let mut slot = self.ideal_slot(ip);
-        while self.index[slot] != NIL {
-            slot = (slot + 1) & mask;
-        }
-        self.index[slot] = e;
         self.push_front(e);
-        e as usize
     }
 
     /// Unlink slab slot `e` from the recency list.
     fn unlink(&mut self, e: u32) {
-        let (p, n) = (self.prev[e as usize], self.next[e as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
+        let Slot { prev, next, .. } = self.slots[e as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
         }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
     /// Link slab slot `e` at the most-recent end.
     fn push_front(&mut self, e: u32) {
-        self.prev[e as usize] = NIL;
-        self.next[e as usize] = self.head;
-        if self.head == NIL {
-            self.tail = e;
-        } else {
-            self.prev[self.head as usize] = e;
+        self.slots[e as usize].prev = NIL;
+        self.slots[e as usize].next = self.head;
+        match self.head {
+            NIL => self.tail = e,
+            h => self.slots[h as usize].prev = e,
         }
         self.head = e;
     }
 
-    /// Mark slab slot `e` as just used: move to the recency head and
-    /// refresh its TTL stamp.
-    fn touch(&mut self, e: usize, now: SimTime) {
-        self.stamp[e] = now.0;
-        if self.head == e as u32 {
-            return;
+    /// Mark slab slot `e` as just used: move it to the recency head.
+    fn touch(&mut self, e: usize) {
+        if self.head != e as u32 {
+            self.unlink(e as u32);
+            self.push_front(e as u32);
         }
-        self.unlink(e as u32);
-        self.push_front(e as u32);
     }
 
-    /// Backward-shift deletion of the index slot currently holding `e`:
-    /// no tombstones, so probe chains never degrade.
+    /// Backward-shift deletion of the index position holding `e`: no
+    /// tombstones, so probe chains never degrade.
     fn index_delete(&mut self, e: u32) {
         let mask = self.index.len() - 1;
-        let mut slot = self.ideal_slot(self.ips[e as usize]);
-        while self.index[slot] != e {
-            slot = (slot + 1) & mask;
-        }
-        self.index[slot] = NIL;
-        let mut hole = slot;
-        let mut j = slot;
+        let mut hole = self.index_pos(e);
+        self.index[hole] = NIL;
+        let mut j = hole;
         loop {
             j = (j + 1) & mask;
             let occupant = self.index[j];
             if occupant == NIL {
                 break;
             }
-            let ideal = self.ideal_slot(self.ips[occupant as usize]);
+            let ideal = self.ideal_slot(self.slots[occupant as usize].ip);
             // Move the occupant into the hole iff its probe chain passes
             // through the hole (cyclic distance test).
             if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(hole) & mask) {
@@ -548,50 +427,29 @@ impl MethodCache {
     }
 
     /// Remove slab slot `e` entirely: unlink, delete from the index, and
-    /// backfill the hole with the last entry (fixing its index slot and
-    /// list links). Returns the removed `(ip, packed)`.
-    fn remove(&mut self, e: usize) -> (u32, u32) {
-        let removed = (self.ips[e], self.packed[e]);
+    /// backfill the hole with the last slot (fixing its index position and
+    /// list links). Returns the removed slot.
+    fn remove(&mut self, e: usize) -> Slot {
         self.unlink(e as u32);
         self.index_delete(e as u32);
-        let last = self.ips.len() - 1;
+        let last = self.slots.len() - 1;
         if e != last {
-            // Repoint the index slot of the entry being moved.
-            let mask = self.index.len() - 1;
-            let mut slot = self.ideal_slot(self.ips[last]);
-            while self.index[slot] != last as u32 {
-                slot = (slot + 1) & mask;
+            let pos = self.index_pos(last as u32);
+            self.index[pos] = e as u32;
+        }
+        let removed = self.slots.swap_remove(e);
+        if e != last {
+            // Repoint the moved slot's list neighbours (and ends).
+            let Slot { prev, next, .. } = self.slots[e];
+            match prev {
+                NIL => self.head = e as u32,
+                p => self.slots[p as usize].next = e as u32,
             }
-            self.index[slot] = e as u32;
-            self.ips[e] = self.ips[last];
-            self.packed[e] = self.packed[last];
-            self.fails[e] = self.fails[last];
-            self.succs[e] = self.succs[last];
-            self.trans[e] = self.trans[last];
-            self.stamp[e] = self.stamp[last];
-            self.prev[e] = self.prev[last];
-            self.next[e] = self.next[last];
-            // Repoint the moved entry's list neighbours (and ends).
-            let (p, n) = (self.prev[e], self.next[e]);
-            if p == NIL {
-                self.head = e as u32;
-            } else {
-                self.next[p as usize] = e as u32;
-            }
-            if n == NIL {
-                self.tail = e as u32;
-            } else {
-                self.prev[n as usize] = e as u32;
+            match next {
+                NIL => self.tail = e as u32,
+                n => self.slots[n as usize].prev = e as u32,
             }
         }
-        self.ips.pop();
-        self.packed.pop();
-        self.fails.pop();
-        self.succs.pop();
-        self.trans.pop();
-        self.stamp.pop();
-        self.prev.pop();
-        self.next.pop();
         removed
     }
 
@@ -599,14 +457,7 @@ impl MethodCache {
     /// constantly; re-growing the index each time would dominate).
     fn clear(&mut self) {
         self.index.iter_mut().for_each(|s| *s = NIL);
-        self.ips.clear();
-        self.packed.clear();
-        self.fails.clear();
-        self.succs.clear();
-        self.trans.clear();
-        self.stamp.clear();
-        self.prev.clear();
-        self.next.clear();
+        self.slots.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -616,14 +467,15 @@ impl MethodCache {
 // Public entry view and cache statistics
 // ---------------------------------------------------------------------------
 
-/// One correspondent's state in the method cache, materialised from the
-/// packed slab on request (the slab itself stores bit-fields, not structs).
+/// One correspondent's state in the method cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodEntry {
     /// The method currently selected for this correspondent.
     pub mode: OutMode,
     strategy: Strategy,
+    /// Consecutive failure signals since the last transition.
     fail_signals: u32,
+    /// Consecutive success signals since the last transition.
     success_signals: u32,
     /// Bitmask over [`OutMode::index`] of modes demoted away from.
     failed_mask: u8,
@@ -634,6 +486,18 @@ pub struct MethodEntry {
 }
 
 impl MethodEntry {
+    fn new(strategy: Strategy) -> MethodEntry {
+        MethodEntry {
+            mode: strategy.initial(),
+            strategy,
+            fail_signals: 0,
+            success_signals: 0,
+            failed_mask: 0,
+            demotions: 0,
+            promotions: 0,
+        }
+    }
+
     /// Has `mode` already failed for this correspondent ("never re-probed")?
     pub fn has_failed(&self, mode: OutMode) -> bool {
         self.failed_mask & mode.bit() != 0
@@ -644,14 +508,12 @@ impl MethodEntry {
 /// decision quality under cache pressure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a live cache entry.
+    /// Lookups answered from a cache entry.
     pub hits: u64,
     /// Lookups that had to decide afresh (first contact or after loss).
     pub misses: u64,
     /// Entries displaced by the LRU discipline at capacity.
     pub evictions: u64,
-    /// Entries discarded by TTL expiry.
-    pub expiries: u64,
     /// Correspondents currently cached.
     pub len: u64,
 }
@@ -660,7 +522,6 @@ serde::impl_serialize!(CacheStats {
     hits,
     misses,
     evictions,
-    expiries,
     len,
 });
 
@@ -686,12 +547,11 @@ pub enum Transition {
 /// The per-correspondent method cache plus the decision logic.
 #[derive(Debug)]
 pub struct Policy {
-    /// The static policy configuration (rules, ports, thresholds). May be
-    /// replaced or mutated freely; the compiled artifacts notice and
-    /// rebuild on the next decision.
-    pub config: PolicyConfig,
+    config: PolicyConfig,
+    /// Bucketed LPM over `config.rules`; `None` while the rule list is
+    /// small enough that the linear reference scan wins.
+    rule_index: Option<Box<RuleIndex>>,
     cache: MethodCache,
-    compiled: RefCell<Option<Box<Compiled>>>,
     /// The why-was-this-mode-chosen event trail.
     pub audit: AuditTrail,
 }
@@ -700,166 +560,105 @@ impl Policy {
     /// A policy with an empty method cache.
     pub fn new(config: PolicyConfig) -> Policy {
         Policy {
+            rule_index: RuleIndex::build(&config.rules),
             config,
             cache: MethodCache::new(),
-            compiled: RefCell::new(None),
             audit: AuditTrail::new(),
         }
     }
 
-    /// Replace the configuration. Equivalent to assigning `self.config`
-    /// directly (compiled state is fingerprint-invalidated either way);
-    /// provided so call sites read as what they are.
-    pub fn set_config(&mut self, config: PolicyConfig) {
-        self.config = config;
-        *self.compiled.borrow_mut() = None;
+    /// The static policy configuration (rules, ports, strategy).
+    pub fn config(&self) -> &PolicyConfig {
+        &self.config
     }
 
-    /// Run `f` with the compiled view of the current config, rebuilding it
-    /// first if the config changed since the last call.
-    fn with_compiled<R>(&self, f: impl FnOnce(&mut Compiled) -> R) -> R {
-        let mut slot = self.compiled.borrow_mut();
-        let stale = match slot.as_ref() {
-            Some(c) => !c.fingerprint_matches(&self.config),
-            None => true,
-        };
-        if stale {
-            *slot = Some(Box::new(Compiled::build(&self.config)));
-        }
-        f(slot.as_mut().expect("compiled just ensured"))
+    /// Replace the configuration, recompiling its rules. Cached methods
+    /// are kept; call [`Policy::clear_cache`] to decide afresh.
+    pub fn set_config(&mut self, config: PolicyConfig) {
+        self.rule_index = RuleIndex::build(&config.rules);
+        self.config = config;
     }
 
     /// Should a conversation to this destination port skip Mobile IP
     /// entirely (Out-DT/In-DT)?
     pub fn use_dt_for_port(&self, port: u16) -> bool {
-        if self.config.privacy || self.config.dt_ports.is_empty() {
-            return false;
-        }
-        self.with_compiled(|c| match &c.dt_bits {
-            Some(bits) => bits[usize::from(port) >> 6] & (1u64 << (port & 63)) != 0,
-            None => false,
-        })
+        !self.config.privacy && self.config.dt_ports.contains(&port)
     }
 
-    /// The (strategy, provenance) the rules assign `correspondent`,
-    /// memoised per destination.
-    fn strategy_with_source(&self, correspondent: Ipv4Addr) -> (Strategy, DecisionReason) {
+    /// The index of the first rule covering `correspondent`. Exposed
+    /// (hidden) for the `policy` bench group and the compiled-vs-linear
+    /// parity tests.
+    #[doc(hidden)]
+    pub fn rule_match_compiled(&self, correspondent: Ipv4Addr) -> Option<usize> {
+        match &self.rule_index {
+            Some(ix) => ix.first_match(correspondent),
+            None => rule_match_reference(&self.config.rules, correspondent),
+        }
+    }
+
+    /// The strategy the configuration assigns `correspondent`, and why.
+    fn strategy_for(&self, correspondent: Ipv4Addr) -> (Strategy, DecisionReason) {
         if self.config.privacy {
             return (Strategy::Fixed(OutMode::IE), DecisionReason::Privacy);
         }
-        if self.config.rules.is_empty() {
-            return (self.config.default_strategy, DecisionReason::Default);
+        match self.rule_match_compiled(correspondent) {
+            Some(i) => (self.config.rules[i].1, DecisionReason::Rule),
+            None => (self.config.default_strategy, DecisionReason::Default),
         }
-        self.with_compiled(|c| {
-            if let Some(&hit) = c.strategy_cache.get(&correspondent.0) {
-                return hit;
-            }
-            let matched = match &c.rule_index {
-                Some(ix) => ix.first_match(correspondent),
-                None => rule_match_reference(&self.config.rules, correspondent),
-            };
-            let decided = match matched {
-                Some(i) => (self.config.rules[i].1, DecisionReason::Rule),
-                None => (self.config.default_strategy, DecisionReason::Default),
-            };
-            if c.strategy_cache.len() >= STRATEGY_CACHE_CAP {
-                c.strategy_cache.clear();
-            }
-            c.strategy_cache.insert(correspondent.0, decided);
-            decided
-        })
-    }
-
-    /// The first matching rule's index for `correspondent`, via the
-    /// compiled path but bypassing the strategy memo. Exposed (hidden) for
-    /// the `policy` bench group and the compiled-vs-linear parity tests.
-    #[doc(hidden)]
-    pub fn rule_match_compiled(&self, correspondent: Ipv4Addr) -> Option<usize> {
-        self.with_compiled(|c| match &c.rule_index {
-            Some(ix) => ix.first_match(correspondent),
-            None => rule_match_reference(&self.config.rules, correspondent),
-        })
-    }
-
-    /// Is the live TTL exceeded for the entry in slab slot `e`?
-    fn entry_expired(&self, e: usize, now: SimTime) -> bool {
-        self.config
-            .cache_ttl
-            .is_some_and(|ttl| now.since(SimTime(self.cache.stamp[e])) > ttl)
     }
 
     /// The mode to use right now for `correspondent`, creating a cache
     /// entry on first contact (evicting the least recently used
     /// correspondent if the cache is at capacity).
     pub fn mode_for(&mut self, correspondent: Ipv4Addr) -> OutMode {
-        let now = self.audit.now();
         if let Some(e) = self.cache.find(correspondent.0) {
-            if !self.entry_expired(e, now) {
-                self.cache.hits += 1;
-                profile::add(Counter::PolicyCacheHit, 1);
-                self.cache.touch(e, now);
-                let mode = OutMode::from_index((self.cache.packed[e] >> MODE_SHIFT) as usize & 3);
-                self.audit.record(AuditEvent::Decision {
-                    correspondent,
-                    mode,
-                    reason: DecisionReason::CacheHit,
-                });
-                return mode;
-            }
-            // Stale: the conclusion aged out; discard and decide afresh.
-            self.cache.expiries += 1;
-            profile::add(Counter::PolicyCacheExpiry, 1);
-            self.audit.record(AuditEvent::Expired { correspondent });
-            self.cache.remove(e);
+            self.cache.hits += 1;
+            profile::add(Counter::PolicyCacheHit, 1);
+            self.cache.touch(e);
+            let mode = self.cache.slots[e].entry.mode;
+            self.audit.record(AuditEvent::Decision {
+                correspondent,
+                mode,
+                reason: DecisionReason::CacheHit,
+            });
+            return mode;
         }
         self.cache.misses += 1;
         profile::add(Counter::PolicyCacheMiss, 1);
-        let (strategy, source) = self.strategy_with_source(correspondent);
+        let (strategy, reason) = self.strategy_for(correspondent);
         if self.config.cache_cap > 0 && self.cache.len() >= self.config.cache_cap {
             // Capacity: evict the coldest correspondent, not the world.
-            let victim = self.cache.tail as usize;
-            let (ip, packed) = self.cache.remove(victim);
+            let victim = self.cache.remove(self.cache.tail as usize);
             self.cache.evictions += 1;
             profile::add(Counter::PolicyCacheEviction, 1);
             self.audit.record(AuditEvent::Evicted {
-                correspondent: Ipv4Addr(ip),
-                mode: OutMode::from_index((packed >> MODE_SHIFT) as usize & 3),
+                correspondent: Ipv4Addr(victim.ip),
+                mode: victim.entry.mode,
             });
         }
-        let mode = strategy.initial();
-        let packed = ((mode.index() as u32) << MODE_SHIFT) | (strategy.code() << STRAT_SHIFT);
-        self.cache.insert(correspondent.0, packed, now);
+        let entry = MethodEntry::new(strategy);
+        self.cache.insert(correspondent.0, entry);
         self.audit.record(AuditEvent::Decision {
             correspondent,
-            mode,
-            reason: source,
+            mode: entry.mode,
+            reason,
         });
-        mode
+        entry.mode
     }
 
-    /// Peek at a cache entry (materialised by value; the store is a packed
-    /// slab). Read-only: does not refresh recency or the TTL stamp.
+    /// Peek at a cache entry (by value). Read-only: does not refresh
+    /// recency.
     pub fn entry(&self, correspondent: Ipv4Addr) -> Option<MethodEntry> {
         let e = self.cache.find(correspondent.0)?;
-        let packed = self.cache.packed[e];
-        Some(MethodEntry {
-            mode: OutMode::from_index((packed >> MODE_SHIFT) as usize & 3),
-            strategy: Strategy::from_code((packed >> STRAT_SHIFT) & 7),
-            fail_signals: self.cache.fails[e],
-            success_signals: self.cache.succs[e],
-            failed_mask: ((packed >> FAILED_SHIFT) & 0xF) as u8,
-            demotions: self.cache.trans[e] & 0xFFFF,
-            promotions: self.cache.trans[e] >> 16,
-        })
+        Some(self.cache.slots[e].entry)
     }
 
-    /// Aggregate hit/miss/eviction/expiry counts since construction.
+    /// Aggregate hit/miss/eviction counts since construction.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.cache.hits,
             misses: self.cache.misses,
             evictions: self.cache.evictions,
-            expiries: self.cache.expiries,
             len: self.cache.len() as u64,
         }
     }
@@ -892,10 +691,6 @@ impl Policy {
         if !self.config.feedback_demotion {
             return None;
         }
-        let now = self.audit.now();
-        // Find the entry before touching any thresholds: the common
-        // at-scale outcome is a miss (evicted or never seen), which must
-        // not depend on configuration reads.
         let Some(e) = self.cache.find(correspondent.0) else {
             if self.cache.evictions > 0 {
                 self.audit
@@ -903,68 +698,55 @@ impl Policy {
             }
             return None;
         };
-        if self.entry_expired(e, now) {
-            self.cache.expiries += 1;
-            profile::add(Counter::PolicyCacheExpiry, 1);
-            self.audit.record(AuditEvent::Expired { correspondent });
-            self.cache.remove(e);
-            return None;
-        }
         // Feedback is evidence of an active conversation: refresh recency
         // so a correspondent we are talking to outlives a flash crowd.
-        self.cache.touch(e, now);
-        let packed = self.cache.packed[e];
-        let strategy = Strategy::from_code((packed >> STRAT_SHIFT) & 7);
-        let mode = OutMode::from_index((packed >> MODE_SHIFT) as usize & 3);
+        self.cache.touch(e);
+        let entry = &mut self.cache.slots[e].entry;
+        let from = entry.mode;
         if retransmission {
-            self.cache.fails[e] += 1;
-            self.cache.succs[e] = 0;
-            if self.cache.fails[e] >= self.config.demote_threshold && strategy.probes() {
-                let from = mode;
-                let to = from.demote();
-                if to != from {
-                    self.cache.packed[e] = (packed & !(3 << MODE_SHIFT))
-                        | ((to.index() as u32) << MODE_SHIFT)
-                        | (u32::from(from.bit()) << FAILED_SHIFT);
-                    self.cache.fails[e] = 0;
-                    let demotions = (self.cache.trans[e] & 0xFFFF).saturating_add(1).min(0xFFFF);
-                    self.cache.trans[e] = (self.cache.trans[e] & !0xFFFF) | demotions;
-                    self.audit.record(AuditEvent::Demoted {
-                        correspondent,
-                        from,
-                        to,
-                    });
-                    return Some(Transition::Demoted { from, to });
-                }
+            entry.fail_signals += 1;
+            entry.success_signals = 0;
+            if entry.fail_signals < DEMOTE_THRESHOLD || !entry.strategy.probes() {
+                return None;
             }
+            let to = from.demote();
+            if to == from {
+                return None;
+            }
+            entry.mode = to;
+            entry.failed_mask |= from.bit();
+            entry.fail_signals = 0;
+            entry.demotions += 1;
+            self.audit.record(AuditEvent::Demoted {
+                correspondent,
+                from,
+                to,
+            });
+            Some(Transition::Demoted { from, to })
         } else {
-            self.cache.succs[e] += 1;
-            self.cache.fails[e] = 0;
+            entry.success_signals += 1;
+            entry.fail_signals = 0;
             // Pessimistic upgrade probing: after sustained success,
             // tentatively try the next more aggressive mode, unless it
-            // already failed for this correspondent.
-            if strategy == Strategy::Pessimistic && self.cache.succs[e] >= self.config.promote_after
-            {
-                let from = mode;
-                let to = from.promote();
-                let failed = ((packed >> FAILED_SHIFT) & 0xF) as u8;
-                if to != from && failed & to.bit() == 0 {
-                    self.cache.packed[e] =
-                        (packed & !(3 << MODE_SHIFT)) | ((to.index() as u32) << MODE_SHIFT);
-                    self.cache.succs[e] = 0;
-                    let promotions = (self.cache.trans[e] >> 16).saturating_add(1).min(0xFFFF);
-                    self.cache.trans[e] = (self.cache.trans[e] & 0xFFFF) | (promotions << 16);
-                    self.audit.record(AuditEvent::Promoted {
-                        correspondent,
-                        from,
-                        to,
-                    });
-                    return Some(Transition::Promoted { from, to });
-                }
-                self.cache.succs[e] = 0; // ceiling reached; keep counting fresh
+            // already failed for this correspondent. Either way the count
+            // starts afresh.
+            if entry.strategy != Strategy::Pessimistic || entry.success_signals < PROMOTE_AFTER {
+                return None;
             }
+            entry.success_signals = 0;
+            let to = from.promote();
+            if to == from || entry.has_failed(to) {
+                return None;
+            }
+            entry.mode = to;
+            entry.promotions += 1;
+            self.audit.record(AuditEvent::Promoted {
+                correspondent,
+                from,
+                to,
+            });
+            Some(Transition::Promoted { from, to })
         }
-        None
     }
 }
 
@@ -1039,25 +821,36 @@ mod tests {
     }
 
     #[test]
-    fn config_replacement_invalidates_compiled_state() {
+    fn set_config_recompiles_the_rules() {
         let mut p = Policy::new(
             PolicyConfig::optimistic().with_rule(cidr("18.0.0.0/8"), Strategy::Pessimistic),
         );
         assert_eq!(p.mode_for(ip("18.26.0.5")), OutMode::IE);
-        // Replace the whole config through the public field, as the
-        // experiments do — the fingerprint must notice.
-        p.config = PolicyConfig::fixed(OutMode::DE).without_dt_ports();
+        p.set_config(PolicyConfig::fixed(OutMode::DE));
+        // Cached methods outlive a config change until the cache is cleared.
+        assert_eq!(p.mode_for(ip("18.26.0.5")), OutMode::IE);
         p.clear_cache();
         assert_eq!(p.mode_for(ip("18.26.0.5")), OutMode::DE);
         assert!(!p.use_dt_for_port(80));
-        // And growing the rule list in place is noticed too.
-        let mut p = Policy::new(PolicyConfig::optimistic());
-        assert_eq!(p.mode_for(ip("171.64.7.7")), OutMode::DH);
-        p.config
-            .rules
-            .push((cidr("171.64.0.0/16"), Strategy::Pessimistic));
+        // A compiled rule list (past RULES_LINEAR_MAX) is replaced by the
+        // new one, and a short list drops back to the linear scan.
+        let many = |first: Strategy| {
+            (0..12u32).fold(PolicyConfig::optimistic(), |cfg, i| {
+                let s = if i == 0 { first } else { Strategy::Optimistic };
+                cfg.with_rule(cidr(&format!("10.{i}.0.0/16")), s)
+            })
+        };
+        p.set_config(many(Strategy::Fixed(OutMode::IE)));
         p.clear_cache();
-        assert_eq!(p.mode_for(ip("171.64.7.7")), OutMode::IE);
+        assert_eq!(p.mode_for(ip("10.0.0.1")), OutMode::IE);
+        p.set_config(many(Strategy::Fixed(OutMode::DE)));
+        p.clear_cache();
+        assert_eq!(p.mode_for(ip("10.0.0.1")), OutMode::DE);
+        p.set_config(PolicyConfig::optimistic());
+        p.clear_cache();
+        assert_eq!(p.rule_match_compiled(ip("10.0.0.1")), None);
+        assert_eq!(p.mode_for(ip("10.0.0.1")), OutMode::DH);
+        assert_eq!(p.config().rules.len(), 0);
     }
 
     #[test]
@@ -1331,30 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_stale_entries() {
-        let mut p =
-            Policy::new(PolicyConfig::optimistic().with_cache_ttl(SimDuration::from_secs(60)));
-        let ch = ip("18.26.0.5");
-        p.audit.set_now(SimTime(0));
-        assert_eq!(p.mode_for(ch), OutMode::DH);
-        p.record_feedback(ch, true);
-        p.record_feedback(ch, true); // demoted to DE
-        assert_eq!(p.mode_for(ch), OutMode::DE);
-        // Within the TTL the conclusion holds…
-        p.audit.set_now(SimTime(59_000_000));
-        assert_eq!(p.mode_for(ch), OutMode::DE);
-        // …but after a minute of silence it ages out and the next contact
-        // decides afresh from the (optimistic) default.
-        p.audit.set_now(SimTime(59_000_000 + 61_000_000));
-        assert_eq!(p.mode_for(ch), OutMode::DH, "stale history discarded");
-        assert_eq!(p.cache_stats().expiries, 1);
-        assert!(p
-            .audit
-            .entries()
-            .any(|e| matches!(e.event, AuditEvent::Expired { .. })));
-    }
-
-    #[test]
     fn feedback_for_unknown_correspondent_is_ignored() {
         let mut p = Policy::new(PolicyConfig::optimistic());
         assert_eq!(p.record_feedback(ip("9.9.9.9"), true), None);
@@ -1387,6 +1156,12 @@ mod tests {
             )),
             "post-eviction feedback loss must be visible in the trail"
         );
+    }
+
+    #[test]
+    fn a_slot_is_32_bytes() {
+        // The module header and the 64 B/entry budget both count on it.
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
     }
 
     #[test]

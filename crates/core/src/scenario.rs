@@ -399,7 +399,9 @@ mod tests {
         let mh = s.mh;
         let ch_addr = s.ch_addr();
         s.world.trace.clear();
-        s.mh_hook().policy_mut().config = PolicyConfig::fixed(crate::modes::OutMode::DH);
+        s.mh_hook()
+            .policy_mut()
+            .set_config(PolicyConfig::fixed(crate::modes::OutMode::DH));
         s.world.host_do(mh, |h, ctx| {
             h.send_ping(ctx, ip(addrs::MH_HOME), ch_addr, 1)
         });

@@ -394,11 +394,6 @@ impl Host {
         self.hook.take()
     }
 
-    /// Is a mobility layer installed?
-    pub fn has_hook(&self) -> bool {
-        self.hook.is_some()
-    }
-
     /// Mutable access to the hook, downcast to its concrete type.
     pub fn hook_as<T: 'static>(&mut self) -> Option<&mut T> {
         self.hook
@@ -480,16 +475,6 @@ impl Host {
     pub fn join_multicast(&mut self, iface: IfaceNo, group: Ipv4Addr) {
         debug_assert!(group.is_multicast());
         self.multicast.insert((iface, group));
-    }
-
-    /// Stop accepting `group` traffic on `iface`.
-    pub fn leave_multicast(&mut self, iface: IfaceNo, group: Ipv4Addr) {
-        self.multicast.remove(&(iface, group));
-    }
-
-    /// Is the host joined to `group` on any interface?
-    pub fn in_multicast_group(&self, group: Ipv4Addr) -> bool {
-        self.multicast.iter().any(|&(_, g)| g == group)
     }
 
     // ---- protocol handlers & apps --------------------------------------

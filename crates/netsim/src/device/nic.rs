@@ -518,11 +518,6 @@ impl Nic {
         }
     }
 
-    /// Forget a neighbour (tests and handoff logic).
-    pub fn evict_arp(&mut self, iface: IfaceNo, ip: Ipv4Addr) {
-        self.arp[iface].retain(|e| e.ip != ip);
-    }
-
     /// Peek at the ARP cache (tests). Read-only: does not refresh the
     /// entry's LRU clock the way a real send would.
     pub fn arp_lookup(&self, iface: IfaceNo, ip: Ipv4Addr, now: SimTime) -> Option<MacAddr> {

@@ -252,12 +252,6 @@ impl RouterConfig {
             option_delay: SimDuration::from_micros(500),
         }
     }
-
-    /// Set the options slow-path delay (0 disables it).
-    pub fn with_option_delay(mut self, d: SimDuration) -> RouterConfig {
-        self.option_delay = d;
-        self
-    }
 }
 
 /// An IP router.

@@ -122,11 +122,6 @@ impl PacketLifecycle {
         self.events.first().map(|e| e.at.0).unwrap_or(0)
     }
 
-    /// When the span ends (last recorded event).
-    pub fn end_us(&self) -> u64 {
-        self.events.last().map(|e| e.at.0).unwrap_or(0)
-    }
-
     /// The packet header as first observed.
     pub fn summary(&self) -> Option<&PacketSummary> {
         self.events.first().map(|e| &e.packet)

@@ -473,16 +473,6 @@ impl SegmentMetrics {
             self.busy.as_micros() as f64 / elapsed.as_micros() as f64
         }
     }
-
-    /// Fold another segment's counters into this one.
-    pub fn merge(&mut self, other: &SegmentMetrics) {
-        self.frames += other.frames;
-        self.bytes += other.bytes;
-        self.wire_drops += other.wire_drops;
-        self.crc_drops += other.crc_drops;
-        self.busy = self.busy + other.busy;
-        self.queue_wait_us.merge(&other.queue_wait_us);
-    }
 }
 
 impl SegmentMetrics {
@@ -601,12 +591,6 @@ impl MetricsRegistry {
         (0..self.slots.len()).map(NodeId)
     }
 
-    /// Every segment id up to the highest one that has recorded an event,
-    /// in id order; untouched ids below it read as zeros.
-    pub fn segment_ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
-        (0..self.segments.len()).map(SegmentId)
-    }
-
     /// Drops across all nodes, summed by reason (nonzero reasons only).
     pub fn total_drops_by_reason(&self) -> Vec<(DropReason, u64)> {
         let mut totals = [0u64; DropReason::ALL.len()];
@@ -628,15 +612,6 @@ impl MetricsRegistry {
         let mut t = NodeMetrics::default();
         for n in &self.nodes {
             t.merge(n);
-        }
-        t
-    }
-
-    /// Aggregate of every segment's counters.
-    pub fn segment_totals(&self) -> SegmentMetrics {
-        let mut t = SegmentMetrics::default();
-        for s in &self.segments {
-            t.merge(s);
         }
         t
     }

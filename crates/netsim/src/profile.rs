@@ -186,11 +186,9 @@ pub enum Counter {
     PolicyCacheMiss = 3,
     /// Policy method-cache entries displaced by LRU eviction at capacity.
     PolicyCacheEviction = 4,
-    /// Policy method-cache entries discarded by TTL expiry.
-    PolicyCacheExpiry = 5,
 }
 
-const NCOUNTERS: usize = 6;
+const NCOUNTERS: usize = 5;
 static COUNTERS: [AtomicU64; NCOUNTERS] = [const { AtomicU64::new(0) }; NCOUNTERS];
 
 const COUNTER_NAMES: [&str; NCOUNTERS] = [
@@ -199,7 +197,6 @@ const COUNTER_NAMES: [&str; NCOUNTERS] = [
     "policy_cache_hit",
     "policy_cache_miss",
     "policy_cache_eviction",
-    "policy_cache_expiry",
 ];
 
 /// Adds `n` to a global counter; no-op while profiling is disabled.
@@ -755,8 +752,9 @@ pub struct Sample {
     pub route_cache_hits: u64,
     /// Cumulative global route-cache misses.
     pub route_cache_misses: u64,
-    /// Crude estimate of the world's heap footprint, bytes.
-    pub mem_est_bytes: u64,
+    /// Heap bytes live in the process, measured by the counting
+    /// allocator.
+    pub live_heap_bytes: u64,
     /// Dispatch rate against the wall clock since the previous sample.
     pub events_per_wall_sec: f64,
     /// Dispatch rate against the simulation clock since the previous
@@ -773,7 +771,7 @@ serde::impl_serialize!(Sample {
     overflow_len,
     route_cache_hits,
     route_cache_misses,
-    mem_est_bytes,
+    live_heap_bytes,
     events_per_wall_sec,
     events_per_sim_sec,
 });
@@ -792,8 +790,8 @@ pub struct RawGauges {
     pub wheel_occupancy: u64,
     /// Overflow-heap length.
     pub overflow_len: u64,
-    /// Estimated world heap footprint, bytes.
-    pub mem_est_bytes: u64,
+    /// Heap bytes live in the process ([`live_bytes`]).
+    pub live_heap_bytes: u64,
 }
 
 /// Bounded, sim-time-driven gauge sampler with stride doubling: when the
@@ -850,7 +848,7 @@ impl TimeSeries {
             overflow_len: raw.overflow_len,
             route_cache_hits: counter(Counter::RouteCacheHit),
             route_cache_misses: counter(Counter::RouteCacheMiss),
-            mem_est_bytes: raw.mem_est_bytes,
+            live_heap_bytes: raw.live_heap_bytes,
             events_per_wall_sec: if d_wall_s > 0.0 {
                 d_events / d_wall_s
             } else {
@@ -957,7 +955,7 @@ mod tests {
                     live_timers: 1,
                     wheel_occupancy: 1,
                     overflow_len: 0,
-                    mem_est_bytes: 64,
+                    live_heap_bytes: 64,
                 });
             }
         }

@@ -25,7 +25,7 @@ use serde::Serialize;
 
 use crate::event::SchedulerStats;
 use crate::time::SimTime;
-use crate::trace::{DropReason, TraceEventKind};
+use crate::trace::TraceEventKind;
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 
 /// SplitMix64 step — the deterministic generator behind [`Reservoir`] and,
@@ -496,13 +496,6 @@ impl InvariantMonitor {
         }
     }
 
-    /// The identities currently considered in flight — `(src, dst, proto,
-    /// ident)` tuples. A diagnostic surface: when conservation is
-    /// violated, these are the leaked packets.
-    pub fn live_keys(&self) -> impl Iterator<Item = &LiveKey> {
-        self.live.iter()
-    }
-
     /// Incremental scheduler-stats reconciliation, run per dispatch batch:
     /// `pushed == dispatched + cancelled + pending`. Records the first
     /// breach only (a broken queue would otherwise flood the report).
@@ -660,11 +653,6 @@ impl InvariantMonitor {
     pub fn violated(&self) -> bool {
         !self.violations.is_empty() || self.suppressed_violations > 0
     }
-}
-
-/// Stable drop-reason listing used by diff tooling.
-pub fn drop_reason_tags() -> impl Iterator<Item = &'static str> {
-    DropReason::ALL.into_iter().map(|r| r.tag())
 }
 
 #[cfg(test)]

@@ -570,11 +570,6 @@ impl PacketTrace {
         self.enabled = on;
     }
 
-    /// Is recording on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record one observation (no-op while disabled).
     pub fn record(&mut self, at: SimTime, node: NodeId, kind: TraceEventKind, pkt: &Ipv4Packet) {
         if !self.enabled {

@@ -233,11 +233,6 @@ impl NetCtx<'_> {
         self.queue.cancel(h)
     }
 
-    /// MTU of a segment (IP bytes per frame).
-    pub fn segment_mtu(&self, seg: SegmentId) -> usize {
-        self.segments[seg.0].config.mtu
-    }
-
     /// This node's deterministic RNG (fault injection, workloads). Streams
     /// are per-node, so draws are independent of dispatch interleaving.
     pub fn rng(&mut self) -> &mut StdRng {
@@ -564,11 +559,6 @@ impl World {
 
     // ---- access -------------------------------------------------------------
 
-    /// Number of nodes ever created.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Borrow a host (panics if `id` is a router).
     pub fn host(&self, id: NodeId) -> &Host {
         match self.nodes[id.0].as_ref().expect("node present") {
@@ -816,9 +806,8 @@ impl World {
     }
 
     /// Record a gauge sample if sampling is on and one is due at the
-    /// current sim time. The heap-footprint gauge is a crude estimate:
-    /// node, trace-event and queued-event counts times representative
-    /// per-entry sizes.
+    /// current sim time. The heap gauge is the counting allocator's
+    /// process-wide live-byte count, so it covers every world alive.
     fn maybe_sample(&mut self) {
         let Some(sampler) = self.sampler.as_deref_mut() else {
             return;
@@ -826,7 +815,6 @@ impl World {
         if !sampler.due(self.now.0) {
             return;
         }
-        let (nodes, traced) = (self.nodes.len() as u64, self.trace.events().len() as u64);
         let live = self.queue.len() as u64;
         let (occupancy, overflow) = self.queue.wheel_occupancy();
         sampler.push(crate::profile::RawGauges {
@@ -835,7 +823,7 @@ impl World {
             live_timers: live,
             wheel_occupancy: occupancy.iter().sum(),
             overflow_len: overflow as u64,
-            mem_est_bytes: nodes * 768 + traced * 160 + live * 112,
+            live_heap_bytes: crate::profile::live_bytes().max(0) as u64,
         });
     }
 

@@ -102,7 +102,7 @@ fn main() {
         .hook_as::<MobileHost>()
         .unwrap()
         .policy_mut()
-        .config = PolicyConfig::default().with_privacy();
+        .set_config(PolicyConfig::default().with_privacy());
     let app = s.world.host_mut(mh).add_app(Box::new(KeystrokeSession::new(
         (ch_addr, 80), // even the "safe-DT" port stays private
         SimDuration::from_millis(200),

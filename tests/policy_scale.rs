@@ -2,12 +2,13 @@
 //!
 //! * below capacity, the capped-LRU method cache is *observationally
 //!   identical* to an unbounded one — same mode for every decision, same
-//!   transitions, same audit trail, byte for byte (property test);
+//!   transitions, same audit trail, byte for byte, with and without a
+//!   compiled rule list and across cache clears (property test);
 //! * the E18 policy miss storm — and with it eviction order — is
 //!   deterministic: same seed, same outcome;
 //! * a million-entry cache at steady state (driven by a 2×-capacity miss
 //!   storm, so eviction churn is part of the measurement) stays within
-//!   its compact-SoA memory budget of 64 B per correspondent, measured
+//!   its memory budget of 64 B per correspondent, measured
 //!   by the counting allocator's live-byte gauge.
 //!
 //! The storm and memory tests share process-global state (the live-byte
@@ -16,8 +17,9 @@
 use std::sync::Mutex;
 
 use bench::scale::{build_world, run_churn, ChurnParams, ScaleParams};
-use mobility4x4::mip_core::{AuditTrail, Policy, PolicyConfig, Transition};
-use mobility4x4::netsim::{self, Ipv4Addr, SimTime};
+use mobility4x4::mip_core::Strategy as Method;
+use mobility4x4::mip_core::{AuditTrail, OutMode, Policy, PolicyConfig, Transition};
+use mobility4x4::netsim::{self, Ipv4Addr, Ipv4Cidr, SimTime};
 use proptest::prelude::*;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -29,14 +31,17 @@ enum Op {
     Decide(u8),
     /// `record_feedback(addr, retransmission)`.
     Feedback(u8, bool),
+    /// `clear_cache()` — the mobile moved.
+    Clear,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
-        (0u8..24, 0u8..4).prop_map(|(a, kind)| match kind {
-            0 | 1 => Op::Decide(a),
-            2 => Op::Feedback(a, true),
-            _ => Op::Feedback(a, false),
+        (0u8..24, 0u8..9).prop_map(|(a, kind)| match kind {
+            0..=3 => Op::Decide(a),
+            4 | 5 => Op::Feedback(a, true),
+            6 | 7 => Op::Feedback(a, false),
+            _ => Op::Clear,
         }),
         1..200,
     )
@@ -46,12 +51,36 @@ fn addr(i: u8) -> Ipv4Addr {
     Ipv4Addr(0x0A63_0000 | u32::from(i))
 }
 
+/// Twelve rules over the population — past the linear-scan threshold, so
+/// decisions go through the compiled index. Rule 0 (a /29) shadows the
+/// /31s after it that it covers; first match must still win.
+fn twelve_rules() -> Vec<(Ipv4Cidr, Method)> {
+    let strategies = [
+        Method::Pessimistic,
+        Method::Optimistic,
+        Method::Fixed(OutMode::DE),
+    ];
+    std::iter::once((Ipv4Cidr::new(addr(16), 29), Method::Fixed(OutMode::IE)))
+        .chain((0..11u8).map(|k| {
+            (
+                Ipv4Cidr::new(addr(2 * k), 31),
+                strategies[usize::from(k) % 3],
+            )
+        }))
+        .collect()
+}
+
 /// Replay `ops` against a policy with the given cache cap (`0` =
-/// unbounded) and fingerprint everything observable: every decision,
-/// every transition, and the serialized audit trail.
-fn replay(cache_cap: usize, ops: &[Op]) -> (Vec<String>, Vec<Option<Transition>>, String) {
+/// unbounded) and rule list, and fingerprint everything observable: every
+/// decision, every transition, and the serialized audit trail.
+fn replay(
+    cache_cap: usize,
+    rules: &[(Ipv4Cidr, Method)],
+    ops: &[Op],
+) -> (Vec<String>, Vec<Option<Transition>>, String) {
     let mut p = Policy::new(PolicyConfig {
         cache_cap,
+        rules: rules.to_vec(),
         ..PolicyConfig::optimistic()
     });
     let mut modes = Vec::new();
@@ -61,6 +90,7 @@ fn replay(cache_cap: usize, ops: &[Op]) -> (Vec<String>, Vec<Option<Transition>>
         match *op {
             Op::Decide(a) => modes.push(p.mode_for(addr(a)).to_string()),
             Op::Feedback(a, retrans) => transitions.push(p.record_feedback(addr(a), retrans)),
+            Op::Clear => p.clear_cache(),
         }
     }
     assert_eq!(
@@ -77,15 +107,18 @@ proptest! {
 
     /// While the correspondent population fits in the cache, the capped
     /// LRU engine and an unbounded cache make byte-identical decisions —
-    /// eviction is the ONLY behavioural difference capacity introduces.
+    /// eviction is the ONLY behavioural difference capacity introduces,
+    /// whether strategies come from the default or from compiled rules.
     #[test]
     fn capped_lru_matches_unbounded_below_capacity(ops in arb_ops()) {
-        let unbounded = replay(0, &ops);
-        for cap in [32usize, 64, 4096] {
-            let capped = replay(cap, &ops);
-            prop_assert_eq!(&unbounded.0, &capped.0, "modes diverged at cap {}", cap);
-            prop_assert_eq!(&unbounded.1, &capped.1, "transitions diverged at cap {}", cap);
-            prop_assert_eq!(&unbounded.2, &capped.2, "audit diverged at cap {}", cap);
+        for rules in [Vec::new(), twelve_rules()] {
+            let unbounded = replay(0, &rules, &ops);
+            for cap in [32usize, 64, 4096] {
+                let capped = replay(cap, &rules, &ops);
+                prop_assert_eq!(&unbounded.0, &capped.0, "modes diverged at cap {}", cap);
+                prop_assert_eq!(&unbounded.1, &capped.1, "transitions diverged at cap {}", cap);
+                prop_assert_eq!(&unbounded.2, &capped.2, "audit diverged at cap {}", cap);
+            }
         }
     }
 }
@@ -152,6 +185,7 @@ fn million_entry_cache_stays_within_byte_budget() {
     assert_eq!(stats.len as usize, cap, "cache pinned at capacity");
     assert_eq!(stats.evictions as usize, cap, "second half all evicted");
     let per_entry = live / cap as i64;
+    eprintln!("method cache: {per_entry} B/entry ({live} B live for {cap} entries)");
     assert!(
         per_entry <= 64,
         "steady-state method cache costs {per_entry} B/entry (budget 64, live {live} B for {cap} entries)"
