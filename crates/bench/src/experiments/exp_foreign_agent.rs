@@ -11,7 +11,7 @@
 
 use mip_core::foreign_agent::{ForeignAgent, ForeignAgentConfig};
 use mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
-use mip_core::{move_via_foreign_agent, MobileHost, OutMode, PolicyConfig};
+use mip_core::{move_to, Attachment, MobileHost, OutMode, PolicyConfig};
 use netsim::wire::icmp::IcmpMessage;
 use netsim::SimDuration;
 
@@ -54,13 +54,11 @@ pub fn deployment(via_fa: bool) -> FaOutcome {
                 advertise_every: None,
             },
         );
-        move_via_foreign_agent(
-            &mut s.world,
-            s.mh,
-            s.visited_a,
-            ip("36.186.0.10"),
-            ip(addrs::VISITED_A_GW),
-        );
+        let fa = Attachment::ForeignAgent {
+            agent: ip("36.186.0.10"),
+            gateway: ip(addrs::VISITED_A_GW),
+        };
+        move_to(&mut s.world, s.mh, s.visited_a, fa);
         s.world.run_for(SimDuration::from_secs(3));
     } else {
         s.roam_to_a();

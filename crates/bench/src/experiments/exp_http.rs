@@ -13,7 +13,7 @@
 //! Out-DT's price.
 
 use mip_core::scenario::{addrs, build, ip, ChKind, Scenario, ScenarioConfig};
-use mip_core::{OutMode, PolicyConfig};
+use mip_core::{Attachment, OutMode, PolicyConfig};
 use netsim::wire::ipv4::IpProtocol;
 use netsim::SimDuration;
 use transport::apps::{HttpLikeClient, RequestResponseServer, TransferOutcome};
@@ -88,8 +88,7 @@ pub fn browse(policy: PolicyConfig, transfers: u32, move_midway: bool) -> Worklo
             &mut s.world,
             mh,
             s.visited_b,
-            addrs::COA_B_CIDR,
-            ip(addrs::VISITED_B_GW),
+            Attachment::care_of(addrs::COA_B_CIDR, ip(addrs::VISITED_B_GW)),
         );
     } else {
         s.world.run_for(SimDuration::from_secs(3));

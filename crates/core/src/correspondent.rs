@@ -259,7 +259,7 @@ impl MobilityHook for MobileAwareCh {
 mod tests {
     use super::*;
     use crate::home_agent::{HomeAgent, HomeAgentConfig};
-    use crate::mobile_host::{move_to, MobileHost, MobileHostConfig};
+    use crate::mobile_host::{move_to, Attachment, MobileHost, MobileHostConfig};
     use crate::modes::OutMode;
     use crate::policy::PolicyConfig;
     use netsim::wire::icmp::IcmpMessage;
@@ -331,8 +331,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 
@@ -402,8 +401,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 
@@ -437,8 +435,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 
@@ -505,8 +502,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
         // Manually install the binding (e.g. from DNS).
@@ -557,8 +553,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
         let soon = net.w.now() + SimDuration::from_secs(1);

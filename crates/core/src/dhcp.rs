@@ -7,22 +7,24 @@
 //!
 //! * client broadcasts a lease request from `0.0.0.0` (UDP 68 → 67);
 //! * server answers with an address, prefix length, and default gateway;
-//! * the client configures its interface, installs the default route, and
-//!   — when a [`MobileHost`] hook is present — switches it to `Away` and
-//!   triggers registration with the home agent.
+//! * the client hands the lease to the mobile host's one attach step as an
+//!   [`Attachment::CareOf`]: it addresses the interface, installs the
+//!   default route, and — when a [`MobileHost`](crate::mobile_host::MobileHost)
+//!   hook is present — records the move and starts registration with the
+//!   home agent.
+//!
+//! A mobile host gets here through the one movement entry point,
+//! [`move_to`](crate::mobile_host::move_to) with [`Attachment::Dhcp`].
 
 use std::any::Any;
 use std::collections::HashMap;
 
 use netsim::device::nic::IfaceAddr;
 use netsim::wire::ParseError;
-use netsim::{
-    App, Host, IfaceNo, Ipv4Addr, Ipv4Cidr, NetCtx, NodeId, SegmentId, SimDuration, SimTime,
-    TimerHandle, World,
-};
+use netsim::{App, Host, Ipv4Addr, Ipv4Cidr, NetCtx, SimDuration, SimTime, TimerHandle};
 use transport::udp;
 
-use crate::mobile_host::{Location, MobileHost, TIMER_KICK};
+use crate::mobile_host::{attach, Attachment};
 
 /// Server port.
 pub const DHCP_SERVER_PORT: u16 = 67;
@@ -111,7 +113,7 @@ impl Lease {
     }
 
     /// The lease as an interface address (address + on-link prefix).
-    pub fn iface_addr(&self) -> IfaceAddr {
+    fn iface_addr(&self) -> IfaceAddr {
         IfaceAddr {
             addr: self.addr,
             prefix: Ipv4Cidr::new(self.addr, self.prefix_len),
@@ -189,10 +191,8 @@ impl App for DhcpServer {
 }
 
 /// Client state, run as an [`App`] on the (mobile) host. When the lease
-/// arrives it configures the interface and routes, flips the mobility hook
-/// to `Away`, and kicks off home-agent registration.
+/// arrives it attaches the host with it (see the module docs).
 pub struct DhcpClient {
-    iface: IfaceNo,
     xid: u32,
     sock: Option<udp::UdpHandle>,
     next_try: SimTime,
@@ -206,10 +206,9 @@ pub struct DhcpClient {
 }
 
 impl DhcpClient {
-    /// A client that will configure `iface` once a lease arrives.
-    pub fn new(iface: IfaceNo, xid: u32) -> DhcpClient {
+    /// A client requesting a lease under transaction id `xid`.
+    pub fn new(xid: u32) -> DhcpClient {
         DhcpClient {
-            iface,
             xid,
             sock: None,
             next_try: SimTime::ZERO,
@@ -236,23 +235,11 @@ impl App for DhcpClient {
             if lease.xid != self.xid {
                 continue;
             }
-            // Configure interface and default route.
-            host.set_iface_addr(self.iface, Some(lease.iface_addr()));
-            host.clear_routes();
-            host.add_route(Ipv4Cidr::default_route(), self.iface, Some(lease.gateway));
-            // Tell the mobility layer and start registration.
-            let mobile = match host.hook_as::<MobileHost>() {
-                Some(mh) => {
-                    mh.note_moved(Location::Away {
-                        care_of: lease.addr,
-                    });
-                    true
-                }
-                None => false,
+            let how = Attachment::CareOf {
+                addr: lease.iface_addr(),
+                gateway: lease.gateway,
             };
-            if mobile {
-                host.request_hook_timer(ctx, SimDuration::ZERO, TIMER_KICK);
-            }
+            attach(host, ctx, how);
             // The exchange is complete: the pending retransmit wakeup is
             // dead weight in the scheduler.
             if let Some(h) = self.retry_timer.take() {
@@ -282,33 +269,13 @@ impl App for DhcpClient {
     }
 }
 
-/// Plug the mobile host into `segment` with no pre-assigned address and
-/// acquire one via DHCP. The caller should run the world for a moment and
-/// may then check the hook's registration state. Returns the app index of
-/// the [`DhcpClient`].
-pub fn move_to_with_dhcp(world: &mut World, node: NodeId, segment: SegmentId, xid: u32) -> usize {
-    let phys = {
-        let host = world.host_mut(node);
-        host.hook_as::<MobileHost>()
-            .map(|mh| mh.config().phys_iface)
-            .unwrap_or(0)
-    };
-    world.reattach(node, phys, segment);
-    let host = world.host_mut(node);
-    host.set_iface_addr(phys, None);
-    host.clear_routes();
-    let app = host.add_app(Box::new(DhcpClient::new(phys, xid)));
-    world.poll_soon(node);
-    app
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::home_agent::{HomeAgent, HomeAgentConfig};
-    use crate::mobile_host::MobileHostConfig;
+    use crate::mobile_host::{move_to, MobileHost, MobileHostConfig};
     use netsim::wire::icmp::IcmpMessage;
-    use netsim::{HostConfig, LinkConfig, RouterConfig};
+    use netsim::{HostConfig, LinkConfig, RouterConfig, World};
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -345,7 +312,7 @@ mod tests {
             20,
         )));
         w.poll_soon(srv);
-        let app = w.host_mut(client).add_app(Box::new(DhcpClient::new(0, 77)));
+        let app = w.host_mut(client).add_app(Box::new(DhcpClient::new(77)));
         w.poll_soon(client);
         w.run_for(SimDuration::from_secs(3));
 
@@ -388,8 +355,8 @@ mod tests {
             20,
         )));
         w.poll_soon(srv);
-        let a1 = w.host_mut(c1).add_app(Box::new(DhcpClient::new(0, 1)));
-        let a2 = w.host_mut(c2).add_app(Box::new(DhcpClient::new(0, 2)));
+        let a1 = w.host_mut(c1).add_app(Box::new(DhcpClient::new(1)));
+        let a2 = w.host_mut(c2).add_app(Box::new(DhcpClient::new(2)));
         w.poll_soon(c1);
         w.poll_soon(c2);
         w.run_for(SimDuration::from_secs(3));
@@ -454,7 +421,7 @@ mod tests {
         )));
         w.poll_soon(dhcp);
 
-        move_to_with_dhcp(&mut w, mh, visited, 0xbeef);
+        move_to(&mut w, mh, visited, Attachment::Dhcp { xid: 0xbeef });
         w.run_for(SimDuration::from_secs(5));
 
         let hook = w.host_mut(mh).hook_as::<MobileHost>().unwrap();

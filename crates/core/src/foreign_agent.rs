@@ -11,7 +11,7 @@
 //! be available everywhere… they also restrict the freedom of the mobile
 //! host to choose from the full range of possible optimizations"). The
 //! module exists so that restriction can be *measured*: a mobile host in
-//! FA mode (see [`crate::mobile_host::move_via_foreign_agent`]) has only
+//! FA mode (see [`crate::mobile_host::Attachment::ForeignAgent`]) has only
 //! Out-DH available, and experiment E9's ablation compares the two
 //! deployments.
 
@@ -26,8 +26,7 @@ use netsim::device::TxMeta;
 use netsim::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 use netsim::wire::udp::UdpDatagram;
 use netsim::{
-    Host, IfaceNo, NetCtx, NodeId, SimDuration, SimTime, TimerHandle, TraceEventKind,
-    TransformKind, World,
+    Host, IfaceNo, NetCtx, NodeId, SimDuration, SimTime, TraceEventKind, TransformKind, World,
 };
 use transport::udp;
 
@@ -76,9 +75,6 @@ pub struct ForeignAgent {
     visitors: HashMap<Ipv4Addr, SimTime>,
     /// Outstanding relayed registrations: ident → home address.
     pending: HashMap<u64, Ipv4Addr>,
-    /// The pending advertisement timer, so [`stop_advertising`] can remove
-    /// it from the scheduler instead of letting it fire into a guard.
-    adv_timer: Option<TimerHandle>,
     /// Counters for experiments.
     pub stats: FaStats,
 }
@@ -92,7 +88,6 @@ impl ForeignAgent {
             config,
             visitors: HashMap::new(),
             pending: HashMap::new(),
-            adv_timer: None,
             stats: FaStats::default(),
         }
     }
@@ -104,13 +99,8 @@ impl ForeignAgent {
         host.set_decap_capable(true);
         host.set_hook(Box::new(ForeignAgent::new(config)));
         if advertise.is_some() {
-            let h = world.host_do(node, |h, ctx| {
+            world.host_do(node, |h, ctx| {
                 h.request_hook_timer(ctx, SimDuration::ZERO, TIMER_ADVERTISE)
-            });
-            world.host_do(node, move |host, _| {
-                if let Some(fa) = host.hook_as::<ForeignAgent>() {
-                    fa.adv_timer = Some(h);
-                }
             });
         }
     }
@@ -250,8 +240,6 @@ impl MobilityHook for ForeignAgent {
         if payload != TIMER_ADVERTISE {
             return;
         }
-        // This firing consumes the stored handle.
-        self.adv_timer = None;
         let Some(every) = self.config.advertise_every else {
             return;
         };
@@ -280,29 +268,11 @@ impl MobilityHook for ForeignAgent {
                 ..TxMeta::default()
             },
         );
-        self.adv_timer = Some(host.request_hook_timer(ctx, every, TIMER_ADVERTISE));
+        host.request_hook_timer(ctx, every, TIMER_ADVERTISE);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Silence a foreign agent: cancel its pending advertisement timer in the
-/// scheduler and stop re-arming. An agent being decommissioned (or an
-/// experiment that wants a quiet phase) no longer leaves a periodic timer
-/// ticking forever.
-pub fn stop_advertising(world: &mut World, node: NodeId) {
-    let handle = world.host_do(node, |host, _| {
-        host.hook_as::<ForeignAgent>().and_then(|fa| {
-            fa.config.advertise_every = None;
-            fa.adv_timer.take()
-        })
-    });
-    if let Some(h) = handle {
-        world.host_do(node, move |_, ctx| {
-            ctx.cancel_timer(h);
-        });
     }
 }
 
@@ -362,7 +332,7 @@ impl netsim::App for FaDiscovery {
 mod tests {
     use super::*;
     use crate::home_agent::{HomeAgent, HomeAgentConfig};
-    use crate::mobile_host::{move_via_foreign_agent, MobileHost, MobileHostConfig};
+    use crate::mobile_host::{move_to, Attachment, MobileHost, MobileHostConfig};
     use netsim::wire::icmp::IcmpMessage;
     use netsim::{HostConfig, LinkConfig, RouterConfig, SegmentId};
 
@@ -434,13 +404,11 @@ mod tests {
     #[test]
     fn registration_relays_through_foreign_agent() {
         let mut net = build();
-        move_via_foreign_agent(
-            &mut net.w,
-            net.mh,
-            net.visited,
-            ip("36.186.0.10"),
-            ip("36.186.0.254"),
-        );
+        let fa = Attachment::ForeignAgent {
+            agent: ip("36.186.0.10"),
+            gateway: ip("36.186.0.254"),
+        };
+        move_to(&mut net.w, net.mh, net.visited, fa);
         net.w.run_for(SimDuration::from_secs(3));
         let mh_hook = net.w.host_mut(net.mh).hook_as::<MobileHost>().unwrap();
         assert!(mh_hook.is_registered(), "registered via FA relay");
@@ -459,13 +427,11 @@ mod tests {
     #[test]
     fn traffic_flows_home_agent_to_foreign_agent_to_mobile() {
         let mut net = build();
-        move_via_foreign_agent(
-            &mut net.w,
-            net.mh,
-            net.visited,
-            ip("36.186.0.10"),
-            ip("36.186.0.254"),
-        );
+        let fa = Attachment::ForeignAgent {
+            agent: ip("36.186.0.10"),
+            gateway: ip("36.186.0.254"),
+        };
+        move_to(&mut net.w, net.mh, net.visited, fa);
         net.w.run_for(SimDuration::from_secs(3));
         // CH (home segment) pings the mobile's home address.
         net.w.host_do(net.ch, |h, ctx| {

@@ -18,7 +18,8 @@
 //! * [`mobile_host`] — the mobile host's mobility layer: virtual home
 //!   interface, the route-override implementing Out-IE/DE/DH/DT, source
 //!   selection with §7.1.1 bind semantics and port heuristics, registration
-//!   client, and handoff orchestration;
+//!   client, and movement: one entry point, [`move_to`] with an
+//!   [`Attachment`];
 //! * [`policy`] — the per-correspondent method cache with optimistic /
 //!   pessimistic / rule-driven probing and §7.1.2 feedback demotion;
 //! * [`correspondent`] — mobile-aware correspondent hosts with a binding
@@ -56,8 +57,7 @@ pub use audit::{AuditEntry, AuditEvent, AuditTrail, DecisionReason};
 pub use correspondent::{BindingSource, ChBinding, ChStats, MobileAwareCh};
 pub use home_agent::{Binding, HaStats, HomeAgent, HomeAgentConfig};
 pub use mobile_host::{
-    move_to, move_via_foreign_agent, return_home, Location, MhStats, MobileHost, MobileHostConfig,
-    RegState,
+    move_to, Attachment, Location, MhStats, MobileHost, MobileHostConfig, RegState,
 };
 pub use modes::{best_combination, classify, CellClass, Combination, Environment, InMode, OutMode};
 pub use policy::{CacheStats, MethodEntry, Policy, PolicyConfig, Strategy, Transition};

@@ -21,8 +21,10 @@
 //! * the §7.1.2 **transmission-feedback** loop driving the per-
 //!   correspondent method cache in [`crate::policy`].
 //!
-//! Movement itself ([`move_to`]/[`return_home`]) is a physical act —
-//! re-plugging the interface — orchestrated at the [`World`] level.
+//! Movement has one entry point, [`move_to`]: the harness re-plugs the
+//! interface at the [`World`] level, and one attach step — also run by
+//! [`crate::dhcp::DhcpClient`] when its lease arrives — configures the host
+//! as the [`Attachment`] says and starts registration.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -41,6 +43,7 @@ use netsim::{
 };
 
 use crate::audit::{AuditEvent, AuditTrail};
+use crate::dhcp::DhcpClient;
 use crate::modes::{InMode, OutMode};
 use crate::policy::{Policy, PolicyConfig, Transition};
 use crate::registration::{RegistrationReply, RegistrationRequest, ReplyCode, REGISTRATION_PORT};
@@ -176,13 +179,6 @@ pub struct MobileHostConfig {
     pub reg_retry: SimDuration,
     /// Registration attempts before giving up.
     pub reg_max_tries: u32,
-    /// When set, operate through this foreign agent: register via it, use
-    /// its address as the care-of address, and receive the final hop from
-    /// it at the link layer. The paper's own stack avoids this mode —
-    /// "foreign agents … restrict the freedom of the mobile host to choose
-    /// from the full range of possible optimizations" (§2) — and the
-    /// restriction is reproduced: only Out-DH is available.
-    pub register_via: Option<Ipv4Addr>,
 }
 
 impl MobileHostConfig {
@@ -197,7 +193,6 @@ impl MobileHostConfig {
             reg_lifetime: 300,
             reg_retry: SimDuration::from_millis(1_000),
             reg_max_tries: 5,
-            register_via: None,
         }
     }
 
@@ -215,7 +210,7 @@ impl MobileHostConfig {
 }
 
 // Hook-timer payloads.
-pub(crate) const TIMER_KICK: u64 = 0;
+const TIMER_KICK: u64 = 0;
 const TIMER_REG_RETRY: u64 = 1;
 const TIMER_REG_REFRESH: u64 = 2;
 
@@ -223,6 +218,9 @@ const TIMER_REG_REFRESH: u64 = 2;
 pub struct MobileHost {
     config: MobileHostConfig,
     location: Location,
+    /// The foreign agent registered through, while attached via one
+    /// ([`Attachment::ForeignAgent`]).
+    register_via: Option<Ipv4Addr>,
     reg: RegState,
     /// The pending registration-lifecycle timer (retry while `Pending`,
     /// refresh while `Registered`) — cancelled in the scheduler whenever
@@ -244,6 +242,7 @@ impl MobileHost {
         MobileHost {
             config,
             location: Location::AtHome,
+            register_via: None,
             reg: RegState::Unregistered,
             reg_timer: None,
             policy,
@@ -324,22 +323,31 @@ impl MobileHost {
         &self.policy.audit
     }
 
-    /// Record a change of location (the physical re-plugging is the
-    /// caller's job — see [`move_to`] and [`crate::dhcp`]). Resets
-    /// registration state and the per-correspondent method cache, since
-    /// "the permissiveness of the networks over which the packets travel"
-    /// has just changed.
-    pub fn note_moved(&mut self, location: Location) {
+    /// Record a move to `how` at `now`, returning whether there was one:
+    /// an [`Attachment::Dhcp`] move is recorded when its lease arrives.
+    /// Resets registration state and the per-correspondent method cache,
+    /// since "the permissiveness of the networks over which the packets
+    /// travel" has just changed (§7.1.2's history is per-correspondent
+    /// *and* per-location).
+    fn note_moved(&mut self, how: Attachment, now: SimTime) -> bool {
+        let (location, register_via) = match how {
+            Attachment::CareOf { addr, .. } => (Location::Away { care_of: addr.addr }, None),
+            Attachment::ForeignAgent { agent, .. } => {
+                (Location::Away { care_of: agent }, Some(agent))
+            }
+            Attachment::Home { .. } => (Location::AtHome, None),
+            Attachment::Dhcp { .. } => return false,
+        };
+        self.policy.audit.set_now(now);
         self.location = location;
         self.reg = RegState::Unregistered;
         self.policy.audit.record(AuditEvent::Handoff {
-            care_of: match location {
-                Location::Away { care_of } => Some(care_of),
-                Location::AtHome => None,
-            },
+            care_of: self.care_of(),
         });
         self.policy.clear_cache();
         self.stats.handoffs += 1;
+        self.register_via = register_via;
+        true
     }
 
     fn home(&self) -> Ipv4Addr {
@@ -366,7 +374,7 @@ impl MobileHost {
     }
 
     fn send_registration(&mut self, lifetime: u16, host: &mut Host, ctx: &mut NetCtx) {
-        let (src, care_of, dst) = match (self.location, self.config.register_via) {
+        let (src, care_of, dst) = match (self.location, self.register_via) {
             // "Our Mobile IP support software itself communicates using the
             // temporary address when registering" (§6.4).
             (Location::Away { care_of }, None) => (care_of, care_of, self.config.home_agent),
@@ -429,8 +437,7 @@ impl MobileHost {
         host: &mut Host,
         ctx: &mut NetCtx,
     ) -> bool {
-        let from_agent =
-            pkt.src == self.config.home_agent || Some(pkt.src) == self.config.register_via;
+        let from_agent = pkt.src == self.config.home_agent || Some(pkt.src) == self.register_via;
         if pkt.protocol != IpProtocol::Udp || !from_agent {
             return false;
         }
@@ -539,7 +546,7 @@ impl MobilityHook for MobileHost {
         // Out-IE nor Out-DE (their outer source would be the agent's
         // address, which we may not use) nor Out-DT exists. Only Out-DH —
         // exactly the §2 restriction.
-        if self.config.register_via.is_some() {
+        if self.register_via.is_some() {
             self.count_out(OutMode::DH);
             return RouteDecision::Continue(pkt);
         }
@@ -592,7 +599,7 @@ impl MobilityHook for MobileHost {
             return Some(b);
         }
         // Foreign-agent mode: the home address is the only address we have.
-        if self.config.register_via.is_some() {
+        if self.register_via.is_some() {
             return Some(self.home());
         }
         // Privacy mode conceals the care-of address entirely.
@@ -700,95 +707,99 @@ impl MobilityHook for MobileHost {
     }
 }
 
-// ---- movement orchestration ---------------------------------------------------
+// ---- movement -----------------------------------------------------------------
 
-/// Plug the mobile host into `segment` with the given care-of address and
-/// default gateway, then register with the home agent. This is the §2
-/// "obtains a temporary 'guest' connection … and registers its new location
-/// with its home agent" sequence (address pre-assigned; see [`crate::dhcp`]
-/// for automatic assignment).
-pub fn move_to(
-    world: &mut World,
-    node: NodeId,
-    segment: SegmentId,
-    care_of: &str,
-    gateway: Ipv4Addr,
-) {
-    let coa = IfaceAddr::parse(care_of);
-    let phys = {
-        let host = world.host_mut(node);
-        let hook = host.hook_as::<MobileHost>().expect("MobileHost installed");
-        // The filtering landscape differs per network; old conclusions are
-        // stale (§7.1.2's history is per-correspondent *and* per-location).
-        hook.note_moved(Location::Away { care_of: coa.addr });
-        hook.config.phys_iface
-    };
-    world.reattach(node, phys, segment);
-    let host = world.host_mut(node);
-    host.set_iface_addr(phys, Some(coa));
-    host.clear_routes();
-    host.add_route(netsim::Ipv4Cidr::default_route(), phys, Some(gateway));
-    // Trigger registration from inside the event loop.
-    world.host_do(node, |h, ctx| {
-        h.request_hook_timer(ctx, SimDuration::ZERO, TIMER_KICK)
-    });
+/// How the mobile host is configured on the segment it has just plugged
+/// into: the "temporary 'guest' connection" of §2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attachment {
+    /// A pre-assigned care-of address.
+    CareOf {
+        /// The guest address and its on-link prefix.
+        addr: IfaceAddr,
+        /// The visited segment's router.
+        gateway: Ipv4Addr,
+    },
+    /// No address of its own: register through the foreign agent, whose
+    /// address is the care-of address, and receive the final hop from it at
+    /// the link layer. The paper's own stack avoids this mode — "foreign
+    /// agents … restrict the freedom of the mobile host to choose from the
+    /// full range of possible optimizations" (§2) — and the restriction is
+    /// reproduced: only Out-DH is available.
+    ForeignAgent {
+        /// The agent's address.
+        agent: Ipv4Addr,
+        /// The segment's ordinary router, for outgoing (Out-DH) traffic.
+        gateway: Ipv4Addr,
+    },
+    /// Address and gateway from the segment's DHCP server under transaction
+    /// id `xid` ([`crate::dhcp`]); the move takes effect when the lease
+    /// arrives.
+    Dhcp {
+        /// The client's transaction id.
+        xid: u32,
+    },
+    /// Back on the home segment: the home address returns to the physical
+    /// interface, and registration turns into deregistration plus a
+    /// gratuitous ARP reclaiming the address.
+    Home {
+        /// The home segment's router, if any.
+        gateway: Option<Ipv4Addr>,
+    },
 }
 
-/// Plug the mobile host into `segment` served by a foreign agent at
-/// `fa_addr`: the mobile gets no address of its own, registers through the
-/// agent, and receives tunnelled traffic from it over the final link-layer
-/// hop. `gateway` is the segment's ordinary router for outgoing (Out-DH)
-/// traffic.
-pub fn move_via_foreign_agent(
-    world: &mut World,
-    node: NodeId,
-    segment: SegmentId,
-    fa_addr: Ipv4Addr,
-    gateway: Ipv4Addr,
-) {
-    let phys = {
-        let host = world.host_mut(node);
-        let hook = host.hook_as::<MobileHost>().expect("MobileHost installed");
-        hook.config.register_via = Some(fa_addr);
-        hook.note_moved(Location::Away { care_of: fa_addr });
-        hook.config.phys_iface
-    };
-    world.reattach(node, phys, segment);
-    let host = world.host_mut(node);
-    host.set_iface_addr(phys, None); // no guest address at all
-    host.clear_routes();
-    host.add_route(netsim::Ipv4Cidr::default_route(), phys, Some(gateway));
-    world.host_do(node, |h, ctx| {
-        h.request_hook_timer(ctx, SimDuration::ZERO, TIMER_KICK)
-    });
-}
-
-/// Plug the mobile host back into its home segment: restore the home
-/// address on the physical interface, deregister, and reclaim the address
-/// with gratuitous ARP.
-pub fn return_home(
-    world: &mut World,
-    node: NodeId,
-    home_segment: SegmentId,
-    home_gateway: Option<Ipv4Addr>,
-) {
-    let (phys, home) = {
-        let host = world.host_mut(node);
-        let hook = host.hook_as::<MobileHost>().expect("MobileHost installed");
-        hook.config.register_via = None;
-        hook.note_moved(Location::AtHome);
-        (hook.config.phys_iface, hook.config.home)
-    };
-    world.reattach(node, phys, home_segment);
-    let host = world.host_mut(node);
-    host.set_iface_addr(phys, Some(home));
-    host.clear_routes();
-    if let Some(gw) = home_gateway {
-        host.add_route(netsim::Ipv4Cidr::default_route(), phys, Some(gw));
+impl Attachment {
+    /// [`Attachment::CareOf`] with the address written `"a.b.c.d/len"`.
+    pub fn care_of(addr: &str, gateway: Ipv4Addr) -> Attachment {
+        Attachment::CareOf {
+            addr: IfaceAddr::parse(addr),
+            gateway,
+        }
     }
-    world.host_do(node, |h, ctx| {
-        h.request_hook_timer(ctx, SimDuration::ZERO, TIMER_KICK)
-    });
+}
+
+/// Configure `host` for the segment its interface is plugged into, at
+/// `ctx.now`: record the move on the [`MobileHost`] hook, address the
+/// physical interface, replace the routes with the default route, and kick
+/// registration from inside the event loop. A host without the hook (a
+/// plain DHCP client) is only addressed and routed.
+pub(crate) fn attach(host: &mut Host, ctx: &mut NetCtx, how: Attachment) {
+    let (iface, home, moved) = match host.hook_as::<MobileHost>() {
+        Some(mh) => (
+            mh.config.phys_iface,
+            Some(mh.config.home),
+            mh.note_moved(how, ctx.now),
+        ),
+        None => (0, None, false),
+    };
+    let (addr, gateway) = match how {
+        Attachment::CareOf { addr, gateway } => (Some(addr), Some(gateway)),
+        Attachment::ForeignAgent { gateway, .. } => (None, Some(gateway)),
+        Attachment::Dhcp { .. } => (None, None),
+        Attachment::Home { gateway } => (home, gateway),
+    };
+    host.set_iface_addr(iface, addr);
+    host.clear_routes();
+    if let Some(gw) = gateway {
+        host.add_route(netsim::Ipv4Cidr::default_route(), iface, Some(gw));
+    }
+    if moved {
+        host.request_hook_timer(ctx, SimDuration::ZERO, TIMER_KICK);
+    }
+}
+
+/// Plug the mobile host into `segment` and attach there as `how` says: the
+/// §2 "obtains a temporary 'guest' connection … and registers its new
+/// location with its home agent" sequence, at the world's current instant.
+pub fn move_to(world: &mut World, node: NodeId, segment: SegmentId, how: Attachment) {
+    let mh = world.host_mut(node).hook_as::<MobileHost>();
+    let phys = mh.expect("MobileHost installed").config.phys_iface;
+    world.reattach(node, phys, segment);
+    world.host_do(node, |host, ctx| attach(host, ctx, how));
+    if let Attachment::Dhcp { xid } = how {
+        world.host_mut(node).add_app(Box::new(DhcpClient::new(xid)));
+        world.poll_soon(node);
+    }
 }
 
 #[cfg(test)]
@@ -882,6 +893,13 @@ mod tests {
         }
     }
 
+    fn go_home(net: &mut Net) {
+        let home = Attachment::Home {
+            gateway: Some(ip("171.64.15.254")),
+        };
+        move_to(&mut net.w, net.mh, net.home_seg, home);
+    }
+
     fn registered(net: &mut Net) -> bool {
         net.w
             .host_mut(net.mh)
@@ -891,14 +909,36 @@ mod tests {
     }
 
     #[test]
+    fn handoff_is_stamped_at_the_instant_of_the_move() {
+        // The harness moves the mobile between events. The audit entry must
+        // carry the move's own time, not that of the mobile's last packet.
+        let mut net = build(HostConfig::conventional("ch"));
+        let coa_a = Attachment::care_of("36.186.0.99/24", ip("36.186.0.254"));
+        move_to(&mut net.w, net.mh, net.visited_a, coa_a);
+        net.w.run_for(SimDuration::from_secs(2));
+        assert!(registered(&mut net));
+        // Quiet: nothing is sent until the next move.
+        net.w.run_for(SimDuration::from_secs(5));
+        let coa_b = Attachment::care_of("128.2.0.99/24", ip("128.2.0.254"));
+        move_to(&mut net.w, net.mh, net.visited_b, coa_b);
+        let hook = net.w.host_mut(net.mh).hook_as::<MobileHost>().unwrap();
+        let handoffs: Vec<SimTime> = hook
+            .audit()
+            .entries()
+            .filter(|e| matches!(e.event, AuditEvent::Handoff { .. }))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(handoffs, [SimTime(0), SimTime(7_000_000)]);
+    }
+
+    #[test]
     fn moving_away_registers_with_home_agent() {
         let mut net = build(HostConfig::conventional("ch"));
         move_to(
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
         assert!(registered(&mut net));
@@ -916,8 +956,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
         // Conventional CH pings the home address (Figure 1).
@@ -951,8 +990,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
         assert!(registered(&mut net));
@@ -974,13 +1012,12 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_b,
-            "128.2.0.99/24",
-            ip("128.2.0.254"),
+            Attachment::care_of("128.2.0.99/24", ip("128.2.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(8));
 
         // And back home again, mid-session.
-        return_home(&mut net.w, net.mh, net.home_seg, Some(ip("171.64.15.254")));
+        go_home(&mut net);
         net.w.run_for(SimDuration::from_secs(30));
 
         let sess = net
@@ -1013,8 +1050,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 
@@ -1063,8 +1099,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
         let mh = net.mh;
@@ -1104,8 +1139,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 
@@ -1156,8 +1190,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 
@@ -1196,8 +1229,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(30));
         let hook = net.w.host_mut(net.mh).hook_as::<MobileHost>().unwrap();
@@ -1225,8 +1257,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(35));
         // Still registered after several lifetimes.
@@ -1253,11 +1284,10 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
-        return_home(&mut net.w, net.mh, net.home_seg, Some(ip("171.64.15.254")));
+        go_home(&mut net);
         net.w.run_for(SimDuration::from_secs(2));
 
         // HA stood down.
@@ -1311,8 +1341,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited_a,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(2));
 

@@ -158,7 +158,7 @@ pub fn join_via_home_agent(
 mod tests {
     use super::*;
     use crate::home_agent::HomeAgentConfig;
-    use crate::mobile_host::{move_to, MobileHost, MobileHostConfig};
+    use crate::mobile_host::{move_to, Attachment, MobileHost, MobileHostConfig};
     use netsim::{HostConfig, LinkConfig, RouterConfig, SegmentId};
 
     fn ip(s: &str) -> Ipv4Addr {
@@ -242,8 +242,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(1));
         let app = net
@@ -275,8 +274,7 @@ mod tests {
             &mut net.w,
             net.mh,
             net.visited,
-            "36.186.0.99/24",
-            ip("36.186.0.254"),
+            Attachment::care_of("36.186.0.99/24", ip("36.186.0.254")),
         );
         net.w.run_for(SimDuration::from_secs(1));
         let app = net

@@ -27,7 +27,7 @@ use transport::{tcp, udp};
 
 use crate::correspondent::MobileAwareCh;
 use crate::home_agent::{HomeAgent, HomeAgentConfig};
-use crate::mobile_host::{self, MobileHost, MobileHostConfig};
+use crate::mobile_host::{self, Attachment, MobileHost, MobileHostConfig};
 use crate::policy::PolicyConfig;
 
 /// Well-known addresses of the canonical topology.
@@ -317,8 +317,7 @@ impl Scenario {
             &mut self.world,
             self.mh,
             self.visited_a,
-            addrs::COA_A_CIDR,
-            ip(addrs::VISITED_A_GW),
+            Attachment::care_of(addrs::COA_A_CIDR, ip(addrs::VISITED_A_GW)),
         );
         self.world.run_for(SimDuration::from_secs(2));
     }
@@ -330,20 +329,17 @@ impl Scenario {
             &mut self.world,
             self.mh,
             self.visited_b,
-            addrs::COA_B_CIDR,
-            ip(addrs::VISITED_B_GW),
+            Attachment::care_of(addrs::COA_B_CIDR, ip(addrs::VISITED_B_GW)),
         );
         self.world.run_for(SimDuration::from_secs(2));
     }
 
     /// Bring the mobile host home and let deregistration settle.
     pub fn go_home(&mut self) {
-        mobile_host::return_home(
-            &mut self.world,
-            self.mh,
-            self.home_seg,
-            Some(ip(addrs::HOME_GW)),
-        );
+        let home = Attachment::Home {
+            gateway: Some(ip(addrs::HOME_GW)),
+        };
+        mobile_host::move_to(&mut self.world, self.mh, self.home_seg, home);
         self.world.run_for(SimDuration::from_secs(2));
     }
 

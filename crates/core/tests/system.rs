@@ -4,7 +4,7 @@
 //! corner cases.
 
 use mip_core::home_agent::{HomeAgent, HomeAgentConfig};
-use mip_core::mobile_host::{move_to, return_home, MobileHost, MobileHostConfig};
+use mip_core::mobile_host::{move_to, Attachment, MobileHost, MobileHostConfig};
 use mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
 use mip_core::{AuditEvent, BindingSource, DecisionReason, MobileAwareCh, OutMode, PolicyConfig};
 use netsim::wire::encap::EncapFormat;
@@ -104,8 +104,10 @@ fn home_agent_serves_multiple_mobiles_including_mobile_to_mobile() {
         udp::install(w.host_mut(mh));
         transport::tcp::install(w.host_mut(mh));
     }
-    move_to(&mut w, mh1, visit_a, "36.186.0.99/24", ip("36.186.0.254"));
-    move_to(&mut w, mh2, visit_b, "128.2.0.99/24", ip("128.2.0.254"));
+    let coa_a = Attachment::care_of("36.186.0.99/24", ip("36.186.0.254"));
+    move_to(&mut w, mh1, visit_a, coa_a);
+    let coa_b = Attachment::care_of("128.2.0.99/24", ip("128.2.0.254"));
+    move_to(&mut w, mh2, visit_b, coa_b);
     w.run_for(SimDuration::from_secs(3));
 
     {
@@ -315,8 +317,7 @@ fn correspondent_recovers_after_mobile_returns_home() {
 
     // Mobile goes home. The CH's binding (learned with a lifetime) decays;
     // force the issue by clearing it as its expiry would.
-    return_home(&mut s.world, s.mh, s.home_seg, Some(ip(addrs::HOME_GW)));
-    s.world.run_for(SimDuration::from_secs(2));
+    s.go_home();
     s.world
         .host_mut(ch)
         .hook_as::<MobileAwareCh>()

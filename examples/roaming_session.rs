@@ -11,9 +11,9 @@
 //! does not necessarily break connections"), wakes up at institution B,
 //! and finally comes home. The session survives all of it.
 
-use mobility4x4::mip_core::dhcp::{move_to_with_dhcp, DhcpClient, DhcpServer};
+use mobility4x4::mip_core::dhcp::DhcpServer;
 use mobility4x4::mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
-use mobility4x4::mip_core::{MobileHost, RegState};
+use mobility4x4::mip_core::{move_to, Attachment, MobileHost, RegState};
 use mobility4x4::netsim::SimDuration;
 use mobility4x4::transport::apps::{KeystrokeSession, TcpEchoServer};
 
@@ -59,19 +59,12 @@ fn main() {
     report(&mut s, app, "morning at home");
 
     // Travel to institution A; get an address via DHCP; keep typing.
-    let dhcp_app = move_to_with_dhcp(&mut s.world, mh, s.visited_a, 0xcafe);
+    let dhcp = Attachment::Dhcp { xid: 0xcafe };
+    move_to(&mut s.world, mh, s.visited_a, dhcp);
     s.world.run_for(SimDuration::from_secs(5));
-    let lease = s
-        .world
-        .host_mut(mh)
-        .app_as::<DhcpClient>(dhcp_app)
-        .unwrap()
-        .lease
-        .expect("DHCP lease granted");
-    println!(
-        "DHCP at institution A: got {} (gw {})",
-        lease.addr, lease.gateway
-    );
+    let addr = s.mh_hook().care_of().expect("DHCP lease granted");
+    let gateway = s.world.host(mh).routes()[0].gateway.expect("default route");
+    println!("DHCP at institution A: got {addr} (gw {gateway})");
     report(&mut s, app, "visiting institution A");
 
     // Laptop sleeps: nothing transmits for two minutes; the TCP connection

@@ -2,10 +2,10 @@
 //! full stack (netsim + transport + mip-core) in combinations no single
 //! crate's unit tests cover.
 
-use mobility4x4::mip_core::dhcp::{move_to_with_dhcp, DhcpClient, DhcpServer};
+use mobility4x4::mip_core::dhcp::DhcpServer;
 use mobility4x4::mip_core::dns::{DnsLookup, TaRegistrar};
 use mobility4x4::mip_core::home_agent::{HomeAgent, HomeAgentConfig};
-use mobility4x4::mip_core::mobile_host::{move_to, MobileHost, MobileHostConfig};
+use mobility4x4::mip_core::mobile_host::{move_to, Attachment, MobileHost, MobileHostConfig};
 use mobility4x4::mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
 use mobility4x4::mip_core::{MobileAwareCh, OutMode, PolicyConfig};
 use mobility4x4::netsim::wire::icmp::IcmpMessage;
@@ -45,16 +45,10 @@ fn full_service_roaming_lifecycle() {
 
     // Leave home via DHCP.
     let mh = s.mh;
-    let dhcp_app = move_to_with_dhcp(&mut s.world, mh, s.visited_a, 0x1234);
+    let dhcp = Attachment::Dhcp { xid: 0x1234 };
+    move_to(&mut s.world, mh, s.visited_a, dhcp);
     s.world.run_for(SimDuration::from_secs(5));
-    let lease = s
-        .world
-        .host_mut(mh)
-        .app_as::<DhcpClient>(dhcp_app)
-        .unwrap()
-        .lease
-        .expect("got a lease");
-    assert_eq!(lease.addr, ip("36.186.0.64"));
+    assert_eq!(s.mh_hook().care_of(), Some(ip("36.186.0.64")));
     assert!(s.mh_registered());
 
     // The TA record reflects the DHCP-acquired address.
@@ -87,8 +81,7 @@ fn full_service_roaming_lifecycle() {
         &mut s.world,
         mh,
         s.visited_b,
-        addrs::COA_B_CIDR,
-        ip(addrs::VISITED_B_GW),
+        Attachment::care_of(addrs::COA_B_CIDR, ip(addrs::VISITED_B_GW)),
     );
     s.world.run_for(SimDuration::from_secs(30));
 
@@ -177,8 +170,10 @@ fn mobile_to_mobile_conversation() {
     }
 
     // Both roam.
-    move_to(&mut w, mh_a, visit_a, "10.3.0.99/24", ip2("10.3.0.254"));
-    move_to(&mut w, mh_b, visit_b, "10.4.0.99/24", ip2("10.4.0.254"));
+    let coa_a = Attachment::care_of("10.3.0.99/24", ip2("10.3.0.254"));
+    move_to(&mut w, mh_a, visit_a, coa_a);
+    let coa_b = Attachment::care_of("10.4.0.99/24", ip2("10.4.0.254"));
+    move_to(&mut w, mh_b, visit_b, coa_b);
     w.run_for(SimDuration::from_secs(3));
 
     // mh_b serves echo; mh_a types at it — home address to home address,
