@@ -1,19 +1,8 @@
-//! Trace inspector: read a run report (or a bare lifecycle JSON file) and
-//! render the causal packet-lifecycle spans it embeds.
-//!
-//! ```text
-//! cargo run --bin trace -- target/run-reports/fig02_filtering.json --drops
-//! cargo run --bin trace -- <report> --flow                  # flow rollups
-//! cargo run --bin trace -- <report> --packet 3              # one span
-//! cargo run --bin trace -- <report> --export-chrome out.json
-//! cargo run --bin trace -- <report> --export-pcap out.pcapng
-//! cargo run --bin trace -- <report> --snapshot <label> --drops
-//! ```
-//!
-//! With no mode flag it prints an overview of every snapshot. A run report
-//! can hold several labelled snapshots; `--snapshot` picks one, otherwise
-//! the first snapshot containing drops (falling back to the first with a
-//! lifecycle) is used.
+//! `inspect trace`: the causal packet-lifecycle spans a run report (or a
+//! bare lifecycle JSON file) embeds. With no mode flag it prints an
+//! overview of every snapshot. A run report can hold several labelled
+//! snapshots; `--snapshot` picks one, otherwise the first snapshot
+//! containing drops (falling back to the first with a lifecycle) is used.
 
 use std::fs;
 use std::process::ExitCode;
@@ -21,52 +10,28 @@ use std::process::ExitCode;
 use netsim::{Lifecycle, PacketId, PacketOutcome};
 use serde::Value;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("trace: {e}");
-            eprintln!();
-            eprintln!("usage: trace <run-report.json> [--snapshot LABEL] [MODE]");
-            eprintln!("modes: --drops | --flow | --packet N |");
-            eprintln!("       --export-chrome OUT.json | --export-pcap OUT.pcapng");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let mut path = None;
+pub(crate) fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut snapshot = None;
     let mut mode = Mode::Overview;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut arg = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{a} needs {what}"))
-        };
-        match a.as_str() {
-            "--snapshot" => snapshot = Some(arg("a label")?),
+    let [path] = crate::parse(args, |flag| {
+        match flag.name {
+            "--snapshot" => snapshot = Some(flag.value("a label")?),
             "--drops" => mode = Mode::Drops,
             "--flow" | "--flows" => mode = Mode::Flows,
             "--packet" => {
-                let n = arg("a packet id")?;
+                let n = flag.value("a packet id")?;
                 let n = n.trim_start_matches('p');
                 mode = Mode::Packet(PacketId(
                     n.parse().map_err(|_| format!("bad packet id {n:?}"))?,
                 ));
             }
-            "--export-chrome" => mode = Mode::ExportChrome(arg("an output path")?),
-            "--export-pcap" => mode = Mode::ExportPcap(arg("an output path")?),
-            _ if path.is_none() && !a.starts_with('-') => path = Some(a.clone()),
-            _ => return Err(format!("unknown argument {a:?}")),
+            "--export-chrome" => mode = Mode::ExportChrome(flag.value("an output path")?),
+            "--export-pcap" => mode = Mode::ExportPcap(flag.value("an output path")?),
+            _ => return Ok(false),
         }
-    }
-    let path = path.ok_or("no input file given")?;
-    let text = fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        Ok(true)
+    })?;
+    let doc = crate::load(path)?;
 
     let lifecycles = extract_lifecycles(&doc);
     if lifecycles.is_empty() {
@@ -77,16 +42,16 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     let (label, lc) = pick_snapshot(&lifecycles, snapshot.as_deref())?;
     eprintln!(
-        "trace: {path}: snapshot {label:?} ({} packets, {} flows)",
+        "inspect: {path}: snapshot {label:?} ({} packets, {} flows)",
         lc.packets.len(),
         lc.flows.len(),
     );
 
     match mode {
         Mode::Overview => overview(&lifecycles),
-        Mode::Drops => drops(&lc),
-        Mode::Flows => flows(&lc),
-        Mode::Packet(id) => packet(&lc, id)?,
+        Mode::Drops => drops(lc),
+        Mode::Flows => flows(lc),
+        Mode::Packet(id) => packet(lc, id)?,
         Mode::ExportChrome(out) => {
             let json =
                 serde_json::to_string_pretty(&lc.chrome_trace()).map_err(|e| e.to_string())?;
@@ -101,7 +66,7 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("wrote {n} packet records to {out}");
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 enum Mode {
@@ -119,36 +84,28 @@ fn extract_lifecycles(doc: &Value) -> Vec<(String, Lifecycle)> {
     if let Some(lc) = Lifecycle::from_value(doc) {
         return vec![("<file>".into(), lc)];
     }
+    let snapshots = doc.get("snapshots").and_then(Value::as_object);
     let mut out = Vec::new();
-    if let Some(Value::Object(snaps)) = get(doc, "snapshots") {
-        for (label, snap) in snaps {
-            if let Some(lc) = get(snap, "lifecycle").and_then(Lifecycle::from_value) {
-                out.push((label.clone(), lc));
-            }
+    for (label, snap) in snapshots.into_iter().flatten() {
+        if let Some(lc) = snap.get("lifecycle").and_then(Lifecycle::from_value) {
+            out.push((label.clone(), lc));
         }
     }
     out
 }
 
-fn pick_snapshot(
-    all: &[(String, Lifecycle)],
+fn pick_snapshot<'a>(
+    all: &'a [(String, Lifecycle)],
     wanted: Option<&str>,
-) -> Result<(String, Lifecycle), String> {
-    if let Some(w) = wanted {
-        return all
-            .iter()
-            .find(|(l, _)| l == w)
-            .map(|(l, lc)| (l.clone(), lc.clone()))
-            .ok_or_else(|| {
-                let labels: Vec<&str> = all.iter().map(|(l, _)| l.as_str()).collect();
-                format!("no snapshot {w:?}; have {labels:?}")
-            });
-    }
-    let best = all
-        .iter()
-        .find(|(_, lc)| lc.dropped().next().is_some())
-        .unwrap_or(&all[0]);
-    Ok((best.0.clone(), best.1.clone()))
+) -> Result<&'a (String, Lifecycle), String> {
+    let Some(w) = wanted else {
+        let dropping = all.iter().find(|(_, lc)| lc.dropped().next().is_some());
+        return Ok(dropping.unwrap_or(&all[0]));
+    };
+    all.iter().find(|(l, _)| l == w).ok_or_else(|| {
+        let labels: Vec<&str> = all.iter().map(|(l, _)| l.as_str()).collect();
+        format!("no snapshot {w:?}; have {labels:?}")
+    })
 }
 
 fn overview(all: &[(String, Lifecycle)]) {
@@ -283,12 +240,5 @@ fn print_span(lc: &Lifecycle, p: &netsim::PacketLifecycle, indent: &str) {
             lc.node_name(h.to),
             h.latency.as_micros()
         );
-    }
-}
-
-fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
     }
 }

@@ -67,7 +67,7 @@ pub fn lookup(name: Option<&str>) -> Result<Experiment, String> {
 
 /// Run every experiment at full scale, one after the other on the calling
 /// thread, and collect the output tables in paper order. Each runs under a
-/// profile scope of its own name, so `profile --hot` attributes wall time
+/// profile scope of its own name, so `inspect profile --hot` attributes wall time
 /// to individual experiments.
 pub fn run_all() -> Vec<Table> {
     let mut tables = Vec::new();

@@ -28,38 +28,21 @@ pub fn profile_requested() -> bool {
         || std::env::args().any(|a| a == "--profile")
 }
 
-/// The value following `flag` in `args`, as `parse` reads it: `Ok(None)`
-/// when the flag is absent, the complaint when it is there without one — a
-/// flag that was typed must never quietly run the default configuration.
-fn flag_value<T>(
-    args: &[String],
-    flag: &str,
-    wants: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
+/// The integer following `flag` in `args`: `Ok(None)` when the flag is
+/// absent, the complaint when it is there without one — a flag that was
+/// typed must never quietly run the default configuration.
+fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
     let Some(ix) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
     let value = args.get(ix + 1).map(String::as_str);
-    match value.and_then(parse) {
+    match value.and_then(|v| v.parse().ok()) {
         Some(v) => Ok(Some(v)),
         None => Err(format!(
-            "{flag} needs {wants}, got {}",
+            "{flag} needs a non-negative integer, got {}",
             value.unwrap_or("nothing")
         )),
     }
-}
-
-fn flag_u64(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    flag_value(args, flag, "a non-negative integer", |v| v.parse().ok())
-}
-
-/// The next argument is a path unless it starts with `--`: that is the
-/// next flag (`--json --profile`), not a file to write.
-fn flag_path(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    flag_value(args, flag, "a path", |v| {
-        (!v.starts_with("--")).then(|| v.to_string())
-    })
 }
 
 /// An integer knob settable as `--flag N` — the pattern every scale/churn
@@ -68,13 +51,6 @@ fn flag_path(args: &[String], flag: &str) -> Result<Option<String>, String> {
 pub fn u64_knob(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
     or_exit(&args, flag_u64(&args, flag))
-}
-
-/// A path settable as `--flag PATH`; a flag without one ends the process
-/// the way [`u64_knob`] does.
-pub fn path_knob(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    or_exit(&args, flag_path(&args, flag))
 }
 
 /// What stderr lines are prefixed with: the file name of `argv[0]`.
@@ -111,8 +87,8 @@ fn chrome_path(args: &[String]) -> Option<Option<&str>> {
 /// checked against `flags` (the ones this bin reads itself) and the shared
 /// ones, report collection on, profiling on when requested, the whole run
 /// wrapped in a root scope called `name`, tables printed, and the run
-/// report emitted. Returns the tables for callers that post-process them.
-pub fn run(name: &'static str, flags: &[&str], f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
+/// report emitted.
+pub fn run(name: &'static str, flags: &[&str], f: impl FnOnce() -> Vec<Table>) {
     let args: Vec<String> = std::env::args().collect();
     if let Some(flag) = unknown_flag(&args, flags) {
         or_exit(&args, Err(format!("unknown flag {flag}")))
@@ -133,7 +109,6 @@ pub fn run(name: &'static str, flags: &[&str], f: impl FnOnce() -> Vec<Table>) -
     if let (true, Some(path)) = (profiling, chrome_path(&args)) {
         export_chrome(name, path);
     }
-    tables
 }
 
 /// Write the scope tree as a chrome://tracing file; with no path it lands
@@ -151,7 +126,7 @@ fn export_chrome(name: &str, path: Option<&str>) {
 
 #[cfg(test)]
 mod tests {
-    use super::{chrome_path, flag_path, flag_u64, unknown_flag};
+    use super::{chrome_path, flag_u64, unknown_flag};
 
     fn argv(s: &str) -> Vec<String> {
         s.split(' ').map(String::from).collect()
@@ -177,22 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn the_next_flag_is_not_a_path() {
-        let path = |line| flag_path(&argv(line), "--json");
-        assert_eq!(path("bin --profile"), Ok(None));
-        assert_eq!(path("bin --json out.json"), Ok(Some("out.json".into())));
-        assert_eq!(path("bin --json -"), Ok(Some("-".into())));
-        for (line, got) in [
-            ("bin --json --profile", "--profile"),
-            ("bin --json --serial out.json", "--serial"),
-            ("bin --profile --json", "nothing"),
-        ] {
-            let complaint = format!("--json needs a path, got {got}");
-            assert_eq!(path(line), Err(complaint), "{line}");
-        }
-    }
-
-    #[test]
     fn a_flag_nobody_reads_is_named_not_ignored() {
         let own = ["--hosts", "--seed"];
         let unknown = |line| unknown_flag(&argv(line), &own).map(String::from);
@@ -208,7 +167,7 @@ mod tests {
         assert_eq!(unknown("bin --"), Some("--".into()));
         // Another bin's flag is not this one's.
         assert_eq!(
-            unknown_flag(&argv("bin --hosts 5"), &["--json"]),
+            unknown_flag(&argv("bin --hosts 5"), &["--seed"]),
             Some("--hosts")
         );
         // argv[0] is a path, whatever it looks like.

@@ -3,8 +3,8 @@
 use std::fmt;
 
 /// A plain-text aligned table, the output format of every experiment.
-/// Serializable so `all_experiments --json` can emit machine-readable
-/// results alongside the human tables.
+/// Serializable: the run report carries every table under `tables`
+/// (`target/run-reports/<name>.json`), next to the printed text.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table heading, printed as a markdown section title.

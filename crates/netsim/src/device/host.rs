@@ -358,12 +358,6 @@ impl Host {
         self.routes.entries()
     }
 
-    /// Drop memoized route lookups (the table is unchanged but the world
-    /// around it moved — an interface was attached or detached).
-    pub(crate) fn invalidate_route_cache(&self) {
-        self.routes.invalidate_cache();
-    }
-
     /// The normal (non-override) routing decision for `dst`: the interface
     /// and ARP target that would carry the packet.
     pub fn normal_route(&self, dst: Ipv4Addr) -> Option<(IfaceNo, Ipv4Addr)> {

@@ -352,12 +352,6 @@ impl Router {
         self.routes.entries()
     }
 
-    /// Drop memoized route lookups (the table is unchanged but the world
-    /// around it moved — an interface was attached or detached).
-    pub(crate) fn invalidate_route_cache(&self) {
-        self.routes.invalidate_cache();
-    }
-
     pub(crate) fn on_frame(&mut self, ctx: &mut NetCtx, iface: IfaceNo, frame: &Bytes) {
         let _prof = crate::profile::scope("router/forward");
         if self.try_fast_forward(ctx, iface, frame) {

@@ -429,22 +429,10 @@ impl Lifecycle {
     /// [`Serialize`] impl's or [`Lifecycle::report`]'s). Returns `None` on
     /// any shape mismatch rather than panicking.
     pub fn from_value(v: &Value) -> Option<Lifecycle> {
-        let node_names = as_array(field(v, "nodes")?)?
-            .iter()
-            .map(|n| as_str(n).map(str::to_string))
-            .collect::<Option<Vec<_>>>()?;
-        let packets = as_array(field(v, "packets")?)?
-            .iter()
-            .map(parse_packet)
-            .collect::<Option<Vec<_>>>()?;
-        let flows = as_array(field(v, "flows")?)?
-            .iter()
-            .map(parse_flow)
-            .collect::<Option<Vec<_>>>()?;
         Some(Lifecycle {
-            node_names,
-            packets,
-            flows,
+            node_names: parse_list(v, "nodes", |n| n.as_str().map(str::to_string))?,
+            packets: parse_list(v, "packets", parse_packet)?,
+            flows: parse_list(v, "flows", parse_flow)?,
         })
     }
 
@@ -604,88 +592,57 @@ fn synthesize(s: &PacketSummary) -> Bytes {
     p.emit()
 }
 
-// ---- Value parsing helpers (inverse of the Serialize impls) ----
+// ---- Value parsing (inverse of the Serialize impls) ----
 
-fn field<'a>(v: &'a Value, name: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        Value::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_array(v: &Value) -> Option<&[Value]> {
-    match v {
-        Value::Array(a) => Some(a),
-        _ => None,
-    }
-}
-
-fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
+/// Every element of the array `v.key`, each through `parse`.
+fn parse_list<T>(v: &Value, key: &str, parse: impl Fn(&Value) -> Option<T>) -> Option<Vec<T>> {
+    v.get(key)?.as_array()?.iter().map(parse).collect()
 }
 
 fn as_addr(v: &Value) -> Option<Ipv4Addr> {
-    as_str(v)?.parse().ok()
+    v.as_str()?.parse().ok()
 }
 
 fn opt_u64(v: Option<&Value>) -> Option<Option<u64>> {
     match v {
         None | Some(Value::Null) => Some(None),
-        Some(v) => Some(Some(as_u64(v)?)),
+        Some(v) => Some(Some(v.as_u64()?)),
     }
 }
 
 fn parse_kind(v: &Value) -> Option<TraceEventKind> {
-    Some(match as_str(field(v, "event")?)? {
+    Some(match v.get("event")?.as_str()? {
         "sent" => TraceEventKind::Sent,
         "forwarded" => TraceEventKind::Forwarded,
         "delivered" => TraceEventKind::DeliveredLocal,
-        "dropped" => TraceEventKind::Dropped(DropReason::from_tag(as_str(field(v, "reason")?)?)?),
+        "dropped" => TraceEventKind::Dropped(DropReason::from_tag(v.get("reason")?.as_str()?)?),
         "transformed" => TraceEventKind::Transformed(TransformKind::from_tag(
-            as_str(field(v, "kind")?)?,
-            field(v, "format").and_then(as_str),
+            v.get("kind")?.as_str()?,
+            v.get("format").and_then(Value::as_str),
         )?),
         _ => return None,
     })
 }
 
 fn parse_summary(v: &Value) -> Option<PacketSummary> {
-    let inner = match field(v, "inner") {
+    let inner = match v.get("inner") {
         None | Some(Value::Null) => None,
         Some(i) => Some((
-            as_addr(field(i, "src")?)?,
-            as_addr(field(i, "dst")?)?,
-            IpProtocol::from_number(as_u64(field(i, "protocol")?)? as u8),
+            as_addr(i.get("src")?)?,
+            as_addr(i.get("dst")?)?,
+            IpProtocol::from_number(i.get("protocol")?.as_u64()? as u8),
         )),
     };
-    let sr_final = match field(v, "sr_final") {
+    let sr_final = match v.get("sr_final") {
         None | Some(Value::Null) => None,
         Some(a) => Some(as_addr(a)?),
     };
     Some(PacketSummary {
-        src: as_addr(field(v, "src")?)?,
-        dst: as_addr(field(v, "dst")?)?,
-        protocol: IpProtocol::from_number(as_u64(field(v, "protocol")?)? as u8),
-        ident: as_u64(field(v, "ident")?)? as u16,
-        wire_len: as_u64(field(v, "wire_len")?)? as usize,
+        src: as_addr(v.get("src")?)?,
+        dst: as_addr(v.get("dst")?)?,
+        protocol: IpProtocol::from_number(v.get("protocol")?.as_u64()? as u8),
+        ident: v.get("ident")?.as_u64()? as u16,
+        wire_len: v.get("wire_len")?.as_u64()? as usize,
         inner,
         sr_final,
     })
@@ -693,24 +650,24 @@ fn parse_summary(v: &Value) -> Option<PacketSummary> {
 
 fn parse_event(v: &Value) -> Option<TraceEvent> {
     Some(TraceEvent {
-        at: crate::time::SimTime(as_u64(field(v, "t_us")?)?),
-        node: NodeId(as_u64(field(v, "node")?)? as usize),
+        at: crate::time::SimTime(v.get("t_us")?.as_u64()?),
+        node: NodeId(v.get("node")?.as_u64()? as usize),
         kind: parse_kind(v)?,
-        packet: parse_summary(field(v, "packet")?)?,
-        packet_id: PacketId(as_u64(field(v, "packet_id")?)?),
-        flow_id: FlowId(as_u64(field(v, "flow_id")?)?),
-        parent_id: opt_u64(field(v, "parent_id"))?.map(PacketId),
+        packet: parse_summary(v.get("packet")?)?,
+        packet_id: PacketId(v.get("packet_id")?.as_u64()?),
+        flow_id: FlowId(v.get("flow_id")?.as_u64()?),
+        parent_id: opt_u64(v.get("parent_id"))?.map(PacketId),
     })
 }
 
 fn parse_outcome(v: &Value) -> Option<PacketOutcome> {
-    Some(match as_str(field(v, "outcome")?)? {
-        "delivered" => PacketOutcome::Delivered(NodeId(as_u64(field(v, "node")?)? as usize)),
+    Some(match v.get("outcome")?.as_str()? {
+        "delivered" => PacketOutcome::Delivered(NodeId(v.get("node")?.as_u64()? as usize)),
         "dropped" => PacketOutcome::Dropped(
-            NodeId(as_u64(field(v, "node")?)? as usize),
-            DropReason::from_tag(as_str(field(v, "reason")?)?)?,
+            NodeId(v.get("node")?.as_u64()? as usize),
+            DropReason::from_tag(v.get("reason")?.as_str()?)?,
         ),
-        "became" => PacketOutcome::Became(PacketId(as_u64(field(v, "child")?)?)),
+        "became" => PacketOutcome::Became(PacketId(v.get("child")?.as_u64()?)),
         "in-flight" => PacketOutcome::InFlight,
         _ => return None,
     })
@@ -718,53 +675,46 @@ fn parse_outcome(v: &Value) -> Option<PacketOutcome> {
 
 fn parse_hop(v: &Value) -> Option<Hop> {
     Some(Hop {
-        from: NodeId(as_u64(field(v, "from")?)? as usize),
-        to: NodeId(as_u64(field(v, "to")?)? as usize),
-        latency: SimDuration::from_micros(as_u64(field(v, "us")?)?),
+        from: NodeId(v.get("from")?.as_u64()? as usize),
+        to: NodeId(v.get("to")?.as_u64()? as usize),
+        latency: SimDuration::from_micros(v.get("us")?.as_u64()?),
     })
 }
 
 fn parse_packet(v: &Value) -> Option<PacketLifecycle> {
     Some(PacketLifecycle {
-        id: PacketId(as_u64(field(v, "id")?)?),
-        flow: FlowId(as_u64(field(v, "flow")?)?),
-        parent: opt_u64(field(v, "parent"))?.map(PacketId),
-        truncated: as_bool(field(v, "truncated")?)?,
-        encap_overhead: opt_u64(field(v, "encap_overhead"))?,
-        outcome: parse_outcome(field(v, "outcome")?)?,
-        hops: as_array(field(v, "hops")?)?
-            .iter()
-            .map(parse_hop)
-            .collect::<Option<Vec<_>>>()?,
-        events: as_array(field(v, "events")?)?
-            .iter()
-            .map(parse_event)
-            .collect::<Option<Vec<_>>>()?,
+        id: PacketId(v.get("id")?.as_u64()?),
+        flow: FlowId(v.get("flow")?.as_u64()?),
+        parent: opt_u64(v.get("parent"))?.map(PacketId),
+        truncated: v.get("truncated")?.as_bool()?,
+        encap_overhead: opt_u64(v.get("encap_overhead"))?,
+        outcome: parse_outcome(v.get("outcome")?)?,
+        hops: parse_list(v, "hops", parse_hop)?,
+        events: parse_list(v, "events", parse_event)?,
     })
 }
 
 fn parse_flow(v: &Value) -> Option<FlowSummary> {
-    let drops = match field(v, "drops")? {
-        Value::Object(fields) => fields
-            .iter()
-            .map(|(k, n)| Some((DropReason::from_tag(k)?, as_u64(n)?)))
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
+    let drops = v
+        .get("drops")?
+        .as_object()?
+        .iter()
+        .map(|(k, n)| Some((DropReason::from_tag(k)?, n.as_u64()?)))
+        .collect::<Option<Vec<_>>>()?;
     Some(FlowSummary {
-        flow: FlowId(as_u64(field(v, "flow")?)?),
-        src: as_addr(field(v, "src")?)?,
-        dst: as_addr(field(v, "dst")?)?,
-        protocol: IpProtocol::from_number(as_u64(field(v, "protocol")?)? as u8),
-        packets: as_u64(field(v, "packets")?)?,
-        wire_events: as_u64(field(v, "wire_events")?)?,
-        bytes_on_wire: as_u64(field(v, "bytes_on_wire")?)?,
-        deliveries: as_u64(field(v, "deliveries")?)?,
+        flow: FlowId(v.get("flow")?.as_u64()?),
+        src: as_addr(v.get("src")?)?,
+        dst: as_addr(v.get("dst")?)?,
+        protocol: IpProtocol::from_number(v.get("protocol")?.as_u64()? as u8),
+        packets: v.get("packets")?.as_u64()?,
+        wire_events: v.get("wire_events")?.as_u64()?,
+        bytes_on_wire: v.get("bytes_on_wire")?.as_u64()?,
+        deliveries: v.get("deliveries")?.as_u64()?,
         drops,
-        retransmissions: as_u64(field(v, "retransmissions")?)?,
-        encap_overhead_bytes: as_u64(field(v, "encap_overhead_bytes")?)?,
-        first_us: as_u64(field(v, "first_us")?)?,
-        last_us: as_u64(field(v, "last_us")?)?,
+        retransmissions: v.get("retransmissions")?.as_u64()?,
+        encap_overhead_bytes: v.get("encap_overhead_bytes")?.as_u64()?,
+        first_us: v.get("first_us")?.as_u64()?,
+        last_us: v.get("last_us")?.as_u64()?,
     })
 }
 
@@ -980,7 +930,7 @@ mod tests {
             "the dropped packet survives the cap"
         );
         assert!(back.packets.len() <= 4);
-        let omitted = match field(&v, "packets_omitted") {
+        let omitted = match v.get("packets_omitted") {
             Some(Value::U64(n)) => *n,
             other => panic!("packets_omitted missing: {other:?}"),
         };
@@ -993,20 +943,20 @@ mod tests {
         let t = sample_trace();
         let lc = Lifecycle::reconstruct(&t, &names());
         let v = parsed(&lc.chrome_trace());
-        let events = as_array(field(&v, "traceEvents").unwrap()).unwrap();
+        let events = v.get("traceEvents").and_then(Value::as_array).unwrap();
         let lanes = events
             .iter()
-            .filter(|e| field(e, "name").and_then(as_str) == Some("thread_name"))
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
             .count();
         assert_eq!(lanes, 3);
         let spans = events
             .iter()
-            .filter(|e| field(e, "ph").and_then(as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .count();
         assert_eq!(spans, 3, "two hops for the delivery, one for the drop");
         let drops = events
             .iter()
-            .filter(|e| field(e, "cat").and_then(as_str) == Some("dropped"))
+            .filter(|e| e.get("cat").and_then(Value::as_str) == Some("dropped"))
             .count();
         assert_eq!(drops, 1);
     }

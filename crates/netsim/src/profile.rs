@@ -27,7 +27,7 @@
 //! render as text (`render_tree` / `render_hot` / `render_alloc`), write
 //! themselves into the run-report JSON via [`ProfileReport::capped`],
 //! round-trip back through
-//! [`ProfileReport::from_value`] for the `profile` inspector bin, and
+//! [`ProfileReport::from_value`] for `inspect profile`, and
 //! export as chrome-trace complete events via
 //! [`ProfileReport::chrome_trace`].
 
@@ -501,55 +501,31 @@ impl ProfileReport {
     /// Parses a report back out of a run-report `profile` section.
     /// Returns `None` when the value is not a profile object.
     pub fn from_value(v: &Value) -> Option<ProfileReport> {
-        fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-            match v {
-                Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        fn as_u64(v: &Value) -> Option<u64> {
-            match v {
-                Value::U64(n) => Some(*n),
-                Value::I64(n) => u64::try_from(*n).ok(),
-                Value::F64(f) => Some(*f as u64),
-                _ => None,
-            }
-        }
         fn parse_stat(v: &Value) -> Option<ScopeStat> {
-            let name = match get(v, "name")? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            let children = match get(v, "children") {
-                Some(Value::Array(items)) => items.iter().filter_map(parse_stat).collect(),
-                _ => Vec::new(),
-            };
+            let count = |key| v.get(key).and_then(Value::as_u64);
+            let children = v.get("children").and_then(Value::as_array);
             Some(ScopeStat {
-                name,
-                calls: get(v, "calls").and_then(as_u64)?,
-                incl_ns: get(v, "incl_ns").and_then(as_u64)?,
-                excl_ns: get(v, "excl_ns").and_then(as_u64)?,
-                allocs: get(v, "allocs").and_then(as_u64).unwrap_or(0),
-                alloc_bytes: get(v, "alloc_bytes").and_then(as_u64).unwrap_or(0),
-                children,
+                name: v.get("name")?.as_str()?.to_string(),
+                calls: count("calls")?,
+                incl_ns: count("incl_ns")?,
+                excl_ns: count("excl_ns")?,
+                allocs: count("allocs").unwrap_or(0),
+                alloc_bytes: count("alloc_bytes").unwrap_or(0),
+                children: children
+                    .map_or_else(Vec::new, |c| c.iter().filter_map(parse_stat).collect()),
             })
         }
-        let scopes = get(v, "scopes")?;
-        let roots = match scopes {
-            Value::Array(items) => items.iter().filter_map(parse_stat).collect(),
-            _ => return None,
-        };
-        let counters = match get(v, "counters") {
-            Some(Value::Object(fields)) => fields
-                .iter()
-                .filter_map(|(k, v)| Some((k.clone(), as_u64(v)?)))
-                .collect(),
-            _ => Vec::new(),
-        };
+        let roots = v.get("scopes")?.as_array()?;
+        let counters = v.get("counters").and_then(Value::as_object);
         Some(ProfileReport {
-            wall_ns: get(v, "wall_ns").and_then(as_u64).unwrap_or(0),
-            counters,
-            roots,
+            wall_ns: v.get("wall_ns").and_then(Value::as_u64).unwrap_or(0),
+            counters: counters.map_or_else(Vec::new, |fields| {
+                fields
+                    .iter()
+                    .filter_map(|(k, n)| Some((k.clone(), n.as_u64()?)))
+                    .collect()
+            }),
+            roots: roots.iter().filter_map(parse_stat).collect(),
         })
     }
 
@@ -742,11 +718,9 @@ pub struct Sample {
     pub dispatched: u64,
     /// Live (pushed, not yet dispatched or cancelled) timers.
     pub live_timers: u64,
-    /// Occupied timing-wheel slots summed across levels (0 on the
-    /// reference-heap backend).
+    /// Occupied timing-wheel slots summed across levels.
     pub wheel_occupancy: u64,
-    /// Entries parked in the overflow heap (whole queue for the
-    /// reference-heap backend).
+    /// Entries parked in the overflow heap, beyond the wheel's span.
     pub overflow_len: u64,
     /// Cumulative global route-cache hits (all worlds in the process).
     pub route_cache_hits: u64,

@@ -10,8 +10,9 @@
 //! classic "binary search on prefix lengths" layout simplified to a
 //! descending scan — and add a per-destination cache that
 //! short-circuits repeat lookups, exactly the locality a packet flow
-//! exhibits. The cache is invalidated whenever the table changes or an
-//! interface moves (reattach), since either can change the right answer.
+//! exhibits. The cache is invalidated whenever the table changes; an
+//! interface moving cannot change a memoised answer, which is the LPM over
+//! the entries alone (on-link checks happen outside the table).
 //!
 //! The earlier layout (33 eagerly-created per-length hash maps) cost
 //! ~1.6 KiB per node before a single route was installed; at 10⁵ nodes
@@ -181,11 +182,10 @@ impl RouteTable {
         None
     }
 
-    /// Drop all memoized lookups. Called when the world around the table
-    /// changes without the table itself changing — e.g. an interface is
-    /// detached or reattached, which can invalidate which routes are
-    /// usable even though the entries are identical.
-    pub fn invalidate_cache(&self) {
+    /// Drop all memoized lookups: the entries changed. A memo is the LPM
+    /// over the entries alone, so nothing outside the table (an interface
+    /// moving, say) can make one stale.
+    fn invalidate_cache(&self) {
         let mut cache = self.cache.borrow_mut();
         if !cache.is_empty() {
             cache.clear();

@@ -66,16 +66,6 @@ impl Node {
         matches!(self, Node::Router(_))
     }
 
-    /// Drop the node's memoized route lookups — called whenever an
-    /// interface moves between segments, since the usable routes change
-    /// even though the table entries do not.
-    fn invalidate_route_cache(&self) {
-        match self {
-            Node::Host(h) => h.invalidate_route_cache(),
-            Node::Router(r) => r.invalidate_route_cache(),
-        }
-    }
-
     fn add_route(&mut self, prefix: Ipv4Cidr, iface: IfaceNo, gateway: Option<Ipv4Addr>) {
         match self {
             Node::Host(h) => h.add_route(prefix, iface, gateway),
@@ -315,7 +305,7 @@ impl NetCtx<'_> {
 
 /// The simulated internetwork.
 pub struct World {
-    nodes: Vec<Option<Node>>,
+    nodes: Vec<Node>,
     /// Interned node labels, following `nodes` index-for-index: metrics,
     /// trace and report labelling read these 4-byte symbols instead of
     /// cloning each node's heap `String` per snapshot.
@@ -493,7 +483,7 @@ impl World {
     pub fn add_host(&mut self, config: HostConfig) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.node_syms.push(crate::arena::intern(&config.name));
-        self.nodes.push(Some(Node::Host(Host::new(id, config))));
+        self.nodes.push(Node::Host(Host::new(id, config)));
         self.node_seq.push(0);
         self.node_rng
             .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));
@@ -504,7 +494,7 @@ impl World {
     pub fn add_router(&mut self, config: RouterConfig) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.node_syms.push(crate::arena::intern(&config.name));
-        self.nodes.push(Some(Node::Router(Router::new(id, config))));
+        self.nodes.push(Node::Router(Router::new(id, config)));
         self.node_seq.push(0);
         self.node_rng
             .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));
@@ -522,13 +512,12 @@ impl World {
     pub fn attach(&mut self, node: NodeId, seg: SegmentId, addr: Option<&str>) -> IfaceNo {
         let mac = self.fresh_mac();
         let mtu = self.segments[seg.0].config.mtu;
-        let n = self.nodes[node.0].as_mut().expect("node exists");
-        let iface = n.nic_mut().add_iface(mac);
-        n.nic_mut().set_segment(iface, Some(seg), mtu);
+        let nic = self.nodes[node.0].nic_mut();
+        let iface = nic.add_iface(mac);
+        nic.set_segment(iface, Some(seg), mtu);
         if let Some(a) = addr {
-            n.nic_mut().set_addr(iface, Some(IfaceAddr::parse(a)));
+            nic.set_addr(iface, Some(IfaceAddr::parse(a)));
         }
-        n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
         iface
@@ -539,21 +528,19 @@ impl World {
     pub fn reattach(&mut self, node: NodeId, iface: IfaceNo, seg: SegmentId) {
         self.detach(node, iface);
         let mtu = self.segments[seg.0].config.mtu;
-        let n = self.nodes[node.0].as_mut().expect("node exists");
-        n.nic_mut().set_segment(iface, Some(seg), mtu);
-        let mac = n.nic().mac(iface);
-        n.invalidate_route_cache();
+        let nic = self.nodes[node.0].nic_mut();
+        nic.set_segment(iface, Some(seg), mtu);
+        let mac = nic.mac(iface);
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
     }
 
     /// Unplug an interface from whatever segment it is on.
     pub fn detach(&mut self, node: NodeId, iface: IfaceNo) {
-        let n = self.nodes[node.0].as_mut().expect("node exists");
-        if let Some(old) = n.nic().segment(iface) {
+        let nic = self.nodes[node.0].nic_mut();
+        if let Some(old) = nic.segment(iface) {
             self.segments[old.0].detach(node, iface);
-            n.nic_mut().set_segment(iface, None, 1500);
-            n.invalidate_route_cache();
+            nic.set_segment(iface, None, 1500);
         }
     }
 
@@ -561,7 +548,7 @@ impl World {
 
     /// Borrow a host (panics if `id` is a router).
     pub fn host(&self, id: NodeId) -> &Host {
-        match self.nodes[id.0].as_ref().expect("node present") {
+        match &self.nodes[id.0] {
             Node::Host(h) => h,
             Node::Router(_) => panic!("node {} is a router", id.0),
         }
@@ -569,7 +556,7 @@ impl World {
 
     /// Mutably borrow a host (panics if `id` is a router).
     pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
-        match self.nodes[id.0].as_mut().expect("node present") {
+        match &mut self.nodes[id.0] {
             Node::Host(h) => h,
             Node::Router(_) => panic!("node {} is a router", id.0),
         }
@@ -577,7 +564,7 @@ impl World {
 
     /// Mutably borrow a router (panics if `id` is a host).
     pub fn router_mut(&mut self, id: NodeId) -> &mut Router {
-        match self.nodes[id.0].as_mut().expect("node present") {
+        match &mut self.nodes[id.0] {
             Node::Router(r) => r,
             Node::Host(_) => panic!("node {} is a host", id.0),
         }
@@ -595,7 +582,7 @@ impl World {
 
     /// Split the world into what firing an event at `id` takes: the node
     /// itself, and a [`NetCtx`] over everything else.
-    fn node_and_ctx(&mut self, id: NodeId) -> (&mut Option<Node>, NetCtx<'_>) {
+    fn node_and_ctx(&mut self, id: NodeId) -> (&mut Node, NetCtx<'_>) {
         let ctx = NetCtx {
             now: self.now,
             node: id,
@@ -616,7 +603,7 @@ impl World {
     /// and the mobility layer inject work into the simulation.
     pub fn host_do<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Host, &mut NetCtx) -> R) -> R {
         let (node, mut ctx) = self.node_and_ctx(id);
-        match node.as_mut().expect("node present") {
+        match node {
             Node::Host(h) => f(h, &mut ctx),
             Node::Router(_) => panic!("node {} is a router", id.0),
         }
@@ -639,18 +626,15 @@ impl World {
     /// Fire one popped event at its node: every dispatch of the event loop.
     fn dispatch(&mut self, kind: EventKind) {
         let (node, mut ctx) = self.node_and_ctx(event_node(&kind));
-        match (node.as_mut(), kind) {
-            (Some(n), EventKind::Timer(t)) => n.on_timer(&mut ctx, t.token),
-            (Some(n), EventKind::Deliver { iface, frame, .. })
-                if n.nic().segment(iface).is_some() =>
-            {
-                n.on_frame(&mut ctx, iface, &frame)
+        match kind {
+            EventKind::Timer(t) => node.on_timer(&mut ctx, t.token),
+            EventKind::Deliver { iface, frame, .. } if node.nic().segment(iface).is_some() => {
+                node.on_frame(&mut ctx, iface, &frame)
             }
-            // A node or its interface may have been detached between
-            // scheduling and delivery (mid-flight frames to a departed mobile
-            // host are lost, as in reality).
-            (_, EventKind::Deliver { .. }) => ctx.invariants.note_detached_frame(),
-            (None, EventKind::Timer(_)) => {}
+            // The interface may have been detached between scheduling and
+            // delivery (mid-flight frames to a departed mobile host are
+            // lost, as in reality).
+            EventKind::Deliver { .. } => ctx.invariants.note_detached_frame(),
         }
     }
 
@@ -783,7 +767,7 @@ impl World {
 
     /// Timing-wheel gauges (cascades, occupancy, overflow pressure)
     /// recorded while the flight recorder was enabled; all zeros
-    /// otherwise and on the reference-heap backend.
+    /// otherwise.
     pub fn scheduler_telemetry(&self) -> SchedulerTelemetry {
         self.queue.telemetry()
     }
@@ -842,7 +826,7 @@ impl World {
         // instead of a linear rescan of everything seen so far.
         let mut prefix_home: Vec<(Ipv4Cidr, SegmentId)> = Vec::new();
         let mut prefix_seen: HashSet<(Ipv4Cidr, SegmentId)> = HashSet::new();
-        for (_, node) in self.nodes_iter() {
+        for node in &self.nodes {
             let nic = node.nic();
             for i in 0..nic.iface_count() {
                 if let (Some(a), Some(seg)) = (nic.addr(i), nic.segment(i)) {
@@ -857,22 +841,17 @@ impl World {
         // A↔B. Also remember each router's address on each segment.
         // Indexed by segment number directly — segment ids are dense.
         let mut seg_routers: Vec<Vec<(NodeId, IfaceNo, Ipv4Addr)>> = vec![Vec::new(); seg_count];
-        for (id, node) in self.nodes_iter() {
+        for (id, node) in self.nodes.iter().enumerate() {
             if !node.is_router() {
                 continue;
             }
             let nic = node.nic();
             for i in 0..nic.iface_count() {
                 if let (Some(a), Some(seg)) = (nic.addr(i), nic.segment(i)) {
-                    seg_routers[seg.0].push((id, i, a.addr));
+                    seg_routers[seg.0].push((NodeId(id), i, a.addr));
                 }
             }
         }
-
-        let node_ids: Vec<NodeId> = (0..self.nodes.len())
-            .filter(|i| self.nodes[*i].is_some())
-            .map(NodeId)
-            .collect();
 
         // Dijkstra scratch arrays, allocated once and reset per node (flat
         // vectors indexed by segment instead of per-node HashMaps).
@@ -880,10 +859,9 @@ impl World {
         let mut pred: Vec<Option<(Ipv4Addr, usize)>> = vec![None; seg_count];
         let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
 
-        for me in node_ids {
+        for me in (0..self.nodes.len()).map(NodeId) {
             let (starts, my_segs): (Vec<(usize, IfaceNo)>, Vec<usize>) = {
-                let node = self.nodes[me.0].as_ref().unwrap();
-                let nic = node.nic();
+                let nic = self.nodes[me.0].nic();
                 let mut starts = Vec::new();
                 for i in 0..nic.iface_count() {
                     if let Some(seg) = nic.segment(i) {
@@ -920,7 +898,7 @@ impl World {
                     if rid == me {
                         continue;
                     }
-                    let rnic = self.nodes[rid.0].as_ref().unwrap().nic();
+                    let rnic = self.nodes[rid.0].nic();
                     for j in 0..rnic.iface_count() {
                         let Some(next) = rnic.segment(j) else {
                             continue;
@@ -968,19 +946,12 @@ impl World {
                 new_routes.push((prefix, iface, Some(gateway.0)));
             }
 
-            let node = self.nodes[me.0].as_mut().unwrap();
+            let node = &mut self.nodes[me.0];
             node.clear_routes();
             for (p, i, g) in new_routes {
                 node.add_route(p, i, g);
             }
         }
-    }
-
-    fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId(i), n)))
     }
 }
 

@@ -37,6 +37,68 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
+/// The read accessors of `serde_json::Value`, same names and meanings:
+/// each is `None` when the value is not of the asked-for kind.
+impl Value {
+    /// The member `key` of an object (the first, if it repeats). Upstream
+    /// also indexes arrays by number; nothing here needs it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        let fields = self.as_object()?;
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// A non-negative integer: `None` for a float or a negative number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::U64(n) => Some(n),
+            Value::I64(n) => u64::try_from(n).ok(),
+            _ => None,
+        }
+    }
+
+    /// Any number, as a float.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Value::U64(n) => Some(n as f64),
+            Value::I64(n) => Some(n as f64),
+            Value::F64(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// A string's text.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            Value::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// An array's elements.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// An object's members, in document order.
+    pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
+        match self {
+            Value::Object(fields) => Some(fields),
+            _ => None,
+        }
+    }
+}
+
 /// A type that can write itself as one JSON value.
 pub trait Serialize {
     /// Writes `self` into `w` as exactly one JSON value.
@@ -489,6 +551,45 @@ mod tests {
             name: "n".into(),
         };
         assert_eq!(render(&p), r#"{"x":7,"name":"n"}"#);
+    }
+
+    #[test]
+    fn as_u64_is_only_for_non_negative_integers() {
+        assert_eq!(Value::U64(7).as_u64(), Some(7));
+        assert_eq!(Value::I64(0).as_u64(), Some(0));
+        assert_eq!(Value::I64(i64::MAX).as_u64(), Some(i64::MAX as u64));
+        assert_eq!(Value::I64(-1).as_u64(), None);
+        assert_eq!(Value::F64(3.0).as_u64(), None);
+        assert_eq!(Value::F64(3.7).as_u64(), None);
+        assert_eq!(Value::Str("3".into()).as_u64(), None);
+        // Every number is a float.
+        assert_eq!(Value::I64(-1).as_f64(), Some(-1.0));
+        assert_eq!(Value::U64(2).as_f64(), Some(2.0));
+        assert_eq!(Value::Null.as_f64(), None);
+    }
+
+    #[test]
+    fn accessors_read_only_their_own_kind() {
+        let doc = Value::Object(vec![
+            ("a".into(), Value::Array(vec![Value::Bool(true)])),
+            ("s".into(), Value::Str("x".into())),
+            ("a".into(), Value::Null),
+        ]);
+        assert_eq!(doc.get("s").and_then(Value::as_str), Some("x"));
+        assert_eq!(
+            doc.get("a").and_then(Value::as_array).map(Vec::len),
+            Some(1)
+        );
+        assert_eq!(
+            doc.get("a").unwrap().as_array().unwrap()[0].as_bool(),
+            Some(true)
+        );
+        assert_eq!(doc.get("missing"), None);
+        assert_eq!(doc.as_object().map(Vec::len), Some(3));
+        assert_eq!(doc.get("s").unwrap().get("s"), None);
+        assert_eq!(doc.as_array(), None);
+        assert_eq!(doc.as_str(), None);
+        assert_eq!(Value::Str("true".into()).as_bool(), None);
     }
 
     #[test]
