@@ -14,8 +14,8 @@
 //! 3. explicit installation, e.g. from a DNS temporary-address lookup
 //!    (§3.2, second mechanism; see [`crate::dns`]).
 
+use netsim::hash::FxHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 
 use netsim::device::host::{EncapLayer, MobilityHook, RouteDecision};
 use netsim::device::TxMeta;
@@ -73,7 +73,7 @@ serde::impl_serialize!(ChStats {
 
 /// The mobile-aware correspondent hook.
 pub struct MobileAwareCh {
-    cache: HashMap<Ipv4Addr, ChBinding>,
+    cache: FxHashMap<Ipv4Addr, ChBinding>,
     /// Tunnel format used when encapsulating.
     pub encap: EncapFormat,
     /// Learn bindings from arriving tunnels (mechanism 2). On by default;
@@ -98,7 +98,7 @@ impl MobileAwareCh {
     /// A correspondent hook with default settings and an empty cache.
     pub fn new() -> MobileAwareCh {
         MobileAwareCh {
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             encap: EncapFormat::IpInIp,
             learn_from_tunnels: true,
             accept_redirects: true,

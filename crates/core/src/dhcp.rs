@@ -16,8 +16,8 @@
 //! A mobile host gets here through the one movement entry point,
 //! [`move_to`](crate::mobile_host::move_to) with [`Attachment::Dhcp`].
 
+use netsim::hash::FxHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 
 use netsim::device::nic::IfaceAddr;
 use netsim::wire::ParseError;
@@ -129,7 +129,7 @@ pub struct DhcpServer {
     /// Next host number to hand out.
     next: u32,
     sock: Option<udp::UdpHandle>,
-    granted: HashMap<u32, Lease>,
+    granted: FxHashMap<u32, Lease>,
     /// Distinct leases handed out.
     pub leases_granted: u64,
 }
@@ -142,7 +142,7 @@ impl DhcpServer {
             gateway,
             next: first,
             sock: None,
-            granted: HashMap::new(),
+            granted: FxHashMap::default(),
             leases_granted: 0,
         }
     }

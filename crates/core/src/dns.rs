@@ -17,8 +17,8 @@
 //! compression, NS/SOA machinery, recursion — a closed simulated internet
 //! needs exactly one authoritative server.
 
+use netsim::hash::FxHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 
 use netsim::wire::ParseError;
 use netsim::{App, Host, Ipv4Addr, NetCtx, SimDuration, SimTime};
@@ -266,7 +266,7 @@ struct ZoneEntry {
 
 /// An authoritative DNS server with TA-record support, run as an [`App`].
 pub struct DnsServer {
-    zone: HashMap<String, ZoneEntry>,
+    zone: FxHashMap<String, ZoneEntry>,
     sock: Option<udp::UdpHandle>,
     /// Queries answered.
     pub queries_served: u64,
@@ -278,7 +278,7 @@ impl DnsServer {
     /// An empty authoritative server.
     pub fn new() -> DnsServer {
         DnsServer {
-            zone: HashMap::new(),
+            zone: FxHashMap::default(),
             sock: None,
             queries_served: 0,
             updates_accepted: 0,

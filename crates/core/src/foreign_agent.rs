@@ -15,8 +15,8 @@
 //! Out-DH available, and experiment E9's ablation compares the two
 //! deployments.
 
+use netsim::hash::FxHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 
 use bytes::Bytes;
 
@@ -72,9 +72,9 @@ pub struct ForeignAgentConfig {
 pub struct ForeignAgent {
     config: ForeignAgentConfig,
     /// Registered visitors: home address → binding expiry.
-    visitors: HashMap<Ipv4Addr, SimTime>,
+    visitors: FxHashMap<Ipv4Addr, SimTime>,
     /// Outstanding relayed registrations: ident → home address.
-    pending: HashMap<u64, Ipv4Addr>,
+    pending: FxHashMap<u64, Ipv4Addr>,
     /// Counters for experiments.
     pub stats: FaStats,
 }
@@ -86,8 +86,8 @@ impl ForeignAgent {
     pub fn new(config: ForeignAgentConfig) -> ForeignAgent {
         ForeignAgent {
             config,
-            visitors: HashMap::new(),
-            pending: HashMap::new(),
+            visitors: FxHashMap::default(),
+            pending: FxHashMap::default(),
             stats: FaStats::default(),
         }
     }

@@ -21,8 +21,8 @@
 //!   that part is generic tunnel-endpoint behaviour provided by the host
 //!   stack's `forward_decapsulated` flag (Figure 3).
 
+use netsim::hash::FxHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 
 use bytes::Bytes;
 
@@ -129,12 +129,12 @@ impl HomeAgentConfig {
 /// The home-agent mobility hook.
 pub struct HomeAgent {
     config: HomeAgentConfig,
-    bindings: HashMap<Ipv4Addr, Binding>,
-    redirect_sent: HashMap<(Ipv4Addr, Ipv4Addr), SimTime>,
+    bindings: FxHashMap<Ipv4Addr, Binding>,
+    redirect_sent: FxHashMap<(Ipv4Addr, Ipv4Addr), SimTime>,
     /// §6.4: multicast groups tunnelled to absent mobiles — group → home
     /// addresses subscribed through their "virtual interface on the distant
     /// home network".
-    multicast_subs: HashMap<Ipv4Addr, Vec<Ipv4Addr>>,
+    multicast_subs: FxHashMap<Ipv4Addr, Vec<Ipv4Addr>>,
     /// Counters for experiments.
     pub stats: HaStats,
 }
@@ -144,9 +144,9 @@ impl HomeAgent {
     pub fn new(config: HomeAgentConfig) -> HomeAgent {
         HomeAgent {
             config,
-            bindings: HashMap::new(),
-            redirect_sent: HashMap::new(),
-            multicast_subs: HashMap::new(),
+            bindings: FxHashMap::default(),
+            redirect_sent: FxHashMap::default(),
+            multicast_subs: FxHashMap::default(),
             stats: HaStats::default(),
         }
     }

@@ -26,8 +26,8 @@
 //! [`crate::dhcp::DhcpClient`] when its lease arrives — configures the host
 //! as the [`Attachment`] says and starts registration.
 
+use netsim::hash::FxHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 
 use bytes::Bytes;
 
@@ -230,7 +230,7 @@ pub struct MobileHost {
     policy: Policy,
     next_ident: u64,
     /// Last incoming mode seen per correspondent (diagnostics/experiments).
-    pub last_in_mode: HashMap<Ipv4Addr, InMode>,
+    pub last_in_mode: FxHashMap<Ipv4Addr, InMode>,
     /// Counters for experiments.
     pub stats: MhStats,
 }
@@ -247,7 +247,7 @@ impl MobileHost {
             reg_timer: None,
             policy,
             next_ident: 1,
-            last_in_mode: HashMap::new(),
+            last_in_mode: FxHashMap::default(),
             stats: MhStats::default(),
         }
     }

@@ -19,6 +19,7 @@
 
 use std::any::Any;
 
+use netsim::hash::FxHashSet;
 use netsim::{App, Host, IfaceNo, Ipv4Addr, NetCtx, NodeId, SimDuration, SimTime, World};
 use transport::udp;
 
@@ -97,7 +98,7 @@ pub struct MulticastListener {
     /// Group datagrams delivered to the listener.
     pub received: u64,
     /// Distinct sequence numbers seen (deduplicates tunnel copies).
-    pub distinct: std::collections::HashSet<u32>,
+    pub distinct: FxHashSet<u32>,
 }
 
 impl MulticastListener {
@@ -107,7 +108,7 @@ impl MulticastListener {
             port,
             sock: None,
             received: 0,
-            distinct: std::collections::HashSet::new(),
+            distinct: FxHashSet::default(),
         }
     }
 }

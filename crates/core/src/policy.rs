@@ -54,7 +54,7 @@
 //!   private and changes only through [`Policy::set_config`], which
 //!   rebuilds the index, so it can never describe a different rule list.
 
-use std::collections::HashMap;
+use netsim::hash::FxHashMap;
 
 use netsim::profile::{self, Counter};
 use netsim::{Ipv4Addr, Ipv4Cidr};
@@ -203,7 +203,7 @@ const RULES_LINEAR_MAX: usize = 8;
 #[derive(Debug, Default)]
 struct RuleIndex {
     /// `(prefix_len << 32 | network)` → lowest rule index with that prefix.
-    buckets: HashMap<u64, u32>,
+    buckets: FxHashMap<u64, u32>,
     /// Bit `p` set ⇔ some `/p` rule exists.
     populated: u64,
 }

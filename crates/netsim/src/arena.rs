@@ -13,8 +13,9 @@
 //! out in first-intern order, so a deterministic build order yields
 //! deterministic symbols; nothing observable depends on the numeric value.
 
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
+
+use crate::hash::FxHashMap;
 
 /// An interned string: a dense index into the global symbol table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,7 +24,7 @@ pub struct Sym(pub u32);
 struct Interner {
     /// string → symbol, keyed by the leaked `&'static str` so each
     /// distinct string is stored exactly once.
-    map: HashMap<&'static str, u32>,
+    map: FxHashMap<&'static str, u32>,
     /// symbol → string, in first-intern order.
     strings: Vec<&'static str>,
 }
@@ -32,7 +33,7 @@ fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             strings: Vec::new(),
         })
     })

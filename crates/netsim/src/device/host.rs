@@ -22,7 +22,6 @@
 //! host.
 
 use std::any::Any;
-use std::collections::HashSet;
 
 use bytes::Bytes;
 
@@ -30,6 +29,7 @@ use super::nic::{ArpIdentity, IfaceAddr, NextHop, Nic, NicRx};
 use super::router::RouteEntry;
 use super::{split_token, token, TxMeta, NS_APPS, NS_MOBILITY};
 use crate::event::{IfaceNo, NodeId, TimerHandle, TimerToken};
+use crate::hash::FxHashSet;
 use crate::route::RouteTable;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, TraceEventKind, TransformKind};
@@ -167,7 +167,9 @@ pub trait App: Any {
 /// Host configuration.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Fully-qualified name, lower-case, dot-separated.
+    /// Fully-qualified name, lower-case, dot-separated. The world keeps it
+    /// once, interned ([`crate::world::World::node_names`]); the host does
+    /// not hold it.
     pub name: String,
     /// Can this stack decapsulate tunnel packets addressed to it? The paper:
     /// "Some operating systems, such as recent versions of Linux, have this
@@ -226,52 +228,64 @@ pub struct IcmpEvent {
     pub message: IcmpMessage,
 }
 
-/// An end system in the simulated network.
-pub struct Host {
-    /// Fully-qualified name, lower-case, dot-separated.
-    pub name: String,
-    id: NodeId,
-    pub(crate) nic: Nic,
-    config: HostConfig,
-    routes: RouteTable,
-    reassembler: Reassembler,
+/// The state a host only needs once it captures, proxies, joins a group
+/// or receives a fragment — a home agent, a multicast member, the far end
+/// of a fragmenting tunnel. Nearly every host of a large world is none of
+/// those, so it lives behind one box created on first use, and a host
+/// without it skips reassembly of unfragmented packets outright.
+#[derive(Debug, Default)]
+struct Cold {
     /// Extra addresses accepted as local and offered to the mobility hook
     /// (the home agent's capture list for registered mobile hosts).
-    intercept: HashSet<Ipv4Addr>,
-    /// Addresses this host answers ARP requests for on behalf of others.
+    intercept: FxHashSet<Ipv4Addr>,
+    /// Addresses this host answers ARP requests for on behalf of others,
+    /// sorted.
     proxy_arp: Vec<Ipv4Addr>,
     /// Joined multicast groups, per interface.
-    multicast: HashSet<(IfaceNo, Ipv4Addr)>,
+    multicast: FxHashSet<(IfaceNo, Ipv4Addr)>,
+    reassembler: Reassembler,
+}
+
+/// An end system in the simulated network.
+pub struct Host {
+    id: NodeId,
+    pub(crate) nic: Nic,
+    routes: RouteTable,
+    cold: Option<Box<Cold>>,
     /// Transport handlers by IP protocol number: a handful per host, taken
     /// and put back around every delivered packet, so a scan beats a hash.
     handlers: Vec<(u8, Option<Box<dyn ProtocolHandler>>)>,
     hook: Option<Box<dyn MobilityHook>>,
-    hook_taken: bool,
     apps: Vec<Option<Box<dyn App>>>,
     /// ICMP messages delivered to this host.
     pub icmp_log: Vec<IcmpEvent>,
     next_ident: u16,
+    hook_taken: bool,
+    // `HostConfig`'s switches; its name is the world's, interned.
+    decap_capable: bool,
+    forward_decapsulated: bool,
+    icmp_echo_reply: bool,
+    forward_source_routes: bool,
 }
 
 impl Host {
     /// A host with no interfaces, handlers, or apps yet.
     pub fn new(id: NodeId, config: HostConfig) -> Host {
         Host {
-            name: config.name.clone(),
             id,
             nic: Nic::new(),
-            config,
             routes: RouteTable::new(),
-            reassembler: Reassembler::default(),
-            intercept: HashSet::new(),
-            proxy_arp: Vec::new(),
-            multicast: HashSet::new(),
+            cold: None,
             handlers: Vec::new(),
             hook: None,
-            hook_taken: false,
             apps: Vec::new(),
             icmp_log: Vec::new(),
             next_ident: 1,
+            hook_taken: false,
+            decap_capable: config.decap_capable,
+            forward_decapsulated: config.forward_decapsulated,
+            icmp_echo_reply: config.icmp_echo_reply,
+            forward_source_routes: config.forward_source_routes,
         }
     }
 
@@ -280,24 +294,24 @@ impl Host {
         self.id
     }
 
-    /// The static configuration.
-    pub fn config(&self) -> &HostConfig {
-        &self.config
-    }
-
     /// Enable/disable tunnel decapsulation (§6.1).
     pub fn set_decap_capable(&mut self, on: bool) {
-        self.config.decap_capable = on;
+        self.decap_capable = on;
     }
 
     /// Enable/disable onward forwarding of decapsulated inner packets.
     pub fn set_forward_decapsulated(&mut self, on: bool) {
-        self.config.forward_decapsulated = on;
+        self.forward_decapsulated = on;
     }
 
     /// Enable/disable RFC 791 source-route hop processing.
     pub fn set_forward_source_routes(&mut self, on: bool) {
-        self.config.forward_source_routes = on;
+        self.forward_source_routes = on;
+    }
+
+    /// The cold state, created on first use.
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
     }
 
     // ---- interfaces & addressing -------------------------------------
@@ -431,32 +445,39 @@ impl Host {
 
     /// Accept `addr` as local and offer its packets to the hook (home-agent capture).
     pub fn add_intercept(&mut self, addr: Ipv4Addr) {
-        self.intercept.insert(addr);
+        self.cold_mut().intercept.insert(addr);
     }
 
     /// Stop intercepting `addr`.
     pub fn remove_intercept(&mut self, addr: Ipv4Addr) {
-        self.intercept.remove(&addr);
+        if let Some(cold) = &mut self.cold {
+            cold.intercept.remove(&addr);
+        }
     }
 
     /// Is `addr` currently intercepted?
     pub fn intercepts(&self, addr: Ipv4Addr) -> bool {
-        self.intercept.contains(&addr)
+        self.cold
+            .as_ref()
+            .is_some_and(|c| c.intercept.contains(&addr))
     }
 
     /// Answer ARP requests for `addr` on behalf of its absent owner (RFC 1027).
     /// The list is kept sorted so membership checks stay O(log n) even when a
     /// home agent proxies for tens of thousands of registered mobile hosts.
     pub fn add_proxy_arp(&mut self, addr: Ipv4Addr) {
-        if let Err(at) = self.proxy_arp.binary_search(&addr) {
-            self.proxy_arp.insert(at, addr);
+        let proxy = &mut self.cold_mut().proxy_arp;
+        if let Err(at) = proxy.binary_search(&addr) {
+            proxy.insert(at, addr);
         }
     }
 
     /// Stop proxy-ARPing for `addr`.
     pub fn remove_proxy_arp(&mut self, addr: Ipv4Addr) {
-        if let Ok(at) = self.proxy_arp.binary_search(&addr) {
-            self.proxy_arp.remove(at);
+        if let Some(cold) = &mut self.cold {
+            if let Ok(at) = cold.proxy_arp.binary_search(&addr) {
+                cold.proxy_arp.remove(at);
+            }
         }
     }
 
@@ -468,7 +489,7 @@ impl Host {
     /// Start accepting `group` traffic arriving on `iface` (RFC 1112).
     pub fn join_multicast(&mut self, iface: IfaceNo, group: Ipv4Addr) {
         debug_assert!(group.is_multicast());
-        self.multicast.insert((iface, group));
+        self.cold_mut().multicast.insert((iface, group));
     }
 
     // ---- protocol handlers & apps --------------------------------------
@@ -670,9 +691,12 @@ impl Host {
     pub(crate) fn on_frame(&mut self, ctx: &mut NetCtx, iface: IfaceNo, frame: &Bytes) {
         let _prof = crate::profile::scope("host/rx");
         // Also answer ARP for intercepted and proxied addresses.
-        let identity = ArpIdentity {
-            intercept: Some(&self.intercept),
-            proxy: &self.proxy_arp,
+        let identity = match &self.cold {
+            Some(c) => ArpIdentity {
+                intercept: Some(&c.intercept),
+                proxy: &c.proxy_arp,
+            },
+            None => ArpIdentity::default(),
         };
         match self.nic.on_frame(ctx, iface, frame, identity) {
             NicRx::Ip(pkt) => self.receive_ip(ctx, iface, pkt),
@@ -684,9 +708,13 @@ impl Host {
 
     fn receive_ip(&mut self, ctx: &mut NetCtx, iface: IfaceNo, pkt: Ipv4Packet) {
         let local = self.is_local_addr(pkt.dst)
-            || self.intercept.contains(&pkt.dst)
+            || self.intercepts(pkt.dst)
             || pkt.dst.is_broadcast()
-            || (pkt.dst.is_multicast() && self.multicast.contains(&(iface, pkt.dst)))
+            || (pkt.dst.is_multicast()
+                && self
+                    .cold
+                    .as_ref()
+                    .is_some_and(|c| c.multicast.contains(&(iface, pkt.dst))))
             || self.subnet_broadcast_iface(pkt.dst).is_some();
         if !local {
             // Hosts are not routers; quietly ignore traffic overheard for
@@ -699,13 +727,13 @@ impl Host {
     fn process_local(&mut self, ctx: &mut NetCtx, pkt: Ipv4Packet, iface: IfaceNo) {
         // Reassemble, then peel tunnel layers (re-reassembling between
         // layers, since inner packets may themselves be fragmented).
-        let Some(mut pkt) = self.reassembler.push(pkt, ctx.now) else {
+        let Some(mut pkt) = self.reassemble(pkt, ctx.now) else {
             return;
         };
         let mut layers: Vec<EncapLayer> = Vec::new();
-        while self.config.decap_capable
+        while self.decap_capable
             && encap::is_tunnel(&pkt)
-            && (self.is_local_addr(pkt.dst) || self.intercept.contains(&pkt.dst))
+            && (self.is_local_addr(pkt.dst) || self.intercepts(pkt.dst))
         {
             let format = match pkt.protocol {
                 IpProtocol::IpInIp => EncapFormat::IpInIp,
@@ -721,7 +749,7 @@ impl Host {
                         outer_dst: pkt.dst,
                         format,
                     });
-                    let Some(reassembled) = self.reassembler.push(inner, ctx.now) else {
+                    let Some(reassembled) = self.reassemble(inner, ctx.now) else {
                         return;
                     };
                     pkt = reassembled;
@@ -763,10 +791,7 @@ impl Host {
 
         // RFC 791 loose-source-route hop processing, for hosts that allow
         // it: we are a waypoint, not the destination.
-        if self.config.forward_source_routes
-            && !pkt.options.is_empty()
-            && self.is_local_addr(pkt.dst)
-        {
+        if self.forward_source_routes && !pkt.options.is_empty() && self.is_local_addr(pkt.dst) {
             let here = pkt.dst;
             let mut onward = pkt.clone();
             if crate::wire::srcroute::process_at_hop(&mut onward, here) {
@@ -791,7 +816,7 @@ impl Host {
             // Tunnel-endpoint forwarding (home agent relaying a reverse
             // tunnel's inner packet onward). The transmission itself is
             // traced by the send path.
-            if self.config.forward_decapsulated && !layers.is_empty() {
+            if self.forward_decapsulated && !layers.is_empty() {
                 self.send_ip(
                     ctx,
                     pkt,
@@ -808,6 +833,16 @@ impl Host {
 
         ctx.trace_packet(TraceEventKind::DeliveredLocal, &pkt);
         self.dispatch(ctx, pkt, iface);
+    }
+
+    /// Feed `pkt` to the reassembler: the whole datagram once its last
+    /// fragment is in, `None` until then. A host that never saw a fragment
+    /// has nothing pending, so its unfragmented packets pass untouched.
+    fn reassemble(&mut self, pkt: Ipv4Packet, now: SimTime) -> Option<Ipv4Packet> {
+        if self.cold.is_none() && !pkt.is_fragment() {
+            return Some(pkt);
+        }
+        self.cold_mut().reassembler.push(pkt, now)
     }
 
     fn dispatch(&mut self, ctx: &mut NetCtx, pkt: Ipv4Packet, iface: IfaceNo) {
@@ -841,7 +876,7 @@ impl Host {
             payload,
         } = &msg
         {
-            if self.config.icmp_echo_reply && self.is_local_addr(pkt.dst) {
+            if self.icmp_echo_reply && self.is_local_addr(pkt.dst) {
                 let reply = IcmpMessage::EchoReply {
                     ident: *ident,
                     seq: *seq,
@@ -900,7 +935,6 @@ impl Host {
 impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
-            .field("name", &self.name)
             .field("id", &self.id)
             .field("addrs", &self.addrs())
             .finish_non_exhaustive()

@@ -2,11 +2,10 @@
 //! (RFC 826) with proxy-ARP support (RFC 1027), fragmentation to the link
 //! MTU, and frame transmission.
 
-use std::collections::HashSet;
-
 use bytes::{Bytes, BytesMut};
 
 use crate::event::IfaceNo;
+use crate::hash::FxHashSet;
 use crate::link::{FaultOutcome, SegmentId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, TraceEventKind};
@@ -56,7 +55,7 @@ impl IfaceAddr {
 #[derive(Clone, Copy, Default)]
 pub struct ArpIdentity<'a> {
     /// Addresses accepted as local on behalf of registered mobile hosts.
-    pub intercept: Option<&'a HashSet<Ipv4Addr>>,
+    pub intercept: Option<&'a FxHashSet<Ipv4Addr>>,
     /// Addresses answered on behalf of others (proxy ARP), sorted.
     pub proxy: &'a [Ipv4Addr],
 }

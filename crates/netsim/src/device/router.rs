@@ -232,7 +232,8 @@ pub fn patch_forwarded_frame(buf: &mut [u8], dst_mac: MacAddr, src_mac: MacAddr)
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Fully-qualified name, lower-case, dot-separated.
+    /// Fully-qualified name, lower-case, dot-separated. The world keeps it
+    /// once, interned ([`crate::world::World::node_names`]).
     pub name: String,
     /// Generate ICMP errors (time exceeded, unreachable, frag needed).
     pub icmp_errors: bool,
@@ -257,8 +258,6 @@ impl RouterConfig {
 /// An IP router.
 #[derive(Debug)]
 pub struct Router {
-    /// Fully-qualified name, lower-case, dot-separated.
-    pub name: String,
     id: NodeId,
     pub(crate) nic: Nic,
     routes: RouteTable,
@@ -290,7 +289,6 @@ impl Router {
     /// A router with no interfaces or routes yet.
     pub fn new(id: NodeId, config: RouterConfig) -> Router {
         Router {
-            name: config.name,
             id,
             nic: Nic::new(),
             routes: RouteTable::new(),

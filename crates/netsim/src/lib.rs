@@ -34,6 +34,7 @@
 pub mod arena;
 pub mod device;
 pub mod event;
+pub mod hash;
 pub mod lifecycle;
 pub mod link;
 pub mod metrics;

@@ -18,10 +18,11 @@
 //! * [`Lifecycle::write_pcapng`] — a pcapng capture whose per-packet
 //!   comments carry the packet/flow ids, event kinds and drop reasons.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 
 use crate::event::NodeId;
+use crate::hash::FxHashMap;
 use crate::time::SimDuration;
 use crate::trace::{
     DropReason, FlowId, PacketId, PacketSummary, PacketTrace, TraceEvent, TraceEventKind,
@@ -212,7 +213,7 @@ impl Lifecycle {
     /// beginning was not recorded yields a truncated span, never a panic.
     pub fn reconstruct(trace: &PacketTrace, node_names: &[&str]) -> Lifecycle {
         let mut by_packet: BTreeMap<PacketId, Vec<TraceEvent>> = BTreeMap::new();
-        let mut child_of: HashMap<PacketId, PacketId> = HashMap::new();
+        let mut child_of: FxHashMap<PacketId, PacketId> = FxHashMap::default();
         for e in trace.events() {
             if matches!(e.kind, TraceEventKind::Transformed(_)) {
                 if let Some(p) = e.parent_id {

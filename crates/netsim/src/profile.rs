@@ -39,6 +39,8 @@ use std::time::Instant;
 
 use serde::{JsonWriter, Serialize, Value};
 
+use crate::hash::FxHashMap;
+
 // ---------------------------------------------------------------------------
 // Enable flag
 // ---------------------------------------------------------------------------
@@ -562,7 +564,7 @@ impl ProfileReport {
     /// `(name, calls, excl_ns, allocs, alloc_bytes)` sorted by the chosen
     /// key, largest first.
     fn flat(&self, by_alloc: bool) -> Vec<(String, u64, u64, u64, u64)> {
-        fn walk(acc: &mut std::collections::HashMap<String, (u64, u64, u64, u64)>, s: &ScopeStat) {
+        fn walk(acc: &mut FxHashMap<String, (u64, u64, u64, u64)>, s: &ScopeStat) {
             let e = acc.entry(s.name.clone()).or_default();
             e.0 += s.calls;
             e.1 += s.excl_ns;
@@ -572,7 +574,7 @@ impl ProfileReport {
                 walk(acc, c);
             }
         }
-        let mut acc = std::collections::HashMap::new();
+        let mut acc = FxHashMap::default();
         for r in &self.roots {
             walk(&mut acc, r);
         }

@@ -8,7 +8,7 @@
 //! past [`LINEAR_MAX`] entries build a single hash index keyed by
 //! `(prefix length, network)` plus a populated-lengths bitmap — the
 //! classic "binary search on prefix lengths" layout simplified to a
-//! descending scan — and add a per-destination cache that
+//! descending scan — and a per-destination cache inside that index that
 //! short-circuits repeat lookups, exactly the locality a packet flow
 //! exhibits. The cache is invalidated whenever the table changes; an
 //! interface moving cannot change a memoised answer, which is the LPM over
@@ -25,9 +25,9 @@
 //! later entry wins (as `max_by_key` returns the last maximum).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crate::device::router::{lpm, RouteEntry};
+use crate::hash::FxHashMap;
 use crate::wire::ipv4::{Ipv4Addr, Ipv4Cidr};
 
 /// Cache entries beyond this are assumed to indicate an unusual workload
@@ -40,15 +40,21 @@ const CACHE_CAP: usize = 1024;
 const LINEAR_MAX: usize = 8;
 
 /// The hash index built for large tables: one map over every installed
-/// prefix plus the populated-lengths bitmap lookups scan.
+/// prefix, the populated-lengths bitmap lookups scan, and the lookup memo.
 #[derive(Debug, Default)]
 struct LpmIndex {
     /// `(prefix_len << 32 | network)` → index in `entries` of the winning
     /// route for that exact prefix.
-    buckets: HashMap<u64, usize>,
+    buckets: FxHashMap<u64, usize>,
     /// Bit `p` set ⇔ some `/p` route is installed; lets lookups skip
     /// empty prefix lengths without probing the map.
     populated: u64,
+    /// dst → route memo. Interior mutability so `&self` lookups (hosts
+    /// route from `&self` contexts) can still fill it; a `World` lives on
+    /// one thread so `RefCell` suffices. It lives here because only an
+    /// indexed table consults it — small tables answer faster than a hash
+    /// probe anyway — so the hosts of a large world carry none of it.
+    cache: RefCell<FxHashMap<u32, Option<RouteEntry>>>,
 }
 
 impl LpmIndex {
@@ -61,11 +67,15 @@ impl LpmIndex {
         self.buckets
             .insert(LpmIndex::key(p, entry.prefix.network().0), ix);
         self.populated |= 1u64 << p;
+        // A memo is the LPM over the entries alone: only a new route can
+        // make one stale, never an interface moving.
+        self.cache.get_mut().clear();
     }
 
     fn clear(&mut self) {
         self.buckets.clear();
         self.populated = 0;
+        self.cache.get_mut().clear();
     }
 }
 
@@ -79,13 +89,9 @@ impl LpmIndex {
 pub struct RouteTable {
     /// All routes in insertion order (what `routes()` accessors expose).
     entries: Vec<RouteEntry>,
-    /// The hash index; built lazily once the table outgrows [`LINEAR_MAX`].
+    /// The hash index and lookup memo; built lazily once the table
+    /// outgrows [`LINEAR_MAX`].
     index: Option<Box<LpmIndex>>,
-    /// dst → route memo. Interior mutability so `&self` lookups (hosts
-    /// route from `&self` contexts) can still fill it; a `World` lives on
-    /// one thread so `RefCell` suffices. Only engaged alongside the
-    /// index — small tables answer faster than a hash probe anyway.
-    cache: RefCell<HashMap<u32, Option<RouteEntry>>>,
 }
 
 impl RouteTable {
@@ -94,7 +100,6 @@ impl RouteTable {
         RouteTable {
             entries: Vec::new(),
             index: None,
-            cache: RefCell::new(HashMap::new()),
         }
     }
 
@@ -120,7 +125,6 @@ impl RouteTable {
             }
             None => {}
         }
-        self.invalidate_cache();
     }
 
     /// Remove every route. A table that built an index keeps it (emptied,
@@ -133,7 +137,6 @@ impl RouteTable {
         if let Some(index) = &mut self.index {
             index.clear();
         }
-        self.invalidate_cache();
     }
 
     /// The routes, in insertion order.
@@ -153,13 +156,13 @@ impl RouteTable {
             // Small table: direct linear LPM, no cache traffic.
             return lpm(&self.entries, dst);
         };
-        if let Some(hit) = self.cache.borrow().get(&dst.0) {
+        if let Some(hit) = index.cache.borrow().get(&dst.0) {
             crate::profile::add(crate::profile::Counter::RouteCacheHit, 1);
             return *hit;
         }
         crate::profile::add(crate::profile::Counter::RouteCacheMiss, 1);
         let found = self.lookup_indexed(index, dst);
-        let mut cache = self.cache.borrow_mut();
+        let mut cache = index.cache.borrow_mut();
         if cache.len() >= CACHE_CAP {
             cache.clear();
         }
@@ -180,16 +183,6 @@ impl RouteTable {
             lens &= !(1u64 << p);
         }
         None
-    }
-
-    /// Drop all memoized lookups: the entries changed. A memo is the LPM
-    /// over the entries alone, so nothing outside the table (an interface
-    /// moving, say) can make one stale.
-    fn invalidate_cache(&self) {
-        let mut cache = self.cache.borrow_mut();
-        if !cache.is_empty() {
-            cache.clear();
-        }
     }
 }
 
@@ -253,27 +246,42 @@ mod tests {
         assert_eq!(t.lookup(dst).unwrap().iface, 2);
     }
 
+    /// A table past [`LINEAR_MAX`], so lookups go through the index and
+    /// its memo; the filler routes match nothing under `10/8`.
+    fn indexed_table() -> RouteTable {
+        let mut t = RouteTable::new();
+        for i in 0..LINEAR_MAX {
+            t.add(entry(&format!("172.16.{i}.0/24"), 100 + i));
+        }
+        t
+    }
+
     #[test]
     fn cache_serves_and_invalidates() {
-        let mut t = RouteTable::new();
+        let mut t = indexed_table();
         t.add(entry("10.0.0.0/8", 1));
         let dst = ip("10.1.1.1");
         assert_eq!(t.lookup(dst).unwrap().iface, 1);
-        // Cached now; adding a more specific route must invalidate it.
+        let memo = |t: &RouteTable| t.index.as_ref().unwrap().cache.borrow().len();
+        assert_eq!(memo(&t), 1, "the lookup is memoised");
+        // Adding a more specific route must invalidate it.
         t.add(entry("10.1.0.0/16", 2));
+        assert_eq!(memo(&t), 0);
         assert_eq!(t.lookup(dst).unwrap().iface, 2);
         t.clear();
+        assert_eq!(memo(&t), 0);
         assert_eq!(t.lookup(dst), None);
     }
 
     #[test]
     fn no_match_is_cached_too() {
-        let mut t = RouteTable::new();
+        let mut t = indexed_table();
         t.add(entry("10.0.0.0/8", 1));
-        assert_eq!(t.lookup(ip("192.168.1.1")), None);
-        assert_eq!(t.lookup(ip("192.168.1.1")), None);
-        t.invalidate_cache();
-        assert_eq!(t.lookup(ip("192.168.1.1")), None);
+        let miss = ip("192.168.1.1");
+        assert_eq!(t.lookup(miss), None);
+        let index = t.index.as_ref().unwrap();
+        assert_eq!(index.cache.borrow().get(&miss.0), Some(&None));
+        assert_eq!(t.lookup(miss), None);
     }
 
     #[test]

@@ -17,13 +17,10 @@
 //! needed. They are library code the repository benchmark times
 //! (`telemetry.space_saving_offer_ns`, `telemetry.reservoir_offer_ns`).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
-
 use serde::Serialize;
 
 use crate::event::SchedulerStats;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::time::SimTime;
 use crate::trace::TraceEventKind;
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
@@ -73,7 +70,7 @@ pub struct SketchEntry<K> {
 pub struct SpaceSaving<K> {
     k: usize,
     entries: Vec<SketchEntry<K>>,
-    index: HashMap<K, usize>,
+    index: FxHashMap<K, usize>,
     /// Keys evicted at least once — when 0 the sketch is an exact map.
     evictions: u64,
 }
@@ -85,7 +82,7 @@ impl<K: Clone + Eq + std::hash::Hash + Ord> SpaceSaving<K> {
         SpaceSaving {
             k,
             entries: Vec::with_capacity(k),
-            index: HashMap::with_capacity(k),
+            index: FxHashMap::with_capacity_and_hasher(k, Default::default()),
             evictions: 0,
         }
     }
@@ -304,10 +301,10 @@ pub struct InvariantMonitor {
     unparked: u64,
     unclaimed_frames: u64,
     hook_consumed: u64,
-    // Fixed-key hasher: under insert/remove churn the table's next resize
-    // depends on where tombstones fall, so with `RandomState` the run's
-    // allocation count differed from process to process.
-    live: HashSet<LiveKey, BuildHasherDefault<DefaultHasher>>,
+    // Fixed-key hasher (as every library map's): under insert/remove churn
+    // the table's next resize depends on where tombstones fall, so with
+    // `RandomState` the run's allocation count differed between processes.
+    live: FxHashSet<LiveKey>,
     // Incremental checking.
     checks: u64,
     scheduler_flagged: bool,

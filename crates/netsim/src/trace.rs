@@ -43,10 +43,8 @@
 //! `TraceEvent` by value when it is read: two indexed loads and a 40-byte
 //! copy per event, paid by the reader instead of by every hop of the run.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::event::NodeId;
+use crate::hash::FxHashMap;
 use crate::time::SimTime;
 use crate::wire::encap::{self, EncapFormat};
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
@@ -362,44 +360,6 @@ type PacketKey = (Ipv4Addr, Ipv4Addr, IpProtocol, u16);
 /// innermost protocol.
 type FlowKey = (Ipv4Addr, Ipv4Addr, IpProtocol);
 
-/// Hasher of the identity tables: integer fields fold into one word and
-/// [`crate::telemetry::hash64`] finalizes it. The keys come from packets
-/// the simulation built itself, never from outside the program, so they
-/// need no per-process random key — and a fixed one costs a few
-/// multiplies where SipHash over a four-field tuple was the largest part
-/// of a trace record. The tables are never iterated, so the hasher cannot
-/// show in any output.
-#[derive(Default)]
-struct IdentityHasher(u64);
-
-type IdentityMap<K, V> = HashMap<K, V, BuildHasherDefault<IdentityHasher>>;
-
-impl Hasher for IdentityHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(u64::from(x));
-    }
-    fn write_u16(&mut self, x: u16) {
-        self.write_u64(u64::from(x));
-    }
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-    fn finish(&self) -> u64 {
-        crate::telemetry::hash64(self.0)
-    }
-}
-
 /// Per-packet bookkeeping: causal links, the overhead baseline, and
 /// everything a [`TraceEvent`] says that is the same for all of a packet's
 /// events.
@@ -543,16 +503,16 @@ pub struct PacketTrace {
     /// Current id for each header identity seen in the world. A transform
     /// re-points the child's key at a fresh id, so the same wire identity
     /// observed after the transform belongs to the new causal node.
-    ids: IdentityMap<PacketKey, PacketId>,
+    ids: FxHashMap<PacketKey, PacketId>,
     /// Causal bookkeeping per id, indexed by it: ids are minted densely
     /// from `meta.len()`.
     meta: Vec<PacketMeta>,
     /// Conversation registry.
-    flows: IdentityMap<FlowKey, FlowId>,
+    flows: FxHashMap<FlowKey, FlowId>,
     /// Last packet each logical endpoint contributed to each flow — the
     /// presumed parent of a retransmission, which arrives with a fresh
     /// ident and no explicit parent packet.
-    last_in_flow: IdentityMap<(FlowId, Ipv4Addr), PacketId>,
+    last_in_flow: FxHashMap<(FlowId, Ipv4Addr), PacketId>,
     next_flow: u64,
 }
 
@@ -853,12 +813,14 @@ impl PacketTrace {
         F: Fn(&PacketSummary) -> bool,
     {
         let mut last_sent: Option<SimTime> = None;
-        let mut sent_at: HashMap<(Ipv4Addr, Ipv4Addr, IpProtocol, u16), SimTime> = HashMap::new();
+        let mut sent_at: FxHashMap<(Ipv4Addr, Ipv4Addr, IpProtocol, u16), SimTime> =
+            FxHashMap::default();
         // Earliest transmission that carried each logical flow *inside a
         // tunnel*. When an agent decapsulates and re-originates the inner
         // packet (a `Sent` event at the agent), the delivery must still be
         // charged from the original sender, not from the agent's re-send.
-        let mut tunnel_sent: HashMap<(Ipv4Addr, Ipv4Addr, IpProtocol), SimTime> = HashMap::new();
+        let mut tunnel_sent: FxHashMap<(Ipv4Addr, Ipv4Addr, IpProtocol), SimTime> =
+            FxHashMap::default();
         for e in self.matching(pred) {
             match e.kind {
                 TraceEventKind::Sent => {

@@ -549,7 +549,7 @@ struct ReasmBuf {
 /// 15 seconds; we default to 30 as Linux does).
 #[derive(Debug)]
 pub struct Reassembler {
-    bufs: std::collections::HashMap<ReasmKey, ReasmBuf>,
+    bufs: crate::hash::FxHashMap<ReasmKey, ReasmBuf>,
     timeout: crate::time::SimDuration,
 }
 
@@ -563,7 +563,7 @@ impl Reassembler {
     /// A reassembler dropping incomplete datagrams after `timeout`.
     pub fn new(timeout: crate::time::SimDuration) -> Reassembler {
         Reassembler {
-            bufs: std::collections::HashMap::new(),
+            bufs: crate::hash::FxHashMap::default(),
             timeout,
         }
     }

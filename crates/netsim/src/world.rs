@@ -1,7 +1,7 @@
 //! The simulation world: nodes, segments, the event loop, and automatic
 //! shortest-path route computation for static topologies.
 
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -15,6 +15,7 @@ use crate::event::{
     lane_key, node_lane, Event, EventKind, EventQueue, IfaceNo, NodeId, SchedulerStats,
     SchedulerTelemetry, Timer, TimerHandle, TimerToken,
 };
+use crate::hash::FxHashSet;
 use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{hash64, InvariantMonitor};
@@ -24,13 +25,15 @@ use crate::wire::ethernet::{EthernetFrame, MacAddr};
 use crate::wire::ipv4::{Ipv4Addr, Ipv4Cidr, Ipv4Packet};
 use crate::wire::pcap::PcapWriter;
 
-/// A node is either an end system or a router.
-#[allow(clippy::large_enum_variant)] // hosts dominate and are not copied
+/// A node is either an end system or a router. Hosts outnumber routers
+/// by orders of magnitude in a large world, so a router lives behind a box
+/// and the enum is sized to a host.
+#[allow(clippy::large_enum_variant)] // boxing hosts would add a pointer chase per frame
 pub enum Node {
     /// An end system.
     Host(Host),
     /// A packet forwarder.
-    Router(Router),
+    Router(Box<Router>),
 }
 
 impl Node {
@@ -77,14 +80,6 @@ impl Node {
         match self {
             Node::Host(h) => h.clear_routes(),
             Node::Router(r) => r.clear_routes(),
-        }
-    }
-
-    /// The node's human-readable name.
-    pub fn name(&self) -> &str {
-        match self {
-            Node::Host(h) => &h.name,
-            Node::Router(r) => &r.name,
         }
     }
 }
@@ -494,7 +489,8 @@ impl World {
     pub fn add_router(&mut self, config: RouterConfig) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.node_syms.push(crate::arena::intern(&config.name));
-        self.nodes.push(Node::Router(Router::new(id, config)));
+        self.nodes
+            .push(Node::Router(Box::new(Router::new(id, config))));
         self.node_seq.push(0);
         self.node_rng
             .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));
@@ -822,10 +818,10 @@ impl World {
         let seg_count = self.segments.len();
 
         // Which prefixes live on which segment. Order preserved (it decides
-        // route-table order); the HashSet makes dedup O(1) per interface
+        // route-table order); the set makes dedup O(1) per interface
         // instead of a linear rescan of everything seen so far.
         let mut prefix_home: Vec<(Ipv4Cidr, SegmentId)> = Vec::new();
-        let mut prefix_seen: HashSet<(Ipv4Cidr, SegmentId)> = HashSet::new();
+        let mut prefix_seen: FxHashSet<(Ipv4Cidr, SegmentId)> = FxHashSet::default();
         for node in &self.nodes {
             let nic = node.nic();
             for i in 0..nic.iface_count() {

@@ -432,17 +432,6 @@ impl<K: ToString, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-/// Hash maps serialize with their keys sorted (by rendered key string), so
-/// emitted documents are byte-stable run to run regardless of hasher seed
-/// or insertion order.
-impl<K: ToString, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn serialize(&self, w: &mut JsonWriter) {
-        let mut fields: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_string(), v)).collect();
-        fields.sort_by(|(a, _), (b, _)| a.cmp(b));
-        w.object(|w| fields.iter().for_each(|(k, v)| w.field(k, v)));
-    }
-}
-
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize(&self, w: &mut JsonWriter) {
         w.array(|w| {
@@ -528,15 +517,6 @@ mod tests {
             w.display("a\"b\n");
         });
         assert_eq!(w.into_string(), r#"["10.0","a\"b\n"]"#);
-    }
-
-    #[test]
-    fn hash_maps_serialize_with_sorted_keys() {
-        let mut m = std::collections::HashMap::new();
-        m.insert("zeta", 1u32);
-        m.insert("alpha", 2u32);
-        m.insert("mid", 3u32);
-        assert_eq!(render(&m), r#"{"alpha":2,"mid":3,"zeta":1}"#);
     }
 
     #[test]

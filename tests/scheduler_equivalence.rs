@@ -9,6 +9,10 @@
 //! with delays straddling each wheel-level boundary and the 2³² µs
 //! overflow horizon.
 
+// The model is test code: std's randomly keyed map is as good a referee
+// as any, and the library's hasher rule does not apply.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::{BTreeMap, HashMap};
 
 use mobility4x4::netsim::event::{lane_key, node_lane, segment_lane, LANE_EXTERNAL};
