@@ -7,7 +7,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use netsim::{Lifecycle, PacketId, PacketOutcome};
+use netsim::{DropReason, Lifecycle, PacketId, PacketOutcome};
 use serde::Value;
 
 pub(crate) fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -162,10 +162,10 @@ fn flows(lc: &Lifecycle) {
         "flow", "src", "dst", "proto", "pkts", "wire", "bytes", "dlvr", "retx", "encap+"
     );
     for f in &lc.flows {
-        let drops = f
-            .drops
-            .iter()
-            .map(|(r, n)| format!("{}×{}", n, r.tag()))
+        let drops = DropReason::ALL
+            .into_iter()
+            .filter(|r| f.counts.drops[r.index()] > 0)
+            .map(|r| format!("{}×{}", f.counts.drops[r.index()], r.tag()))
             .collect::<Vec<_>>()
             .join(", ");
         println!(
@@ -175,9 +175,9 @@ fn flows(lc: &Lifecycle) {
             f.dst.to_string(),
             f.protocol.number(),
             f.packets,
-            f.wire_events,
-            f.bytes_on_wire,
-            f.deliveries,
+            f.counts.wire_events,
+            f.counts.bytes_on_wire,
+            f.counts.deliveries,
             f.retransmissions,
             f.encap_overhead_bytes,
             drops

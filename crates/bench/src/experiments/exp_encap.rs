@@ -28,9 +28,9 @@ use crate::util::Table;
 /// Wire accounting for one tunnelled workload run.
 pub struct EncapOutcome {
     /// Tunnel packets put on the wire.
-    pub tunnel_packets: usize,
+    pub tunnel_packets: u64,
     /// Total bytes of those tunnel packets.
-    pub tunnel_bytes: usize,
+    pub tunnel_bytes: u64,
     /// The workload completed without transport errors.
     pub session_ok: bool,
 }
@@ -63,25 +63,17 @@ pub fn workload(format: EncapFormat) -> EncapOutcome {
     s.world.run_for(SimDuration::from_secs(10));
 
     crate::report::record_world(&format!("workload/{format:?}"), &s.world);
-    let is_tunnel = |p: &netsim::trace::PacketSummary| {
-        matches!(
-            p.protocol,
-            IpProtocol::IpInIp | IpProtocol::MinimalEncap | IpProtocol::Gre
-        )
-    };
-    let tunnel_packets = s
+    let (mut tunnel_packets, mut tunnel_bytes) = (0, 0);
+    for t in s
         .world
         .trace
-        .matching(is_tunnel)
-        .filter(|e| matches!(e.kind, netsim::TraceEventKind::Sent))
-        .count();
-    let tunnel_bytes = s
-        .world
-        .trace
-        .matching(is_tunnel)
-        .filter(|e| matches!(e.kind, netsim::TraceEventKind::Sent))
-        .map(|e| e.packet.wire_len)
-        .sum();
+        .conversations()
+        .values()
+        .flat_map(|c| c.tunnels)
+    {
+        tunnel_packets += t.sends;
+        tunnel_bytes += t.send_bytes;
+    }
     let sess = s
         .world
         .host_mut(mh)
@@ -97,7 +89,7 @@ pub fn workload(format: EncapFormat) -> EncapOutcome {
 /// Push a small and a fragmented datagram through a Minimal-Encapsulation
 /// home agent; returns (MINENC tunnel sends, datagrams delivered at the
 /// mobile).
-pub fn minimal_with_fragments() -> (usize, usize) {
+pub fn minimal_with_fragments() -> (u64, usize) {
     let mut s = build(ScenarioConfig {
         ch_kind: ChKind::Conventional,
         encap: EncapFormat::Minimal,
@@ -132,9 +124,10 @@ pub fn minimal_with_fragments() -> (usize, usize) {
     let minenc = s
         .world
         .trace
-        .matching(|p| p.protocol == IpProtocol::MinimalEncap)
-        .filter(|e| matches!(e.kind, netsim::TraceEventKind::Sent))
-        .count();
+        .conversations()
+        .values()
+        .map(|c| c.tunnels[EncapFormat::Minimal as usize].sends)
+        .sum::<u64>();
     let mut delivered = 0;
     while transport::udp::recv(s.world.host_mut(mh), sock).is_some() {
         delivered += 1;

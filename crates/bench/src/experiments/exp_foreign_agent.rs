@@ -13,7 +13,7 @@ use mip_core::foreign_agent::{ForeignAgent, ForeignAgentConfig};
 use mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
 use mip_core::{move_to, Attachment, MobileHost, OutMode, PolicyConfig};
 use netsim::wire::icmp::IcmpMessage;
-use netsim::SimDuration;
+use netsim::{IpProtocol, SimDuration};
 
 use crate::util::Table;
 
@@ -28,7 +28,7 @@ pub struct FaOutcome {
     /// Out-DH packets the mobile sent.
     pub out_dh: u64,
     /// Wire traversals of the incoming request.
-    pub in_hops: usize,
+    pub in_hops: u64,
 }
 
 /// Ping the mobile from the correspondent and record which modes carried
@@ -78,10 +78,7 @@ pub fn deployment(via_fa: bool) -> FaOutcome {
         .icmp_log
         .iter()
         .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 1, .. }));
-    let in_hops = s.world.trace.hops(|p| {
-        let (lsrc, ldst) = p.logical_endpoints();
-        lsrc == ch_addr && ldst == mh_home
-    });
+    let ping = super::conversation(&s.world, (ch_addr, mh_home, IpProtocol::Icmp));
     crate::report::record_world(&format!("deployment/via_fa={via_fa}"), &s.world);
     let hook = s.world.host_mut(s.mh).hook_as::<MobileHost>().unwrap();
     crate::report::record_value(&format!("deployment/via_fa={via_fa}/audit"), hook.audit());
@@ -90,7 +87,7 @@ pub fn deployment(via_fa: bool) -> FaOutcome {
         ping_answered,
         out_de: hook.stats.sent_out_de,
         out_dh: hook.stats.sent_out_dh,
-        in_hops,
+        in_hops: ping.counts.wire_events,
     }
 }
 

@@ -29,16 +29,17 @@ pub struct WorkloadOutcome {
     /// Mean completion time of the successful transfers, ms.
     pub mean_transfer_ms: f64,
     /// TCP bytes put on wires (tunnel legs included).
-    pub wire_bytes: usize,
+    pub wire_bytes: u64,
 }
 
-fn tcp_bytes(s: &Scenario) -> usize {
-    s.world.trace.bytes_on_wire(|p| {
-        p.protocol == IpProtocol::Tcp
-            || p.inner
-                .map(|(_, _, pr)| pr == IpProtocol::Tcp)
-                .unwrap_or(false)
-    })
+fn tcp_bytes(s: &Scenario) -> u64 {
+    s.world
+        .trace
+        .conversations()
+        .iter()
+        .filter(|((_, _, proto), _)| *proto == IpProtocol::Tcp)
+        .map(|(_, c)| c.counts.bytes_on_wire)
+        .sum()
 }
 
 /// Run `transfers` short HTTP-like transfers, moving the mobile to network

@@ -36,10 +36,10 @@ pub enum Steering {
 pub struct LsrOutcome {
     /// The probe reached the correspondent.
     pub delivered: bool,
-    /// One-way delivery latency, µs.
-    pub one_way_us: u64,
+    /// One-way delivery latency, µs; `None` when the probe never arrived.
+    pub one_way_us: Option<u64>,
     /// Average bytes per wire traversal.
-    pub wire_bytes_per_hop: usize,
+    pub wire_bytes_per_hop: u64,
     /// Times a router diverted the probe to its options slow path.
     pub slow_path_hits: u64,
 }
@@ -99,24 +99,15 @@ pub fn probe(method: Steering, filtered: bool) -> LsrOutcome {
     }
     s.world.run_for(SimDuration::from_secs(2));
 
-    let pred = |p: &netsim::trace::PacketSummary| {
-        let (lsrc, _) = p.logical_endpoints();
-        lsrc == home && p.protocol != IpProtocol::Udp // exclude registration
-    };
     let delivered = s
         .world
         .host(s.ch)
         .icmp_log
         .iter()
         .any(|e| matches!(e.message, IcmpMessage::EchoRequest { seq: 1, .. }));
-    let one_way_us = s
-        .world
-        .trace
-        .first_delivery_latency(pred)
-        .map(|d| d.as_micros())
-        .unwrap_or(0);
-    let hops = s.world.trace.hops(pred).max(1);
-    let wire_bytes_per_hop = s.world.trace.bytes_on_wire(pred) / hops;
+    let probe = super::conversation(&s.world, (home, ch_addr, IpProtocol::Icmp));
+    let one_way_us = probe.first_delivery_latency.map(|d| d.as_micros());
+    let wire_bytes_per_hop = probe.counts.bytes_on_wire / probe.counts.wire_events.max(1);
     let slow_path_hits = [s.home_gw, s.visited_a_gw, s.visited_b_gw, s.ch_gw]
         .iter()
         .map(|&r| s.world.router_mut(r).slow_path_packets)
@@ -178,12 +169,8 @@ mod tests {
         // ...but slower: it hit the options slow path at several routers.
         assert!(lsr.slow_path_hits >= 3, "hits: {}", lsr.slow_path_hits);
         assert_eq!(enc.slow_path_hits, 0);
-        assert!(
-            lsr.one_way_us > enc.one_way_us + 1_000,
-            "lsr {} vs enc {}",
-            lsr.one_way_us,
-            enc.one_way_us
-        );
+        let (lsr_us, enc_us) = (lsr.one_way_us.unwrap(), enc.one_way_us.unwrap());
+        assert!(lsr_us > enc_us + 1_000, "lsr {lsr_us} vs enc {enc_us}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use mip_core::scenario::{addrs, build, ip, ChKind, Scenario, ScenarioConfig};
 use mip_core::{MobileHost, OutMode, PolicyConfig};
-use netsim::wire::ipv4::IpProtocol;
-use netsim::SimDuration;
+use netsim::trace::Conversation;
+use netsim::{EncapFormat, IpProtocol, SimDuration};
 
 use crate::util::{ms, Table};
 
@@ -37,29 +37,18 @@ pub fn run() -> Table {
     s.world.run_for(SimDuration::from_secs(2));
 
     // Incoming: the ICMP request, addressed to the home address. It rides
-    // partly inside a tunnel (where the outer protocol is IPIP), so count
-    // by logical endpoints.
-    let incoming = |p: &netsim::trace::PacketSummary| {
-        let (src, dst) = p.logical_endpoints();
-        src == ch_addr && dst == mh_home
-    };
-    let outgoing = |p: &netsim::trace::PacketSummary| {
-        let (src, dst) = p.logical_endpoints();
-        src == mh_home && dst == ch_addr && p.protocol == IpProtocol::Icmp
-    };
-
-    let in_hops = s.world.trace.hops(incoming);
-    let in_latency = s.world.trace.first_delivery_latency(incoming).unwrap();
-    let in_bytes = s.world.trace.bytes_on_wire(incoming);
-    let out_hops = s.world.trace.hops(outgoing);
-    let out_latency = s.world.trace.first_delivery_latency(outgoing).unwrap();
-    let out_bytes = s.world.trace.bytes_on_wire(outgoing);
+    // partly inside a tunnel (where the outer protocol is IPIP), so it is
+    // keyed by logical endpoints.
+    let mut convs = s.world.trace.conversations();
+    let incoming = convs
+        .remove(&(ch_addr, mh_home, IpProtocol::Icmp))
+        .unwrap_or_default();
+    let outgoing = convs
+        .remove(&(mh_home, ch_addr, IpProtocol::Icmp))
+        .unwrap_or_default();
+    let latency_ms = |c: &Conversation| ms(c.first_delivery_latency.map(|d| d.as_micros()));
     // Tunnel legs carry 20 extra bytes each.
-    let tunneled_legs = s
-        .world
-        .trace
-        .matching(|p| p.protocol == IpProtocol::IpInIp)
-        .count();
+    let tunneled_legs = incoming.tunnels[EncapFormat::IpInIp as usize].legs;
 
     crate::report::record_world("basic-mobile-ip", &s.world);
     let hook = s.world.host_mut(s.mh).hook_as::<MobileHost>().unwrap();
@@ -74,16 +63,16 @@ pub fn run() -> Table {
     t.row(&[
         "CH -> MH (via home agent)".to_string(),
         "In-IE".to_string(),
-        in_hops.to_string(),
-        ms(in_latency.as_micros()),
-        in_bytes.to_string(),
+        incoming.counts.wire_events.to_string(),
+        latency_ms(&incoming),
+        incoming.counts.bytes_on_wire.to_string(),
     ]);
     t.row(&[
         "MH -> CH (direct)".to_string(),
         "Out-DH".to_string(),
-        out_hops.to_string(),
-        ms(out_latency.as_micros()),
-        out_bytes.to_string(),
+        outgoing.counts.wire_events.to_string(),
+        latency_ms(&outgoing),
+        outgoing.counts.bytes_on_wire.to_string(),
     ]);
     t.note(format!(
         "incoming crossed {tunneled_legs} tunnelled wire legs (+20 B IP-in-IP each); \

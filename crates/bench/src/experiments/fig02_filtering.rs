@@ -15,7 +15,7 @@
 use mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
 use mip_core::{OutMode, PolicyConfig};
 use netsim::wire::icmp::IcmpMessage;
-use netsim::{DropReason, SimDuration};
+use netsim::{DropReason, IpProtocol, SimDuration};
 
 use crate::util::Table;
 
@@ -61,7 +61,7 @@ impl FilterConfig {
 
 /// Send `n` pings from the roamed mobile to the home-domain server using
 /// `mode`; return (delivered requests, observed filter drops).
-pub fn probe(mode: OutMode, filters: FilterConfig, n: u16) -> (usize, usize) {
+pub fn probe(mode: OutMode, filters: FilterConfig, n: u16) -> (usize, u64) {
     let mut s = build(ScenarioConfig {
         ch_kind: ChKind::Conventional,
         home_ingress_filter: filters.home_ingress,
@@ -98,16 +98,8 @@ pub fn probe(mode: OutMode, filters: FilterConfig, n: u16) -> (usize, usize) {
         .iter()
         .filter(|e| matches!(e.message, IcmpMessage::EchoRequest { .. }))
         .count();
-    let filter_drops = s
-        .world
-        .trace
-        .drops(|p| {
-            let (lsrc, ldst) = p.logical_endpoints();
-            lsrc == src && ldst == server_addr
-        })
-        .iter()
-        .filter(|(_, r)| *r == DropReason::SourceAddressFilter)
-        .count();
+    let ping = super::conversation(&s.world, (src, server_addr, IpProtocol::Icmp));
+    let filter_drops = ping.counts.drops[DropReason::SourceAddressFilter.index()];
     let label = format!("{mode}/{}", filters.label());
     crate::report::record_world(&label, &s.world);
     if let Some(h) = s.world.host_mut(mh).hook_as::<mip_core::MobileHost>() {

@@ -16,9 +16,9 @@ use crate::util::{ms, Table};
 
 struct Leg {
     delivered: bool,
-    hops: usize,
-    latency_us: u64,
-    bytes: usize,
+    hops: u64,
+    latency_us: Option<u64>,
+    bytes: u64,
 }
 
 fn measure(mode: OutMode, filtered: bool) -> Leg {
@@ -38,10 +38,6 @@ fn measure(mode: OutMode, filtered: bool) -> Leg {
     s.world
         .host_do(mh, |h, ctx| h.send_ping(ctx, home, server_addr, 1));
     s.world.run_for(SimDuration::from_secs(2));
-    let pred = |p: &netsim::trace::PacketSummary| {
-        let (lsrc, ldst) = p.logical_endpoints();
-        lsrc == home && ldst == server_addr
-    };
     let delivered = s
         .world
         .host(s.server)
@@ -49,16 +45,12 @@ fn measure(mode: OutMode, filtered: bool) -> Leg {
         .iter()
         .any(|e| matches!(e.message, IcmpMessage::EchoRequest { .. }));
     crate::report::record_world(&format!("leg/{mode:?}/filtered={filtered}"), &s.world);
+    let leg = super::conversation(&s.world, (home, server_addr, IpProtocol::Icmp));
     Leg {
         delivered,
-        hops: s.world.trace.hops(pred),
-        latency_us: s
-            .world
-            .trace
-            .first_delivery_latency(pred)
-            .map(|d| d.as_micros())
-            .unwrap_or(0),
-        bytes: s.world.trace.bytes_on_wire(pred),
+        hops: leg.counts.wire_events,
+        latency_us: leg.first_delivery_latency.map(|d| d.as_micros()),
+        bytes: leg.counts.bytes_on_wire,
     }
 }
 
@@ -93,7 +85,6 @@ pub fn run() -> Table {
     t.note(
         "Out-IE pays extra hops and +20 B/packet but 'meets the deliverability requirement' (§3.1)",
     );
-    let _ = IpProtocol::IpInIp;
     t
 }
 

@@ -9,7 +9,7 @@
 
 use mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
 use mip_core::{OutMode, PolicyConfig};
-use netsim::SimDuration;
+use netsim::{IpProtocol, SimDuration};
 
 use crate::util::{ms, Table};
 
@@ -17,16 +17,18 @@ use crate::util::{ms, Table};
 pub struct TrianglePoint {
     /// One-way backbone latency of this run, ms.
     pub backbone_ms: u64,
-    /// One-way CH→MH latency via the home agent, µs.
-    pub indirect_us: u64,
-    /// One-way MH→CH latency on the shared segment, µs.
-    pub direct_us: u64,
+    /// One-way CH→MH latency via the home agent, µs; `None` when the
+    /// request never arrived.
+    pub indirect_us: Option<u64>,
+    /// One-way MH→CH latency on the shared segment, µs; `None` when the
+    /// reply never arrived.
+    pub direct_us: Option<u64>,
 }
 
 impl TrianglePoint {
-    /// Indirect-to-direct latency stretch factor.
-    pub fn ratio(&self) -> f64 {
-        self.indirect_us as f64 / self.direct_us.max(1) as f64
+    /// Indirect-to-direct latency stretch factor, when both legs arrived.
+    pub fn ratio(&self) -> Option<f64> {
+        Some(self.indirect_us? as f64 / self.direct_us?.max(1) as f64)
     }
 }
 
@@ -49,27 +51,18 @@ pub fn measure(backbone_ms: u64) -> TrianglePoint {
         .host_do(ch, |h, ctx| h.send_ping(ctx, ch_addr, mh_home, 1));
     s.world.run_for(SimDuration::from_secs(5));
 
-    let indirect = s
-        .world
-        .trace
-        .first_delivery_latency(|p| {
-            let (lsrc, ldst) = p.logical_endpoints();
-            lsrc == ch_addr && ldst == mh_home
-        })
-        .expect("request delivered");
-    let direct = s
-        .world
-        .trace
-        .first_delivery_latency(|p| {
-            let (lsrc, ldst) = p.logical_endpoints();
-            lsrc == mh_home && ldst == ch_addr
-        })
-        .expect("reply delivered");
+    let mut convs = s.world.trace.conversations();
+    let mut latency_us = |key| {
+        let c = convs.remove(&key).unwrap_or_default();
+        c.first_delivery_latency.map(|d| d.as_micros())
+    };
+    let indirect_us = latency_us((ch_addr, mh_home, IpProtocol::Icmp));
+    let direct_us = latency_us((mh_home, ch_addr, IpProtocol::Icmp));
     crate::report::record_world(&format!("triangle/backbone_ms={backbone_ms}"), &s.world);
     TrianglePoint {
         backbone_ms,
-        indirect_us: indirect.as_micros(),
-        direct_us: direct.as_micros(),
+        indirect_us,
+        direct_us,
     }
 }
 
@@ -90,7 +83,7 @@ pub fn run(backbone_sweep_ms: &[u64]) -> Table {
             b.to_string(),
             ms(p.indirect_us),
             ms(p.direct_us),
-            format!("{:.0}x", p.ratio()),
+            p.ratio().map_or("-".to_string(), |r| format!("{r:.0}x")),
         ]);
     }
     t.note("the direct leg never touches the backbone, so the stretch grows linearly with distance to the home agent (§3.2/§5)");
@@ -107,11 +100,12 @@ mod tests {
         let far = measure(100);
         // Direct leg is independent of the backbone.
         assert_eq!(near.direct_us, far.direct_us);
+        let (near_in, far_in) = (near.indirect_us.unwrap(), far.indirect_us.unwrap());
         // Indirect leg crosses the backbone twice.
-        assert!(far.indirect_us >= near.indirect_us + 2 * 90_000);
-        assert!(far.ratio() > 10.0 * near.ratio() / 2.0);
+        assert!(far_in >= near_in + 2 * 90_000);
+        assert!(far.ratio().unwrap() > 10.0 * near.ratio().unwrap() / 2.0);
         assert!(
-            near.indirect_us > near.direct_us,
+            near_in > near.direct_us.unwrap(),
             "even a near HA is a detour"
         );
     }

@@ -21,6 +21,13 @@ pub mod fig06_formats;
 pub mod fig10_grid;
 
 use crate::Table;
+use netsim::trace::{Conversation, ConversationKey};
+
+/// What `world`'s trace says of one direction of one conversation; empty
+/// when the conversation has no events.
+fn conversation(world: &netsim::World, key: ConversationKey) -> Conversation {
+    world.trace.conversations().remove(&key).unwrap_or_default()
+}
 
 /// An experiment's name — its `exp <name>` argument, report file and
 /// profile scope — and the function that runs it.

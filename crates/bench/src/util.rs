@@ -101,9 +101,13 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Format microseconds as milliseconds with 2 decimals.
-pub fn ms(us: u64) -> String {
-    format!("{:.2}", us as f64 / 1000.0)
+/// Format microseconds as milliseconds with 2 decimals; `-` for no value
+/// (a one-way time of a packet that never arrived).
+pub fn ms(us: impl Into<Option<u64>>) -> String {
+    us.into().map_or_else(
+        || "-".to_string(),
+        |us| format!("{:.2}", us as f64 / 1000.0),
+    )
 }
 
 #[cfg(test)]
@@ -136,5 +140,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(ms(1234), "1.23");
+        assert_eq!(ms(None), "-");
     }
 }

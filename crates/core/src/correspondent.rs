@@ -359,15 +359,12 @@ mod tests {
         let hook = net.w.host_mut(net.ch).hook_as::<MobileAwareCh>().unwrap();
         assert_eq!(hook.stats.sent_in_de, 1);
         // The request traveled as a CH-sourced tunnel...
-        assert!(
-            net.w
-                .trace
-                .matching(|s| s.protocol == IpProtocol::IpInIp
-                    && s.src == ip("18.26.0.5")
-                    && s.dst == ip("36.186.0.99"))
-                .count()
-                > 0
-        );
+        assert!(net.w.trace.events().iter().any(|e| {
+            let s = &e.packet;
+            s.protocol == IpProtocol::IpInIp
+                && s.src == ip("18.26.0.5")
+                && s.dst == ip("36.186.0.99")
+        }));
         // ...and the mobile host saw In-DE.
         let mh_hook = net.w.host_mut(net.mh).hook_as::<MobileHost>().unwrap();
         assert!(mh_hook.stats.recv_in_de >= 1);
@@ -526,12 +523,12 @@ mod tests {
 
         // Request: exactly one wire traversal, no encapsulation, IP dst is
         // the home address (In-DH as drawn in Figure 8).
-        assert_eq!(
-            net.w
-                .trace
-                .hops(|s| s.dst == ip("171.64.15.9") && s.protocol == IpProtocol::Icmp),
-            1
-        );
+        let request = |e: &netsim::TraceEvent| {
+            e.kind.is_wire()
+                && e.packet.dst == ip("171.64.15.9")
+                && e.packet.protocol == IpProtocol::Icmp
+        };
+        assert_eq!(net.w.trace.events().iter().filter(request).count(), 1);
         let hook = net.w.host_mut(local_ch).hook_as::<MobileAwareCh>().unwrap();
         assert_eq!(hook.stats.sent_in_dh, 1);
         assert_eq!(hook.stats.sent_in_de, 0);

@@ -445,13 +445,12 @@ mod tests {
             .iter()
             .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 1, .. })));
         // The tunnel ran HA→FA (outer dst = FA's address)...
-        assert!(
-            net.w
-                .trace
-                .matching(|s| s.protocol == IpProtocol::IpInIp && s.dst == ip("36.186.0.10"))
-                .count()
-                > 0
-        );
+        assert!(net
+            .w
+            .trace
+            .events()
+            .iter()
+            .any(|e| e.packet.protocol == IpProtocol::IpInIp && e.packet.dst == ip("36.186.0.10")));
         // ...and the final hop was delivered by the FA.
         let fa_hook = net.w.host_mut(net.fa).hook_as::<ForeignAgent>().unwrap();
         assert!(fa_hook.stats.packets_delivered >= 1);

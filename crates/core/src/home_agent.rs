@@ -597,9 +597,9 @@ mod tests {
             .iter()
             .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 1, .. })));
         // The tunnel leg is visible in the trace.
-        let tunneled = f.w.trace.matching(|s| {
-            s.protocol == IpProtocol::IpInIp
-                && s.inner.map(|(_, d, _)| d) == Some(ip("171.64.15.9"))
+        let tunneled = f.w.trace.events().iter().filter(|e| {
+            e.packet.protocol == IpProtocol::IpInIp
+                && e.packet.inner.map(|(_, d, _)| d) == Some(ip("171.64.15.9"))
         });
         assert!(tunneled.count() >= 1);
         let hook = f.w.host_mut(f.ha).hook_as::<HomeAgent>().unwrap();

@@ -1209,12 +1209,12 @@ mod tests {
             .iter()
             .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 7, .. })));
         // Outgoing leg took exactly one wire traversal.
-        assert_eq!(
-            net.w
-                .trace
-                .hops(|s| s.dst == ip("36.186.0.5") && s.protocol == IpProtocol::Icmp),
-            1
-        );
+        let outgoing = |e: &netsim::TraceEvent| {
+            e.kind.is_wire()
+                && e.packet.dst == ip("36.186.0.5")
+                && e.packet.protocol == IpProtocol::Icmp
+        };
+        assert_eq!(net.w.trace.events().iter().filter(outgoing).count(), 1);
         let hook = net.w.host_mut(mh).hook_as::<MobileHost>().unwrap();
         assert!(hook.stats.sent_out_dh >= 1);
         assert!(hook.stats.sent_out_ie == 0);
@@ -1304,8 +1304,10 @@ mod tests {
             .icmp_log
             .iter()
             .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 9, .. })));
+        let to_server =
+            |e: &netsim::TraceEvent| e.kind.is_wire() && e.packet.dst == ip("171.64.15.9");
         assert_eq!(
-            net.w.trace.hops(|s| s.dst == ip("171.64.15.9")),
+            net.w.trace.events().iter().filter(to_server).count(),
             1,
             "no tunnel involved once home"
         );

@@ -402,7 +402,17 @@ mod tests {
             h.send_ping(ctx, ip(addrs::MH_HOME), ch_addr, 1)
         });
         s.world.run_for(SimDuration::from_secs(1));
-        let drops = s.world.trace.drops(|p| p.dst == ch_addr);
+        let drops: Vec<_> = s
+            .world
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.packet.dst == ch_addr)
+            .filter_map(|e| match e.kind {
+                netsim::TraceEventKind::Dropped(r) => Some((e.node, r)),
+                _ => None,
+            })
+            .collect();
         assert!(
             drops
                 .iter()

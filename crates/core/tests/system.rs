@@ -58,7 +58,11 @@ fn every_encapsulation_format_carries_tcp_end_to_end() {
         );
         // The chosen tunnel protocol actually crossed the wire.
         assert!(
-            s.world.trace.matching(|p| p.protocol == proto).count() > 0,
+            s.world
+                .trace
+                .events()
+                .iter()
+                .any(|e| e.packet.protocol == proto),
             "{format:?}: no {proto} packets observed"
         );
     }
@@ -334,8 +338,10 @@ fn correspondent_recovers_after_mobile_returns_home() {
         .iter()
         .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 2, .. })));
     // No tunnel was involved this time.
-    let tunnels = s.world.trace.matching(|p| {
-        p.protocol == IpProtocol::IpInIp && p.inner.map(|(_, d, _)| d) == Some(mh_home)
+    let events = s.world.trace.events();
+    let tunnels = events.iter().filter(|e| {
+        e.packet.protocol == IpProtocol::IpInIp
+            && e.packet.inner.map(|(_, d, _)| d) == Some(mh_home)
     });
     let after_home: Vec<_> = tunnels.collect();
     // (Tunnels from the roaming phase are in the trace; assert none are

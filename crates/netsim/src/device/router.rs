@@ -197,8 +197,8 @@ pub struct RouteEntry {
 
 /// Longest-prefix-match over a route list. When the same prefix appears
 /// twice, the latest entry wins. This linear scan is the reference
-/// semantics; the forwarding hot path uses [`RouteTable`](crate::route::RouteTable),
-/// which matches it exactly.
+/// semantics; the forwarding hot path uses [`RouteTable`], which matches it
+/// exactly.
 pub fn lpm(routes: &[RouteEntry], dst: Ipv4Addr) -> Option<RouteEntry> {
     routes
         .iter()

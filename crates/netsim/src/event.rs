@@ -10,7 +10,8 @@
 //! ~16.8 s), covering 2³² µs ≈ 71 minutes of simulated future; anything
 //! farther sits in an overflow heap until the wheel rotates close enough.
 //! Push and cancel are O(1); popping cascades coarse buckets into finer
-//! ones as time advances, touching each event at most [`LEVELS`] times.
+//! ones as time advances, touching each event at most once per wheel level
+//! (four).
 //! The repository's `tests/scheduler_equivalence.rs` holds it to a
 //! `BTreeMap` model of the same ordering contract.
 //!

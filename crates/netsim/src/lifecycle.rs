@@ -25,8 +25,8 @@ use crate::event::NodeId;
 use crate::hash::FxHashMap;
 use crate::time::SimDuration;
 use crate::trace::{
-    DropReason, FlowId, PacketId, PacketSummary, PacketTrace, TraceEvent, TraceEventKind,
-    TransformKind,
+    DropReason, EventCounts, FlowId, PacketId, PacketSummary, PacketTrace, TraceEvent,
+    TraceEventKind, TransformKind,
 };
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 use crate::wire::pcap::PcapNgWriter;
@@ -154,15 +154,9 @@ pub struct FlowSummary {
     pub protocol: IpProtocol,
     /// Distinct packets (including every transform product).
     pub packets: u64,
-    /// Link traversals across all the flow's packets.
-    pub wire_events: u64,
-    /// Total bytes those traversals put on wires.
-    pub bytes_on_wire: u64,
-    /// Local deliveries.
-    pub deliveries: u64,
-    /// Drops by reason, in stable [`DropReason::index`] order; reasons that
-    /// never occurred are omitted.
-    pub drops: Vec<(DropReason, u64)>,
+    /// Link traversals and their bytes, local deliveries and drops by
+    /// reason across all the flow's packets.
+    pub counts: EventCounts,
     /// Packets that were transport retransmissions.
     pub retransmissions: u64,
     /// Total header bytes encapsulation layers added across the flow.
@@ -181,11 +175,18 @@ impl Serialize for FlowSummary {
             w.field("dst", &self.dst);
             w.field("protocol", &self.protocol.number());
             w.field("packets", &self.packets);
-            w.field("wire_events", &self.wire_events);
-            w.field("bytes_on_wire", &self.bytes_on_wire);
-            w.field("deliveries", &self.deliveries);
+            w.field("wire_events", &self.counts.wire_events);
+            w.field("bytes_on_wire", &self.counts.bytes_on_wire);
+            w.field("deliveries", &self.counts.deliveries);
             w.key("drops");
-            w.object(|w| self.drops.iter().for_each(|(r, n)| w.field(r.tag(), n)));
+            w.object(|w| {
+                for r in DropReason::ALL
+                    .into_iter()
+                    .filter(|r| self.counts.drops[r.index()] > 0)
+                {
+                    w.field(r.tag(), &self.counts.drops[r.index()]);
+                }
+            });
             w.field("retransmissions", &self.retransmissions);
             w.field("encap_overhead_bytes", &self.encap_overhead_bytes);
             w.field("first_us", &self.first_us);
@@ -278,7 +279,6 @@ impl Lifecycle {
         }
 
         let mut flows: BTreeMap<FlowId, FlowSummary> = BTreeMap::new();
-        let mut drop_counts: BTreeMap<FlowId, [u64; DropReason::ALL.len()]> = BTreeMap::new();
         for p in &packets {
             let first = &p.events[0];
             let f = flows.entry(p.flow).or_insert_with(|| {
@@ -289,10 +289,7 @@ impl Lifecycle {
                     dst: d,
                     protocol: first.packet.logical_protocol(),
                     packets: 0,
-                    wire_events: 0,
-                    bytes_on_wire: 0,
-                    deliveries: 0,
-                    drops: Vec::new(),
+                    counts: EventCounts::default(),
                     retransmissions: 0,
                     encap_overhead_bytes: 0,
                     first_us: first.at.0,
@@ -310,28 +307,7 @@ impl Lifecycle {
             for e in &p.events {
                 f.first_us = f.first_us.min(e.at.0);
                 f.last_us = f.last_us.max(e.at.0);
-                if e.kind.is_wire() {
-                    f.wire_events += 1;
-                    f.bytes_on_wire += e.packet.wire_len as u64;
-                }
-                match e.kind {
-                    TraceEventKind::DeliveredLocal => f.deliveries += 1,
-                    TraceEventKind::Dropped(r) => {
-                        drop_counts
-                            .entry(p.flow)
-                            .or_insert([0; DropReason::ALL.len()])[r.index()] += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (flow, counts) in drop_counts {
-            if let Some(f) = flows.get_mut(&flow) {
-                f.drops = DropReason::ALL
-                    .into_iter()
-                    .filter(|r| counts[r.index()] > 0)
-                    .map(|r| (r, counts[r.index()]))
-                    .collect();
+                f.counts.add(e.kind, e.packet.wire_len);
             }
         }
 
@@ -696,22 +672,22 @@ fn parse_packet(v: &Value) -> Option<PacketLifecycle> {
 }
 
 fn parse_flow(v: &Value) -> Option<FlowSummary> {
-    let drops = v
-        .get("drops")?
-        .as_object()?
-        .iter()
-        .map(|(k, n)| Some((DropReason::from_tag(k)?, n.as_u64()?)))
-        .collect::<Option<Vec<_>>>()?;
+    let mut counts = EventCounts {
+        wire_events: v.get("wire_events")?.as_u64()?,
+        bytes_on_wire: v.get("bytes_on_wire")?.as_u64()?,
+        deliveries: v.get("deliveries")?.as_u64()?,
+        drops: [0; DropReason::ALL.len()],
+    };
+    for (k, n) in v.get("drops")?.as_object()? {
+        counts.drops[DropReason::from_tag(k)?.index()] = n.as_u64()?;
+    }
     Some(FlowSummary {
         flow: FlowId(v.get("flow")?.as_u64()?),
         src: as_addr(v.get("src")?)?,
         dst: as_addr(v.get("dst")?)?,
         protocol: IpProtocol::from_number(v.get("protocol")?.as_u64()? as u8),
         packets: v.get("packets")?.as_u64()?,
-        wire_events: v.get("wire_events")?.as_u64()?,
-        bytes_on_wire: v.get("bytes_on_wire")?.as_u64()?,
-        deliveries: v.get("deliveries")?.as_u64()?,
-        drops,
+        counts,
         retransmissions: v.get("retransmissions")?.as_u64()?,
         encap_overhead_bytes: v.get("encap_overhead_bytes")?.as_u64()?,
         first_us: v.get("first_us")?.as_u64()?,
@@ -802,9 +778,11 @@ mod tests {
         let f = &lc.flows[0];
         assert_eq!((f.src, f.dst), (ip("1.1.1.1"), ip("2.2.2.2")));
         assert_eq!(f.packets, 2);
-        assert_eq!(f.deliveries, 1);
-        assert_eq!(f.drops, vec![(DropReason::SourceAddressFilter, 1)]);
-        assert_eq!(f.wire_events, 3, "p's Sent+Forwarded and q's Sent");
+        assert_eq!(f.counts.deliveries, 1);
+        let mut drops = [0; DropReason::ALL.len()];
+        drops[DropReason::SourceAddressFilter.index()] = 1;
+        assert_eq!(f.counts.drops, drops);
+        assert_eq!(f.counts.wire_events, 3, "p's Sent+Forwarded and q's Sent");
         assert_eq!(f.first_us, 0);
         assert_eq!(f.last_us, 650);
     }
@@ -885,8 +863,11 @@ mod tests {
             assert_eq!(a.events, b.events);
         }
         assert_eq!(back.flows.len(), lc.flows.len());
-        assert_eq!(back.flows[0].drops, lc.flows[0].drops);
-        assert_eq!(back.flows[0].bytes_on_wire, lc.flows[0].bytes_on_wire);
+        assert_eq!(back.flows[0].counts.drops, lc.flows[0].counts.drops);
+        assert_eq!(
+            back.flows[0].counts.bytes_on_wire,
+            lc.flows[0].counts.bytes_on_wire
+        );
         // Reports of older schemas carry keys this one no longer writes.
         let mut old = parsed(&lc);
         if let Value::Object(fields) = &mut old {

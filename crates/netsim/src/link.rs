@@ -76,11 +76,11 @@ impl FaultInjector {
     }
 
     /// Decide a frame's fate from its length alone, without touching the
-    /// bytes. Draws from `rng` in exactly the same order as [`apply`], so
-    /// the two are interchangeable on the same RNG stream. The transmit
-    /// path uses this: corrupted frames are never delivered upward (the
-    /// receiving FCS check drops them), so mutating the buffer — and the
-    /// copy that made it mutable — is avoidable work.
+    /// bytes. Draws from `rng` in exactly the same order as
+    /// [`FaultInjector::apply`], so the two are interchangeable on the same
+    /// RNG stream. The transmit path uses this: corrupted frames are never
+    /// delivered upward (the receiving FCS check drops them), so mutating
+    /// the buffer — and the copy that made it mutable — is avoidable work.
     pub fn decide<R: Rng>(&self, frame_len: usize, rng: &mut R) -> FaultOutcome {
         self.decide_impl(frame_len, rng).0
     }

@@ -24,8 +24,8 @@ use crate::trace::{DropReason, TraceEventKind};
 use crate::wire::encap::EncapFormat;
 use crate::wire::ipv4::Ipv4Packet;
 
-/// All encapsulation formats, in stable index order (see
-/// [`encap_index`]).
+/// All encapsulation formats, in stable index order: a format's index is
+/// its position here.
 pub const ENCAP_FORMATS: [EncapFormat; 3] =
     [EncapFormat::IpInIp, EncapFormat::Minimal, EncapFormat::Gre];
 

@@ -5,7 +5,7 @@
 //! default route and an on-link prefix or two — the overwhelming
 //! majority of nodes in a large world) are just the entry vector, looked
 //! up by direct linear LPM with **zero** auxiliary allocations. Tables
-//! past [`LINEAR_MAX`] entries build a single hash index keyed by
+//! past eight entries build a single hash index keyed by
 //! `(prefix length, network)` plus a populated-lengths bitmap — the
 //! classic "binary search on prefix lengths" layout simplified to a
 //! descending scan — and a per-destination cache inside that index that
@@ -20,7 +20,7 @@
 //! empty and small tables at one `Vec` while serving big backbone
 //! tables at the same O(#prefix-lengths) bound as before.
 //!
-//! Semantics match [`lpm`](crate::device::router::lpm) exactly, including
+//! Semantics match [`lpm`] exactly, including
 //! the tie rule: when the same prefix is inserted twice, the
 //! later entry wins (as `max_by_key` returns the last maximum).
 

@@ -39,13 +39,17 @@
 //!   recorded. Spilled summaries live until [`PacketTrace::clear`], like
 //!   the rest.
 //!
-//! [`PacketTrace::events`] and [`PacketTrace::matching`] assemble each
-//! `TraceEvent` by value when it is read: two indexed loads and a 40-byte
-//! copy per event, paid by the reader instead of by every hop of the run.
+//! [`PacketTrace::events`] assembles each `TraceEvent` by value when it is
+//! read: two indexed loads and a 40-byte copy per event, paid by the reader
+//! instead of by every hop of the run.
+//!
+//! [`PacketTrace::conversations`] reads the records in place, in one pass,
+//! and rolls them up per direction of each logical conversation: what the
+//! experiments' figures read.
 
 use crate::event::NodeId;
 use crate::hash::FxHashMap;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::wire::encap::{self, EncapFormat};
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 use serde::{JsonWriter, Serialize};
@@ -243,17 +247,6 @@ impl std::fmt::Display for TransformKind {
     }
 }
 
-impl Serialize for TransformKind {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.object(|w| {
-            w.field("transform", self.tag());
-            if let Some(fmt) = self.format() {
-                w.field("format", fmt.tag());
-            }
-        });
-    }
-}
-
 /// A compact, parsed view of one IP packet as seen at one point in the net.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketSummary {
@@ -356,10 +349,6 @@ impl Serialize for PacketSummary {
 /// packet observed anywhere in the net back to its [`PacketId`].
 type PacketKey = (Ipv4Addr, Ipv4Addr, IpProtocol, u16);
 
-/// The conversation key: direction-normalized logical endpoints plus the
-/// innermost protocol.
-type FlowKey = (Ipv4Addr, Ipv4Addr, IpProtocol);
-
 /// Per-packet bookkeeping: causal links, the overhead baseline, and
 /// everything a [`TraceEvent`] says that is the same for all of a packet's
 /// events.
@@ -452,12 +441,6 @@ impl TraceEventKind {
     }
 }
 
-impl Serialize for TraceEventKind {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.object(|w| self.write_fields(w));
-    }
-}
-
 /// One observation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -492,6 +475,67 @@ impl Serialize for TraceEvent {
     }
 }
 
+/// One direction of a logical conversation: the logical source,
+/// destination and protocol of [`PacketSummary::logical_endpoints`] and
+/// [`PacketSummary::logical_protocol`].
+pub type ConversationKey = (Ipv4Addr, Ipv4Addr, IpProtocol);
+
+/// What a run of events adds up to. The one counting rule, shared by
+/// [`PacketTrace::conversations`] and [`crate::lifecycle::FlowSummary`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Times a packet was put on a wire (`Sent` and `Forwarded`): link
+    /// traversals, the "distance travelled" of §3.2.
+    pub wire_events: u64,
+    /// Bytes those traversals put on wires.
+    pub bytes_on_wire: u64,
+    /// Local deliveries.
+    pub deliveries: u64,
+    /// Drops, indexed by [`DropReason::index`].
+    pub drops: [u64; DropReason::ALL.len()],
+}
+
+impl EventCounts {
+    /// Count one event of a packet `wire_len` bytes long.
+    pub(crate) fn add(&mut self, kind: TraceEventKind, wire_len: usize) {
+        if kind.is_wire() {
+            self.wire_events += 1;
+            self.bytes_on_wire += wire_len as u64;
+        }
+        match kind {
+            TraceEventKind::DeliveredLocal => self.deliveries += 1,
+            TraceEventKind::Dropped(r) => self.drops[r.index()] += 1,
+            _ => {}
+        }
+    }
+}
+
+/// The events of one conversation's packets whose outer protocol is one
+/// encapsulation format's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TunnelCounts {
+    /// Tunnel packets originated (`Sent`).
+    pub sends: u64,
+    /// Bytes of those sends.
+    pub send_bytes: u64,
+    /// Tunnelled wire legs (`Sent` and `Forwarded`).
+    pub legs: u64,
+}
+
+/// One direction of one logical conversation, rolled up from the log by
+/// [`PacketTrace::conversations`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Conversation {
+    /// Wire events and bytes, deliveries, drops by reason.
+    pub counts: EventCounts,
+    /// One-way time of the first delivered packet, paired with the send
+    /// that carried it; `None` when nothing was delivered.
+    pub first_delivery_latency: Option<SimDuration>,
+    /// Tunnel traffic per format, indexed by `EncapFormat as usize`
+    /// ([`crate::metrics::ENCAP_FORMATS`] order).
+    pub tunnels: [TunnelCounts; crate::metrics::ENCAP_FORMATS.len()],
+}
+
 /// Collects [`TraceEvent`]s. Owned by the [`crate::world::World`].
 #[derive(Debug, Default)]
 pub struct PacketTrace {
@@ -507,8 +551,9 @@ pub struct PacketTrace {
     /// Causal bookkeeping per id, indexed by it: ids are minted densely
     /// from `meta.len()`.
     meta: Vec<PacketMeta>,
-    /// Conversation registry.
-    flows: FxHashMap<FlowKey, FlowId>,
+    /// Conversation registry, keyed by the direction-normalized
+    /// [`ConversationKey`] so both directions share a flow.
+    flows: FxHashMap<ConversationKey, FlowId>,
     /// Last packet each logical endpoint contributed to each flow — the
     /// presumed parent of a retransmission, which arrives with a fresh
     /// ident and no explicit parent packet.
@@ -738,96 +783,52 @@ impl PacketTrace {
         TraceEvents(self)
     }
 
-    /// Events whose packet summary satisfies `pred`; only those are
-    /// assembled.
-    pub fn matching<'a, F>(&'a self, pred: F) -> impl Iterator<Item = TraceEvent> + 'a
-    where
-        F: Fn(&PacketSummary) -> bool + 'a,
-    {
-        self.log
-            .iter()
-            .filter(move |r| pred(self.summary_of(r)))
-            .map(|r| self.assemble(r))
-    }
-
-    /// Number of times matching packets were put on a wire (Sent+Forwarded):
-    /// i.e. total link traversals, the "distance travelled" of §3.2.
-    pub fn hops<F>(&self, pred: F) -> usize
-    where
-        F: Fn(&PacketSummary) -> bool,
-    {
-        self.matching(pred)
-            .filter(|e| matches!(e.kind, TraceEventKind::Sent | TraceEventKind::Forwarded))
-            .count()
-    }
-
-    /// Local deliveries of matching packets.
-    pub fn deliveries<F>(&self, pred: F) -> usize
-    where
-        F: Fn(&PacketSummary) -> bool,
-    {
-        self.matching(pred)
-            .filter(|e| matches!(e.kind, TraceEventKind::DeliveredLocal))
-            .count()
-    }
-
-    /// Drops of matching packets, with reasons.
-    pub fn drops<F>(&self, pred: F) -> Vec<(NodeId, DropReason)>
-    where
-        F: Fn(&PacketSummary) -> bool,
-    {
-        self.matching(pred)
-            .filter_map(|e| match e.kind {
-                TraceEventKind::Dropped(r) => Some((e.node, r)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Total bytes put on wires by matching packets.
-    pub fn bytes_on_wire<F>(&self, pred: F) -> usize
-    where
-        F: Fn(&PacketSummary) -> bool,
-    {
-        self.matching(pred)
-            .filter(|e| matches!(e.kind, TraceEventKind::Sent | TraceEventKind::Forwarded))
-            .map(|e| e.packet.wire_len)
-            .sum()
-    }
-
-    /// One-way delivery latency of the first matching packet that arrived:
-    /// time from the transmission that actually carried it to its local
-    /// delivery.
+    /// What the events of each [`ConversationKey`] add up to, in one pass.
     ///
-    /// The delivery is paired with the `Sent` event whose header identity
-    /// (src, dst, protocol, IP ident) matches — so when a first
-    /// transmission is dropped and a retransmission (with a fresh ident)
-    /// gets through, the measured latency is the successful attempt's
-    /// one-way time, not the loss plus the retransmit timeout. When no
-    /// identity match exists (e.g. the send was recorded pre-encapsulation
-    /// under a different outer header), it falls back to the most recent
-    /// matching `Sent` before the delivery, which still favours the
-    /// retransmission over the lost original.
-    pub fn first_delivery_latency<F>(&self, pred: F) -> Option<crate::time::SimDuration>
-    where
-        F: Fn(&PacketSummary) -> bool,
-    {
-        let mut last_sent: Option<SimTime> = None;
-        let mut sent_at: FxHashMap<(Ipv4Addr, Ipv4Addr, IpProtocol, u16), SimTime> =
-            FxHashMap::default();
+    /// A conversation's first delivery is paired with the `Sent` event whose
+    /// header identity (src, dst, protocol, IP ident) matches — so when a
+    /// first transmission is dropped and a retransmission (with a fresh
+    /// ident) gets through, the measured latency is the successful
+    /// attempt's one-way time, not the loss plus the retransmit timeout.
+    /// When no identity match exists (e.g. the send was recorded
+    /// pre-encapsulation under a different outer header), it falls back to
+    /// the conversation's most recent `Sent` before the delivery, which
+    /// still favours the retransmission over the lost original.
+    pub fn conversations(&self) -> FxHashMap<ConversationKey, Conversation> {
+        let mut rollup: FxHashMap<ConversationKey, Conversation> = FxHashMap::default();
+        let mut last_sent: FxHashMap<ConversationKey, SimTime> = FxHashMap::default();
+        let mut sent_at: FxHashMap<(ConversationKey, PacketKey), SimTime> = FxHashMap::default();
         // Earliest transmission that carried each logical flow *inside a
         // tunnel*. When an agent decapsulates and re-originates the inner
         // packet (a `Sent` event at the agent), the delivery must still be
         // charged from the original sender, not from the agent's re-send.
-        let mut tunnel_sent: FxHashMap<(Ipv4Addr, Ipv4Addr, IpProtocol), SimTime> =
+        let mut tunnel_sent: FxHashMap<(ConversationKey, ConversationKey), SimTime> =
             FxHashMap::default();
-        for e in self.matching(pred) {
-            match e.kind {
+        for r in &self.log {
+            let p = self.summary_of(r);
+            let (src, dst) = p.logical_endpoints();
+            let key = (src, dst, p.logical_protocol());
+            let c = rollup.entry(key).or_default();
+            c.counts.add(r.kind, p.wire_len);
+            if let Some(format) = EncapFormat::from_protocol(p.protocol) {
+                let t = &mut c.tunnels[format as usize];
+                t.legs += u64::from(r.kind.is_wire());
+                if r.kind == TraceEventKind::Sent {
+                    t.sends += 1;
+                    t.send_bytes += p.wire_len as u64;
+                }
+            }
+            if c.first_delivery_latency.is_some() {
+                // Only the first delivery is paired; the state below serves
+                // nothing after it.
+                continue;
+            }
+            match r.kind {
                 TraceEventKind::Sent => {
-                    last_sent = Some(e.at);
-                    sent_at.entry(e.packet.flow_key()).or_insert(e.at);
-                    if let Some(inner) = e.packet.inner {
-                        tunnel_sent.entry(inner).or_insert(e.at);
+                    last_sent.insert(key, r.at);
+                    sent_at.entry((key, p.flow_key())).or_insert(r.at);
+                    if let Some(inner) = p.inner {
+                        tunnel_sent.entry((key, inner)).or_insert(r.at);
                     }
                 }
                 TraceEventKind::DeliveredLocal => {
@@ -836,23 +837,21 @@ impl PacketTrace {
                     // agent's decapsulated re-send) and a Sent event that
                     // carried this flow inside a tunnel. Charge from the
                     // earliest — that is the transmission the sender made.
-                    let logical = (e.packet.src, e.packet.dst, e.packet.protocol);
+                    let logical = (p.src, p.dst, p.protocol);
                     let paired = [
-                        sent_at.get(&e.packet.flow_key()).copied(),
-                        tunnel_sent.get(&logical).copied(),
+                        sent_at.get(&(key, p.flow_key())).copied(),
+                        tunnel_sent.get(&(key, logical)).copied(),
                     ]
                     .into_iter()
                     .flatten()
                     .min()
-                    .or(last_sent);
-                    if let Some(s) = paired {
-                        return Some(e.at.since(s));
-                    }
+                    .or(last_sent.get(&key).copied());
+                    c.first_delivery_latency = paired.map(|s| r.at.since(s));
                 }
                 _ => {}
             }
         }
-        None
+        rollup
     }
 }
 
@@ -1021,16 +1020,29 @@ mod tests {
             TraceEventKind::Dropped(DropReason::SourceAddressFilter),
             &q,
         );
-        let to2 = |s: &PacketSummary| s.dst == ip("2.2.2.2");
-        assert_eq!(t.hops(to2), 2);
-        assert_eq!(t.deliveries(to2), 1);
-        assert_eq!(t.bytes_on_wire(to2), 2 * p.wire_len());
+        let convs = t.conversations();
+        let to2 = &convs[&(ip("1.1.1.1"), ip("2.2.2.2"), IpProtocol::Udp)];
+        assert_eq!(to2.counts.wire_events, 2);
+        assert_eq!(to2.counts.deliveries, 1);
+        assert_eq!(to2.counts.bytes_on_wire, 2 * p.wire_len() as u64);
         assert_eq!(
-            t.first_delivery_latency(to2),
+            to2.first_delivery_latency,
             Some(SimDuration::from_micros(20))
         );
-        let dropped = t.drops(|s| s.src == ip("3.3.3.3"));
+        let from3 = &convs[&(ip("3.3.3.3"), ip("4.4.4.4"), IpProtocol::Udp)];
+        let dropped: Vec<_> = t
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Dropped(r) => Some((e.node, r)),
+                _ => None,
+            })
+            .collect();
         assert_eq!(dropped, vec![(NodeId(1), DropReason::SourceAddressFilter)]);
+        assert_eq!(
+            from3.counts.drops[DropReason::SourceAddressFilter.index()],
+            1
+        );
         t.clear();
         assert!(t.events().is_empty());
     }
@@ -1059,8 +1071,8 @@ mod tests {
             TraceEventKind::DeliveredLocal,
             &retx,
         );
-        let lat = t
-            .first_delivery_latency(|s| s.dst == ip("2.2.2.2"))
+        let lat = t.conversations()[&(ip("1.1.1.1"), ip("2.2.2.2"), IpProtocol::Udp)]
+            .first_delivery_latency
             .unwrap();
         assert_eq!(lat, SimDuration::from_micros(1_200));
     }
@@ -1078,8 +1090,8 @@ mod tests {
         t.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &p1);
         t.record(SimTime(100), NodeId(0), TraceEventKind::Sent, &p2);
         t.record(SimTime(900), NodeId(2), TraceEventKind::DeliveredLocal, &p1);
-        let lat = t
-            .first_delivery_latency(|s| s.dst == ip("2.2.2.2"))
+        let lat = t.conversations()[&(ip("1.1.1.1"), ip("2.2.2.2"), IpProtocol::Udp)]
+            .first_delivery_latency
             .unwrap();
         assert_eq!(lat, SimDuration::from_micros(900));
     }
@@ -1108,9 +1120,8 @@ mod tests {
             TraceEventKind::DeliveredLocal,
             &inner,
         );
-        let lat = t
-            .first_delivery_latency(|s| s.logical_endpoints().1 == ip("18.26.0.1"))
-            .unwrap();
+        let key = (ip("171.64.15.9"), ip("18.26.0.1"), IpProtocol::Udp);
+        let lat = t.conversations()[&key].first_delivery_latency.unwrap();
         assert_eq!(lat, SimDuration::from_micros(900));
     }
 }

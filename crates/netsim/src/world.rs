@@ -956,12 +956,31 @@ mod tests {
     use super::*;
     use crate::device::router::FilterRule;
     use crate::device::TxMeta;
-    use crate::trace::DropReason;
+    use crate::trace::{DropReason, PacketSummary, TraceEvent};
     use crate::wire::icmp::IcmpMessage;
     use crate::wire::ipv4::IpProtocol;
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    /// Where and why packets whose outer header satisfies `pred` died.
+    fn drops(w: &World, pred: impl Fn(&PacketSummary) -> bool) -> Vec<(NodeId, DropReason)> {
+        let events = w.trace.events();
+        let dropped = events.iter().filter_map(|e| match e.kind {
+            TraceEventKind::Dropped(r) if pred(&e.packet) => Some((e.node, r)),
+            _ => None,
+        });
+        dropped.collect()
+    }
+
+    /// Wire traversals of packets whose outer header satisfies `pred`.
+    fn hops(w: &World, pred: impl Fn(&PacketSummary) -> bool) -> usize {
+        let events = w.trace.events();
+        events
+            .iter()
+            .filter(|e| e.kind.is_wire() && pred(&e.packet))
+            .count()
     }
 
     fn invariants_json(w: &World) -> String {
@@ -1044,7 +1063,7 @@ mod tests {
             h.send_ip(ctx, p, TxMeta::default());
         });
         w.run_until_idle(1_000);
-        let drops = w.trace.drops(|s| s.dst == ip("10.0.2.10"));
+        let drops = drops(&w, |s| s.dst == ip("10.0.2.10"));
         assert!(drops.iter().any(|(_, r)| *r == DropReason::TtlExpired));
         // ICMP errors about ICMP are suppressed, so use UDP to see one.
         w.host_do(alice, |h, ctx| {
@@ -1082,7 +1101,7 @@ mod tests {
             h.send_ip(ctx, p, TxMeta::default());
         });
         w.run_until_idle(1_000);
-        let drops = w.trace.drops(|s| s.dst == ip("99.99.99.99"));
+        let drops = drops(&w, |s| s.dst == ip("99.99.99.99"));
         assert!(drops.iter().any(|(_, r)| *r == DropReason::NoRoute));
         assert!(w.host(alice).icmp_log.iter().any(|e| matches!(
             e.message,
@@ -1113,10 +1132,13 @@ mod tests {
             h.send_ip(ctx, p, TxMeta::default());
         });
         w.run_until_idle(1_000);
-        let drops = w.trace.drops(|s| s.src == ip("10.0.2.99"));
+        let drops = drops(&w, |s| s.src == ip("10.0.2.99"));
         assert_eq!(drops.len(), 1);
         assert_eq!(drops[0].1, DropReason::SourceAddressFilter);
-        assert_eq!(w.trace.deliveries(|s| s.dst == ip("10.0.2.10")), 0);
+        let delivered = |e: &TraceEvent| {
+            e.kind == TraceEventKind::DeliveredLocal && e.packet.dst == ip("10.0.2.10")
+        };
+        assert_eq!(w.trace.events().iter().filter(delivered).count(), 0);
         // Honest traffic still flows.
         w.host_do(alice, |h, ctx| {
             h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 9)
@@ -1185,9 +1207,9 @@ mod tests {
         });
         w.run_until_idle(10_000);
         // Request: alice Sent + router Forwarded = 2 wire traversals.
-        let hops = w
-            .trace
-            .hops(|s| s.dst == ip("10.0.2.10") && s.protocol == IpProtocol::Icmp);
+        let hops = hops(&w, |s| {
+            s.dst == ip("10.0.2.10") && s.protocol == IpProtocol::Icmp
+        });
         assert_eq!(hops, 2);
     }
 
@@ -1214,11 +1236,11 @@ mod tests {
         }
 
         // Per-node counters must match what the trace derived.
-        let icmp = |s: &crate::trace::PacketSummary| s.protocol == IpProtocol::Icmp;
         let sent_per_trace = w
             .trace
-            .matching(icmp)
-            .filter(|e| matches!(e.kind, TraceEventKind::Sent))
+            .events()
+            .iter()
+            .filter(|e| e.packet.protocol == IpProtocol::Icmp && e.kind == TraceEventKind::Sent)
             .count() as u64;
         let alice_m = w.metrics.node(alice);
         let bob_m = w.metrics.node(bob);
@@ -1287,14 +1309,14 @@ mod tests {
             .any(|e| matches!(e.message, IcmpMessage::EchoReply { .. })));
         // 3 traversals each way.
         assert_eq!(
-            w.trace
-                .hops(|s| s.dst == ip("10.0.2.10") && s.protocol == IpProtocol::Icmp),
+            hops(&w, |s| s.dst == ip("10.0.2.10")
+                && s.protocol == IpProtocol::Icmp),
             3
         );
         // One-way latency dominated by the 30 ms WAN hop.
-        let lat = w
-            .trace
-            .first_delivery_latency(|s| s.dst == ip("10.0.2.10"))
+        let request = (ip("10.0.1.10"), ip("10.0.2.10"), IpProtocol::Icmp);
+        let lat = w.trace.conversations()[&request]
+            .first_delivery_latency
             .unwrap();
         assert!(lat.as_millis() >= 30, "latency was {lat}");
     }

@@ -1,7 +1,7 @@
 //! ARP behaviour tests: cache lifetime, the gratuitous/proxy mechanics the
 //! home agent depends on (RFC 1027), and pending-queue limits.
 
-use netsim::{DropReason, HostConfig, Ipv4Addr, LinkConfig, SimDuration, World};
+use netsim::{DropReason, HostConfig, Ipv4Addr, LinkConfig, SimDuration, TraceEventKind, World};
 
 fn ip(s: &str) -> Ipv4Addr {
     s.parse().unwrap()
@@ -119,9 +119,17 @@ fn unresolvable_neighbour_drops_overflow_with_arp_failure() {
         }
     });
     w.run_until_idle(10_000);
-    let drops = w.trace.drops(|p| p.dst == ip("10.0.0.77"));
+    let events = w.trace.events();
+    let drops: Vec<_> = events
+        .iter()
+        .filter(|e| e.packet.dst == ip("10.0.0.77"))
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Dropped(r) => Some(r),
+            _ => None,
+        })
+        .collect();
     assert_eq!(drops.len(), 4, "12 queued - 8 capacity = 4 dropped");
-    assert!(drops.iter().all(|(_, r)| *r == DropReason::ArpFailure));
+    assert!(drops.iter().all(|r| *r == DropReason::ArpFailure));
 }
 
 #[test]

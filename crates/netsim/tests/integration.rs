@@ -5,11 +5,12 @@
 use bytes::Bytes;
 
 use netsim::device::TxMeta;
+use netsim::trace::PacketSummary;
 use netsim::wire::icmp::{IcmpMessage, UnreachableCode};
 use netsim::wire::ipv4::{IpProtocol, Ipv4Packet};
 use netsim::{
     DropReason, FilterRule, FilterWhen, HostConfig, Ipv4Addr, Ipv4Cidr, LinkConfig, NodeId,
-    RouterConfig, World,
+    RouterConfig, TraceEventKind, World,
 };
 
 fn ip(s: &str) -> Ipv4Addr {
@@ -17,6 +18,25 @@ fn ip(s: &str) -> Ipv4Addr {
 }
 fn cidr(s: &str) -> Ipv4Cidr {
     s.parse().unwrap()
+}
+
+/// Where and why packets whose outer header satisfies `pred` died.
+fn drops(w: &World, pred: impl Fn(&PacketSummary) -> bool) -> Vec<(NodeId, DropReason)> {
+    let events = w.trace.events();
+    let dropped = events.iter().filter_map(|e| match e.kind {
+        TraceEventKind::Dropped(r) if pred(&e.packet) => Some((e.node, r)),
+        _ => None,
+    });
+    dropped.collect()
+}
+
+/// Wire traversals of packets whose outer header satisfies `pred`.
+fn hops(w: &World, pred: impl Fn(&PacketSummary) -> bool) -> usize {
+    let events = w.trace.events();
+    events
+        .iter()
+        .filter(|e| e.kind.is_wire() && pred(&e.packet))
+        .count()
 }
 
 /// Two LANs (MTU 1500) joined across a narrow (MTU 576) middle link.
@@ -72,9 +92,9 @@ fn large_packets_fragment_at_the_narrow_link_and_reassemble() {
         .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 1, .. })));
     // Fragments actually crossed the middle: more Forwarded events than a
     // single-packet path would produce.
-    let fwd = w
-        .trace
-        .hops(|p| p.dst == ip("10.0.2.10") && p.protocol == IpProtocol::Icmp);
+    let fwd = hops(&w, |p| {
+        p.dst == ip("10.0.2.10") && p.protocol == IpProtocol::Icmp
+    });
     assert!(fwd >= 5, "expected fragmented traversals, saw {fwd}");
 }
 
@@ -93,7 +113,7 @@ fn df_packets_get_fragmentation_needed_with_next_hop_mtu() {
         h.send_ip(ctx, p, TxMeta::default());
     });
     w.run_until_idle(100_000);
-    let drops = w.trace.drops(|p| p.dst == ip("10.0.2.10"));
+    let drops = drops(&w, |p| p.dst == ip("10.0.2.10"));
     assert!(drops.iter().any(|(_, r)| *r == DropReason::MtuExceeded));
     // And the sender learned the bottleneck MTU (the RFC 1191 signal).
     let got_mtu = w.host(a).icmp_log.iter().find_map(|e| match e.message {
@@ -229,9 +249,7 @@ fn firewall_hole_punching_end_to_end() {
         h.send_ping(ctx, ip("36.186.0.99"), ip("171.64.15.7"), 1)
     });
     w.run_until_idle(10_000);
-    assert!(w
-        .trace
-        .drops(|p| p.dst == ip("171.64.15.7"))
+    assert!(drops(&w, |p| p.dst == ip("171.64.15.7"))
         .iter()
         .any(|(_, r)| *r == DropReason::Firewall));
     assert!(w.host(inner_srv).icmp_log.is_empty());
@@ -300,17 +318,17 @@ fn route_computation_prefers_low_latency_paths() {
         h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
     });
     w.run_until_idle(100_000);
-    let latency = w
-        .trace
-        .first_delivery_latency(|p| p.dst == ip("10.0.2.10"))
+    let request = (ip("10.0.1.10"), ip("10.0.2.10"), IpProtocol::Icmp);
+    let latency = w.trace.conversations()[&request]
+        .first_delivery_latency
         .unwrap();
     // Via rm: ~10 ms (+ per-hop ARP exchanges on first contact).
     // Via the slow link it would exceed 100 ms before ARP.
     assert!(latency.as_millis() < 60, "took the slow path: {latency}");
     // And the request transited rm (4 wire legs, not 3).
     assert_eq!(
-        w.trace
-            .hops(|p| p.dst == ip("10.0.2.10") && p.protocol == IpProtocol::Icmp),
+        hops(&w, |p| p.dst == ip("10.0.2.10")
+            && p.protocol == IpProtocol::Icmp),
         4
     );
 }
@@ -346,9 +364,7 @@ fn transit_policy_blocks_through_traffic_but_not_local() {
         h.send_ping(ctx, ip("10.9.0.10"), ip("10.8.0.10"), 1)
     });
     w.run_until_idle(100_000);
-    assert!(w
-        .trace
-        .drops(|p| p.dst == ip("10.8.0.10"))
+    assert!(drops(&w, |p| p.dst == ip("10.8.0.10"))
         .iter()
         .any(|(_, r)| *r == DropReason::TransitPolicy));
     // ...but traffic into the stub is welcome.
@@ -491,10 +507,10 @@ fn ttl_protects_against_routing_loops() {
         h.send_ip(ctx, p, TxMeta::default());
     });
     w.run_until_idle(100_000);
-    let drops = w.trace.drops(|p| p.dst == ip("99.1.2.3"));
+    let drops = drops(&w, |p| p.dst == ip("99.1.2.3"));
     assert!(drops.iter().any(|(_, r)| *r == DropReason::TtlExpired));
     // The packet bounced TTL-1 times before dying, not forever.
-    let hops = w.trace.hops(|p| p.dst == ip("99.1.2.3"));
+    let hops = hops(&w, |p| p.dst == ip("99.1.2.3"));
     assert_eq!(hops, 16, "one traversal per TTL tick");
     // The sender heard about it.
     assert!(w

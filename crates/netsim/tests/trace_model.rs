@@ -1,5 +1,5 @@
-//! `PacketTrace`'s identity bookkeeping and event log against a reference
-//! model.
+//! `PacketTrace`'s identity bookkeeping, event log and conversation rollup
+//! against reference models.
 //!
 //! The trace resolves every record through four tables (header identity →
 //! packet id, packet id → causal bookkeeping, conversation → flow id, last
@@ -10,6 +10,11 @@
 //! whole [`TraceEvent`]s, and random `record` / `record_transform` /
 //! `clear` sequences must leave trace and model in agreement — event for
 //! event, every field.
+//!
+//! [`PacketTrace::conversations`] is held to the predicate queries the
+//! trace answered before it rolled the log up (`queries` below, their
+//! bodies as they were): every conversation must equal what those queries
+//! say of the events whose logical key is the conversation's.
 
 // The model is test code: std's randomly keyed map is as good a referee
 // as any, and the library's hasher rule does not apply.
@@ -19,12 +24,12 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use bytes::Bytes;
-use netsim::trace::PacketSummary;
+use netsim::trace::{Conversation, ConversationKey, PacketSummary};
 use netsim::wire::encap::encapsulate;
 use netsim::wire::srcroute::{apply_route, process_at_hop};
 use netsim::{
     DropReason, EncapFormat, FlowId, IpProtocol, Ipv4Addr, Ipv4Packet, NodeId, PacketId,
-    PacketTrace, SimTime, TraceEvent, TraceEventKind, TransformKind,
+    PacketTrace, SimDuration, SimTime, TraceEvent, TraceEventKind, TransformKind,
 };
 use proptest::prelude::*;
 
@@ -142,6 +147,154 @@ impl Model {
     fn clear(&mut self) {
         *self = Model::default();
     }
+}
+
+/// The trace's predicate queries as they were, each a replay of the whole
+/// log through `pred`.
+mod queries {
+    use super::*;
+
+    pub fn matching<'a>(
+        trace: &'a PacketTrace,
+        pred: impl Fn(&PacketSummary) -> bool + 'a,
+    ) -> impl Iterator<Item = TraceEvent> + 'a {
+        trace.events().into_iter().filter(move |e| pred(&e.packet))
+    }
+
+    /// Number of times matching packets were put on a wire
+    /// (Sent+Forwarded).
+    pub fn hops(trace: &PacketTrace, pred: impl Fn(&PacketSummary) -> bool) -> usize {
+        matching(trace, pred)
+            .filter(|e| matches!(e.kind, TraceEventKind::Sent | TraceEventKind::Forwarded))
+            .count()
+    }
+
+    /// Local deliveries of matching packets.
+    pub fn deliveries(trace: &PacketTrace, pred: impl Fn(&PacketSummary) -> bool) -> usize {
+        matching(trace, pred)
+            .filter(|e| matches!(e.kind, TraceEventKind::DeliveredLocal))
+            .count()
+    }
+
+    /// Drops of matching packets, with reasons.
+    pub fn drops(
+        trace: &PacketTrace,
+        pred: impl Fn(&PacketSummary) -> bool,
+    ) -> Vec<(NodeId, DropReason)> {
+        matching(trace, pred)
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Dropped(r) => Some((e.node, r)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Total bytes put on wires by matching packets.
+    pub fn bytes_on_wire(trace: &PacketTrace, pred: impl Fn(&PacketSummary) -> bool) -> usize {
+        matching(trace, pred)
+            .filter(|e| matches!(e.kind, TraceEventKind::Sent | TraceEventKind::Forwarded))
+            .map(|e| e.packet.wire_len)
+            .sum()
+    }
+
+    /// One-way delivery latency of the first matching packet that
+    /// arrived, paired by header identity, then by the tunnel that carried
+    /// the flow, then by the most recent matching `Sent`.
+    pub fn first_delivery_latency(
+        trace: &PacketTrace,
+        pred: impl Fn(&PacketSummary) -> bool,
+    ) -> Option<SimDuration> {
+        let mut last_sent: Option<SimTime> = None;
+        let mut sent_at: HashMap<(Ipv4Addr, Ipv4Addr, IpProtocol, u16), SimTime> = HashMap::new();
+        let mut tunnel_sent: HashMap<(Ipv4Addr, Ipv4Addr, IpProtocol), SimTime> = HashMap::new();
+        for e in matching(trace, pred) {
+            let flow_key = (
+                e.packet.src,
+                e.packet.sr_final.unwrap_or(e.packet.dst),
+                e.packet.protocol,
+                e.packet.ident,
+            );
+            match e.kind {
+                TraceEventKind::Sent => {
+                    last_sent = Some(e.at);
+                    sent_at.entry(flow_key).or_insert(e.at);
+                    if let Some(inner) = e.packet.inner {
+                        tunnel_sent.entry(inner).or_insert(e.at);
+                    }
+                }
+                TraceEventKind::DeliveredLocal => {
+                    let logical = (e.packet.src, e.packet.dst, e.packet.protocol);
+                    let paired = [
+                        sent_at.get(&flow_key).copied(),
+                        tunnel_sent.get(&logical).copied(),
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                    .or(last_sent);
+                    if let Some(s) = paired {
+                        return Some(e.at.since(s));
+                    }
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+}
+
+/// What the queries say of the conversation `key`: each asked with the
+/// predicate "this packet's logical key is `key`", the tunnel counts with
+/// that and the format's outer protocol.
+fn model_conversation(trace: &PacketTrace, key: ConversationKey) -> Conversation {
+    let of_key = move |s: &PacketSummary| {
+        let (src, dst) = s.logical_endpoints();
+        (src, dst, s.logical_protocol()) == key
+    };
+    let mut c = Conversation::default();
+    c.counts.wire_events = queries::hops(trace, of_key) as u64;
+    c.counts.bytes_on_wire = queries::bytes_on_wire(trace, of_key) as u64;
+    c.counts.deliveries = queries::deliveries(trace, of_key) as u64;
+    for (_, r) in queries::drops(trace, of_key) {
+        c.counts.drops[r.index()] += 1;
+    }
+    c.first_delivery_latency = queries::first_delivery_latency(trace, of_key);
+    for format in netsim::metrics::ENCAP_FORMATS {
+        let tunnel = move |s: &PacketSummary| of_key(s) && s.protocol == format.protocol();
+        let sends: Vec<usize> = queries::matching(trace, tunnel)
+            .filter(|e| e.kind == TraceEventKind::Sent)
+            .map(|e| e.packet.wire_len)
+            .collect();
+        let t = &mut c.tunnels[format as usize];
+        t.sends = sends.len() as u64;
+        t.send_bytes = sends.iter().sum::<usize>() as u64;
+        t.legs = queries::hops(trace, tunnel) as u64;
+    }
+    c
+}
+
+/// Every conversation of `trace` against [`model_conversation`], and no
+/// conversation the log has no event of.
+fn check_conversations(trace: &PacketTrace) -> Result<(), String> {
+    let rollup = trace.conversations();
+    let mut keys: Vec<ConversationKey> = Vec::new();
+    for e in trace.events() {
+        let (src, dst) = e.packet.logical_endpoints();
+        let key = (src, dst, e.packet.logical_protocol());
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    prop_assert_eq!(rollup.len(), keys.len());
+    for key in keys {
+        prop_assert_eq!(
+            rollup.get(&key),
+            Some(&model_conversation(trace, key)),
+            "{:?}",
+            key
+        );
+    }
+    Ok(())
 }
 
 const FORMATS: [EncapFormat; 3] = [EncapFormat::IpInIp, EncapFormat::Gre, EncapFormat::Minimal];
@@ -355,9 +508,6 @@ proptest! {
             prop_assert_eq!(events.front(), model.events.first().cloned());
             prop_assert_eq!(events.back(), model.events.last().cloned());
             prop_assert!(events.iter().rev().eq(model.events.iter().rev().cloned()));
-            let matched: Vec<TraceEvent> = trace.matching(|s| s.wire_len % 2 == 0).collect();
-            let expect = model.events.iter().filter(|e| e.packet.wire_len % 2 == 0);
-            prop_assert!(matched.iter().eq(expect), "matching after op {}", t);
             prop_assert_eq!(trace.packets_identified(), model.meta.len());
             // Every id ever minted, and two that never were (stale ids from
             // before a clear look the same).
@@ -370,4 +520,144 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn conversations_match_the_predicate_queries(
+        ops in proptest::collection::vec(arb_ops(), 0..60),
+    ) {
+        let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
+        let mut trace = PacketTrace::new(true);
+        for (t, op) in ops.iter().flatten().enumerate() {
+            let (at, node) = (SimTime(t as u64), NodeId(t % 3));
+            match op {
+                Op::Record(kind, pkt) => trace.record(at, node, *kind, pkt),
+                Op::Transform(kind, parent, child) => {
+                    trace.record_transform(at, node, *kind, parent.as_ref(), child)
+                }
+                Op::Clear => {
+                    // The window about to close, then the empty one.
+                    check_conversations(&trace)?;
+                    trace.clear();
+                    prop_assert!(trace.conversations().is_empty());
+                }
+            }
+        }
+        check_conversations(&trace)?;
+    }
+}
+
+fn udp(src: &str, dst: &str, ident: u16) -> Ipv4Packet {
+    let mut p = Ipv4Packet::new(
+        src.parse().unwrap(),
+        dst.parse().unwrap(),
+        IpProtocol::Udp,
+        Bytes::from_static(b"x"),
+    );
+    p.ident = ident;
+    p
+}
+
+/// The rollup of the only conversation `trace` holds, checked against the
+/// queries.
+fn only_conversation(trace: &PacketTrace) -> Conversation {
+    check_conversations(trace).unwrap();
+    let rollup = trace.conversations();
+    assert_eq!(rollup.len(), 1);
+    rollup.into_values().next().unwrap()
+}
+
+/// Why deliveries are paired with sends: the first copy (ident 1) is sent
+/// at 0 and lost; the retransmission (ident 2, a fresh packet) is sent at
+/// 50 ms and delivered 1.2 ms later. The one-way time is 1.2 ms, not
+/// 51.2 ms from the doomed first send.
+#[test]
+fn a_retransmission_is_charged_from_its_own_send() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut trace = PacketTrace::new(true);
+    let (first, retx) = (udp("1.1.1.1", "2.2.2.2", 1), udp("1.1.1.1", "2.2.2.2", 2));
+    trace.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &first);
+    let lost = TraceEventKind::Dropped(DropReason::LinkFault);
+    trace.record(SimTime(400), NodeId(1), lost, &first);
+    let again = TransformKind::Retransmission;
+    trace.record_transform(SimTime(50_000), NodeId(0), again, None, &retx);
+    trace.record(SimTime(50_000), NodeId(0), TraceEventKind::Sent, &retx);
+    trace.record(
+        SimTime(51_200),
+        NodeId(2),
+        TraceEventKind::DeliveredLocal,
+        &retx,
+    );
+    let c = only_conversation(&trace);
+    assert_eq!(
+        c.first_delivery_latency,
+        Some(SimDuration::from_micros(1_200))
+    );
+    assert_eq!((c.counts.wire_events, c.counts.deliveries), (2, 1));
+    assert_eq!(c.counts.drops[DropReason::LinkFault.index()], 1);
+}
+
+/// The fallback: a delivery whose packet no recorded `Sent` carried (its
+/// trace starts mid-flight, at a router) is charged from the
+/// conversation's most recent send.
+#[test]
+fn an_unpaired_delivery_is_charged_from_the_latest_send() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut trace = PacketTrace::new(true);
+    let (early, late, midway) = (
+        udp("1.1.1.1", "2.2.2.2", 1),
+        udp("1.1.1.1", "2.2.2.2", 2),
+        udp("1.1.1.1", "2.2.2.2", 3),
+    );
+    trace.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &early);
+    trace.record(SimTime(100), NodeId(0), TraceEventKind::Sent, &late);
+    trace.record(SimTime(200), NodeId(1), TraceEventKind::Forwarded, &midway);
+    trace.record(
+        SimTime(300),
+        NodeId(2),
+        TraceEventKind::DeliveredLocal,
+        &midway,
+    );
+    let c = only_conversation(&trace);
+    assert_eq!(
+        c.first_delivery_latency,
+        Some(SimDuration::from_micros(200))
+    );
+}
+
+/// The tunnel arm: the mobile sends an encapsulated packet at 0, the home
+/// agent decapsulates and re-originates the inner packet at 600 µs (a
+/// `Sent` of its own), the server receives it at 900 µs. The delivery is
+/// charged from the tunnelled send, 900 µs, not the 300 µs final leg.
+#[test]
+fn a_decapsulated_delivery_is_charged_from_the_tunnelled_send() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut trace = PacketTrace::new(true);
+    let inner = udp("171.64.15.9", "18.26.0.1", 7);
+    let (coa, ha) = (
+        "36.186.0.99".parse().unwrap(),
+        "171.64.15.1".parse().unwrap(),
+    );
+    let outer = encapsulate(EncapFormat::IpInIp, coa, ha, &inner, 0).unwrap();
+    trace.record(SimTime(0), NodeId(0), TraceEventKind::Sent, &outer);
+    trace.record(SimTime(300), NodeId(1), TraceEventKind::Forwarded, &outer);
+    trace.record(SimTime(600), NodeId(2), TraceEventKind::Sent, &inner);
+    trace.record(
+        SimTime(900),
+        NodeId(3),
+        TraceEventKind::DeliveredLocal,
+        &inner,
+    );
+    let c = only_conversation(&trace);
+    assert_eq!(
+        c.first_delivery_latency,
+        Some(SimDuration::from_micros(900))
+    );
+    let ipip = c.tunnels[EncapFormat::IpInIp as usize];
+    assert_eq!((ipip.sends, ipip.legs), (1, 2));
+    assert_eq!(ipip.send_bytes, outer.wire_len() as u64);
+    assert_eq!(c.counts.wire_events, 3);
 }

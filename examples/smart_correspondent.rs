@@ -15,7 +15,6 @@
 use mobility4x4::mip_core::dns::DnsLookup;
 use mobility4x4::mip_core::scenario::{addrs, build, ip, ChKind, ScenarioConfig};
 use mobility4x4::mip_core::{MobileAwareCh, OutMode, PolicyConfig};
-use mobility4x4::netsim::trace::PacketSummary;
 use mobility4x4::netsim::wire::icmp::IcmpMessage;
 use mobility4x4::netsim::{IpProtocol, SimDuration, TraceEvent, TraceEventKind, TransformKind};
 
@@ -122,11 +121,14 @@ fn main() {
     // first echo request itself, and no event of it (or of its tunnelled
     // copy) is at the home agent.
     let (ch_addr, mh_home) = (s.ch_addr(), ip(addrs::MH_HOME));
-    let to_mh = move |p: &PacketSummary| {
-        p.logical_endpoints() == (ch_addr, mh_home) && p.logical_protocol() == IpProtocol::Icmp
-    };
     let trace = &s.world.trace;
-    let first = trace.matching(to_mh).next().expect("ping 1 traced");
+    let to_mh = || {
+        trace.events().iter().filter(move |e| {
+            e.packet.logical_endpoints() == (ch_addr, mh_home)
+                && e.packet.logical_protocol() == IpProtocol::Icmp
+        })
+    };
+    let first = to_mh().next().expect("ping 1 traced");
     assert!(
         first.node == ch
             && matches!(
@@ -138,13 +140,10 @@ fn main() {
     let request = first.parent_id;
     let of_ping1 = |e: &TraceEvent| Some(e.packet_id) == request || e.parent_id == request;
     assert!(
-        !trace
-            .matching(to_mh)
-            .any(|e| e.node == s.ha && of_ping1(&e)),
+        !to_mh().any(|e| e.node == s.ha && of_ping1(&e)),
         "no triangle even on the first packet"
     );
-    let forwarded = trace
-        .matching(to_mh)
+    let forwarded = to_mh()
         .find(|e| e.node == s.ch_gw && e.kind == TraceEventKind::Forwarded && of_ping1(e))
         .expect("ch-gw forwards ping 1");
     println!(

@@ -571,13 +571,13 @@ proptest! {
 
         // Node view: registry totals equal what the packet trace recorded,
         // event for event and byte for byte.
-        let all = |_: &PacketSummary| true;
         let count = |kind: TraceEventKind| {
-            w.trace.matching(all).filter(|e| e.kind == kind).count() as u64
+            w.trace.events().iter().filter(|e| e.kind == kind).count() as u64
         };
         let bytes_of = |kind: TraceEventKind| {
             w.trace
-                .matching(all)
+                .events()
+                .iter()
                 .filter(|e| e.kind == kind)
                 .map(|e| e.packet.wire_len as u64)
                 .sum::<u64>()
@@ -605,15 +605,17 @@ proptest! {
         prop_assert_eq!(totals.5, bytes_of(TraceEventKind::Forwarded));
         let dropped = w
             .trace
-            .matching(all)
+            .events()
+            .iter()
             .filter(|e| matches!(e.kind, TraceEventKind::Dropped(_)))
             .count() as u64;
         prop_assert_eq!(totals.6, dropped);
         // And bytes_on_wire (the measurement the figures use) is exactly
         // the sent+forwarded byte total.
+        let conversations = w.trace.conversations();
         prop_assert_eq!(
-            (totals.1 + totals.5) as usize,
-            w.trace.bytes_on_wire(all)
+            totals.1 + totals.5,
+            conversations.values().map(|c| c.counts.bytes_on_wire).sum::<u64>()
         );
     }
 }
