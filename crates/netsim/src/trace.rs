@@ -22,30 +22,41 @@
 //! is the simulator's largest per-event cost, and most of a `TraceEvent`
 //! repeats what the packet's other events already said:
 //!
-//! * **per event, 24 bytes** — time, node, packet id, event kind, and which
-//!   summary the event was recorded with: one slot of the `Vec` that is the
-//!   whole log, kept until [`PacketTrace::clear`];
-//! * **per packet, 56 bytes** — flow, parent and the summary the packet was
-//!   first seen with, in a `Vec` indexed by [`PacketId`] that also answers
-//!   [`PacketTrace::parent_of`] / [`PacketTrace::flow_of`] /
+//! * **per header shape, once** — every [`PacketSummary`] field but `ident`
+//!   and `wire_len` (addresses, protocol, inner header, source-route final
+//!   destination) is interned in one small table per trace. A world's
+//!   packets come in a few dozen shapes, so a summary is stored as a
+//!   12-byte *stamp*: shape, `wire_len` and `ident`;
+//! * **per event, 16 bytes** — the time as an offset from the base of its
+//!   run of records, node and event kind packed in one word, packet id,
+//!   and which stamp the event was recorded with. A record whose time lies
+//!   before its run's base, or 2³² µs or more after it, starts a new run;
+//! * **per packet, 24 bytes** — flow, parent, latest stamp and the stamp
+//!   the packet was first seen with, indexed by [`PacketId`], which also
+//!   answers [`PacketTrace::parent_of`] / [`PacketTrace::flow_of`] /
 //!   [`PacketTrace::first_wire_len`] — plus the packet's entry in the
 //!   header-identity map;
-//! * **per change of summary, 40 bytes** — a packet's events share a
-//!   summary for as long as each is recorded with one equal to the last;
-//!   an event that differs (another fragment's `wire_len`, a `dst` a
+//! * **per change of stamp, 12 bytes** — a packet's events share a stamp
+//!   for as long as each is recorded with a summary equal to the last; an
+//!   event that differs (another fragment's `wire_len`, a `dst` a
 //!   source-route waypoint rewrote, an ident that wrapped onto an old id)
-//!   appends the new summary to a spill table. Nothing is assumed about
-//!   which fields can vary, so what is read back is exactly what was
-//!   recorded. Spilled summaries live until [`PacketTrace::clear`], like
-//!   the rest.
+//!   appends the new stamp to a spill table. Nothing is assumed about which
+//!   fields can vary, so what is read back is exactly what was recorded.
+//!
+//! The log, the packet table and the spill table are append-only chunks,
+//! each allocated when the last one fills and never copied: a first chunk
+//! of 1 024 entries, then chunks of 4 096, every one below glibc's 128 KiB
+//! mmap threshold. All of it lives until [`PacketTrace::clear`], which
+//! keeps the chunks for reuse.
 //!
 //! [`PacketTrace::events`] assembles each `TraceEvent` by value when it is
-//! read: two indexed loads and a 40-byte copy per event, paid by the reader
-//! instead of by every hop of the run.
+//! read: three indexed loads (packet, stamp, shape) and a 40-byte copy per
+//! event, paid by the reader instead of by every hop of the run.
 //!
 //! [`PacketTrace::conversations`] reads the records in place, in one pass,
 //! and rolls them up per direction of each logical conversation: what the
-//! experiments' figures read.
+//! experiments' figures read. A record finds its conversation through its
+//! shape, so a conversation key is hashed once per shape, not per record.
 
 use crate::event::NodeId;
 use crate::hash::FxHashMap;
@@ -349,21 +360,94 @@ impl Serialize for PacketSummary {
 /// packet observed anywhere in the net back to its [`PacketId`].
 type PacketKey = (Ipv4Addr, Ipv4Addr, IpProtocol, u16);
 
+/// Every [`PacketSummary`] field but `ident` and `wire_len`: what the
+/// packets of one conversation leg have in common, interned once per trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape {
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: IpProtocol,
+    inner: Option<(Ipv4Addr, Ipv4Addr, IpProtocol)>,
+    sr_final: Option<Ipv4Addr>,
+}
+
+impl Shape {
+    fn of(s: &PacketSummary) -> Shape {
+        Shape {
+            src: s.src,
+            dst: s.dst,
+            protocol: s.protocol,
+            inner: s.inner,
+            sr_final: s.sr_final,
+        }
+    }
+
+    /// The summary `stamp` (one of this shape's) stands for.
+    fn summary(&self, stamp: Stamp) -> PacketSummary {
+        PacketSummary {
+            src: self.src,
+            dst: self.dst,
+            protocol: self.protocol,
+            ident: stamp.ident,
+            wire_len: stamp.wire_len as usize,
+            inner: self.inner,
+            sr_final: self.sr_final,
+        }
+    }
+}
+
+/// A [`PacketSummary`] as the trace stores it: its interned shape plus the
+/// two fields that vary between a conversation's packets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    /// Index into [`PacketTrace::shapes`].
+    shape: u32,
+    /// An IPv4 packet is at most 65 535 bytes; a longer summary saturates.
+    wire_len: u32,
+    ident: u16,
+}
+
+impl Stamp {
+    /// `summary`, whose shape is `shape`, as the trace stores it.
+    fn of(shape: u32, summary: &PacketSummary) -> Stamp {
+        Stamp {
+            shape,
+            wire_len: u32::try_from(summary.wire_len).unwrap_or(u32::MAX),
+            ident: summary.ident,
+        }
+    }
+}
+
+/// One interned [`Shape`] and the flow of its conversation.
+#[derive(Debug)]
+struct ShapeEntry {
+    shape: Shape,
+    /// The [`FlowId`], looked up the first time a packet of this shape
+    /// asks for one; [`NO_FLOW`] until then.
+    flow: u32,
+}
+
+/// Shapes a trace has room for before its tables grow.
+const SHAPES: usize = 16;
+
+/// [`ShapeEntry::flow`] before any packet of the shape asked for a flow.
+const NO_FLOW: u32 = u32::MAX;
+
 /// Per-packet bookkeeping: causal links, the overhead baseline, and
 /// everything a [`TraceEvent`] says that is the same for all of a packet's
 /// events.
 #[derive(Debug)]
 struct PacketMeta {
-    flow: FlowId,
+    flow: u32,
     /// The id this packet was derived from; [`NO_PARENT`] for none.
     parent: u32,
-    /// Which summary the packet's latest event was recorded with,
+    /// Which stamp the packet's latest event was recorded with,
     /// in [`Record::summary`]'s encoding.
     last: u32,
     /// The packet as first observed (pre-transform for parents): the
-    /// summary its events share until one differs, and the wire length
+    /// stamp its events share until one differs, and the wire length
     /// per-layer header-overhead deltas start from.
-    first: PacketSummary,
+    first: Stamp,
 }
 
 /// [`PacketMeta::parent`] of a packet no transform produced. Ids are minted
@@ -380,14 +464,146 @@ impl PacketMeta {
 /// makes the [`TraceEvent`] readers see.
 #[derive(Debug)]
 struct Record {
-    at: SimTime,
-    node: u32,
+    /// Microseconds after the base of the record's [`Run`].
+    offset: u32,
+    /// Node id above [`TraceEventKind::code`] in the low byte.
+    node_kind: u32,
     /// The [`PacketId`], an index into `meta`.
     packet: u32,
     /// 0: the event saw `meta[packet].first`; `n`: it saw `spilled[n - 1]`.
     summary: u32,
-    kind: TraceEventKind,
 }
+
+/// Node ids a record can hold: the 24 bits above the kind's byte.
+const NODE_LIMIT: usize = 1 << 24;
+
+impl Record {
+    fn node(&self) -> NodeId {
+        NodeId((self.node_kind >> 8) as usize)
+    }
+
+    fn kind(&self) -> TraceEventKind {
+        TraceEventKind::from_code(self.node_kind as u8)
+    }
+}
+
+/// Consecutive records whose times are offsets from one base: the log's
+/// first record starts one, and so does every record that lies before the
+/// current base or 2³² µs or more after it.
+#[derive(Debug)]
+struct Run {
+    /// Index of the run's first record in the log.
+    start: usize,
+    base: SimTime,
+}
+
+/// Entries per chunk of [`Chunks`] but the first. The largest entry, a
+/// [`PacketMeta`], makes a 96 KiB chunk: below glibc's 128 KiB mmap
+/// threshold, so a chunk is an ordinary heap block.
+const CHUNK: usize = 1 << CHUNK_BITS;
+const CHUNK_BITS: u32 = 12;
+/// Entries of the first chunk: a table of a thousand packets — a churned
+/// 10⁵-host world's, where nearly every packet has a shape of its own —
+/// holds a quarter of a full chunk.
+const HEAD: usize = CHUNK / 4;
+
+/// Append-only storage in chunks, each allocated when the last one fills
+/// and never moved: a first chunk of [`HEAD`] entries, held in place so
+/// that a small table costs one allocation, then chunks of [`CHUNK`].
+/// [`Chunks::clear`] keeps the chunks for the entries that come after it.
+#[derive(Debug)]
+struct Chunks<T> {
+    head: Vec<T>,
+    /// Chunk `k + 1` is `tail[k]`.
+    tail: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Chunks {
+            head: Vec::new(),
+            tail: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+/// The chunk entry `i` is in, and its place there.
+fn locate(i: usize) -> (usize, usize) {
+    match i.checked_sub(HEAD) {
+        None => (0, i),
+        Some(j) => (1 + (j >> CHUNK_BITS), j & (CHUNK - 1)),
+    }
+}
+
+impl<T> Chunks<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, v: T) {
+        let chunk = match locate(self.len) {
+            (0, _) => {
+                if self.head.capacity() == 0 {
+                    self.head = Vec::with_capacity(HEAD);
+                }
+                &mut self.head
+            }
+            (c, _) => {
+                if c > self.tail.len() {
+                    if self.tail.capacity() == 0 {
+                        // Room to name 32 chunks (768 bytes) before the
+                        // list grows: a `grid_stream` cell's log fills 28.
+                        self.tail.reserve_exact(32);
+                    }
+                    self.tail.push(Vec::with_capacity(CHUNK));
+                }
+                &mut self.tail[c - 1]
+            }
+        };
+        chunk.push(v);
+        self.len += 1;
+    }
+
+    /// Every chunk before the one being filled is full and every one after
+    /// it empty, so an index at or past `len` finds nothing.
+    fn get(&self, i: usize) -> Option<&T> {
+        match locate(i) {
+            (0, k) => self.head.get(k),
+            (c, k) => self.tail.get(c - 1)?.get(k),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.head.clear();
+        self.tail.iter_mut().for_each(Vec::clear);
+        self.len = 0;
+    }
+}
+
+impl<T> std::ops::Index<usize> for Chunks<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        match locate(i) {
+            (0, k) => &self.head[k],
+            (c, k) => &self.tail[c - 1][k],
+        }
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Chunks<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        match locate(i) {
+            (0, k) => &mut self.head[k],
+            (c, k) => &mut self.tail[c - 1][k],
+        }
+    }
+}
+
+/// The first [`TraceEventKind::code`] of a drop, and of a transform.
+const DROPPED: u8 = 3;
+const TRANSFORMED: u8 = DROPPED + DropReason::ALL.len() as u8;
 
 /// What happened to the packet at `node`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,6 +637,49 @@ impl TraceEventKind {
     /// Whether this event put bytes on a wire.
     pub fn is_wire(self) -> bool {
         matches!(self, TraceEventKind::Sent | TraceEventKind::Forwarded)
+    }
+
+    /// A dense code below 22 (three plain kinds, ten drop reasons, nine
+    /// transforms): the byte a [`Record`] keeps.
+    fn code(self) -> u8 {
+        const FORMATS: u8 = crate::metrics::ENCAP_FORMATS.len() as u8;
+        match self {
+            TraceEventKind::Sent => 0,
+            TraceEventKind::Forwarded => 1,
+            TraceEventKind::DeliveredLocal => 2,
+            TraceEventKind::Dropped(r) => DROPPED + r.index() as u8,
+            TraceEventKind::Transformed(t) => {
+                TRANSFORMED
+                    + match t {
+                        TransformKind::Encapsulated(f) => f as u8,
+                        TransformKind::Decapsulated(f) => FORMATS + f as u8,
+                        TransformKind::SourceRouteHop => 2 * FORMATS,
+                        TransformKind::Relayed => 2 * FORMATS + 1,
+                        TransformKind::Retransmission => 2 * FORMATS + 2,
+                    }
+            }
+        }
+    }
+
+    /// Inverse of [`TraceEventKind::code`].
+    fn from_code(code: u8) -> TraceEventKind {
+        use crate::metrics::ENCAP_FORMATS as FORMATS;
+        let n = FORMATS.len();
+        match code {
+            0 => TraceEventKind::Sent,
+            1 => TraceEventKind::Forwarded,
+            2 => TraceEventKind::DeliveredLocal,
+            c if c < TRANSFORMED => {
+                TraceEventKind::Dropped(DropReason::ALL[usize::from(c - DROPPED)])
+            }
+            c => TraceEventKind::Transformed(match usize::from(c - TRANSFORMED) {
+                f if f < n => TransformKind::Encapsulated(FORMATS[f]),
+                f if f < 2 * n => TransformKind::Decapsulated(FORMATS[f - n]),
+                f if f == 2 * n => TransformKind::SourceRouteHop,
+                f if f == 2 * n + 1 => TransformKind::Relayed,
+                _ => TransformKind::Retransmission,
+            }),
+        }
     }
 }
 
@@ -539,26 +798,33 @@ pub struct Conversation {
 /// Collects [`TraceEvent`]s. Owned by the [`crate::world::World`].
 #[derive(Debug, Default)]
 pub struct PacketTrace {
-    log: Vec<Record>,
-    /// Summaries that differed from the one their packet's previous event
-    /// was recorded with, in recording order.
-    spilled: Vec<PacketSummary>,
+    log: Chunks<Record>,
+    /// The base of the log's first run of record times.
+    base: SimTime,
+    /// The runs after the first, in log order.
+    runs: Vec<Run>,
+    /// Stamps that differed from the one their packet's previous event was
+    /// recorded with, in recording order.
+    spilled: Chunks<Stamp>,
     enabled: bool,
     /// Current id for each header identity seen in the world. A transform
     /// re-points the child's key at a fresh id, so the same wire identity
     /// observed after the transform belongs to the new causal node.
-    ids: FxHashMap<PacketKey, PacketId>,
+    ids: FxHashMap<PacketKey, u32>,
     /// Causal bookkeeping per id, indexed by it: ids are minted densely
     /// from `meta.len()`.
-    meta: Vec<PacketMeta>,
-    /// Conversation registry, keyed by the direction-normalized
-    /// [`ConversationKey`] so both directions share a flow.
-    flows: FxHashMap<ConversationKey, FlowId>,
+    meta: Chunks<PacketMeta>,
+    /// Interned header shapes, indexed by [`Stamp::shape`].
+    shapes: Vec<ShapeEntry>,
+    shape_ids: FxHashMap<Shape, u32>,
+    /// Flow registry, keyed by the direction-normalized
+    /// [`ConversationKey`] so both directions share a flow; ids are minted
+    /// densely from its length.
+    flows: FxHashMap<ConversationKey, u32>,
     /// Last packet each logical endpoint contributed to each flow — the
     /// presumed parent of a retransmission, which arrives with a fresh
     /// ident and no explicit parent packet.
-    last_in_flow: FxHashMap<(FlowId, Ipv4Addr), PacketId>,
-    next_flow: u64,
+    last_in_flow: FxHashMap<(u32, Ipv4Addr), u32>,
 }
 
 impl PacketTrace {
@@ -583,7 +849,7 @@ impl PacketTrace {
         let _prof = crate::profile::scope("trace/record");
         let packet = PacketSummary::of(pkt);
         let packet_id = self.id_for(&packet);
-        self.push(at, node, kind, packet_id, packet);
+        self.push(at, node, kind, packet_id, &packet);
     }
 
     /// Record that `child` was produced from a parent packet by `kind` at
@@ -605,24 +871,25 @@ impl PacketTrace {
         }
         let _prof = crate::profile::scope("trace/record");
         let child_summary = PacketSummary::of(child);
+        let shape = self.intern(&child_summary);
         let parent_id = match parent {
-            Some(p) => {
-                let ps = PacketSummary::of(p);
-                Some(self.id_for(&ps))
-            }
+            Some(p) => self.id_for(&PacketSummary::of(p)),
             None => {
-                let flow = self.flow_for(&child_summary);
+                let flow = self.flow_for(shape, &child_summary);
                 let (src, _) = child_summary.logical_endpoints();
-                self.last_in_flow.get(&(flow, src)).copied()
+                self.last_in_flow
+                    .get(&(flow, src))
+                    .copied()
+                    .unwrap_or(NO_PARENT)
             }
         };
-        let flow_id = match parent_id {
-            Some(p) => self.meta[p.0 as usize].flow,
-            None => self.flow_for(&child_summary),
+        let flow = match parent_id {
+            NO_PARENT => self.flow_for(shape, &child_summary),
+            p => self.meta[p as usize].flow,
         };
-        let packet_id = self.alloc_packet(&child_summary, flow_id, parent_id);
+        let packet_id = self.alloc_packet(&child_summary, shape, flow, parent_id);
         let kind = TraceEventKind::Transformed(kind);
-        self.push(at, node, kind, packet_id, child_summary);
+        self.push(at, node, kind, packet_id, &child_summary);
     }
 
     /// The parent of `id` in the causal tree, if it was produced by a
@@ -633,7 +900,7 @@ impl PacketTrace {
 
     /// The flow `id` belongs to.
     pub fn flow_of(&self, id: PacketId) -> Option<FlowId> {
-        self.meta_of(id).map(|m| m.flow)
+        self.meta_of(id).map(|m| FlowId(u64::from(m.flow)))
     }
 
     /// Wire length of `id` when it was first observed — the pre-transform
@@ -641,7 +908,7 @@ impl PacketTrace {
     /// makes `child.wire_len - first_wire_len(parent)` the header bytes a
     /// layer added.
     pub fn first_wire_len(&self, id: PacketId) -> Option<usize> {
-        self.meta_of(id).map(|m| m.first.wire_len)
+        self.meta_of(id).map(|m| m.first.wire_len as usize)
     }
 
     /// Distinct packets the trace has identified since the last clear.
@@ -657,57 +924,82 @@ impl PacketTrace {
 
     /// Current id for the packet `summary` describes, allocated (with its
     /// flow) on first sight.
-    fn id_for(&mut self, summary: &PacketSummary) -> PacketId {
+    fn id_for(&mut self, summary: &PacketSummary) -> u32 {
         if let Some(&id) = self.ids.get(&summary.flow_key()) {
             return id;
         }
-        let flow = self.flow_for(summary);
-        self.alloc_packet(summary, flow, None)
+        let shape = self.intern(summary);
+        let flow = self.flow_for(shape, summary);
+        self.alloc_packet(summary, shape, flow, NO_PARENT)
     }
 
-    /// The flow for `summary`'s logical conversation, allocated on first
-    /// sight. Direction-normalized so requests and replies share it.
-    fn flow_for(&mut self, summary: &PacketSummary) -> FlowId {
-        let (s, d) = summary.logical_endpoints();
-        let proto = summary.logical_protocol();
-        let key = if s <= d { (s, d, proto) } else { (d, s, proto) };
-        match self.flows.get(&key) {
-            Some(&f) => f,
-            None => {
-                let f = FlowId(self.next_flow);
-                self.next_flow += 1;
-                self.flows.insert(key, f);
-                f
-            }
+    /// The index of `summary`'s shape, interned on first sight.
+    fn intern(&mut self, summary: &PacketSummary) -> u32 {
+        let shape = Shape::of(summary);
+        if let Some(&ix) = self.shape_ids.get(&shape) {
+            return ix;
         }
+        if self.shapes.capacity() == 0 {
+            // A world's packets come in a handful of shapes (6 to 11 in
+            // each `grid_stream` cell): room for them all at once.
+            self.shapes.reserve(SHAPES);
+            self.shape_ids.reserve(SHAPES);
+        }
+        assert!(
+            self.shapes.len() < u32::MAX as usize,
+            "trace: a trace interns at most 2^32 - 1 header shapes between clears"
+        );
+        let ix = self.shapes.len() as u32;
+        self.shapes.push(ShapeEntry {
+            shape,
+            flow: NO_FLOW,
+        });
+        self.shape_ids.insert(shape, ix);
+        ix
+    }
+
+    /// The flow for the logical conversation of `summary`, whose shape is
+    /// `shape`, allocated on first sight. Direction-normalized so requests
+    /// and replies share it.
+    fn flow_for(&mut self, shape: u32, summary: &PacketSummary) -> u32 {
+        let entry = &mut self.shapes[shape as usize];
+        if entry.flow == NO_FLOW {
+            let (s, d) = summary.logical_endpoints();
+            let proto = summary.logical_protocol();
+            let key = if s <= d { (s, d, proto) } else { (d, s, proto) };
+            // At most one flow per shape, and shapes are counted in `u32`.
+            let fresh = self.flows.len() as u32;
+            entry.flow = *self.flows.entry(key).or_insert(fresh);
+        }
+        entry.flow
     }
 
     /// Mint a fresh packet id for `summary`, repointing its header identity
     /// at the new id and remembering the causal link.
-    fn alloc_packet(
-        &mut self,
-        summary: &PacketSummary,
-        flow: FlowId,
-        parent: Option<PacketId>,
-    ) -> PacketId {
-        // The log names packets by `u32`; 2^32 of them would be 224 GiB of
+    fn alloc_packet(&mut self, summary: &PacketSummary, shape: u32, flow: u32, parent: u32) -> u32 {
+        // The log names packets by `u32`; 2^32 of them would be 96 GiB of
         // `meta` alone.
         assert!(
             self.meta.len() < NO_PARENT as usize,
             "trace: a trace identifies at most 2^32 - 1 packets between clears"
         );
-        let id = PacketId(self.meta.len() as u64);
+        let id = self.meta.len() as u32;
         self.ids.insert(summary.flow_key(), id);
         self.meta.push(PacketMeta {
             flow,
-            // An id is below `meta.len()`, so the assert above bounds it.
-            parent: parent.map_or(NO_PARENT, |p| p.0 as u32),
+            parent,
             last: 0,
-            first: summary.clone(),
+            first: Stamp::of(shape, summary),
         });
         let (src, _) = summary.logical_endpoints();
         self.last_in_flow.insert((flow, src), id);
         id
+    }
+
+    /// Whether `stamp` stands for `summary`.
+    fn stands_for(&self, stamp: Stamp, summary: &PacketSummary) -> bool {
+        stamp == Stamp::of(stamp.shape, summary)
+            && self.shapes[stamp.shape as usize].shape == Shape::of(summary)
     }
 
     /// Append one event of packet `id`.
@@ -716,71 +1008,105 @@ impl PacketTrace {
         at: SimTime,
         node: NodeId,
         kind: TraceEventKind,
-        id: PacketId,
-        summary: PacketSummary,
+        id: u32,
+        summary: &PacketSummary,
     ) {
-        let m = &mut self.meta[id.0 as usize];
+        assert!(
+            node.0 < NODE_LIMIT,
+            "trace: node ids of 2^24 and above are not recorded"
+        );
+        let m = &self.meta[id as usize];
         let last = match m.last {
-            0 => &m.first,
-            n => &self.spilled[n as usize - 1],
+            0 => m.first,
+            n => self.spilled[n as usize - 1],
         };
-        if *last != summary {
-            self.spilled.push(summary);
-            m.last = u32::try_from(self.spilled.len())
+        if !self.stands_for(last, summary) {
+            let shape = self.intern(summary);
+            self.spilled.push(Stamp::of(shape, summary));
+            self.meta[id as usize].last = u32::try_from(self.spilled.len())
                 .expect("trace: at most 2^32 - 1 changed packet summaries between clears");
         }
+        let base = self.base_for(at);
         self.log.push(Record {
-            at,
-            node: u32::try_from(node.0).expect("trace: node ids above 2^32 - 1 are not recorded"),
-            // `alloc_packet` minted `id` below `NO_PARENT`.
-            packet: id.0 as u32,
-            summary: m.last,
-            kind,
+            // `base_for` keeps the offset below 2^32.
+            offset: (at.0 - base.0) as u32,
+            // Both parts are checked: the node above, the kind by its type.
+            node_kind: (node.0 as u32) << 8 | u32::from(kind.code()),
+            packet: id,
+            summary: self.meta[id as usize].last,
         });
     }
 
-    /// The summary `r` was recorded with.
-    fn summary_of(&self, r: &Record) -> &PacketSummary {
+    /// The base a record at `at`, about to be appended, is an offset
+    /// from: its run's, or `at` itself when it starts a new run.
+    fn base_for(&mut self, at: SimTime) -> SimTime {
+        let base = self.runs.last().map_or(self.base, |r| r.base);
+        let fits = at >= base && at.0 - base.0 <= u64::from(u32::MAX);
+        match self.log.len() {
+            0 => self.base = at,
+            _ if fits => return base,
+            start => self.runs.push(Run { start, base: at }),
+        }
+        at
+    }
+
+    /// The stamp `r` was recorded with.
+    fn stamp_of(&self, r: &Record) -> Stamp {
         match r.summary {
-            0 => &self.meta[r.packet as usize].first,
-            n => &self.spilled[n as usize - 1],
+            0 => self.meta[r.packet as usize].first,
+            n => self.spilled[n as usize - 1],
         }
     }
 
-    /// The event `r` stands for: what the record holds, what its packet's
-    /// bookkeeping says of every event of that packet, and its summary.
-    fn assemble(&self, r: &Record) -> TraceEvent {
+    /// The event `r`, recorded at `at`, stands for: what the record holds,
+    /// what its packet's bookkeeping says of every event of that packet,
+    /// and its summary.
+    fn assemble(&self, at: SimTime, r: &Record) -> TraceEvent {
         let m = &self.meta[r.packet as usize];
+        let stamp = self.stamp_of(r);
         TraceEvent {
-            at: r.at,
-            node: NodeId(r.node as usize),
-            kind: r.kind,
-            packet: self.summary_of(r).clone(),
+            at,
+            node: r.node(),
+            kind: r.kind(),
+            packet: self.shapes[stamp.shape as usize].shape.summary(stamp),
             packet_id: PacketId(u64::from(r.packet)),
-            flow_id: m.flow,
+            flow_id: FlowId(u64::from(m.flow)),
             parent_id: m.parent(),
         }
     }
 
     /// Forget everything recorded so far, packet and flow identities
-    /// included.
+    /// included. The storage chunks stay for what is recorded next.
     pub fn clear(&mut self) {
         self.log.clear();
+        self.runs.clear();
         self.spilled.clear();
         self.ids.clear();
         self.meta.clear();
+        self.shapes.clear();
+        self.shape_ids.clear();
         self.flows.clear();
         self.last_in_flow.clear();
-        self.next_flow = 0;
     }
 
     /// Every recorded event, in order: a view that assembles each
-    /// [`TraceEvent`] from its 24-byte record, its packet's bookkeeping and
-    /// the summary it was recorded with as it is read. `len` and `is_empty`
-    /// read nothing; `front`, `back` and each step of `iter` cost two
-    /// indexed loads and a 40-byte copy.
+    /// [`TraceEvent`] from its 16-byte record, its packet's bookkeeping and
+    /// the stamp and shape it was recorded with as it is read. `len` and
+    /// `is_empty` read nothing; `front`, `back` and each step of `iter`
+    /// cost three indexed loads and a 40-byte copy.
     pub fn events(&self) -> TraceEvents<'_> {
         TraceEvents(self)
+    }
+
+    /// The records in log order, each with its time.
+    fn records(&self) -> Records<'_> {
+        Records {
+            trace: self,
+            front: 0,
+            back: self.log.len(),
+            front_run: 0,
+            back_run: self.runs.len(),
+        }
     }
 
     /// What the events of each [`ConversationKey`] add up to, in one pass.
@@ -795,25 +1121,47 @@ impl PacketTrace {
     /// the conversation's most recent `Sent` before the delivery, which
     /// still favours the retransmission over the lost original.
     pub fn conversations(&self) -> FxHashMap<ConversationKey, Conversation> {
-        let mut rollup: FxHashMap<ConversationKey, Conversation> = FxHashMap::default();
-        let mut last_sent: FxHashMap<ConversationKey, SimTime> = FxHashMap::default();
-        let mut sent_at: FxHashMap<(ConversationKey, PacketKey), SimTime> = FxHashMap::default();
+        /// One conversation being rolled up, and the latest send of it.
+        #[derive(Default)]
+        struct Slot {
+            c: Conversation,
+            last_sent: Option<SimTime>,
+        }
+        // A record finds its conversation's slot through its shape, so a
+        // key is hashed once per shape, not once per record.
+        const UNSEEN: u32 = u32::MAX;
+        let mut slot_of = vec![UNSEEN; self.shapes.len()];
+        let mut slot_ids: FxHashMap<ConversationKey, u32> =
+            FxHashMap::with_capacity_and_hasher(self.shapes.len(), Default::default());
+        let mut slots: Vec<(ConversationKey, Slot)> = Vec::with_capacity(self.shapes.len());
+        let mut sent_at: FxHashMap<(u32, PacketKey), SimTime> = FxHashMap::default();
         // Earliest transmission that carried each logical flow *inside a
         // tunnel*. When an agent decapsulates and re-originates the inner
         // packet (a `Sent` event at the agent), the delivery must still be
         // charged from the original sender, not from the agent's re-send.
-        let mut tunnel_sent: FxHashMap<(ConversationKey, ConversationKey), SimTime> =
-            FxHashMap::default();
-        for r in &self.log {
-            let p = self.summary_of(r);
-            let (src, dst) = p.logical_endpoints();
-            let key = (src, dst, p.logical_protocol());
-            let c = rollup.entry(key).or_default();
-            c.counts.add(r.kind, p.wire_len);
+        let mut tunnel_sent: FxHashMap<(u32, ConversationKey), SimTime> = FxHashMap::default();
+        for (at, r) in self.records() {
+            let stamp = self.stamp_of(r);
+            let p = self.shapes[stamp.shape as usize].shape.summary(stamp);
+            let kind = r.kind();
+            let conv = &mut slot_of[stamp.shape as usize];
+            if *conv == UNSEEN {
+                let (src, dst) = p.logical_endpoints();
+                let key = (src, dst, p.logical_protocol());
+                let fresh = slots.len() as u32;
+                *conv = *slot_ids.entry(key).or_insert(fresh);
+                if *conv == fresh {
+                    slots.push((key, Slot::default()));
+                }
+            }
+            let conv = *conv;
+            let slot = &mut slots[conv as usize].1;
+            let c = &mut slot.c;
+            c.counts.add(kind, p.wire_len);
             if let Some(format) = EncapFormat::from_protocol(p.protocol) {
                 let t = &mut c.tunnels[format as usize];
-                t.legs += u64::from(r.kind.is_wire());
-                if r.kind == TraceEventKind::Sent {
+                t.legs += u64::from(kind.is_wire());
+                if kind == TraceEventKind::Sent {
                     t.sends += 1;
                     t.send_bytes += p.wire_len as u64;
                 }
@@ -823,12 +1171,12 @@ impl PacketTrace {
                 // nothing after it.
                 continue;
             }
-            match r.kind {
+            match kind {
                 TraceEventKind::Sent => {
-                    last_sent.insert(key, r.at);
-                    sent_at.entry((key, p.flow_key())).or_insert(r.at);
+                    slot.last_sent = Some(at);
+                    sent_at.entry((conv, p.flow_key())).or_insert(at);
                     if let Some(inner) = p.inner {
-                        tunnel_sent.entry((key, inner)).or_insert(r.at);
+                        tunnel_sent.entry((conv, inner)).or_insert(at);
                     }
                 }
                 TraceEventKind::DeliveredLocal => {
@@ -839,19 +1187,87 @@ impl PacketTrace {
                     // earliest — that is the transmission the sender made.
                     let logical = (p.src, p.dst, p.protocol);
                     let paired = [
-                        sent_at.get(&(key, p.flow_key())).copied(),
-                        tunnel_sent.get(&(key, logical)).copied(),
+                        sent_at.get(&(conv, p.flow_key())).copied(),
+                        tunnel_sent.get(&(conv, logical)).copied(),
                     ]
                     .into_iter()
                     .flatten()
                     .min()
-                    .or(last_sent.get(&key).copied());
-                    c.first_delivery_latency = paired.map(|s| r.at.since(s));
+                    .or(slot.last_sent);
+                    c.first_delivery_latency = paired.map(|s| at.since(s));
                 }
                 _ => {}
             }
         }
-        rollup
+        slots.into_iter().map(|(key, slot)| (key, slot.c)).collect()
+    }
+}
+
+/// The records of a [`PacketTrace`] with their times, from either end:
+/// positions into the log plus the run each end is in.
+#[derive(Clone)]
+struct Records<'a> {
+    trace: &'a PacketTrace,
+    front: usize,
+    back: usize,
+    front_run: usize,
+    back_run: usize,
+}
+
+impl Records<'_> {
+    /// Where run `run` starts and its base: run 0 is the first run, run
+    /// `k` is `runs[k - 1]`.
+    fn run(&self, run: usize) -> (usize, SimTime) {
+        match run {
+            0 => (0, self.trace.base),
+            k => {
+                let r = &self.trace.runs[k - 1];
+                (r.start, r.base)
+            }
+        }
+    }
+
+    /// The time of the record at `i`, which is in run `run`.
+    fn at(&self, run: usize, i: usize) -> SimTime {
+        SimTime(self.run(run).1 .0 + u64::from(self.trace.log[i].offset))
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (SimTime, &'a Record);
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.front == self.back {
+            return None;
+        }
+        let runs = &self.trace.runs;
+        while runs
+            .get(self.front_run)
+            .is_some_and(|r| r.start <= self.front)
+        {
+            self.front_run += 1;
+        }
+        let i = self.front;
+        self.front += 1;
+        Some((self.at(self.front_run, i), &self.trace.log[i]))
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.back - self.front, Some(self.back - self.front))
+    }
+}
+
+impl DoubleEndedIterator for Records<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if self.front == self.back {
+            return None;
+        }
+        self.back -= 1;
+        while self.run(self.back_run).0 > self.back {
+            self.back_run -= 1;
+        }
+        Some((
+            self.at(self.back_run, self.back),
+            &self.trace.log[self.back],
+        ))
     }
 }
 
@@ -869,7 +1285,7 @@ impl<'a> TraceEvents<'a> {
 
     /// Whether nothing is recorded.
     pub fn is_empty(&self) -> bool {
-        self.0.log.is_empty()
+        self.len() == 0
     }
 
     /// The oldest event.
@@ -884,10 +1300,7 @@ impl<'a> TraceEvents<'a> {
 
     /// The events in order, from either end.
     pub fn iter(&self) -> TraceEventsIter<'a> {
-        TraceEventsIter {
-            trace: self.0,
-            records: self.0.log.iter(),
-        }
+        TraceEventsIter(self.0.records())
     }
 }
 
@@ -913,24 +1326,23 @@ impl std::fmt::Debug for TraceEvents<'_> {
 
 /// Iterator of [`TraceEvents::iter`].
 #[derive(Clone)]
-pub struct TraceEventsIter<'a> {
-    trace: &'a PacketTrace,
-    records: std::slice::Iter<'a, Record>,
-}
+pub struct TraceEventsIter<'a>(Records<'a>);
 
 impl Iterator for TraceEventsIter<'_> {
     type Item = TraceEvent;
     fn next(&mut self) -> Option<TraceEvent> {
-        self.records.next().map(|r| self.trace.assemble(r))
+        let (at, r) = self.0.next()?;
+        Some(self.0.trace.assemble(at, r))
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
+        self.0.size_hint()
     }
 }
 
 impl DoubleEndedIterator for TraceEventsIter<'_> {
     fn next_back(&mut self) -> Option<TraceEvent> {
-        self.records.next_back().map(|r| self.trace.assemble(r))
+        let (at, r) = self.0.next_back()?;
+        Some(self.0.trace.assemble(at, r))
     }
 }
 
@@ -952,12 +1364,43 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_event_is_24_bytes() {
-        // What every hop of every packet costs the default-on trace; a
-        // whole `TraceEvent` is four times that.
-        assert!(std::mem::size_of::<Record>() <= 24);
-        assert!(std::mem::size_of::<PacketMeta>() <= 56);
+    fn a_stored_event_is_16_bytes_and_a_packet_24() {
+        // What every hop of every packet, and every packet, costs the
+        // default-on trace; a whole `TraceEvent` is six records.
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+        assert_eq!(std::mem::size_of::<PacketMeta>(), 24);
+        assert_eq!(std::mem::size_of::<Stamp>(), 12);
         assert_eq!(std::mem::size_of::<TraceEvent>(), 96);
+        // A chunk of the widest table stays an ordinary heap block.
+        assert!(CHUNK * std::mem::size_of::<PacketMeta>() < 128 << 10);
+    }
+
+    #[test]
+    fn every_event_kind_survives_its_code() {
+        let formats = crate::metrics::ENCAP_FORMATS;
+        let kinds = [
+            TraceEventKind::Sent,
+            TraceEventKind::Forwarded,
+            TraceEventKind::DeliveredLocal,
+        ]
+        .into_iter()
+        .chain(DropReason::ALL.map(TraceEventKind::Dropped))
+        .chain(formats.map(|f| TraceEventKind::Transformed(TransformKind::Encapsulated(f))))
+        .chain(formats.map(|f| TraceEventKind::Transformed(TransformKind::Decapsulated(f))))
+        .chain(
+            [
+                TransformKind::SourceRouteHop,
+                TransformKind::Relayed,
+                TransformKind::Retransmission,
+            ]
+            .map(TraceEventKind::Transformed),
+        );
+        let kinds: Vec<_> = kinds.collect();
+        assert_eq!(kinds.len(), 22);
+        for (code, &kind) in kinds.iter().enumerate() {
+            assert_eq!(usize::from(kind.code()), code, "{kind:?}");
+            assert_eq!(TraceEventKind::from_code(kind.code()), kind);
+        }
     }
 
     #[test]

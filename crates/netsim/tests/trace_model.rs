@@ -3,13 +3,15 @@
 //!
 //! The trace resolves every record through four tables (header identity →
 //! packet id, packet id → causal bookkeeping, conversation → flow id, last
-//! packet per flow endpoint) and stores an event as a 24-byte record whose
+//! packet per flow endpoint) and stores an event as a 16-byte record — a
+//! time offset from its run's base, node and kind in one word — whose
 //! summary, flow and parent are looked up when it is read. How any of that
 //! is stored is free to change as long as nothing observable does; the
 //! model below is the plain four-`HashMap` formulation over a `Vec` of
 //! whole [`TraceEvent`]s, and random `record` / `record_transform` /
-//! `clear` sequences must leave trace and model in agreement — event for
-//! event, every field.
+//! `clear` sequences, at times that now and then jump 2³² µs or more and
+//! at nodes anywhere below 2²⁴, must leave trace and model in agreement —
+//! event for event, every field.
 //!
 //! [`PacketTrace::conversations`] is held to the predicate queries the
 //! trace answered before it rolled the log up (`queries` below, their
@@ -447,11 +449,12 @@ prop_compose! {
 static GAUGE: Mutex<()> = Mutex::new(());
 
 /// What the default-on trace retains for a run the size of one
-/// `grid_stream` cell: 24 bytes an event and 56 a packet, plus the identity
-/// map — 5.5 MiB here (5 800 225 B). Storing whole 96-byte events took
-/// 13.8 MiB (14 450 977 B).
+/// `grid_stream` cell: 16 bytes an event and 24 a packet in chunks of up to
+/// 4 096 entries, plus the identity map — 2.6 MiB here (2 731 433 B).
+/// Records of 24 bytes and packets of 56 in doubling `Vec`s took 5.5 MiB
+/// (5 800 225 B); whole 96-byte events took 13.8 MiB (14 450 977 B).
 #[test]
-fn an_unbounded_trace_of_100k_events_retains_under_8_mib() {
+fn an_unbounded_trace_of_100k_events_retains_under_3_mib() {
     let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
     let before = netsim::profile::live_bytes();
     let mut trace = PacketTrace::new(true);
@@ -469,9 +472,93 @@ fn an_unbounded_trace_of_100k_events_retains_under_8_mib() {
     assert_eq!(trace.events().len(), 100_000);
     assert_eq!(trace.packets_identified(), 20_000);
     assert!(
-        retained <= 8 << 20,
+        retained <= 3 << 20,
         "100 000 events of 20 000 packets retain {retained} B"
     );
+}
+
+/// More than two chunks of records (1 024, then 4 096 each), through every
+/// way a run of record times starts — the first record, a step back to
+/// before the run's first record, a jump of exactly 2³² µs from the run's
+/// base — and one record at the largest offset a run holds (2³² - 1 µs);
+/// then all of it again after a `clear()` that keeps the chunks. Read
+/// forwards, backwards, and from both ends at once, the events are the
+/// model's.
+#[test]
+fn records_across_chunks_and_runs_read_back_from_either_end() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut trace = PacketTrace::new(true);
+    let mut model = Model::default();
+    for _ in 0..2 {
+        let (mut clock, mut base) = (1_000u64, 0);
+        for i in 0..10_000u16 {
+            clock = match i {
+                3_000 => 500,
+                5_000 => {
+                    base = clock + (1 << 32);
+                    base
+                }
+                7_000 => base + (1 << 32) - 1,
+                7_001 => base + (1 << 32),
+                _ => clock + 3,
+            };
+            let mut pkt = Ipv4Packet::new(
+                host((i % 3) as u8),
+                host(3),
+                IpProtocol::Udp,
+                Bytes::from_static(b"x"),
+            );
+            pkt.ident = i / 4;
+            let stamp = (
+                SimTime(clock),
+                NodeId(usize::from(i) * 1_677 % (TOP_NODE + 1)),
+            );
+            let kind = WALK[usize::from(i % 4)];
+            trace.record(stamp.0, stamp.1, kind, &pkt);
+            model.record(stamp, kind, &pkt);
+        }
+        let events = trace.events();
+        assert_eq!(events.len(), model.events.len());
+        assert!(events.iter().eq(model.events.iter().cloned()));
+        assert!(events.iter().rev().eq(model.events.iter().rev().cloned()));
+        assert_eq!(events.front(), model.events.first().cloned());
+        assert_eq!(events.back(), model.events.last().cloned());
+        let mut both = events.iter();
+        let (mut lo, mut hi) = (0, model.events.len());
+        while lo < hi {
+            assert_eq!(both.len(), hi - lo);
+            assert_eq!(both.next().as_ref(), Some(&model.events[lo]));
+            lo += 1;
+            if lo < hi {
+                hi -= 1;
+                assert_eq!(both.next_back().as_ref(), Some(&model.events[hi]));
+            }
+        }
+        assert_eq!((both.next(), both.next_back()), (None, None));
+        trace.clear();
+        model.clear();
+        assert!(trace.events().is_empty());
+    }
+}
+
+/// The largest node id a record holds.
+const TOP_NODE: usize = (1 << 24) - 1;
+
+prop_compose! {
+    /// What happens to the clock and where before one op: mostly a short
+    /// step forward, one time in sixteen a jump of 2³² µs or more (the
+    /// most a record's offset holds is 2³² - 1); a node anywhere a record
+    /// can name, the largest one a quarter of the time.
+    fn arb_tick()(
+        step in 0u64..2_000,
+        jump in 0u8..16,
+        far in 0u64..1 << 33,
+        node in 0usize..TOP_NODE,
+        top in 0u8..4,
+    ) -> (u64, usize) {
+        let step = if jump == 0 { (1 << 32) + far } else { step };
+        (step, if top == 0 { TOP_NODE } else { node })
+    }
 }
 
 proptest! {
@@ -480,13 +567,17 @@ proptest! {
     #[test]
     fn identity_tables_match_the_four_map_model(
         ops in proptest::collection::vec(arb_ops(), 0..60),
+        ticks in proptest::collection::vec(arb_tick(), 1..64),
     ) {
         let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
         let mut trace = PacketTrace::new(true);
         let mut model = Model::default();
+        let mut clock = 0;
 
         for (t, op) in ops.iter().flatten().enumerate() {
-            let (at, node) = (SimTime(t as u64), NodeId(t % 3));
+            let (step, node) = ticks[t % ticks.len()];
+            clock += step;
+            let (at, node) = (SimTime(clock), NodeId(node));
             match op {
                 Op::Record(kind, pkt) => {
                     trace.record(at, node, *kind, pkt);
