@@ -61,6 +61,11 @@ pub enum EventKind {
         node: NodeId,
         /// Interface to deliver on.
         iface: IfaceNo,
+        /// Index of the segment that carried the frame (a
+        /// [`crate::link::SegmentId`]'s, narrowed to fit beside the
+        /// variant tag, so an `EventKind` stays 40 bytes): the frame is
+        /// lost if `iface` is no longer plugged into it when it arrives.
+        seg: u32,
         /// Raw Ethernet frame bytes as they appear on the wire.
         frame: Bytes,
     },
@@ -760,6 +765,12 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    #[test]
+    fn a_delivery_names_its_segment_in_the_same_40_bytes() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 40);
+        assert_eq!(std::mem::size_of::<Event>(), 56);
+    }
 
     fn timer_event(node: usize, token: u64) -> EventKind {
         EventKind::Timer(Timer {

@@ -1,12 +1,20 @@
 //! Links: shared Ethernet segments and point-to-point wires.
 //!
-//! Both are modelled as a *segment* — a broadcast domain with N attachments.
-//! A frame transmitted by one attachment is delivered to every other
-//! attachment after the serialization and propagation delay; receivers
-//! filter by destination MAC. This physical-broadcast model is what makes
-//! the paper's In-DH mode (§5) work exactly as described: a correspondent on
-//! the same segment can address a frame to the mobile host's MAC even though
-//! the IP destination "does not belong" on that network.
+//! Both are modelled as a *segment* — a broadcast domain with N attachments,
+//! each an interface with its MAC address. A frame transmitted by one
+//! attachment arrives after the serialization and propagation delay at
+//! every attachment that would accept it: a broadcast or multicast frame at
+//! every other attachment, a unicast frame only at the attachment(s) that
+//! own its destination MAC. The segment applies the filter a NIC would, so
+//! a bystander costs nothing per frame it would have discarded. A frame
+//! too short to carry a destination MAC still reaches every other
+//! attachment, whose NIC rejects it.
+//!
+//! Filtering on the MAC, not the IP destination, is what makes the paper's
+//! In-DH mode (§5) work exactly as described: a correspondent on the same
+//! segment addresses a frame to the mobile host's MAC even though the IP
+//! destination "does not belong" on that network, and the mobile's NIC
+//! owns that MAC, so the frame reaches it.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -178,6 +186,29 @@ serde::impl_serialize!(LinkStats {
     oversize_drops
 });
 
+/// The destination MAC of a unicast `frame`; `None` for a broadcast or
+/// multicast frame (broadcast is a multicast address) and for one too
+/// short to carry a destination.
+pub(crate) fn unicast_dst(frame: &[u8]) -> Option<MacAddr> {
+    match *frame {
+        [a, b, c, d, e, f, ..] => Some(MacAddr([a, b, c, d, e, f])),
+        _ => None,
+    }
+    .filter(|dst| !dst.is_multicast())
+}
+
+/// What [`Segment::transmit`] did with one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transmission {
+    /// The fault injector's verdict (oversize frames read [`FaultOutcome::Drop`]).
+    pub outcome: FaultOutcome,
+    /// The frame is unicast and no other attachment owns its destination
+    /// MAC, so nothing was scheduled: whatever it carried dies on the wire
+    /// (a stale ARP entry after a handoff, a vanished care-of address).
+    /// Only a frame that got past the fault injector can be unclaimed.
+    pub unclaimed: bool,
+}
+
 /// The mutable, per-run side of a segment: medium occupancy, traffic
 /// counters, the segment's event-ordering lane sequence and its lazily
 /// seeded fault RNG. Split out of [`Segment`] so an event handler can hold
@@ -220,21 +251,21 @@ impl SegState {
 /// A broadcast domain. Two attachments = point-to-point wire.
 ///
 /// Holds only the parts that are immutable while events are dispatched:
-/// link parameters, attachments and the MAC registry (topology changes
-/// happen inside node handlers via deferred world ops, never concurrently
-/// with a transmit). The mutable side lives in [`SegState`].
+/// link parameters and attachments (topology changes happen inside node
+/// handlers via deferred world ops, never concurrently with a transmit).
+/// The mutable side lives in [`SegState`].
 #[derive(Debug)]
 pub struct Segment {
     /// Static link parameters.
     pub config: LinkConfig,
-    attachments: Vec<(NodeId, IfaceNo)>,
-    /// Link-layer addresses of the attached interfaces, kept by the world
-    /// so the conservation monitor can tell a deliverable unicast frame
-    /// from one addressed to a MAC that has left the wire.
-    macs: Vec<((NodeId, IfaceNo), MacAddr)>,
-    /// The event-ordering lane for deliveries on this segment; the world
-    /// assigns it from the segment index at creation.
-    pub(crate) lane: u64,
+    /// Every attached interface with its MAC, which decides who receives a
+    /// unicast frame.
+    attachments: Vec<(NodeId, IfaceNo, MacAddr)>,
+    /// This segment's index in the world, carried by its delivery events
+    /// (so a frame is lost at an interface that moved elsewhere in flight)
+    /// and naming its event-ordering lane. The world assigns it at
+    /// creation.
+    pub(crate) index: u32,
     /// Seed for this segment's private fault RNG, derived by the world from
     /// the world seed and the segment index, so a segment's fault decisions
     /// do not depend on other segments' traffic.
@@ -243,59 +274,50 @@ pub struct Segment {
 
 impl Segment {
     /// A segment with no attachments. Standalone construction (tests,
-    /// benches) gets lane 0's segment lane and a fixed RNG seed; the world
-    /// overwrites both when the segment is added to a topology.
+    /// benches) gets index 0 and a fixed RNG seed; the world overwrites
+    /// both when the segment is added to a topology.
     pub fn new(config: LinkConfig) -> Segment {
         Segment {
             config,
             attachments: Vec::new(),
-            macs: Vec::new(),
-            lane: segment_lane(0),
+            index: 0,
             rng_seed: 0,
         }
     }
 
-    /// Attach a node interface to this segment.
-    pub fn attach(&mut self, node: NodeId, iface: IfaceNo) {
-        self.attachments.push((node, iface));
-    }
-
-    /// Record the MAC of an attached interface (the world calls this at
-    /// attach time; [`Segment::detach`] forgets it).
-    pub fn register_mac(&mut self, node: NodeId, iface: IfaceNo, mac: MacAddr) {
-        self.macs.retain(|&(a, _)| a != (node, iface));
-        self.macs.push(((node, iface), mac));
-    }
-
-    /// Is any attached interface configured with `mac`? Frames unicast to
-    /// an unclaimed MAC die on the wire: every NIC ignores them.
-    pub fn mac_attached(&self, mac: MacAddr) -> bool {
-        self.macs.iter().any(|&(_, m)| m == mac)
+    /// Attach a node interface, configured with `mac`, to this segment.
+    pub fn attach(&mut self, node: NodeId, iface: IfaceNo, mac: MacAddr) {
+        self.attachments.push((node, iface, mac));
     }
 
     /// Detach a node interface (the mobile host leaving a network).
     pub fn detach(&mut self, node: NodeId, iface: IfaceNo) {
-        self.attachments.retain(|&a| a != (node, iface));
-        self.macs.retain(|&(a, _)| a != (node, iface));
+        self.attachments
+            .retain(|&(n, i, _)| (n, i) != (node, iface));
     }
 
-    /// Everything plugged into this segment.
-    pub fn attachments(&self) -> &[(NodeId, IfaceNo)] {
+    /// Everything plugged into this segment, with its MAC.
+    pub fn attachments(&self) -> &[(NodeId, IfaceNo, MacAddr)] {
         &self.attachments
     }
 
     /// Is this (node, interface) plugged in here?
     pub fn is_attached(&self, node: NodeId, iface: IfaceNo) -> bool {
-        self.attachments.contains(&(node, iface))
+        self.attachments
+            .iter()
+            .any(|&(n, i, _)| (n, i) == (node, iface))
     }
 
-    /// Transmit `frame` from `from`, scheduling delivery events to every
-    /// other attachment into `queue`. Applies serialization delay,
-    /// propagation latency and fault injection, mutating only the segment's
+    /// Transmit `frame` from `from`, scheduling one delivery event into
+    /// `queue` per attachment that would accept it: the other owners of a
+    /// unicast destination MAC, every other attachment for a broadcast,
+    /// multicast or runt frame. Applies serialization delay, propagation
+    /// latency and fault injection, mutating only the segment's
     /// [`SegState`]. Returns the fault outcome (for link stats and drop
-    /// tracing by the caller). Delivery events carry `(segment lane,
-    /// lane_seq)` keys, so equal-timestamp ordering is a pure function of
-    /// the topology and traffic.
+    /// tracing by the caller) and whether a unicast frame found no owner.
+    /// Delivery events carry `(segment lane, lane_seq)` keys, `lane_seq`
+    /// advancing once per scheduled delivery, so equal-timestamp ordering
+    /// is a pure function of the topology and traffic.
     pub fn transmit(
         &self,
         state: &mut SegState,
@@ -303,13 +325,17 @@ impl Segment {
         frame: Bytes,
         now: SimTime,
         queue: &mut EventQueue,
-    ) -> FaultOutcome {
+    ) -> Transmission {
+        let lost = |outcome| Transmission {
+            outcome,
+            unclaimed: false,
+        };
         // Frames larger than MTU + Ethernet header indicate an IP-layer bug
         // upstream (fragmentation should have happened); drop and count.
         let max_frame = self.config.mtu + crate::wire::ethernet::ETHERNET_HEADER_LEN;
         if frame.len() > max_frame {
             state.stats.oversize_drops += 1;
-            return FaultOutcome::Drop;
+            return lost(FaultOutcome::Drop);
         }
 
         // Corrupt frames are never delivered (the FCS check below discards
@@ -328,7 +354,7 @@ impl Segment {
         };
         if outcome == FaultOutcome::Drop {
             state.stats.fault_drops += 1;
-            return outcome;
+            return lost(outcome);
         }
 
         state.stats.frames += 1;
@@ -344,33 +370,43 @@ impl Segment {
         // "no delivery events".
         if outcome == FaultOutcome::Corrupt {
             state.stats.crc_drops += 1;
-            return outcome;
+            return lost(outcome);
         }
 
+        // The receiving NICs' destination filter, applied here: a unicast
+        // frame is scheduled only to its owner(s).
+        let unicast = unicast_dst(&frame);
         let copies = if outcome == FaultOutcome::Duplicate {
             2
         } else {
             1
         };
+        let lane = segment_lane(self.index as usize);
+        let mut scheduled = 0;
         for _ in 0..copies {
-            for &(node, iface) in &self.attachments {
-                if (node, iface) == from {
+            for &(node, iface, mac) in &self.attachments {
+                if (node, iface) == from || unicast.is_some_and(|dst| dst != mac) {
                     continue;
                 }
-                let key = lane_key(self.lane, state.lane_seq);
+                let key = lane_key(lane, state.lane_seq);
                 state.lane_seq += 1;
+                scheduled += 1;
                 queue.push_keyed(
                     arrival,
                     key,
                     EventKind::Deliver {
                         node,
                         iface,
+                        seg: self.index,
                         frame: frame.clone(),
                     },
                 );
             }
         }
-        outcome
+        Transmission {
+            outcome,
+            unclaimed: unicast.is_some() && scheduled == 0,
+        }
     }
 }
 
@@ -378,8 +414,52 @@ impl Segment {
 mod tests {
     use super::*;
 
+    /// `n` bytes of 0xab: the destination ab:ab:… has the group bit set,
+    /// so the frame is multicast and every other attachment hears it.
     fn frame(n: usize) -> Bytes {
         Bytes::from(vec![0xabu8; n])
+    }
+
+    fn mac(i: usize) -> MacAddr {
+        MacAddr::from_index(i as u32)
+    }
+
+    /// A 64-byte frame addressed to `dst`.
+    fn frame_to(dst: MacAddr) -> Bytes {
+        let mut f = vec![0u8; 64];
+        f[..6].copy_from_slice(&dst.0);
+        Bytes::from(f)
+    }
+
+    /// A LAN with nodes `0..n` attached on interface 0, node `i` owning
+    /// `mac(i)`.
+    fn lan_of(n: usize, config: LinkConfig) -> Segment {
+        let mut seg = Segment::new(config);
+        for i in 0..n {
+            seg.attach(NodeId(i), 0, mac(i));
+        }
+        seg
+    }
+
+    /// Transmit `frame` from interface 0 of `node` at time zero.
+    fn send(
+        seg: &Segment,
+        st: &mut SegState,
+        q: &mut EventQueue,
+        node: usize,
+        frame: Bytes,
+    ) -> Transmission {
+        seg.transmit(st, (NodeId(node), 0), frame, SimTime::ZERO, q)
+    }
+
+    /// The receiving node of every event in `q`, in delivery order.
+    fn receivers(q: &mut EventQueue) -> Vec<usize> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Deliver { node, .. } => node.0,
+                EventKind::Timer(_) => unreachable!("a segment schedules deliveries only"),
+            })
+            .collect()
     }
 
     #[test]
@@ -390,8 +470,8 @@ mod tests {
             mtu: 1500,
             fault: FaultInjector::default(),
         });
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         seg.transmit(&mut st, (NodeId(0), 0), frame(1000), SimTime::ZERO, &mut q);
@@ -407,19 +487,91 @@ mod tests {
     fn broadcast_segment_reaches_all_other_attachments() {
         let mut seg = Segment::new(LinkConfig::lan());
         for i in 0..4 {
-            seg.attach(NodeId(i), 0);
+            seg.attach(NodeId(i), 0, mac(i));
         }
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         seg.transmit(&mut st, (NodeId(2), 0), frame(64), SimTime::ZERO, &mut q);
-        let mut receivers: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Deliver { node, .. } => node.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        receivers.sort_unstable();
-        assert_eq!(receivers, vec![0, 1, 3]);
+        assert_eq!(receivers(&mut q), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn a_unicast_frame_reaches_only_its_owner() {
+        let seg = lan_of(4, LinkConfig::lan());
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = send(&seg, &mut st, &mut q, 2, frame_to(mac(0)));
+        assert_eq!(
+            sent,
+            Transmission {
+                outcome: FaultOutcome::Deliver,
+                unclaimed: false
+            }
+        );
+        assert_eq!(receivers(&mut q), vec![0]);
+        assert_eq!(st.lane_seq, 1, "one lane sequence number per delivery");
+    }
+
+    #[test]
+    fn an_unclaimed_unicast_frame_schedules_nothing() {
+        let seg = lan_of(4, LinkConfig::lan());
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = send(&seg, &mut st, &mut q, 2, frame_to(mac(9)));
+        assert!(sent.unclaimed);
+        assert_eq!(sent.outcome, FaultOutcome::Deliver);
+        assert!(q.is_empty());
+        assert_eq!(st.stats.frames, 1, "the frame still occupied the wire");
+        // A frame to the sender's own MAC has no other owner either.
+        let sent = send(&seg, &mut st, &mut q, 2, frame_to(mac(2)));
+        assert!(sent.unclaimed);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_duplicated_unicast_frame_reaches_its_owner_twice() {
+        let seg = lan_of(
+            4,
+            LinkConfig {
+                fault: FaultInjector {
+                    duplicate_prob: 1.0,
+                    ..Default::default()
+                },
+                ..LinkConfig::lan()
+            },
+        );
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = send(&seg, &mut st, &mut q, 2, frame_to(mac(3)));
+        assert_eq!(sent.outcome, FaultOutcome::Duplicate);
+        assert!(!sent.unclaimed);
+        assert_eq!(receivers(&mut q), vec![3, 3]);
+    }
+
+    #[test]
+    fn broadcast_multicast_and_runt_frames_reach_every_other_attachment() {
+        let seg = lan_of(5, LinkConfig::lan());
+        let group = MacAddr::for_ipv4_multicast("224.0.0.9".parse().unwrap());
+        for f in [frame_to(MacAddr::BROADCAST), frame_to(group), frame(4)] {
+            let mut st = SegState::default();
+            let mut q = EventQueue::new();
+            let sent = send(&seg, &mut st, &mut q, 1, f);
+            assert!(!sent.unclaimed);
+            assert_eq!(receivers(&mut q), vec![0, 2, 3, 4]);
+            assert_eq!(st.lane_seq, 4);
+        }
+    }
+
+    #[test]
+    fn deliveries_carry_the_segment_index() {
+        let mut seg = lan_of(2, LinkConfig::lan());
+        seg.index = 7;
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        send(&seg, &mut st, &mut q, 0, frame_to(mac(1)));
+        let ev = q.pop().unwrap();
+        assert!(matches!(ev.kind, EventKind::Deliver { seg: 7, .. }));
+        assert_eq!(ev.seq, lane_key(segment_lane(7), 0));
     }
 
     #[test]
@@ -431,8 +583,8 @@ mod tests {
             fault: FaultInjector::default(),
         };
         let mut seg = Segment::new(cfg);
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         // Two back-to-back 500-byte frames at t=0: second must wait.
@@ -447,8 +599,8 @@ mod tests {
     #[test]
     fn detach_stops_delivery() {
         let mut seg = Segment::new(LinkConfig::lan());
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         assert!(seg.is_attached(NodeId(1), 0));
         seg.detach(NodeId(1), 0);
         assert!(!seg.is_attached(NodeId(1), 0));
@@ -461,8 +613,8 @@ mod tests {
     #[test]
     fn oversize_frames_dropped() {
         let mut seg = Segment::new(LinkConfig::lan()); // mtu 1500
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         let out = seg.transmit(
@@ -472,12 +624,12 @@ mod tests {
             SimTime::ZERO,
             &mut q,
         );
-        assert_eq!(out, FaultOutcome::Drop);
+        assert_eq!(out.outcome, FaultOutcome::Drop);
         assert_eq!(st.stats.oversize_drops, 1);
         assert!(q.is_empty());
         // Exactly MTU + header is fine.
         let out = seg.transmit(&mut st, (NodeId(0), 0), frame(1514), SimTime::ZERO, &mut q);
-        assert_eq!(out, FaultOutcome::Deliver);
+        assert_eq!(out.outcome, FaultOutcome::Deliver);
     }
 
     #[test]
@@ -489,14 +641,16 @@ mod tests {
             },
             ..LinkConfig::lan()
         });
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         seg.rng_seed = 42;
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         let mut dropped = 0;
         for _ in 0..1000 {
-            if seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q)
+            if seg
+                .transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q)
+                .outcome
                 == FaultOutcome::Drop
             {
                 dropped += 1;
@@ -533,25 +687,26 @@ mod tests {
             },
             ..LinkConfig::lan()
         });
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         let out = seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q);
-        assert_eq!(out, FaultOutcome::Duplicate);
+        assert_eq!(out.outcome, FaultOutcome::Duplicate);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn zero_faults_is_deterministic_delivery() {
         let mut seg = Segment::new(LinkConfig::lan());
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         for _ in 0..100 {
             assert_eq!(
-                seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q),
+                seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q)
+                    .outcome,
                 FaultOutcome::Deliver
             );
         }

@@ -16,7 +16,9 @@ use crate::event::{
     SchedulerTelemetry, Timer, TimerHandle, TimerToken,
 };
 use crate::hash::FxHashSet;
-use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
+use crate::link::{
+    unicast_dst, FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId, Transmission,
+};
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{hash64, InvariantMonitor};
 use crate::time::{SimDuration, SimTime};
@@ -168,21 +170,19 @@ impl NetCtx<'_> {
             (SimDuration::ZERO, SimDuration::ZERO)
         };
         let from = (self.node, iface);
-        let outcome = segment.transmit(st, from, frame.clone(), self.now, self.queue);
+        let Transmission { outcome, unclaimed } =
+            segment.transmit(st, from, frame.clone(), self.now, self.queue);
         self.metrics
             .record_transmit(seg, frame.len(), queue_wait, serialize, outcome);
         if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
             // Whatever packet the frame carried is attributably lost on
             // the wire, not leaked — the conservation monitor's ledger.
             self.invariants.note_wire_loss();
-        } else if self.invariants.enabled() && frame.len() >= 6 {
+        } else if unclaimed {
             // A frame unicast to a MAC no longer on this wire (stale ARP
-            // after a handoff, a vanished care-of address) is ignored by
-            // every NIC and dies here — attributable, not leaked.
-            let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-            if !dst.is_broadcast() && !dst.is_multicast() && !segment.mac_attached(dst) {
-                self.invariants.note_unclaimed_frame();
-            }
+            // after a handoff, a vanished care-of address) reaches no NIC
+            // and dies here — attributable, not leaked.
+            self.invariants.note_unclaimed_frame();
         }
         if outcome != FaultOutcome::Drop {
             if let Some(pcap) = self.pcap.as_mut() {
@@ -466,8 +466,9 @@ impl World {
     /// Create a broadcast segment; attach nodes with [`World::attach`].
     pub fn add_segment(&mut self, config: LinkConfig) -> SegmentId {
         let s = self.segments.len();
+        assert!(s < u32::MAX as usize, "segment indices are u32");
         let mut seg = Segment::new(config);
-        seg.lane = crate::event::segment_lane(s);
+        seg.index = s as u32;
         seg.rng_seed = segment_seed(self.seed, s);
         self.segments.push(seg);
         self.seg_states.push(SegState::default());
@@ -514,8 +515,7 @@ impl World {
         if let Some(a) = addr {
             nic.set_addr(iface, Some(IfaceAddr::parse(a)));
         }
-        self.segments[seg.0].attach(node, iface);
-        self.segments[seg.0].register_mac(node, iface, mac);
+        self.segments[seg.0].attach(node, iface, mac);
         iface
     }
 
@@ -527,8 +527,7 @@ impl World {
         let nic = self.nodes[node.0].nic_mut();
         nic.set_segment(iface, Some(seg), mtu);
         let mac = nic.mac(iface);
-        self.segments[seg.0].attach(node, iface);
-        self.segments[seg.0].register_mac(node, iface, mac);
+        self.segments[seg.0].attach(node, iface, mac);
     }
 
     /// Unplug an interface from whatever segment it is on.
@@ -624,13 +623,21 @@ impl World {
         let (node, mut ctx) = self.node_and_ctx(event_node(&kind));
         match kind {
             EventKind::Timer(t) => node.on_timer(&mut ctx, t.token),
-            EventKind::Deliver { iface, frame, .. } if node.nic().segment(iface).is_some() => {
+            EventKind::Deliver {
+                iface, seg, frame, ..
+            } if node.nic().segment(iface) == Some(SegmentId(seg as usize)) => {
                 node.on_frame(&mut ctx, iface, &frame)
             }
-            // The interface may have been detached between scheduling and
-            // delivery (mid-flight frames to a departed mobile host are
-            // lost, as in reality).
-            EventKind::Deliver { .. } => ctx.invariants.note_detached_frame(),
+            // The interface was unplugged, or plugged into another segment,
+            // between scheduling and delivery: mid-flight frames to a
+            // departed mobile host are lost, as in reality. Only a unicast
+            // frame's loss is the loss of what it carried; a broadcast still
+            // reached every receiver that stayed.
+            EventKind::Deliver { frame, .. } => {
+                if unicast_dst(&frame).is_some() {
+                    ctx.invariants.note_detached_frame();
+                }
+            }
         }
     }
 
@@ -1165,6 +1172,119 @@ mod tests {
         w.detach(b, b_if); // unplug before the frame arrives
         w.run_until_idle(1_000);
         assert!(w.host(b).icmp_log.is_empty());
+    }
+
+    /// One of the invariant report's counters.
+    fn invariant_counter(w: &World, name: &str) -> u64 {
+        let report = serde_json::from_str(&invariants_json(w)).unwrap();
+        let counters = report.get("counters").unwrap();
+        counters.get(name).and_then(serde::Value::as_u64).unwrap()
+    }
+
+    /// The world, `a`, `b`, `b`'s interface, and the bystanders on the LAN
+    /// with their interfaces.
+    type InFlight = (World, NodeId, NodeId, IfaceNo, Vec<(NodeId, IfaceNo)>);
+
+    /// `a` (10.0.1.1), `b` (10.0.1.2) and `bystanders` more hosts on one
+    /// LAN with the invariant monitors on, ARP warmed by one echo `b` has
+    /// logged; then the request of a second echo is on the wire toward `b`.
+    fn second_echo_in_flight(bystanders: usize) -> InFlight {
+        let mut w = World::new(7);
+        let lan = w.add_segment(LinkConfig::lan());
+        let a = w.add_host(HostConfig::conventional("a"));
+        let b = w.add_host(HostConfig::conventional("b"));
+        w.attach(a, lan, Some("10.0.1.1/24"));
+        let b_if = w.attach(b, lan, Some("10.0.1.2/24"));
+        let others = (0..bystanders)
+            .map(|i| {
+                let c = w.add_host(HostConfig::conventional(&format!("c{i}")));
+                (c, w.attach(c, lan, Some(&format!("10.0.1.{}/24", 10 + i))))
+            })
+            .collect();
+        w.enable_invariants();
+        w.host_do(a, |h, ctx| {
+            h.send_ping(ctx, ip("10.0.1.1"), ip("10.0.1.2"), 1)
+        });
+        w.run_until_idle(1_000);
+        assert_eq!(w.host(b).icmp_log.len(), 1, "the warm-up echo arrived");
+        w.host_do(a, |h, ctx| {
+            h.send_ping(ctx, ip("10.0.1.1"), ip("10.0.1.2"), 2)
+        });
+        (w, a, b, b_if, others)
+    }
+
+    #[test]
+    fn a_frame_in_flight_is_lost_when_its_receiver_changes_segment() {
+        let (mut w, _, b, b_if, _) = second_echo_in_flight(0);
+        let lan2 = w.add_segment(LinkConfig::lan());
+        w.reattach(b, b_if, lan2); // re-plugged before the frame arrives
+        w.run_until_idle(1_000);
+        assert_eq!(
+            w.host(b).icmp_log.len(),
+            1,
+            "the frame was sent on the old LAN"
+        );
+        assert_eq!(invariant_counter(&w, "detached_frames"), 1);
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
+    }
+
+    #[test]
+    fn a_bystander_leaving_mid_flight_loses_no_frame() {
+        let (mut w, _, b, _, others) = second_echo_in_flight(1);
+        let (c, c_if) = others[0];
+        w.detach(c, c_if);
+        w.run_until_idle(1_000);
+        assert_eq!(w.host(b).icmp_log.len(), 2, "the echo still reached b");
+        assert_eq!(invariant_counter(&w, "detached_frames"), 0);
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
+    }
+
+    #[test]
+    fn a_broadcast_to_a_departed_receiver_is_not_a_lost_frame() {
+        let mut w = World::new(7);
+        let lan = w.add_segment(LinkConfig::lan());
+        let a = w.add_host(HostConfig::conventional("a"));
+        let b = w.add_host(HostConfig::conventional("b"));
+        let c = w.add_host(HostConfig::conventional("c"));
+        w.attach(a, lan, Some("10.0.1.1/24"));
+        w.attach(b, lan, Some("10.0.1.2/24"));
+        let c_if = w.attach(c, lan, Some("10.0.1.3/24"));
+        w.enable_invariants();
+        // Cold ARP: the request broadcast is on the wire to b and c.
+        w.host_do(a, |h, ctx| {
+            h.send_ping(ctx, ip("10.0.1.1"), ip("10.0.1.2"), 1)
+        });
+        w.detach(c, c_if);
+        w.run_until_idle(1_000);
+        assert_eq!(w.host(b).icmp_log.len(), 1);
+        assert_eq!(invariant_counter(&w, "detached_frames"), 0);
+    }
+
+    #[test]
+    fn an_owner_leaving_mid_flight_loses_one_frame() {
+        let (mut w, _, b, b_if, _) = second_echo_in_flight(1);
+        w.detach(b, b_if);
+        w.run_until_idle(1_000);
+        assert_eq!(w.host(b).icmp_log.len(), 1);
+        assert_eq!(invariant_counter(&w, "detached_frames"), 1);
+        assert_eq!(invariant_counter(&w, "unclaimed_frames"), 0);
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
+    }
+
+    #[test]
+    fn a_frame_through_a_stale_arp_entry_is_unclaimed() {
+        let (mut w, a, b, b_if, _) = second_echo_in_flight(1);
+        w.run_until_idle(1_000);
+        assert_eq!(w.host(b).icmp_log.len(), 2);
+        // b leaves; a's ARP cache still maps 10.0.1.2 to b's MAC.
+        w.detach(b, b_if);
+        w.host_do(a, |h, ctx| {
+            h.send_ping(ctx, ip("10.0.1.1"), ip("10.0.1.2"), 3)
+        });
+        w.run_until_idle(1_000);
+        assert_eq!(invariant_counter(&w, "unclaimed_frames"), 1);
+        assert_eq!(invariant_counter(&w, "detached_frames"), 0);
+        assert!(!w.has_invariant_violations(), "{}", invariants_json(&w));
     }
 
     #[test]
