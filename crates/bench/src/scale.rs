@@ -29,6 +29,8 @@
 //! crowds (many correspondents converge on one host), and mass
 //! re-registration after a home-agent restart loses every binding.
 
+use std::fmt::Write as _;
+
 use bytes::Bytes;
 
 use mip_core::{
@@ -265,7 +267,9 @@ pub fn build_world(params: &ScaleParams) -> (World, ScaleIndex) {
         }
     }
 
-    // Transit routers, their stub fans, and the hosts.
+    // Transit routers, their stub fans, and the hosts. Each host's name is
+    // written into one reused buffer; the world copies it into its own.
+    let mut name = String::new();
     for b in 0..params.backbones {
         for t in 0..params.transits_per_backbone {
             let r = w.add_router(RouterConfig::named(&format!("tr{b}-{t}")));
@@ -309,7 +313,9 @@ pub fn build_world(params: &ScaleParams) -> (World, ScaleIndex) {
 
                 let mut first_host = None;
                 for k in 0..params.hosts_per_stub {
-                    let h = w.add_host(HostConfig::conventional(&format!("h{sid}-{k}")));
+                    name.clear();
+                    write!(name, "h{sid}-{k}").expect("writing to a String cannot fail");
+                    let h = w.add_host(HostConfig::conventional(&name));
                     let iface = w.attach(h, seg, None);
                     let host = w.host_mut(h);
                     host.set_iface_addr(

@@ -24,23 +24,12 @@ impl HomeAddress {
     pub fn ip(self) -> Ipv4Addr {
         self.0
     }
-
-    /// Intern the dotted-quad form, so metrics/trace/audit rows can carry a
-    /// 4-byte symbol instead of an owned `String` per event.
-    pub fn sym(self) -> netsim::arena::Sym {
-        netsim::arena::intern(&self.to_string())
-    }
 }
 
 impl CareOfAddress {
     /// The raw IPv4 address.
     pub fn ip(self) -> Ipv4Addr {
         self.0
-    }
-
-    /// Intern the dotted-quad form (see [`HomeAddress::sym`]).
-    pub fn sym(self) -> netsim::arena::Sym {
-        netsim::arena::intern(&self.to_string())
     }
 }
 
@@ -67,14 +56,5 @@ mod tests {
         assert_eq!(h.to_string(), "171.64.15.9");
         assert_eq!(c.to_string(), "36.186.0.99");
         assert_ne!(h.ip(), c.ip());
-    }
-
-    #[test]
-    fn syms_are_stable_and_resolve_back() {
-        let h = HomeAddress("171.64.15.9".parse().unwrap());
-        assert_eq!(h.sym(), h.sym());
-        assert_eq!(netsim::arena::resolve(h.sym()), "171.64.15.9");
-        let c = CareOfAddress("36.186.0.99".parse().unwrap());
-        assert_ne!(h.sym(), c.sym());
     }
 }

@@ -833,7 +833,7 @@ mod tests {
         server: NodeId,
     }
 
-    fn build(ch_config: HostConfig) -> Net {
+    fn build(ch_config: HostConfig<'_>) -> Net {
         let mut w = World::new(23);
         let home_seg = w.add_segment(LinkConfig::lan());
         let visited_a = w.add_segment(LinkConfig::lan());

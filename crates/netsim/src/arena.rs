@@ -1,17 +1,15 @@
-//! Global string interner: `u32` symbols for node labels and addresses.
+//! Global string interner: `u32` symbols for strings that live as long as
+//! the process.
 //!
-//! At 10⁵–10⁶ nodes, carrying a heap `String` per label in every metrics
-//! snapshot, trace reconstruction, or audit record dominates memory and
-//! allocator traffic. Interning maps each distinct label to a small
-//! [`Sym`] once; every later use is a 4-byte copy, and resolution returns
-//! a `&'static str` that never moves, so snapshot code can build label
-//! tables without cloning.
+//! Nothing in the simulator labels through it: a world keeps its node
+//! names in one buffer of its own ([`crate::world::World::node_names`]),
+//! so building one takes no lock and leaks nothing. What remains is the
+//! interner itself, kept for the benchmark probe that times a warm hit;
+//! it goes when that probe does.
 //!
-//! The interner is process-global and append-only: interned strings are
-//! leaked (a deliberate arena — labels live as long as the process, and a
-//! world's label set is tiny next to its node state). Symbols are handed
-//! out in first-intern order, so a deterministic build order yields
-//! deterministic symbols; nothing observable depends on the numeric value.
+//! The interner is append-only: interned strings are leaked, and symbols
+//! are handed out in first-intern order, so a deterministic intern order
+//! yields deterministic symbols.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -59,18 +57,6 @@ pub fn resolve(sym: Sym) -> &'static str {
     interner().lock().expect("interner poisoned").strings[sym.0 as usize]
 }
 
-/// Resolve a batch of symbols in one lock acquisition — how snapshot
-/// paths turn a world's `Vec<Sym>` into a label table.
-pub fn resolve_all(syms: &[Sym]) -> Vec<&'static str> {
-    let i = interner().lock().expect("interner poisoned");
-    syms.iter().map(|s| i.strings[s.0 as usize]).collect()
-}
-
-/// Number of distinct strings interned so far (diagnostics).
-pub fn len() -> usize {
-    interner().lock().expect("interner poisoned").strings.len()
-}
-
 impl std::fmt::Display for Sym {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(resolve(*self))
@@ -89,10 +75,6 @@ mod tests {
         assert_eq!(a, intern("arena-test-alpha"));
         assert_eq!(resolve(a), "arena-test-alpha");
         assert_eq!(resolve(b), "arena-test-beta");
-        assert_eq!(
-            resolve_all(&[b, a]),
-            vec!["arena-test-beta", "arena-test-alpha"]
-        );
     }
 
     #[test]

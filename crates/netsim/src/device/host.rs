@@ -164,13 +164,14 @@ pub trait App: Any {
     fn as_any(&mut self) -> &mut dyn Any;
 }
 
-/// Host configuration.
+/// Host configuration, built and handed straight to
+/// [`crate::world::World::add_host`].
 #[derive(Debug, Clone)]
-pub struct HostConfig {
-    /// Fully-qualified name, lower-case, dot-separated. The world keeps it
-    /// once, interned ([`crate::world::World::node_names`]); the host does
-    /// not hold it.
-    pub name: String,
+pub struct HostConfig<'a> {
+    /// Fully-qualified name, lower-case, dot-separated. The world copies it
+    /// once into its name buffer ([`crate::world::World::node_names`]); the
+    /// host does not hold it.
+    pub name: &'a str,
     /// Can this stack decapsulate tunnel packets addressed to it? The paper:
     /// "Some operating systems, such as recent versions of Linux, have this
     /// capability built-in" (§6.1). Conventional correspondents have it off.
@@ -187,11 +188,11 @@ pub struct HostConfig {
     pub forward_source_routes: bool,
 }
 
-impl HostConfig {
+impl<'a> HostConfig<'a> {
     /// A conventional, mobility-unaware Internet host.
-    pub fn conventional(name: &str) -> HostConfig {
+    pub fn conventional(name: &'a str) -> HostConfig<'a> {
         HostConfig {
-            name: name.to_string(),
+            name,
             decap_capable: false,
             forward_decapsulated: false,
             icmp_echo_reply: true,
@@ -200,7 +201,7 @@ impl HostConfig {
     }
 
     /// A host with tunnel decapsulation enabled.
-    pub fn decap_capable(name: &str) -> HostConfig {
+    pub fn decap_capable(name: &'a str) -> HostConfig<'a> {
         HostConfig {
             decap_capable: true,
             ..HostConfig::conventional(name)
@@ -208,7 +209,7 @@ impl HostConfig {
     }
 
     /// A tunnel endpoint that also forwards inner packets (home agent).
-    pub fn agent(name: &str) -> HostConfig {
+    pub fn agent(name: &'a str) -> HostConfig<'a> {
         HostConfig {
             decap_capable: true,
             forward_decapsulated: true,
@@ -261,7 +262,7 @@ pub struct Host {
     pub icmp_log: Vec<IcmpEvent>,
     next_ident: u16,
     hook_taken: bool,
-    // `HostConfig`'s switches; its name is the world's, interned.
+    // `HostConfig`'s switches; its name is the world's.
     decap_capable: bool,
     forward_decapsulated: bool,
     icmp_echo_reply: bool,
@@ -270,7 +271,7 @@ pub struct Host {
 
 impl Host {
     /// A host with no interfaces, handlers, or apps yet.
-    pub fn new(id: NodeId, config: HostConfig) -> Host {
+    pub fn new(id: NodeId, config: HostConfig<'_>) -> Host {
         Host {
             id,
             nic: Nic::new(),

@@ -77,11 +77,11 @@ pub enum NextHop {
     Multicast(Ipv4Addr),
 }
 
-/// One learned neighbour on one interface. Stored in a flat per-iface
-/// vector: the tables are small (bounded by [`ARP_CACHE_CAP`]), entries
-/// are `Copy`, and a linear probe over contiguous memory beats tuple
-/// hashing at every size the simulator sees — and needs no per-lookup
-/// hasher state or heap buckets.
+/// One learned neighbour on one interface. Stored in a flat vector on the
+/// interface it was learned on: the tables are small (bounded by
+/// [`ARP_CACHE_CAP`]), entries are `Copy`, and a linear probe over
+/// contiguous memory beats `(IfaceNo, Ipv4Addr)` hashing at every size the
+/// simulator sees — and needs no per-lookup hasher state or heap buckets.
 #[derive(Debug, Clone, Copy)]
 struct ArpEntry {
     ip: Ipv4Addr,
@@ -108,9 +108,6 @@ struct Pending {
 #[derive(Debug)]
 pub struct Nic {
     ifaces: Vec<InterfaceState>,
-    /// Per-interface neighbour tables, indexed by the dense iface number
-    /// (no `(IfaceNo, Ipv4Addr)` tuple hashing on the hot lookup path).
-    arp: Vec<Vec<ArpEntry>>,
     pending: Vec<Pending>,
 }
 
@@ -120,6 +117,8 @@ struct InterfaceState {
     addr: Option<IfaceAddr>,
     segment: Option<SegmentId>,
     mtu: usize,
+    /// Neighbours learned on this interface.
+    arp: Vec<ArpEntry>,
 }
 
 /// What the NIC made of a received frame.
@@ -144,7 +143,6 @@ impl Nic {
     pub fn new() -> Nic {
         Nic {
             ifaces: Vec::new(),
-            arp: Vec::new(),
             pending: Vec::new(),
         }
     }
@@ -156,8 +154,8 @@ impl Nic {
             addr: None,
             segment: None,
             mtu: 1500,
+            arp: Vec::new(),
         });
-        self.arp.push(Vec::new());
         self.ifaces.len() - 1
     }
 
@@ -189,10 +187,11 @@ impl Nic {
     /// Record attachment (the [`crate::world::World`] updates the segment's
     /// side of the relationship).
     pub fn set_segment(&mut self, iface: IfaceNo, seg: Option<SegmentId>, mtu: usize) {
-        self.ifaces[iface].segment = seg;
-        self.ifaces[iface].mtu = mtu;
+        let st = &mut self.ifaces[iface];
+        st.segment = seg;
+        st.mtu = mtu;
         // Stale neighbours and queued packets are meaningless on a new wire.
-        self.arp[iface].clear();
+        st.arp.clear();
         self.pending.retain(|p| p.iface != iface);
     }
 
@@ -301,7 +300,8 @@ impl Nic {
     }
 
     fn lookup_arp(&mut self, iface: IfaceNo, ip: Ipv4Addr, now: SimTime) -> Option<MacAddr> {
-        self.arp[iface]
+        self.ifaces[iface]
+            .arp
             .iter_mut()
             .find(|e| e.ip == ip)
             .filter(|e| now.since(e.learned_at) <= ARP_TTL)
@@ -314,7 +314,7 @@ impl Nic {
     /// Update an existing binding without creating one — what overheard
     /// broadcast traffic is allowed to do.
     fn refresh_arp(&mut self, iface: IfaceNo, ip: Ipv4Addr, mac: MacAddr, now: SimTime) {
-        if let Some(e) = self.arp[iface].iter_mut().find(|e| e.ip == ip) {
+        if let Some(e) = self.ifaces[iface].arp.iter_mut().find(|e| e.ip == ip) {
             e.mac = mac;
             e.learned_at = now;
             e.last_used = now;
@@ -326,7 +326,7 @@ impl Nic {
     /// recently used — deterministic, and an active next hop outlives any
     /// flood of passively learned neighbours (see [`ArpEntry::last_used`]).
     fn learn_arp(&mut self, iface: IfaceNo, ip: Ipv4Addr, mac: MacAddr, now: SimTime) {
-        let table = &mut self.arp[iface];
+        let table = &mut self.ifaces[iface].arp;
         if let Some(e) = table.iter_mut().find(|e| e.ip == ip) {
             e.mac = mac;
             e.learned_at = now;
@@ -520,7 +520,8 @@ impl Nic {
     /// Peek at the ARP cache (tests). Read-only: does not refresh the
     /// entry's LRU clock the way a real send would.
     pub fn arp_lookup(&self, iface: IfaceNo, ip: Ipv4Addr, now: SimTime) -> Option<MacAddr> {
-        self.arp[iface]
+        self.ifaces[iface]
+            .arp
             .iter()
             .find(|e| e.ip == ip)
             .filter(|e| now.since(e.learned_at) <= ARP_TTL)

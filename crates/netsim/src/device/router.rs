@@ -229,12 +229,13 @@ pub fn patch_forwarded_frame(buf: &mut [u8], dst_mac: MacAddr, src_mac: MacAddr)
     buf[ck..ck + 2].copy_from_slice(&hc.to_be_bytes());
 }
 
-/// Router configuration.
+/// Router configuration, built and handed straight to
+/// [`crate::world::World::add_router`].
 #[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Fully-qualified name, lower-case, dot-separated. The world keeps it
-    /// once, interned ([`crate::world::World::node_names`]).
-    pub name: String,
+pub struct RouterConfig<'a> {
+    /// Fully-qualified name, lower-case, dot-separated. The world copies it
+    /// once into its name buffer ([`crate::world::World::node_names`]).
+    pub name: &'a str,
     /// Generate ICMP errors (time exceeded, unreachable, frag needed).
     pub icmp_errors: bool,
     /// Extra processing delay for any packet carrying IP options — the §4
@@ -244,11 +245,11 @@ pub struct RouterConfig {
     pub option_delay: SimDuration,
 }
 
-impl RouterConfig {
+impl<'a> RouterConfig<'a> {
     /// A router config with defaults (ICMP errors on, 500 µs option delay).
-    pub fn named(name: &str) -> RouterConfig {
+    pub fn named(name: &'a str) -> RouterConfig<'a> {
         RouterConfig {
-            name: name.to_string(),
+            name,
             icmp_errors: true,
             option_delay: SimDuration::from_micros(500),
         }
@@ -287,7 +288,7 @@ pub struct Router {
 
 impl Router {
     /// A router with no interfaces or routes yet.
-    pub fn new(id: NodeId, config: RouterConfig) -> Router {
+    pub fn new(id: NodeId, config: RouterConfig<'_>) -> Router {
         Router {
             id,
             nic: Nic::new(),

@@ -296,18 +296,6 @@ impl Segment {
             .retain(|&(n, i, _)| (n, i) != (node, iface));
     }
 
-    /// Everything plugged into this segment, with its MAC.
-    pub fn attachments(&self) -> &[(NodeId, IfaceNo, MacAddr)] {
-        &self.attachments
-    }
-
-    /// Is this (node, interface) plugged in here?
-    pub fn is_attached(&self, node: NodeId, iface: IfaceNo) -> bool {
-        self.attachments
-            .iter()
-            .any(|&(n, i, _)| (n, i) == (node, iface))
-    }
-
     /// Transmit `frame` from `from`, scheduling one delivery event into
     /// `queue` per attachment that would accept it: the other owners of a
     /// unicast destination MAC, every other attachment for a broadcast,
@@ -601,12 +589,16 @@ mod tests {
         let mut seg = Segment::new(LinkConfig::lan());
         seg.attach(NodeId(0), 0, mac(0));
         seg.attach(NodeId(1), 0, mac(1));
-        assert!(seg.is_attached(NodeId(1), 0));
-        seg.detach(NodeId(1), 0);
-        assert!(!seg.is_attached(NodeId(1), 0));
+        seg.attach(NodeId(2), 0, mac(2));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
-        seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q);
+        send(&seg, &mut st, &mut q, 0, frame(64));
+        assert_eq!(receivers(&mut q), vec![1, 2]);
+        seg.detach(NodeId(1), 0);
+        send(&seg, &mut st, &mut q, 0, frame(64));
+        assert_eq!(receivers(&mut q), vec![2]);
+        seg.detach(NodeId(2), 0);
+        send(&seg, &mut st, &mut q, 0, frame(64));
         assert!(q.is_empty());
     }
 

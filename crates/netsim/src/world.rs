@@ -301,10 +301,12 @@ impl NetCtx<'_> {
 /// The simulated internetwork.
 pub struct World {
     nodes: Vec<Node>,
-    /// Interned node labels, following `nodes` index-for-index: metrics,
-    /// trace and report labelling read these 4-byte symbols instead of
-    /// cloning each node's heap `String` per snapshot.
-    node_syms: Vec<crate::arena::Sym>,
+    /// Every node's name, concatenated in `NodeId` order: one buffer for
+    /// the world, so naming a node copies its bytes and allocates nothing
+    /// of its own. Node `i`'s name ends at `name_ends[i]` and starts
+    /// where node `i - 1`'s ends.
+    names: String,
+    name_ends: Vec<u32>,
     /// Per-node lane sequence counters: the seq half of every timer's
     /// `(node lane, seq)` key. Follows `nodes` index-for-index.
     node_seq: Vec<u64>,
@@ -344,7 +346,8 @@ impl World {
     pub fn new(seed: u64) -> World {
         World {
             nodes: Vec::new(),
-            node_syms: Vec::new(),
+            names: String::new(),
+            name_ends: Vec::new(),
             node_seq: Vec::new(),
             node_rng: Vec::new(),
             segments: Vec::new(),
@@ -415,16 +418,18 @@ impl World {
     }
 
     /// Human-readable node names indexed by `NodeId`, for labelling
-    /// metrics snapshots and reports. Resolved from the interned symbols
-    /// recorded at node creation — no per-snapshot `String` cloning, and
-    /// the returned `&'static str`s are valid for the process lifetime.
-    pub fn node_names(&self) -> Vec<&'static str> {
-        crate::arena::resolve_all(&self.node_syms)
-    }
-
-    /// The interned label symbols, indexed by `NodeId`.
-    pub fn node_syms(&self) -> &[crate::arena::Sym] {
-        &self.node_syms
+    /// metrics snapshots and reports: slices of the world's one name
+    /// buffer, with no per-snapshot `String` cloning.
+    pub fn node_names(&self) -> Vec<&str> {
+        let mut start = 0;
+        self.name_ends
+            .iter()
+            .map(|&end| {
+                let name = &self.names[start..end as usize];
+                start = end as usize;
+                name
+            })
+            .collect()
     }
 
     /// Capture every transmitted frame into a pcap stream (e.g. a
@@ -456,7 +461,7 @@ impl World {
     /// alone is worth hundreds of bytes per host.
     pub fn reserve(&mut self, nodes: usize, segments: usize) {
         self.nodes.reserve_exact(nodes);
-        self.node_syms.reserve_exact(nodes);
+        self.name_ends.reserve_exact(nodes);
         self.node_seq.reserve_exact(nodes);
         self.node_rng.reserve_exact(nodes);
         self.segments.reserve_exact(segments);
@@ -476,22 +481,27 @@ impl World {
     }
 
     /// Create a host node.
-    pub fn add_host(&mut self, config: HostConfig) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.node_syms.push(crate::arena::intern(&config.name));
+    pub fn add_host(&mut self, config: HostConfig<'_>) -> NodeId {
+        let id = self.add_node(config.name);
         self.nodes.push(Node::Host(Host::new(id, config)));
-        self.node_seq.push(0);
-        self.node_rng
-            .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));
         id
     }
 
     /// Create a router node.
-    pub fn add_router(&mut self, config: RouterConfig) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.node_syms.push(crate::arena::intern(&config.name));
+    pub fn add_router(&mut self, config: RouterConfig<'_>) -> NodeId {
+        let id = self.add_node(config.name);
         self.nodes
             .push(Node::Router(Box::new(Router::new(id, config))));
+        id
+    }
+
+    /// The next node's id, with its name, lane counter and RNG recorded;
+    /// the caller pushes the node itself.
+    fn add_node(&mut self, name: &str) -> NodeId {
+        let id = NodeId(self.nodes.len());
+        self.names.push_str(name);
+        let end = u32::try_from(self.names.len()).expect("node names fit in 4 GiB");
+        self.name_ends.push(end);
         self.node_seq.push(0);
         self.node_rng
             .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));

@@ -25,12 +25,11 @@ use rand::{Rng, SeedableRng};
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 /// Live heap per host of a scale world, built and after a handoff storm.
-/// Set at the larger steady figure plus 4 % when the world read 695 / 696 B
-/// (release, 100 352 hosts) and 697 / 701 B (debug, the eighth-size world
-/// below); since a segment keeps one attachment list with the MACs in it,
-/// they read 674 / 675 B and 676 / 680 B. The name of the test holding it
-/// dates from a 1 KiB budget.
-const BYTES_PER_HOST: i64 = 730;
+/// Set at the larger steady figure plus 4 % (607 × 1.04, rounded up) when
+/// the world read 600 / 600 B (release, 100 352 hosts) and 602 / 607 B
+/// (debug, the eighth-size world below), built / steady. The name of the
+/// test holding it dates from a 1 KiB budget.
+const BYTES_PER_HOST: i64 = 632;
 
 /// Build a seeded world, run the full churn workload, and fingerprint
 /// everything observable: the world snapshot (nodes, routes, bindings) and
@@ -123,9 +122,9 @@ fn node_structs_stay_within_their_byte_budgets() {
     use netsim::{Host, RouteTable, Router};
     use std::mem::size_of;
     for (name, size, budget) in [
-        ("Node", size_of::<Node>(), 216),
-        ("Host", size_of::<Host>(), 216),
-        ("Router", size_of::<Router>(), 216),
+        ("Node", size_of::<Node>(), 192),
+        ("Host", size_of::<Host>(), 192),
+        ("Router", size_of::<Router>(), 192),
         ("RouteTable", size_of::<RouteTable>(), 32),
     ] {
         assert!(
@@ -395,4 +394,73 @@ fn a_warmed_echo_between_full_stubs_dispatches_one_event_per_frame() {
         });
     assert_eq!(replies.count(), 1, "the warmed echo was answered");
     assert_eq!(dispatched, 4, "events dispatched for one warmed echo");
+}
+
+/// What building a world allocates is what its hosts keep: an interface
+/// list and a route table each, and nothing for a name, which the world
+/// copies into one buffer it owns. The rest is the stubs' and routers':
+/// each stub LAN's attachment list doubling up to its 197 residents, its
+/// router's interface address and routes, and the world's own tables and
+/// name buffer growing. The count is exact and the same in debug and
+/// release; a per-host name string or interner probe adds 100 352 or more.
+#[test]
+fn a_built_host_costs_two_allocations_and_its_name_none() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let params = ScaleParams {
+        seed: 1,
+        ..ScaleParams::with_hosts(100_000)
+    };
+    let before = netsim::profile::thread_allocations().0;
+    let (w, ix) = build_world(&params);
+    let allocs = netsim::profile::thread_allocations().0 - before;
+    drop(w);
+    let hosts = ix.hosts.len() as u64;
+    assert_eq!((hosts, ix.stubs.len()), (100_352, 512));
+    assert_eq!(
+        allocs,
+        2 * hosts + 4_485,
+        "building {hosts} hosts allocated {allocs} times ({:.2} a host)",
+        allocs as f64 / hosts as f64
+    );
+}
+
+/// Node names come back from the world's buffer in `NodeId` order: the
+/// backbone routers `bb{b}`, each transit router `tr{b}-{t}` followed by
+/// the hosts `h{sid}-{k}` of its stubs, and the home agent `ha` last.
+#[test]
+fn node_names_follow_the_build_order() {
+    let params = ScaleParams {
+        backbones: 2,
+        transits_per_backbone: 2,
+        stubs_per_transit: 2,
+        hosts_per_stub: 3,
+        seed: 1,
+    };
+    let (w, ix) = build_world(&params);
+    let mut expected: Vec<(NodeId, String)> = Vec::new();
+    for (b, &r) in ix.backbone_routers.iter().enumerate() {
+        expected.push((r, format!("bb{b}")));
+    }
+    for (i, &r) in ix.transit_routers.iter().enumerate() {
+        let (b, t) = (
+            i / params.transits_per_backbone,
+            i % params.transits_per_backbone,
+        );
+        expected.push((r, format!("tr{b}-{t}")));
+    }
+    for (i, &h) in ix.hosts.iter().enumerate() {
+        let sid = ix.stubs[ix.stub_of(i)].sid;
+        expected.push((h, format!("h{sid}-{}", i % params.hosts_per_stub)));
+    }
+    expected.push((ix.ha, "ha".to_string()));
+    expected.sort();
+    let names = w.node_names();
+    assert_eq!(names.len(), expected.len(), "every node is named once");
+    for (id, (node, name)) in expected.iter().enumerate() {
+        assert_eq!(node.0, id, "node ids are dense");
+        assert_eq!(names[id], name, "node {id}");
+    }
+    assert_eq!(names[..3], ["bb0", "bb1", "tr0-0"]);
+    assert_eq!(names[3], format!("h{}-0", ix.stubs[0].sid));
+    assert_eq!(names.last(), Some(&"ha"));
 }
